@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks for the simplex solver (substrate #2):
 //! scaling of the §2.2 path LP with coflow width (fat-tree k=4, the
 //! paper-scale k=8, and the scale-up k=16), a pure-LP transportation
-//! stress series (including transport/1000 and a candidate-pricing
-//! 4-thread A/B at transport/500), the dense-inverse baseline, a
-//! warm-vs-cold grid-sequence comparison, and the
+//! stress series (including transport/1000 and a 1-vs-4-thread A/B at
+//! transport/500), a warm-vs-cold grid-sequence comparison, and the
 //! delayed-column-generation vs eager-enumeration A/B.
 //!
 //! Besides the console report, the run writes a machine-readable snapshot
@@ -26,8 +25,7 @@ use coflow_core::intervals::IntervalGrid;
 use coflow_core::model::Instance;
 use coflow_core::tol;
 use coflow_lp::{
-    solve_colgen, Backend, Cmp, ColGenStats, Model, Pricing, RowId, SolveStats, SolverOptions,
-    WarmChain,
+    solve_colgen, Cmp, ColGenStats, Model, RowId, SolveStats, SolverOptions, WarmChain,
 };
 use coflow_net::topo;
 use coflow_workloads::gen::generate;
@@ -142,29 +140,15 @@ fn production_opts() -> SolverOptions {
     }
 }
 
-/// The threaded configuration for the large points: candidate-list
-/// pricing (scattered list rescans most pivots, parallel sectioned
-/// window scans on refill) at a fixed four workers. Fixed rather than
-/// detected so the recorded numbers are comparable across machines; the
-/// pivot sequence itself is thread-count invariant by construction.
+/// The threaded configuration for the large points: the refill scans of
+/// the pricing rule and the colgen oracle fan-out run at a fixed four
+/// workers. Fixed rather than detected so the recorded numbers are
+/// comparable across machines; the pivot sequence itself is thread-count
+/// invariant by construction.
 fn parallel_opts() -> SolverOptions {
     SolverOptions {
         verify: false,
-        pricing: Pricing::Candidate,
         threads: 4,
-        ..Default::default()
-    }
-}
-
-/// The historical solver configuration: explicit dense `B⁻¹`, full devex
-/// pricing, exact phase-1 costs — the baseline the sparse rewrite is
-/// measured against.
-fn dense_baseline_opts() -> SolverOptions {
-    SolverOptions {
-        backend: Backend::DenseInverse,
-        pricing: Pricing::Full,
-        phase1_jitter: 0.0,
-        verify: false,
         ..Default::default()
     }
 }
@@ -333,10 +317,9 @@ fn bench_snapshot(_c: &mut Criterion) {
             });
         }
     }
-    // The same transport/500 model under the threaded candidate-pricing
-    // configuration: the pricing_ms delta against the serial "sparse-lu"
-    // point above is the headline parallel-pricing measurement (guarded
-    // against the committed baseline by `perf_gate`).
+    // The same transport/500 model under the threaded configuration:
+    // `perf_gate` guards that its pricing_ms does not exceed the serial
+    // "sparse-lu" point's above (threads must never cost).
     {
         let m = transport(500);
         let (ms, ms_min, sol) = measure_with(samples, || m.solve_with(&parallel_opts()).unwrap());
@@ -361,21 +344,6 @@ fn bench_snapshot(_c: &mut Criterion) {
             wall_ms_min: ms_min,
             samples,
             stats: sol.stats,
-        });
-    }
-    // The dense-inverse baseline at the ROADMAP's reference point.
-    {
-        let m = transport(100);
-        let (ms, ms_min, stats) = measure_with(samples, || {
-            m.solve_with(&dense_baseline_opts()).unwrap().stats
-        });
-        points.push(Point {
-            name: "raw_simplex/transport/100".into(),
-            backend: "dense-inverse-baseline",
-            wall_ms_median: ms,
-            wall_ms_min: ms_min,
-            samples,
-            stats,
         });
     }
     // Paper-scale interval LP (fat-tree k=8, width 8), eager and colgen.
@@ -485,35 +453,6 @@ fn bench_snapshot(_c: &mut Criterion) {
         });
     }
 
-    // Warm vs cold across a *sweep* of distinct same-shape trial instances
-    // (the fig3/fig4 pattern). `coflow_bench::run_point` now defaults this
-    // chaining OFF (`WarmPolicy::Off`) because the measurement below is
-    // negative for independent instances; the block stays as the evidence.
-    let sweep: Vec<Instance> = (0..4)
-        .map(|trial| generate(&topo::fat_tree(4, 1.0), &fig3_config(4, trial)))
-        .collect();
-    let sweep_cfg = FreePathsLpConfig {
-        solver: production_opts(),
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let mut sweep_chain = WarmChain::new();
-    for inst in &sweep {
-        let grid = IntervalGrid::cover(sweep_cfg.eps, inst.horizon());
-        solve_free_paths_lp_paths_on_grid(inst, &sweep_cfg, grid, &mut sweep_chain).unwrap();
-    }
-    let sweep_warm_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let sweep_warm = sweep_chain.stats();
-    let t0 = Instant::now();
-    let mut sweep_cold_iters = 0usize;
-    for inst in &sweep {
-        let grid = IntervalGrid::cover(sweep_cfg.eps, inst.horizon());
-        let sol = solve_free_paths_lp_paths_on_grid(inst, &sweep_cfg, grid, &mut WarmChain::new())
-            .unwrap();
-        sweep_cold_iters += sol.base.iterations;
-    }
-    let sweep_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-
     // Warm vs cold on a growing grid sequence of the path LP.
     let inst = generate(&topo::fat_tree(4, 1.0), &fig3_config(4, 0));
     let cfg = FreePathsLpConfig {
@@ -540,17 +479,6 @@ fn bench_snapshot(_c: &mut Criterion) {
     }
     let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Derived headline numbers.
-    let sparse100 = points
-        .iter()
-        .find(|p| p.name.ends_with("transport/100") && p.backend == "sparse-lu")
-        .unwrap()
-        .wall_ms_median;
-    let dense100 = points
-        .iter()
-        .find(|p| p.backend == "dense-inverse-baseline")
-        .unwrap()
-        .wall_ms_median;
     let serial500 = points
         .iter()
         .find(|p| p.name.ends_with("transport/500") && p.backend == "sparse-lu")
@@ -559,7 +487,6 @@ fn bench_snapshot(_c: &mut Criterion) {
         .iter()
         .find(|p| p.name.ends_with("transport/500") && p.backend == "sparse-lu-parallel")
         .unwrap();
-    let pricing_speedup = serial500.stats.pricing_ms / par500.stats.pricing_ms;
 
     let mut json = String::from("{\n  \"schema\": \"coflow-lp-bench/v2\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n  \"points\": [\n"));
@@ -605,7 +532,7 @@ fn bench_snapshot(_c: &mut Criterion) {
         concat!(
             "  \"warm_vs_cold\": {{\"sequence\":\"free_paths_lp/fat_tree_k4/4 grids x{}\",",
             "\"warm_total_iterations\":{},\"cold_total_iterations\":{},",
-            "\"warm_total_phase1\":{},\"warm_used\":{},\"warm_wall_ms\":{:.3},\"cold_wall_ms\":{:.3}}},\n"
+            "\"warm_total_phase1\":{},\"warm_used\":{},\"warm_wall_ms\":{:.3},\"cold_wall_ms\":{:.3}}}\n}}\n"
         ),
         scales.len(),
         warm_stats.total_iterations,
@@ -614,27 +541,6 @@ fn bench_snapshot(_c: &mut Criterion) {
         warm_stats.warm_used,
         warm_ms,
         cold_ms,
-    ));
-    json.push_str(&format!(
-        concat!(
-            "  \"sweep_warm_vs_cold\": {{\"sequence\":\"fig3 fat_tree_k4 width-4 trials x{}\",",
-            "\"warm_total_iterations\":{},\"cold_total_iterations\":{},",
-            "\"warm_used\":{},\"warm_wall_ms\":{:.3},\"cold_wall_ms\":{:.3}}},\n"
-        ),
-        sweep.len(),
-        sweep_warm.total_iterations,
-        sweep_cold_iters,
-        sweep_warm.warm_used,
-        sweep_warm_ms,
-        sweep_cold_ms,
-    ));
-    json.push_str(&format!(
-        concat!(
-            "  \"derived\": {{\"transport100_speedup_vs_dense_baseline\":{:.2},",
-            "\"transport500_pricing_speedup_candidate4t_vs_serial\":{:.2}}}\n}}\n"
-        ),
-        dense100 / sparse100,
-        pricing_speedup,
     ));
 
     // Cargo runs benches with the package dir as CWD; anchor the artifact
@@ -686,18 +592,11 @@ fn bench_snapshot(_c: &mut Criterion) {
         );
     }
     println!(
-        "lp_snapshot: transport/100 sparse {sparse100:.1}ms vs dense baseline {dense100:.1}ms \
-         ({:.1}x); warm grid chain {} iters vs cold {}; warm trial sweep {} iters vs cold {} \
-         — results/BENCH_lp.json",
-        dense100 / sparse100,
-        warm_stats.total_iterations,
-        cold_iters,
-        sweep_warm.total_iterations,
-        sweep_cold_iters
+        "lp_snapshot: warm grid chain {} iters vs cold {} — results/BENCH_lp.json",
+        warm_stats.total_iterations, cold_iters,
     );
     println!(
-        "  parallel pricing transport/500: candidate/4t pricing {:.1}ms vs serial {:.1}ms \
-         ({pricing_speedup:.2}x), wall {:.1}ms vs {:.1}ms",
+        "  transport/500 pricing at 4 threads {:.1}ms vs 1 thread {:.1}ms, wall {:.1}ms vs {:.1}ms",
         par500.stats.pricing_ms,
         serial500.stats.pricing_ms,
         par500.wall_ms_median,

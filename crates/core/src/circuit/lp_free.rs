@@ -326,9 +326,8 @@ pub fn solve_free_paths_lp_edges_on_grid(
 
 /// Solves the path-based column restriction of (15)–(23).
 ///
-/// # Panics
-/// If some flow has no path between its endpoints under the enumeration
-/// budget (disconnected instance).
+/// A flow with no path between its endpoints (disconnected instance) is an
+/// [`LpError::Numerical`], in either [`ColumnMode`].
 pub fn solve_free_paths_lp_paths(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
@@ -391,10 +390,11 @@ pub fn solve_free_paths_lp_paths_on_grid(
             Some(p) => vec![p.clone()],
             None => netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths),
         };
-        assert!(
-            !ps.is_empty(),
-            "flow {flat} has no candidate path (disconnected?)"
-        );
+        if ps.is_empty() {
+            return Err(LpError::Numerical(format!(
+                "flow {flat} has no path (disconnected?)"
+            )));
+        }
         let first = grid.first_usable(spec.release);
         let mut rows: Vec<Vec<Option<VarId>>> = Vec::with_capacity(ps.len());
         for (pi, _) in ps.iter().enumerate() {
@@ -523,9 +523,6 @@ pub fn solve_free_paths_lp_paths_on_grid(
 /// mapping onto the next master (warm starts and column reuse compose).
 ///
 /// Returns the solution together with the [`ColGenStats`] of this call.
-///
-/// # Panics
-/// If some flow has no path between its endpoints (disconnected instance).
 pub fn solve_free_paths_lp_colgen_on_grid(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
@@ -830,6 +827,33 @@ mod tests {
                 Coflow::new(1.0, vec![FlowSpec::new(z, y, 1.0, 0.0)]),
             ],
         )
+    }
+
+    /// A flow whose endpoints are disconnected is a typed error in both
+    /// column modes, never a panic.
+    #[test]
+    fn disconnected_flow_is_an_error_in_both_column_modes() {
+        let mut g = coflow_net::graph::Graph::new();
+        let (a, b, c) = (g.add_node(), g.add_node(), g.add_node());
+        g.add_bidi_edge(a, b, 1.0); // c is isolated
+        let inst = Instance::new(
+            g,
+            vec![Coflow::new(
+                1.0,
+                vec![FlowSpec::new(a, b, 1.0, 0.0), FlowSpec::new(a, c, 1.0, 0.0)],
+            )],
+        );
+        for columns in [ColumnMode::Eager, ColumnMode::delayed()] {
+            let cfg = FreePathsLpConfig {
+                columns,
+                ..Default::default()
+            };
+            let err = solve_free_paths_lp_paths(&inst, &cfg).unwrap_err();
+            assert!(
+                matches!(&err, LpError::Numerical(msg) if msg.contains("flow 1 has no path")),
+                "{columns:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

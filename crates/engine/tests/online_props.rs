@@ -282,13 +282,13 @@ fn steady_state_epochs_allocate_nothing() {
 }
 
 /// The allocation-free steady-state contract survives the threaded
-/// configuration: candidate-list pricing plus concurrent colgen oracles
+/// configuration: parallel refill scans plus concurrent colgen oracles
 /// (`threads >= 2`) route all per-worker state through retained scratch,
 /// so warm epoch re-solves still report `allocs == 0` and record the
 /// thread knob in their stats.
 #[test]
 fn steady_state_epochs_allocate_nothing_with_parallel_oracles() {
-    use coflow_lp::{Pricing, SolverOptions};
+    use coflow_lp::SolverOptions;
     let topo = coflow_net::topo::fat_tree(4, 1.0);
     let inst = generate(
         &topo,
@@ -304,7 +304,6 @@ fn steady_state_epochs_allocate_nothing_with_parallel_oracles() {
     );
     let lc = FreePathsLpConfig {
         solver: SolverOptions {
-            pricing: Pricing::Candidate,
             threads: 4,
             ..Default::default()
         },

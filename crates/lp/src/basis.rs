@@ -105,8 +105,7 @@ pub struct SolveStats {
     pub phase1_iterations: usize,
     /// Basis (re)factorizations performed, including the initial one.
     pub refactorizations: usize,
-    /// Nonzeros of the last basis factorization (L + U for the sparse
-    /// backend, `m²` for the dense-inverse backend).
+    /// Nonzeros of the last basis factorization (L + U).
     pub factor_nnz: usize,
     /// Nonzeros of the basis matrix itself at the last factorization
     /// (`factor_nnz / basis_nnz` is the fill-in ratio).
@@ -136,13 +135,11 @@ pub struct SolveStats {
     pub allocs: usize,
     /// Workspace acquisitions served from retained scratch capacity.
     pub scratch_reuse: usize,
-    /// Full pricing scans over every column (parallel across fixed
-    /// sections when [`SolverOptions::threads`](crate::SolverOptions) >
-    /// 1): the expensive pivots candidate-list pricing tries to avoid.
+    /// Pricing passes that scanned every column (a refill cycle that
+    /// wrapped all the way round, or a Bland's-rule pass): the expensive
+    /// pivots candidate-list pricing tries to avoid.
     pub pricing_full_scans: usize,
-    /// Pivots priced without scanning every column: served from the
-    /// candidate list ([`Pricing::Candidate`](crate::Pricing)) or from an
-    /// early-stopping window ([`Pricing::Partial`](crate::Pricing)).
+    /// Pivots served from the candidate list without a refill scan.
     pub pricing_list_hits: usize,
     /// Worker threads the solve ran with (`SolverOptions::threads`,
     /// clamped to at least 1). Purely informational: results are byte

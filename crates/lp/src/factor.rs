@@ -1,4 +1,4 @@
-//! The basis-factorization abstraction behind the revised simplex.
+//! The basis factorization behind the revised simplex.
 //!
 //! The pivot loop in [`crate::simplex`] only ever needs four linear-algebra
 //! operations on the basis matrix `B`:
@@ -8,353 +8,163 @@
 //! * `update` — rank-one replacement of one basis column after a pivot;
 //! * `refactor` — rebuild from the current basis columns.
 //!
-//! [`Factorization`] captures exactly that contract, so the engine is
-//! generic over the representation: [`DenseInverse`] keeps an explicit
-//! `m×m` basis inverse with Gauss–Jordan refactorization (the historical
-//! implementation, kept as a measurable baseline and a cross-check), and
-//! [`SparseLuFactor`] wraps the sparse Markowitz LU + eta file from
-//! [`crate::sparse_lu`] (the production default).
+//! [`SparseLuFactor`] provides them over the sparse Markowitz LU + eta
+//! file of [`crate::sparse_lu`], maps its failures to [`LpError`], and
+//! owns the refactorization policy. The unit tests cross-check all four
+//! operations against an explicit dense inverse.
 
-use crate::model::{LpError, SolverOptions};
-use crate::nonzero;
-use crate::scratch::{prep, Counters, Scratch};
+use crate::model::LpError;
+use crate::scratch::Counters;
 use crate::sparse_lu::{LuFactors, SparseCol};
 
-/// Linear-algebra contract of a basis representation.
-pub(crate) trait Factorization {
-    /// Rebuilds the representation from the basis columns (`cols.len() == m`),
-    /// counting workspace acquisitions in `cnt`.
-    fn refactor(&mut self, m: usize, cols: &[SparseCol], cnt: &mut Counters)
-        -> Result<(), LpError>;
-    /// Moves any state persisted across solves (e.g. retained LU storage)
-    /// out of the scratch and into this factorization.
-    fn take_from(&mut self, _scratch: &mut Scratch) {}
-    /// Returns persisted state to the scratch for the next solve.
-    fn store_into(self, _scratch: &mut Scratch)
-    where
-        Self: Sized,
-    {
-    }
-    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis position).
-    fn ftran(&mut self, x: &mut [f64]);
-    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by row).
-    fn btran(&mut self, x: &mut [f64]);
-    /// Writes row `r` of `B⁻¹` into `out` (length `m`).
-    fn binv_row(&mut self, r: usize, out: &mut [f64]) {
-        out.fill(0.0);
-        out[r] = 1.0;
-        self.btran(out);
-    }
-    /// Replaces basis position `r_leave`; `w` is the FTRAN image of the
-    /// entering column. `Err` means "refactorize now".
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError>;
-    /// Whether the engine should refactorize given pivots since the last one.
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool;
-    /// Nonzeros in the current factors (fill-in accounting).
-    fn factor_nnz(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// Dense explicit inverse (baseline).
-// ---------------------------------------------------------------------------
-
-/// Explicit dense `B⁻¹`, column-major (`binv[c*m + r] = B⁻¹[r][c]`), with
-/// Gauss–Jordan refactorization and `O(m²)` product-form pivot updates.
-#[derive(Default)]
-pub(crate) struct DenseInverse {
-    m: usize,
-    binv: Vec<f64>,
-    scratch: Vec<f64>,
-    nz: Vec<(usize, f64)>,
-    bmat: Vec<f64>,
-    inv: Vec<f64>,
-}
-
-impl Factorization for DenseInverse {
-    fn refactor(
-        &mut self,
-        m: usize,
-        cols: &[SparseCol],
-        cnt: &mut Counters,
-    ) -> Result<(), LpError> {
-        self.m = m;
-        prep(cnt, &mut self.binv, m * m, 0.0);
-        prep(cnt, &mut self.scratch, m, 0.0);
-        if m == 0 {
-            return Ok(());
-        }
-        // Dense B, row-major for cache-friendly row elimination.
-        prep(cnt, &mut self.bmat, m * m, 0.0);
-        let bmat = &mut self.bmat;
-        for (k, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
-                bmat[r as usize * m + k] = v;
-            }
-        }
-        prep(cnt, &mut self.inv, m * m, 0.0);
-        let inv = &mut self.inv;
-        for r in 0..m {
-            inv[r * m + r] = 1.0;
-        }
-        for k in 0..m {
-            // Partial pivot on column k.
-            let mut piv_row = k;
-            let mut piv_abs = bmat[k * m + k].abs();
-            for r in k + 1..m {
-                let a = bmat[r * m + k].abs();
-                if a > piv_abs {
-                    piv_abs = a;
-                    piv_row = r;
-                }
-            }
-            if piv_abs < 1e-12 {
-                return Err(LpError::Numerical(format!(
-                    "singular basis at column {k} (pivot {piv_abs:.3e})"
-                )));
-            }
-            if piv_row != k {
-                for c in 0..m {
-                    bmat.swap(k * m + c, piv_row * m + c);
-                    inv.swap(k * m + c, piv_row * m + c);
-                }
-            }
-            let piv = bmat[k * m + k];
-            let inv_piv = 1.0 / piv;
-            for c in 0..m {
-                bmat[k * m + c] *= inv_piv;
-                inv[k * m + c] *= inv_piv;
-            }
-            for r in 0..m {
-                if r == k {
-                    continue;
-                }
-                let f = bmat[r * m + k];
-                if !nonzero(f) {
-                    continue;
-                }
-                for c in 0..m {
-                    bmat[r * m + c] -= f * bmat[k * m + c];
-                    inv[r * m + c] -= f * inv[k * m + c];
-                }
-            }
-        }
-        // Transpose into the column-major layout.
-        for r in 0..m {
-            for c in 0..m {
-                self.binv[c * m + r] = inv[r * m + c];
-            }
-        }
-        Ok(())
-    }
-
-    fn ftran(&mut self, x: &mut [f64]) {
-        let m = self.m;
-        // Gather nonzeros of the (row-indexed) input first: entering
-        // columns and right-hand sides are sparse.
-        self.nz.clear();
-        for (r, &v) in x.iter().enumerate() {
-            if nonzero(v) {
-                self.nz.push((r, v));
-            }
-        }
-        let w = &mut self.scratch;
-        w.fill(0.0);
-        for &(r, v) in &self.nz {
-            let col = &self.binv[r * m..r * m + m];
-            for (wi, ci) in w.iter_mut().zip(col) {
-                *wi += v * ci;
-            }
-        }
-        x.copy_from_slice(w);
-    }
-
-    fn btran(&mut self, x: &mut [f64]) {
-        let m = self.m;
-        self.nz.clear();
-        for (r, &v) in x.iter().enumerate() {
-            if nonzero(v) {
-                self.nz.push((r, v));
-            }
-        }
-        let y = &mut self.scratch;
-        for (c, yc) in y.iter_mut().enumerate() {
-            let col = &self.binv[c * m..c * m + m];
-            let mut acc = 0.0;
-            for &(r, cv) in &self.nz {
-                acc += cv * col[r];
-            }
-            *yc = acc;
-        }
-        x.copy_from_slice(y);
-    }
-
-    fn binv_row(&mut self, r: usize, out: &mut [f64]) {
-        // Strided gather from the column-major layout.
-        let m = self.m;
-        for (c, rc) in out.iter_mut().enumerate() {
-            *rc = self.binv[c * m + r];
-        }
-    }
-
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
-        let m = self.m;
-        let piv = w[r_leave];
-        if piv.abs() < 1e-11 {
-            return Err(LpError::Numerical(format!(
-                "dense update pivot too small: {piv:.3e}"
-            )));
-        }
-        for c in 0..m {
-            let col = &mut self.binv[c * m..c * m + m];
-            let t = col[r_leave] / piv;
-            if !nonzero(t) {
-                continue;
-            }
-            for (ci, wi) in col.iter_mut().zip(w) {
-                *ci -= wi * t;
-            }
-            col[r_leave] = t;
-        }
-        Ok(())
-    }
-
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool {
-        since >= opts.refactor_every
-    }
-
-    fn factor_nnz(&self) -> usize {
-        self.m * self.m
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU + eta file (production default).
-// ---------------------------------------------------------------------------
+/// Pivots between forced refactorizations (the eta file may ask for one
+/// sooner, see [`SparseLuFactor::wants_refactor`]).
+const REFACTOR_EVERY: usize = 120;
 
 /// Sparse Markowitz LU with product-form updates ([`crate::sparse_lu`]).
+/// Lives in the [`Scratch`](crate::Scratch) so the elimination storage and
+/// eta file keep their capacity across solves.
 #[derive(Default)]
 pub(crate) struct SparseLuFactor {
-    lu: Option<LuFactors>,
+    lu: LuFactors,
 }
 
-impl Factorization for SparseLuFactor {
-    fn refactor(
+impl SparseLuFactor {
+    /// Rebuilds the factors from the basis columns (`cols.len() == m`),
+    /// counting workspace acquisitions in `cnt`.
+    pub(crate) fn refactor(
         &mut self,
         m: usize,
         cols: &[SparseCol],
         cnt: &mut Counters,
     ) -> Result<(), LpError> {
-        if m == 0 {
-            self.lu = None;
-            return Ok(());
-        }
         self.lu
-            .get_or_insert_with(LuFactors::default)
             .refactor_in_place(m, cols, cnt)
             .map_err(LpError::Numerical)
     }
 
-    fn take_from(&mut self, scratch: &mut Scratch) {
-        self.lu = scratch.lu.take();
+    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis position).
+    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
+        self.lu.ftran(x);
     }
 
-    fn store_into(self, scratch: &mut Scratch) {
-        scratch.lu = self.lu;
+    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by row).
+    pub(crate) fn btran(&mut self, x: &mut [f64]) {
+        self.lu.btran(x);
     }
 
-    fn ftran(&mut self, x: &mut [f64]) {
-        if let Some(lu) = self.lu.as_mut() {
-            lu.ftran(x);
-        }
+    /// Writes row `r` of `B⁻¹` into `out` (length `m`).
+    pub(crate) fn binv_row(&mut self, r: usize, out: &mut [f64]) {
+        out.fill(0.0);
+        out[r] = 1.0;
+        self.lu.btran(out);
     }
 
-    fn btran(&mut self, x: &mut [f64]) {
-        if let Some(lu) = self.lu.as_mut() {
-            lu.btran(x);
-        }
+    /// Replaces basis position `r_leave`; `w` is the FTRAN image of the
+    /// entering column. `Err` means "refactorize now".
+    pub(crate) fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
+        self.lu.update(r_leave, w).map_err(LpError::Numerical)
     }
 
-    fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
-        match self.lu.as_mut() {
-            Some(lu) => lu.update(r_leave, w).map_err(LpError::Numerical),
-            None => Ok(()),
-        }
+    /// Whether to refactorize after `since` pivots on the current factors:
+    /// when the eta file stops paying for itself. Solves cost
+    /// `O(lu_nnz + eta_nnz)`, refactorization is cheap for sparse bases,
+    /// and long eta chains also degrade numerically.
+    pub(crate) fn wants_refactor(&self, since: usize) -> bool {
+        since >= REFACTOR_EVERY || self.lu.eta_nnz > 2 * self.lu.lu_nnz().max(500)
     }
 
-    fn wants_refactor(&self, since: usize, opts: &SolverOptions) -> bool {
-        let Some(lu) = self.lu.as_ref() else {
-            return false;
-        };
-        // Refactorize when the eta file stops paying for itself: solves
-        // cost O(lu_nnz + eta_nnz), refactorization is cheap for sparse
-        // bases, and long eta chains also degrade numerically.
-        since >= opts.refactor_every.min(120) || lu.eta_nnz > 2 * lu.lu_nnz().max(500)
-    }
-
-    fn factor_nnz(&self) -> usize {
-        self.lu.as_ref().map_or(0, |lu| lu.lu_nnz())
+    /// Nonzeros in the current factors (fill-in accounting).
+    pub(crate) fn factor_nnz(&self) -> usize {
+        self.lu.lu_nnz()
     }
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 
-    fn cols3() -> Vec<SparseCol> {
-        vec![
+    /// Explicit dense inverse of the basis `cols` by Gauss–Jordan with
+    /// partial pivoting: `inv[r][c] = B⁻¹[r][c]`, rows indexed by basis
+    /// position and columns by constraint row.
+    fn dense_inverse(cols: &[SparseCol]) -> Vec<Vec<f64>> {
+        let m = cols.len();
+        // Augmented [B | I], row-major.
+        let mut a = vec![vec![0.0; 2 * m]; m];
+        for (k, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                a[r as usize][k] = v;
+            }
+        }
+        for (r, row) in a.iter_mut().enumerate() {
+            row[m + r] = 1.0;
+        }
+        for k in 0..m {
+            let p = (k..m)
+                .max_by(|&i, &j| a[i][k].abs().total_cmp(&a[j][k].abs()))
+                .unwrap();
+            assert!(a[p][k].abs() > 1e-12, "test basis must be nonsingular");
+            a.swap(k, p);
+            let piv = a[k][k];
+            a[k].iter_mut().for_each(|v| *v /= piv);
+            let pivot_row = a[k].clone();
+            for (r, row) in a.iter_mut().enumerate() {
+                let f = row[k];
+                if r != k {
+                    row.iter_mut()
+                        .zip(&pivot_row)
+                        .for_each(|(v, p)| *v -= f * p);
+                }
+            }
+        }
+        a.into_iter().map(|row| row[m..].to_vec()).collect()
+    }
+
+    /// `ftran`, `btran` and `binv_row` of `s` against the explicit inverse
+    /// of `cols`.
+    fn assert_matches_inverse(s: &mut SparseLuFactor, cols: &[SparseCol], tol: f64) {
+        let close = |got: &[f64], want: Vec<f64>, what: &str| {
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!((g - w).abs() < tol, "{what}[{i}]: {g} vs {w}");
+            }
+        };
+        let inv = dense_inverse(cols);
+        let b = [1.0, -2.0, 0.5];
+        let mut x = b;
+        s.ftran(&mut x);
+        let dot = |u: &[f64], v: &[f64]| u.iter().zip(v).map(|(a, b)| a * b).sum::<f64>();
+        close(&x, inv.iter().map(|row| dot(row, &b)).collect(), "ftran");
+        let c = [0.5, 0.0, -1.5];
+        let mut y = c;
+        s.btran(&mut y);
+        let col = |r: usize| inv.iter().map(|row| row[r]).collect::<Vec<_>>();
+        close(&y, (0..3).map(|r| dot(&col(r), &c)).collect(), "btran");
+        for (k, inv_row) in inv.iter().enumerate() {
+            let mut row = [0.0; 3];
+            s.binv_row(k, &mut row);
+            close(&row, inv_row.clone(), "binv_row");
+        }
+    }
+
+    /// The sparse factors must agree with an explicit dense inverse on
+    /// ftran/btran/binv_row, before and after a product-form update.
+    #[test]
+    fn dense_and_sparse_agree() {
+        let mut cols: Vec<SparseCol> = vec![
             vec![(0, 2.0), (1, 1.0)],
             vec![(1, 1.0), (2, 3.0)],
             vec![(0, 1.0), (2, 5.0)],
-        ]
-    }
-
-    /// Dense and sparse factorizations must agree on ftran/btran/binv_row
-    /// and on post-update solves.
-    #[test]
-    fn dense_and_sparse_agree() {
-        let cols = cols3();
-        let mut cnt = Counters::default();
-        let mut d = DenseInverse::default();
+        ];
         let mut s = SparseLuFactor::default();
-        d.refactor(3, &cols, &mut cnt).unwrap();
-        s.refactor(3, &cols, &mut cnt).unwrap();
+        s.refactor(3, &cols, &mut Counters::default()).unwrap();
+        assert_matches_inverse(&mut s, &cols, 1e-10);
 
-        let b = [1.0, -2.0, 0.5];
-        let (mut xd, mut xs) = (b, b);
-        d.ftran(&mut xd);
-        s.ftran(&mut xs);
-        for (u, v) in xd.iter().zip(&xs) {
-            assert!((u - v).abs() < 1e-10);
-        }
-        let c = [0.5, 0.0, -1.5];
-        let (mut yd, mut ys) = (c, c);
-        d.btran(&mut yd);
-        s.btran(&mut ys);
-        for (u, v) in yd.iter().zip(&ys) {
-            assert!((u - v).abs() < 1e-10);
-        }
-        let (mut rd, mut rs) = ([0.0; 3], [0.0; 3]);
-        d.binv_row(1, &mut rd);
-        s.binv_row(1, &mut rs);
-        for (u, v) in rd.iter().zip(&rs) {
-            assert!((u - v).abs() < 1e-10);
-        }
-
-        // Update position 0 with a new column, then compare ftran again.
-        let a = [1.0f64, 1.0, 0.0];
-        let (mut wd, mut ws) = (a, a);
-        d.ftran(&mut wd);
-        s.ftran(&mut ws);
-        d.update(0, &wd).unwrap();
-        s.update(0, &ws).unwrap();
-        let b2 = [0.0, 1.0, 1.0];
-        let (mut xd, mut xs) = (b2, b2);
-        d.ftran(&mut xd);
-        s.ftran(&mut xs);
-        for (u, v) in xd.iter().zip(&xs) {
-            assert!((u - v).abs() < 1e-9);
-        }
+        // Replace basis position 0 with a new column: the updated factors
+        // must match the inverse of the basis rebuilt from scratch.
+        let mut w = [1.0, 1.0, 0.0];
+        s.ftran(&mut w);
+        s.update(0, &w).unwrap();
+        cols[0] = vec![(0, 1.0), (1, 1.0)];
+        assert_matches_inverse(&mut s, &cols, 1e-9);
     }
 }

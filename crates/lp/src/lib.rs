@@ -8,17 +8,16 @@
 //!
 //! * [`Model`] — a builder for `min cᵀx  s.t.  Ax {<=,=,>=} b, l <= x <= u`
 //!   with sparse rows (duplicate terms merged at build time);
-//! * [`simplex`] — a **bounded-variable revised primal simplex**, generic
-//!   over the basis factorization, with devex pricing, a Harris ratio
-//!   test, a Bland's-rule anti-cycling fallback, a two-phase start, and
-//!   name-mapped **warm starts** for sequences of related LPs;
+//! * [`simplex`] — a **bounded-variable revised primal simplex** with
+//!   candidate-list devex pricing (thread-count-invariant parallel refill
+//!   scans), a Harris ratio test, a Bland's-rule anti-cycling fallback, a
+//!   two-phase start, and name-mapped **warm starts** for sequences of
+//!   related LPs;
 //! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
-//!   (product-form) updates: the production basis representation;
-//! * [`backend`] — the [`LpBackend`] trait and the three selectable
-//!   implementations ([`Backend::Sparse`], [`Backend::DenseInverse`],
-//!   [`Backend::Reference`]);
+//!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex
-//!   used as a cross-checking oracle in tests (never in production paths);
+//!   used as a cross-checking oracle in tests, reached only through
+//!   [`Model::solve_dense_reference`];
 //! * [`presolve`] — fixed-variable elimination, empty-row checks, and
 //!   singleton-row bound tightening;
 //! * [`par`] — std-only scoped-thread worker pools: the deterministic
@@ -31,8 +30,9 @@
 //!   related solves (growing sequences, online epochs).
 //!
 //! The solver returns primal values, dual row prices, the objective, and
-//! per-solve [`SolveStats`]; optimality of every solve is asserted in debug
-//! builds by checking primal feasibility and reduced-cost signs. For LP
+//! per-solve [`SolveStats`]; in debug builds every solve is re-checked for
+//! primal feasibility and objective consistency
+//! ([`SolverOptions::verify`]). For LP
 //! *sequences* (a grid or horizon that grows between solves), use
 //! [`Model::solve_with_basis`] / [`Model::solve_warm`] to reuse the
 //! previous optimal [`Basis`] instead of cold-starting.
@@ -60,7 +60,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod basis;
 pub mod colgen;
 pub mod dense;
@@ -73,13 +72,10 @@ pub mod scratch;
 pub mod simplex;
 pub(crate) mod sparse_lu;
 
-pub use backend::{backend_for, Backend, LpBackend};
 pub use basis::{Basis, ChainStats, SolveStats, WarmChain};
 pub use colgen::{solve_colgen, ColGenStats, ColumnPool};
 pub use fault::{ColgenFault, FaultHook};
-pub use model::{
-    Budget, Cmp, LpError, Model, Pricing, RowId, Solution, SolverOptions, Status, VarId,
-};
+pub use model::{Budget, Cmp, LpError, Model, RowId, Solution, SolverOptions, Status, VarId};
 pub use scratch::Scratch;
 
 /// Default feasibility / optimality tolerance.

@@ -1,9 +1,8 @@
 //! LP model builder and solution types.
 
-use crate::backend::{backend_for, Backend};
 use crate::basis::{Basis, SolveStats};
 use crate::nonzero;
-use crate::{dense, LP_TOL};
+use crate::{dense, presolve, simplex, LP_TOL};
 use std::fmt;
 
 /// Identifier of a decision variable (dense index into the model).
@@ -100,34 +99,6 @@ impl fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// Column-pricing strategy of the revised simplex.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Pricing {
-    /// Sectioned ("partial") devex: each iteration scans rotating windows
-    /// of roughly `4m` columns and stops at the first window containing an
-    /// eligible candidate; devex weights are maintained for the scanned
-    /// columns only. Cuts the per-iteration cost from `O(nnz(A))` to
-    /// `O(nnz(window))` on the wide coflow LPs (`n ≫ m`).
-    #[default]
-    Partial,
-    /// Classic full pricing: every iteration scans all columns and updates
-    /// all devex weights (the historical behavior, kept as a measurable
-    /// baseline and for pathological instances). The scan runs across
-    /// fixed column sections on [`SolverOptions::threads`] workers; the
-    /// winner (best devex score, ties to the lower column index) is
-    /// identical at any thread count.
-    Full,
-    /// Candidate-list pricing: a full scan (parallel across fixed column
-    /// sections, exact deterministic merge) refills a short list of the
-    /// best-scoring columns; subsequent pivots rescan only the list until
-    /// it runs dry. The cheapest mode on very wide LPs (`n ≫ m`) and the
-    /// one that scales with [`SolverOptions::threads`]; pivot sequences
-    /// are byte-identical at any thread count, but differ from
-    /// [`Pricing::Partial`]'s, so solves may return a different
-    /// equally-optimal vertex than the default mode.
-    Candidate,
-}
-
 /// Resource budget for a single solve (and, through
 /// [`solve_colgen`](crate::solve_colgen), a column-generation sequence).
 ///
@@ -166,12 +137,9 @@ pub struct SolverOptions {
     pub max_iters: usize,
     /// Feasibility/optimality tolerance.
     pub tol: f64,
-    /// Refactorize the basis inverse every this many pivots.
-    pub refactor_every: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub bland_after: usize,
-    /// Verify the returned solution (feasibility + reduced costs) and panic
-    /// on violation. Enabled by default in debug builds.
+    /// Verify the returned solution (feasibility + objective consistency)
+    /// and fail the solve with [`LpError::Numerical`] on violation. Enabled
+    /// by default in debug builds.
     pub verify: bool,
     /// Relative magnitude of a deterministic phase-2 cost perturbation
     /// (0 = exact costs). Interval-indexed coflow LPs are massively
@@ -181,16 +149,6 @@ pub struct SolverOptions {
     /// the perturbed problem, hence within `perturb · Σ|x|·scale` of the
     /// true optimum.
     pub perturb: f64,
-    /// Relative magnitude of the deterministic jitter on phase-1
-    /// artificial costs (0 = exact unit costs). Exact unit costs make
-    /// transportation-like LPs massively dual-degenerate in phase 1; the
-    /// jitter breaks the ties while preserving the phase-1 optimum's
-    /// defining property (zero infeasibility ⇔ all artificials at zero).
-    pub phase1_jitter: f64,
-    /// Column-pricing strategy (see [`Pricing`]).
-    pub pricing: Pricing,
-    /// Which solver implementation to use (see [`Backend`]).
-    pub backend: Backend,
     /// Worker threads for the parallel pricing scan and the colgen
     /// oracle fan-out (clamped to at least 1). Results are **byte
     /// identical at any thread count** — the parallel reduction is a
@@ -217,13 +175,8 @@ impl Default for SolverOptions {
         Self {
             max_iters: 2_000_000,
             tol: LP_TOL,
-            refactor_every: 1500,
-            bland_after: 60,
             verify: cfg!(debug_assertions),
             perturb: 0.0,
-            phase1_jitter: 1e-7,
-            pricing: Pricing::default(),
-            backend: Backend::default(),
             threads: threads_from_env(),
             budget: Budget::default(),
         }
@@ -325,7 +278,7 @@ impl Model {
     /// Adds constraint `Σ terms {cmp} rhs`; returns the row id.
     ///
     /// Duplicate `(var, coef)` terms are **summed once here**, so presolve
-    /// and the solver backends never re-scan for duplicates: every stored
+    /// and the solver never re-scan for duplicates: every stored
     /// row has unique variables and nonzero coefficients (terms whose sum
     /// cancels to zero are dropped entirely).
     ///
@@ -469,8 +422,7 @@ impl Model {
         self.solve_with(&SolverOptions::default())
     }
 
-    /// Solves with explicit options via the configured
-    /// [`Backend`](crate::Backend).
+    /// Solves with explicit options.
     pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, LpError> {
         let mut scratch = crate::scratch::Scratch::default();
         Ok(self.solve_inner(opts, None, false, &mut scratch)?.0)
@@ -527,12 +479,12 @@ impl Model {
         want_basis: bool,
         scratch: &mut crate::scratch::Scratch,
     ) -> Result<(Solution, Option<Basis>), LpError> {
-        let backend = backend_for(opts.backend);
-        let (sol, basis) = backend.solve_model(self, opts, warm, want_basis, scratch)?;
+        let pre = presolve::presolve(self)?;
+        let (sol, basis) = simplex::solve_presolved(self, &pre, opts, warm, want_basis, scratch)?;
         if opts.verify {
             // Feasibility and objective consistency hold for truncated
             // points too; only reduced-cost optimality would not.
-            self.verify_solution(&sol, opts.tol.max(1e-6) * 100.0);
+            self.verify_solution(&sol, opts.tol.max(1e-6) * 100.0)?;
         }
         Ok((sol, basis))
     }
@@ -568,21 +520,27 @@ impl Model {
         worst
     }
 
-    /// Panics if `sol` violates feasibility by more than `tol`
-    /// (used by `SolverOptions::verify`).
-    fn verify_solution(&self, sol: &Solution, tol: f64) {
+    /// Fails if `sol` violates feasibility by more than `tol` or reports
+    /// an objective its own values do not reproduce (used by
+    /// `SolverOptions::verify`).
+    fn verify_solution(&self, sol: &Solution, tol: f64) -> Result<(), LpError> {
+        // `!within` rather than `> tol`, so a NaN fails the check.
+        let within = |v: f64| v <= tol;
         let viol = self.max_violation(&sol.values);
-        assert!(
-            viol <= tol,
-            "solver returned infeasible point: violation {viol:.3e} > {tol:.3e}"
-        );
+        if !within(viol) {
+            return Err(LpError::Numerical(format!(
+                "solver returned infeasible point: violation {viol:.3e} > {tol:.3e}"
+            )));
+        }
         let obj = self.objective_of(&sol.values);
         let scale = 1.0 + obj.abs().max(sol.objective.abs());
-        assert!(
-            (obj - sol.objective).abs() / scale <= tol,
-            "objective mismatch: reported {} recomputed {obj}",
-            sol.objective
-        );
+        if !within((obj - sol.objective).abs() / scale) {
+            return Err(LpError::Numerical(format!(
+                "objective mismatch: reported {} recomputed {obj}",
+                sol.objective
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -682,6 +640,33 @@ mod tests {
     fn foreign_var_rejected() {
         let mut m = Model::new();
         m.add_row(Cmp::Le, 1.0, &[(VarId(5), 1.0)]);
+    }
+
+    /// `SolverOptions::verify` turns an infeasible point or a misreported
+    /// objective into a typed error, not a panic.
+    #[test]
+    fn verify_rejects_forged_solutions() {
+        let mut m = Model::new();
+        let x = m.add_unit(1.0, "x");
+        let y = m.add_unit(2.0, "y");
+        m.ge(&[(x, 1.0), (y, 1.0)], 1.0);
+        let honest = m.solve().unwrap();
+        assert_eq!(m.verify_solution(&honest, 1e-6), Ok(()));
+
+        let mut infeasible = honest.clone();
+        infeasible.values = vec![0.0, 0.0]; // violates x + y >= 1
+        infeasible.objective = 0.0;
+        let err = m.verify_solution(&infeasible, 1e-6).unwrap_err();
+        assert!(matches!(&err, LpError::Numerical(s) if s.contains("infeasible point")));
+
+        let mut misreported = honest.clone();
+        misreported.objective += 0.5;
+        let err = m.verify_solution(&misreported, 1e-6).unwrap_err();
+        assert!(matches!(&err, LpError::Numerical(s) if s.contains("objective mismatch")));
+
+        let mut nan = honest;
+        nan.values[0] = f64::NAN;
+        assert!(m.verify_solution(&nan, 1e-6).is_err());
     }
 
     #[test]

@@ -82,12 +82,11 @@ pub fn run_parallel<T: Sync, R: Send>(
 /// [`run_parallel`] with per-worker state: `init` runs once on each worker
 /// thread and the resulting state is threaded through every item that
 /// worker processes. General utility for caches or scratch buffers whose
-/// contents must not affect results — note `coflow_bench::run_point`
-/// deliberately does *not* use it for its warm chains: work-stealing makes
-/// the item-to-worker assignment timing-dependent, so anything
-/// result-affecting (an accepted warm basis can change the optimal vertex)
-/// must be threaded through a deterministic static partition instead
-/// ([`for_each_section`]).
+/// contents must not affect results: work-stealing makes the
+/// item-to-worker assignment timing-dependent, so anything
+/// result-affecting (a warm chain — an accepted warm basis can change the
+/// optimal vertex) must be threaded through a deterministic static
+/// partition instead ([`for_each_section`]).
 pub fn run_parallel_with<T: Sync, R: Send, S>(
     items: &[T],
     threads: usize,

@@ -27,8 +27,9 @@
 //! data-dependent. `allocs == 0` therefore certifies that the solve ran
 //! entirely inside retained workspace capacity.
 
+use crate::factor::SparseLuFactor;
 use crate::simplex::State;
-use crate::sparse_lu::{ElimWs, Elimination, LuFactors, SparseCol};
+use crate::sparse_lu::{ElimWs, Elimination, SparseCol};
 
 /// Per-solve acquisition counters (reset at the start of every solve).
 #[derive(Clone, Copy, Debug, Default)]
@@ -160,8 +161,7 @@ pub(crate) struct CompleteBufs {
 /// Reusable workspace for repeated LP solves.
 ///
 /// One `Scratch` is owned by each [`WarmChain`](crate::WarmChain) and
-/// threaded through [`LpBackend::solve_model`](crate::LpBackend::solve_model)
-/// into the simplex and the sparse LU. It retains, across solves: the
+/// threaded into the simplex and the sparse LU. It retains, across solves: the
 /// entire simplex [`State`] (CSC matrix, bounds, point, statuses, basis),
 /// the per-phase pivot-loop vectors, assembly and warm-start temporaries,
 /// the basis-column gather pool, the rank-revealing completion workspace,
@@ -188,9 +188,9 @@ pub struct Scratch {
     pub(crate) warm: WarmBufs,
     /// Warm-start basis-completion workspace.
     pub(crate) complete: CompleteBufs,
-    /// Sparse LU factors persisted between solves (the production
-    /// backend's elimination storage, workspace, and eta file).
-    pub(crate) lu: Option<LuFactors>,
+    /// Sparse LU factors persisted between solves (elimination storage,
+    /// workspace, and eta file).
+    pub(crate) lu: SparseLuFactor,
     /// Trace recorder: spans, time accumulators, counters, histograms.
     /// Lives here because the scratch is already threaded through every
     /// solve; its ring is allocated at construction so recording on the
@@ -224,7 +224,6 @@ impl std::fmt::Debug for Scratch {
         f.debug_struct("Scratch")
             .field("allocs", &self.cnt.allocs)
             .field("reuses", &self.cnt.reuses)
-            .field("lu_retained", &self.lu.is_some())
             .finish_non_exhaustive()
     }
 }

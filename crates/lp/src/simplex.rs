@@ -1,4 +1,4 @@
-//! Bounded-variable revised primal simplex, generic over the basis
+//! Bounded-variable revised primal simplex over the sparse LU basis
 //! factorization.
 //!
 //! Design notes (why this shape):
@@ -6,18 +6,22 @@
 //! * The coflow LPs have `m` in the hundreds-to-low-thousands and `n` up to
 //!   tens of thousands, with very sparse columns (a flow-interval variable
 //!   touches one convexity row, one completion row, and the capacity rows of
-//!   its path). The pivot loop talks to the basis only through the
-//!   [`Factorization`] contract (`ftran`/`btran`/`update`/`refactor`), so
-//!   the representation is pluggable: the production default is the sparse
-//!   Markowitz LU with eta-file updates ([`crate::sparse_lu`]); the
-//!   historical explicit dense `B⁻¹` remains available as
-//!   [`crate::Backend::DenseInverse`] for baseline measurements.
+//!   its path). The pivot loop talks to the basis through four operations
+//!   (`ftran`/`btran`/`update`/`refactor`) of
+//!   [`SparseLuFactor`]: a sparse Markowitz LU with eta-file updates
+//!   ([`crate::sparse_lu`]).
 //! * Bounds `l <= x <= u` are handled natively (nonbasic-at-lower /
 //!   nonbasic-at-upper, bound flips) — crucial because the LPs are dominated
 //!   by `[0,1]` variables and adding bound rows would double `m`.
-//! * Degeneracy is endemic to interval-indexed LPs; we use devex pricing
-//!   with a Harris-style ratio tie-break on `|w_r|` and fall back to Bland's
-//!   rule after a run of degenerate pivots to guarantee termination.
+//! * Pricing is **candidate-list devex**: most pivots rescan a short list of
+//!   the best-scoring columns; when the list runs dry a refill scan over
+//!   rotating windows of `~4m` columns (cut into fixed sections across
+//!   [`SolverOptions::threads`] workers, merged exactly) restocks it. Pivot
+//!   sequences are byte-identical at any thread count.
+//! * Degeneracy is endemic to interval-indexed LPs; the Harris-style ratio
+//!   test breaks ties on `|w_r|`, and pricing falls back to Bland's rule
+//!   after a run of degenerate pivots (or a detected cycle) to guarantee
+//!   termination.
 //! * Phase 1 minimizes the sum of per-row artificials; phase 2 locks the
 //!   artificials to zero by setting their bounds to `[0,0]`.
 //! * **Warm starts**: a [`Basis`] snapshot from a related model is mapped
@@ -32,7 +36,7 @@
 //!   never a correctness risk.
 
 use crate::basis::{Basis, SnapStat, SolveStats};
-use crate::factor::Factorization;
+use crate::factor::SparseLuFactor;
 use crate::model::{Cmp, LpError, Model, Solution, SolverOptions, Status};
 use crate::nonzero;
 use crate::presolve::Presolved;
@@ -138,7 +142,7 @@ impl State {
     }
 
     /// FTRAN of column `j`: `w = B⁻¹ a_j` (dense output).
-    fn ftran_col<F: Factorization>(&self, f: &mut F, j: usize, w: &mut [f64]) {
+    fn ftran_col(&self, f: &mut SparseLuFactor, j: usize, w: &mut [f64]) {
         w.fill(0.0);
         // Scatter the column (structural values, or art_sign for
         // artificials), then solve.
@@ -147,7 +151,7 @@ impl State {
     }
 
     /// Duals `y = B⁻ᵀ c_B` via BTRAN.
-    fn duals<F: Factorization>(&self, f: &mut F, costs: &[f64], y: &mut [f64]) {
+    fn duals(&self, f: &mut SparseLuFactor, costs: &[f64], y: &mut [f64]) {
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
         }
@@ -165,9 +169,9 @@ impl State {
     /// basic values (clamping arithmetic noise, failing on violations far
     /// beyond tolerance).
     // lint: hot
-    fn refactorize<F: Factorization>(
+    fn refactorize(
         &mut self,
-        f: &mut F,
+        f: &mut SparseLuFactor,
         tol: f64,
         cnt: &mut Counters,
         fx: &mut FactorBufs,
@@ -198,9 +202,9 @@ impl State {
     /// Recomputes `x_B = B⁻¹ (b − N x_N)` from the nonbasic point into the
     /// reusable work vector `r`.
     // lint: hot
-    fn recompute_basic_values<F: Factorization>(
+    fn recompute_basic_values(
         &mut self,
-        f: &mut F,
+        f: &mut SparseLuFactor,
         tol: f64,
         cnt: &mut Counters,
         r: &mut Vec<f64>,
@@ -246,6 +250,18 @@ impl State {
             self.x[j] = v;
         }
         Ok(())
+    }
+
+    /// Moves every basic variable along the entering column's FTRAN image
+    /// `w`: `x_B ← x_B − step·w` (`step` carries the entering direction's
+    /// sign).
+    fn move_basics(&mut self, w: &[f64], step: f64) {
+        for (r, &wr) in w.iter().enumerate() {
+            if nonzero(wr) {
+                let bj = self.basis[r];
+                self.x[bj] -= step * wr;
+            }
+        }
     }
 }
 
@@ -333,6 +349,17 @@ impl CycleMon {
     }
 }
 
+/// Consecutive degenerate pivots before pricing switches to Bland's rule.
+const BLAND_AFTER: usize = 60;
+
+/// Relative magnitude of the deterministic jitter on phase-1 artificial
+/// costs. Exact unit costs make transportation-like LPs massively
+/// dual-degenerate in phase 1 (every tied reduced cost spawns a run of
+/// degenerate pivots); the jitter breaks the ties while preserving the
+/// phase-1 optimum's defining property (zero infeasibility ⇔ all
+/// artificials at zero).
+const PHASE1_JITTER: f64 = 1e-7;
+
 /// Candidate-list capacity: how many of the best-scoring columns a refill
 /// scan retains for the following pivots to rescan (two generations live
 /// in the list at once, so rescans read up to twice this). Deep enough to
@@ -342,7 +369,7 @@ impl CycleMon {
 /// long before the list stops fitting.
 const CAND_LIST_CAP: usize = 64;
 
-/// Below this column count a full scan stays on the calling thread: the
+/// Below this column count a refill scan stays on the calling thread: the
 /// scan is cheaper than spawning scoped workers. Thread-count invariance
 /// does not depend on this threshold (see [`cand_order`]).
 const PAR_SCAN_MIN_COLS: usize = 4096;
@@ -359,25 +386,407 @@ fn cand_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
-/// Retention order for refill-scan entries `(score, column, eligible)`:
-/// eligible columns before near-misses, then higher score, ties to the
-/// lower column index. Eligible-first retention guarantees that whenever a
-/// window contains an eligible column, the merged top list's head is one —
-/// near-misses can never evict every eligible entry — so termination still
-/// only happens after a genuinely fruitless full cycle. Like
-/// [`cand_order`], this is a pure function of the entry values, so the
-/// per-section merge stays partition-invariant.
+/// A refill-scan entry: `(devex score, column, eligible)`.
+type RefillEntry = (f64, u32, bool);
+
+/// Retention order for refill-scan entries: eligible columns before
+/// near-misses, then higher score, ties to the lower column index.
+/// Eligible-first retention guarantees that whenever a window contains an
+/// eligible column, the merged top list's head is one — near-misses can
+/// never evict every eligible entry — so termination still only happens
+/// after a genuinely fruitless full cycle. Like [`cand_order`], this is a
+/// pure function of the entry values, so the per-section merge stays
+/// partition-invariant.
 #[inline]
-fn refill_order(a: &(f64, u32, bool), b: &(f64, u32, bool)) -> std::cmp::Ordering {
+fn refill_order(a: &RefillEntry, b: &RefillEntry) -> std::cmp::Ordering {
     b.2.cmp(&a.2).then(b.0.total_cmp(&a.0)).then(a.1.cmp(&b.1))
 }
 
-/// Runs simplex iterations until optimality for the given cost vector.
+/// Offers `c` to a section's bounded top list `out` (at most
+/// [`CAND_LIST_CAP`] entries under [`refill_order`]); `worst` tracks the
+/// index of the worst kept entry once the list is full.
+// lint: hot
+#[inline]
+fn retain_top(out: &mut Vec<RefillEntry>, worst: &mut usize, c: RefillEntry) {
+    if out.len() < CAND_LIST_CAP {
+        out.push(c);
+        if out.len() < CAND_LIST_CAP {
+            return;
+        }
+    } else if refill_order(&c, &out[*worst]).is_lt() {
+        out[*worst] = c;
+    } else {
+        return;
+    }
+    *worst = 0;
+    for i in 1..out.len() {
+        if refill_order(&out[i], &out[*worst]).is_gt() {
+            *worst = i;
+        }
+    }
+}
+
+/// Per-phase cursor of the candidate-list pricing rule (the list itself
+/// lives in [`PhaseBufs`] so its capacity persists across solves).
+struct Pricer {
+    /// Width of one refill window: `~4m` columns. Global-best pricing
+    /// stalls badly on degenerate interval/transport LPs — rotating
+    /// through windows is what diversifies the entering columns.
+    window: usize,
+    /// Scoped workers a large refill window is cut across.
+    workers: usize,
+    /// Column the next refill scan starts at. Sticks to the window that
+    /// produced the last entering column (attractive columns cluster).
+    scan_start: usize,
+    /// Boundary between the two candidate-list generations:
+    /// `cand[..gen_split]` is the previous refill, `cand[gen_split..]` the
+    /// most recent one.
+    gen_split: usize,
+}
+
+/// Pivot step 1: chooses the entering column under the duals `ph.y`
+/// (devex: maximize `d²/γ`, ties by [`cand_order`]); `None` means the
+/// point is optimal for `costs`.
+///
+/// * Under `bland`: the lowest eligible index over ALL columns (the
+///   anti-cycling argument needs a consistent total order).
+/// * Otherwise rescan the candidate list under the current duals. Entries
+///   are kept even while ineligible — degenerate pivots flip reduced-cost
+///   signs back and forth, and a rescan is `O(nnz(list))` either way — so
+///   the list only turns over at a refill.
+/// * When the list is dry, a refill scan over rotating windows. The first
+///   window with an ELIGIBLE column refills the list with its top
+///   [`CAND_LIST_CAP`] entries by [`refill_order`] — eligible columns
+///   first, then the best near-misses (`viol > 0` but under tolerance). On
+///   degenerate LPs reduced costs hover around the tolerance and flip sign
+///   every few pivots, so the near-misses are precisely the columns the
+///   next rescans will find eligible; retaining them is what keeps the
+///   list hit rate high. Optimality is only declared after a full
+///   fruitless cycle. Large windows are cut into fixed contiguous
+///   sections, one scoped worker per section, each keeping a bounded local
+///   top list — the exact merge is invariant to the section layout, so the
+///   refilled list (and the pivot it yields) is byte-identical at any
+///   thread count.
+// lint: hot
+fn choose_entering(
+    st: &mut State,
+    ph: &mut PhaseBufs,
+    px: &mut Pricer,
+    costs: &[f64],
+    tol: f64,
+    bland: bool,
+    rec: &mut Recorder,
+) -> Option<usize> {
+    let nv = st.nvars();
+    let PhaseBufs {
+        y,
+        gamma,
+        sgn,
+        cand,
+        merged,
+        sections,
+        ..
+    } = ph;
+    // Want d < -tol at lower bound, d > tol at upper bound; basic and
+    // fixed (lb == ub) columns carry sign 0.
+    let violation = |st: &State, j: usize| {
+        let sg = sgn[j];
+        if sg == 0 {
+            return 0.0;
+        }
+        f64::from(sg) * st.reduced_cost(j, costs, y)
+    };
+    if bland {
+        st.stats.pricing_full_scans += 1;
+        px.scan_start = 0;
+        rec.bump(ObsCounter::ColumnsPriced, nv as u64);
+        return (0..nv).find(|&j| violation(st, j) > tol);
+    }
+
+    let mut best: Option<(f64, u32)> = None;
+    for &jc in cand.iter() {
+        let viol = violation(st, jc as usize);
+        if viol > tol {
+            let c = (viol * viol / gamma[jc as usize], jc);
+            if best.is_none_or(|b| cand_order(&c, &b).is_lt()) {
+                best = Some(c);
+            }
+        }
+    }
+    rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
+    if let Some((_, j)) = best {
+        st.stats.pricing_list_hits += 1;
+        return Some(j as usize);
+    }
+
+    let mut enter = None;
+    let mut scanned = 0usize;
+    let stv: &State = st;
+    while scanned < nv {
+        let take = px.window.min(nv - scanned);
+        let base_idx = (px.scan_start + scanned) % nv;
+        for slot in sections.iter_mut().take(px.workers) {
+            slot.clear();
+        }
+        let win_workers = if take >= PAR_SCAN_MIN_COLS {
+            px.workers
+        } else {
+            1
+        };
+        crate::par::for_each_section(
+            win_workers,
+            take,
+            &mut sections[..px.workers],
+            |_, range, out| {
+                let mut worst = 0usize;
+                for t in range {
+                    // `base_idx < nv` and `t < nv`, so one conditional
+                    // subtract wraps.
+                    let mut j = base_idx + t;
+                    if j >= nv {
+                        j -= nv;
+                    }
+                    let viol = violation(stv, j);
+                    if viol > 0.0 {
+                        let c = (viol * viol / gamma[j], j as u32, viol > tol);
+                        retain_top(out, &mut worst, c);
+                    }
+                }
+            },
+        );
+        scanned += take;
+        merged.clear();
+        for slot in sections.iter().take(px.workers) {
+            merged.extend_from_slice(slot);
+        }
+        // A window of pure near-misses keeps scanning (and keeps its
+        // entries out of the list — only the producing window refills);
+        // `refill_order` then sorts eligible entries to the front, so the
+        // head is the best eligible column.
+        if merged.iter().any(|&(_, _, eligible)| eligible) {
+            merged.sort_unstable_by(refill_order);
+            merged.truncate(CAND_LIST_CAP);
+            enter = merged.first().map(|&(_, j, _)| j as usize);
+            // Keep the previous refill's generation alongside the new one:
+            // degenerate LPs see-saw between two disjoint eligible sets
+            // (one pivot flips the whole current set ineligible and the
+            // other set eligible), so the union of the last two refills is
+            // what the next few rescans will actually hit.
+            cand.drain(..px.gen_split);
+            px.gen_split = cand.len();
+            cand.extend(merged.iter().map(|&(_, j, _)| j));
+            // Rescans take an order-independent argmax, so the new
+            // generation can be stored in column order — its entries all
+            // come from one scan window, and the ascending rescan walks
+            // that window's CSC range nearly sequentially instead of
+            // thrashing.
+            cand[px.gen_split..].sort_unstable();
+            break;
+        }
+    }
+    if scanned >= nv {
+        st.stats.pricing_full_scans += 1;
+    }
+    rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
+    if scanned > px.window {
+        // The candidate came from a later window: rotate the scan start
+        // there so the next refill finds it first.
+        px.scan_start = (px.scan_start + scanned - px.window) % nv;
+    }
+    enter
+}
+
+/// Pivot step 2: the two-pass Harris ratio test (bounded variables) for an
+/// entering column with FTRAN image `w` moving in direction `s`.
+///
+/// Basic `r` changes by `-s·t·w_r`. Pass 1 computes the relaxed step bound
+/// `t_max` (each row's limit padded by a feasibility tolerance scaled by
+/// `1/|w_r|`, so the eventual bound violation of any row is at most `tol`
+/// in *variable space*, not `tol·|w_r|`). Pass 2 picks the stabilizing
+/// pivot (largest `|w_r|`; under `bland` the lowest basic index) among
+/// rows whose exact limit fits under `t_max`.
+///
+/// Returns the leaving `(row, exact step limit)` — `None` when no row
+/// blocks before the entering column's own bound flip at `t_flip` — or
+/// `Err(())` when the step is unbounded.
+// lint: hot
+fn ratio_test(
+    st: &State,
+    w: &[f64],
+    s: f64,
+    t_flip: f64,
+    tol: f64,
+    bland: bool,
+) -> Result<Option<(usize, f64)>, ()> {
+    let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let zero_tol = 1e-11_f64.max(1e-10 * wmax);
+    // `(|s·w_r|, room)` of a blocking row: how far its basic variable can
+    // move toward the bound the step pushes it at.
+    let room = |r: usize, wr: f64| {
+        let swr = s * wr;
+        if swr.abs() <= zero_tol {
+            return None;
+        }
+        let bj = st.basis[r];
+        let slack = if swr > 0.0 {
+            st.x[bj] - st.lb[bj]
+        } else {
+            let u = st.ub[bj];
+            if u.is_infinite() {
+                return None;
+            }
+            u - st.x[bj]
+        };
+        Some((swr.abs(), slack.max(0.0)))
+    };
+
+    let mut t_max = t_flip; // may be +inf
+    for (r, &wr) in w.iter().enumerate() {
+        if let Some((a, slack)) = room(r, wr) {
+            let lim = (slack + tol) / a;
+            if lim < t_max {
+                t_max = lim;
+            }
+        }
+    }
+    if t_max.is_infinite() {
+        return Err(());
+    }
+
+    let mut leave: Option<(usize, f64)> = None;
+    for (r, &wr) in w.iter().enumerate() {
+        let Some((a, slack)) = room(r, wr) else {
+            continue;
+        };
+        let exact = slack / a;
+        if exact <= t_max {
+            let better = leave.is_none_or(|(cur_r, _)| {
+                if bland {
+                    st.basis[r] < st.basis[cur_r]
+                } else {
+                    wr.abs() > w[cur_r].abs()
+                }
+            });
+            if better {
+                leave = Some((r, exact));
+            }
+        }
+    }
+    Ok(leave)
+}
+
+/// Pivot step 3a: a bound flip — `j_in` moves to its opposite bound, the
+/// basis is unchanged.
+fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], j_in: usize, s: f64) {
+    st.move_basics(w, s * (st.ub[j_in] - st.lb[j_in]));
+    if s > 0.0 {
+        st.vstat[j_in] = VStat::AtUpper;
+        sgn[j_in] = 1;
+        st.x[j_in] = st.ub[j_in];
+    } else {
+        st.vstat[j_in] = VStat::AtLower;
+        sgn[j_in] = -1;
+        st.x[j_in] = st.lb[j_in];
+    }
+}
+
+/// Pivot step 3b: a basis change — `j_in` enters at basis position `r_lv`
+/// after a step of length `t`; returns the leaving variable. Updates the
+/// devex weights first (they need the pre-pivot basis), then moves the
+/// point and swaps the statuses. The factorization update is the caller's.
 // lint: hot
 #[allow(clippy::too_many_arguments)]
-fn run_phase<F: Factorization>(
+fn apply_pivot(
     st: &mut State,
-    f: &mut F,
+    f: &mut SparseLuFactor,
+    ph: &mut PhaseBufs,
+    j_in: usize,
+    s: f64,
+    r_lv: usize,
+    t: f64,
+    rec: &mut Recorder,
+) -> usize {
+    let PhaseBufs {
+        w,
+        rho,
+        gamma,
+        sgn,
+        cand,
+        ..
+    } = ph;
+    let j_out = st.basis[r_lv];
+
+    // --- Devex weight update, restricted to the candidate list: it is all
+    // the next rescans read until a refill (which rescores everything it
+    // returns anyway), so the update is `O(nnz(list))` instead of
+    // `O(nnz(A))`. Untouched columns keep slightly stale weights until a
+    // refill scan reaches them — devex is approximate by design.
+    let t_devex = rec.stamp();
+    let alpha_q = w[r_lv];
+    if alpha_q.abs() > 1e-12 {
+        f.binv_row(r_lv, rho);
+        let gq = gamma[j_in].max(1.0);
+        let ratio2 = gq / (alpha_q * alpha_q);
+        let mut overflow = false;
+        for &jc in cand.iter() {
+            let j = jc as usize;
+            if st.vstat[j] == VStat::Basic || j == j_in {
+                continue;
+            }
+            let mut aj = 0.0;
+            st.for_col(j, |r, v| aj += rho[r] * v);
+            if nonzero(aj) {
+                let g = aj * aj * ratio2;
+                if g > gamma[j] {
+                    gamma[j] = g;
+                    overflow |= g > 1e12;
+                }
+            }
+        }
+        gamma[j_out] = ratio2.max(1.0);
+        if overflow {
+            gamma.fill(1.0);
+        }
+    }
+    rec.lap(Accum::Pricing, t_devex);
+
+    st.move_basics(w, s * t);
+    // `s` encodes the entering bound: +1 from lower, -1 from upper.
+    st.x[j_in] = if s > 0.0 {
+        st.lb[j_in] + t
+    } else {
+        st.ub[j_in] - t
+    };
+    // Snap the leaving variable to the bound it hit.
+    let to_lower = s * w[r_lv] > 0.0;
+    st.vstat[j_out] = if to_lower {
+        VStat::AtLower
+    } else {
+        VStat::AtUpper
+    };
+    st.x[j_out] = if to_lower { st.lb[j_out] } else { st.ub[j_out] };
+    sgn[j_out] = if st.ub[j_out] - st.lb[j_out] <= 0.0 {
+        0
+    } else if to_lower {
+        -1
+    } else {
+        1
+    };
+    st.vstat[j_in] = VStat::Basic;
+    sgn[j_in] = 0;
+    st.basis[r_lv] = j_in;
+    j_out
+}
+
+/// Runs simplex iterations until optimality for the given cost vector.
+/// Each iteration is three steps over the [`State`]: [`choose_entering`],
+/// [`ratio_test`], then [`apply_flip`] or [`apply_pivot`] plus the
+/// factorization update.
+// lint: hot
+#[allow(clippy::too_many_arguments)]
+fn run_phase(
+    st: &mut State,
+    f: &mut SparseLuFactor,
     costs: &[f64],
     opts: &SolverOptions,
     iter_cap: usize,
@@ -395,7 +804,7 @@ fn run_phase<F: Factorization>(
     // Devex reference weights (reset per phase).
     prep(cnt, &mut ph.gamma, nv, 1.0);
     // Pricing signs, rebuilt per phase (bounds change between phases) and
-    // maintained incrementally at each pivot below.
+    // maintained incrementally at each pivot.
     prep(cnt, &mut ph.sgn, nv, 0i8);
     for (j, s) in ph.sgn.iter_mut().enumerate() {
         *s = match st.vstat[j] {
@@ -411,52 +820,20 @@ fn run_phase<F: Factorization>(
     } else {
         1
     };
-    // Two refill generations live in the list at once (see the refill
-    // branch below).
+    // Two refill generations live in the list at once.
     reserve(cnt, &mut ph.cand, 2 * CAND_LIST_CAP);
     reserve(cnt, &mut ph.merged, CAND_LIST_CAP * workers);
     reserve_pool(cnt, &mut ph.sections, workers);
-    let PhaseBufs {
-        y,
-        w,
-        rho,
-        gamma,
-        sgn,
-        cand,
-        merged,
-        sections,
-    } = ph;
-    // `Pricing::Candidate`: rescan only the candidate list most pivots; a
-    // full scan (parallel across fixed column sections when `opts.threads`
-    // allows) refills it when it runs dry, and optimality is only declared
-    // by a fruitless full scan. `Pricing::Full` goes straight to the full
-    // scan every pivot (same parallel kernel, same winner as the
-    // historical serial scan: best score, ties to the lower index).
-    let use_list = matches!(opts.pricing, crate::model::Pricing::Candidate);
-    // `Pricing::Partial` (the default): the historical sectioned scan over
-    // rotating windows of ~4m columns, stopping at the first window with
-    // an eligible candidate. Kept serial and byte-for-byte stable — the
-    // windows are far too small to amortize scoped-thread spawns, and the
-    // engine's warm-vs-cold A/B tests rely on its exact pivot sequences.
-    let windowed = matches!(opts.pricing, crate::model::Pricing::Partial);
-    // `Pricing::Candidate` refills from the same ~4m rotating windows the
-    // sectioned scan uses (global-best pricing rules stall badly on
-    // degenerate interval/transport LPs — the window rotation is what
-    // diversifies entering columns); `Pricing::Full` is the degenerate
-    // single-window case covering every column.
-    let window = if matches!(opts.pricing, crate::model::Pricing::Full) {
-        nv
-    } else {
-        (4 * m).max(256).min(nv.max(1))
+    let mut px = Pricer {
+        window: (4 * m).max(256).min(nv.max(1)),
+        workers,
+        scan_start: 0,
+        gen_split: 0,
     };
-    let mut scan_start = 0usize;
     let mut stall = 0usize;
     let mut bland = false;
     let mut cyc = CycleMon::new(&st.basis);
     let mut local_iters = 0usize;
-    // Boundary between the two candidate-list generations: `cand[..gen_split]`
-    // is the previous refill, `cand[gen_split..]` the most recent one.
-    let mut gen_split = 0usize;
 
     loop {
         if local_iters >= iter_cap {
@@ -480,240 +857,14 @@ fn run_phase<F: Factorization>(
                 return Ok(PhaseEnd::Truncated);
             }
         }
-        st.duals(f, costs, y);
+        st.duals(f, costs, &mut ph.y);
         let t_scan = rec.lap(Accum::FtranBtran, t_dual);
 
-        // --- Pricing: pick an entering variable (devex: maximize d²/γ;
-        // tie-breaks are mode-specific — see `cand_order` and the
-        // windowed branch). ---
-        let mut enter: Option<usize> = None;
-        // Columns scanned this iteration by the windowed mode, as a
-        // rotated range `scan_start + [0, scanned)` (mod nv) — its devex
-        // update below is restricted to the same range.
-        let mut scanned = 0usize;
-        if bland {
-            // Bland's rule: lowest eligible index over ALL columns (the
-            // anti-cycling argument needs a consistent total order).
-            st.stats.pricing_full_scans += 1;
-            scanned = nv;
-            scan_start = 0;
-            for j in 0..nv {
-                // Want d < -tol at lower bound, d > tol at upper bound.
-                let sign = match st.vstat[j] {
-                    VStat::Basic => continue,
-                    VStat::AtLower => -1.0,
-                    VStat::AtUpper => 1.0,
-                };
-                if st.ub[j] - st.lb[j] <= 0.0 {
-                    continue;
-                }
-                let d = st.reduced_cost(j, costs, y);
-                if sign * d > tol {
-                    enter = Some(j);
-                    break;
-                }
-            }
-        } else if windowed {
-            // Sectioned pricing: scan rotating windows, stopping at the
-            // first window with an eligible candidate; score ties keep the
-            // FIRST candidate in rotated scan order. `scan_start` sticks
-            // to the window that produced the last entering variable
-            // (attractive columns cluster), and optimality is only
-            // declared after a full fruitless cycle.
-            let mut best_score = 0.0f64;
-            while scanned < nv {
-                let take = window.min(nv - scanned);
-                for t in 0..take {
-                    let mut j = scan_start + scanned + t;
-                    if j >= nv {
-                        j -= nv;
-                    }
-                    // Want d < -tol at lower bound, d > tol at upper bound;
-                    // basic and fixed (lb==ub) columns carry sign 0.
-                    let sg = sgn[j];
-                    if sg == 0 {
-                        continue;
-                    }
-                    let d = st.reduced_cost(j, costs, y);
-                    let viol = f64::from(sg) * d;
-                    if viol > tol {
-                        let score = viol * viol / gamma[j];
-                        if enter.is_none() || score > best_score {
-                            enter = Some(j);
-                            best_score = score;
-                        }
-                    }
-                }
-                scanned += take;
-                if enter.is_some() {
-                    break;
-                }
-            }
-            if scanned >= nv {
-                st.stats.pricing_full_scans += 1;
-            } else {
-                st.stats.pricing_list_hits += 1;
-            }
-        } else {
-            if use_list {
-                // Candidate-list pass: rescan the columns of the last
-                // refill under the current duals. Entries are kept even
-                // while ineligible — degenerate pivots flip reduced-cost
-                // signs back and forth, and a rescan is `O(nnz(list))`
-                // either way — so the list only turns over at a refill.
-                let mut best: Option<(f64, u32)> = None;
-                for &jc in cand.iter() {
-                    let j = jc as usize;
-                    let sg = sgn[j];
-                    if sg == 0 {
-                        continue;
-                    }
-                    let d = st.reduced_cost(j, costs, y);
-                    let viol = f64::from(sg) * d;
-                    if viol > tol {
-                        let c = (viol * viol / gamma[j], jc);
-                        if best.is_none_or(|b| cand_order(&c, &b).is_lt()) {
-                            best = Some(c);
-                        }
-                    }
-                }
-                if let Some((_, j)) = best {
-                    enter = Some(j as usize);
-                    st.stats.pricing_list_hits += 1;
-                }
-                rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
-            }
-            if enter.is_none() {
-                // Refill scan over rotating windows (`Pricing::Full` is the
-                // degenerate case `window == nv`: one window covering every
-                // column). The first window with an ELIGIBLE candidate
-                // refills the list with its top `CAND_LIST_CAP` entries by
-                // [`refill_order`] — eligible columns first, then the best
-                // near-misses (`viol > 0` but under tolerance). On
-                // degenerate LPs reduced costs hover around the tolerance
-                // and flip sign every few pivots, so the near-misses are
-                // precisely the columns the next rescans will find
-                // eligible; retaining them is what keeps the list hit rate
-                // high. Optimality is only declared after a full fruitless
-                // cycle. Large windows are cut into fixed contiguous
-                // sections, one scoped worker per section, each keeping a
-                // bounded local top list — the exact merge below is
-                // invariant to the section layout, so the refilled list
-                // (and the pivot it yields) is byte-identical at any
-                // `opts.threads`.
-                let stv: &State = st;
-                let y_s: &[f64] = y;
-                let gamma_s: &[f64] = gamma;
-                let sgn_s: &[i8] = sgn;
-                while scanned < nv {
-                    let take = window.min(nv - scanned);
-                    let base_idx = (scan_start + scanned) % nv;
-                    for slot in sections.iter_mut().take(workers) {
-                        slot.clear();
-                    }
-                    let win_workers = if take >= PAR_SCAN_MIN_COLS {
-                        workers
-                    } else {
-                        1
-                    };
-                    crate::par::for_each_section(
-                        win_workers,
-                        take,
-                        &mut sections[..workers],
-                        |_, range, out| {
-                            let mut worst = 0usize; // index of the worst kept candidate
-                            for t in range {
-                                // `base_idx < nv` and `t < nv`, so one
-                                // conditional subtract wraps.
-                                let mut j = base_idx + t;
-                                if j >= nv {
-                                    j -= nv;
-                                }
-                                // Want d < -tol at lower bound, d > tol at
-                                // upper; basic and fixed columns carry 0.
-                                let sg = sgn_s[j];
-                                if sg == 0 {
-                                    continue;
-                                }
-                                let d = stv.reduced_cost(j, costs, y_s);
-                                let viol = f64::from(sg) * d;
-                                if viol <= 0.0 {
-                                    continue;
-                                }
-                                let c = (viol * viol / gamma_s[j], j as u32, viol > tol);
-                                if out.len() < CAND_LIST_CAP {
-                                    out.push(c);
-                                    if out.len() == CAND_LIST_CAP {
-                                        for i in 1..out.len() {
-                                            if refill_order(&out[i], &out[worst]).is_gt() {
-                                                worst = i;
-                                            }
-                                        }
-                                    }
-                                } else if refill_order(&c, &out[worst]).is_lt() {
-                                    out[worst] = c;
-                                    worst = 0;
-                                    for i in 1..out.len() {
-                                        if refill_order(&out[i], &out[worst]).is_gt() {
-                                            worst = i;
-                                        }
-                                    }
-                                }
-                            }
-                        },
-                    );
-                    scanned += take;
-                    merged.clear();
-                    for slot in sections.iter().take(workers) {
-                        merged.extend_from_slice(slot);
-                    }
-                    // A window of pure near-misses keeps scanning (and
-                    // keeps its entries out of the list — only the
-                    // producing window refills); `refill_order` then sorts
-                    // eligible entries to the front, so the head is the
-                    // best eligible column.
-                    if merged.iter().any(|&(_, _, eligible)| eligible) {
-                        merged.sort_unstable_by(refill_order);
-                        merged.truncate(CAND_LIST_CAP);
-                        enter = merged.first().map(|&(_, j, _)| j as usize);
-                        // Keep the previous refill's generation alongside
-                        // the new one: degenerate LPs see-saw between two
-                        // disjoint eligible sets (one pivot flips the
-                        // whole current set ineligible and the other set
-                        // eligible), so the union of the last two refills
-                        // is what the next few rescans will actually hit.
-                        let drop = gen_split;
-                        if drop > 0 {
-                            cand.copy_within(drop.., 0);
-                            cand.truncate(cand.len() - drop);
-                        }
-                        gen_split = cand.len();
-                        cand.extend(merged.iter().map(|&(_, j, _)| j));
-                        // Rescans take an order-independent argmax, so the
-                        // new generation can be stored in column order —
-                        // its entries all come from one scan window, and
-                        // the ascending rescan walks that window's CSC
-                        // range nearly sequentially instead of thrashing.
-                        cand[gen_split..].sort_unstable();
-                        break;
-                    }
-                }
-                if scanned >= nv {
-                    st.stats.pricing_full_scans += 1;
-                }
-            }
-        }
+        let enter = choose_entering(st, ph, &mut px, costs, tol, bland, rec);
         rec.lap(Accum::Pricing, t_scan);
-        rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
         let Some(j_in) = enter else {
             return Ok(PhaseEnd::Optimal);
         };
-        if !bland && scanned > window {
-            // The candidate came from a later window: rotate the scan start
-            // there so the next iteration finds it first. (Windowed mode
-            // only — the other modes never advance `scanned`.)
-            scan_start = (scan_start + scanned - window) % nv;
-        }
 
         // Direction: +1 when increasing from lower bound, -1 when
         // decreasing from upper bound.
@@ -722,92 +873,25 @@ fn run_phase<F: Factorization>(
         } else {
             -1.0
         };
-
         let t_ftran = rec.stamp();
-        st.ftran_col(f, j_in, w);
+        st.ftran_col(f, j_in, &mut ph.w);
         rec.lap(Accum::FtranBtran, t_ftran);
-        let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
 
-        // --- Two-pass Harris ratio test (bounded variables). ---
-        // Basic r changes by -s*t*w_r. Pass 1 computes the relaxed step
-        // bound t_max (each row's limit padded by a feasibility tolerance
-        // scaled by 1/|w_r|, so the eventual bound violation of any row is
-        // at most `tol` in *variable space*, not `tol·|w_r|`). Pass 2 picks
-        // the stabilizing pivot (largest |w_r|) among rows whose exact
-        // limit fits under t_max.
         let t_flip = st.ub[j_in] - st.lb[j_in]; // may be +inf
-        let zero_tol = 1e-11_f64.max(1e-10 * wmax);
-        let mut t_max = t_flip;
-        for (r, &wr) in w.iter().enumerate() {
-            let swr = s * wr;
-            if swr.abs() <= zero_tol {
-                continue;
-            }
-            let bj = st.basis[r];
-            let slack = if swr > 0.0 {
-                st.x[bj] - st.lb[bj]
-            } else {
-                let u = st.ub[bj];
-                if u.is_infinite() {
-                    continue;
-                }
-                u - st.x[bj]
-            };
-            let lim = (slack.max(0.0) + tol) / swr.abs();
-            if lim < t_max {
-                t_max = lim;
-            }
-        }
-
-        if t_max.is_infinite() {
+        let Ok(leave) = ratio_test(st, &ph.w, s, t_flip, tol, bland) else {
             return Ok(PhaseEnd::Unbounded);
-        }
-
-        let mut leave: Option<(usize, f64, f64)> = None; // (row, |w|, exact limit)
-        for (r, &wr) in w.iter().enumerate() {
-            let swr = s * wr;
-            if swr.abs() <= zero_tol {
-                continue;
-            }
-            let bj = st.basis[r];
-            let slack = if swr > 0.0 {
-                st.x[bj] - st.lb[bj]
-            } else {
-                let u = st.ub[bj];
-                if u.is_infinite() {
-                    continue;
-                }
-                u - st.x[bj]
-            };
-            let exact = (slack.max(0.0)) / swr.abs();
-            if exact <= t_max {
-                let better = match leave {
-                    None => true,
-                    Some((cur_r, cur_w, _)) => {
-                        if bland {
-                            st.basis[r] < st.basis[cur_r]
-                        } else {
-                            wr.abs() > cur_w
-                        }
-                    }
-                };
-                if better {
-                    leave = Some((r, wr.abs(), exact));
-                }
-            }
-        }
+        };
 
         // Choose between a basis pivot and a bound flip.
-        let step = match leave {
-            Some((_, _, exact)) => exact.min(t_flip),
-            None => t_flip,
-        };
+        let step = leave.map_or(t_flip, |(_, exact)| exact.min(t_flip));
+        let use_flip = t_flip.is_finite() && leave.is_none_or(|(_, exact)| t_flip <= exact);
 
         // Degeneracy bookkeeping. A cycle-monitor lock survives
         // nondegenerate steps; the stall-counter trigger does not.
-        if step <= tol {
+        let degenerate = step <= tol;
+        if degenerate {
             stall += 1;
-            if stall > opts.bland_after {
+            if stall > BLAND_AFTER {
                 bland = true;
             }
         } else {
@@ -815,147 +899,31 @@ fn run_phase<F: Factorization>(
             bland = cyc.locked;
         }
 
-        let use_flip = t_flip.is_finite()
-            && match leave {
-                None => true,
-                Some((_, _, exact)) => t_flip <= exact,
-            };
-
-        if use_flip {
-            // Bound flip: j_in moves to its opposite bound, basis unchanged.
-            let t = t_flip;
-            for (r, &wr) in w.iter().enumerate() {
-                if nonzero(wr) {
-                    let bj = st.basis[r];
-                    st.x[bj] -= s * t * wr;
-                }
-            }
-            st.vstat[j_in] = if s > 0.0 {
-                VStat::AtUpper
-            } else {
-                VStat::AtLower
-            };
-            sgn[j_in] = if s > 0.0 { 1 } else { -1 };
-            st.x[j_in] = if s > 0.0 { st.ub[j_in] } else { st.lb[j_in] };
-            st.iterations += 1;
-            rec.bump(ObsCounter::Pivots, 1);
+        let pivot_row = if use_flip {
+            apply_flip(st, &mut ph.sgn, &ph.w, j_in, s);
             cyc.sig ^= splitmix64(j_in as u64 ^ FLIP_SALT);
-            if cyc.observe(step <= tol) {
-                bland = true;
-                st.stats.cycles_detected += 1;
-            }
-            continue;
-        }
-
-        let (r_lv, _, exact) = leave.ok_or_else(|| {
-            LpError::Numerical("bounded ratio test selected no leaving row".into())
-        })?;
-        let j_out = st.basis[r_lv];
-        let t = exact.max(0.0);
-
-        // --- Devex weight update (with the pre-pivot basis), restricted to
-        // the columns the next pricing passes will actually read: the
-        // producing window for `Pricing::Partial`, the candidate list for
-        // `Pricing::Candidate` (`O(nnz(list))` instead of `O(nnz(A))`),
-        // every column for `Pricing::Full`. Untouched columns keep
-        // slightly stale weights until the next full scan — devex is
-        // approximate by design.
-        let t_devex = rec.stamp();
-        let alpha_q = w[r_lv];
-        if alpha_q.abs() > 1e-12 {
-            f.binv_row(r_lv, rho);
-            let gq = gamma[j_in].max(1.0);
-            let ratio2 = gq / (alpha_q * alpha_q);
-            let mut overflow = false;
-            let mut touch = |j: usize, gamma: &mut [f64]| {
-                if st.vstat[j] == VStat::Basic || j == j_in {
-                    return;
-                }
-                let mut aj = 0.0;
-                st.for_col(j, |r, v| aj += rho[r] * v);
-                if nonzero(aj) {
-                    let cand = aj * aj * ratio2;
-                    if cand > gamma[j] {
-                        gamma[j] = cand;
-                        if cand > 1e12 {
-                            overflow = true;
-                        }
-                    }
-                }
-            };
-            if use_list {
-                // The list is all the next rescans read until a refill
-                // (which rescores everything it returns anyway), so the
-                // update never needs to leave it.
-                for &jc in cand.iter() {
-                    touch(jc as usize, gamma);
-                }
-            } else if scanned > 0 {
-                // After the post-selection rotation the producing window
-                // always sits at `scan_start + [0, min(scanned, window))`
-                // (for `Pricing::Full` that is every column).
-                for t in 0..scanned.min(window) {
-                    let mut j = scan_start + t;
-                    if j >= nv {
-                        j -= nv;
-                    }
-                    touch(j, gamma);
-                }
-            }
-            gamma[j_out] = ratio2.max(1.0);
-            if overflow {
-                gamma.fill(1.0);
-            }
-        }
-        rec.lap(Accum::Pricing, t_devex);
-
-        // Move the point.
-        for (r, &wr) in w.iter().enumerate() {
-            if nonzero(wr) {
-                let bj = st.basis[r];
-                st.x[bj] -= s * t * wr;
-            }
-        }
-        // `s` encodes the entering bound: +1 from lower, -1 from upper.
-        st.x[j_in] = if s > 0.0 {
-            st.lb[j_in] + t
+            None
         } else {
-            st.ub[j_in] - t
+            let (r_lv, exact) = leave.ok_or_else(|| {
+                LpError::Numerical("bounded ratio test selected no leaving row".into())
+            })?;
+            let j_out = apply_pivot(st, f, ph, j_in, s, r_lv, exact.max(0.0), rec);
+            cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
+            Some(r_lv)
         };
-        // Snap the leaving variable to the bound it hit.
-        let swr = s * w[r_lv];
-        st.vstat[j_out] = if swr > 0.0 {
-            VStat::AtLower
-        } else {
-            VStat::AtUpper
-        };
-        st.x[j_out] = if swr > 0.0 {
-            st.lb[j_out]
-        } else {
-            st.ub[j_out]
-        };
-        sgn[j_out] = if st.ub[j_out] - st.lb[j_out] <= 0.0 {
-            0
-        } else if swr > 0.0 {
-            -1
-        } else {
-            1
-        };
-
-        st.vstat[j_in] = VStat::Basic;
-        sgn[j_in] = 0;
-        st.basis[r_lv] = j_in;
         st.iterations += 1;
         rec.bump(ObsCounter::Pivots, 1);
-        cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
-        if cyc.observe(step <= tol) {
+        if cyc.observe(degenerate) {
             bland = true;
             st.stats.cycles_detected += 1;
         }
-        match f.update(r_lv, w) {
+        let Some(r_lv) = pivot_row else {
+            continue;
+        };
+        match f.update(r_lv, &ph.w) {
             Ok(()) => {
                 st.since_refactor += 1;
-                if f.wants_refactor(st.since_refactor, opts) {
+                if f.wants_refactor(st.since_refactor) {
                     st.refactorize(f, tol, cnt, fx, rec)?;
                 }
             }
@@ -979,9 +947,9 @@ fn run_phase<F: Factorization>(
 /// already locked at zero skip straight to phase 2), and `st.iterations`
 /// accumulates across attempts so budgets stay per-solve.
 #[allow(clippy::too_many_arguments)]
-fn run_phases<F: Factorization>(
+fn run_phases(
     st: &mut State,
-    f: &mut F,
+    f: &mut SparseLuFactor,
     opts: &SolverOptions,
     costs1: &[f64],
     costs2: &[f64],
@@ -1090,14 +1058,14 @@ fn lagrangian_dual(st: &State, costs: &[f64], y: &[f64], tol: f64) -> f64 {
     v
 }
 
-/// Entry point used by the backends: solve the presolved LP with the given
-/// factorization, optionally warm-starting from `warm` and optionally
-/// extracting the final [`Basis`].
+/// Entry point behind [`Model::solve_with`]: solve the presolved LP,
+/// optionally warm-starting from `warm` and optionally extracting the
+/// final [`Basis`].
 ///
 /// All working storage comes from `scratch`; the per-solve acquisition
 /// counters are reset here and copied into the returned
 /// [`SolveStats::allocs`]/[`SolveStats::scratch_reuse`] fields.
-pub(crate) fn solve_presolved<F: Factorization + Default>(
+pub(crate) fn solve_presolved(
     model: &Model,
     pre: &Presolved,
     opts: &SolverOptions,
@@ -1113,10 +1081,7 @@ pub(crate) fn solve_presolved<F: Factorization + Default>(
     let base_xfer = scratch.rec.acc(Accum::FtranBtran);
     let base_factor = scratch.rec.acc(Accum::Factor);
     scratch.rec.enter(SpanName::Solve);
-    let mut f = F::default();
-    f.take_from(scratch);
-    let res = solve_presolved_inner(model, pre, opts, warm, want_basis, scratch, &mut f);
-    f.store_into(scratch);
+    let res = solve_presolved_inner(model, pre, opts, warm, want_basis, scratch);
     scratch.rec.exit();
     scratch
         .rec
@@ -1132,17 +1097,14 @@ pub(crate) fn solve_presolved<F: Factorization + Default>(
     })
 }
 
-/// The body of [`solve_presolved`], with the factorization's persisted
-/// state already moved out of the scratch (so error paths in here lose at
-/// most the retained factors, never corrupt them).
-fn solve_presolved_inner<F: Factorization>(
+/// The body of [`solve_presolved`], inside the `Solve` span.
+fn solve_presolved_inner(
     model: &Model,
     pre: &Presolved,
     opts: &SolverOptions,
     warm: Option<&Basis>,
     want_basis: bool,
     scratch: &mut Scratch,
-    f: &mut F,
 ) -> Result<(Solution, Option<Basis>), LpError> {
     let Scratch {
         cnt,
@@ -1152,8 +1114,8 @@ fn solve_presolved_inner<F: Factorization>(
         asm,
         warm: wb,
         complete,
+        lu: f,
         rec,
-        ..
     } = scratch;
     let AsmBufs {
         kept_rows,
@@ -1386,14 +1348,9 @@ fn solve_presolved_inner<F: Factorization>(
 
     // ---- Cost vectors for both phases (prepared once: the recovery
     // ladder below may run the phases more than once). ----
-    // The artificial costs carry a tiny deterministic jitter: exact unit
-    // costs make transportation-like LPs massively dual-degenerate in
-    // phase 1 (every tied reduced cost spawns a run of degenerate pivots);
-    // the jitter breaks ties while keeping the phase-1 optimum's defining
-    // property (zero infeasibility ⇔ all artificials at zero) intact.
     prep(cnt, costs1, nvars, 0.0);
     for (r, c) in costs1.iter_mut().skip(n_expl).enumerate() {
-        *c = 1.0 + opts.phase1_jitter * splitmix_unit(r as u64 + 0x5EED);
+        *c = 1.0 + PHASE1_JITTER * splitmix_unit(r as u64 + 0x5EED);
     }
     prep(cnt, costs2, nvars, 0.0);
     for (rj, &oj) in pre.kept_vars.iter().enumerate() {
@@ -1569,13 +1526,13 @@ fn solve_presolved_inner<F: Factorization>(
 /// signed identity, the one factorization that cannot fail numerically.
 // lint: hot
 #[allow(clippy::too_many_arguments)]
-fn crash_basis<F: Factorization>(
+fn crash_basis(
     model: &Model,
     kept_rows: &[u32],
     slack_of_row: &[Option<usize>],
     n_struct: usize,
     st: &mut State,
-    f: &mut F,
+    f: &mut SparseLuFactor,
     opts: &SolverOptions,
     cnt: &mut Counters,
     fx: &mut FactorBufs,
@@ -1663,11 +1620,11 @@ fn crash_basis<F: Factorization>(
 /// fewer pivots than a cold start would need.
 // lint: hot
 #[allow(clippy::too_many_arguments)]
-fn try_warm_start<F: Factorization>(
+fn try_warm_start(
     model: &Model,
     pre: &Presolved,
     st: &mut State,
-    f: &mut F,
+    f: &mut SparseLuFactor,
     opts: &SolverOptions,
     snap: &Basis,
     kept_rows: &[u32],
@@ -1944,7 +1901,7 @@ fn splitmix_unit(mut x: u64) -> f64 {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::{splitmix64, CycleMon};
-    use crate::{Backend, LpError, Model, SolverOptions};
+    use crate::{LpError, Model, SolverOptions};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -2175,32 +2132,16 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_small_lps() {
-        let build = || {
-            let mut m = Model::new();
-            let x = m.add_nonneg(-3.0, "x");
-            let y = m.add_unit(-5.0, "y");
-            let z = m.add_var(2.0, 0.5, 4.0, "z");
-            m.le(&[(x, 1.0), (y, 2.0)], 4.0);
-            m.ge(&[(x, 1.0), (z, 1.0)], 2.0);
-            m.eq(&[(y, 1.0), (z, 1.0)], 1.5);
-            m
-        };
-        let m = build();
-        let sparse = m
-            .solve_with(&SolverOptions {
-                backend: Backend::Sparse,
-                ..Default::default()
-            })
-            .unwrap();
-        let dense_inv = m
-            .solve_with(&SolverOptions {
-                backend: Backend::DenseInverse,
-                ..Default::default()
-            })
-            .unwrap();
+    fn agrees_with_dense_reference_on_small_lp() {
+        let mut m = Model::new();
+        let x = m.add_nonneg(-3.0, "x");
+        let y = m.add_unit(-5.0, "y");
+        let z = m.add_var(2.0, 0.5, 4.0, "z");
+        m.le(&[(x, 1.0), (y, 2.0)], 4.0);
+        m.ge(&[(x, 1.0), (z, 1.0)], 2.0);
+        m.eq(&[(y, 1.0), (z, 1.0)], 1.5);
+        let sparse = m.solve().unwrap();
         let reference = m.solve_dense_reference().unwrap();
-        assert_close(sparse.objective, dense_inv.objective);
         assert_close(sparse.objective, reference.objective);
     }
 

@@ -1,16 +1,17 @@
-//! Thread-count invariance of the parallel pricing paths.
+//! Thread-count invariance of the parallel pricing scan, and the pinned
+//! pivot counts of the one pricing rule.
 //!
-//! The candidate-list refill scan and the full devex scan both cut large
-//! windows into fixed contiguous sections, one scoped worker per section,
-//! and merge the per-section bounded top lists under a total order on the
-//! candidate values. That merge is partition-invariant (every global
-//! top-`K` element is in its own section's top-`K`), so the pivot
-//! sequence — and therefore every solver output — must be byte-identical
-//! at any `SolverOptions::threads`. These tests pin that contract: not
-//! "close objectives", but identical iteration counts, identical pricing
-//! counters, bit-identical objectives and primal values, and equal bases.
+//! The candidate-list refill scan cuts large windows into fixed contiguous
+//! sections, one scoped worker per section, and merges the per-section
+//! bounded top lists under a total order on the candidate values. That
+//! merge is partition-invariant (every global top-`K` element is in its
+//! own section's top-`K`), so the pivot sequence — and therefore every
+//! solver output — must be byte-identical at any `SolverOptions::threads`.
+//! These tests pin that contract: not "close objectives", but identical
+//! iteration counts, identical pricing counters, bit-identical objectives
+//! and primal values, and equal bases.
 
-use coflow_lp::{Basis, Cmp, Model, Pricing, Solution, SolverOptions};
+use coflow_lp::{Basis, Cmp, Model, Solution, SolverOptions};
 
 /// A degenerate transportation LP: `n x n` assignment-like structure with
 /// equality supplies and slack-bearing demand caps. Dual-degenerate enough
@@ -77,10 +78,32 @@ fn mixed(seed: u64, n: usize, rows: usize) -> Model {
     m
 }
 
-fn solve(m: &Model, pricing: Pricing, threads: usize) -> (Solution, Basis) {
+/// A sparse transportation LP with enough rows (`2n >= 1024`) that one
+/// refill window (`~4m` columns) reaches the parallel-scan threshold: `n`
+/// sources with `deg` outgoing arcs each, equality supplies, capped sinks.
+fn sparse_transport(n: usize, deg: usize) -> Model {
+    let mut m = Model::new();
+    let mut into: Vec<Vec<_>> = vec![vec![]; n];
+    for i in 0..n {
+        let arcs: Vec<_> = (0..deg)
+            .map(|t| {
+                let j = (i * 5 + t * 37) % n;
+                let v = m.add_nonneg(((i * 7 + t * 13) % 10) as f64 + 1.0, format!("x{i}_{t}"));
+                into[j].push((v, 1.0));
+                (v, 1.0)
+            })
+            .collect();
+        m.add_row(Cmp::Eq, 1.0 + (i % 3) as f64, &arcs);
+    }
+    for terms in into.iter().filter(|t| !t.is_empty()) {
+        m.add_row(Cmp::Le, 3.0 * terms.len() as f64, terms);
+    }
+    m
+}
+
+fn solve(m: &Model, threads: usize) -> (Solution, Basis) {
     let opts = SolverOptions {
         verify: false,
-        pricing,
         threads,
         ..Default::default()
     };
@@ -111,64 +134,94 @@ fn assert_identical(label: &str, a: &(Solution, Basis), b: &(Solution, Basis), t
     assert_eq!(a.1, b.1, "{ctx}: bases differ");
 }
 
-/// Candidate pricing: identical pivot sequence and outputs at 1/2/4/8
-/// threads on a degenerate transport LP (heavy list churn + refills).
+/// Identical pivot sequence and outputs at 1/2/4/8 threads on a
+/// degenerate transport LP (heavy list churn + refills).
 #[test]
-fn candidate_pricing_thread_invariant_on_transport() {
+fn pricing_thread_invariant_on_transport() {
     let m = transport(24);
-    let base = solve(&m, Pricing::Candidate, 1);
+    let base = solve(&m, 1);
     assert!(base.0.stats.pricing_list_hits > 0, "list must serve pivots");
     assert_eq!(base.0.stats.threads, 1);
     for threads in [2, 4, 8] {
-        let sol = solve(&m, Pricing::Candidate, threads);
+        let sol = solve(&m, threads);
         assert_eq!(sol.0.stats.threads, threads, "threads stat must record");
-        assert_identical("candidate/transport", &sol, &base, threads);
+        assert_identical("transport", &sol, &base, threads);
     }
 }
 
-/// Candidate pricing stays thread-invariant across a family of mixed-row
-/// LPs (bounded variables, all row senses).
+/// Thread invariance across a family of mixed-row LPs (bounded variables,
+/// all row senses).
 #[test]
-fn candidate_pricing_thread_invariant_on_mixed_lps() {
+fn pricing_thread_invariant_on_mixed_lps() {
     for seed in 0..12u64 {
         let m = mixed(seed, 40, 18);
-        let base = solve(&m, Pricing::Candidate, 1);
+        let base = solve(&m, 1);
         for threads in [2, 4, 8] {
-            let sol = solve(&m, Pricing::Candidate, threads);
-            assert_identical(&format!("candidate/mixed[{seed}]"), &sol, &base, threads);
+            let sol = solve(&m, threads);
+            assert_identical(&format!("mixed[{seed}]"), &sol, &base, threads);
         }
     }
 }
 
-/// Full pricing on an LP large enough (`nv >= 4096`) that the scan is
-/// genuinely cut into multiple worker sections: the sectioned merge must
-/// reproduce the serial scan bit-for-bit.
+/// An LP large enough (`4m >= 4096` columns per refill window) that the
+/// scan is genuinely cut into multiple worker sections: the sectioned
+/// merge must reproduce the serial scan bit-for-bit.
 #[test]
-fn full_pricing_sectioned_scan_matches_serial() {
-    let m = transport(70); // 4900 structural columns: sections engage
-    let base = solve(&m, Pricing::Full, 1);
+fn sectioned_refill_scan_matches_serial() {
+    let m = sparse_transport(512, 8); // 1024 rows: windows of 4096 columns
+    let base = solve(&m, 1);
+    assert!(base.0.stats.rows >= 1024, "sections must engage");
     for threads in [2, 4, 8] {
-        let sol = solve(&m, Pricing::Full, threads);
-        assert_identical("full/transport", &sol, &base, threads);
+        let sol = solve(&m, threads);
+        assert_identical("sparse-transport", &sol, &base, threads);
     }
 }
 
-/// The default partial pricing ignores `threads` by design (its windows
-/// are too small to amortize spawns): outputs are identical with the knob
-/// set, and candidate pricing agrees with it on the optimum.
+/// The refactor guard of the PR that made candidate-list devex the only
+/// pricing rule: `(pivots, phase-1 pivots, refactorizations, objective
+/// bits)` recorded at the parent commit with its (then optional)
+/// candidate pricing mode selected, at 1 and at 4 threads. Any drift means
+/// the pivot sequence changed.
 #[test]
-fn partial_pricing_unaffected_by_thread_knob() {
-    let m = transport(24);
-    let a = solve(&m, Pricing::Partial, 1);
-    let b = solve(&m, Pricing::Partial, 4);
-    assert_identical("partial/transport", &b, &a, 4);
-    let c = solve(&m, Pricing::Candidate, 4);
-    assert!(
-        (a.0.objective - c.0.objective).abs() <= 1e-6 * (1.0 + a.0.objective.abs()),
-        "partial {} vs candidate {}",
-        a.0.objective,
-        c.0.objective
-    );
+fn single_rule_reproduces_candidate_counts() {
+    const TRANSPORT_30: (usize, usize, usize, u64) = (271, 147, 4, 0x404e_0000_0000_0000);
+    const MIXED: [(usize, usize, usize, u64); 12] = [
+        (42, 30, 2, 0xc03a_226a_8f4a_9f9e),
+        (60, 16, 3, 0xc050_e9b0_8ad9_521f),
+        (45, 29, 2, 0xc03c_249a_40c9_4710),
+        (50, 12, 2, 0xc054_a811_8a84_05d9),
+        (43, 17, 2, 0xc04e_bcf3_0eef_b740),
+        (45, 11, 2, 0xc04a_ef72_87d0_1051),
+        (26, 12, 2, 0xc037_31fd_d0d1_5460),
+        (29, 13, 2, 0xc006_74aa_8c34_54c4),
+        (52, 14, 2, 0xc04d_1a7c_04e4_27ca),
+        (44, 14, 2, 0xc04c_3b49_aac9_2073),
+        (61, 15, 3, 0xc04d_f7da_4534_3890),
+        (54, 13, 2, 0xc044_fb72_510b_35f6),
+    ];
+    let counts = |m: &Model, threads: usize| {
+        let s = solve(m, threads).0;
+        (
+            s.stats.iterations,
+            s.stats.phase1_iterations,
+            s.stats.refactorizations,
+            s.objective.to_bits(),
+        )
+    };
+    for threads in [1, 4] {
+        assert_eq!(
+            counts(&transport(30), threads),
+            TRANSPORT_30,
+            "transport(30), threads={threads}"
+        );
+        for (seed, want) in MIXED.iter().enumerate() {
+            assert_eq!(
+                counts(&mixed(seed as u64, 40, 18), threads),
+                *want,
+                "mixed[{seed}], threads={threads}"
+            );
+        }
+    }
 }
 
 /// Under the logical clock the rendered trace depends only on the
@@ -184,7 +237,6 @@ fn logical_clock_traces_byte_identical_across_threads() {
         chain.obs().set_mode(coflow_obs::ClockMode::Logical);
         let opts = SolverOptions {
             verify: false,
-            pricing: Pricing::Candidate,
             threads,
             ..Default::default()
         };

@@ -213,7 +213,7 @@ pub enum Counter {
     Refactorizations,
     /// Scratch buffers reacquired without allocating.
     ScratchReuses,
-    /// Columns scored by pricing scans (full, windowed, or candidate-list).
+    /// Columns scored by pricing scans (list rescans, refill windows, Bland passes).
     ColumnsPriced,
     /// Pricing-oracle invocations (one per commodity per colgen round).
     OracleCalls,

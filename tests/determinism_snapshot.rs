@@ -16,8 +16,8 @@ fn bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// One full pipeline run serialized into a canonical byte string.
-fn pipeline_snapshot() -> String {
+/// The seeded fat-tree k=4 instance every snapshot is taken on.
+fn snapshot_instance() -> Instance {
     let topo = coflow::net::topo::fat_tree(4, 1.0);
     let instance = generate(
         &topo,
@@ -32,6 +32,12 @@ fn pipeline_snapshot() -> String {
         },
     );
     assert!(instance.validate().is_empty());
+    instance
+}
+
+/// One full pipeline run serialized into a canonical byte string.
+fn pipeline_snapshot() -> String {
+    let instance = snapshot_instance();
 
     let mut out = String::new();
 
@@ -40,7 +46,12 @@ fn pipeline_snapshot() -> String {
     out.push_str(&to_json(&instance).expect("instance serializes"));
     out.push('\n');
 
-    // 2. Offline LP solve + rounding.
+    // 2. Offline LP solve + rounding. The solver's refill scans honor
+    // `SolverOptions::threads` (defaulted from `COFLOW_LP_THREADS`): the
+    // parallel sectioned merge is exact, so these bits must not move at
+    // any thread count. CI byte-diffs this whole snapshot between
+    // `COFLOW_LP_THREADS=1` and `=4` runs. (Deliberately no thread count
+    // in the output — only solver results belong in the snapshot.)
     let lp = solve_free_paths_lp_paths(&instance, &FreePathsLpConfig::default())
         .expect("generated instance is feasible");
     out.push_str("== lp ==\n");
@@ -63,27 +74,6 @@ fn pipeline_snapshot() -> String {
                 bits(seg.rate)
             ));
         }
-    }
-
-    // 2b. The same LP under candidate-list pricing, whose refill scans
-    // honor `SolverOptions::threads` (defaulted from `COFLOW_LP_THREADS`):
-    // the parallel sectioned merge is exact, so these bits must not move
-    // at any thread count. CI byte-diffs this whole snapshot between
-    // `COFLOW_LP_THREADS=1` and `=4` runs. (Deliberately no thread count
-    // in the output — only solver results belong in the snapshot.)
-    let cand_cfg = FreePathsLpConfig {
-        solver: coflow::lp::SolverOptions {
-            pricing: coflow::lp::Pricing::Candidate,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let cand = solve_free_paths_lp_paths(&instance, &cand_cfg)
-        .expect("generated instance is feasible under candidate pricing");
-    out.push_str("== lp candidate ==\n");
-    out.push_str(&format!("objective {}\n", bits(cand.base.objective)));
-    for (i, c) in cand.base.flow_completion.iter().enumerate() {
-        out.push_str(&format!("c[{i}] {}\n", bits(*c)));
     }
 
     // 3. Online engine epochs over the canonical arrival trace.
@@ -127,4 +117,36 @@ fn pipeline_is_byte_reproducible_in_process() {
         );
     }
     assert_eq!(a.as_bytes(), b.as_bytes());
+}
+
+/// The refactor guard of the PR that made candidate-list devex the only
+/// pricing rule, on an interval LP: pivots, phase-1 pivots,
+/// refactorizations and objective bits of the snapshot instance's path LP,
+/// recorded at the parent commit with its (then optional) candidate
+/// pricing mode selected, at 1 and at 4 threads
+/// (`crates/lp/tests/parallel_pricing.rs` pins the raw LPs).
+#[test]
+fn single_rule_reproduces_candidate_counts() {
+    let instance = snapshot_instance();
+    for threads in [1, 4] {
+        let cfg = FreePathsLpConfig {
+            solver: coflow::lp::SolverOptions {
+                threads,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let lp = solve_free_paths_lp_paths(&instance, &cfg).expect("instance is feasible");
+        let s = lp.base.stats;
+        assert_eq!(
+            (
+                s.iterations,
+                s.phase1_iterations,
+                s.refactorizations,
+                lp.base.objective.to_bits()
+            ),
+            (122, 92, 4, 0x4044_e26c_6705_50ae),
+            "threads={threads}"
+        );
+    }
 }
