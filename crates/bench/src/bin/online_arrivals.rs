@@ -1,202 +1,54 @@
 //! **Online arrivals**: arrival-rate × policy sweep of the online engine
-//! on a fat-tree, the workspace's first experiment in the coflows-arrive-
-//! over-time regime (the setting of the iterated-rounding and
-//! parallel-networks follow-up papers).
+//! on a fat-tree, the coflows-arrive-over-time regime (the setting of the
+//! iterated-rounding and parallel-networks follow-up papers).
 //!
 //! For each Poisson arrival rate, every [`OnlinePolicy`] schedules the
-//! same trace; `LpOrder` additionally runs twice — once threading its
-//! [`WarmChain`] across epoch re-solves and once forced cold — so the
-//! warm-start pivot saving is a *measured* artifact. Results (per-policy
-//! objectives plus per-epoch `SolveStats`) land in
-//! `results/BENCH_online.json` through the same hand-rolled JSON as the
-//! instance snapshots.
+//! same traces (8 coflows of width 4); every realized schedule must pass
+//! the §1.1 checker. Timing of the same engine on larger traces is the
+//! `online_*_k8` workloads of `benchmark/`.
 //!
 //! ```text
-//! cargo run --release -p coflow-bench --bin online_arrivals \
-//!     [--k 4] [--coflows 8] [--width 4] [--trials 3] [--smoke] [--out results/BENCH_online.json]
+//! cargo run --release -p coflow-bench --bin online_arrivals [--k 4] [--trials 5]
 //! ```
 //!
 //! [`OnlinePolicy`]: coflow_engine::OnlinePolicy
-//! [`WarmChain`]: coflow_lp::WarmChain
 
 // Experiment binaries fail fast by design: unwrap/expect on I/O and
 // solver results is the intended error handling here.
 #![allow(clippy::unwrap_used)]
 
-use coflow_bench::print_table;
+use coflow_bench::{print_table, run_parallel, write_csv, CommonArgs};
 use coflow_core::circuit::lp_free::FreePathsLpConfig;
 use coflow_core::circuit::round_free::{FreeRoundingConfig, PathSelection};
-use coflow_engine::{run, EngineConfig, EngineMetrics, Fifo, Greedy, LpOrder, WeightedFair};
-use coflow_faults::{FaultPlan, FaultPlanConfig};
-use coflow_lp::Budget;
+use coflow_engine::{
+    run, EngineConfig, EngineMetrics, Fifo, Greedy, LpOrder, OnlinePolicy, WeightedFair,
+};
 use coflow_net::topo;
 use coflow_workloads::gen::{generate, GenConfig};
-use coflow_workloads::io::Value;
-
-struct Args {
-    k: usize,
-    coflows: usize,
-    width: usize,
-    trials: usize,
-    rates: Vec<f64>,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let smoke_env = std::env::var_os("COFLOW_BENCH_QUICK").is_some_and(|v| v != "0");
-    let mut a = Args {
-        k: 4,
-        coflows: 8,
-        width: 4,
-        trials: 3,
-        rates: vec![0.25, 0.5, 1.0],
-        out: "results/BENCH_online.json".into(),
-    };
-    let argv: Vec<String> = std::env::args().collect();
-    let mut smoke = smoke_env;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--k" => {
-                a.k = argv[i + 1].parse().expect("--k <even int>");
-                i += 2;
-            }
-            "--coflows" => {
-                a.coflows = argv[i + 1].parse().expect("--coflows <int>");
-                i += 2;
-            }
-            "--width" => {
-                a.width = argv[i + 1].parse().expect("--width <int>");
-                i += 2;
-            }
-            "--trials" => {
-                a.trials = argv[i + 1].parse().expect("--trials <int>");
-                i += 2;
-            }
-            "--rates" => {
-                a.rates = argv[i + 1]
-                    .split(',')
-                    .map(|s| s.parse().expect("--rates <f,f,f>"))
-                    .collect();
-                i += 2;
-            }
-            "--out" => {
-                a.out = argv[i + 1].clone();
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    if smoke {
-        a.coflows = a.coflows.min(5);
-        a.width = a.width.min(3);
-        a.trials = 1;
-    }
-    assert!(a.rates.len() >= 3, "need at least 3 arrival rates");
-    assert!(a.trials >= 1, "need at least 1 trial (--trials)");
-    a
-}
-
-fn lp_cfgs(seed: u64) -> (FreePathsLpConfig, FreeRoundingConfig) {
-    let lp_cfg = FreePathsLpConfig {
-        solver: coflow_lp::SolverOptions::for_experiments(),
-        ..Default::default()
-    };
-    let round_cfg = FreeRoundingConfig {
-        seed,
-        selection: PathSelection::LoadAware,
-        ..Default::default()
-    };
-    (lp_cfg, round_cfg)
-}
-
-fn lp_policy(seed: u64, warm: bool) -> LpOrder {
-    let (lp_cfg, round_cfg) = lp_cfgs(seed);
-    if warm {
-        LpOrder::new(lp_cfg, round_cfg)
-    } else {
-        LpOrder::cold(lp_cfg, round_cfg)
-    }
-}
-
-/// The column-generation policies of the pooled-vs-cold-pool A/B: one
-/// keeps its path pool (and warm chain) across epochs, the other clears
-/// both every epoch.
-fn lp_colgen_policy(seed: u64, pooled: bool) -> LpOrder {
-    let (lp_cfg, round_cfg) = lp_cfgs(seed);
-    if pooled {
-        LpOrder::colgen(lp_cfg, round_cfg)
-    } else {
-        LpOrder::colgen_cold_pool(lp_cfg, round_cfg)
-    }
-}
-
-/// The faulted series: the warm LP policy under a solver budget with a
-/// seeded [`FaultPlan`] injecting singular factorizations and pricing
-/// faults — the measured cost of surviving (budgets + recovery ladder +
-/// degradation ladder) relative to the clean `LpOrder` series.
-fn lp_faulted_policy(seed: u64) -> (LpOrder, std::sync::Arc<coflow_faults::FaultCounters>) {
-    let (lp_cfg, round_cfg) = lp_cfgs(seed);
-    let lp_cfg = FreePathsLpConfig {
-        solver: coflow_lp::SolverOptions {
-            budget: Budget {
-                max_pivots: Some(2_000),
-                ..Budget::default()
-            },
-            ..lp_cfg.solver
-        },
-        ..lp_cfg
-    };
-    let mut pol = LpOrder::new(lp_cfg, round_cfg);
-    let plan = FaultPlan::new(FaultPlanConfig {
-        seed: seed ^ 0xFA17,
-        ..Default::default()
-    });
-    let counters = plan.counters();
-    pol.set_fault_hook(Some(Box::new(plan)));
-    (pol, counters)
-}
-
-/// Sums a metric over per-trial engine metrics.
-fn total(ms: &[EngineMetrics], f: impl Fn(&EngineMetrics) -> f64) -> f64 {
-    ms.iter().map(f).sum()
-}
 
 fn main() {
-    let args = parse_args();
+    let args = CommonArgs::parse("results/online_arrivals.csv");
+    assert!(args.trials >= 1, "need at least 1 trial (--trials)");
+    let rates = [0.25, 0.5, 1.0];
     let t = topo::fat_tree(args.k, 1.0);
     println!(
-        "Online arrivals on {} ({} hosts): {} coflows x width {}, rates {:?}, {} trial(s)/rate",
+        "Online arrivals on {} ({} hosts): 8 coflows x width 4, rates {:?}, {} trials/rate",
         t.name,
         t.host_count(),
-        args.coflows,
-        args.width,
-        args.rates,
+        rates,
         args.trials
     );
     let cfg = EngineConfig::default();
 
-    let mut points: Vec<Value> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut warm_pivots_total = 0usize;
-    let mut cold_pivots_total = 0usize;
-    let mut warm_ms_total = 0.0;
-    let mut cold_ms_total = 0.0;
-    let mut pooled: Vec<EngineMetrics> = Vec::new();
-    let mut coldpool: Vec<EngineMetrics> = Vec::new();
-
-    for (ri, &rate) in args.rates.iter().enumerate() {
+    for (ri, &rate) in rates.iter().enumerate() {
         let instances: Vec<_> = (0..args.trials)
             .map(|trial| {
                 generate(
                     &t,
                     &GenConfig {
-                        n_coflows: args.coflows,
-                        width: args.width,
+                        n_coflows: 8,
+                        width: 4,
                         size_mean: 3.0,
                         arrival_rate: rate,
                         jitter_rate: 2.0,
@@ -209,129 +61,60 @@ fn main() {
             })
             .collect();
 
-        // name -> per-trial engine metrics
-        let mut per_policy: Vec<(&str, Vec<EngineMetrics>)> = vec![
-            ("LpOrder", Vec::new()),
-            ("Greedy", Vec::new()),
-            ("WeightedFair", Vec::new()),
-            ("Fifo", Vec::new()),
-        ];
-        let mut lp_cold: Vec<EngineMetrics> = Vec::new();
-        let mut lp_faulted: Vec<EngineMetrics> = Vec::new();
-        let mut faults_injected = 0u64;
+        // Per trial, one `EngineMetrics` per policy, in the same order.
+        let results: Vec<Vec<EngineMetrics>> =
+            run_parallel(&instances, args.threads, |trial, inst| {
+                let mut lp = LpOrder::new(
+                    FreePathsLpConfig {
+                        solver: coflow_lp::SolverOptions::for_experiments(),
+                        ..Default::default()
+                    },
+                    FreeRoundingConfig {
+                        seed: trial as u64,
+                        selection: PathSelection::LoadAware,
+                        ..Default::default()
+                    },
+                );
+                let (mut greedy, mut fair, mut fifo) = (Greedy, WeightedFair, Fifo);
+                let policies: [&mut dyn OnlinePolicy; 4] =
+                    [&mut lp, &mut greedy, &mut fair, &mut fifo];
+                policies
+                    .into_iter()
+                    .map(|policy| {
+                        let out = run(inst, policy, &cfg);
+                        // The online engine must never oversubscribe a
+                        // link or jump a release.
+                        let routed = inst.with_paths(&out.paths);
+                        let violations = out.schedule.check(&routed, 1e-6, 1e-6);
+                        assert!(
+                            violations.is_empty(),
+                            "{}: {violations:?}",
+                            out.engine.policy
+                        );
+                        out.engine
+                    })
+                    .collect()
+            });
 
-        for (trial, inst) in instances.iter().enumerate() {
-            let seed = trial as u64;
-            for (name, metrics) in per_policy.iter_mut() {
-                let out = match *name {
-                    "LpOrder" => run(inst, &mut lp_policy(seed, true), &cfg),
-                    "Greedy" => run(inst, &mut Greedy, &cfg),
-                    "WeightedFair" => run(inst, &mut WeightedFair, &cfg),
-                    "Fifo" => run(inst, &mut Fifo, &cfg),
-                    _ => unreachable!(),
-                };
-                // Feasibility is asserted on every run: the online engine
-                // must never oversubscribe a link or jump a release.
-                let routed = inst.with_paths(&out.paths);
-                let violations = out.schedule.check(&routed, 1e-6, 1e-6);
-                assert!(violations.is_empty(), "{name}: {violations:?}");
-                metrics.push(out.engine);
-            }
-            // The warm-vs-cold A/B for the LP policy.
-            lp_cold.push(run(inst, &mut lp_policy(seed, false), &cfg).engine);
-            // The pooled-vs-cold-pool A/B for the column-generation mode
-            // (both feasibility-checked like the main policies).
-            for (pooled_mode, sink) in [(true, &mut pooled), (false, &mut coldpool)] {
-                let out = run(inst, &mut lp_colgen_policy(seed, pooled_mode), &cfg);
-                let routed = inst.with_paths(&out.paths);
-                let violations = out.schedule.check(&routed, 1e-6, 1e-6);
-                assert!(violations.is_empty(), "colgen lp: {violations:?}");
-                sink.push(out.engine);
-            }
-            // The faulted series: same workload, solver faults injected.
-            // Feasibility and full completion must survive the faults —
-            // that is the series' whole point.
-            let (mut faulted_pol, counters) = lp_faulted_policy(seed);
-            let out = run(inst, &mut faulted_pol, &cfg);
-            let routed = inst.with_paths(&out.paths);
-            let violations = out.schedule.check(&routed, 1e-6, 1e-6);
-            assert!(violations.is_empty(), "faulted lp: {violations:?}");
-            assert!(
-                out.flow_completion.iter().all(|&c| c > 0.0),
-                "faulted lp left flows unfinished"
-            );
-            faults_injected += counters.total();
-            lp_faulted.push(out.engine);
-        }
-
-        let warm = &per_policy[0].1;
-        let wp = total(warm, |m| m.total_pivots as f64) as usize;
-        let cp = total(&lp_cold, |m| m.total_pivots as f64) as usize;
-        warm_pivots_total += wp;
-        cold_pivots_total += cp;
-        warm_ms_total += total(warm, |m| m.total_resolve_ms);
-        cold_ms_total += total(&lp_cold, |m| m.total_resolve_ms);
-        println!(
-            "  rate {rate}: LpOrder re-solves warm {} pivots vs cold {} ({} of {} epochs reused the basis)",
-            wp,
-            cp,
-            total(warm, |m| m.warm_used as f64) as usize,
-            total(warm, |m| m.epochs as f64) as usize,
-        );
-
-        for (name, ms) in &per_policy {
-            let trials = ms.len() as f64;
+        let trials = results.len() as f64;
+        for (p, first) in results[0].iter().enumerate() {
+            let mean = |f: fn(&EngineMetrics) -> f64| {
+                results.iter().map(|r| f(&r[p])).sum::<f64>() / trials
+            };
             rows.push(vec![
                 format!("{rate}"),
-                name.to_string(),
-                format!("{:.2}", total(ms, |m| m.weighted_sum) / trials),
-                format!("{:.2}", total(ms, |m| m.avg_coflow_completion) / trials),
-                format!("{:.0}", total(ms, |m| m.epochs as f64) / trials),
-                format!("{:.0}", total(ms, |m| m.total_pivots as f64) / trials),
-                format!("{:.1}", total(ms, |m| m.total_resolve_ms) / trials),
+                first.policy.clone(),
+                format!("{:.2}", mean(|m| m.weighted_sum)),
+                format!("{:.2}", mean(|m| m.avg_coflow_completion)),
+                format!("{:.1}", mean(|m| m.epochs as f64)),
+                format!("{:.1}", mean(|m| m.total_pivots as f64)),
+                format!("{:.1}", mean(|m| m.warm_used as f64)),
             ]);
         }
-
-        points.push(Value::Obj(vec![
-            ("arrival_rate".into(), Value::Num(rate)),
-            ("trials".into(), Value::Num(args.trials as f64)),
-            (
-                "policies".into(),
-                Value::Arr(per_policy.iter().map(|(_, ms)| summarize(ms)).collect()),
-            ),
-            ("lp_cold".into(), summarize(&lp_cold)),
-            (
-                "lp_faulted".into(),
-                Value::Obj(vec![
-                    ("summary".into(), summarize(&lp_faulted)),
-                    ("faults_injected".into(), Value::Num(faults_injected as f64)),
-                    (
-                        "degraded_epochs".into(),
-                        Value::Num(total(&lp_faulted, |m| m.degraded_epochs as f64)),
-                    ),
-                    (
-                        "fallback_policy_uses".into(),
-                        Value::Num(total(&lp_faulted, |m| m.fallback_policy_uses as f64)),
-                    ),
-                    (
-                        "stale_schedule_ms".into(),
-                        Value::Num(total(&lp_faulted, |m| m.stale_schedule_ms)),
-                    ),
-                ]),
-            ),
-            // Full per-epoch SolveStats of the first trial's warm LP run.
-            ("lp_warm_trial0".into(), warm[0].to_json()),
-        ]));
-        println!(
-            "  rate {rate}: faulted LpOrder survived {faults_injected} injected faults \
-             ({} degraded epochs, {} fallback epochs)",
-            total(&lp_faulted, |m| m.degraded_epochs as f64) as usize,
-            total(&lp_faulted, |m| m.fallback_policy_uses as f64) as usize,
-        );
     }
 
     print_table(
-        "Online engine: mean weighted objective per policy",
+        "Online engine: per-trial means by arrival rate and policy",
         &[
             "rate",
             "policy",
@@ -339,210 +122,26 @@ fn main() {
             "avg C",
             "epochs",
             "pivots",
-            "resolve ms",
+            "warm epochs",
         ],
         &rows,
     );
-    println!(
-        "\nwarm-started epoch re-solves: {warm_pivots_total} total pivots vs {cold_pivots_total} cold \
-         ({:.2}x), {warm_ms_total:.0} ms vs {cold_ms_total:.0} ms",
-        cold_pivots_total as f64 / warm_pivots_total.max(1) as f64
-    );
-    assert!(
-        warm_pivots_total < cold_pivots_total,
-        "warm-started re-solves must need fewer total pivots than cold"
-    );
 
-    // Pooled vs cold-pool column generation, aggregated over all rates.
-    let agg = |ms: &[EngineMetrics]| {
-        (
-            total(ms, |m| m.total_pivots as f64) as usize,
-            total(ms, |m| m.total_columns_generated as f64) as usize,
-            total(ms, |m| m.total_columns as f64) as usize,
-            total(ms, |m| m.total_resolve_ms),
+    if let Some(out) = &args.out {
+        write_csv(
+            out,
+            &[
+                "rate",
+                "policy",
+                "weighted_sum",
+                "avg_completion",
+                "epochs",
+                "pivots",
+                "warm_epochs",
+            ],
+            &rows,
         )
-    };
-    let (pooled_pivots, pooled_generated, pooled_columns, pooled_ms) = agg(&pooled);
-    let (cp_pivots, cp_generated, cp_columns, cp_ms) = agg(&coldpool);
-    // No directional assert on the column totals: the two runs follow
-    // different trajectories (a different optimal vertex changes routing
-    // commitments, hence residuals, hence pricing demand), so only the
-    // within-trajectory comparison — tested deterministically in
-    // `crates/engine/tests/online_props.rs` — is an invariant. The pivot
-    // total is the headline: pooled masters start from both the previous
-    // basis and the previously generated columns.
-    println!(
-        "colgen epoch re-solves: pooled {pooled_pivots} pivots / {pooled_generated} generated columns \
-         vs cold-pool {cp_pivots} / {cp_generated} ({pooled_ms:.0} ms vs {cp_ms:.0} ms)"
-    );
-
-    // Steady-state allocation audit: one batch instance (every coflow
-    // arrives at t = 0, epochs are completion-triggered), pooled colgen
-    // policy. After the first epoch the LP keeps its shape, so every
-    // later re-solve must run inside retained scratch: allocs == 0 (the
-    // invariant `crates/engine/tests/online_props.rs` asserts; recorded
-    // here so the artifact carries the measured numbers).
-    let batch = generate(
-        &t,
-        &GenConfig {
-            n_coflows: args.coflows,
-            width: args.width,
-            size_mean: 3.0,
-            arrival_rate: 0.0,
-            jitter_rate: 0.0,
-            seed: 0x5EED,
-            ..Default::default()
-        },
-    );
-    let steady_out = run(&batch, &mut lp_colgen_policy(0, true), &cfg);
-    let steady = steady_out.engine;
-    let steady_solves: Vec<_> = steady.epoch_log.iter().filter_map(|e| e.solve).collect();
-    let allocs_after_first: usize = steady_solves.iter().skip(1).map(|s| s.allocs).sum();
-    let reuse_total: usize = steady_solves.iter().map(|s| s.scratch_reuse).sum();
-    println!(
-        "steady-state scratch: allocs per epoch {:?}, {} reuses total ({} allocs after first epoch)",
-        steady_solves.iter().map(|s| s.allocs).collect::<Vec<_>>(),
-        reuse_total,
-        allocs_after_first
-    );
-
-    let doc = Value::Obj(vec![
-        ("schema".into(), Value::Str("coflow-online-bench/v1".into())),
-        (
-            "topology".into(),
-            Value::Obj(vec![
-                ("name".into(), Value::Str(t.name.clone())),
-                ("hosts".into(), Value::Num(t.host_count() as f64)),
-            ]),
-        ),
-        ("coflows".into(), Value::Num(args.coflows as f64)),
-        ("width".into(), Value::Num(args.width as f64)),
-        (
-            "arrival_rates".into(),
-            Value::Arr(args.rates.iter().map(|&r| Value::Num(r)).collect()),
-        ),
-        ("points".into(), Value::Arr(points)),
-        (
-            "warm_vs_cold".into(),
-            Value::Obj(vec![
-                (
-                    "warm_total_pivots".into(),
-                    Value::Num(warm_pivots_total as f64),
-                ),
-                (
-                    "cold_total_pivots".into(),
-                    Value::Num(cold_pivots_total as f64),
-                ),
-                ("warm_total_ms".into(), Value::Num(warm_ms_total)),
-                ("cold_total_ms".into(), Value::Num(cold_ms_total)),
-            ]),
-        ),
-        (
-            "pooled_vs_cold_pool".into(),
-            Value::Obj(vec![
-                (
-                    "pooled_total_pivots".into(),
-                    Value::Num(pooled_pivots as f64),
-                ),
-                (
-                    "cold_pool_total_pivots".into(),
-                    Value::Num(cp_pivots as f64),
-                ),
-                (
-                    "pooled_columns_generated".into(),
-                    Value::Num(pooled_generated as f64),
-                ),
-                (
-                    "cold_pool_columns_generated".into(),
-                    Value::Num(cp_generated as f64),
-                ),
-                (
-                    "pooled_total_columns".into(),
-                    Value::Num(pooled_columns as f64),
-                ),
-                (
-                    "cold_pool_total_columns".into(),
-                    Value::Num(cp_columns as f64),
-                ),
-                ("pooled_total_ms".into(), Value::Num(pooled_ms)),
-                ("cold_pool_total_ms".into(), Value::Num(cp_ms)),
-            ]),
-        ),
-        (
-            "steady_state_scratch".into(),
-            Value::Obj(vec![
-                ("epochs".into(), Value::Num(steady_solves.len() as f64)),
-                (
-                    "allocs_per_epoch".into(),
-                    Value::Arr(
-                        steady_solves
-                            .iter()
-                            .map(|s| Value::Num(s.allocs as f64))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "allocs_after_first_epoch".into(),
-                    Value::Num(allocs_after_first as f64),
-                ),
-                ("scratch_reuse_total".into(), Value::Num(reuse_total as f64)),
-            ]),
-        ),
-    ]);
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+        .expect("csv write");
+        println!("\nWrote {out}");
     }
-    std::fs::write(&args.out, doc.render()).expect("write BENCH_online.json");
-    println!("Wrote {}", args.out);
-
-    // The engine trace of the steady-state run (epoch/plan spans plus the
-    // resolve-latency histogram) lands next to the JSON snapshot for
-    // `trace_view`; under COFLOW_OBS_CLOCK=logical it byte-diffs clean
-    // across runs.
-    let trace_path = std::path::Path::new(&args.out).with_file_name("TRACE_online.jsonl");
-    coflow_workloads::io::write_trace(&trace_path, &steady_out.trace)
-        .expect("write TRACE_online.jsonl");
-    println!(
-        "Wrote {} ({} spans, resolve p50 {:.3}ms p99 {:.3}ms)",
-        trace_path.display(),
-        steady_out.trace.spans.len(),
-        steady.resolve_ms_p50,
-        steady.resolve_ms_p99,
-    );
-}
-
-/// Aggregate JSON summary of one policy's trials at one rate.
-fn summarize(ms: &[EngineMetrics]) -> Value {
-    let n = ms.len().max(1) as f64;
-    Value::Obj(vec![
-        ("policy".into(), Value::Str(ms[0].policy.clone())),
-        (
-            "mean_weighted_sum".into(),
-            Value::Num(total(ms, |m| m.weighted_sum) / n),
-        ),
-        (
-            "mean_avg_completion".into(),
-            Value::Num(total(ms, |m| m.avg_coflow_completion) / n),
-        ),
-        (
-            "total_epochs".into(),
-            Value::Num(total(ms, |m| m.epochs as f64)),
-        ),
-        (
-            "total_pivots".into(),
-            Value::Num(total(ms, |m| m.total_pivots as f64)),
-        ),
-        (
-            "total_resolve_ms".into(),
-            Value::Num(total(ms, |m| m.total_resolve_ms)),
-        ),
-        (
-            "warm_used".into(),
-            Value::Num(total(ms, |m| m.warm_used as f64)),
-        ),
-        (
-            "warm_attempted".into(),
-            Value::Num(total(ms, |m| m.warm_attempted as f64)),
-        ),
-    ])
 }

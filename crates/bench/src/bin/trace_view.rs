@@ -1,10 +1,12 @@
-//! **trace_view**: renders the JSONL traces written by the bench harness
-//! (`results/TRACE_lp.jsonl`, `results/TRACE_online.jsonl`) as a self/total
-//! time tree, a per-name aggregation table with flamegraph-style bars, and
-//! — with `--diff` — a per-name self-time comparison of two traces.
+//! **trace_view**: renders a `coflow-trace/v1` JSONL trace
+//! ([`coflow_workloads::io::write_trace`]; the `trace_solve` example writes
+//! one) as a self/total time tree, a per-name aggregation table with
+//! flamegraph-style bars, and — with `--diff` — a per-name self-time
+//! comparison of two traces.
 //!
 //! ```text
-//! cargo run --release -p coflow-bench --bin trace_view -- results/TRACE_lp.jsonl
+//! cargo run --release --example trace_solve -- results/TRACE_solve.jsonl
+//! cargo run --release -p coflow-bench --bin trace_view -- results/TRACE_solve.jsonl
 //! cargo run --release -p coflow-bench --bin trace_view -- old.jsonl --diff new.jsonl
 //! ```
 //!

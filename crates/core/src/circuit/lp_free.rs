@@ -41,25 +41,13 @@ pub enum ColumnMode {
     /// flow's shortest path only and price further paths on demand against
     /// the master's capacity-row duals (see
     /// [`solve_free_paths_lp_colgen_on_grid`]).
-    Delayed {
-        /// Cap on restricted-master solve rounds (safety net; generation
-        /// normally converges in a handful of rounds).
-        max_rounds: usize,
-    },
+    Delayed,
 }
 
-impl ColumnMode {
-    /// Default pricing-round budget of [`ColumnMode::delayed`] (a safety
-    /// net far above observed round counts, which are single-digit).
-    pub const DEFAULT_MAX_ROUNDS: usize = 200;
-
-    /// The delayed mode with its default round budget.
-    pub fn delayed() -> Self {
-        ColumnMode::Delayed {
-            max_rounds: Self::DEFAULT_MAX_ROUNDS,
-        }
-    }
-}
+/// Cap on restricted-master solve rounds of the delayed mode: a safety
+/// net far above observed round counts, which are single-digit.
+/// [`coflow_lp::Budget::max_colgen_rounds`] tightens it per solve.
+const MAX_COLGEN_ROUNDS: usize = 200;
 
 /// A persistent pool of generated candidate paths, grouped by flat flow
 /// index. Threading one pool through a sequence of related solves (growing
@@ -354,7 +342,7 @@ pub fn solve_free_paths_lp_paths_on_grid(
     grid: IntervalGrid,
     chain: &mut WarmChain,
 ) -> Result<FreeLpSolution, LpError> {
-    if let ColumnMode::Delayed { .. } = cfg.columns {
+    if cfg.columns == ColumnMode::Delayed {
         let mut pool = PathPool::new();
         return solve_free_paths_lp_colgen_on_grid(instance, cfg, grid, chain, &mut pool)
             .map(|(sol, _)| sol);
@@ -530,10 +518,6 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     chain: &mut WarmChain,
     pool: &mut PathPool,
 ) -> Result<(FreeLpSolution, ColGenStats), LpError> {
-    let max_rounds = match cfg.columns {
-        ColumnMode::Delayed { max_rounds } => max_rounds,
-        ColumnMode::Eager => ColumnMode::DEFAULT_MAX_ROUNDS,
-    };
     let nl = grid.count();
     let nf = instance.flow_count();
     let g = &instance.graph;
@@ -690,7 +674,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     let mut oracle_slots: Vec<OracleSlot> = Vec::new();
     oracle_slots.resize_with(oracle_workers, OracleSlot::default);
 
-    let (sol, stats) = solve_colgen(&mut m, &cfg.solver, chain, max_rounds, |sol, m| {
+    let (sol, stats) = solve_colgen(&mut m, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
         // Gather the (flow, interval) oracle calls whose dual bound says a
         // path could conceivably price out. Prescribed flows cannot
         // reroute; zero-size flows put no load on capacity rows, so every
@@ -843,7 +827,7 @@ mod tests {
                 vec![FlowSpec::new(a, b, 1.0, 0.0), FlowSpec::new(a, c, 1.0, 0.0)],
             )],
         );
-        for columns in [ColumnMode::Eager, ColumnMode::delayed()] {
+        for columns in [ColumnMode::Eager, ColumnMode::Delayed] {
             let cfg = FreePathsLpConfig {
                 columns,
                 ..Default::default()
@@ -1008,7 +992,7 @@ mod tests {
         };
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
         let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             ..cfg
         };
         let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
@@ -1049,7 +1033,7 @@ mod tests {
         let cfg = FreePathsLpConfig::default();
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
         let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             ..cfg
         };
         let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
@@ -1083,7 +1067,7 @@ mod tests {
         let inst = triangle_inst();
         let cfg = FreePathsLpConfig {
             path_slack: 1,
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             ..Default::default()
         };
         let h = inst.horizon();
@@ -1133,7 +1117,7 @@ mod tests {
             )],
         );
         let cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             path_slack: 1,
             ..Default::default()
         };
@@ -1178,7 +1162,7 @@ mod tests {
         let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
         let run = |threads: usize| {
             let cfg = FreePathsLpConfig {
-                columns: ColumnMode::delayed(),
+                columns: ColumnMode::Delayed,
                 solver: coflow_lp::SolverOptions {
                     threads,
                     ..Default::default()

@@ -89,10 +89,8 @@ impl CircuitLpSolution {
 ///
 /// # Errors
 /// [`LpError`] from the solver (the LP is feasible by construction for any
-/// valid instance, so errors indicate mis-built instances or solver limits).
-///
-/// # Panics
-/// If some flow lacks a path.
+/// valid instance, so errors indicate mis-built instances or solver limits);
+/// [`LpError::Numerical`] if some flow lacks a path.
 pub fn solve_given_paths_lp(
     instance: &Instance,
     cfg: &GivenPathsLpConfig,
@@ -109,19 +107,12 @@ pub fn solve_given_paths_lp(
 /// one [`WarmChain`] through a sequence of growing grids reuses each
 /// optimal basis instead of cold-starting — the LP-sequence pattern of the
 /// paper's algorithms.
-///
-/// # Panics
-/// If some flow lacks a path.
 pub fn solve_given_paths_lp_on_grid(
     instance: &Instance,
     cfg: &GivenPathsLpConfig,
     grid: IntervalGrid,
     chain: &mut WarmChain,
 ) -> Result<CircuitLpSolution, LpError> {
-    assert!(
-        instance.has_all_paths(),
-        "given-paths LP requires a path on every flow"
-    );
     let nl = grid.count();
     let nf = instance.flow_count();
     let mut m = Model::new();
@@ -468,8 +459,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a path")]
-    fn missing_paths_panic() {
+    fn missing_paths_is_an_error() {
         let t = topo::line(2, 1.0);
         let inst = Instance::new(
             t.graph,
@@ -478,6 +468,10 @@ mod tests {
                 vec![FlowSpec::new(NodeId(0), NodeId(1), 1.0, 0.0)],
             )],
         );
-        let _ = solve_given_paths_lp(&inst, &GivenPathsLpConfig::default());
+        let err = solve_given_paths_lp(&inst, &GivenPathsLpConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, LpError::Numerical(msg) if msg.contains("flow 0 has no prescribed path")),
+            "{err:?}"
+        );
     }
 }

@@ -112,10 +112,9 @@ pub fn route_and_schedule(
             Some(p) => vec![p.clone()],
             None => netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths),
         };
-        assert!(!ps.is_empty(), "packet {flat}: endpoints disconnected");
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — ps is non-empty (asserted just above)
-        let shortest = ps.iter().map(Path::len).min().unwrap() as f64;
+        let shortest = ps.iter().map(Path::len).min().ok_or_else(|| {
+            LpError::Numerical(format!("packet {flat} has no path (disconnected?)"))
+        })? as f64;
         let earliest_done = spec.release.ceil() + shortest;
         let cf = m.add_var(
             0.0,
@@ -329,5 +328,24 @@ mod tests {
         let r = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap();
         let c = r.schedule.completion_times(&inst);
         assert!(c[0] >= 8.0, "release 6 + 2 hops, got {}", c[0]);
+    }
+
+    #[test]
+    fn disconnected_packet_is_an_error() {
+        let mut g = coflow_net::graph::Graph::new();
+        let (a, b, c) = (g.add_node(), g.add_node(), g.add_node());
+        g.add_bidi_edge(a, b, 1.0); // c is isolated
+        let inst = Instance::new(
+            g,
+            vec![Coflow::new(
+                1.0,
+                vec![FlowSpec::new(a, b, 1.0, 0.0), FlowSpec::new(a, c, 1.0, 0.0)],
+            )],
+        );
+        let err = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, LpError::Numerical(msg) if msg.contains("packet 1 has no path")),
+            "{err:?}"
+        );
     }
 }

@@ -10,13 +10,9 @@
 //! instead of geometric intervals (tighter, but `O(F·T·(E+V))` variables —
 //! hence tests-only).
 
-use crate::circuit::lp_free::PathPool;
 use crate::model::Instance;
-use coflow_lp::{
-    solve_colgen, Cmp, ColGenStats, LpError, Model, RowId, SolveStats, SolverOptions, VarId,
-    WarmChain,
-};
-use coflow_net::{pricing, EdgeId, NodeId, TimeExpandedGraph};
+use coflow_lp::{LpError, Model, SolveStats, SolverOptions, VarId, WarmChain};
+use coflow_net::TimeExpandedGraph;
 
 /// Solves the time-expanded LP with horizon `T` steps.
 ///
@@ -185,222 +181,6 @@ pub fn packet_lp_lower_bound_warm(
     Ok((sol.objective, sol.stats))
 }
 
-/// The §3.2 bound by **delayed column generation** over time-expanded
-/// *paths*: instead of one variable per (flow, expanded edge) with explicit
-/// conservation rows, the master carries one variable `w_{f,q}` per
-/// generated path `q` from `(s_f, ⌈r_f⌉)` to a destination copy
-/// `(d_f, t(q))`, with the convexity row `Σ_q w = 1`, the completion row
-/// `c_f ≥ Σ_q t(q)·w_q`, and the shared unit-capacity rows on transit edge
-/// copies. On the (acyclic) time-expanded graph every feasible edge flow
-/// decomposes into such paths, so the path formulation's optimum equals the
-/// eager edge formulation's — [`packet_lp_lower_bound`] remains the
-/// cross-check oracle.
-///
-/// Pricing is one [`pricing::dijkstra_tree`] per flow per round: transit
-/// edge copies are priced `−y_cap ≥ 0`, queue edges are free, inadmissible
-/// edges (before release, out of the destination, transiting back into the
-/// source) are priced `∞`, and each destination copy adds the arrival cost
-/// `t·(−y_cmp)`; the most negative reduced-cost path over *all* arrival
-/// times falls out of one search. Restricted masters can be infeasible
-/// (unit capacities!), so each flow carries a big-M relief column on its
-/// convexity row; relief still in use after convergence means the horizon
-/// is genuinely too small and the solve reports [`LpError::Infeasible`].
-///
-/// `pool` persists generated time-expanded paths across growing horizons —
-/// expanded edge ids are timestamp-major, hence stable when `T` grows — so
-/// probing sequences re-solve without re-pricing. Returns the bound and the
-/// run's [`ColGenStats`].
-pub fn packet_lp_lower_bound_colgen(
-    instance: &Instance,
-    horizon: usize,
-    solver: &SolverOptions,
-    max_rounds: usize,
-    chain: &mut WarmChain,
-    pool: &mut PathPool,
-) -> Result<(f64, ColGenStats), LpError> {
-    assert!(horizon >= 1);
-    let g = &instance.graph;
-    let tx = TimeExpandedGraph::build(g, horizon, 1e12);
-    let txg = &tx.graph;
-    let mut m = Model::new();
-
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    // Relief cost: strictly dominates any achievable objective, so relief
-    // survives at optimum only when no admissible path set is feasible.
-    let total_weight: f64 = instance.coflows.iter().map(|c| c.weight).sum();
-    let big_m = 10.0 * (1.0 + total_weight * horizon as f64);
-
-    let nf = instance.flow_count();
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut sum_row = Vec::with_capacity(nf);
-    let mut cmp_row = Vec::with_capacity(nf);
-    let mut releases = Vec::with_capacity(nf);
-
-    for (id, flat, spec) in instance.flows() {
-        let rel = spec.release.ceil() as usize;
-        assert!(
-            rel < horizon,
-            "horizon {horizon} too small for release {rel} of packet {flat}"
-        );
-        releases.push(rel);
-        let cf = m.add_var(0.0, rel as f64, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
-        sum_row.push(m.add_row_named(Cmp::Eq, 1.0, &[], format!("sum{flat}")));
-        cmp_row.push(m.add_row_named(Cmp::Le, 0.0, &[(cf, -1.0)], format!("cmp{flat}")));
-        m.add_row_named(
-            Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
-    }
-
-    // Unit-capacity rows on every transit edge copy (queue edges are free).
-    // Created empty; presolve drops the untouched ones per solve.
-    let mut cap_row: Vec<Option<RowId>> = vec![None; txg.edge_count()];
-    for e in txg.edges() {
-        if !tx.is_queue_edge(e) {
-            cap_row[e.index()] = Some(m.add_row_named(Cmp::Le, 1.0, &[], format!("cap{}", e.0)));
-        }
-    }
-
-    // Admissibility mirrors the eager builder's variable filter exactly.
-    let admissible = |flat: usize, e: EdgeId| -> bool {
-        let spec = instance.flow(instance.id_of_flat(flat));
-        let (u, v) = txg.endpoints(e);
-        let (bu, tu) = tx.split(u);
-        let (bv, _) = tx.split(v);
-        tu >= releases[flat] && bu != spec.dst && !(bv == spec.src && bu != spec.src)
-    };
-    let arrival_of = |p: &coflow_net::Path| -> usize {
-        // lint: allow(no_panic) — generated packet paths always have at least one edge
-        let last = txg.edge_dst(*p.edges.last().expect("packet paths are nonempty"));
-        tx.split(last).1
-    };
-
-    // Adds the column of one generated path (convexity + completion +
-    // transit capacities) and returns its variable.
-    let add_path_column = |m: &mut Model, flat: usize, pi: u32, p: &coflow_net::Path| -> VarId {
-        let t = arrival_of(p);
-        let mut terms: Vec<(RowId, f64)> = vec![(sum_row[flat], 1.0), (cmp_row[flat], t as f64)];
-        for &e in p.edges.iter() {
-            if let Some(r) = cap_row[e.index()] {
-                terms.push((r, 1.0));
-            }
-        }
-        m.add_column(0.0, 0.0, 1.0, format!("w{flat}:{pi}"), &terms)
-    };
-
-    // Per-flow pricing search: cheapest admissible path under the given
-    // transit prices + arrival weight. `None` when the destination is
-    // unreachable within the horizon.
-    let price_search = |flat: usize,
-                        edge_price: &dyn Fn(EdgeId) -> f64,
-                        arr_w: f64|
-     -> Option<(coflow_net::Path, f64)> {
-        let spec = instance.flow(instance.id_of_flat(flat));
-        let start = tx.node_at(spec.src, releases[flat]);
-        let (dist, pred) = pricing::dijkstra_tree(txg, start, |e| {
-            if !admissible(flat, e) {
-                f64::INFINITY
-            } else {
-                edge_price(e)
-            }
-        });
-        let mut best: Option<(NodeId, f64)> = None;
-        for t in releases[flat] + 1..=horizon {
-            let dv = tx.node_at(spec.dst, t);
-            let d = dist[dv.index()];
-            if d.is_finite() {
-                let total = d + arr_w * t as f64;
-                if best.is_none_or(|(_, b)| total < b) {
-                    best = Some((dv, total));
-                }
-            }
-        }
-        let (sink, cost) = best?;
-        let p = pricing::path_from_preds(txg, start, sink, &pred)?;
-        Some((p, cost))
-    };
-
-    // Seed: every pooled path, plus (at least) the earliest-arrival path
-    // found by a zero-dual search, plus the big-M relief column.
-    let mut relief = Vec::with_capacity(nf);
-    #[allow(clippy::needless_range_loop)]
-    for flat in 0..nf {
-        if pool.group(flat).is_empty() {
-            let (p, _) = price_search(flat, &|_| 0.0, 1.0).ok_or_else(|| {
-                LpError::Numerical(format!("packet {flat}: destination unreachable in horizon"))
-            })?;
-            pool.insert_with(flat, pricing::path_signature(&p), || p);
-        }
-        let seeds: Vec<(u32, coflow_net::Path)> = pool
-            .group(flat)
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| (pi as u32, p.clone()))
-            .collect();
-        for (pi, p) in seeds {
-            add_path_column(&mut m, flat, pi, &p);
-        }
-        relief.push(m.add_column(big_m, 0.0, 1.0, format!("u{flat}"), &[(sum_row[flat], 1.0)]));
-    }
-
-    let price_tol = solver.tol.max(1e-9);
-    let (sol, stats) = solve_colgen(&mut m, solver, chain, max_rounds, |sol, m| {
-        let mut added = 0usize;
-        for flat in 0..nf {
-            let y_sum = sol.dual(sum_row[flat]);
-            let y_cmp = sol.dual(cmp_row[flat]);
-            let arr_w = (-y_cmp).max(0.0);
-            let edge_price = |e: EdgeId| match cap_row[e.index()] {
-                Some(r) => (-sol.dual(r)).max(0.0),
-                None => 0.0,
-            };
-            let Some((p, cost)) = price_search(flat, &edge_price, arr_w) else {
-                continue;
-            };
-            if -y_sum + cost < -price_tol {
-                let sig = pricing::path_signature(&p);
-                let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
-                if fresh {
-                    add_path_column(m, flat, pi, &p);
-                    added += 1;
-                }
-            }
-        }
-        added
-    })?;
-
-    // Relief still carrying mass after *convergence* means no admissible
-    // path combination fits the horizon. If the round budget ran out
-    // first, infeasibility is not proven (more pricing rounds might have
-    // displaced the relief) — report the budget exhaustion instead of a
-    // wrong verdict.
-    let relief_used: f64 = relief.iter().map(|&v| sol.value(v)).sum();
-    if relief_used > 1e-6 {
-        return Err(if stats.converged {
-            LpError::Infeasible
-        } else {
-            LpError::IterationLimit
-        });
-    }
-    Ok((sol.objective, stats))
-}
-
 #[cfg(test)]
 // Unit tests assert exact expected values; strict float equality is the point.
 #[allow(clippy::float_cmp)]
@@ -497,79 +277,16 @@ mod tests {
         }
     }
 
-    /// Path-based column generation must reproduce the eager edge LP's
-    /// bound on a contended instance — which forces it to generate
-    /// time-shifted paths beyond the earliest-arrival seeds.
+    /// A horizon too small for the contention level is `Infeasible`.
     #[test]
-    fn colgen_matches_eager_edge_lp_under_contention() {
-        let t = topo::line(3, 1.0);
-        let mk = || Coflow::new(1.0, vec![FlowSpec::new(NodeId(0), NodeId(2), 1.0, 0.0)]);
-        let inst = Instance::new(t.graph.clone(), vec![mk(), mk()]);
-        let opts = SolverOptions::default();
-        let eager = packet_lp_lower_bound(&inst, 10, &opts).unwrap();
-        let mut pool = PathPool::new();
-        let (cg, stats) =
-            packet_lp_lower_bound_colgen(&inst, 10, &opts, 100, &mut WarmChain::new(), &mut pool)
-                .unwrap();
-        assert!((cg - eager).abs() < 1e-6, "colgen {cg} vs eager {eager}");
-        assert!(
-            stats.generated_cols > 0,
-            "contention must generate time-shifted paths"
-        );
-        assert!(pool.len() >= inst.flow_count() + stats.generated_cols);
-    }
-
-    /// Weighted multi-route instance: colgen agrees with the eager bound
-    /// and a pool threaded across growing horizons re-prices nothing.
-    #[test]
-    fn colgen_pool_reuse_across_growing_horizons() {
-        let t = topo::triangle();
-        let (x, y) = (t.hosts[0], t.hosts[1]);
-        let inst = Instance::new(
-            t.graph.clone(),
-            vec![
-                Coflow::new(5.0, vec![FlowSpec::new(x, y, 1.0, 0.0)]),
-                Coflow::new(1.0, vec![FlowSpec::new(x, y, 1.0, 0.0)]),
-            ],
-        );
-        let opts = SolverOptions::default();
-        let mut pool = PathPool::new();
-        let mut chain = WarmChain::new();
-        let mut generated = Vec::new();
-        for h in [6usize, 8, 10] {
-            let eager = packet_lp_lower_bound(&inst, h, &opts).unwrap();
-            let (cg, stats) =
-                packet_lp_lower_bound_colgen(&inst, h, &opts, 100, &mut chain, &mut pool).unwrap();
-            assert!(
-                (cg - eager).abs() < 1e-6,
-                "T={h}: colgen {cg} vs eager {eager}"
-            );
-            generated.push(stats.generated_cols);
-        }
-        assert!(
-            generated[1] == 0 && generated[2] == 0,
-            "pooled paths must seed the grown horizons: {generated:?}"
-        );
-    }
-
-    /// A horizon too small for the contention level leaves the big-M
-    /// relief columns in use, which must surface as `Infeasible` — the
-    /// same verdict the eager formulation reaches.
-    #[test]
-    fn colgen_reports_infeasible_tight_horizon() {
+    fn tight_horizon_is_infeasible() {
         let t = topo::line(2, 1.0);
         let mk = || Coflow::new(1.0, vec![FlowSpec::new(NodeId(0), NodeId(1), 1.0, 0.0)]);
         let inst = Instance::new(t.graph.clone(), vec![mk(), mk()]);
-        let opts = SolverOptions::default();
         assert_eq!(
-            packet_lp_lower_bound(&inst, 1, &opts).unwrap_err(),
+            packet_lp_lower_bound(&inst, 1, &SolverOptions::default()).unwrap_err(),
             LpError::Infeasible
         );
-        let mut pool = PathPool::new();
-        let err =
-            packet_lp_lower_bound_colgen(&inst, 1, &opts, 50, &mut WarmChain::new(), &mut pool)
-                .unwrap_err();
-        assert_eq!(err, LpError::Infeasible);
     }
 
     #[test]

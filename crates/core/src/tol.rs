@@ -33,8 +33,8 @@ pub const FEAS_EPS: f64 = 1e-6;
 pub const DUAL_EPS: f64 = 1e-9;
 
 /// Relative tolerance for declaring two objective values equal: used by the
-/// bench equal-objective assertions, the colgen-vs-eager cross checks, and
-/// (passed down) as the restricted-master convergence tolerance.
+/// colgen-vs-eager cross checks and (passed down) as the restricted-master
+/// convergence tolerance.
 pub const OBJ_REL_EPS: f64 = 1e-6;
 
 /// Slack on event times: release-date respect, segment start/end ordering,

@@ -26,8 +26,7 @@
 //!   [`policy::Greedy`], [`policy::WeightedFair`], [`policy::Fifo`];
 //! * [`engine`] — the event loop ([`engine::run`] / [`engine::run_trace`]);
 //! * [`metrics`] — [`metrics::EngineMetrics`] with per-epoch
-//!   [`coflow_lp::SolveStats`], serialized through
-//!   [`coflow_workloads::io::Value`].
+//!   [`coflow_lp::SolveStats`].
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,17 +1,13 @@
-//! Engine-level metrics and their JSON snapshot.
+//! Engine-level metrics.
 //!
 //! [`EngineMetrics`] records what the *engine* did on top of what the
 //! schedule achieved: epochs, per-epoch LP [`SolveStats`], re-solve wall
-//! time, and warm-chain outcomes. The snapshot serializes through the
-//! workspace's one hand-rolled JSON implementation
-//! ([`coflow_workloads::io::Value`]), so `BENCH_online.json` is produced
-//! and parsed by the same code as the instance snapshots.
+//! time, and warm-chain outcomes.
 
 use crate::policy::OnlinePolicy;
 use coflow_core::Metrics;
 use coflow_lp::{ColGenStats, SolveStats};
 use coflow_obs::Histogram;
-use coflow_workloads::io::Value;
 
 /// One epoch boundary's record.
 #[derive(Clone, Debug)]
@@ -138,222 +134,5 @@ impl EngineMetrics {
             stale_schedule_ms: epoch_log.iter().map(|e| e.stale_ms).sum(),
             epoch_log: epoch_log.to_vec(),
         }
-    }
-
-    /// The JSON snapshot (schema used by `results/BENCH_online.json`).
-    pub fn to_json(&self) -> Value {
-        let solve_json = |s: &SolveStats| {
-            Value::Obj(vec![
-                ("iterations".into(), Value::Num(s.iterations as f64)),
-                (
-                    "phase1_iterations".into(),
-                    Value::Num(s.phase1_iterations as f64),
-                ),
-                (
-                    "refactorizations".into(),
-                    Value::Num(s.refactorizations as f64),
-                ),
-                ("rows".into(), Value::Num(s.rows as f64)),
-                ("cols".into(), Value::Num(s.cols as f64)),
-                ("warm_attempted".into(), Value::Bool(s.warm_attempted)),
-                ("warm_used".into(), Value::Bool(s.warm_used)),
-                ("allocs".into(), Value::Num(s.allocs as f64)),
-                ("scratch_reuse".into(), Value::Num(s.scratch_reuse as f64)),
-                (
-                    "pricing_full_scans".into(),
-                    Value::Num(s.pricing_full_scans as f64),
-                ),
-                (
-                    "pricing_list_hits".into(),
-                    Value::Num(s.pricing_list_hits as f64),
-                ),
-                ("threads".into(), Value::Num(s.threads as f64)),
-            ])
-        };
-        Value::Obj(vec![
-            ("policy".into(), Value::Str(self.policy.clone())),
-            ("weighted_sum".into(), Value::Num(self.weighted_sum)),
-            (
-                "avg_coflow_completion".into(),
-                Value::Num(self.avg_coflow_completion),
-            ),
-            (
-                "coflow_completion".into(),
-                Value::Arr(
-                    self.coflow_completion
-                        .iter()
-                        .map(|&c| Value::Num(c))
-                        .collect(),
-                ),
-            ),
-            ("epochs".into(), Value::Num(self.epochs as f64)),
-            ("events".into(), Value::Num(self.events as f64)),
-            ("total_resolve_ms".into(), Value::Num(self.total_resolve_ms)),
-            ("resolve_ms_p50".into(), Value::Num(self.resolve_ms_p50)),
-            ("resolve_ms_p90".into(), Value::Num(self.resolve_ms_p90)),
-            ("resolve_ms_p99".into(), Value::Num(self.resolve_ms_p99)),
-            (
-                "total_columns".into(),
-                Value::Num(self.total_columns as f64),
-            ),
-            (
-                "total_columns_generated".into(),
-                Value::Num(self.total_columns_generated as f64),
-            ),
-            (
-                "total_colgen_rounds".into(),
-                Value::Num(self.total_colgen_rounds as f64),
-            ),
-            ("total_pivots".into(), Value::Num(self.total_pivots as f64)),
-            (
-                "total_phase1_pivots".into(),
-                Value::Num(self.total_phase1_pivots as f64),
-            ),
-            (
-                "warm_attempted".into(),
-                Value::Num(self.warm_attempted as f64),
-            ),
-            ("warm_used".into(), Value::Num(self.warm_used as f64)),
-            (
-                "degraded_epochs".into(),
-                Value::Num(self.degraded_epochs as f64),
-            ),
-            (
-                "fallback_policy_uses".into(),
-                Value::Num(self.fallback_policy_uses as f64),
-            ),
-            (
-                "stale_schedule_ms".into(),
-                Value::Num(self.stale_schedule_ms),
-            ),
-            (
-                "epoch_log".into(),
-                Value::Arr(
-                    self.epoch_log
-                        .iter()
-                        .map(|e| {
-                            let mut pairs = vec![
-                                ("time".into(), Value::Num(e.time)),
-                                ("live_flows".into(), Value::Num(e.live_flows as f64)),
-                                ("resolve_ms".into(), Value::Num(e.resolve_ms)),
-                            ];
-                            if let Some(d) = &e.degraded {
-                                pairs.push(("degraded".into(), Value::Str(d.clone())));
-                                pairs.push(("retries".into(), Value::Num(e.retries as f64)));
-                                pairs.push(("stale_ms".into(), Value::Num(e.stale_ms)));
-                                pairs.push(("fallback".into(), Value::Bool(e.fallback)));
-                            }
-                            if let Some(s) = &e.solve {
-                                pairs.push(("solve".into(), solve_json(s)));
-                            }
-                            if let Some(c) = &e.colgen {
-                                pairs.push((
-                                    "colgen".into(),
-                                    Value::Obj(vec![
-                                        ("rounds".into(), Value::Num(c.rounds as f64)),
-                                        ("seeded_cols".into(), Value::Num(c.seeded_cols as f64)),
-                                        (
-                                            "generated_cols".into(),
-                                            Value::Num(c.generated_cols as f64),
-                                        ),
-                                        ("final_cols".into(), Value::Num(c.final_cols as f64)),
-                                        ("pricing_ms".into(), Value::Num(c.pricing_ms)),
-                                        ("master_ms".into(), Value::Num(c.master_ms)),
-                                    ]),
-                                ));
-                            }
-                            Value::Obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-#[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
-mod tests {
-    use super::*;
-    use coflow_workloads::io::parse_json;
-
-    #[test]
-    fn json_snapshot_roundtrips_and_exposes_fields() {
-        let m = EngineMetrics {
-            policy: "LpOrder".into(),
-            coflow_completion: vec![2.0, 4.5],
-            weighted_sum: 11.0,
-            avg_coflow_completion: 3.25,
-            epochs: 3,
-            events: 9,
-            total_resolve_ms: 1.5,
-            resolve_ms_p50: 0.5,
-            resolve_ms_p90: 1.0,
-            resolve_ms_p99: 1.0,
-            total_pivots: 120,
-            total_phase1_pivots: 30,
-            warm_attempted: 2,
-            warm_used: 2,
-            total_columns: 60,
-            total_columns_generated: 12,
-            total_colgen_rounds: 5,
-            degraded_epochs: 1,
-            fallback_policy_uses: 0,
-            stale_schedule_ms: 0.25,
-            epoch_log: vec![EpochRecord {
-                time: 0.0,
-                live_flows: 4,
-                resolve_ms: 0.5,
-                degraded: Some("stale-reuse: lp: numerical".into()),
-                retries: 1,
-                stale_ms: 0.25,
-                fallback: false,
-                solve: Some(SolveStats {
-                    iterations: 40,
-                    warm_attempted: true,
-                    warm_used: true,
-                    scratch_reuse: 7,
-                    pricing_full_scans: 5,
-                    pricing_list_hits: 35,
-                    threads: 4,
-                    ..Default::default()
-                }),
-                colgen: Some(ColGenStats {
-                    rounds: 3,
-                    seeded_cols: 16,
-                    generated_cols: 12,
-                    final_cols: 28,
-                    ..Default::default()
-                }),
-            }],
-        };
-        let v = m.to_json();
-        let back = parse_json(&v.render()).unwrap();
-        assert_eq!(back.lookup("policy"), Some(&Value::Str("LpOrder".into())));
-        assert_eq!(back.lookup("total_pivots"), Some(&Value::Num(120.0)));
-        assert_eq!(back.lookup("resolve_ms_p50"), Some(&Value::Num(0.5)));
-        assert_eq!(back.lookup("resolve_ms_p99"), Some(&Value::Num(1.0)));
-        let log = match back.lookup("epoch_log") {
-            Some(Value::Arr(items)) => items,
-            other => panic!("expected epoch_log array, got {other:?}"),
-        };
-        assert_eq!(log.len(), 1);
-        assert_eq!(
-            log[0].lookup("solve").unwrap().lookup("warm_used"),
-            Some(&Value::Bool(true))
-        );
-        assert_eq!(
-            log[0].lookup("solve").unwrap().lookup("scratch_reuse"),
-            Some(&Value::Num(7.0))
-        );
-        assert_eq!(
-            log[0].lookup("solve").unwrap().lookup("pricing_list_hits"),
-            Some(&Value::Num(35.0))
-        );
-        assert_eq!(
-            log[0].lookup("solve").unwrap().lookup("threads"),
-            Some(&Value::Num(4.0))
-        );
     }
 }

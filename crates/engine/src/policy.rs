@@ -315,7 +315,7 @@ impl LpOrder {
     pub fn colgen(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
         Self::new(
             FreePathsLpConfig {
-                columns: ColumnMode::delayed(),
+                columns: ColumnMode::Delayed,
                 ..lp_cfg
             },
             round_cfg,
@@ -372,7 +372,7 @@ impl OnlinePolicy for LpOrder {
                 self.last_colgen = None;
                 solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid, &mut self.chain)?
             }
-            ColumnMode::Delayed { .. } => {
+            ColumnMode::Delayed => {
                 if !self.pool_reuse {
                     self.pool.clear();
                 }

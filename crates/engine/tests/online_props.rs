@@ -142,6 +142,38 @@ proptest! {
     }
 }
 
+/// On a fixed trace long enough to chain a few dozen re-solves,
+/// warm-started epochs need fewer total pivots than cold ones (2342 vs
+/// 3281 when written). A property of this trace, not of every trace: at
+/// higher arrival rates most epochs add rows and the basis is rejected.
+#[test]
+fn warm_epochs_need_fewer_pivots_than_cold() {
+    let topo = coflow_net::topo::fat_tree(4, 1.0);
+    let inst = generate(
+        &topo,
+        &GenConfig {
+            n_coflows: 8,
+            width: 4,
+            size_mean: 3.0,
+            arrival_rate: 0.25,
+            jitter_rate: 2.0,
+            seed: 0x011E_0000,
+            ..Default::default()
+        },
+    );
+    let warm = run(&inst, &mut LpOrder::default(), &EngineConfig::default());
+    let mut cold_policy =
+        LpOrder::cold(FreePathsLpConfig::default(), FreeRoundingConfig::default());
+    let cold = run(&inst, &mut cold_policy, &EngineConfig::default());
+    assert!(warm.engine.warm_used > 0, "the chain must be exercised");
+    assert!(
+        warm.engine.total_pivots < cold.engine.total_pivots,
+        "warm {} vs cold {} pivots",
+        warm.engine.total_pivots,
+        cold.engine.total_pivots
+    );
+}
+
 /// Column-generation epoch re-solves with a cross-epoch pool: the realized
 /// schedule stays feasible, colgen metrics land in the engine log, and the
 /// pooled run never generates more columns than the cold-pool baseline

@@ -94,9 +94,9 @@ impl Basis {
 
 /// Per-solve statistics of the revised simplex.
 ///
-/// Returned on every [`crate::Solution`] (as `stats`); the benchmark
-/// harness serializes these into `BENCH_lp.json` so factorization and
-/// warm-start behavior is measured, not asserted.
+/// Returned on every [`crate::Solution`] (as `stats`); `benchmark/` sums
+/// these into its `lp.*` per-layer metrics so factorization and warm-start
+/// behavior is measured, not asserted.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SolveStats {
     /// Total simplex pivots across both phases.

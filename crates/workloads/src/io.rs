@@ -306,10 +306,10 @@ pub fn read_trace_lines(path: &Path) -> std::io::Result<Vec<Value>> {
 
 /// A JSON value.
 ///
-/// Public so other crates in the workspace (the online engine's
-/// [`EngineMetrics`-style] snapshots, the bench drivers) can build and
-/// render machine-readable artifacts through the one hand-rolled JSON
-/// implementation instead of each formatting strings by hand. Construct
+/// Public so other packages (`trace_view`, the `benchmark/` result files)
+/// build, render and parse machine-readable artifacts through the one
+/// hand-rolled JSON implementation instead of each formatting strings by
+/// hand. Construct
 /// values directly (`Value::Obj(vec![("k".into(), Value::Num(1.0))])`),
 /// render with [`Value::render`], parse with [`parse_json`].
 #[derive(Debug, Clone, PartialEq)]

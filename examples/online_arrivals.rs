@@ -11,6 +11,10 @@
 //! ```text
 //! cargo run --release --example online_arrivals
 //! ```
+//!
+//! The arrival-rate × policy sweep is the `online_arrivals` binary of
+//! `coflow-bench`; timing of the engine is the `online_*_k8` workloads of
+//! `benchmark/`.
 
 // Experiment binaries fail fast by design: unwrap/expect on I/O and
 // solver results is the intended error handling here.

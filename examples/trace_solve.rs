@@ -8,16 +8,13 @@
 //! this example prints *identical* numbers — the trace measures the shape
 //! of the computation, not the speed of the machine.
 //!
-//! ```text
-//! cargo run --release --example trace_solve
-//! ```
-//!
-//! For wall-clock traces of the real benchmarks, see
-//! `results/TRACE_lp.jsonl` (written by `cargo bench -p coflow-bench`)
-//! and the `trace_view` binary that renders them:
+//! Given an output path, the example also writes the trace there as
+//! `coflow-trace/v1` JSONL for the `trace_view` binary to render (CI runs
+//! it twice and `cmp`s the two files):
 //!
 //! ```text
-//! cargo run --release -p coflow-bench --bin trace_view -- results/TRACE_lp.jsonl
+//! cargo run --release --example trace_solve [-- results/TRACE_solve.jsonl]
+//! cargo run --release -p coflow-bench --bin trace_view -- results/TRACE_solve.jsonl
 //! ```
 
 // Experiment binaries fail fast by design: unwrap/expect on I/O and
@@ -49,7 +46,7 @@ fn main() {
     // Column-generation config; the chain's recorder is switched to the
     // logical clock *before* any recording, so the trace is reproducible.
     let cfg = FreePathsLpConfig {
-        columns: ColumnMode::delayed(),
+        columns: ColumnMode::Delayed,
         ..Default::default()
     };
     let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
@@ -137,8 +134,14 @@ fn main() {
     let oracle = trace.span_total_ms(SpanName::Oracle);
     assert!((master - cg.master_ms).abs() < 1e-9);
     assert!((oracle - cg.pricing_ms).abs() < 1e-9);
+    assert_eq!(trace.span_count(SpanName::Master), cg.rounds);
     println!(
         "\nview check: ColGenStats master {master:.0} / oracle {oracle:.0} ticks — \
          identical to the trace sums"
     );
+
+    if let Some(path) = std::env::args().nth(1) {
+        coflow_workloads::io::write_trace(std::path::Path::new(&path), &trace).unwrap();
+        println!("wrote {path}");
+    }
 }

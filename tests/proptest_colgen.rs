@@ -4,9 +4,11 @@
 //! whose rounded schedule passes the capacity/release/volume checker.
 
 use coflow::algo::intervals::IntervalGrid;
+use coflow::algo::tol;
 use coflow::lp::WarmChain;
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};
+use coflow::workloads::suite::fig3_config;
 use proptest::prelude::*;
 
 fn cfg(n: usize, w: usize, seed: u64) -> GenConfig {
@@ -59,7 +61,7 @@ proptest! {
         let eager = solve_free_paths_lp_paths(&inst, &eager_cfg).unwrap();
 
         let cg_cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             ..eager_cfg
         };
         let grid = IntervalGrid::cover(cg_cfg.eps, inst.horizon());
@@ -104,7 +106,7 @@ proptest! {
         let topo = coflow::net::topo::fat_tree(4, 1.0);
         let inst = generate(&topo, &cfg(2, 3, seed));
         let cg_cfg = FreePathsLpConfig {
-            columns: ColumnMode::delayed(),
+            columns: ColumnMode::Delayed,
             ..Default::default()
         };
         let mut pool = PathPool::new();
@@ -120,4 +122,32 @@ proptest! {
         prop_assert!(stats.generated_cols == 0, "pool must seed everything");
         prop_assert!((first.base.objective - second.base.objective).abs() < 1e-9);
     }
+}
+
+/// The paper-scale point (fat-tree k=8, 10 coflows of width 8): column
+/// generation reproduces the eager optimum while materializing at most a
+/// quarter of the eager columns.
+#[test]
+fn colgen_needs_a_quarter_of_eager_columns_on_fat_tree_k8() {
+    let topo = coflow::net::topo::fat_tree(8, 1.0);
+    let inst = generate(&topo, &fig3_config(8, 0));
+    let eager_cfg = FreePathsLpConfig::default();
+    let eager = solve_free_paths_lp_paths(&inst, &eager_cfg).unwrap();
+    let cg_cfg = FreePathsLpConfig {
+        columns: ColumnMode::Delayed,
+        ..eager_cfg
+    };
+    let cg = solve_free_paths_lp_paths(&inst, &cg_cfg).unwrap();
+    assert!(
+        tol::rel_eq(cg.base.objective, eager.base.objective, tol::OBJ_REL_EPS),
+        "colgen {} vs eager {}",
+        cg.base.objective,
+        eager.base.objective
+    );
+    assert!(
+        4 * cg.base.stats.cols <= eager.base.stats.cols,
+        "colgen cols {} exceed 25% of eager {}",
+        cg.base.stats.cols,
+        eager.base.stats.cols
+    );
 }
