@@ -19,13 +19,26 @@
 //! Both produce a [`FreeLpSolution`]: the completion-fraction view shared
 //! with §2.1 plus per-flow fractional routing information consumed by the
 //! rounding step ([`crate::circuit::round_free`]).
+//!
+//! The path formulation has one builder, `circuit::path_lp`'s
+//! `PathLp`, in both [`ColumnMode`]s: eager enumeration hands it every
+//! candidate path, the delayed mode hands it the pooled seeds as its
+//! initial restricted master and appends generated columns to the same
+//! rows. A flow with a prescribed path is a one-candidate set, which makes
+//! the §2.1 LP ([`crate::circuit::lp_given`]) the same builder again. The
+//! edge formulation has a different capacity structure (rates per edge,
+//! conservation rows) and stays its own builder; it shares the `C_i`
+//! helper, the per-flow rows and the solution read-back.
 
 use crate::circuit::lp_given::CircuitLpSolution;
+use crate::circuit::path_lp::{
+    add_cap_row, add_flow_rows, circuit_solution, coflow_completion_vars, no_path, CapRows, PathLp,
+    Routes,
+};
 use crate::intervals::IntervalGrid;
-use crate::model::Instance;
+use crate::model::{FlowSpec, Instance};
 use coflow_lp::{
-    solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, RowId, SolverOptions, VarId,
-    WarmChain,
+    solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, SolverOptions, VarId, WarmChain,
 };
 use coflow_net::{paths as netpaths, pricing, EdgeId, Path};
 
@@ -33,8 +46,8 @@ use coflow_net::{paths as netpaths, pricing, EdgeId, Path};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ColumnMode {
     /// Enumerate the full candidate set up front
-    /// ([`coflow_net::paths::candidate_paths`]) — the historical behavior
-    /// and the cross-check oracle for the delayed mode.
+    /// ([`coflow_net::paths::candidate_paths`]) — the cross-check oracle
+    /// for the delayed mode, whose master is the same builder's model.
     #[default]
     Eager,
     /// Delayed column generation: seed the restricted master with each
@@ -125,50 +138,27 @@ pub fn solve_free_paths_lp_edges(
     cfg: &FreePathsLpConfig,
 ) -> Result<FreeLpSolution, LpError> {
     let grid = IntervalGrid::cover(cfg.eps, instance.horizon());
-    solve_free_paths_lp_edges_on_grid(instance, cfg, grid, &mut WarmChain::new())
-}
-
-/// [`solve_free_paths_lp_edges`] on an explicit grid, warm-started through
-/// `chain` (see [`solve_free_paths_lp_paths_on_grid`] for the sequence
-/// pattern).
-pub fn solve_free_paths_lp_edges_on_grid(
-    instance: &Instance,
-    cfg: &FreePathsLpConfig,
-    grid: IntervalGrid,
-    chain: &mut WarmChain,
-) -> Result<FreeLpSolution, LpError> {
     let nl = grid.count();
     let nf = instance.flow_count();
     let g = &instance.graph;
-    let ne = g.edge_count();
     let mut m = Model::new();
+    let c_cof = coflow_completion_vars(&mut m, instance);
 
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; nl]; nf];
-    // y[flat][l] -> Vec<(edge index in `edges_of[flat]`, var)>
-    let mut y: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(nf);
-    let mut edges_of: Vec<Vec<EdgeId>> = Vec::with_capacity(nf);
+    /// One flow's columns: `x[k]` and `y[k][j]`, the rate on `useful[j]`,
+    /// belong to interval `first + k`.
+    struct EdgeCols {
+        c: VarId,
+        first: usize,
+        x: Vec<VarId>,
+        useful: Vec<EdgeId>,
+        y: Vec<Vec<VarId>>,
+    }
+    let mut flows: Vec<EdgeCols> = Vec::with_capacity(nf);
 
     for (id, flat, spec) in instance.flows() {
-        let cf = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
+        let c = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
         let first = grid.first_usable(spec.release);
 
-        // Useful edges for this flow.
         let useful: Vec<EdgeId> = g
             .edges()
             .filter(|&e| {
@@ -177,137 +167,90 @@ pub fn solve_free_paths_lp_edges_on_grid(
             })
             .collect();
 
-        for (l, slot) in x[flat].iter_mut().enumerate().skip(first) {
-            *slot = Some(m.add_unit(0.0, format!("x{flat}:{l}")));
-        }
-        let mut yrow: Vec<Vec<VarId>> = vec![Vec::new(); nl];
-        for (l, row) in yrow.iter_mut().enumerate().take(nl).skip(first) {
-            *row = useful
-                .iter()
-                .map(|e| m.add_nonneg(0.0, format!("y{flat}:{l}:{e:?}")))
-                .collect();
-        }
-
-        // (15) fractions sum to one.
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-        let terms: Vec<_> = (first..nl).map(|l| (x[flat][l].unwrap(), 1.0)).collect();
-        m.add_row_named(Cmp::Eq, 1.0, &terms, format!("sum{flat}"));
-        // (16) completion definition.
-        #[allow(clippy::unwrap_used)]
-        let mut terms: Vec<_> = (first..nl)
-            // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-            .map(|l| (x[flat][l].unwrap(), grid.lower(l)))
+        let x: Vec<VarId> = (first..nl)
+            .map(|l| m.add_unit(0.0, format!("x{flat}:{l}")))
             .collect();
-        terms.push((cf, -1.0));
-        m.add_row_named(Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
-        // (17) dummy-flow precedence.
-        m.add_row_named(
-            Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
+        let y: Vec<Vec<VarId>> = (first..nl)
+            .map(|l| {
+                useful
+                    .iter()
+                    .map(|e| m.add_nonneg(0.0, format!("y{flat}:{l}:{e:?}")))
+                    .collect()
+            })
+            .collect();
 
-        // (18)-(20) conservation per usable interval.
-        for l in first..nl {
-            let len = grid.length(l);
-            let demand_coeff = spec.size / len;
-            // Build incidence per node restricted to useful edges.
-            // net_out(v) = demand * x for v = src; -demand * x for v = dst;
-            // 0 otherwise.
+        // (15)–(17).
+        let cols: Vec<(VarId, usize)> = x.iter().copied().zip(first..nl).collect();
+        add_flow_rows(&mut m, &grid, flat, c, c_cof[id.coflow as usize], &cols);
+
+        // (18)–(20) conservation per usable interval:
+        // net_out(v) = demand * x for v = src, -demand * x for v = dst,
+        // 0 otherwise.
+        for ((l, &xl), yl) in (first..nl).zip(&x).zip(&y) {
+            let demand_coeff = spec.size / grid.length(l);
             let mut per_node: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.node_count()];
-            for (k, &e) in useful.iter().enumerate() {
+            for (&e, &yv) in useful.iter().zip(yl) {
                 let (u, v) = g.endpoints(e);
-                per_node[u.index()].push((yrow[l][k], 1.0));
-                per_node[v.index()].push((yrow[l][k], -1.0));
+                per_node[u.index()].push((yv, 1.0));
+                per_node[v.index()].push((yv, -1.0));
             }
             for v in g.nodes() {
                 let mut terms = std::mem::take(&mut per_node[v.index()]);
                 if v == spec.src {
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(no_panic) — x[flat][l] is Some for l >= first
-                    terms.push((x[flat][l].unwrap(), -demand_coeff));
+                    terms.push((xl, -demand_coeff));
                 } else if v == spec.dst {
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(no_panic) — x[flat][l] is Some for l >= first
-                    terms.push((x[flat][l].unwrap(), demand_coeff));
+                    terms.push((xl, demand_coeff));
                 } else if terms.is_empty() {
                     continue;
                 }
                 m.add_row_named(Cmp::Eq, 0.0, &terms, format!("con{flat}:{l}:{}", v.index()));
             }
         }
-        y.push(yrow);
-        edges_of.push(useful);
+        flows.push(EdgeCols {
+            c,
+            first,
+            x,
+            useful,
+            y,
+        });
     }
 
     // (21) capacity per edge and interval.
-    #[allow(clippy::needless_range_loop)]
     for l in 0..nl {
-        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
-        for flat in 0..nf {
-            if y[flat][l].is_empty() {
-                continue;
-            }
-            for (k, &e) in edges_of[flat].iter().enumerate() {
-                per_edge[e.index()].push((y[flat][l][k], 1.0));
+        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.edge_count()];
+        for f in flows.iter().filter(|f| f.first <= l) {
+            for (&e, &yv) in f.useful.iter().zip(&f.y[l - f.first]) {
+                per_edge[e.index()].push((yv, 1.0));
             }
         }
         for (ei, terms) in per_edge.iter().enumerate() {
             if !terms.is_empty() {
-                m.add_row_named(
-                    Cmp::Le,
-                    g.capacity(EdgeId(ei as u32)),
-                    terms,
-                    format!("cap{ei}:{l}"),
-                );
+                add_cap_row(&mut m, g, ei, l, terms);
             }
         }
     }
 
-    let sol = chain.solve(&m, &cfg.solver)?;
+    let sol = m.solve_with(&cfg.solver)?;
 
-    let xs: Vec<Vec<f64>> = x
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| v.map(|id| sol.value(id)).unwrap_or(0.0))
-                .collect()
-        })
-        .collect();
-    let routing: Vec<FlowRouting> = (0..nf)
-        .map(|flat| {
-            let per_l: Vec<Vec<(EdgeId, f64)>> = (0..nl)
-                .map(|l| {
-                    if y[flat][l].is_empty() {
-                        Vec::new()
-                    } else {
-                        edges_of[flat]
-                            .iter()
-                            .zip(&y[flat][l])
-                            .filter_map(|(&e, &v)| {
-                                let val = sol.value(v);
-                                (val > 1e-9).then_some((e, val))
-                            })
-                            .collect()
-                    }
+    let mut xs = vec![vec![0.0; nl]; nf];
+    let mut routing = Vec::with_capacity(nf);
+    for (f, x) in flows.iter().zip(&mut xs) {
+        let mut per_l: Vec<Vec<(EdgeId, f64)>> = vec![Vec::new(); nl];
+        for ((l, &xl), yl) in (f.first..nl).zip(&f.x).zip(&f.y) {
+            x[l] = sol.value(xl);
+            per_l[l] = (f.useful.iter().zip(yl))
+                .filter_map(|(&e, &v)| {
+                    let val = sol.value(v);
+                    (val > 1e-9).then_some((e, val))
                 })
                 .collect();
-            FlowRouting::EdgeFlows(per_l)
-        })
-        .collect();
+        }
+        routing.push(FlowRouting::EdgeFlows(per_l));
+    }
 
+    let c_flow: Vec<VarId> = flows.iter().map(|f| f.c).collect();
     Ok(FreeLpSolution {
-        base: CircuitLpSolution {
-            grid,
-            x: xs,
-            flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-            coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-            objective: sol.objective,
-            iterations: sol.iterations,
-            stats: sol.stats,
-        },
+        base: circuit_solution(grid, xs, &c_flow, &c_cof, &sol, sol.iterations),
         routing,
     })
 }
@@ -347,152 +290,32 @@ pub fn solve_free_paths_lp_paths_on_grid(
         return solve_free_paths_lp_colgen_on_grid(instance, cfg, grid, chain, &mut pool)
             .map(|(sol, _)| sol);
     }
-    let nl = grid.count();
-    let nf = instance.flow_count();
+    // A prescribed path is a one-candidate set; a flow nothing reaches has
+    // an empty one, which the builder reports.
     let g = &instance.graph;
-    let mut m = Model::new();
-
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
+    let routes: Vec<Routes> = instance
+        .flows()
+        .map(|(_, _, spec)| {
+            let ps = match &spec.path {
+                Some(p) => vec![p.clone()],
+                None => {
+                    netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths)
+                }
+            };
+            (0..).zip(ps).collect()
         })
         .collect();
-
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut cand: Vec<Vec<Path>> = Vec::with_capacity(nf);
-    // xv[flat][p][l]
-    let mut xv: Vec<Vec<Vec<Option<VarId>>>> = Vec::with_capacity(nf);
-
-    for (id, flat, spec) in instance.flows() {
-        let cf = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
-        let ps = match &spec.path {
-            Some(p) => vec![p.clone()],
-            None => netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths),
-        };
-        if ps.is_empty() {
-            return Err(LpError::Numerical(format!(
-                "flow {flat} has no path (disconnected?)"
-            )));
-        }
-        let first = grid.first_usable(spec.release);
-        let mut rows: Vec<Vec<Option<VarId>>> = Vec::with_capacity(ps.len());
-        for (pi, _) in ps.iter().enumerate() {
-            let mut row = vec![None; nl];
-            for (l, slot) in row.iter_mut().enumerate().take(nl).skip(first) {
-                *slot = Some(m.add_unit(0.0, format!("x{flat}:{pi}:{l}")));
-            }
-            rows.push(row);
-        }
-        // (15) fractions over (path, interval) sum to one.
-        let terms: Vec<_> = rows
-            .iter()
-            .flat_map(|r| r.iter().flatten().map(|&v| (v, 1.0)))
-            .collect();
-        m.add_row_named(Cmp::Eq, 1.0, &terms, format!("sum{flat}"));
-        // (16) completion definition.
-        let mut terms: Vec<_> = rows
-            .iter()
-            .flat_map(|r| {
-                r.iter()
-                    .enumerate()
-                    .filter_map(|(l, v)| v.map(|id| (id, grid.lower(l))))
-            })
-            .collect();
-        terms.push((cf, -1.0));
-        m.add_row_named(Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
-        // (17) precedence.
-        m.add_row_named(
-            Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
-
-        cand.push(ps);
-        xv.push(rows);
-    }
-
-    // (21) capacity per edge and interval.
-    let ne = g.edge_count();
-    #[allow(clippy::needless_range_loop)]
-    for l in 0..nl {
-        let len = grid.length(l);
-        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
-        for (_, flat, spec) in instance.flows() {
-            if spec.size <= 0.0 {
-                continue;
-            }
-            let coeff = spec.size / len;
-            for (pi, p) in cand[flat].iter().enumerate() {
-                if let Some(v) = xv[flat][pi][l] {
-                    for &e in p.edges.iter() {
-                        per_edge[e.index()].push((v, coeff));
-                    }
-                }
-            }
-        }
-        for (ei, terms) in per_edge.iter().enumerate() {
-            let cap = g.capacity(EdgeId(ei as u32));
-            // Redundant-row pruning: x ∈ [0,1].
-            let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
-            if !terms.is_empty() && max_lhs > cap {
-                m.add_row_named(Cmp::Le, cap, terms, format!("cap{ei}:{l}"));
-            }
-        }
-    }
-
+    let (m, lp) = PathLp::build(instance, grid, routes, CapRows::Binding)?;
     let sol = chain.solve(&m, &cfg.solver)?;
-
-    let mut xs = vec![vec![0.0; nl]; nf];
-    let mut routing = Vec::with_capacity(nf);
-    for flat in 0..nf {
-        let w: Vec<Vec<f64>> = xv[flat]
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|v| v.map(|id| sol.value(id)).unwrap_or(0.0))
-                    .collect()
-            })
-            .collect();
-        for row in &w {
-            for (l, &v) in row.iter().enumerate() {
-                xs[flat][l] += v;
-            }
-        }
-        routing.push(FlowRouting::PathWeights {
-            paths: cand[flat].clone(),
-            w,
-        });
-    }
-
-    Ok(FreeLpSolution {
-        base: CircuitLpSolution {
-            grid,
-            x: xs,
-            flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-            coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-            objective: sol.objective,
-            iterations: sol.iterations,
-            stats: sol.stats,
-        },
-        routing,
-    })
+    Ok(lp.extract(&sol, sol.iterations))
 }
 
 /// Solves the path-based §2.2 LP by **delayed column generation**: the
-/// restricted master is seeded with one shortest path per flow (plus every
-/// path already interned in `pool`), and further paths are generated on
-/// demand by a hop-bounded shortest-path oracle over the master's
-/// capacity-row duals ([`coflow_net::pricing::cheapest_path_hop_bounded`]).
+/// restricted master is the eager builder's model (`PathLp`) over one
+/// shortest path per flow plus every path already interned in `pool`, with
+/// all capacity rows kept, and further paths are generated on demand by a
+/// hop-bounded shortest-path oracle over the master's capacity-row duals
+/// ([`coflow_net::pricing::cheapest_path_hop_bounded`]).
 ///
 /// The reduced cost of a candidate column `x_{f,p,ℓ}` is
 /// `−y_sum(f) − τ_ℓ·y_cmp(f) + Σ_{e∈p} (−y_cap(e,ℓ))·(σ_f/len_ℓ)`: the
@@ -521,144 +344,34 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     let nl = grid.count();
     let nf = instance.flow_count();
     let g = &instance.graph;
-    let ne = g.edge_count();
-    let mut m = Model::new();
 
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    // Per-flow static data gathered up front: rows are created complete
-    // (columns only ever attach to existing rows), seed columns after.
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut sum_row = Vec::with_capacity(nf);
-    let mut cmp_row = Vec::with_capacity(nf);
-    let mut first_l = Vec::with_capacity(nf);
+    // Seeds: a flow whose path is prescribed (committed) gets that path
+    // alone and never prices; any other flow gets every pooled path, its
+    // shortest path interned first so the pool is never empty.
     let mut hop_budget = Vec::with_capacity(nf);
-    // Flows whose path is prescribed (committed) never price.
-    let mut prescribed = vec![false; nf];
-
-    for (id, flat, spec) in instance.flows() {
-        let cf = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
-        first_l.push(grid.first_usable(spec.release));
-        sum_row.push(m.add_row_named(Cmp::Eq, 1.0, &[], format!("sum{flat}")));
-        cmp_row.push(m.add_row_named(Cmp::Le, 0.0, &[(cf, -1.0)], format!("cmp{flat}")));
-        m.add_row_named(
-            Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
+    let mut routes: Vec<Routes> = Vec::with_capacity(nf);
+    for (_, flat, spec) in instance.flows() {
         match &spec.path {
             Some(p) => {
-                prescribed[flat] = true;
                 hop_budget.push(p.len());
-                pool.insert_with(flat, pricing::path_signature(p), || p.clone());
+                let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
+                routes.push(vec![(pi, p.clone())]);
             }
             None => {
-                let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst).ok_or_else(|| {
-                    LpError::Numerical(format!("flow {flat} has no path (disconnected?)"))
-                })?;
+                let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
+                    .ok_or_else(|| no_path(flat))?;
                 hop_budget.push(sp.len() + cfg.path_slack);
                 pool.insert_with(flat, pricing::path_signature(&sp), || sp);
+                routes.push((0..).zip(pool.group(flat).iter().cloned()).collect());
             }
         }
     }
-
-    // (21) capacity rows for every (edge, interval) — created empty so
-    // generated columns can attach and so every potential binding
-    // constraint exposes a dual for the pricing oracle. Rows no column
-    // touches are dropped by presolve at solve time.
-    let cap_row: Vec<RowId> = (0..ne * nl)
-        .map(|k| {
-            let (ei, l) = (k / nl, k % nl);
-            m.add_row_named(
-                Cmp::Le,
-                g.capacity(EdgeId(ei as u32)),
-                &[],
-                format!("cap{ei}:{l}"),
-            )
-        })
-        .collect();
-
-    // One column per (flow, pooled path, usable interval); names are keyed
-    // by the pool's stable path index. `add_path_columns` is shared between
-    // seeding and pricing injection and returns the created variables per
-    // interval (`first..nl`).
-    let add_path_columns = |m: &mut Model,
-                            flat: usize,
-                            pi: u32,
-                            p: &Path,
-                            spec_size: f64,
-                            first: usize|
-     -> Vec<VarId> {
-        (first..nl)
-            .map(|l| {
-                let mut terms: Vec<(RowId, f64)> = Vec::with_capacity(2 + p.len());
-                terms.push((sum_row[flat], 1.0));
-                terms.push((cmp_row[flat], grid.lower(l)));
-                if spec_size > 0.0 {
-                    let coeff = spec_size / grid.length(l);
-                    for &e in p.edges.iter() {
-                        terms.push((cap_row[e.index() * nl + l], coeff));
-                    }
-                }
-                m.add_column(0.0, 0.0, 1.0, format!("x{flat}:{pi}:{l}"), &terms)
-            })
-            .collect()
-    };
-
-    // Column bookkeeping: per flow, the `(pool index, vars over first..nl)`
-    // of every path that has columns in the master, in insertion order.
-    let mut xcols: Vec<Vec<(u32, Vec<VarId>)>> = vec![Vec::new(); nf];
-
-    // Seed: for prescribed flows only the committed path; otherwise every
-    // pooled path (≥ the shortest interned above).
-    for (_, flat, spec) in instance.flows() {
-        if prescribed[flat] {
-            #[allow(clippy::unwrap_used)]
-            // lint: allow(no_panic) — prescribed[flat] is set only when spec.path is Some
-            let p = spec.path.as_ref().unwrap();
-            let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
-            let vars = add_path_columns(&mut m, flat, pi, p, spec.size, first_l[flat]);
-            xcols[flat].push((pi, vars));
-        } else {
-            // Clone out of the pool to keep the borrow checker honest; the
-            // per-flow seed sets are tiny.
-            let seeds: Vec<(u32, Path)> = pool
-                .group(flat)
-                .iter()
-                .enumerate()
-                .map(|(pi, p)| (pi as u32, p.clone()))
-                .collect();
-            for (pi, p) in seeds {
-                let vars = add_path_columns(&mut m, flat, pi, &p, spec.size, first_l[flat]);
-                xcols[flat].push((pi, vars));
-            }
-        }
-    }
+    let (mut m, mut lp) = PathLp::build(instance, grid, routes, CapRows::All)?;
 
     // Pricing tolerance: a column must beat the simplex's own optimality
     // tolerance to be worth injecting; anything closer to zero is dual
     // noise on an already-optimal master.
     let price_tol = cfg.solver.tol.max(crate::tol::DUAL_EPS);
-
-    // Flow endpoints/sizes by flat index, for the oracle fan-out below.
-    let mut flow_ep = vec![None; nf];
-    for (_, flat, spec) in instance.flows() {
-        flow_ep[flat] = Some((spec.src, spec.dst, spec.size));
-    }
 
     // Per-worker oracle state, retained across pricing rounds: the
     // Bellman–Ford DP tables plus the section's search results in item
@@ -681,17 +394,18 @@ pub fn solve_free_paths_lp_colgen_on_grid(
         // path column is identical and the seed already covers them; and
         // edge prices are nonnegative, so `base >= -tol` rules a pair out
         // before any search.
-        let mut work: Vec<(usize, usize, f64)> = Vec::new(); // (flat, l, base)
+        let mut work: Vec<(usize, &FlowSpec, usize, f64)> = Vec::new(); // (flat, spec, l, base)
         for (_, flat, spec) in instance.flows() {
-            if prescribed[flat] || spec.size <= 0.0 {
+            if spec.path.is_some() || spec.size <= 0.0 {
                 continue;
             }
-            let y_sum = sol.dual(sum_row[flat]);
-            let y_cmp = sol.dual(cmp_row[flat]);
-            for l in first_l[flat]..nl {
-                let base = -y_sum - grid.lower(l) * y_cmp;
+            let (sum_row, cmp_row) = lp.flow_rows(flat);
+            let y_sum = sol.dual(sum_row);
+            let y_cmp = sol.dual(cmp_row);
+            for l in lp.first(flat)..nl {
+                let base = -y_sum - lp.grid().lower(l) * y_cmp;
                 if base < -price_tol {
-                    work.push((flat, l, base));
+                    work.push((flat, spec, l, base));
                 }
             }
         }
@@ -709,17 +423,14 @@ pub fn solve_free_paths_lp_colgen_on_grid(
             &mut oracle_slots,
             |_, range, slot| {
                 let OracleSlot { ws, out } = slot;
-                for &(flat, l, _) in &work[range] {
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(no_panic) — flow_ep is filled for every flat that prices
-                    let (src, dst, size) = flow_ep[flat].unwrap();
-                    let coeff = size / grid.length(l);
-                    let price =
-                        |e: EdgeId| (-sol.dual(cap_row[e.index() * nl + l])).max(0.0) * coeff;
+                for &(flat, spec, l, _) in &work[range] {
+                    let coeff = spec.size / lp.grid().length(l);
+                    let caps = lp.cap_rows(l);
+                    let price = |e: EdgeId| (-sol.dual(caps[e.index()])).max(0.0) * coeff;
                     out.push(pricing::cheapest_path_hop_bounded_in(
                         g,
-                        src,
-                        dst,
+                        spec.src,
+                        spec.dst,
                         hop_budget[flat],
                         price,
                         ws,
@@ -732,7 +443,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
         // column order stay byte-identical to the serial oracle loop.
         let mut added = 0usize;
         let results = oracle_slots.iter().flat_map(|s| s.out.iter());
-        for (&(flat, _, base), res) in work.iter().zip(results) {
+        for (&(flat, _, _, base), res) in work.iter().zip(results) {
             let Some((p, w)) = res else {
                 continue;
             };
@@ -740,12 +451,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
                 let sig = pricing::path_signature(p);
                 let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
                 if fresh {
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(no_panic) — flow_ep is filled for every flat that prices
-                    let size = flow_ep[flat].unwrap().2;
-                    let vars = add_path_columns(m, flat, pi, p, size, first_l[flat]);
-                    added += vars.len();
-                    xcols[flat].push((pi, vars));
+                    added += lp.add_route(m, flat, pi, p);
                 }
             }
         }
@@ -760,37 +466,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
         chain.obs().merge_counters(&cs);
     }
 
-    // ---- Extraction (mirrors the eager builder's shape). ----
-    let mut xs = vec![vec![0.0; nl]; nf];
-    let mut routing = Vec::with_capacity(nf);
-    for (_, flat, _) in instance.flows() {
-        let mut paths = Vec::with_capacity(xcols[flat].len());
-        let mut w = Vec::with_capacity(xcols[flat].len());
-        for (pi, vars) in &xcols[flat] {
-            paths.push(pool.group(flat)[*pi as usize].clone());
-            let mut row = vec![0.0; nl];
-            for (l, &v) in (first_l[flat]..nl).zip(vars) {
-                row[l] = sol.value(v);
-                xs[flat][l] += row[l];
-            }
-            w.push(row);
-        }
-        routing.push(FlowRouting::PathWeights { paths, w });
-    }
-
-    let free = FreeLpSolution {
-        base: CircuitLpSolution {
-            grid,
-            x: xs,
-            flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-            coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-            objective: sol.objective,
-            iterations: stats.total_iterations,
-            stats: sol.stats,
-        },
-        routing,
-    };
-    Ok((free, stats))
+    Ok((lp.extract(&sol, stats.total_iterations), stats))
 }
 
 #[cfg(test)]

@@ -21,19 +21,22 @@
 //! * (9) release: no `x_{fℓ}` variable exists for intervals ending before
 //!   `r_f`; additionally `c_f >= r_f` (valid: completions follow releases).
 //! * (10) nonnegativity via variable bounds.
+//!
+//! This is the path LP of `circuit::path_lp` with one route per
+//! flow — a prescribed path is the one-candidate case of §2.2's candidate
+//! sets — so the model is built and read back by that module's `PathLp`,
+//! the builder [`crate::circuit::lp_free`] uses for free paths.
 
+use crate::circuit::path_lp::{CapRows, PathLp};
 use crate::intervals::IntervalGrid;
 use crate::model::Instance;
-use coflow_lp::{LpError, Model, SolveStats, SolverOptions, VarId, WarmChain};
+use coflow_lp::{LpError, SolveStats, SolverOptions, WarmChain};
 
 /// Configuration for the §2.1 LP.
 #[derive(Clone, Debug)]
 pub struct GivenPathsLpConfig {
     /// Geometric growth `ε` of the interval grid (paper: 0.5436).
     pub eps: f64,
-    /// Add the valid inequality `c_f >= r_f + σ_f / bottleneck(p_f)`
-    /// (not in the paper; tightens lower bounds; off by default).
-    pub strengthen: bool,
     /// Simplex options.
     pub solver: SolverOptions,
 }
@@ -42,7 +45,6 @@ impl Default for GivenPathsLpConfig {
     fn default() -> Self {
         Self {
             eps: crate::PAPER_EPS,
-            strengthen: false,
             solver: SolverOptions::default(),
         }
     }
@@ -113,123 +115,18 @@ pub fn solve_given_paths_lp_on_grid(
     grid: IntervalGrid,
     chain: &mut WarmChain,
 ) -> Result<CircuitLpSolution, LpError> {
-    let nl = grid.count();
-    let nf = instance.flow_count();
-    let mut m = Model::new();
-
-    // Completion variables.
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let lb = c.earliest_release();
-            m.add_var(
-                c.weight,
-                if lb.is_finite() { lb } else { 0.0 },
-                f64::INFINITY,
-                format!("C{i}"),
-            )
+    let routes = instance
+        .flows()
+        .map(|(_, flat, spec)| match &spec.path {
+            Some(p) => Ok(vec![(0, p.clone())]),
+            None => Err(LpError::Numerical(format!(
+                "flow {flat} has no prescribed path"
+            ))),
         })
-        .collect();
-    let mut c_flow: Vec<VarId> = Vec::with_capacity(nf);
-    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; nl]; nf];
-
-    for (id, flat, spec) in instance.flows() {
-        let mut lb = spec.release;
-        if cfg.strengthen {
-            let path = spec
-                .path
-                .as_ref()
-                .ok_or_else(|| LpError::Numerical(format!("flow {flat} has no prescribed path")))?;
-            let bottleneck = instance.graph.path_bottleneck(path);
-            if bottleneck.is_finite() && bottleneck > 0.0 {
-                lb += spec.size / bottleneck;
-            }
-        }
-        let cf = m.add_var(0.0, lb, f64::INFINITY, format!("c{flat}"));
-        c_flow.push(cf);
-        let first = grid.first_usable(spec.release);
-        for (l, slot) in x[flat].iter_mut().enumerate().skip(first) {
-            *slot = Some(m.add_unit(0.0, format!("x{flat}:{l}")));
-        }
-        // (4) completion fractions sum to one.
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-        let terms: Vec<_> = (first..nl).map(|l| (x[flat][l].unwrap(), 1.0)).collect();
-        m.add_row_named(coflow_lp::Cmp::Eq, 1.0, &terms, format!("sum{flat}"));
-        // (5) completion definition.
-        #[allow(clippy::unwrap_used)]
-        let mut terms: Vec<_> = (first..nl)
-            // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-            .map(|l| (x[flat][l].unwrap(), grid.lower(l)))
-            .collect();
-        terms.push((cf, -1.0));
-        m.add_row_named(coflow_lp::Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
-        // (6) dummy-flow precedence.
-        m.add_row_named(
-            coflow_lp::Cmp::Le,
-            0.0,
-            &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
-        );
-    }
-
-    // (7)+(8) capacity rows: group flows by edge.
-    let g = &instance.graph;
-    let mut edge_flows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.edge_count()];
-    for (_, flat, spec) in instance.flows() {
-        if spec.size <= 0.0 {
-            continue;
-        }
-        let path = spec
-            .path
-            .as_ref()
-            .ok_or_else(|| LpError::Numerical(format!("flow {flat} has no prescribed path")))?;
-        for &e in path.edges.iter() {
-            edge_flows[e.index()].push((flat, spec.size));
-        }
-    }
-    for (ei, users) in edge_flows.iter().enumerate() {
-        if users.is_empty() {
-            continue;
-        }
-        let cap = g.capacity(coflow_net::EdgeId(ei as u32));
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..nl {
-            let len = grid.length(l);
-            let terms: Vec<_> = users
-                .iter()
-                .filter_map(|&(flat, size)| x[flat][l].map(|v| (v, size / len)))
-                .collect();
-            // Redundant-row pruning: x ∈ [0,1], so the row can only bind if
-            // the coefficients could sum past the capacity.
-            let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
-            if !terms.is_empty() && max_lhs > cap {
-                m.add_row_named(coflow_lp::Cmp::Le, cap, &terms, format!("cap{ei}:{l}"));
-            }
-        }
-    }
-
+        .collect::<Result<_, _>>()?;
+    let (m, lp) = PathLp::build(instance, grid, routes, CapRows::Binding)?;
     let sol = chain.solve(&m, &cfg.solver)?;
-
-    let xs: Vec<Vec<f64>> = x
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| v.map(|id| sol.value(id)).unwrap_or(0.0))
-                .collect()
-        })
-        .collect();
-    Ok(CircuitLpSolution {
-        grid,
-        x: xs,
-        flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-        coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-        objective: sol.objective,
-        iterations: sol.iterations,
-        stats: sol.stats,
-    })
+    Ok(lp.extract(&sol, sol.iterations).base)
 }
 
 #[cfg(test)]
@@ -357,32 +254,6 @@ mod tests {
             lp.coflow_completion[0],
             lp.coflow_completion[1]
         );
-    }
-
-    /// The strengthen option only increases (tightens) the lower bound.
-    #[test]
-    fn strengthening_tightens() {
-        let t = topo::line(2, 0.5); // slow edge: bottleneck matters
-        let p = paths::bfs_shortest_path(&t.graph, NodeId(0), NodeId(1)).unwrap();
-        let inst = Instance::new(
-            t.graph,
-            vec![Coflow::new(
-                1.0,
-                vec![FlowSpec::with_path(NodeId(0), NodeId(1), 4.0, 0.0, p)],
-            )],
-        );
-        let base = solve_given_paths_lp(&inst, &GivenPathsLpConfig::default()).unwrap();
-        let strong = solve_given_paths_lp(
-            &inst,
-            &GivenPathsLpConfig {
-                strengthen: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(strong.objective >= base.objective - 1e-9);
-        // σ/bottleneck = 8: strengthened LP must see at least that.
-        assert!(strong.objective >= 8.0 - 1e-6);
     }
 
     #[test]

@@ -3,5 +3,6 @@
 
 pub mod lp_free;
 pub mod lp_given;
+pub(crate) mod path_lp;
 pub mod round_free;
 pub mod round_given;

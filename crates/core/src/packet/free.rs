@@ -21,14 +21,22 @@
 //!
 //! The exact time-expanded LP of the paper is implemented separately in
 //! [`crate::packet::timexp_lp`] and used in tests as the reference bound.
+//!
+//! [`route_and_schedule`] is the one builder of the packet interval LP: a
+//! packet that carries a prescribed path has a one-candidate path set, so
+//! §3.1 ([`crate::packet::jobshop::schedule_given_paths`]) is this pipeline
+//! on a fully routed instance. Of the circuit LPs it shares only the `C_i`
+//! helper: its capacity rows are cumulative and its columns start at a
+//! path-dependent interval.
 
+use crate::circuit::path_lp::coflow_completion_vars;
 use crate::intervals::IntervalGrid;
 use crate::model::Instance;
 use crate::objective::{metrics, Metrics};
 use crate::packet::jobshop::{horizon_steps, schedule_blocks, BlockStats};
 use crate::schedule::PacketSchedule;
 use coflow_lp::{LpError, Model, SolverOptions, VarId};
-use coflow_net::{paths as netpaths, EdgeId, Path};
+use coflow_net::{paths as netpaths, Path};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -62,7 +70,7 @@ impl Default for PacketFreeConfig {
     }
 }
 
-/// Result of the §3.2 pipeline.
+/// Result of the packet pipeline (§3.2, and §3.1 through it).
 #[derive(Clone, Debug)]
 pub struct PacketFreeResult {
     /// Selected route per packet.
@@ -77,7 +85,9 @@ pub struct PacketFreeResult {
     pub blocks: Vec<BlockStats>,
 }
 
-/// Routes and schedules a packet instance.
+/// Routes and schedules a packet instance. A packet that carries a
+/// prescribed path keeps it (a one-candidate path set), which is how §3.1
+/// ([`crate::packet::jobshop::schedule_given_paths`]) runs through here.
 pub fn route_and_schedule(
     instance: &Instance,
     cfg: &PacketFreeConfig,
@@ -87,25 +97,12 @@ pub fn route_and_schedule(
     let nf = instance.flow_count();
     let g = &instance.graph;
     let mut m = Model::new();
+    let c_cof = coflow_completion_vars(&mut m, instance);
 
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    let mut c_flow = Vec::with_capacity(nf);
     let mut cand: Vec<Vec<Path>> = Vec::with_capacity(nf);
-    // xv[flat][path][interval]
-    let mut xv: Vec<Vec<Vec<Option<VarId>>>> = Vec::with_capacity(nf);
+    // xv[flat][path] = (first usable interval, one variable per interval
+    // from there on).
+    let mut xv: Vec<Vec<(usize, Vec<VarId>)>> = Vec::with_capacity(nf);
 
     for (id, flat, spec) in instance.flows() {
         let ps = match &spec.path {
@@ -122,58 +119,51 @@ pub fn route_and_schedule(
             f64::INFINITY,
             format!("c{flat}"),
         );
-        c_flow.push(cf);
 
-        let mut rows = Vec::with_capacity(ps.len());
-        for (pi, p) in ps.iter().enumerate() {
-            let mut row = vec![None; nl];
-            // Dilation (29): a packet using path p can only complete in
-            // intervals whose end allows r + |p| steps.
-            let first = grid.first_usable(spec.release.ceil() + p.len() as f64);
-            for (l, slot) in row.iter_mut().enumerate().take(nl).skip(first) {
-                *slot = Some(m.add_unit(0.0, format!("x{flat}:{pi}:{l}")));
-            }
-            rows.push(row);
-        }
-        let terms: Vec<_> = rows
+        // Dilation (29): a packet using path p can only complete in
+        // intervals whose end allows r + |p| steps.
+        let cols: Vec<(usize, Vec<VarId>)> = ps
             .iter()
-            .flat_map(|r| r.iter().flatten().map(|&v| (v, 1.0)))
+            .enumerate()
+            .map(|(pi, p)| {
+                let first = grid.first_usable(spec.release.ceil() + p.len() as f64);
+                let vars = (first..nl)
+                    .map(|l| m.add_unit(0.0, format!("x{flat}:{pi}:{l}")))
+                    .collect();
+                (first, vars)
+            })
+            .collect();
+        let terms: Vec<_> = cols
+            .iter()
+            .flat_map(|(_, vars)| vars.iter().map(|&v| (v, 1.0)))
             .collect();
         m.eq(&terms, 1.0);
-        let mut terms: Vec<_> = rows
+        let mut terms: Vec<_> = cols
             .iter()
-            .flat_map(|r| {
-                r.iter()
-                    .enumerate()
-                    .filter_map(|(l, v)| v.map(|id| (id, grid.lower(l))))
-            })
+            .flat_map(|(first, vars)| (*first..nl).zip(vars).map(|(l, &v)| (v, grid.lower(l))))
             .collect();
         terms.push((cf, -1.0));
         m.le(&terms, 0.0);
         m.le(&[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)], 0.0);
 
         cand.push(ps);
-        xv.push(rows);
+        xv.push(cols);
     }
 
-    // Cumulative congestion (28): per edge and interval.
-    let ne = g.edge_count();
+    // Cumulative congestion (28): per edge and interval, the packets that
+    // finish by τ_{ℓ+1} over a path through the edge number at most τ_{ℓ+1}.
     for l in 0..nl {
-        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
-        for flat in 0..nf {
-            for (pi, p) in cand[flat].iter().enumerate() {
-                for (t, slot) in xv[flat][pi].iter().enumerate().take(l + 1) {
-                    if let Some(v) = slot {
-                        let _ = t;
-                        for &e in p.edges.iter() {
-                            per_edge[e.index()].push((*v, 1.0));
-                        }
+        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.edge_count()];
+        for (paths, cols) in cand.iter().zip(&xv) {
+            for (p, (first, vars)) in paths.iter().zip(cols) {
+                for &v in vars.iter().take((l + 1).saturating_sub(*first)) {
+                    for &e in p.edges.iter() {
+                        per_edge[e.index()].push((v, 1.0));
                     }
                 }
             }
         }
-        for (ei, terms) in per_edge.iter().enumerate() {
-            let _ = EdgeId(ei as u32);
+        for terms in &per_edge {
             // Unit coefficients on [0,1] vars: prune rows that cannot bind.
             if terms.len() as f64 > grid.upper(l) {
                 m.le(terms, grid.upper(l));
@@ -185,31 +175,31 @@ pub fn route_and_schedule(
 
     // Half-interval + path sampling per packet.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut half = vec![0usize; nf];
+    let mut half = Vec::with_capacity(nf);
     let mut chosen: Vec<Path> = Vec::with_capacity(nf);
-    for flat in 0..nf {
-        // Cumulative over intervals of total mass (all paths).
+    for (paths, cols) in cand.iter().zip(&xv) {
+        // The α-interval: cumulative mass over intervals, all paths.
         let mut acc = 0.0;
         let mut h = nl - 1;
-        'outer: for l in 0..nl {
-            for row in &xv[flat] {
-                if let Some(v) = row[l] {
-                    acc += sol.value(v);
+        for l in 0..nl {
+            for (first, vars) in cols {
+                if l >= *first {
+                    acc += sol.value(vars[l - first]);
                 }
             }
             if acc >= cfg.alpha - 1e-9 {
                 h = l;
-                break 'outer;
+                break;
             }
         }
-        half[flat] = h;
+        half.push(h);
         // Path weights: mass accumulated up to the half interval.
-        let weights: Vec<f64> = xv[flat]
+        let weights: Vec<f64> = cols
             .iter()
-            .map(|row| {
-                row.iter()
-                    .take(h + 1)
-                    .map(|v| v.map(|id| sol.value(id)).unwrap_or(0.0))
+            .map(|(first, vars)| {
+                vars.iter()
+                    .take((h + 1).saturating_sub(*first))
+                    .map(|&v| sol.value(v))
                     .sum()
             })
             .collect();
@@ -228,7 +218,7 @@ pub fn route_and_schedule(
             }
             idx
         };
-        chosen.push(cand[flat][pick].clone());
+        chosen.push(paths[pick].clone());
     }
 
     let (schedule, blocks) = schedule_blocks(instance, &half, |flat| chosen[flat].clone());

@@ -13,14 +13,20 @@
 //! 2. assign every packet to its α-interval;
 //! 3. schedule each block with the greedy `C+D` list scheduler
 //!    ([`crate::packet::listsched`]), blocks back-to-back.
+//!
+//! Steps 1 and 2 are an instance of the §3.2 pipeline: a prescribed path is
+//! a one-candidate path set, so [`schedule_given_paths`] is
+//! [`route_and_schedule`] on an instance whose packets all carry their path
+//! — the same LP builder, the same α-interval extraction, and a path
+//! "choice" that can only return the prescribed path. This module keeps
+//! what both halves share downstream of the LP: the step horizon and the
+//! block scheduler.
 
-use crate::intervals::IntervalGrid;
 use crate::model::Instance;
-use crate::objective::{metrics, Metrics};
+use crate::packet::free::{route_and_schedule, PacketFreeConfig, PacketFreeResult};
 use crate::packet::listsched::{list_schedule, PacketTask};
 use crate::schedule::PacketSchedule;
-use coflow_lp::{LpError, Model, SolverOptions, VarId};
-use coflow_net::EdgeId;
+use coflow_lp::{LpError, SolverOptions};
 
 /// Configuration of the packet LP + rounding.
 #[derive(Clone, Debug)]
@@ -56,152 +62,30 @@ pub struct BlockStats {
     pub end: u64,
 }
 
-/// Result of the §3.1 pipeline.
-#[derive(Clone, Debug)]
-pub struct PacketResult {
-    /// The feasible packet schedule.
-    pub schedule: PacketSchedule,
-    /// LP optimum (lower bound per Lemma 7).
-    pub lp_objective: f64,
-    /// Realized objective metrics.
-    pub metrics: Metrics,
-    /// Block accounting.
-    pub blocks: Vec<BlockStats>,
-}
-
-/// Shared LP core for §3.1/§3.2: interval variables per (flow, path-length,
-/// usable interval) with cumulative congestion rows. The path is fixed here;
-/// the free-paths module builds its own variant with path choice.
+/// Schedules a packet instance whose packets all carry prescribed paths
+/// (which the result's `paths` repeat).
+///
+/// # Errors
+/// [`LpError::Numerical`] for a packet without a prescribed path;
+/// otherwise whatever the LP solve reports.
 pub fn schedule_given_paths(
     instance: &Instance,
     cfg: &PacketConfig,
-) -> Result<PacketResult, LpError> {
-    assert!(
-        instance.has_all_paths(),
-        "§3.1 requires paths on every packet"
-    );
-    let grid = IntervalGrid::cover(cfg.eps, horizon_steps(instance));
-    let nl = grid.count();
-    let nf = instance.flow_count();
-    let g = &instance.graph;
-    let mut m = Model::new();
-
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
-
-    let mut c_flow = Vec::with_capacity(nf);
-    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; nl]; nf];
-    for (id, flat, spec) in instance.flows() {
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-        let plen = spec.path.as_ref().unwrap().len() as f64;
-        // Dilation: completion >= release + path length (each edge takes a
-        // step). The earliest usable interval must end at or after that.
-        let earliest_done = spec.release.ceil() + plen;
-        let cf = m.add_var(
-            0.0,
-            earliest_done.max(0.0),
-            f64::INFINITY,
-            format!("c{flat}"),
-        );
-        c_flow.push(cf);
-        let first = grid.first_usable(earliest_done);
-        for (l, slot) in x[flat].iter_mut().enumerate().skip(first) {
-            *slot = Some(m.add_unit(0.0, format!("x{flat}:{l}")));
-        }
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-        let terms: Vec<_> = (first..nl).map(|l| (x[flat][l].unwrap(), 1.0)).collect();
-        m.eq(&terms, 1.0);
-        #[allow(clippy::unwrap_used)]
-        let mut terms: Vec<_> = (first..nl)
-            // lint: allow(no_panic) — x[flat][l] is Some for every l >= first (loop above)
-            .map(|l| (x[flat][l].unwrap(), grid.lower(l)))
-            .collect();
-        terms.push((cf, -1.0));
-        m.le(&terms, 0.0);
-        m.le(&[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)], 0.0);
+) -> Result<PacketFreeResult, LpError> {
+    if let Some((_, flat, _)) = instance.flows().find(|(_, _, s)| s.path.is_none()) {
+        return Err(LpError::Numerical(format!(
+            "packet {flat} has no prescribed path"
+        )));
     }
-
-    // Cumulative congestion (28): for every edge e and interval ℓ, the
-    // packets that finish by τ_{ℓ+1} and traverse e number at most τ_{ℓ+1}.
-    let mut users: Vec<Vec<usize>> = vec![Vec::new(); g.edge_count()];
-    for (_, flat, spec) in instance.flows() {
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-        for &e in spec.path.as_ref().unwrap().edges.iter() {
-            users[e.index()].push(flat);
-        }
-    }
-    for (ei, flows) in users.iter().enumerate() {
-        if flows.is_empty() {
-            continue;
-        }
-        let _ = EdgeId(ei as u32);
-        for l in 0..nl {
-            let mut terms = Vec::new();
-            for &flat in flows {
-                for (t, slot) in x[flat].iter().enumerate().take(l + 1) {
-                    if let Some(v) = slot {
-                        terms.push((*v, 1.0));
-                        let _ = t;
-                    }
-                }
-            }
-            // Unit coefficients on [0,1] vars: prune rows that cannot bind.
-            if terms.len() as f64 > grid.upper(l) {
-                m.le(&terms, grid.upper(l));
-            }
-        }
-    }
-
-    let sol = m.solve_with(&cfg.solver)?;
-
-    // α-point per packet.
-    let mut half = vec![0usize; nf];
-    for flat in 0..nf {
-        let mut acc = 0.0;
-        let mut h = nl - 1;
-        for (l, slot) in x[flat].iter().enumerate() {
-            if let Some(v) = slot {
-                acc += sol.value(*v);
-                if acc >= cfg.alpha - 1e-9 {
-                    h = l;
-                    break;
-                }
-            }
-        }
-        half[flat] = h;
-    }
-
-    #[allow(clippy::unwrap_used)]
-    let (schedule, blocks) = schedule_blocks(instance, &half, |flat| {
-        instance
-            .flow(instance.id_of_flat(flat))
-            .path
-            .clone()
-            // lint: allow(no_panic) — the job-shop pipeline requires prescribed paths
-            .unwrap()
-    });
-    let completions = schedule.completion_times(instance);
-    let mets = metrics(instance, &completions);
-    Ok(PacketResult {
-        schedule,
-        lp_objective: sol.objective,
-        metrics: mets,
-        blocks,
-    })
+    route_and_schedule(
+        instance,
+        &PacketFreeConfig {
+            eps: cfg.eps,
+            alpha: cfg.alpha,
+            solver: cfg.solver.clone(),
+            ..Default::default()
+        },
+    )
 }
 
 /// A safe step horizon for packet instances: all packets one-at-a-time.
@@ -298,6 +182,19 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         assert!(r.metrics.weighted_sum > 0.0);
         assert!(!r.blocks.is_empty());
+    }
+
+    /// §3.1 needs a path on every packet; one without is a typed error,
+    /// never a panic.
+    #[test]
+    fn packet_without_path_is_an_error() {
+        let mut inst = grid_instance(&[((0, 8), 0.0), ((2, 6), 0.0)]);
+        inst.coflows[1].flows[0].path = None;
+        let err = schedule_given_paths(&inst, &PacketConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, LpError::Numerical(msg) if msg.contains("packet 1 has no prescribed path")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! instead of geometric intervals (tighter, but `O(F·T·(E+V))` variables —
 //! hence tests-only).
 
+use crate::circuit::path_lp::coflow_completion_vars;
 use crate::model::Instance;
-use coflow_lp::{LpError, Model, SolveStats, SolverOptions, VarId, WarmChain};
+use coflow_lp::{LpError, Model, SolverOptions, VarId};
 use coflow_net::TimeExpandedGraph;
 
 /// Solves the time-expanded LP with horizon `T` steps.
@@ -25,50 +26,19 @@ pub fn packet_lp_lower_bound(
     horizon: usize,
     solver: &SolverOptions,
 ) -> Result<f64, LpError> {
-    packet_lp_lower_bound_warm(instance, horizon, solver, &mut WarmChain::new()).map(|(o, _)| o)
-}
-
-/// [`packet_lp_lower_bound`] warm-started through `chain`, additionally
-/// returning the solver statistics.
-///
-/// The time-expanded graph is built timestamp-major, so expanded edge ids —
-/// and with them every `z` variable name — are stable when the horizon
-/// grows. Threading one [`WarmChain`] through a growing horizon sequence
-/// (e.g. probing for the smallest `T` that stops lowering the bound) reuses
-/// each optimal basis instead of cold-starting every solve.
-pub fn packet_lp_lower_bound_warm(
-    instance: &Instance,
-    horizon: usize,
-    solver: &SolverOptions,
-    chain: &mut WarmChain,
-) -> Result<(f64, SolveStats), LpError> {
     assert!(horizon >= 1);
     let g = &instance.graph;
     // Queue edges are effectively uncapacitated (no LP row is generated for
     // them); the graph builder requires a finite value.
     let tx = TimeExpandedGraph::build(g, horizon, 1e12);
     let mut m = Model::new();
-
-    let c_cof: Vec<VarId> = instance
-        .coflows
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            m.add_var(
-                c.weight,
-                c.earliest_release().max(0.0),
-                f64::INFINITY,
-                format!("C{i}"),
-            )
-        })
-        .collect();
+    let c_cof = coflow_completion_vars(&mut m, instance);
 
     // Per flow: z variables on expanded edges (skip edges out of the
     // destination and edges before the release), arrival bookkeeping.
     let nf = instance.flow_count();
     // lint: allow(hash_order) — per-flow var maps are lookup-only, never iterated
     let mut z: Vec<std::collections::HashMap<u32, VarId>> = Vec::with_capacity(nf);
-    let mut c_flow = Vec::with_capacity(nf);
 
     for (id, flat, spec) in instance.flows() {
         let rel = spec.release.ceil() as usize;
@@ -157,7 +127,6 @@ pub fn packet_lp_lower_bound_warm(
             &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
             format!("prec{flat}"),
         );
-        c_flow.push(cf);
         z.push(vars);
     }
 
@@ -177,8 +146,7 @@ pub fn packet_lp_lower_bound_warm(
         }
     }
 
-    let sol = chain.solve(&m, solver)?;
-    Ok((sol.objective, sol.stats))
+    Ok(m.solve_with(solver)?.objective)
 }
 
 #[cfg(test)]
@@ -251,30 +219,6 @@ mod tests {
         // Best: heavy packet direct (arrives 1), light detours (arrives 2):
         // 5*1 + 1*2 = 7.
         assert!((lb - 7.0).abs() < 1e-5, "bound {lb}");
-    }
-
-    /// A growing time horizon warm-started through one chain: the bound at
-    /// each horizon matches the cold solve, and the chain reports warm
-    /// starts taken.
-    #[test]
-    fn warm_chain_on_growing_horizons_matches_cold() {
-        let t = topo::line(3, 1.0);
-        let mk = || Coflow::new(1.0, vec![FlowSpec::new(NodeId(0), NodeId(2), 1.0, 0.0)]);
-        let inst = Instance::new(t.graph.clone(), vec![mk(), mk()]);
-        let opts = SolverOptions::default();
-        let horizons = [6usize, 8, 10];
-
-        let mut chain = WarmChain::new();
-        let mut warm = Vec::new();
-        for &h in &horizons {
-            let (obj, _) = packet_lp_lower_bound_warm(&inst, h, &opts, &mut chain).unwrap();
-            warm.push(obj);
-        }
-        assert_eq!(chain.stats().warm_used, horizons.len() - 1);
-        for (&h, w) in horizons.iter().zip(&warm) {
-            let cold = packet_lp_lower_bound(&inst, h, &opts).unwrap();
-            assert!((w - cold).abs() < 1e-6, "T={h}: warm {w} vs cold {cold}");
-        }
     }
 
     /// A horizon too small for the contention level is `Infeasible`.

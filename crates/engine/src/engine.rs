@@ -21,7 +21,7 @@
 
 use crate::epoch::EpochTrigger;
 use crate::metrics::{EngineMetrics, EpochRecord};
-use crate::policy::{EpochPlan, EpochView, OnlinePolicy, RatePlan};
+use crate::policy::{greedy_plan, EpochPlan, EpochView, OnlinePolicy, RatePlan};
 use crate::trace::ArrivalTrace;
 use coflow_core::objective::{metrics, Metrics};
 use coflow_core::residual::ResidualState;
@@ -39,9 +39,6 @@ pub struct EngineConfig {
     /// Relative volume tolerance for deeming a flow complete (matches
     /// [`coflow_sim::fluid::SimConfig::vol_eps`]).
     pub vol_eps: f64,
-    /// What to do when the policy fails to plan an epoch (see
-    /// [`RecoveryPolicy`]).
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for EngineConfig {
@@ -49,82 +46,13 @@ impl Default for EngineConfig {
         Self {
             trigger: EpochTrigger::default(),
             vol_eps: 1e-9,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
 
-/// The solver-free policy the degradation ladder's last rung plans with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Shortest-remaining-coflow-first ([`crate::policy::Greedy`]).
-    #[default]
-    Greedy,
-    /// Weighted max–min fair sharing ([`crate::policy::WeightedFair`]).
-    WeightedFair,
-    /// Admission order ([`crate::policy::Fifo`]).
-    Fifo,
-}
-
-impl FallbackPolicy {
-    /// Display name recorded in the epoch log.
-    pub fn name(self) -> &'static str {
-        match self {
-            FallbackPolicy::Greedy => "Greedy",
-            FallbackPolicy::WeightedFair => "WeightedFair",
-            FallbackPolicy::Fifo => "Fifo",
-        }
-    }
-
-    fn plan(self, view: &EpochView<'_>) -> EpochPlan {
-        use crate::policy::{Fifo, Greedy, WeightedFair};
-        let planned = match self {
-            FallbackPolicy::Greedy => Greedy.plan(view),
-            FallbackPolicy::WeightedFair => WeightedFair.plan(view),
-            FallbackPolicy::Fifo => Fifo.plan(view),
-        };
-        // lint: allow(no_panic) — the solver-free policies never return Err
-        planned.expect("solver-free fallback policies are infallible")
-    }
-}
-
-/// Per-epoch degradation ladder: what the engine does when
-/// [`OnlinePolicy::plan`] fails.
-///
-/// The rungs, in order:
-/// 1. **retry** the primary policy up to `retry` more times in the same
-///    epoch (retries matter: LP failures are often transient — a warm
-///    basis gone bad, an injected fault window, a budget raced by arrival
-///    bursts);
-/// 2. **reuse the standing plan** (`reuse_last_plan`): keep the previous
-///    epoch's rate discipline, route newly arrived flows by BFS, and track
-///    how stale the reused plan was;
-/// 3. **fall back** to a solver-free policy (`fallback`) for this epoch —
-///    always succeeds, so a run never dies at a plan failure.
-///
-/// Every degraded epoch is recorded in the epoch log, the aggregate
-/// [`EngineMetrics`] (`degraded_epochs`, `fallback_policy_uses`,
-/// `stale_schedule_ms`), and the engine trace (a `fallback` span plus the
-/// `degraded_epochs` / `policy_fallbacks` counters).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Same-epoch retries of the primary policy after a failure.
-    pub retry: usize,
-    /// Reuse the previous epoch's plan before falling back.
-    pub reuse_last_plan: bool,
-    /// The ladder's last rung.
-    pub fallback: FallbackPolicy,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            retry: 1,
-            reuse_last_plan: true,
-            fallback: FallbackPolicy::Greedy,
-        }
-    }
-}
+/// Same-epoch retries of the primary policy after a plan failure, the
+/// first rung of the degradation ladder (see [`run_trace`]).
+const PLAN_RETRIES: usize = 1;
 
 /// Result of an engine run.
 #[derive(Clone, Debug)]
@@ -167,6 +95,23 @@ pub fn run(
 /// no earlier than `max(its release, its coflow's trace arrival)`, so
 /// traces can batch or delay admissions relative to the instance.
 ///
+/// **Degradation ladder.** A failed [`OnlinePolicy::plan`] is an
+/// epoch-local event, not a run failure. The rungs, in order:
+/// 1. **retry** the primary policy once more in the same epoch (LP
+///    failures are often transient — a warm basis gone bad, an injected
+///    fault window, a budget raced by arrival bursts);
+/// 2. **reuse the standing plan**: keep the previous epoch's rate
+///    discipline, route newly arrived flows by BFS, and track how stale the
+///    reused plan was;
+/// 3. with no standing plan, **fall back** to the solver-free
+///    [`Greedy`](crate::policy::Greedy) policy for this epoch — it always
+///    succeeds, so a run never dies at a plan failure.
+///
+/// Every degraded epoch is recorded in the epoch log, the aggregate
+/// [`EngineMetrics`] (`degraded_epochs`, `fallback_policy_uses`,
+/// `stale_schedule_ms`), and the engine trace (a `fallback` span plus the
+/// `degraded_epochs` / `policy_fallbacks` counters).
+///
 /// # Panics
 /// * if the trace does not cover every coflow exactly once;
 /// * if the policy tries to re-route a committed flow;
@@ -207,7 +152,7 @@ pub fn run_trace(
     };
     // Degradation-ladder state: when the standing plan was computed and
     // whether one exists at all (rung 2 reuses it; without one the ladder
-    // goes straight to the fallback policy).
+    // goes straight to the Greedy fallback).
     let mut plan_birth = 0.0_f64;
     let mut have_plan = false;
     let mut epoch_log: Vec<EpochRecord> = Vec::new();
@@ -268,10 +213,10 @@ pub fn run_trace(
                     residual,
                     paths: &paths_opt,
                 };
-                // --- Degradation ladder (see RecoveryPolicy). ---
+                // --- Degradation ladder (see the function docs). ---
                 let mut retries = 0usize;
                 let mut fresh = policy.plan(&view);
-                while fresh.is_err() && retries < cfg.recovery.retry {
+                while fresh.is_err() && retries < PLAN_RETRIES {
                     retries += 1;
                     rec.bump(ObsCounter::Recoveries, 1);
                     fresh = policy.plan(&view);
@@ -288,7 +233,7 @@ pub fn run_trace(
                     Err(e) => {
                         rec.enter(SpanName::Fallback);
                         rec.bump(ObsCounter::DegradedEpochs, 1);
-                        if cfg.recovery.reuse_last_plan && have_plan {
+                        if have_plan {
                             // Rung 2: keep the standing rate discipline,
                             // but flows that arrived after it was computed
                             // still need routes to make progress.
@@ -300,11 +245,10 @@ pub fn run_trace(
                             // fallback policy.
                             rec.bump(ObsCounter::PolicyFallbacks, 1);
                             fallback = true;
-                            plan = cfg.recovery.fallback.plan(&view);
+                            plan = greedy_plan(&view);
                             plan_birth = t;
                             have_plan = true;
-                            degraded =
-                                Some(format!("fallback {}: {e}", cfg.recovery.fallback.name()));
+                            degraded = Some(format!("fallback Greedy: {e}"));
                         }
                         rec.exit();
                     }

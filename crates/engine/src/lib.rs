@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod policy;
 pub mod trace;
 
-pub use engine::{run, run_trace, EngineConfig, EngineOutcome, FallbackPolicy, RecoveryPolicy};
+pub use engine::{run, run_trace, EngineConfig, EngineOutcome};
 pub use epoch::EpochTrigger;
 pub use metrics::{EngineMetrics, EpochRecord};
 pub use policy::{

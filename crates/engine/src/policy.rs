@@ -67,8 +67,8 @@ pub struct EpochPlan {
 ///
 /// A plan failure is an *epoch-local* event, not a run failure: the engine
 /// answers it with its degradation ladder (retry → reuse the standing plan
-/// → fall back to a solver-free policy — see
-/// [`RecoveryPolicy`](crate::engine::RecoveryPolicy)).
+/// → fall back to the solver-free [`Greedy`] — see
+/// [`run_trace`](crate::engine::run_trace)).
 #[derive(Clone, Debug, PartialEq)]
 pub enum PolicyError {
     /// The LP re-solve failed (numerical breakdown past the solver's own
@@ -200,19 +200,25 @@ impl OnlinePolicy for Greedy {
     }
 
     fn plan(&mut self, view: &EpochView<'_>) -> Result<EpochPlan, PolicyError> {
-        let inst = &view.residual.instance;
-        let mut ranked: Vec<usize> = (0..inst.coflow_count()).collect();
-        ranked.sort_by(|&a, &b| {
-            inst.coflows[a]
-                .total_size()
-                .partial_cmp(&inst.coflows[b].total_size())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        Ok(EpochPlan {
-            routes: route_missing(view),
-            rates: RatePlan::Ordered(order_by_coflows(view.residual, &ranked)),
-        })
+        Ok(greedy_plan(view))
+    }
+}
+
+/// [`Greedy`]'s plan. Infallible, which is what lets the engine end its
+/// degradation ladder on it.
+pub(crate) fn greedy_plan(view: &EpochView<'_>) -> EpochPlan {
+    let inst = &view.residual.instance;
+    let mut ranked: Vec<usize> = (0..inst.coflow_count()).collect();
+    ranked.sort_by(|&a, &b| {
+        inst.coflows[a]
+            .total_size()
+            .partial_cmp(&inst.coflows[b].total_size())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    EpochPlan {
+        routes: route_missing(view),
+        rates: RatePlan::Ordered(order_by_coflows(view.residual, &ranked)),
     }
 }
 

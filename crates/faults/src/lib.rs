@@ -4,7 +4,7 @@
 //! chaos harness that proves the pipeline survives it.
 //!
 //! The production crates expose the *hook points* (`coflow_lp::FaultHook`,
-//! the engine's [`RecoveryPolicy`](coflow_engine::RecoveryPolicy) ladder);
+//! the engine's degradation ladder in [`coflow_engine::run_trace`]);
 //! this crate supplies the *faults*:
 //!
 //! * [`plan`] — [`plan::FaultPlan`], a seeded plan of solver faults

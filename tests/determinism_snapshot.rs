@@ -1,11 +1,14 @@
 //! Byte-reproducibility audit for the full pipeline (coflow-lint rule L3's
 //! end-to-end counterpart): generate a seeded instance, solve the free-paths
-//! LP, round it, run the online engine, and serialize everything —
+//! LP (eager and by column generation), round it, run the online engine
+//! under both column modes, and serialize everything —
 //! twice, in the same process — and require the two serializations to be
 //! *byte-identical*. Any nondeterminism (hash-map iteration leaking into
 //! output order, unseeded randomness, time-dependent tie-breaks) shows up
 //! here as a diff, not as a flaky downstream test.
 
+use coflow::algo::intervals::IntervalGrid;
+use coflow::lp::WarmChain;
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};
 use coflow::workloads::io::to_json;
@@ -35,6 +38,26 @@ fn snapshot_instance() -> Instance {
     instance
 }
 
+fn edge_list(p: &coflow::net::Path) -> String {
+    let edges: Vec<String> = p.edges.iter().map(|e| e.0.to_string()).collect();
+    edges.join(",")
+}
+
+/// An online run's completions, routes, objective and epoch count.
+fn push_engine_outcome(out: &mut String, outcome: &EngineOutcome) {
+    for (i, c) in outcome.flow_completion.iter().enumerate() {
+        out.push_str(&format!("done[{i}] {}\n", bits(*c)));
+    }
+    for (i, p) in outcome.paths.iter().enumerate() {
+        out.push_str(&format!("route[{i}] {}\n", edge_list(p)));
+    }
+    out.push_str(&format!(
+        "weighted_sum {}\nepochs {}\n",
+        bits(outcome.metrics.weighted_sum),
+        outcome.engine.epochs
+    ));
+}
+
 /// One full pipeline run serialized into a canonical byte string.
 fn pipeline_snapshot() -> String {
     let instance = snapshot_instance();
@@ -62,8 +85,7 @@ fn pipeline_snapshot() -> String {
     let rounding = round_free_paths(&instance, &lp, &FreeRoundingConfig::default());
     out.push_str("== rounding ==\n");
     for (i, p) in rounding.paths.iter().enumerate() {
-        let edges: Vec<String> = p.edges.iter().map(|e| e.0.to_string()).collect();
-        out.push_str(&format!("path[{i}] {}\n", edges.join(",")));
+        out.push_str(&format!("path[{i}] {}\n", edge_list(p)));
     }
     for (i, s) in rounding.rounded.schedule.flows.iter().enumerate() {
         for seg in &s.segments {
@@ -80,18 +102,45 @@ fn pipeline_snapshot() -> String {
     let mut policy = LpOrder::default();
     let outcome = run_online(&instance, &mut policy, &EngineConfig::default());
     out.push_str("== engine ==\n");
-    for (i, c) in outcome.flow_completion.iter().enumerate() {
-        out.push_str(&format!("done[{i}] {}\n", bits(*c)));
-    }
-    for (i, p) in outcome.paths.iter().enumerate() {
-        let edges: Vec<String> = p.edges.iter().map(|e| e.0.to_string()).collect();
-        out.push_str(&format!("route[{i}] {}\n", edges.join(",")));
-    }
+    push_engine_outcome(&mut out, &outcome);
+
+    // 4. The delayed column mode: the oracle fan-out honors
+    // `SolverOptions::threads` too, and injects serially in item order, so
+    // the objective bits, the round and column counts and every pool
+    // group's paths — in insertion order — must not move either.
+    let cg_cfg = FreePathsLpConfig {
+        columns: ColumnMode::Delayed,
+        ..Default::default()
+    };
+    let grid = IntervalGrid::cover(cg_cfg.eps, instance.horizon());
+    let mut pool = PathPool::new();
+    let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
+        &instance,
+        &cg_cfg,
+        grid,
+        &mut WarmChain::new(),
+        &mut pool,
+    )
+    .expect("generated instance is feasible");
+    out.push_str("== colgen ==\n");
     out.push_str(&format!(
-        "weighted_sum {}\nepochs {}\n",
-        bits(outcome.metrics.weighted_sum),
-        outcome.engine.epochs
+        "objective {}\nrounds {}\ngenerated_cols {}\nfinal_cols {}\n",
+        bits(cg.base.objective),
+        stats.rounds,
+        stats.generated_cols,
+        stats.final_cols
     ));
+    for g in 0..pool.group_count() {
+        for (pi, p) in pool.group(g).iter().enumerate() {
+            out.push_str(&format!("pool[{g}][{pi}] {}\n", edge_list(p)));
+        }
+    }
+
+    // 5. The online engine again, re-solving by pooled column generation.
+    let mut policy = LpOrder::colgen(FreePathsLpConfig::default(), FreeRoundingConfig::default());
+    let outcome = run_online(&instance, &mut policy, &EngineConfig::default());
+    out.push_str("== engine colgen ==\n");
+    push_engine_outcome(&mut out, &outcome);
     out
 }
 

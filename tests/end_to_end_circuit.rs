@@ -4,6 +4,7 @@
 
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};
+use coflow::workloads::io::{from_json, to_json};
 
 fn small_cfg(seed: u64) -> GenConfig {
     GenConfig {
@@ -213,4 +214,58 @@ fn switch_model_composes_with_simulator() {
     // The heavy singleton coflow should finish first.
     let c = &out.metrics.coflow_completion;
     assert!(c[1] <= c[0] + 1e-9, "heavy coflow delayed: {c:?}");
+}
+
+/// An empty coflow — `"flows": []`, which `io::from_json` accepts and
+/// `Instance::validate` only reports — has no release time. Every LP gives
+/// it the completion bound 0 (the given-paths LP always did; the others
+/// asked the solver for a variable with lower bound `+∞` and panicked),
+/// and so do the engine runs that re-solve those LPs.
+#[test]
+fn empty_coflow_completes_at_zero_in_every_circuit_lp() {
+    let t = coflow::net::topo::triangle();
+    let (x, y) = (t.hosts[0], t.hosts[1]);
+    let built = Instance::new(
+        t.graph,
+        vec![
+            Coflow::new(1.0, vec![FlowSpec::new(x, y, 2.0, 0.0)]),
+            Coflow::new(1.0, vec![]),
+        ],
+    );
+    let inst = from_json(&to_json(&built).unwrap()).unwrap();
+    assert!(inst.coflows[1].flows.is_empty());
+
+    let cfg = FreePathsLpConfig {
+        path_slack: 1,
+        ..Default::default()
+    };
+    let delayed = FreePathsLpConfig {
+        columns: ColumnMode::Delayed,
+        ..cfg.clone()
+    };
+    let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
+    for lp in [
+        &solve_free_paths_lp_edges(&inst, &cfg).unwrap(),
+        &eager,
+        &solve_free_paths_lp_paths(&inst, &delayed).unwrap(),
+    ] {
+        assert!(lp.base.coflow_completion[1].abs() < 1e-9);
+    }
+
+    let r = round_free_paths(&inst, &eager, &FreeRoundingConfig::default());
+    let routed = inst.with_paths(&r.paths);
+    assert!(r.rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+    let given = solve_given_paths_lp(&routed, &GivenPathsLpConfig::default()).unwrap();
+    assert!(given.coflow_completion[1].abs() < 1e-9);
+
+    for mut policy in [
+        LpOrder::default(),
+        LpOrder::colgen(cfg, FreeRoundingConfig::default()),
+    ] {
+        let out = run_online(&inst, &mut policy, &EngineConfig::default());
+        let routed = inst.with_paths(&out.paths);
+        assert!(out.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+        assert!(out.metrics.coflow_completion[1].abs() < 1e-9);
+        assert_eq!(out.engine.degraded_epochs, 0);
+    }
 }

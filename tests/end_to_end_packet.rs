@@ -3,6 +3,7 @@
 
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate_packets, GenConfig};
+use coflow::workloads::io::{from_json, to_json};
 
 fn packet_cfg(seed: u64) -> GenConfig {
     GenConfig {
@@ -154,4 +155,44 @@ fn congestion_spreading_beats_hotspot_routing_under_load() {
         spread.metrics.weighted_sum,
         naive.metrics.weighted_sum
     );
+}
+
+/// The packet half of `empty_coflow_completes_at_zero_in_every_circuit_lp`:
+/// §3.2, §3.1 and the exact time-expanded LP all finish an empty coflow
+/// (`"flows": []`) at time 0 instead of panicking on its `+∞` release.
+#[test]
+fn empty_coflow_completes_at_zero_in_every_packet_lp() {
+    let t = coflow::net::topo::grid(2, 2, 1.0);
+    let built = Instance::new(
+        t.graph,
+        vec![
+            Coflow::new(
+                1.0,
+                vec![
+                    FlowSpec::new(t.hosts[0], t.hosts[3], 1.0, 0.0),
+                    FlowSpec::new(t.hosts[1], t.hosts[2], 1.0, 1.0),
+                ],
+            ),
+            Coflow::new(1.0, vec![]),
+        ],
+    );
+    let inst = from_json(&to_json(&built).unwrap()).unwrap();
+    assert!(inst.coflows[1].flows.is_empty());
+
+    let free = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap();
+    assert!(free.schedule.check(&inst).is_empty());
+    assert!(free.metrics.coflow_completion[1].abs() < 1e-9);
+
+    let routed = inst.with_paths(&free.paths);
+    let given = schedule_given_paths(&routed, &PacketConfig::default()).unwrap();
+    assert!(given.schedule.check(&routed).is_empty());
+    assert!(given.metrics.coflow_completion[1].abs() < 1e-9);
+
+    let exact = coflow::algo::packet::timexp_lp::packet_lp_lower_bound(
+        &inst,
+        8,
+        &coflow::lp::SolverOptions::default(),
+    )
+    .unwrap();
+    assert!(exact <= free.metrics.weighted_sum + 1e-6);
 }

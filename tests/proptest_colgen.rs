@@ -3,6 +3,7 @@
 //! full-enumeration optimum and feed the downstream pipeline a solution
 //! whose rounded schedule passes the capacity/release/volume checker.
 
+use coflow::algo::circuit::lp_free::FlowRouting;
 use coflow::algo::intervals::IntervalGrid;
 use coflow::algo::tol;
 use coflow::lp::WarmChain;
@@ -121,6 +122,59 @@ proptest! {
                 .unwrap();
         prop_assert!(stats.generated_cols == 0, "pool must seed everything");
         prop_assert!((first.base.objective - second.base.objective).abs() < 1e-9);
+    }
+
+    /// The online residual shape — some flows committed to a path, the
+    /// rest free — is where both kinds of route list meet in the one
+    /// builder: the two column modes still agree on the optimum, and a
+    /// committed flow keeps exactly its path in both.
+    #[test]
+    fn mixed_prescribed_and_free_flows_agree(
+        topo_pick in 0usize..3,
+        n in 1usize..4,
+        w in 2usize..4,
+        slack in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        let topo = small_topo(topo_pick);
+        let mut inst = generate(&topo, &cfg(n, w, seed));
+        // Commit every coflow's even-numbered flows to their shortest path.
+        for c in &mut inst.coflows {
+            for f in c.flows.iter_mut().step_by(2) {
+                f.path = coflow::net::paths::bfs_shortest_path(&inst.graph, f.src, f.dst);
+                prop_assert!(f.path.is_some());
+            }
+        }
+        prop_assert!(inst.flows().any(|(_, _, f)| f.path.is_none()));
+
+        let eager_cfg = FreePathsLpConfig {
+            path_slack: slack,
+            max_paths: 64,
+            ..Default::default()
+        };
+        let cg_cfg = FreePathsLpConfig {
+            columns: ColumnMode::Delayed,
+            ..eager_cfg.clone()
+        };
+        let eager = solve_free_paths_lp_paths(&inst, &eager_cfg).unwrap();
+        let cg = solve_free_paths_lp_paths(&inst, &cg_cfg).unwrap();
+        prop_assert!(
+            tol::rel_eq(cg.base.objective, eager.base.objective, tol::OBJ_REL_EPS),
+            "colgen {} vs eager {} (topo {topo_pick}, slack {slack})",
+            cg.base.objective,
+            eager.base.objective
+        );
+        for (_, flat, f) in inst.flows() {
+            let Some(p) = &f.path else { continue };
+            for lp in [&eager, &cg] {
+                match &lp.routing[flat] {
+                    FlowRouting::PathWeights { paths, .. } => {
+                        prop_assert!(paths.as_slice() == std::slice::from_ref(p), "flow {flat}")
+                    }
+                    FlowRouting::EdgeFlows(_) => prop_assert!(false, "path LP returned edge flows"),
+                }
+            }
+        }
     }
 }
 
