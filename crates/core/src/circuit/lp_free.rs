@@ -40,7 +40,8 @@ use crate::model::{FlowSpec, Instance};
 use coflow_lp::{
     solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, SolverOptions, VarId, WarmChain,
 };
-use coflow_net::{paths as netpaths, pricing, EdgeId, Path};
+use coflow_net::{paths as netpaths, pricing, EdgeId, NodeId, Path};
+use std::collections::BTreeMap;
 
 /// How the path formulation materializes its columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -310,22 +311,116 @@ pub fn solve_free_paths_lp_paths_on_grid(
     Ok(lp.extract(&sol, sol.iterations))
 }
 
+/// Whether column generation prices routes for this flow. A prescribed
+/// (committed) flow cannot reroute; a zero-size flow puts no load on
+/// capacity rows, so every path column is identical and the seed already
+/// covers it.
+fn is_priced(spec: &FlowSpec) -> bool {
+    spec.path.is_none() && spec.size > 0.0
+}
+
+/// The delayed mode's initial restricted master, and what its rounds price
+/// with.
+struct DelayedMaster {
+    model: Model,
+    lp: PathLp,
+    /// Per flat flow: the most edges one of its routes may have.
+    hop_budget: Vec<usize>,
+    /// Per distinct destination of a priced flow: hops to it from every
+    /// node.
+    to_dst: BTreeMap<NodeId, Vec<usize>>,
+}
+
+impl DelayedMaster {
+    /// Seeds the master: a flow whose path is prescribed gets that path
+    /// alone; any other flow gets every pooled path, its shortest path
+    /// interned first so the pool is never empty. A priced flow also marks
+    /// its hop-feasible edges — `hops(src→u) + 1 + hops(v→dst) <= budget` —
+    /// for the builder to declare capacity rows on. A hop field depends on
+    /// the endpoint alone, so flows share them.
+    fn seed(
+        instance: &Instance,
+        cfg: &FreePathsLpConfig,
+        grid: IntervalGrid,
+        pool: &mut PathPool,
+    ) -> Result<Self, LpError> {
+        let nf = instance.flow_count();
+        let g = &instance.graph;
+        let mut hop_budget = Vec::with_capacity(nf);
+        let mut routes: Vec<Routes> = Vec::with_capacity(nf);
+        let mut from_src: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut to_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut attachable = vec![false; g.edge_count()];
+        for (_, flat, spec) in instance.flows() {
+            match &spec.path {
+                Some(p) => {
+                    hop_budget.push(p.len());
+                    let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
+                    routes.push(vec![(pi, p.clone())]);
+                }
+                None => {
+                    let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
+                        .ok_or_else(|| no_path(flat))?;
+                    let budget = sp.len() + cfg.path_slack;
+                    hop_budget.push(budget);
+                    pool.insert_with(flat, pricing::path_signature(&sp), || sp);
+                    routes.push((0..).zip(pool.group(flat).iter().cloned()).collect());
+                    if !is_priced(spec) {
+                        continue;
+                    }
+                    let from = from_src
+                        .entry(spec.src)
+                        .or_insert_with(|| netpaths::bfs_distances(g, spec.src));
+                    let to = to_dst
+                        .entry(spec.dst)
+                        .or_insert_with(|| netpaths::reverse_bfs_distances(g, spec.dst));
+                    for e in g.edges() {
+                        let (u, v) = g.endpoints(e);
+                        // `usize::MAX` marks an unreachable endpoint.
+                        if from[u.index()].saturating_add(to[v.index()]) < budget {
+                            attachable[e.index()] = true;
+                        }
+                    }
+                }
+            }
+        }
+        let (model, lp) = PathLp::build(instance, grid, routes, CapRows::Attachable(attachable))?;
+        Ok(Self {
+            model,
+            lp,
+            hop_budget,
+            to_dst,
+        })
+    }
+}
+
 /// Solves the path-based §2.2 LP by **delayed column generation**: the
 /// restricted master is the eager builder's model (`PathLp`) over one
-/// shortest path per flow plus every path already interned in `pool`, with
-/// all capacity rows kept, and further paths are generated on demand by a
-/// hop-bounded shortest-path oracle over the master's capacity-row duals
-/// ([`coflow_net::pricing::cheapest_path_hop_bounded`]).
+/// shortest path per flow plus every path already interned in `pool`, and
+/// further paths are generated on demand by a hop-bounded shortest-path
+/// oracle over the master's capacity-row duals
+/// ([`coflow_net::pricing::cheapest_path_hop_bounded_in`]).
 ///
 /// The reduced cost of a candidate column `x_{f,p,ℓ}` is
 /// `−y_sum(f) − τ_ℓ·y_cmp(f) + Σ_{e∈p} (−y_cap(e,ℓ))·(σ_f/len_ℓ)`: the
 /// first two terms are path-independent, and the capacity duals of `Le`
 /// rows are nonpositive at optimality, so the most negative column per
 /// `(flow, interval)` is exactly a cheapest path under nonnegative edge
-/// prices — a Dijkstra/Bellman–Ford call instead of enumeration. The hop
+/// prices — a Bellman–Ford call instead of enumeration. The hop
 /// budget mirrors the eager enumeration (`shortest + path_slack`), so both
 /// modes optimize the same polytope whenever the eager candidate set is
 /// complete, and their objectives agree to solver tolerance.
+///
+/// Both the oracle and the master pay for each flow's **hop-feasible
+/// subgraph**, not for the fabric: with budget `H`, a flow can only ever
+/// use edges `(u, v)` with `hops(src→u) + 1 + hops(v→dst) <= H`. The hop
+/// fields are computed once per distinct endpoint, before the rounds; the
+/// oracle relaxes no edge outside the subgraph, and the master declares
+/// capacity rows only for those edges and the seed routes' — about 2,500
+/// of a k=16 fat-tree's 6,144 edges for 40 flows, under 200 of 768 in an
+/// online k=8 epoch whose flows are mostly committed. Rows are never
+/// created lazily: every row a generated column attaches to exists from
+/// the start.
 ///
 /// `pool` persists generated paths across calls: a growing-grid sequence or
 /// an online epoch sequence seeds each master with everything discovered so
@@ -334,6 +429,8 @@ pub fn solve_free_paths_lp_paths_on_grid(
 /// mapping onto the next master (warm starts and column reuse compose).
 ///
 /// Returns the solution together with the [`ColGenStats`] of this call.
+/// The oracle's counters (calls, relaxations) reach `chain`'s trace whether
+/// or not the solve succeeds.
 pub fn solve_free_paths_lp_colgen_on_grid(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
@@ -342,31 +439,13 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     pool: &mut PathPool,
 ) -> Result<(FreeLpSolution, ColGenStats), LpError> {
     let nl = grid.count();
-    let nf = instance.flow_count();
     let g = &instance.graph;
-
-    // Seeds: a flow whose path is prescribed (committed) gets that path
-    // alone and never prices; any other flow gets every pooled path, its
-    // shortest path interned first so the pool is never empty.
-    let mut hop_budget = Vec::with_capacity(nf);
-    let mut routes: Vec<Routes> = Vec::with_capacity(nf);
-    for (_, flat, spec) in instance.flows() {
-        match &spec.path {
-            Some(p) => {
-                hop_budget.push(p.len());
-                let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
-                routes.push(vec![(pi, p.clone())]);
-            }
-            None => {
-                let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
-                    .ok_or_else(|| no_path(flat))?;
-                hop_budget.push(sp.len() + cfg.path_slack);
-                pool.insert_with(flat, pricing::path_signature(&sp), || sp);
-                routes.push((0..).zip(pool.group(flat).iter().cloned()).collect());
-            }
-        }
-    }
-    let (mut m, mut lp) = PathLp::build(instance, grid, routes, CapRows::All)?;
+    let DelayedMaster {
+        model: mut m,
+        mut lp,
+        hop_budget,
+        to_dst,
+    } = DelayedMaster::seed(instance, cfg, grid, pool)?;
 
     // Pricing tolerance: a column must beat the simplex's own optimality
     // tolerance to be worth injecting; anything closer to zero is dual
@@ -376,7 +455,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     // Per-worker oracle state, retained across pricing rounds: the
     // Bellman–Ford DP tables plus the section's search results in item
     // order. Worker `w` always owns slot `w` (deterministic static
-    // partition), and scratch contents are reinitialized per search, so
+    // partition), and a search leaves its scratch as it found it, so
     // results are identical at any thread count.
     #[derive(Default)]
     struct OracleSlot {
@@ -387,16 +466,13 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     let mut oracle_slots: Vec<OracleSlot> = Vec::new();
     oracle_slots.resize_with(oracle_workers, OracleSlot::default);
 
-    let (sol, stats) = solve_colgen(&mut m, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
+    let solved = solve_colgen(&mut m, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
         // Gather the (flow, interval) oracle calls whose dual bound says a
-        // path could conceivably price out. Prescribed flows cannot
-        // reroute; zero-size flows put no load on capacity rows, so every
-        // path column is identical and the seed already covers them; and
-        // edge prices are nonnegative, so `base >= -tol` rules a pair out
-        // before any search.
+        // path could conceivably price out: edge prices are nonnegative,
+        // so `base >= -tol` rules a pair out before any search.
         let mut work: Vec<(usize, &FlowSpec, usize, f64)> = Vec::new(); // (flat, spec, l, base)
         for (_, flat, spec) in instance.flows() {
-            if spec.path.is_some() || spec.size <= 0.0 {
+            if !is_priced(spec) {
                 continue;
             }
             let (sum_row, cmp_row) = lp.flow_rows(flat);
@@ -426,11 +502,15 @@ pub fn solve_free_paths_lp_colgen_on_grid(
                 for &(flat, spec, l, _) in &work[range] {
                     let coeff = spec.size / lp.grid().length(l);
                     let caps = lp.cap_rows(l);
-                    let price = |e: EdgeId| (-sol.dual(caps[e.index()])).max(0.0) * coeff;
+                    // An edge without rows is one no column loads: dual 0.
+                    let price = |e: EdgeId| {
+                        caps[e.index()].map_or(0.0, |row| (-sol.dual(row)).max(0.0) * coeff)
+                    };
                     out.push(pricing::cheapest_path_hop_bounded_in(
                         g,
                         spec.src,
                         spec.dst,
+                        &to_dst[&spec.dst],
                         hop_budget[flat],
                         price,
                         ws,
@@ -456,16 +536,19 @@ pub fn solve_free_paths_lp_colgen_on_grid(
             }
         }
         added
-    })?;
+    });
 
     // Fold each worker's oracle counters (calls, edge relaxations) into
-    // the chain's recorder. Slot order is fixed, and counter merging is
-    // integer addition, so totals are identical at any thread count.
+    // the chain's recorder — before a failed master's error propagates, so
+    // the trace keeps the work of the rounds that did run. Slot order is
+    // fixed, and counter merging is integer addition, so totals are
+    // identical at any thread count.
     for slot in oracle_slots.iter_mut() {
         let cs = slot.ws.take_counters();
         chain.obs().merge_counters(&cs);
     }
 
+    let (sol, stats) = solved?;
     Ok((lp.extract(&sol, stats.total_iterations), stats))
 }
 
@@ -733,6 +816,161 @@ mod tests {
             "contention must force column generation"
         );
         assert!(pool.len() > inst.flow_count(), "pool holds generated paths");
+    }
+
+    /// The four contending inter-pod flows of the fat-tree k=4 tests.
+    fn fat_tree_contention() -> Instance {
+        let t = topo::fat_tree(4, 1.0);
+        let flows = (0..4)
+            .map(|i| FlowSpec::new(t.hosts[i], t.hosts[15 - i], 4.0, 0.0))
+            .collect();
+        Instance::new(t.graph, vec![Coflow::new(1.0, flows)])
+    }
+
+    /// The delayed master declares capacity rows for the edges its flows
+    /// can use, not for the fabric — and that is enough: every generated
+    /// route finds its rows (`add_route` panics otherwise) and the optimum
+    /// is the eager one.
+    #[test]
+    fn delayed_master_declares_only_attachable_capacity_rows() {
+        let inst = fat_tree_contention();
+        let cfg = FreePathsLpConfig {
+            columns: ColumnMode::Delayed,
+            ..Default::default()
+        };
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        let every_row = 3 * inst.flow_count() + inst.graph.edge_count() * grid.count();
+        let master = DelayedMaster::seed(&inst, &cfg, grid.clone(), &mut PathPool::new()).unwrap();
+        let rows = master.model.num_rows();
+        assert!(rows < every_row, "{rows} rows declared of {every_row}");
+        // Hosts 0..4 share a pod, as do hosts 12..16, and every flow goes
+        // from the first to the second: of the 96 directed edges, the
+        // hop-feasible ones are the 4 host, 4 edge-aggregation and 4
+        // aggregation-core links going up and their mirror images down.
+        assert_eq!(inst.graph.edge_count(), 96);
+        let per_interval = (rows - 3 * inst.flow_count()) / grid.count();
+        assert_eq!(per_interval, (4 + 4 + 4) + (4 + 4 + 4));
+
+        let mut pool = PathPool::new();
+        let (cg, stats) =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap();
+        assert!(stats.generated_cols > 0, "routes beyond the seeds attached");
+        let eager = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
+        assert!(
+            (cg.base.objective - eager.base.objective).abs() < 1e-6,
+            "colgen {} vs eager {}",
+            cg.base.objective,
+            eager.base.objective
+        );
+    }
+
+    /// Two prescribed flows contending on an edge that no priced flow can
+    /// reach: the edge is on no hop-feasible subgraph, so its capacity rows
+    /// exist only because seed routes count — without them the master
+    /// would let both flows through at once.
+    #[test]
+    fn prescribed_flows_contend_outside_every_priced_subgraph() {
+        use coflow_net::graph::{Graph, NodeId as N};
+        let mut g = Graph::with_nodes(4);
+        let shared = g.add_edge(N(0), N(1), 1.0);
+        let spare = g.add_edge(N(0), N(1), 1.0);
+        g.add_edge(N(2), N(3), 1.0);
+        let objective = |second: EdgeId| {
+            let committed =
+                |e: EdgeId| FlowSpec::with_path(N(0), N(1), 3.0, 0.0, Path::new(vec![e]));
+            let inst = Instance::new(
+                g.clone(),
+                vec![
+                    Coflow::new(1.0, vec![committed(shared)]),
+                    Coflow::new(1.0, vec![committed(second)]),
+                    Coflow::new(1.0, vec![FlowSpec::new(N(2), N(3), 1.0, 0.0)]),
+                ],
+            );
+            let solve = |columns| {
+                let cfg = FreePathsLpConfig {
+                    columns,
+                    ..Default::default()
+                };
+                solve_free_paths_lp_paths(&inst, &cfg)
+                    .unwrap()
+                    .base
+                    .objective
+            };
+            let (delayed, eager) = (solve(ColumnMode::Delayed), solve(ColumnMode::Eager));
+            assert!(
+                (delayed - eager).abs() < 1e-6,
+                "delayed {delayed} vs eager {eager}"
+            );
+            delayed
+        };
+        let (contending, apart) = (objective(shared), objective(spare));
+        assert!(
+            contending > apart + 0.5,
+            "sharing the edge must delay a coflow: {contending} vs {apart}"
+        );
+    }
+
+    /// A flow frozen at size 0 (completed, in an online residual) loads
+    /// nothing, but its route keeps its capacity rows: the row set must not
+    /// change at every completion, or the row indices a warm start
+    /// remembers would shift with it.
+    #[test]
+    fn frozen_flow_routes_keep_their_capacity_rows() {
+        use coflow_net::graph::{Graph, NodeId as N};
+        let mut g = Graph::with_nodes(4);
+        let done = g.add_edge(N(0), N(1), 1.0);
+        let idle = g.add_edge(N(1), N(0), 1.0);
+        let live = g.add_edge(N(2), N(3), 1.0);
+        let frozen = FlowSpec::with_path(N(0), N(1), 0.0, 0.0, Path::new(vec![done]));
+        let inst = Instance::new(
+            g,
+            vec![Coflow::new(
+                1.0,
+                vec![frozen, FlowSpec::new(N(2), N(3), 1.0, 0.0)],
+            )],
+        );
+        let cfg = FreePathsLpConfig::default();
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        let master = DelayedMaster::seed(&inst, &cfg, grid, &mut PathPool::new()).unwrap();
+        let rows = master.lp.cap_rows(0);
+        assert!(rows[done.index()].is_some() && rows[live.index()].is_some());
+        assert!(rows[idle.index()].is_none(), "no route, no priced subgraph");
+    }
+
+    /// A master that fails after pricing has run must not take the oracle's
+    /// counters with it: the trace of a failed solve still says how much
+    /// work its rounds did.
+    #[test]
+    fn oracle_counters_survive_a_failed_master() {
+        /// Factorizations fail for good once the first master has solved
+        /// (the round hook fires between a master and its pricing).
+        #[derive(Default)]
+        struct FailAfterFirstMaster(bool);
+        impl coflow_lp::FaultHook for FailAfterFirstMaster {
+            fn on_factorization(&mut self) -> bool {
+                self.0
+            }
+            fn on_colgen_round(&mut self, _: usize) -> coflow_lp::ColgenFault {
+                self.0 = true;
+                coflow_lp::ColgenFault::None
+            }
+        }
+        let inst = fat_tree_contention();
+        let cfg = FreePathsLpConfig {
+            columns: ColumnMode::Delayed,
+            ..Default::default()
+        };
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        let mut chain = WarmChain::new();
+        chain.set_fault_hook(Some(Box::new(FailAfterFirstMaster::default())));
+        let err =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut chain, &mut PathPool::new())
+                .unwrap_err();
+        assert!(matches!(err, LpError::Numerical(_)), "{err:?}");
+        let trace = chain.take_trace();
+        assert!(trace.counter(coflow_obs::Counter::OracleCalls) > 0);
+        assert!(trace.counter(coflow_obs::Counter::OracleRelaxations) > 0);
     }
 
     /// Growing grids threaded through one chain + one pool: objectives

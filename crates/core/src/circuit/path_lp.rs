@@ -19,6 +19,14 @@
 //! seeds and then keeps growing through [`PathLp::add_route`]
 //! ([`crate::circuit::lp_free`]). Variable order, row order and names are
 //! the same in all three, so bases and pivot counts carry over.
+//!
+//! The two column modes differ only in which capacity rows exist
+//! ([`CapRows`]): the eager model keeps the rows that can bind over its
+//! complete column set; the delayed master declares, up front, a row per
+//! interval for every edge a column can *ever* attach to — the edges of its
+//! seed routes and the hop-feasible subgraph of each flow it prices — and
+//! none for the rest of the fabric, so its size follows what the flows can
+//! use, not the network.
 
 use crate::circuit::lp_free::{FlowRouting, FreeLpSolution};
 use crate::circuit::lp_given::CircuitLpSolution;
@@ -111,16 +119,27 @@ pub(crate) fn circuit_solution(
 }
 
 /// Which capacity rows [`PathLp::build`] writes.
-#[derive(Clone, Copy)]
 pub(crate) enum CapRows {
     /// Only rows that could bind: `x ∈ [0,1]`, so a row whose coefficients
     /// sum to at most the capacity is redundant.
     Binding,
-    /// Every `(edge, interval)` row, empty ones included, so that columns
-    /// generated later have a row to attach to and every potentially
-    /// binding constraint exposes a dual (presolve drops the rows no column
-    /// touches at solve time).
-    All,
+    /// The delayed master's rows: in every interval, one row — empty ones
+    /// included — for each edge a column can ever attach to, so that
+    /// columns generated later have their rows and every potentially
+    /// binding constraint exposes a dual. Those edges are the ones on a
+    /// listed route (prescribed paths too: two committed flows contend
+    /// wherever they meet) and the ones marked here, `attachable[e]`: the
+    /// hop-feasible subgraphs of the flows the caller will price. No other
+    /// edge gets a row. No column, present or generated, can touch one, so
+    /// presolve would drop it at every solve; the rows that remain keep
+    /// their relative order, and the working LP is the same.
+    ///
+    /// A route counts whatever its flow's size: an online residual keeps a
+    /// completed flow frozen at size 0 on its path, and while its edges
+    /// keep their rows the row set — and with it every row index a
+    /// [`coflow_lp::Basis`] remembers — changes only when a flow is
+    /// admitted or commits to a path, not at each completion.
+    Attachable(Vec<bool>),
 }
 
 /// The columns of one flow on one route: `vars[k]` is interval `first + k`.
@@ -145,10 +164,11 @@ pub(crate) struct PathLp {
     grid: IntervalGrid,
     c_cof: Vec<VarId>,
     flows: Vec<FlowCols>,
-    /// `cap[l * edge_count + e]`, interval-major like the rows themselves;
-    /// recorded under [`CapRows::All`] only (no column is ever added to a
-    /// pruned model).
-    cap: Vec<RowId>,
+    /// `cap[l * edge_count + e]`, interval-major like the rows themselves,
+    /// `None` for an edge without rows; recorded under
+    /// [`CapRows::Attachable`] only (no column is ever added to a pruned
+    /// model).
+    cap: Vec<Option<RowId>>,
     edge_count: usize,
 }
 
@@ -210,6 +230,22 @@ impl PathLp {
         }
 
         let ne = g.edge_count();
+        // The delayed master's edges with rows: the marked ones plus every
+        // edge of a listed route.
+        let declared = match caps {
+            CapRows::Binding => None,
+            CapRows::Attachable(mut edges) => {
+                assert_eq!(edges.len(), ne, "one mark per edge");
+                for e in flows
+                    .iter()
+                    .flat_map(|f| f.routes.iter())
+                    .flat_map(|r| r.path.edges.iter())
+                {
+                    edges[e.index()] = true;
+                }
+                Some(edges)
+            }
+        };
         let mut cap = Vec::new();
         for l in 0..nl {
             let len = grid.length(l);
@@ -223,9 +259,11 @@ impl PathLp {
                 }
             }
             for (ei, terms) in per_edge.iter().enumerate() {
-                match caps {
-                    CapRows::All => cap.push(add_cap_row(&mut m, g, ei, l, terms)),
-                    CapRows::Binding => {
+                match &declared {
+                    Some(edges) => {
+                        cap.push(edges[ei].then(|| add_cap_row(&mut m, g, ei, l, terms)));
+                    }
+                    None => {
                         let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
                         if !terms.is_empty() && max_lhs > g.capacity(EdgeId(ei as u32)) {
                             add_cap_row(&mut m, g, ei, l, terms);
@@ -260,14 +298,19 @@ impl PathLp {
         (self.flows[flat].sum, self.flows[flat].cmp)
     }
 
-    /// Interval `l`'s capacity rows in a [`CapRows::All`] model, indexed by
-    /// edge.
-    pub(crate) fn cap_rows(&self, l: usize) -> &[RowId] {
+    /// Interval `l`'s capacity rows in a [`CapRows::Attachable`] model,
+    /// indexed by edge; `None` where the edge has no rows.
+    pub(crate) fn cap_rows(&self, l: usize) -> &[Option<RowId>] {
         &self.cap[l * self.edge_count..(l + 1) * self.edge_count]
     }
 
-    /// Appends route `(id, path)` of flow `flat` to a [`CapRows::All`]
-    /// model, one column per usable interval; returns how many.
+    /// Appends route `(id, path)` of flow `flat` to a
+    /// [`CapRows::Attachable`] model, one column per usable interval;
+    /// returns how many.
+    ///
+    /// # Panics
+    /// If the route uses an edge without capacity rows: it left the
+    /// subgraph the caller declared for its flow.
     pub(crate) fn add_route(&mut self, m: &mut Model, flat: usize, id: u32, path: &Path) -> usize {
         let nl = self.grid.count();
         let f = &self.flows[flat];
@@ -279,7 +322,11 @@ impl PathLp {
                 if f.size > 0.0 {
                     let coeff = f.size / self.grid.length(l);
                     let caps = self.cap_rows(l);
-                    terms.extend(path.edges.iter().map(|e| (caps[e.index()], coeff)));
+                    terms.extend(path.edges.iter().map(|e| {
+                        // lint: allow(no_panic) — the oracle relaxes only edges inside the subgraph declared at build
+                        let row = caps[e.index()].expect("route leaves its declared edges");
+                        (row, coeff)
+                    }));
                 }
                 m.add_column(0.0, 0.0, 1.0, format!("x{flat}:{id}:{l}"), &terms)
             })

@@ -15,8 +15,15 @@
 //!   disguise** (`a·x {cmp} b'` after substituting fixed variables): the
 //!   bound is tightened and the row dropped, never entering the basis;
 //! * both rules feed each other (a singleton equality fixes its variable,
-//!   which may create new singletons), so they run to a fixpoint over a
-//!   work queue.
+//!   which may create new singletons), so they run to a fixpoint: one pass
+//!   over the rows in index order, then a queue of re-examinations.
+//!
+//! Presolve runs before every solve — every round of a column generation,
+//! every epoch of the online engine — so its working set is a handful of
+//! flat arrays sized by the model: the row and column adjacencies are
+//! compressed (CSR/CSC, counting-sorted so each list keeps triplet order),
+//! not a heap vector per row and per column, and nothing is queued until a
+//! fixed variable sends a row back for another look.
 //!
 //! The tightened working bounds are reported in [`Presolved::lb`]/
 //! [`Presolved::ub`]; the simplex operates on those, not the model's
@@ -80,6 +87,29 @@ pub struct Presolved {
 /// Tolerance for declaring an empty row inconsistent or bounds crossed.
 const ROW_TOL: f64 = 1e-7;
 
+/// Compressed adjacency by counting sort: `items[ptr[k]..ptr[k + 1]]` are
+/// the `(other index, coefficient)` pairs of key `k`, in the order
+/// `entries` yields its `(key, other, coefficient)` triples.
+fn group_by_key(
+    keys: usize,
+    entries: impl Iterator<Item = (u32, u32, f64)> + Clone,
+) -> (Vec<usize>, Vec<(u32, f64)>) {
+    let mut ptr = vec![0usize; keys + 1];
+    for (k, _, _) in entries.clone() {
+        ptr[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        ptr[k + 1] += ptr[k];
+    }
+    let mut items = vec![(0u32, 0.0f64); ptr[keys]];
+    let mut fill = ptr.clone();
+    for (k, other, a) in entries {
+        items[fill[k as usize]] = (other, a);
+        fill[k as usize] += 1;
+    }
+    (ptr, items)
+}
+
 /// Runs presolve; fails fast with [`LpError::Infeasible`] when a row reduces
 /// to an unsatisfiable constant relation or crosses a variable's bounds.
 pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
@@ -93,12 +123,10 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
     let mut obj_offset = 0.0;
 
     // Row supports and the transposed adjacency (var -> rows).
-    let mut row_terms: Vec<Vec<(u32, f64)>> = vec![Vec::new(); nr];
-    let mut var_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for &(r, c, a) in &m.triplets {
-        row_terms[r as usize].push((c, a));
-        var_rows[c as usize].push((r, a));
-    }
+    let (row_ptr, row_items) = group_by_key(nr, m.triplets.iter().copied());
+    let (col_ptr, col_items) = group_by_key(n, m.triplets.iter().map(|&(r, c, a)| (c, r, a)));
+    let row_terms = |r: usize| &row_items[row_ptr[r]..row_ptr[r + 1]];
+    let var_rows = |j: usize| &col_items[col_ptr[j]..col_ptr[j + 1]];
 
     // Initially fixed variables (builder guarantees lb <= ub).
     for j in 0..n {
@@ -111,8 +139,8 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
 
     let mut rhs_adjust: Vec<f64> = m.rows.iter().map(|r| r.rhs).collect();
     let mut free_count = vec![0usize; nr];
-    for (r, terms) in row_terms.iter().enumerate() {
-        for &(c, a) in terms {
+    for r in 0..nr {
+        for &(c, a) in row_terms(r) {
             if fixed[c as usize] {
                 rhs_adjust[r] -= a * fixed_values[c as usize];
             } else {
@@ -125,13 +153,16 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
     let mut singleton_rows = 0usize;
     let mut singleton_bounds: Vec<SingletonBound> = Vec::new();
 
-    // Work queue over rows; every row is examined at least once, and again
-    // whenever one of its variables becomes fixed.
-    let mut queue: std::collections::VecDeque<u32> = (0..nr as u32).collect();
+    // Every row is examined once, in index order, and again whenever one
+    // of its variables becomes fixed: `queue` holds those re-examinations
+    // and drains after the index pass, which `next` walks. A row the index
+    // pass has yet to reach counts as queued.
+    let mut next = 0usize;
+    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
     let mut queued = vec![true; nr];
 
-    // Fixes variable j at v, propagating into its rows. Returns rows that
-    // need re-examination (pushed by the caller's loop via `queue`).
+    // Fixes variable j at v, propagating into its rows and queueing those
+    // that need re-examination.
     macro_rules! fix_var {
         ($j:expr, $v:expr) => {{
             let j = $j;
@@ -141,7 +172,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             lb[j] = v;
             ub[j] = v;
             obj_offset += m.cols[j].cost * v;
-            for &(r, a) in &var_rows[j] {
+            for &(r, a) in var_rows(j) {
                 let r = r as usize;
                 if live[r] {
                     rhs_adjust[r] -= a * v;
@@ -155,8 +186,15 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
         }};
     }
 
-    while let Some(r) = queue.pop_front() {
-        let r = r as usize;
+    loop {
+        let r = if next < nr {
+            next += 1;
+            next - 1
+        } else if let Some(r) = queue.pop_front() {
+            r as usize
+        } else {
+            break;
+        };
         queued[r] = false;
         if !live[r] {
             continue;
@@ -178,7 +216,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             }
             1 => {
                 // Singleton row: a bound on its one free variable.
-                let &(c, a) = row_terms[r]
+                let &(c, a) = row_terms(r)
                     .iter()
                     .find(|&&(c, _)| !fixed[c as usize])
                     .ok_or_else(|| {
@@ -234,8 +272,9 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
     // is dropped before it inflates the working basis. This is the
     // presolve-level form of the redundant-capacity-row pruning the eager
     // LP builders do at build time, and it is what keeps delayed-column-
-    // generation masters small: their capacity rows are created for every
-    // (edge, interval) but only the bindable ones survive. One pass after
+    // generation masters small: their capacity rows are created up front,
+    // for every interval of every edge a column may ever load, but only
+    // the bindable ones survive. One pass after
     // the fixpoint suffices (bounds only tighten there, and tightening
     // can only make more rows redundant, never fewer — rows examined here
     // use the final bounds).
@@ -245,7 +284,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
             continue;
         }
         let (mut lo, mut hi) = (0.0_f64, 0.0_f64);
-        for &(c, a) in &row_terms[r] {
+        for &(c, a) in row_terms(r) {
             let j = c as usize;
             if fixed[j] {
                 continue;
@@ -461,6 +500,37 @@ mod tests {
         assert!((sol.objective - 5.0).abs() < 1e-9);
         assert!((sol.value(x) - 2.0).abs() < 1e-9);
         assert!((sol.value(y) - 3.0).abs() < 1e-9);
+    }
+
+    /// The visiting order is part of the contract (`singleton_bounds` is in
+    /// drop order, and dual postsolve credits the first recorded row): the
+    /// index pass reaches later rows before an earlier row's re-examination
+    /// comes off the queue.
+    #[test]
+    fn cascade_visits_later_rows_before_requeued_earlier_ones() {
+        let mut m = Model::new();
+        let x = m.add_nonneg(1.0, "x");
+        let y = m.add_nonneg(1.0, "y");
+        let z = m.add_nonneg(1.0, "z");
+        let w = m.add_nonneg(1.0, "w");
+        m.le(&[(x, 1.0), (y, 2.0)], 6.0); // row 0: singleton once x = 2
+        m.eq(&[(x, 1.0)], 2.0); // row 1: fixes x
+        m.ge(&[(x, 1.0), (z, 1.0)], 5.0); // row 2: z >= 3
+        m.le(&[(x, 3.0), (w, 1.0)], 10.0); // row 3: w <= 4
+        let p = presolve(&m).unwrap();
+        let order: Vec<u32> = p.singleton_bounds.iter().map(|s| s.row).collect();
+        assert_eq!(order, [1, 2, 3, 0]);
+        let values: Vec<f64> = p.singleton_bounds.iter().map(|s| s.value).collect();
+        assert_eq!(values, [2.0, 3.0, 4.0, 2.0]);
+        assert_eq!(p.singleton_rows, 4);
+        assert_eq!(p.keep_row, [false; 4]);
+        assert_eq!(p.kept_vars, [y.0, z.0, w.0]);
+        assert_eq!((p.lb[x.index()], p.ub[x.index()]), (2.0, 2.0));
+        assert_eq!((p.lb[y.index()], p.ub[y.index()]), (0.0, 2.0));
+        assert_eq!((p.lb[z.index()], p.ub[z.index()]), (3.0, f64::INFINITY));
+        assert_eq!((p.lb[w.index()], p.ub[w.index()]), (0.0, 4.0));
+        assert_eq!(p.rhs_adjust, [4.0, 2.0, 3.0, 4.0]);
+        assert_eq!(p.obj_offset, 2.0);
     }
 
     #[test]
