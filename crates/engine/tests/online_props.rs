@@ -9,11 +9,23 @@
 //!   policy's realized schedule passes the §1.1 checker: rate allocations
 //!   never exceed any link capacity at any event time, releases are
 //!   respected, and all demanded volume is delivered.
+//! * **Basis reuse is a speed lever** — epoch by epoch the warm-started LP
+//!   reaches the cold LP's optimum (not necessarily its vertex, so realized
+//!   objectives of a warm and a cold run may differ; both runs are sound).
 
-use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};
+use coflow_core::bounds::trivial_lower_bound;
+use coflow_core::circuit::lp_free::{
+    solve_free_paths_lp_paths, solve_free_paths_lp_paths_on_grid, FreePathsLpConfig,
+};
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig};
+use coflow_core::intervals::IntervalGrid;
 use coflow_core::order::lp_order;
-use coflow_engine::{run, EngineConfig, EpochTrigger, Fifo, Greedy, LpOrder, WeightedFair};
+use coflow_core::tol::{rel_eq, OBJ_REL_EPS};
+use coflow_engine::{
+    run, EngineConfig, EpochPlan, EpochTrigger, EpochView, Fifo, Greedy, LpOrder, OnlinePolicy,
+    PolicyError, RatePlan, WeightedFair,
+};
+use coflow_lp::WarmChain;
 use coflow_sim::fluid::{simulate, SimConfig};
 use coflow_workloads::gen::{generate, GenConfig};
 use proptest::prelude::*;
@@ -109,9 +121,20 @@ proptest! {
         }
     }
 
-    /// Warm-started epoch sequences reach the same realized objective as
-    /// cold ones (the basis reuse is a pure speed lever), while reusing
-    /// the previous basis in most epochs.
+    /// Basis reuse is a pure speed lever, in the two senses that are true.
+    ///
+    /// (a) *Lockstep LP equality:* [`Lockstep`] solves every epoch's
+    /// residual LP through its persistent chain and through a fresh one;
+    /// the two optima must agree within `tol::OBJ_REL_EPS`.
+    /// (b) *Both runs sound:* a warm (`LpOrder::new`) and a cold
+    /// (`LpOrder::cold`) run are each checker-clean, deliver all demand and
+    /// stay above the trivial lower bound.
+    ///
+    /// This test used to assert the *realized* Σ ω C of the two runs equal.
+    /// That holds only while both reach the same LP vertex in every epoch,
+    /// i.e. while warm starts are mostly rejected: an accepted basis may end
+    /// on another optimal vertex of a degenerate LP, which rounds to other
+    /// paths and a different trace with the same LP value.
     #[test]
     fn warm_and_cold_lp_runs_agree(seed in 0u64..100) {
         let topo = coflow_net::topo::fat_tree(4, 1.0);
@@ -125,16 +148,34 @@ proptest! {
             ..Default::default()
         });
         let mk = || (FreePathsLpConfig::default(), FreeRoundingConfig { seed, ..Default::default() });
+
+        let (lp_cfg, round_cfg) = mk();
+        let mut lockstep = Lockstep { lp_cfg, round_cfg, chain: WarmChain::new(), worst: None };
+        run(&inst, &mut lockstep, &EngineConfig::default());
+        if let Some((warm, cold)) = lockstep.worst {
+            prop_assert!(rel_eq(warm, cold, OBJ_REL_EPS), "LP optimum warm {warm} vs cold {cold}");
+        }
+
         let (lc, rc) = mk();
         let warm = run(&inst, &mut LpOrder::new(lc, rc), &EngineConfig::default());
         let (lc, rc) = mk();
         let cold = run(&inst, &mut LpOrder::cold(lc, rc), &EngineConfig::default());
-        prop_assert!(
-            (warm.metrics.weighted_sum - cold.metrics.weighted_sum).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.metrics.weighted_sum,
-            cold.metrics.weighted_sum
-        );
+        for (name, out) in [("warm", &warm), ("cold", &cold)] {
+            let violations = out.schedule.check(&inst.with_paths(&out.paths), 1e-6, 1e-6);
+            prop_assert!(violations.is_empty(), "{name}: {violations:?}");
+            let delivered: f64 = out.schedule.flows.iter().map(|f| f.delivered()).sum();
+            prop_assert!(
+                (delivered - inst.total_size()).abs() < 1e-5 * (1.0 + inst.total_size()),
+                "{name}: delivered {delivered} vs demand {}",
+                inst.total_size()
+            );
+            let floor = trivial_lower_bound(&inst);
+            prop_assert!(
+                out.metrics.weighted_sum >= floor - 1e-6,
+                "{name}: {} below the trivial bound {floor}",
+                out.metrics.weighted_sum
+            );
+        }
         prop_assert_eq!(cold.engine.warm_attempted, 0);
         if warm.engine.epochs > 1 {
             prop_assert!(warm.engine.warm_attempted > 0);
@@ -142,10 +183,67 @@ proptest! {
     }
 }
 
+/// `LpOrder`'s eager plan with every LP solved twice — through the policy's
+/// persistent chain and through a fresh (cold) one. Plans from the warm
+/// solution; keeps the epoch whose two optima are furthest apart.
+struct Lockstep {
+    lp_cfg: FreePathsLpConfig,
+    round_cfg: FreeRoundingConfig,
+    chain: WarmChain,
+    /// `(warm, cold)` objective of the worst epoch so far.
+    worst: Option<(f64, f64)>,
+}
+
+impl OnlinePolicy for Lockstep {
+    fn name(&self) -> &'static str {
+        "Lockstep"
+    }
+
+    fn plan(&mut self, view: &EpochView<'_>) -> Result<EpochPlan, PolicyError> {
+        let residual = view.residual;
+        let inst = &residual.instance;
+        if inst.flow_count() == 0 {
+            return Ok(EpochPlan {
+                routes: Vec::new(),
+                rates: RatePlan::Ordered(Vec::new()),
+            });
+        }
+        let grid = || IntervalGrid::cover(self.lp_cfg.eps, inst.horizon());
+        let lp = solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid(), &mut self.chain)?;
+        let cold =
+            solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid(), &mut WarmChain::new())?;
+        let pair = (lp.base.objective, cold.base.objective);
+        let gap = |(w, c): (f64, f64)| (w - c).abs() / (1.0 + w.abs().max(c.abs()));
+        if self.worst.is_none_or(|old| gap(pair) > gap(old)) {
+            self.worst = Some(pair);
+        }
+        let rounding = round_free_paths(inst, &lp, &self.round_cfg);
+        let routes = residual
+            .flat_map
+            .iter()
+            .enumerate()
+            .filter(|&(rflat, &oflat)| {
+                view.paths[oflat].is_none() && !rounding.paths[rflat].is_empty()
+            })
+            .map(|(rflat, &oflat)| (oflat, rounding.paths[rflat].clone()))
+            .collect();
+        let order = lp_order(inst, &lp.base)
+            .order
+            .into_iter()
+            .map(|rflat| residual.flat_map[rflat])
+            .collect();
+        Ok(EpochPlan {
+            routes,
+            rates: RatePlan::Ordered(order),
+        })
+    }
+}
+
 /// On a fixed trace long enough to chain a few dozen re-solves,
-/// warm-started epochs need fewer total pivots than cold ones (2342 vs
-/// 3281 when written). A property of this trace, not of every trace: at
-/// higher arrival rates most epochs add rows and the basis is rejected.
+/// warm-started epochs need fewer total pivots than cold ones (1219 vs
+/// 3281 when written) and at least nine in ten snapshots are accepted (34
+/// of 37) — admissions, which insert rows ahead of the capacity rows,
+/// included.
 #[test]
 fn warm_epochs_need_fewer_pivots_than_cold() {
     let topo = coflow_net::topo::fat_tree(4, 1.0);
@@ -166,6 +264,12 @@ fn warm_epochs_need_fewer_pivots_than_cold() {
         LpOrder::cold(FreePathsLpConfig::default(), FreeRoundingConfig::default());
     let cold = run(&inst, &mut cold_policy, &EngineConfig::default());
     assert!(warm.engine.warm_used > 0, "the chain must be exercised");
+    assert!(
+        warm.engine.warm_used * 10 >= warm.engine.warm_attempted * 9,
+        "accepted {} of {} warm starts",
+        warm.engine.warm_used,
+        warm.engine.warm_attempted
+    );
     assert!(
         warm.engine.total_pivots < cold.engine.total_pivots,
         "warm {} vs cold {} pivots",

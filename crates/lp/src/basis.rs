@@ -1,31 +1,40 @@
 //! Basis snapshots for warm-started LP sequences, and per-solve statistics.
 //!
 //! The coflow algorithms solve *sequences* of structurally related LPs: the
-//! interval-indexed LPs of §2.1/§2.2 re-solved on a grown interval grid, and
-//! the time-expanded LP of §3.2 re-solved on a longer horizon. Each model in
-//! such a sequence embeds its predecessor: every old variable keeps its
-//! meaning (and its *name*), and new variables/rows only extend the problem.
+//! interval-indexed LPs of §2.1/§2.2 re-solved on a grown interval grid or,
+//! online, on each epoch's residual instance (flows admitted and retired
+//! between solves), and the time-expanded LP of §3.2 re-solved on a longer
+//! horizon. Whatever is inserted, dropped or reordered in between, a
+//! variable or row that survives keeps its meaning and its *name*.
 //!
-//! A [`Basis`] therefore records the final simplex state **keyed by variable
-//! name**, not by index: variable indices shift when the grid grows (each
-//! flow's interval block gains columns), but names like `x{flat}:{l}` are
-//! stable. Mapping a snapshot onto a grown model is then a hash lookup per
-//! variable. Basic *slacks* are remembered by row name when the row is named
-//! and by original row index always (exact whenever the grown model keeps
-//! the old rows as a prefix); rows the mapping cannot account for are
-//! completed by a rank-revealing elimination (see
-//! `sparse_lu::complete_basis_into`) with a bounded feasibility-repair loop.
+//! A [`Basis`] therefore records the final simplex state by **key** — the
+//! 64-bit hash of the name, computed once when the column or row was added
+//! to its [`Model`](crate::Model) — never by index. It is two key-sorted
+//! arrays:
 //!
-//! Snapshots only store the *exceptional* statuses (basic, nonbasic at upper
-//! bound); everything else defaults to nonbasic at lower bound, which is
-//! also the status assigned to variables the snapshot has never seen. A
-//! warm start can always be rejected: if the mapped basis is singular or the
-//! resulting point is primally infeasible, the solver silently falls back to
-//! its cold crash basis (recorded in [`SolveStats::warm_used`]).
+//! * columns with an *exceptional* status (basic, or nonbasic at upper
+//!   bound); an absent column is nonbasic at its lower bound, which is also
+//!   what a variable the snapshot has never seen gets;
+//! * **every** row of the snapshot's working problem, with whether its slack
+//!   was basic. A related model's row that is *absent* — presolved away back
+//!   then (empty or singleton, e.g. a column-generation capacity row no
+//!   column touched yet) or genuinely new — was satisfied strictly at the
+//!   old optimum, so its slack is implicitly basic: the mapping seeds those
+//!   slacks to keep the implied point exactly at the old optimum instead of
+//!   letting the basis completion cover such rows with structural columns
+//!   and scramble it.
+//!
+//! Mapping a snapshot onto a model is a binary search per column and per
+//! row; no name is read, cloned or compared. Rows the mapping leaves
+//! uncovered are completed by a rank-revealing elimination (see
+//! `sparse_lu::complete_basis_into`) and a bounded feasibility repair. Two
+//! names hashing to one key can at worst give one column or row another's
+//! status; so can a snapshot of an unrelated model, and the warm start
+//! validates every mapping the same way: if the mapped basis is singular or
+//! the repaired point is primally infeasible, the solver silently falls back
+//! to its cold crash basis (recorded in [`SolveStats::warm_used`]).
 
-use std::collections::BTreeMap;
-
-/// Status of a variable in a basis snapshot.
+/// Exceptional status of a column in a basis snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum SnapStat {
     /// In the basis.
@@ -34,61 +43,64 @@ pub(crate) enum SnapStat {
     AtUpper,
 }
 
-/// A reusable snapshot of an optimal simplex basis, keyed by variable name.
+/// A reusable snapshot of an optimal simplex basis, keyed by the integer
+/// identity of each column's and row's name.
 ///
 /// Produced by [`crate::Model::solve_with_basis`] / [`crate::Model::solve_warm`]
 /// and consumed by [`crate::Model::solve_warm`] on a structurally related
-/// (typically grown) model. Opaque: only size accessors are public.
+/// model (grown, shrunk or reordered). Opaque: only size accessors are
+/// public. A key collision can only mis-map one status, which the warm
+/// start's validation absorbs like any other bad mapping.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Basis {
-    /// Exceptional statuses by variable name (absent = at lower bound).
-    pub(crate) stat: BTreeMap<String, SnapStat>,
-    /// Names of *rows* whose slack was basic (named rows only). Names
-    /// survive arbitrary row reordering between related models.
-    pub(crate) basic_slacks: std::collections::BTreeSet<String>,
-    /// Original row indices whose slack was basic (recorded for every
-    /// basic slack, named or not). Valid as long as the grown model keeps
-    /// its predecessor's rows as a prefix — the common growth pattern —
-    /// and harmless otherwise: a mis-mapped slack just fails the warm
-    /// start's feasibility validation and triggers a cold start.
-    pub(crate) basic_slack_rows: std::collections::BTreeSet<u32>,
-    /// Original indices of the rows that made it into the snapshot's
-    /// *working* problem (survived presolve). A related model's row that is
-    /// **not** in this set — presolved away back then (empty or singleton,
-    /// e.g. a column-generation capacity row no column touched yet), or
-    /// genuinely new — was satisfied strictly at the old optimum, so its
-    /// slack is implicitly basic: the warm-start mapping seeds those slacks
-    /// to keep the implied point exactly at the old optimum instead of
-    /// letting the basis completion cover such rows with structural
-    /// columns and scramble it.
-    pub(crate) kept_rows: std::collections::BTreeSet<u32>,
-    /// Row count of the model this snapshot was taken from (diagnostics).
-    pub(crate) rows: usize,
+    /// `(column key, status)` of every column with an exceptional status,
+    /// sorted by key (absent = at lower bound).
+    pub(crate) cols: Vec<(u64, SnapStat)>,
+    /// `(row key, slack was basic)` of every row of the snapshot's working
+    /// problem, sorted by key (an `Eq` row has no slack: `false`).
+    pub(crate) rows: Vec<(u64, bool)>,
 }
 
 impl Basis {
+    /// A snapshot over the given entries, in any order.
+    pub(crate) fn new(mut cols: Vec<(u64, SnapStat)>, mut rows: Vec<(u64, bool)>) -> Self {
+        cols.sort_unstable_by_key(|c| c.0);
+        rows.sort_unstable_by_key(|r| r.0);
+        Self { cols, rows }
+    }
+
     /// Number of variables recorded with a non-default status.
     pub fn len(&self) -> usize {
-        self.stat.len()
+        self.cols.len()
     }
 
     /// True when the snapshot carries no information (cold start).
     pub fn is_empty(&self) -> bool {
-        self.stat.is_empty() && self.basic_slack_rows.is_empty()
+        self.cols.is_empty() && !self.rows.iter().any(|r| r.1)
     }
 
     /// Number of basic variables recorded (structurals + slacks).
     pub fn basic_count(&self) -> usize {
-        self.stat
-            .values()
-            .filter(|s| **s == SnapStat::Basic)
-            .count()
-            + self.basic_slack_rows.len()
+        let cols = self.cols.iter().filter(|c| c.1 == SnapStat::Basic);
+        cols.count() + self.rows.iter().filter(|r| r.1).count()
     }
 
-    /// Row count of the originating model (diagnostics).
+    /// Row count of the originating model's working problem (diagnostics).
     pub fn source_rows(&self) -> usize {
-        self.rows
+        self.rows.len()
+    }
+
+    /// Status recorded for the column with `key`, if exceptional.
+    pub(crate) fn col(&self, key: u64) -> Option<SnapStat> {
+        let at = self.cols.binary_search_by_key(&key, |c| c.0).ok()?;
+        Some(self.cols[at].1)
+    }
+
+    /// Whether the slack of the row with `key` was basic; `None` for a row
+    /// the snapshot's working problem did not have.
+    pub(crate) fn row(&self, key: u64) -> Option<bool> {
+        let at = self.rows.binary_search_by_key(&key, |r| r.0).ok()?;
+        Some(self.rows[at].1)
     }
 }
 

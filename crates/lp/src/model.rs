@@ -194,13 +194,36 @@ impl SolverOptions {
     }
 }
 
+/// The integer identity a [`Basis`] snapshot knows a column or row by,
+/// computed once at insertion: FNV-1a over the name's bytes through the
+/// splitmix64 finisher (a fixed function — no `RandomState` — so keys and
+/// everything downstream of them are the same in every run), with the top
+/// bit set. An empty name is anonymous and keyed by its `index` with
+/// the top bit clear, so anonymous entries keep their identity exactly while
+/// a related model keeps them at the same position (prefix growth).
+pub(crate) fn key_of(name: &str, index: usize) -> u64 {
+    const NAMED: u64 = 1 << 63;
+    if name.is_empty() {
+        return index as u64 & !NAMED;
+    }
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in name.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    simplex::splitmix64(h) | NAMED
+}
+
 /// A variable's static data.
 #[derive(Clone, Debug)]
 pub(crate) struct Column {
     pub cost: f64,
     pub lb: f64,
     pub ub: f64,
-    pub name: String,
+    /// [`key_of`] the name: the column's identity across related models.
+    pub key: u64,
+    /// Diagnostics only ([`Model::var_name`]). `Box<str>` rather than
+    /// `String`: with the key beside it a column stays 48 bytes.
+    pub name: Box<str>,
 }
 
 /// A constraint row's static data.
@@ -208,10 +231,11 @@ pub(crate) struct Column {
 pub(crate) struct Row {
     pub cmp: Cmp,
     pub rhs: f64,
-    /// Optional stable name (empty = anonymous). Named rows let a
-    /// [`Basis`] snapshot remember basic *slacks* across related models,
-    /// which is what makes warm starts of inequality-heavy LPs effective.
-    pub name: String,
+    /// [`key_of`] the name the row was added under (its index when
+    /// anonymous). Keys let a [`Basis`] snapshot tell which rows of a
+    /// related model it has seen and whether their *slack* was basic, which
+    /// is what makes warm starts of inequality-heavy LPs effective.
+    pub key: u64,
 }
 
 /// Builder for a linear program `min cᵀx  s.t.  Ax {<=,=,>=} b, l <= x <= u`.
@@ -243,11 +267,13 @@ impl Model {
         assert!(!ub.is_nan() && ub >= lb, "need lb <= ub, got [{lb}, {ub}]");
         assert!(cost.is_finite(), "cost must be finite");
         let id = VarId(self.cols.len() as u32);
+        let name = Into::<String>::into(name).into_boxed_str();
         self.cols.push(Column {
             cost,
             lb,
             ub,
-            name: name.into(),
+            key: key_of(&name, id.index()),
+            name,
         });
         id
     }
@@ -290,8 +316,8 @@ impl Model {
 
     /// [`Model::add_row`] with a stable row name. Naming a row lets basis
     /// snapshots carry the row's basic-slack status into a related model
-    /// (see [`Model::solve_warm`]); anonymous rows still solve identically
-    /// but their slack state is reconstructed rather than remembered.
+    /// wherever the row sits there (see [`Model::solve_warm`]); anonymous
+    /// rows solve identically but are recognized by position only.
     pub fn add_row_named(
         &mut self,
         cmp: Cmp,
@@ -304,7 +330,7 @@ impl Model {
         self.rows.push(Row {
             cmp,
             rhs,
-            name: name.into(),
+            key: key_of(&Into::<String>::into(name), id.index()),
         });
         let start = self.triplets.len();
         for &(v, c) in terms {
@@ -435,12 +461,14 @@ impl Model {
     }
 
     /// Solves warm-started from `basis` (a snapshot of a related model's
-    /// optimal basis, mapped by variable name) and returns the solution
-    /// together with this model's own basis snapshot.
+    /// optimal basis, mapped by the keys of its column and row names) and
+    /// returns the solution together with this model's own basis snapshot.
     ///
-    /// Warm starting never changes the answer: if the mapped basis is
-    /// singular or infeasible the solver silently cold-starts (check
-    /// [`SolveStats::warm_used`] on the returned solution's `stats`).
+    /// Warm starting never changes the optimum: if the mapped basis is
+    /// singular or cannot be repaired to feasibility the solver silently
+    /// cold-starts (check [`SolveStats::warm_used`] on the returned
+    /// solution's `stats`). On a degenerate LP an accepted snapshot may end
+    /// on a different optimal *vertex* than a cold solve.
     pub fn solve_warm(
         &self,
         basis: &Basis,
@@ -667,6 +695,71 @@ mod tests {
         let mut nan = honest;
         nan.values[0] = f64::NAN;
         assert!(m.verify_solution(&nan, 1e-6).is_err());
+    }
+
+    /// Keys are distinct where a mis-mapped status would cost warm starts —
+    /// the `transport(500)` benchmark model's 250,500 columns, and every
+    /// column and row name a fat-tree k=8 `PathLp` master can hold (64
+    /// flows × 64 paths × 16 intervals, 768 directed links) — and a fixed
+    /// function of the name: two builds agree.
+    #[test]
+    #[cfg_attr(miri, ignore)] // 650 k `format!` calls: minutes under Miri
+    fn keys_are_distinct_and_reproducible() {
+        fn assert_distinct(mut keys: Vec<u64>, what: &str) {
+            let n = keys.len();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), n, "{what}: colliding keys");
+        }
+        let transport = || {
+            let mut m = Model::new();
+            for i in 0..501 {
+                for j in 0..500 {
+                    m.add_nonneg(1.0, format!("x{i}_{j}"));
+                }
+            }
+            m
+        };
+        let master = || {
+            let mut m = Model::new();
+            for flat in 0..64 {
+                m.add_nonneg(1.0, format!("C{flat}"));
+                m.add_nonneg(0.0, format!("c{flat}"));
+                for kind in ["sum", "cmp", "prec"] {
+                    m.add_row_named(Cmp::Le, 0.0, &[], format!("{kind}{flat}"));
+                }
+                for (id, l) in (0..64).flat_map(|id| (0..16).map(move |l| (id, l))) {
+                    m.add_unit(0.0, format!("x{flat}:{id}:{l}"));
+                }
+            }
+            for (ei, l) in (0..768).flat_map(|ei| (0..16).map(move |l| (ei, l))) {
+                m.add_row_named(Cmp::Le, 1.0, &[], format!("cap{ei}:{l}"));
+            }
+            m.add_row(Cmp::Le, 1.0, &[]); // anonymous: keyed by index
+            m
+        };
+        for (what, build) in [
+            ("transport", &transport as &dyn Fn() -> Model),
+            ("master", &master),
+        ] {
+            let (a, b) = (build(), build());
+            let col_keys = |m: &Model| m.cols.iter().map(|c| c.key).collect::<Vec<_>>();
+            let row_keys = |m: &Model| m.rows.iter().map(|r| r.key).collect::<Vec<_>>();
+            assert_eq!(
+                col_keys(&a),
+                col_keys(&b),
+                "{what}: columns differ across builds"
+            );
+            assert_eq!(
+                row_keys(&a),
+                row_keys(&b),
+                "{what}: rows differ across builds"
+            );
+            assert_distinct(col_keys(&a), what);
+            assert_distinct(row_keys(&a), what);
+        }
+        assert_eq!(key_of("", 7), 7);
+        assert_ne!(key_of("7", 0), 7);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! * Phase 1 minimizes the sum of per-row artificials; phase 2 locks the
 //!   artificials to zero by setting their bounds to `[0,0]`.
 //! * **Warm starts**: a [`Basis`] snapshot from a related model is mapped
-//!   onto this one by variable name (slacks by row name or original row
-//!   index); the mapped basic set is completed to a full nonsingular basis
+//!   onto this one by the integer key of each column's and row's name, so
+//!   rows and columns may have been inserted, dropped or reordered in
+//!   between; the mapped basic set is completed to a full nonsingular basis
 //!   by a rank-revealing elimination
 //!   ([`crate::sparse_lu::complete_basis_into`]), preferring each uncovered
 //!   row's slack over its artificial. Basic variables the mapping forces
@@ -278,10 +279,11 @@ enum PhaseEnd {
 }
 
 /// SplitMix64: the statistics-grade integer hash behind the basis
-/// signatures of the anti-cycling monitor (and, through
-/// [`splitmix_unit`], the deterministic cost jitters).
+/// signatures of the anti-cycling monitor, the name keys of
+/// [`crate::model::key_of`] (and, through [`splitmix_unit`], the
+/// deterministic cost jitters).
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -1145,17 +1147,14 @@ fn solve_presolved_inner(
     if m == 0 {
         let mut values = pre.fixed_values.clone();
         let mut objective = pre.obj_offset;
-        let mut basis_out = want_basis.then(Basis::default);
+        let mut at_upper = Vec::new();
         for &oj in pre.kept_vars.iter() {
             let oj = oj as usize;
             let (cost, lo, hi) = (model.cols[oj].cost, pre.lb[oj], pre.ub[oj]);
             let v = if cost >= 0.0 {
                 lo
             } else if hi.is_finite() {
-                if let Some(b) = basis_out.as_mut() {
-                    b.stat
-                        .insert(model.cols[oj].name.clone(), SnapStat::AtUpper);
-                }
+                at_upper.push((model.cols[oj].key, SnapStat::AtUpper));
                 hi
             } else {
                 return Err(LpError::Unbounded);
@@ -1180,7 +1179,7 @@ fn solve_presolved_inner(
                 status: Status::Optimal,
                 stats,
             },
-            basis_out,
+            want_basis.then(|| Basis::new(at_upper, Vec::new())),
         ));
     }
 
@@ -1458,40 +1457,25 @@ fn solve_presolved_inner(
         objective
     };
 
-    // ---- Snapshot the final basis (by name) if requested. ----
+    // ---- Snapshot the final basis (by key) if requested. ----
     let basis_out = want_basis.then(|| {
-        let mut snap = Basis {
-            rows: m,
-            ..Default::default()
-        };
+        let mut cols = Vec::with_capacity(m);
         for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-            let name = &model.cols[oj as usize].name;
-            match st.vstat[rj] {
-                VStat::Basic => {
-                    snap.stat.insert(name.clone(), SnapStat::Basic);
-                }
-                VStat::AtUpper => {
-                    snap.stat.insert(name.clone(), SnapStat::AtUpper);
-                }
-                VStat::AtLower => {}
-            }
+            let stat = match st.vstat[rj] {
+                VStat::Basic => SnapStat::Basic,
+                VStat::AtUpper => SnapStat::AtUpper,
+                VStat::AtLower => continue,
+            };
+            cols.push((model.cols[oj as usize].key, stat));
         }
-        // Basic slacks, remembered through their rows: by name when the
-        // row is named, by original row index always.
-        for (new_r, slack) in slack_of_row.iter().enumerate() {
-            if let Some(si) = slack {
-                if st.vstat[n_struct + si] == VStat::Basic {
-                    let old_r = kept_rows[new_r];
-                    snap.basic_slack_rows.insert(old_r);
-                    let name = &model.rows[old_r as usize].name;
-                    if !name.is_empty() {
-                        snap.basic_slacks.insert(name.clone());
-                    }
-                }
-            }
-        }
-        snap.kept_rows = kept_rows.iter().copied().collect();
-        snap
+        let rows = kept_rows
+            .iter()
+            .zip(slack_of_row.iter())
+            .map(|(&r, slack)| {
+                let basic = slack.is_some_and(|si| st.vstat[n_struct + si] == VStat::Basic);
+                (model.rows[r as usize].key, basic)
+            });
+        Basis::new(cols, rows.collect())
     });
 
     st.stats.iterations = st.iterations;
@@ -1609,15 +1593,20 @@ fn crash_basis(
     st.refactorize(f, opts.tol, cnt, fx, rec)
 }
 
+/// Phase-0 rounds [`try_warm_start`]'s repair may take before it gives the
+/// basis up (on `online_eager_k8` 80 % of the repairs take one round, 19 %
+/// two; three is the most seen on any benchmark workload).
+const REPAIR_ROUNDS: usize = 4;
+
 /// Attempts a warm start from `snap`. Returns `true` when a mapped basis
 /// factorized and produced a (near-)feasible point; on `false` the state
 /// may be arbitrary and the caller must run the cold crash.
 ///
 /// The mapping is repaired, not all-or-nothing: negative artificials get
 /// their sign flipped, basic variables forced outside their range are
-/// driven back by a bound-shifting "phase 0" (see inline comments), and a
-/// small residual on artificials is tolerated — phase 1 clears it in far
-/// fewer pivots than a cold start would need.
+/// driven back by rounds of a bound-shifting "phase 0" (see inline
+/// comments), and a small residual on artificials is tolerated — phase 1
+/// clears it in far fewer pivots than a cold start would need.
 // lint: hot
 #[allow(clippy::too_many_arguments)]
 fn try_warm_start(
@@ -1651,40 +1640,27 @@ fn try_warm_start(
         ..
     } = wb;
 
-    // Map snapshot statuses onto reduced indices by name.
+    // Map snapshot statuses onto reduced indices by key.
     reserve(cnt, cand, n_struct + m);
     reserve(cnt, uppers, n_struct);
     for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-        match snap.stat.get(&model.cols[oj as usize].name) {
+        match snap.col(model.cols[oj as usize].key) {
             Some(SnapStat::Basic) => cand.push(rj),
             Some(SnapStat::AtUpper) => uppers.push(rj),
             None => {}
         }
     }
-    // Remembered basic slacks: matched by row name when the row is named,
-    // and by original row index otherwise (exact whenever the grown model
-    // keeps the old rows as a prefix; validated below either way).
+    // Slacks: basic when the snapshot remembers the row's slack as basic,
+    // and also when the row is absent from the snapshot's working problem —
+    // presolved away back then (a colgen capacity row no column touched
+    // yet) or genuinely new — because such a row was satisfied strictly at
+    // the old optimum. Seeding its slack keeps the mapped basis's implied
+    // point exactly at the old optimum; without it the completion may cover
+    // the row with a structural column and scramble every basic value.
     for (new_r, slack) in slack_of_row.iter().enumerate() {
         if let Some(si) = slack {
-            let old_r = kept_rows[new_r];
-            let name = &model.rows[old_r as usize].name;
-            let hit = if name.is_empty() {
-                snap.basic_slack_rows.contains(&old_r)
-            } else {
-                snap.basic_slacks.contains(name)
-            };
-            if hit {
-                cand.push(n_struct + si);
-                continue;
-            }
-            // Rows absent from the snapshot's working problem — presolved
-            // away back then (a colgen capacity row no column touched yet)
-            // or genuinely new in a grown model — were satisfied strictly
-            // at the old optimum, so their slack is implicitly basic.
-            // Seeding it keeps the mapped basis's implied point exactly at
-            // the old optimum; without it the completion may cover such a
-            // row with a structural column and scramble every basic value.
-            if !snap.kept_rows.contains(&old_r) {
+            let key = model.rows[kept_rows[new_r] as usize].key;
+            if snap.row(key).unwrap_or(true) {
                 cand.push(n_struct + si);
             }
         }
@@ -1799,36 +1775,19 @@ fn try_warm_start(
     }
     st.since_refactor = 0;
 
-    // Adopt the implied point, shifting the bounds of any basic variable
-    // forced outside its range: a below-lower variable works on temporary
-    // bounds `[value, lb]` with phase-0 cost −1, an above-upper one on
-    // `[ub, value]` with cost +1, so the minimum of the phase-0 objective
-    // is attained exactly when every shifted variable is back at (or
-    // inside) its original range. This "phase 0" is what makes warm
-    // starting a *grown* LP robust: the embedded old optimum is usually a
-    // handful of pivots from feasibility, while a cold start would redo
-    // the whole phase 1.
+    // Adopt the implied point, collecting every basic variable it forces
+    // outside its range.
     shifted.clear();
-    prep(cnt, costs0, st.nvars(), 0.0);
     for (pos, &val) in r.iter().enumerate() {
         let j = st.basis[pos];
-        if j >= n_expl {
-            st.x[j] = val.max(0.0);
-        } else if val < st.lb[j] - vtol {
+        st.x[j] = if j >= n_expl {
+            val.max(0.0)
+        } else if val < st.lb[j] - vtol || val > st.ub[j] + vtol {
             shifted.push((j, st.lb[j], st.ub[j]));
-            costs0[j] = -1.0;
-            st.ub[j] = st.lb[j];
-            st.lb[j] = val;
-            st.x[j] = val;
-        } else if val > st.ub[j] + vtol {
-            shifted.push((j, st.lb[j], st.ub[j]));
-            costs0[j] = 1.0;
-            st.lb[j] = st.ub[j];
-            st.ub[j] = val;
-            st.x[j] = val;
+            val
         } else {
-            st.x[j] = val.clamp(st.lb[j], st.ub[j]);
-        }
+            val.clamp(st.lb[j], st.ub[j])
+        };
     }
 
     // Early junk-basis rejection, before spending repair pivots: when the
@@ -1840,43 +1799,63 @@ fn try_warm_start(
     // artificial-residual acceptance test below; genuinely related models
     // (grown grids, online residuals) shift only a handful of variables.
     if shifted.len() * 4 > m {
-        // The shift loop above already moved these bounds; the cold crash
-        // reuses them, so put them back before bailing.
-        for &(j, lb0, ub0) in shifted.iter() {
-            st.lb[j] = lb0;
-            st.ub[j] = ub0;
-        }
         return false;
     }
 
-    if !shifted.is_empty() {
-        let cap = 200 + 4 * m;
-        let repaired = matches!(
-            run_phase(st, f, costs0, opts, cap, cnt, ph, fx, rec),
-            Ok(PhaseEnd::Optimal)
-        );
-        // Restore the original bounds and re-align nonbasic statuses with
-        // them; any variable still outside its range means the repair
-        // failed and the caller must cold-start.
-        let mut still_bad = !repaired;
+    // Bound-shifting repair ("phase 0"): a below-lower variable works on
+    // the temporary range `[value, lb]` with cost −1, an above-upper one on
+    // `[ub, value]` with cost +1, so the phase-0 objective falls exactly as
+    // the shifted variables close in on their ranges. A temporary range
+    // ends *at* the violated bound, so one round can bring a variable to
+    // its bound but not inside its range — and feasibility may need just
+    // that of some of them before the rest can return. Hence rounds: after
+    // each phase-0 optimum every shifted variable gets its own bounds back,
+    // the returned ones stay free over their whole range at cost 0, and
+    // only those still outside are shifted again from where they now
+    // stand. This is what makes warm starting a *changed* LP robust: the
+    // embedded old optimum is usually a handful of pivots from feasibility,
+    // while a cold start would redo the whole phase 1.
+    prep(cnt, costs0, st.nvars(), 0.0);
+    let cap = 200 + 4 * m;
+    let mut rounds = 0;
+    while !shifted.is_empty() {
         for &(j, lb0, ub0) in shifted.iter() {
-            st.lb[j] = lb0;
-            st.ub[j] = ub0;
-            if st.x[j] < lb0 - vtol || st.x[j] > ub0 + vtol {
-                still_bad = true;
-            } else if st.vstat[j] != VStat::Basic {
-                if (st.x[j] - ub0).abs() <= (st.x[j] - lb0).abs() && ub0.is_finite() {
-                    st.vstat[j] = VStat::AtUpper;
-                    st.x[j] = ub0;
-                } else {
-                    st.vstat[j] = VStat::AtLower;
-                    st.x[j] = lb0;
-                }
+            if st.x[j] < lb0 {
+                costs0[j] = -1.0;
+                st.lb[j] = st.x[j];
+                st.ub[j] = lb0;
             } else {
-                st.x[j] = st.x[j].clamp(lb0, ub0);
+                costs0[j] = 1.0;
+                st.lb[j] = ub0;
+                st.ub[j] = st.x[j];
             }
         }
-        if still_bad {
+        let before = st.iterations;
+        let end = run_phase(st, f, costs0, opts, cap, cnt, ph, fx, rec);
+        // Restore the original bounds (the cold crash reuses them should
+        // the repair fail), re-align the nonbasic statuses of the returned
+        // variables with them, and keep the ones still outside.
+        shifted.retain(|&(j, lb0, ub0)| {
+            st.lb[j] = lb0;
+            st.ub[j] = ub0;
+            costs0[j] = 0.0;
+            if st.x[j] < lb0 - vtol || st.x[j] > ub0 + vtol {
+                return true;
+            }
+            if st.vstat[j] == VStat::Basic {
+                st.x[j] = st.x[j].clamp(lb0, ub0);
+            } else if (st.x[j] - ub0).abs() <= (st.x[j] - lb0).abs() && ub0.is_finite() {
+                st.vstat[j] = VStat::AtUpper;
+                st.x[j] = ub0;
+            } else {
+                st.vstat[j] = VStat::AtLower;
+                st.x[j] = lb0;
+            }
+            false
+        });
+        rounds += 1;
+        let stuck = st.iterations == before || rounds == REPAIR_ROUNDS;
+        if !matches!(end, Ok(PhaseEnd::Optimal)) || (stuck && !shifted.is_empty()) {
             return false;
         }
     }

@@ -250,7 +250,8 @@ proptest! {
     /// Warm starting a *grown* model from the smaller model's basis must
     /// reproduce the cold objective exactly (warm starts are an
     /// optimization, never a correctness risk) — including when the shared
-    /// rows' right-hand sides change with the growth.
+    /// rows' right-hand sides change with the growth, and including from
+    /// the snapshot of an unrelated LP whose names merely overlap.
     #[test]
     fn warm_start_grown_matches_cold(
         small in 3usize..7,
@@ -258,6 +259,7 @@ proptest! {
         costs in proptest::collection::vec(1u8..6, 12),
         budget_num in 3usize..9,  // budget rhs = stages * budget_num / 10
         pair_cap in 1usize..3,    // window rhs = 0.6 * pair_cap
+        foreign in arb_lp(8, 6, true),
     ) {
         let build = |stages: usize| {
             let mut m = Model::new();
@@ -286,6 +288,18 @@ proptest! {
         );
         prop_assert!(warm.stats.warm_attempted);
         prop_assert!(big.max_violation(&warm.values) < 10.0 * LP_TOL);
+
+        // `foreign` names its variables `x{j}` too and its anonymous rows
+        // share positions with `big`'s: whatever its basis maps to, the
+        // answer is the cold one.
+        if let Ok((_, junk)) = crate::build(&foreign).solve_with_basis(&opts) {
+            let (warm, _) = big.solve_warm(&junk, &opts).unwrap();
+            prop_assert!(
+                (warm.objective - cold.objective).abs() / scale < 10.0 * LP_TOL,
+                "foreign snapshot: warm {} vs cold {}", warm.objective, cold.objective
+            );
+            prop_assert!(big.max_violation(&warm.values) < 10.0 * LP_TOL);
+        }
     }
 }
 
@@ -411,4 +425,127 @@ fn pathlike_lp_medium() {
             "flow {f} finishes impossibly early"
         );
     }
+}
+
+/// A miniature of the online engine's epoch LP (§2.2, one path per flow)
+/// over the given `flows`: per flow, in order, a named convexity (`sum`),
+/// completion (`cmp`) and precedence (`prec`) row; only then the named
+/// capacity rows `cap{e}:{l}` (all but `skip_cap`). Admitting a flow
+/// therefore inserts three rows *ahead of* every capacity row.
+fn epoch_lp(flows: &[usize], skip_cap: Option<(usize, usize)>) -> Model {
+    const INTERVALS: usize = 6;
+    const EDGES: usize = 3;
+    let tau = |l: usize| {
+        if l == 0 {
+            0.0
+        } else {
+            2.0f64.powi(l as i32 - 1)
+        }
+    };
+    let size = |f: usize| 1.0 + 0.5 * (f * 7 % 5) as f64;
+    let mut m = Model::new();
+    let coflows: Vec<_> = (0..3)
+        .map(|i| m.add_nonneg(1.0 + i as f64, format!("C{i}")))
+        .collect();
+    let mut x = Vec::new();
+    for &f in flows {
+        let c = m.add_nonneg(0.0, format!("c{f}"));
+        let xs: Vec<_> = (0..INTERVALS)
+            .map(|l| m.add_unit(0.0, format!("x{f}:{l}")))
+            .collect();
+        let ones: Vec<_> = xs.iter().map(|&v| (v, 1.0)).collect();
+        m.add_row_named(Cmp::Eq, 1.0, &ones, format!("sum{f}"));
+        let mut done: Vec<_> = xs.iter().enumerate().map(|(l, &v)| (v, tau(l))).collect();
+        done.push((c, -1.0));
+        m.add_row_named(Cmp::Le, 0.0, &done, format!("cmp{f}"));
+        let prec = [(c, 1.0), (coflows[f % 3], -1.0)];
+        m.add_row_named(Cmp::Le, 0.0, &prec, format!("prec{f}"));
+        x.push((f, xs));
+    }
+    for e in 0..EDGES {
+        for l in 0..INTERVALS {
+            if skip_cap == Some((e, l)) {
+                continue;
+            }
+            // Volume finished by the end of interval l fits through edge e.
+            let terms: Vec<_> = x
+                .iter()
+                .filter(|(f, _)| f % EDGES == e || (3 * f + 1) % EDGES == e)
+                .flat_map(|(f, xs)| xs[..=l].iter().map(|&v| (v, size(*f))))
+                .collect();
+            m.add_row_named(Cmp::Le, tau(l + 1), &terms, format!("cap{e}:{l}"));
+        }
+    }
+    m
+}
+
+/// Rows inserted in the middle (an admitted flow's three rows sit ahead of
+/// the capacity rows) or dropped (a capacity row the next epoch no longer
+/// has) do not cost the warm start: the snapshot maps by key, not by row
+/// index, so it is accepted, reaches the cold optimum and saves pivots.
+#[test]
+fn warm_start_survives_rows_inserted_and_dropped() {
+    let opts = SolverOptions::default();
+    let (_, basis) = epoch_lp(&[0, 1, 2, 3, 4, 5, 6, 7], None)
+        .solve_with_basis(&opts)
+        .unwrap();
+    for skip_cap in [None, Some((1, 3))] {
+        let next = epoch_lp(&[0, 1, 2, 3, 4, 5, 6, 7, 8], skip_cap);
+        let (warm, _) = next.solve_warm(&basis, &opts).unwrap();
+        let cold = next.solve_with(&opts).unwrap();
+        assert!(warm.stats.warm_used, "skip {skip_cap:?}: snapshot rejected");
+        let scale = 1.0 + cold.objective.abs();
+        assert!(
+            (warm.objective - cold.objective).abs() / scale < 10.0 * LP_TOL,
+            "skip {skip_cap:?}: warm {} vs cold {}",
+            warm.objective,
+            cold.objective
+        );
+        assert!(
+            warm.iterations < cold.iterations,
+            "skip {skip_cap:?}: warm {} vs cold {} pivots",
+            warm.iterations,
+            cold.iterations
+        );
+    }
+}
+
+/// The warm-start repair can bring a variable back *into* its range, not
+/// only *to* its bound. `u` sits at its upper bound in the snapshot; with
+/// that bound raised, the mapped basis puts `xk` at −0.5 (below 0) and
+/// `xj` at 1.0 (above 0.2), and every feasible point has `xk` in
+/// `[0.3, 0.5]`. One phase 0 on the ranges `[−0.5, 0]` and `[0.2, 1.0]`
+/// stops with `xk = 0` and `xj = 0.5`; only a second round, with `xk` free
+/// over `[0, 1]` again, returns `xj`. The six filler rows keep two shifted
+/// variables under the junk-basis threshold.
+#[test]
+fn warm_start_repair_reenters_range() {
+    let build = |u_ub: f64, xj_ub: f64| {
+        let mut m = Model::new();
+        let xk = m.add_unit(0.0, "xk");
+        let xj = m.add_var(0.0, 0.0, xj_ub, "xj");
+        let u = m.add_var(-1.0, 0.0, u_ub, "u");
+        m.add_row_named(Cmp::Eq, 0.5, &[(xk, 1.0), (xj, 1.0)], "link");
+        m.add_row_named(Cmp::Eq, 1.0, &[(xk, 1.0), (u, 1.0)], "bal");
+        for name in ["p", "q"] {
+            let v = m.add_unit(0.0, name);
+            m.add_row_named(Cmp::Le, 1.9, &[(xk, 1.0), (v, 1.0)], format!("k{name}"));
+            m.add_row_named(Cmp::Le, 2.1, &[(xj, 1.0), (v, 2.0)], format!("j{name}"));
+            m.add_row_named(Cmp::Le, 2.6, &[(u, 1.0), (v, 2.0)], format!("u{name}"));
+        }
+        m
+    };
+    let opts = SolverOptions::default();
+    let (before, basis) = build(0.7, 1.0).solve_with_basis(&opts).unwrap();
+    assert!((before.objective + 0.7).abs() < 1e-9);
+    let after = build(1.5, 0.2);
+    let (warm, _) = after.solve_warm(&basis, &opts).unwrap();
+    let cold = after.solve_with(&opts).unwrap();
+    assert!(warm.stats.warm_used, "repairable snapshot rejected");
+    assert!((warm.objective - cold.objective).abs() < 1e-9);
+    assert!(
+        (warm.values[0] - 0.3).abs() < 1e-9,
+        "xk = {}",
+        warm.values[0]
+    );
 }
