@@ -1,7 +1,8 @@
 //! Byte-reproducibility audit for the full pipeline (coflow-lint rule L3's
 //! end-to-end counterpart): generate a seeded instance, solve the free-paths
 //! LP (eager and by column generation), round it, run the online engine
-//! under both column modes, and serialize everything —
+//! under both column modes and the three solver-free policies, and
+//! serialize everything —
 //! twice, in the same process — and require the two serializations to be
 //! *byte-identical*. Any nondeterminism (hash-map iteration leaking into
 //! output order, unseeded randomness, time-dependent tie-breaks) shows up
@@ -141,6 +142,19 @@ fn pipeline_snapshot() -> String {
     let outcome = run_online(&instance, &mut policy, &EngineConfig::default());
     out.push_str("== engine colgen ==\n");
     push_engine_outcome(&mut out, &outcome);
+
+    // 6. The solver-free rungs of the degradation ladder: the executor's
+    // greedy and weighted-fair fills, with no LP in the loop.
+    let solver_free: [(&str, &mut dyn OnlinePolicy); 3] = [
+        ("Greedy", &mut Greedy),
+        ("WeightedFair", &mut WeightedFair),
+        ("Fifo", &mut Fifo),
+    ];
+    for (name, policy) in solver_free {
+        let outcome = run_online(&instance, policy, &EngineConfig::default());
+        out.push_str(&format!("== engine {name} ==\n"));
+        push_engine_outcome(&mut out, &outcome);
+    }
     out
 }
 
