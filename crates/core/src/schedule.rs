@@ -30,6 +30,23 @@ impl Segment {
     pub fn volume(&self) -> f64 {
         (self.end - self.start) * self.rate
     }
+
+    /// True when `start`, `end` and `rate` are all finite numbers.
+    fn is_finite(&self) -> bool {
+        self.start.is_finite() && self.end.is_finite() && self.rate.is_finite()
+    }
+}
+
+/// A segment boundary in the checker's capacity sweep: at `time`, `rate`
+/// is added to the load of every edge on flow `flat`'s path. A `pulse` is
+/// a segment whose start and end are the same key: its rate is added and
+/// removed edge by edge, as a per-edge sweep would, even on a path that
+/// repeats an edge.
+struct Boundary {
+    time: f64,
+    rate: f64,
+    flat: u32,
+    pulse: bool,
 }
 
 /// Per-flow circuit schedule: a path plus constant-rate segments.
@@ -165,7 +182,13 @@ impl CircuitSchedule {
     /// Full feasibility check against `instance`:
     /// paths valid, segments ordered, releases respected, demand delivered
     /// (within `vol_tol` relative), and capacity respected everywhere
-    /// (within `cap_tol` relative). Returns all violations found.
+    /// (within `cap_tol` relative). Returns all violations found. A segment
+    /// with a non-finite start, end or rate is a [`Violation::BadSegments`]
+    /// and takes no part in the capacity check.
+    ///
+    /// Capacity is one sweep over the segment boundaries in time order,
+    /// which tests at each boundary time only the edges it touches and
+    /// reports the first overload of each edge, in edge order.
     pub fn check(&self, instance: &Instance, vol_tol: f64, cap_tol: f64) -> Vec<Violation> {
         let mut v = Vec::new();
         let g = &instance.graph;
@@ -179,7 +202,11 @@ impl CircuitSchedule {
             let mut prev_end = f64::NEG_INFINITY;
             let mut ok = true;
             for s in &fs.segments {
-                if s.end <= s.start || s.rate < -1e-12 || s.start < prev_end - 1e-9 {
+                if !s.is_finite()
+                    || s.end <= s.start
+                    || s.rate < -1e-12
+                    || s.start < prev_end - 1e-9
+                {
                     ok = false;
                     break;
                 }
@@ -209,46 +236,74 @@ impl CircuitSchedule {
             }
         }
 
-        // Capacity: per-edge sweep over segment events.
-        let mut per_edge: Vec<Vec<(f64, f64)>> = vec![Vec::new(); g.edge_count()];
-        for fs in &self.flows {
+        // Capacity: one time-ordered sweep over segment boundaries. The
+        // stable sort keeps, for every edge, the order in which a sweep over
+        // that edge's own boundaries would add the same rates.
+        let mut bounds: Vec<Boundary> = Vec::new();
+        for (flat, fs) in self.flows.iter().enumerate() {
+            let flat = flat as u32;
             for s in &fs.segments {
-                if s.rate <= 1e-12 {
+                if !s.is_finite() || s.rate <= 1e-12 {
                     continue;
                 }
-                for &e in fs.path.edges.iter() {
-                    per_edge[e.index()].push((s.start, s.rate));
-                    per_edge[e.index()].push((s.end, -s.rate));
+                // Bitwise equality: a start and end that sort as one key.
+                let pulse = s.start.total_cmp(&s.end).is_eq();
+                bounds.push(Boundary {
+                    time: s.start,
+                    rate: s.rate,
+                    flat,
+                    pulse,
+                });
+                if !pulse {
+                    bounds.push(Boundary {
+                        time: s.end,
+                        rate: -s.rate,
+                        flat,
+                        pulse,
+                    });
                 }
             }
         }
-        for (ei, events) in per_edge.iter_mut().enumerate() {
-            if events.is_empty() {
-                continue;
+        bounds.sort_by(|a, b| a.time.total_cmp(&b.time));
+        let mut load = vec![0.0_f64; g.edge_count()];
+        let mut first_over: Vec<Option<(f64, f64)>> = vec![None; g.edge_count()];
+        // Edges touched at the current time, each with the time of the
+        // first boundary that touched it there.
+        let mut touched: Vec<(usize, f64)> = Vec::new();
+        let mut i = 0;
+        while i < bounds.len() {
+            let t = bounds[i].time;
+            // Apply all boundaries at identical time together (exact equality:
+            // we group boundaries carrying the same stored value, not a tolerance).
+            #[allow(clippy::float_cmp)]
+            while i < bounds.len() && bounds[i].time == t {
+                let b = &bounds[i];
+                for &e in self.flows[b.flat as usize].path.edges.iter() {
+                    let e = e.index();
+                    load[e] += b.rate;
+                    if b.pulse {
+                        load[e] += -b.rate;
+                    }
+                    touched.push((e, b.time));
+                }
+                i += 1;
             }
-            let e = EdgeId(ei as u32);
-            let cap = g.capacity(e);
-            events.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut load = 0.0;
-            let mut i = 0;
-            while i < events.len() {
-                let t = events[i].0;
-                // Apply all events at identical time together (exact equality:
-                // we group events carrying the same stored value, not a tolerance).
-                #[allow(clippy::float_cmp)]
-                while i < events.len() && events[i].0 == t {
-                    load += events[i].1;
-                    i += 1;
+            for (e, at) in touched.drain(..) {
+                let cap = g.capacity(EdgeId(e as u32));
+                if first_over[e].is_none() && load[e] > cap * (1.0 + cap_tol) + 1e-9 {
+                    first_over[e] = Some((at, load[e]));
                 }
-                if load > cap * (1.0 + cap_tol) + 1e-9 {
-                    v.push(Violation::OverCapacity {
-                        edge: e,
-                        time: t,
-                        load,
-                        cap,
-                    });
-                    break; // one report per edge is enough
-                }
+            }
+        }
+        for (e, over) in first_over.into_iter().enumerate() {
+            if let Some((time, load)) = over {
+                let edge = EdgeId(e as u32);
+                v.push(Violation::OverCapacity {
+                    edge,
+                    time,
+                    load,
+                    cap: g.capacity(edge),
+                });
             }
         }
         v

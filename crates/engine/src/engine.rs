@@ -166,6 +166,10 @@ pub fn run_trace(
 
     let mut rates = vec![0.0_f64; nf];
     let mut residual_cap = vec![0.0_f64; g.edge_count()];
+    // Executor scratch reused at every event: the active flows in fill
+    // order, and a mark for those the standing order already lists.
+    let mut active: Vec<usize> = Vec::with_capacity(nf);
+    let mut in_plan = vec![false; nf];
     let mut event_budget = 8 * (nf + ncof) + 64;
     if let Some(p) = cfg.trigger.period {
         event_budget += (instance.horizon() / p).ceil() as usize + 16;
@@ -310,19 +314,24 @@ pub fn run_trace(
                 && eff_release(f, &admitted_at) <= t + 1e-12
                 && paths_opt[f].is_some()
         };
+        active.clear();
         match &plan.rates {
             RatePlan::Ordered(order) => {
-                let mut active: Vec<usize> =
-                    order.iter().copied().filter(|&f| is_active(f)).collect();
+                active.extend(order.iter().copied().filter(|&f| is_active(f)));
                 // Defensive: active flows the plan omitted go last, in flat
                 // order (they will be ranked properly at the next epoch).
-                // lint: allow(hash_order) — membership test only, never iterated
-                let in_plan: std::collections::HashSet<usize> = active.iter().copied().collect();
-                active.extend((0..nf).filter(|&f| is_active(f) && !in_plan.contains(&f)));
+                let planned = active.len();
+                for &f in &active {
+                    in_plan[f] = true;
+                }
+                active.extend((0..nf).filter(|&f| is_active(f) && !in_plan[f]));
+                for &f in &active[..planned] {
+                    in_plan[f] = false;
+                }
                 greedy_fill(&paths_flat, &active, &mut rates, &mut residual_cap);
             }
             RatePlan::Fair(weights) => {
-                let active: Vec<usize> = (0..nf).filter(|&f| is_active(f)).collect();
+                active.extend((0..nf).filter(|&f| is_active(f)));
                 fair_fill(
                     &paths_flat,
                     &active,

@@ -130,11 +130,8 @@ pub trait OnlinePolicy {
 pub(crate) fn route_missing(view: &EpochView<'_>) -> Vec<(usize, Path)> {
     let g = &view.original.graph;
     let mut routes = Vec::new();
-    for (rflat, &oflat) in view.residual.flat_map.iter().enumerate() {
-        let spec = view
-            .residual
-            .instance
-            .flow(view.residual.instance.id_of_flat(rflat));
+    for (_, rflat, spec) in view.residual.instance.flows() {
+        let oflat = view.residual.flat_map[rflat];
         if view.paths[oflat].is_none() && spec.size > 0.0 {
             let p = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
                 // lint: allow(no_panic) — instance validation checked reachability at admission
@@ -208,11 +205,11 @@ impl OnlinePolicy for Greedy {
 /// degradation ladder on it.
 pub(crate) fn greedy_plan(view: &EpochView<'_>) -> EpochPlan {
     let inst = &view.residual.instance;
+    let size: Vec<f64> = inst.coflows.iter().map(|c| c.total_size()).collect();
     let mut ranked: Vec<usize> = (0..inst.coflow_count()).collect();
     ranked.sort_by(|&a, &b| {
-        inst.coflows[a]
-            .total_size()
-            .partial_cmp(&inst.coflows[b].total_size())
+        size[a]
+            .partial_cmp(&size[b])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });

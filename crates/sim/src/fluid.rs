@@ -85,7 +85,13 @@ pub fn greedy_fill(paths: &[Path], active: &[usize], rates: &mut [f64], residual
 /// `weights[f]` scales flow `f`'s share of every bottleneck (pass `None`
 /// for the unweighted fair sharing of [`AllocPolicy::MaxMinFair`]); with
 /// all weights 1 this is bit-identical to classic progressive filling.
-/// `rates` entries for active flows are written; `residual` is consumed.
+/// `active` lists distinct flows. `rates` entries for active flows are
+/// written; `residual` is consumed.
+///
+/// A filling round costs O(unfrozen flows × path length): it walks only
+/// the flows still unfrozen and the edges they cross. Edge weight sums are
+/// accumulated in `active` order, so every rate and residual is the same
+/// to the bit as a round over all flows and all edges.
 pub fn fair_fill(
     paths: &[Path],
     active: &[usize],
@@ -93,38 +99,41 @@ pub fn fair_fill(
     rates: &mut [f64],
     residual: &mut [f64],
 ) {
-    let nf = rates.len();
     let w = |f: usize| weights.map(|w| w[f]).unwrap_or(1.0);
-    let mut frozen = vec![true; nf];
-    for &f in active {
-        // Weight-0 (or negative) flows take no share: freezing them from
-        // the start both defines their rate as 0 and keeps the filling
-        // loop terminating (an unfrozen flow contributing nothing to any
-        // edge's weight sum would never saturate or freeze).
-        frozen[f] = w(f) <= 0.0;
-    }
+    // Unfrozen flows, in `active` order. Weight-0 (or negative) flows take
+    // no share: freezing them from the start both defines their rate as 0
+    // and keeps the filling loop terminating (an unfrozen flow contributing
+    // nothing to any edge's weight sum would never saturate or freeze).
+    // `!(w <= 0)`, not `w > 0`: exactly the weights `<= 0` start frozen.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let mut unfrozen: Vec<usize> = active.iter().copied().filter(|&f| !(w(f) <= 0.0)).collect();
+    // Weighted share per edge of unfrozen flows, kept only on the edges
+    // listed in `touched` (each once, the rest of `wsum` stays 0).
+    let mut wsum = vec![0.0_f64; residual.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut on = vec![false; residual.len()];
     // Progressive filling.
-    loop {
-        // Weighted share per edge of unfrozen flows.
-        let mut wsum = vec![0.0_f64; residual.len()];
-        let mut any = false;
-        for &f in active {
-            if frozen[f] {
-                continue;
-            }
-            any = true;
-            for e in paths[f].edges.iter() {
-                wsum[e.index()] += w(f);
-            }
+    while !unfrozen.is_empty() {
+        for &e in &touched {
+            wsum[e] = 0.0;
+            on[e] = false;
         }
-        if !any {
-            break;
+        touched.clear();
+        for &f in &unfrozen {
+            for e in paths[f].edges.iter() {
+                let e = e.index();
+                if !on[e] {
+                    on[e] = true;
+                    touched.push(e);
+                }
+                wsum[e] += w(f);
+            }
         }
         // Raise all unfrozen rates by the smallest per-edge fair share.
         let mut delta = f64::INFINITY;
-        for (e, &s) in wsum.iter().enumerate() {
-            if s > 0.0 {
-                delta = delta.min(residual[e] / s);
+        for &e in &touched {
+            if wsum[e] > 0.0 {
+                delta = delta.min(residual[e] / wsum[e]);
             }
         }
         if !delta.is_finite() {
@@ -136,28 +145,22 @@ pub fn fair_fill(
             // Saturated: freeze everything on saturated edges.
             delta = delta.max(0.0);
         }
-        for (e, &s) in wsum.iter().enumerate() {
-            if s > 0.0 {
-                residual[e] -= delta * s;
+        for &e in &touched {
+            if wsum[e] > 0.0 {
+                residual[e] -= delta * wsum[e];
             }
         }
         let mut progressed = false;
-        for &f in active {
-            if frozen[f] {
-                continue;
-            }
+        unfrozen.retain(|&f| {
             rates[f] += delta * w(f);
             // Freeze flows crossing a saturated edge.
-            if paths[f].edges.iter().any(|e| residual[e.index()] <= 1e-9) {
-                frozen[f] = true;
-                progressed = true;
-            }
-        }
+            let saturated = paths[f].edges.iter().any(|e| residual[e.index()] <= 1e-9);
+            progressed |= saturated;
+            !saturated
+        });
         if !progressed && delta <= 1e-12 {
             // No residual and nobody newly frozen: freeze all.
-            for &f in active {
-                frozen[f] = true;
-            }
+            unfrozen.clear();
         }
     }
 }

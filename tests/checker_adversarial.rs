@@ -162,3 +162,50 @@ proptest! {
         }
     }
 }
+
+/// Overwrites one field of the last segment of the first flow that has a
+/// segment, checks the result and returns that flow's flat index with the
+/// violations. A non-finite segment must come back as `BadSegments`, not
+/// hang the capacity sweep or pass unnoticed; being last, no later
+/// segment's overlap test can catch it instead.
+fn check_with_last_segment(edit: impl Fn(&mut Segment)) -> (usize, Vec<Violation>) {
+    let (inst, out) = good_run();
+    let mut bad = out.schedule.clone();
+    let flat = bad
+        .flows
+        .iter()
+        .position(|f| !f.segments.is_empty())
+        .expect("the good run schedules some flow");
+    let last = bad.flows[flat].segments.len() - 1;
+    edit(&mut bad.flows[flat].segments[last]);
+    (flat, bad.check(&inst, 1e-6, 1e-6))
+}
+
+fn reports_bad_segments(flat: usize, v: &[Violation]) -> bool {
+    v.iter()
+        .any(|x| matches!(x, Violation::BadSegments { flat: f } if *f == flat))
+}
+
+#[test]
+fn nan_segment_start_caught() {
+    let (flat, v) = check_with_last_segment(|s| s.start = f64::NAN);
+    assert!(reports_bad_segments(flat, &v), "{v:?}");
+}
+
+#[test]
+fn nan_segment_end_caught() {
+    let (flat, v) = check_with_last_segment(|s| s.end = f64::NAN);
+    assert!(reports_bad_segments(flat, &v), "{v:?}");
+}
+
+#[test]
+fn nan_segment_rate_caught() {
+    let (flat, v) = check_with_last_segment(|s| s.rate = f64::NAN);
+    assert!(reports_bad_segments(flat, &v), "{v:?}");
+}
+
+#[test]
+fn infinite_segment_end_caught() {
+    let (flat, v) = check_with_last_segment(|s| s.end = f64::INFINITY);
+    assert!(reports_bad_segments(flat, &v), "{v:?}");
+}
