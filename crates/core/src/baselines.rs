@@ -122,18 +122,10 @@ pub fn schedule_only(instance: &Instance, cfg: &BaselineConfig) -> Scheme {
 /// Baseline uses, so the Route-only-vs-Baseline gap isolates the routing
 /// contribution and the LP-vs-Route-only gap isolates scheduling.
 pub fn route_only(instance: &Instance, cfg: &BaselineConfig) -> Scheme {
-    let mut s = route_only_with_order(instance, cfg, false);
-    s.name = "Route-only";
-    s
-}
-
-/// Route-only with a choice of ordering: `arrival = true` serves flows
-/// FIFO by release (a strictly stronger variant used in the ordering
-/// ablation), `false` uses the arbitrary (random) ordering.
-pub fn route_only_with_order(instance: &Instance, cfg: &BaselineConfig, arrival: bool) -> Scheme {
     let g = &instance.graph;
     let mut load = vec![0.0_f64; g.edge_count()];
-    let mut paths: Vec<Option<Path>> = vec![None; instance.flow_count()];
+    // Every flat index is visited exactly once below.
+    let mut paths = vec![Path::empty(); instance.flow_count()];
     // Process in release order so earlier flows grab capacity first.
     let release_order = Priority::by_key(instance.flow_count(), |flat| {
         instance.flow(instance.id_of_flat(flat)).release
@@ -167,27 +159,15 @@ pub fn route_only_with_order(instance: &Instance, cfg: &BaselineConfig, arrival:
         for &e in best.edges.iter() {
             load[e.index()] += spec.size;
         }
-        paths[flat] = Some(best);
+        paths[flat] = best;
     }
-    let paths: Vec<Path> = paths.into_iter().map(Option::unwrap).collect();
-    let order = if arrival {
-        Priority::by_key(instance.flow_count(), |flat| {
-            (instance.flow(instance.id_of_flat(flat)).release, flat)
-        })
-    } else {
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x05EE_D0B0);
-        let mut order: Vec<usize> = (0..instance.flow_count()).collect();
-        order.shuffle(&mut rng);
-        Priority { order }
-    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x05EE_D0B0);
+    let mut order: Vec<usize> = (0..instance.flow_count()).collect();
+    order.shuffle(&mut rng);
     Scheme {
-        name: if arrival {
-            "Route-only(FIFO)"
-        } else {
-            "Route-only"
-        },
+        name: "Route-only",
         paths,
-        order,
+        order: Priority { order },
     }
 }
 

@@ -450,7 +450,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     // Pricing tolerance: a column must beat the simplex's own optimality
     // tolerance to be worth injecting; anything closer to zero is dual
     // noise on an already-optimal master.
-    let price_tol = cfg.solver.tol.max(crate::tol::DUAL_EPS);
+    let price_tol = coflow_lp::LP_TOL.max(crate::tol::DUAL_EPS);
 
     // Per-worker oracle state, retained across pricing rounds: the
     // Bellman–Ford DP tables plus the section's search results in item

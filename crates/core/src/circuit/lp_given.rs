@@ -109,7 +109,7 @@ pub fn solve_given_paths_lp(
 /// one [`WarmChain`] through a sequence of growing grids reuses each
 /// optimal basis instead of cold-starting — the LP-sequence pattern of the
 /// paper's algorithms.
-pub fn solve_given_paths_lp_on_grid(
+fn solve_given_paths_lp_on_grid(
     instance: &Instance,
     cfg: &GivenPathsLpConfig,
     grid: IntervalGrid,

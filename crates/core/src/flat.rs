@@ -140,12 +140,6 @@ impl FlatInstance {
         &self.release
     }
 
-    /// Overwrites the demand of flow `flat` (residual bookkeeping).
-    #[inline]
-    pub fn set_size(&mut self, flat: usize, v: f64) {
-        self.size[flat] = v;
-    }
-
     /// Flat index of a flow id (same mapping as [`Instance::flat_index`]).
     #[inline]
     pub fn flat_index(&self, id: FlowId) -> usize {
@@ -230,14 +224,5 @@ mod tests {
         assert_eq!(flat.flows_of(1), 0..1);
         assert!(flat.flows_of(2).is_empty());
         assert_eq!(flat.coflow_of(0), 1);
-    }
-
-    #[test]
-    fn set_size_updates_totals() {
-        let inst = tiny();
-        let mut flat = inst.flatten();
-        flat.set_size(0, 0.0);
-        assert_eq!(flat.total_size(), 5.0);
-        assert_eq!(flat.size(0), 0.0);
     }
 }

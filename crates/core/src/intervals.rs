@@ -61,19 +61,6 @@ impl IntervalGrid {
         self.upper(l) - self.lower(l)
     }
 
-    /// The interval `(τ_ℓ, τ_{ℓ+1}]` containing time `t > 0`
-    /// (t = 0 maps to interval 0).
-    pub fn index_of(&self, t: f64) -> usize {
-        assert!(t >= 0.0, "negative time {t}");
-        // boundaries are strictly increasing from index 1 on.
-        match self.boundaries.binary_search_by(|b| b.total_cmp(&t)) {
-            Ok(0) => 0,
-            // t equals τ_i exactly: belongs to interval i-1 = (τ_{i-1}, τ_i].
-            Ok(i) => (i - 1).min(self.count() - 1),
-            Err(i) => (i - 1).min(self.count() - 1),
-        }
-    }
-
     /// First interval in which a flow released at `r` may make progress:
     /// the smallest `ℓ` with `τ_{ℓ+1} >= r` (the paper moves releases to the
     /// end of the interval in which they occur — Lemma 4's `(1+ε)` loss).
@@ -117,18 +104,6 @@ mod tests {
             let ratio = g.length(l + 1) / g.length(l);
             assert!((ratio - 1.5436).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn index_of_boundaries_and_interiors() {
-        let g = IntervalGrid::cover(1.0, 16.0);
-        assert_eq!(g.index_of(0.0), 0);
-        assert_eq!(g.index_of(0.5), 0);
-        assert_eq!(g.index_of(1.0), 0); // (0,1] is interval 0
-        assert_eq!(g.index_of(1.5), 1); // (1,2]
-        assert_eq!(g.index_of(2.0), 1);
-        assert_eq!(g.index_of(2.0001), 2);
-        assert_eq!(g.index_of(16.0), g.count() - 1);
     }
 
     #[test]

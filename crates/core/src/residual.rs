@@ -40,13 +40,6 @@ pub struct Residual {
     pub flat_map: Vec<usize>,
 }
 
-impl Residual {
-    /// Remaining volume still to serve (excludes frozen flows).
-    pub fn remaining_size(&self) -> f64 {
-        self.instance.total_size()
-    }
-}
-
 /// Persistent residual bookkeeping for an epoch loop.
 ///
 /// Owns one [`Residual`] and re-uses it across epochs: flows already in
@@ -84,7 +77,7 @@ impl ResidualState {
     }
 
     /// Consumes the state, yielding the residual.
-    pub fn into_residual(self) -> Residual {
+    fn into_residual(self) -> Residual {
         self.res
     }
 
@@ -258,7 +251,7 @@ mod tests {
         assert_eq!(flows[0].release, 0.0);
         assert_eq!(flows[1].size, 1.5);
         assert_eq!(flows[1].release, 0.0, "past release clamps to now");
-        assert!((r.remaining_size() - 1.5).abs() < 1e-12);
+        assert!((r.instance.total_size() - 1.5).abs() < 1e-12);
     }
 
     #[test]

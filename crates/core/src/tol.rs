@@ -61,18 +61,6 @@ pub fn rel_eq(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * (1.0 + a.abs().max(b.abs()))
 }
 
-/// `a <= b` up to slack `eps` (i.e. `a - b <= eps`).
-#[inline]
-pub fn approx_le(a: f64, b: f64, eps: f64) -> bool {
-    a - b <= eps
-}
-
-/// `a >= b` up to slack `eps` (i.e. `b - a <= eps`).
-#[inline]
-pub fn approx_ge(a: f64, b: f64, eps: f64) -> bool {
-    b - a <= eps
-}
-
 /// `|a|` is below the zero threshold `eps`.
 #[inline]
 pub fn is_zero(a: f64, eps: f64) -> bool {
@@ -89,9 +77,6 @@ mod tests {
     fn absolute_comparisons() {
         assert!(approx_eq(1.0, 1.0 + 0.5 * FEAS_EPS, FEAS_EPS));
         assert!(!approx_eq(1.0, 1.0 + 2.0 * FEAS_EPS, FEAS_EPS));
-        assert!(approx_le(1.0 + 0.5 * FEAS_EPS, 1.0, FEAS_EPS));
-        assert!(!approx_le(1.0 + 2.0 * FEAS_EPS, 1.0, FEAS_EPS));
-        assert!(approx_ge(1.0 - 0.5 * TIME_EPS, 1.0, TIME_EPS));
         assert!(is_zero(0.5 * ZERO_EPS, ZERO_EPS));
         assert!(!is_zero(2.0 * ZERO_EPS, ZERO_EPS));
     }

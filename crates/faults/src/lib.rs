@@ -16,8 +16,6 @@
 //!   [`Topology`](coflow_net::topo::Topology): whole bidirectional pairs
 //!   disappear *before* instance generation, so every admitted flow is
 //!   still routable and faults degrade capacity rather than strand work.
-//! * [`corrupt`] — byte-level corruption of `COFB` binary snapshots, for
-//!   pinning `coflow_workloads::binio`'s typed-error contract.
 //! * [`chaos`] — [`chaos::chaos_run`]: one seeded end-to-end run of the
 //!   online engine with budgets, the degradation ladder, and a
 //!   [`plan::FaultPlan`] installed, returning the rendered logical-clock
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod corrupt;
 pub mod netfail;
 pub mod plan;
 

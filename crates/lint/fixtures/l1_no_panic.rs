@@ -1,4 +1,4 @@
-// lint-fixture-expect: no_panic=4
+// lint-fixture-expect: no_panic=6
 // Seeded L1 violations: panicking constructs in library code.
 
 fn seeded(xs: &[u32]) -> u32 {
@@ -11,6 +11,13 @@ fn seeded(xs: &[u32]) -> u32 {
         0 => unreachable!(),
         v => *v,
     }
+}
+
+fn seeded_paths(xs: Vec<Option<u32>>, ys: Vec<Result<u32, ()>>) -> u32 {
+    // Path-form unwraps panic just the same.
+    let a: Vec<u32> = xs.into_iter().map(Option::unwrap).collect();
+    let b: Vec<u32> = ys.into_iter().map(Result::unwrap).collect();
+    a.len() as u32 + b.len() as u32
 }
 
 fn fine(xs: &[u32]) -> u32 {

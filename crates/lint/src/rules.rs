@@ -151,6 +151,20 @@ fn prev_nonws(text: &[u8], mut i: usize) -> Option<u8> {
     None
 }
 
+/// The `Option` / `Result` qualifying the identifier at `s` when it is
+/// written as a path (`.map(Option::unwrap)`), else `None`.
+fn option_or_result_path(text: &[u8], s: usize) -> Option<&str> {
+    let head = text[..s]
+        .trim_ascii_end()
+        .strip_suffix(b"::")?
+        .trim_ascii_end();
+    let ty = ["Option", "Result"]
+        .into_iter()
+        .find(|ty| head.ends_with(ty.as_bytes()))?;
+    let before = head.len() - ty.len();
+    (before == 0 || !is_ident(head[before - 1])).then_some(ty)
+}
+
 /// Does `window` contain a float-like token: a float literal (`1.0`, `2.`,
 /// `1e-6`), an `f64`/`f32` type mention, or an `_f64`-suffixed literal?
 fn looks_float(window: &[u8]) -> bool {
@@ -345,17 +359,21 @@ pub fn check_file(raw: &str, class: FileClass) -> Vec<Violation> {
         for &(s, e) in &idents(text) {
             let tok = &text[s..e];
             match tok {
-                b"unwrap" | b"expect"
-                    if !class.fault_harness
-                        && prev_nonws(text, s) == Some(b'.')
-                        && next_nonws(text, e) == Some(b'(') =>
-                {
+                b"unwrap" | b"expect" if !class.fault_harness => {
                     let name = String::from_utf8_lossy(tok);
+                    let call =
+                        if prev_nonws(text, s) == Some(b'.') && next_nonws(text, e) == Some(b'(') {
+                            format!(".{name}()")
+                        } else if let Some(ty) = option_or_result_path(text, s) {
+                            format!("{ty}::{name}")
+                        } else {
+                            continue;
+                        };
                     push(
                         &cleaned,
                         s,
                         "no_panic",
-                        format!("`.{name}()` in library code — return a typed error or document the invariant with an allow marker"),
+                        format!("`{call}` in library code — return a typed error or document the invariant with an allow marker"),
                     );
                 }
                 b"panic" | b"unreachable" | b"todo" | b"unimplemented"
@@ -555,6 +573,20 @@ mod tests {
         assert_eq!(rules_hit("fn f() { x.unwrap(); }", LIB), ["no_panic"]);
         assert!(rules_hit("fn f() { x.unwrap_or(0); }", LIB).is_empty());
         assert!(rules_hit("fn f() { x.unwrap_or_default(); }", LIB).is_empty());
+    }
+
+    #[test]
+    fn flags_path_form_unwrap_and_expect() {
+        let hit = |src| rules_hit(src, LIB);
+        assert_eq!(hit("fn f() { v.map(Option::unwrap); }"), ["no_panic"]);
+        assert_eq!(hit("fn f() { v.map(Result::expect); }"), ["no_panic"]);
+        assert_eq!(
+            hit("fn f() { v.map(std::option::Option :: unwrap); }"),
+            ["no_panic"]
+        );
+        assert!(hit("fn f() { v.map(Option::unwrap_or_default); }").is_empty());
+        assert!(hit("fn f() { v.map(MyOption::unwrap); }").is_empty());
+        assert!(hit("fn f() { v.map(Wrapper::expect); }").is_empty());
     }
 
     #[test]

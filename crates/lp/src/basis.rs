@@ -79,17 +79,6 @@ impl Basis {
         self.cols.is_empty() && !self.rows.iter().any(|r| r.1)
     }
 
-    /// Number of basic variables recorded (structurals + slacks).
-    pub fn basic_count(&self) -> usize {
-        let cols = self.cols.iter().filter(|c| c.1 == SnapStat::Basic);
-        cols.count() + self.rows.iter().filter(|r| r.1).count()
-    }
-
-    /// Row count of the originating model's working problem (diagnostics).
-    pub fn source_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Status recorded for the column with `key`, if exceptional.
     pub(crate) fn col(&self, key: u64) -> Option<SnapStat> {
         let at = self.cols.binary_search_by_key(&key, |c| c.0).ok()?;
@@ -265,11 +254,6 @@ impl WarmChain {
     /// (spans recorded so far, cumulative accumulators and counters).
     pub fn take_trace(&mut self) -> coflow_obs::Trace {
         self.scratch.obs().drain()
-    }
-
-    /// True once a basis snapshot is available for the next solve.
-    pub fn has_basis(&self) -> bool {
-        self.basis.is_some()
     }
 
     /// Installs a fault-injection hook consulted by this chain's solves

@@ -37,9 +37,9 @@
 //! [`Model::solve_with_basis`] / [`Model::solve_warm`] to reuse the
 //! previous optimal [`Basis`] instead of cold-starting.
 //!
-//! Numerical policy: tolerance-based comparisons go through [`LP_TOL`] (or
-//! an explicit [`SolverOptions::tol`]); *exact* zero tests — sparse kernels
-//! skipping structurally absent entries — go through [`nonzero`], the one
+//! Numerical policy: tolerance-based comparisons go through [`LP_TOL`];
+//! *exact* zero tests — sparse kernels skipping structurally absent
+//! entries — go through [`nonzero`], the one
 //! sanctioned raw float comparison in this crate (see the workspace's
 //! `coflow-lint` rule L2).
 //!
@@ -78,7 +78,7 @@ pub use fault::{ColgenFault, FaultHook};
 pub use model::{Budget, Cmp, LpError, Model, RowId, Solution, SolverOptions, Status, VarId};
 pub use scratch::Scratch;
 
-/// Default feasibility / optimality tolerance.
+/// Feasibility / optimality tolerance of every solve.
 pub const LP_TOL: f64 = 1e-7;
 
 /// Exact structural-nonzero test for sparse kernels.
@@ -88,8 +88,7 @@ pub const LP_TOL: f64 = 1e-7;
 /// tolerance, and treating near-zeros as absent would silently drop real
 /// coefficients. This is deliberately an exact IEEE comparison, not a
 /// tolerance: it is the single place the crate is allowed to compare
-/// floats raw (everything tolerance-like goes through [`LP_TOL`] /
-/// [`SolverOptions::tol`](model::SolverOptions::tol)).
+/// floats raw (everything tolerance-like goes through [`LP_TOL`]).
 #[inline]
 #[allow(clippy::float_cmp)]
 pub(crate) fn nonzero(x: f64) -> bool {

@@ -123,20 +123,11 @@ pub struct Budget {
     pub max_colgen_rounds: Option<usize>,
 }
 
-impl Budget {
-    /// True when no limit is set (the default).
-    pub fn is_unlimited(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// Options controlling the simplex.
 #[derive(Clone, Debug)]
 pub struct SolverOptions {
     /// Hard cap on simplex iterations across both phases.
     pub max_iters: usize,
-    /// Feasibility/optimality tolerance.
-    pub tol: f64,
     /// Verify the returned solution (feasibility + objective consistency)
     /// and fail the solve with [`LpError::Numerical`] on violation. Enabled
     /// by default in debug builds.
@@ -174,7 +165,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         Self {
             max_iters: 2_000_000,
-            tol: LP_TOL,
             verify: cfg!(debug_assertions),
             perturb: 0.0,
             threads: threads_from_env(),
@@ -220,11 +210,11 @@ pub(crate) struct Column {
     pub lb: f64,
     pub ub: f64,
     /// [`key_of`] the name: the column's identity across related models.
+    /// The name itself is not kept.
     pub key: u64,
-    /// Diagnostics only ([`Model::var_name`]). `Box<str>` rather than
-    /// `String`: with the key beside it a column stays 48 bytes.
-    pub name: Box<str>,
 }
+
+const _: () = assert!(std::mem::size_of::<Column>() == 32);
 
 /// A constraint row's static data.
 #[derive(Clone, Debug)]
@@ -267,13 +257,11 @@ impl Model {
         assert!(!ub.is_nan() && ub >= lb, "need lb <= ub, got [{lb}, {ub}]");
         assert!(cost.is_finite(), "cost must be finite");
         let id = VarId(self.cols.len() as u32);
-        let name = Into::<String>::into(name).into_boxed_str();
         self.cols.push(Column {
             cost,
             lb,
             ub,
-            key: key_of(&name, id.index()),
-            name,
+            key: key_of(&Into::<String>::into(name), id.index()),
         });
         id
     }
@@ -286,12 +274,6 @@ impl Model {
     /// Shorthand for a `[0, 1]` variable.
     pub fn add_unit(&mut self, cost: f64, name: impl Into<String>) -> VarId {
         self.add_var(cost, 0.0, 1.0, name)
-    }
-
-    /// Changes the objective coefficient of `v`.
-    pub fn set_cost(&mut self, v: VarId, cost: f64) {
-        assert!(cost.is_finite());
-        self.cols[v.index()].cost = cost;
     }
 
     /// Fixes variable `v` to `value` (sets both bounds).
@@ -433,16 +415,6 @@ impl Model {
         self.rows.len()
     }
 
-    /// Number of structural nonzeros.
-    pub fn num_nonzeros(&self) -> usize {
-        self.triplets.len()
-    }
-
-    /// Variable name (for diagnostics).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.cols[v.index()].name
-    }
-
     /// Solves with default options.
     pub fn solve(&self) -> Result<Solution, LpError> {
         self.solve_with(&SolverOptions::default())
@@ -512,7 +484,7 @@ impl Model {
         if opts.verify {
             // Feasibility and objective consistency hold for truncated
             // points too; only reduced-cost optimality would not.
-            self.verify_solution(&sol, opts.tol.max(1e-6) * 100.0)?;
+            self.verify_solution(&sol, LP_TOL.max(1e-6) * 100.0)?;
         }
         Ok((sol, basis))
     }
@@ -644,7 +616,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_nonneg(1.0, "x");
         m.add_row(Cmp::Ge, 0.0, &[(x, 0.0)]);
-        assert_eq!(m.num_nonzeros(), 0);
+        assert!(m.triplets.is_empty());
         let sol = m.solve().unwrap();
         assert_eq!(sol.value(x), 0.0);
     }

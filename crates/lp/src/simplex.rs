@@ -39,13 +39,13 @@
 use crate::basis::{Basis, SnapStat, SolveStats};
 use crate::factor::SparseLuFactor;
 use crate::model::{Cmp, LpError, Model, Solution, SolverOptions, Status};
-use crate::nonzero;
 use crate::presolve::Presolved;
 use crate::scratch::{
     prep, reserve, reserve_pool, AsmBufs, CompleteBufs, Counters, FactorBufs, PhaseBufs, Scratch,
     WarmBufs,
 };
 use crate::sparse_lu::complete_basis_into;
+use crate::{nonzero, LP_TOL};
 use coflow_obs::{Accum, Counter as ObsCounter, Recorder, SpanName};
 
 /// Variable status in the simplex dictionary.
@@ -798,7 +798,7 @@ fn run_phase(
     rec: &mut Recorder,
 ) -> Result<PhaseEnd, LpError> {
     let m = st.m;
-    let tol = opts.tol;
+    let tol = LP_TOL;
     let nv = st.nvars();
     prep(cnt, &mut ph.y, m, 0.0);
     prep(cnt, &mut ph.w, m, 0.0);
@@ -963,7 +963,7 @@ fn run_phases(
     let n_expl = st.n_expl;
     let nvars = st.nvars();
     // ---- Phase 1: minimize sum of artificials. ----
-    let phase1_needed = st.x[n_expl..].iter().any(|&v| v > opts.tol);
+    let phase1_needed = st.x[n_expl..].iter().any(|&v| v > LP_TOL);
     if phase1_needed {
         rec.enter(SpanName::Phase1);
         let end = run_phase(st, f, costs1, opts, opts.max_iters, cnt, ph, fx, rec);
@@ -978,7 +978,7 @@ fn run_phases(
         }
         let infeas: f64 = st.x[n_expl..].iter().sum();
         let scale = 1.0 + st.b.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        if infeas > opts.tol * scale * 10.0 {
+        if infeas > LP_TOL * scale * 10.0 {
             return Err(LpError::Infeasible);
         }
     }
@@ -990,7 +990,11 @@ fn run_phases(
             st.vstat[j] = VStat::AtLower;
             st.x[j] = 0.0;
         } else {
-            st.x[j] = st.x[j].min(opts.tol).max(0.0);
+            // Not `clamp`: min/max map a NaN to LP_TOL instead of keeping it.
+            #[allow(clippy::manual_clamp)]
+            {
+                st.x[j] = st.x[j].min(LP_TOL).max(0.0);
+            }
         }
     }
 
@@ -1006,7 +1010,7 @@ fn run_phases(
     };
 
     // One final refactorization pass for clean values.
-    st.refactorize(f, opts.tol, cnt, fx, rec)?;
+    st.refactorize(f, LP_TOL, cnt, fx, rec)?;
     if !truncated {
         // Re-check optimality after the refresh: if the cleaned point lost
         // optimality (rare), resume pivoting once. Truncated solves skip
@@ -1167,7 +1171,7 @@ fn solve_presolved_inner(
             ..Default::default()
         };
         let mut duals = vec![0.0; model.num_rows()];
-        crate::presolve::postsolve_singleton_duals(model, pre, opts.tol, &mut duals);
+        crate::presolve::postsolve_singleton_duals(model, pre, LP_TOL, &mut duals);
         return Ok((
             Solution {
                 objective,
@@ -1310,7 +1314,6 @@ fn solve_presolved_inner(
             n_struct,
             st,
             f,
-            opts,
             cnt,
             fx,
             &mut wb.resid,
@@ -1335,7 +1338,6 @@ fn solve_presolved_inner(
                 n_struct,
                 st,
                 f,
-                opts,
                 cnt,
                 fx,
                 &mut wb.resid,
@@ -1386,7 +1388,7 @@ fn solve_presolved_inner(
                     recovered = match rung {
                         1 => {
                             st.stats.recovery_refactorizations += 1;
-                            st.refactorize(f, opts.tol, cnt, fx, rec).is_ok()
+                            st.refactorize(f, LP_TOL, cnt, fx, rec).is_ok()
                         }
                         2 => {
                             st.stats.recovery_basis_repairs += 1;
@@ -1397,7 +1399,6 @@ fn solve_presolved_inner(
                                 n_struct,
                                 st,
                                 f,
-                                opts,
                                 cnt,
                                 fx,
                                 &mut wb.resid,
@@ -1415,7 +1416,6 @@ fn solve_presolved_inner(
                                 n_struct,
                                 st,
                                 f,
-                                opts,
                                 cnt,
                                 fx,
                                 &mut wb.resid,
@@ -1445,14 +1445,14 @@ fn solve_presolved_inner(
     for (new_r, &old_r) in kept_rows.iter().enumerate() {
         duals[old_r as usize] = ydual[new_r];
     }
-    crate::presolve::postsolve_singleton_duals(model, pre, opts.tol, &mut duals);
+    crate::presolve::postsolve_singleton_duals(model, pre, LP_TOL, &mut duals);
     let objective = model.objective_of(&values);
     // For optimal solves the bound IS the objective. For budget-truncated
     // solves it is the Lagrangian dual value at the current working duals,
     // translated into reported-objective space (exact for `perturb == 0`,
     // within the perturbation scale otherwise).
     let bound = if truncated {
-        objective - working_objective(st, costs2) + lagrangian_dual(st, costs2, ydual, opts.tol)
+        objective - working_objective(st, costs2) + lagrangian_dual(st, costs2, ydual, LP_TOL)
     } else {
         objective
     };
@@ -1517,7 +1517,6 @@ fn crash_basis(
     n_struct: usize,
     st: &mut State,
     f: &mut SparseLuFactor,
-    opts: &SolverOptions,
     cnt: &mut Counters,
     fx: &mut FactorBufs,
     resid: &mut Vec<f64>,
@@ -1590,7 +1589,7 @@ fn crash_basis(
             st.vstat[aj] = VStat::Basic;
         }
     }
-    st.refactorize(f, opts.tol, cnt, fx, rec)
+    st.refactorize(f, LP_TOL, cnt, fx, rec)
 }
 
 /// Phase-0 rounds [`try_warm_start`]'s repair may take before it gives the
@@ -1671,7 +1670,7 @@ fn try_warm_start(
     }
 
     // Bound-violation threshold for treating a mapped basic value as off.
-    let vtol = opts.tol.max(1e-9) * 10.0;
+    let vtol = LP_TOL.max(1e-9) * 10.0;
     st.art_sign.iter_mut().for_each(|s| *s = 1.0);
 
     // Complete the candidate set to a full basis: rank-revealing
@@ -1862,7 +1861,7 @@ fn try_warm_start(
 
     // Accept unless the mapping left so much residual on artificials that
     // phase 1 would redo everything anyway.
-    let art_rows = st.x[n_expl..].iter().filter(|&&v| v > opts.tol).count();
+    let art_rows = st.x[n_expl..].iter().filter(|&&v| v > LP_TOL).count();
     art_rows * 4 <= m
 }
 

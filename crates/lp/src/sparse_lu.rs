@@ -444,7 +444,7 @@ impl LuFactors {
 
     /// One-shot constructor: factorize `cols` into fresh storage.
     #[cfg(test)]
-    pub fn factorize(m: usize, cols: &[SparseCol]) -> Result<LuFactors, String> {
+    fn factorize(m: usize, cols: &[SparseCol]) -> Result<LuFactors, String> {
         let mut lu = LuFactors::default();
         lu.refactor_in_place(m, cols, &mut Counters::default())?;
         Ok(lu)

@@ -1,5 +1,4 @@
-//! Network flows: per-edge flow fields, max-flow (Edmonds–Karp), and the
-//! flow-decomposition theorem.
+//! Network flows: per-edge flow fields and the flow-decomposition theorem.
 //!
 //! §2.2 of the paper applies "the well-known flow decomposition theorem
 //! (see e.g. [Ahuja–Magnanti–Orlin])" to turn fractional LP edge-flows into
@@ -23,12 +22,6 @@ impl EdgeFlow {
         Self {
             values: vec![0.0; edge_count],
         }
-    }
-
-    /// Builds from a dense vector (length must equal the graph's edge count
-    /// when used with that graph).
-    pub fn from_vec(values: Vec<f64>) -> Self {
-        Self { values }
     }
 
     /// Flow on edge `e`.
@@ -66,131 +59,6 @@ impl EdgeFlow {
     pub fn value(&self, g: &Graph, src: NodeId) -> f64 {
         self.net_out(g, src)
     }
-
-    /// Checks conservation at all nodes except `src` and `dst`, capacity
-    /// bounds `0 <= f(e) <= cap_scale * c(e)`, within tolerance `tol`.
-    pub fn is_feasible(
-        &self,
-        g: &Graph,
-        src: NodeId,
-        dst: NodeId,
-        cap_scale: f64,
-        tol: f64,
-    ) -> bool {
-        for e in g.edges() {
-            let f = self.get(e);
-            if f < -tol || f > cap_scale * g.capacity(e) + tol {
-                return false;
-            }
-        }
-        for v in g.nodes() {
-            if v == src || v == dst {
-                continue;
-            }
-            if self.net_out(g, v).abs() > tol {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Result of a max-flow computation.
-#[derive(Clone, Debug)]
-pub struct MaxFlow {
-    /// The achieved flow value.
-    pub value: f64,
-    /// Per-edge flow realizing it.
-    pub flow: EdgeFlow,
-}
-
-/// Edmonds–Karp max-flow from `src` to `dst` on the capacitated graph `g`.
-///
-/// Used as a reference oracle in tests (decomposed LP flows can never exceed
-/// the max flow) and by feasibility checks in the workload generator.
-/// Runs in `O(V * E^2)`; our graphs are small enough.
-pub fn max_flow(g: &Graph, src: NodeId, dst: NodeId) -> MaxFlow {
-    // Residual graph: for each directed edge e, a forward arc with residual
-    // cap(e) - f(e) and a backward arc with residual f(e).
-    let m = g.edge_count();
-    let mut flow = EdgeFlow::zeros(m);
-    let mut value = 0.0;
-    loop {
-        // BFS on residual graph, tracking (edge, direction) predecessors.
-        #[derive(Clone, Copy)]
-        enum Pre {
-            None,
-            Fwd(EdgeId),
-            Bwd(EdgeId),
-        }
-        let mut pred = vec![Pre::None; g.node_count()];
-        let mut seen = vec![false; g.node_count()];
-        seen[src.index()] = true;
-        let mut q = std::collections::VecDeque::new();
-        q.push_back(src);
-        'bfs: while let Some(u) = q.pop_front() {
-            for &e in g.out_edges(u) {
-                let v = g.edge_dst(e);
-                if !seen[v.index()] && g.capacity(e) - flow.get(e) > FLOW_EPS {
-                    seen[v.index()] = true;
-                    pred[v.index()] = Pre::Fwd(e);
-                    if v == dst {
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-            for &e in g.in_edges(u) {
-                let v = g.edge_src(e);
-                if !seen[v.index()] && flow.get(e) > FLOW_EPS {
-                    seen[v.index()] = true;
-                    pred[v.index()] = Pre::Bwd(e);
-                    if v == dst {
-                        break 'bfs;
-                    }
-                    q.push_back(v);
-                }
-            }
-        }
-        if !seen[dst.index()] {
-            break;
-        }
-        // Find bottleneck.
-        let mut bottleneck = f64::INFINITY;
-        let mut cur = dst;
-        while cur != src {
-            match pred[cur.index()] {
-                Pre::Fwd(e) => {
-                    bottleneck = bottleneck.min(g.capacity(e) - flow.get(e));
-                    cur = g.edge_src(e);
-                }
-                Pre::Bwd(e) => {
-                    bottleneck = bottleneck.min(flow.get(e));
-                    cur = g.edge_dst(e);
-                }
-                // lint: allow(no_panic) — BFS reached dst, so every hop has a predecessor
-                Pre::None => unreachable!("path reconstruction hit a gap"),
-            }
-        }
-        // Augment.
-        let mut cur = dst;
-        while cur != src {
-            match pred[cur.index()] {
-                Pre::Fwd(e) => {
-                    flow.add(e, bottleneck);
-                    cur = g.edge_src(e);
-                }
-                Pre::Bwd(e) => {
-                    flow.add(e, -bottleneck);
-                    cur = g.edge_dst(e);
-                }
-                // lint: allow(no_panic) — BFS reached dst, so every hop has a predecessor
-                Pre::None => unreachable!("path reconstruction hit a gap"),
-            }
-        }
-        value += bottleneck;
-    }
-    MaxFlow { value, flow }
 }
 
 /// A path with an associated flow amount, produced by decomposition.
@@ -274,46 +142,25 @@ mod tests {
         (g, s, t, [e0, e1, e2, e3])
     }
 
-    #[test]
-    fn maxflow_diamond() {
-        let (g, s, t, _) = diamond();
-        let mf = max_flow(&g, s, t);
-        assert!((mf.value - 3.0).abs() < 1e-9);
-        assert!(mf.flow.is_feasible(&g, s, t, 1.0, 1e-9));
-        assert!((mf.flow.value(&g, s) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn maxflow_needs_backward_arc() {
-        // Classic example where a naive greedy gets stuck and the residual
-        // backward arc is required to reach optimum.
-        let mut g = Graph::with_nodes(4);
-        let (s, a, b, t) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
-        g.add_edge(s, a, 1.0);
-        g.add_edge(s, b, 1.0);
-        g.add_edge(a, b, 1.0);
-        g.add_edge(a, t, 1.0);
-        g.add_edge(b, t, 1.0);
-        let mf = max_flow(&g, s, t);
-        assert!((mf.value - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn maxflow_disconnected_zero() {
-        let g = Graph::with_nodes(2);
-        let mf = max_flow(&g, NodeId(0), NodeId(1));
-        assert_eq!(mf.value, 0.0);
-    }
-
-    #[test]
-    fn maxflow_bottleneck_respected() {
-        let t = topo::dumbbell(3, 10.0, 1.5);
-        let mf = max_flow(&t.graph, t.hosts[0], t.hosts[3]);
-        assert!(
-            (mf.value - 1.5).abs() < 1e-9,
-            "bottleneck is 1.5, got {}",
-            mf.value
-        );
+    /// The `src -> dst` flow that sends `weights[i % weights.len()]` along
+    /// the `i`-th candidate path, and its value.
+    pub(super) fn path_sum(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        weights: &[f64],
+    ) -> (EdgeFlow, f64) {
+        let mut f = EdgeFlow::zeros(g.edge_count());
+        let mut value = 0.0;
+        let paths = crate::paths::candidate_paths(g, src, dst, 0, 16);
+        for (i, p) in paths.iter().enumerate() {
+            let w = weights[i % weights.len()];
+            for &e in p.edges.iter() {
+                f.add(e, w);
+            }
+            value += w;
+        }
+        (f, value)
     }
 
     #[test]
@@ -380,41 +227,21 @@ mod tests {
     }
 
     #[test]
-    fn decompose_maxflow_roundtrip_fat_tree() {
-        // Decomposition of a max-flow re-delivers its full value.
+    fn decompose_path_sum_roundtrip_fat_tree() {
+        // Decomposition of a sum of weighted paths re-delivers its full value.
         let t = topo::fat_tree(4, 1.0);
         let (s, d) = (t.hosts[0], t.hosts[15]);
-        let mf = max_flow(&t.graph, s, d);
-        assert!(mf.value >= 1.0 - 1e-9, "host uplink should allow 1.0");
-        let dec = decompose_flow(&t.graph, s, d, &mf.flow);
-        assert!((dec.total() - mf.value).abs() < 1e-6);
+        let (f, value) = path_sum(&t.graph, s, d, &[0.5, 0.25, 0.125, 0.0625]);
+        assert!(value > 0.0);
+        let dec = decompose_flow(&t.graph, s, d, &f);
+        assert!((dec.total() - value).abs() < 1e-6);
         assert!(dec.residual < 1e-6);
-    }
-
-    #[test]
-    fn edge_flow_feasibility_bounds() {
-        let (g, s, t, [e0, e1, ..]) = diamond();
-        let mut f = EdgeFlow::zeros(g.edge_count());
-        f.set(e0, 5.0); // over capacity 2.0
-        f.set(e1, 5.0);
-        assert!(!f.is_feasible(&g, s, t, 1.0, 1e-9));
-        assert!(f.is_feasible(&g, s, t, 2.5, 1e-9)); // scaled caps become 5.0
-    }
-
-    #[test]
-    fn edge_flow_conservation_check() {
-        let (g, s, t, [e0, e1, ..]) = diamond();
-        let mut f = EdgeFlow::zeros(g.edge_count());
-        f.set(e0, 1.0);
-        // no outflow at a => conservation violated at a
-        assert!(!f.is_feasible(&g, s, t, 1.0, 1e-9));
-        f.set(e1, 1.0);
-        assert!(f.is_feasible(&g, s, t, 1.0, 1e-9));
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::path_sum;
     use super::*;
     use proptest::prelude::*;
 
@@ -440,32 +267,18 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn maxflow_is_feasible_and_decomposes(g in arb_graph()) {
+        fn path_sums_decompose(g in arb_graph(), w in proptest::collection::vec(0.1f64..2.0, 1..6)) {
             let s = NodeId(0);
             let t = NodeId((g.node_count() - 1) as u32);
-            let mf = max_flow(&g, s, t);
-            prop_assert!(mf.value >= -FLOW_EPS);
-            prop_assert!(mf.flow.is_feasible(&g, s, t, 1.0, 1e-6));
-            let d = decompose_flow(&g, s, t, &mf.flow);
+            let (f, value) = path_sum(&g, s, t, &w);
+            let d = decompose_flow(&g, s, t, &f);
             // Decomposition delivers the entire flow value.
-            prop_assert!((d.total() - mf.value).abs() < 1e-6);
+            prop_assert!((d.total() - value).abs() < 1e-6);
             prop_assert!(d.residual < 1e-6);
             for wp in &d.paths {
                 prop_assert!(g.is_simple_path(&wp.path, s, t));
                 prop_assert!(wp.amount > 0.0);
             }
-        }
-
-        #[test]
-        fn maxflow_bounded_by_cuts(g in arb_graph()) {
-            let s = NodeId(0);
-            let t = NodeId((g.node_count() - 1) as u32);
-            let mf = max_flow(&g, s, t);
-            // Out-cut of s and in-cut of t both upper-bound the value.
-            let s_cut: f64 = g.out_edges(s).iter().map(|&e| g.capacity(e)).sum();
-            let t_cut: f64 = g.in_edges(t).iter().map(|&e| g.capacity(e)).sum();
-            prop_assert!(mf.value <= s_cut + 1e-6);
-            prop_assert!(mf.value <= t_cut + 1e-6);
         }
     }
 }

@@ -188,12 +188,6 @@ impl Graph {
         self.edges[e.index()].cap
     }
 
-    /// Overwrites the capacity of `e`.
-    pub fn set_capacity(&mut self, e: EdgeId, cap: f64) {
-        assert!(cap >= 0.0 && cap.is_finite());
-        self.edges[e.index()].cap = cap;
-    }
-
     /// Minimum edge capacity over the whole graph (`inf` if no edges).
     pub fn min_capacity(&self) -> f64 {
         self.edges
@@ -317,11 +311,6 @@ impl Path {
         }
         out
     }
-
-    /// Whether the path traverses edge `e`.
-    pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edges.contains(&e)
-    }
 }
 
 impl fmt::Debug for Path {
@@ -360,6 +349,7 @@ mod tests {
         assert_eq!(g.edge_dst(e), b);
         assert_eq!(g.endpoints(e), (a, b));
         assert_eq!(g.capacity(e), 1.0);
+        assert_eq!(g.min_capacity(), 1.0);
         assert_eq!(g.out_degree(a), 1);
         assert_eq!(g.in_degree(b), 1);
         assert_eq!(g.out_degree(b), 0);
@@ -410,14 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_updates() {
-        let (mut g, _, _, e) = two_node();
-        g.set_capacity(e, 7.5);
-        assert_eq!(g.capacity(e), 7.5);
-        assert_eq!(g.min_capacity(), 7.5);
-    }
-
-    #[test]
     fn min_capacity_empty_graph_is_infinite() {
         let g = Graph::new();
         assert!(g.min_capacity().is_infinite());
@@ -433,7 +415,6 @@ mod tests {
         assert_eq!(g.path_bottleneck(&p), 0.5);
         assert!(g.is_simple_path(&p, NodeId(0), NodeId(2)));
         assert!(!g.is_simple_path(&p, NodeId(1), NodeId(2)));
-        assert!(p.contains_edge(e0));
     }
 
     #[test]

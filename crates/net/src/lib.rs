@@ -11,17 +11,16 @@
 //!   edge capacities ([`graph`]);
 //! * [`topo`] — topology builders used throughout the paper and its
 //!   evaluation: the triangle of Figure 1, `k`-ary fat-trees (the 128-server
-//!   evaluation testbed of §4.1), non-blocking switches, grids, rings, stars
-//!   and random regular graphs;
-//! * [`paths`] — BFS shortest paths, Dijkstra, *widest* ("thickest") path
-//!   search as used by the paper's flow-decomposition routine (§4.2), and
-//!   bounded simple-path enumeration for path-based LP formulations;
+//!   evaluation testbed of §4.1), non-blocking switches, grids, rings and
+//!   stars;
+//! * [`paths`] — BFS shortest paths, *widest* ("thickest") path search as
+//!   used by the paper's flow-decomposition routine (§4.2), and bounded
+//!   simple-path enumeration for path-based LP formulations;
 //! * [`pricing`] — dual-priced path oracles for delayed column generation:
-//!   hop-bounded Bellman–Ford and one-to-all Dijkstra under nonnegative
-//!   per-edge prices, plus path interning signatures;
-//! * [`flow`] — per-edge flow fields, Edmonds–Karp max-flow, and the
-//!   flow-decomposition theorem (§2.2, citing Ahuja–Magnanti–Orlin) realized
-//!   as thickest-path peeling;
+//!   hop-bounded Bellman–Ford under nonnegative per-edge prices, plus path
+//!   interning signatures;
+//! * [`flow`] — per-edge flow fields and the flow-decomposition theorem
+//!   (§2.2, citing Ahuja–Magnanti–Orlin) realized as thickest-path peeling;
 //! * [`timexp`] — time-expanded graphs with queue edges (Ford–Fulkerson
 //!   1958), the construction of §3.2 / Figure 2.
 //!
@@ -38,7 +37,7 @@ pub mod pricing;
 pub mod timexp;
 pub mod topo;
 
-pub use flow::{EdgeFlow, FlowDecomposition, MaxFlow};
+pub use flow::{EdgeFlow, FlowDecomposition};
 pub use graph::{EdgeId, Graph, NodeId, Path};
 pub use timexp::TimeExpandedGraph;
 

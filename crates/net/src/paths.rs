@@ -1,5 +1,5 @@
-//! Path search: BFS shortest paths, Dijkstra (additive weights), widest
-//! ("thickest") paths, and bounded simple-path enumeration.
+//! Path search: BFS shortest paths, widest ("thickest") paths, and bounded
+//! simple-path enumeration.
 //!
 //! The widest-path search is the workhorse of the paper's flow-decomposition
 //! step: §4.2 — "The path decomposition algorithm tries to minimize the
@@ -93,51 +93,6 @@ impl Ord for HeapItem {
             .unwrap_or(Ordering::Equal)
             .then_with(|| other.node.0.cmp(&self.node.0))
     }
-}
-
-/// Dijkstra with additive nonnegative edge weights given by `weight(e)`.
-/// Returns the minimum-weight path from `src` to `dst`, or `None`.
-pub fn dijkstra<F: Fn(EdgeId) -> f64>(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    weight: F,
-) -> Option<(Path, f64)> {
-    if src == dst {
-        return Some((Path::empty(), 0.0));
-    }
-    let mut dist = vec![f64::INFINITY; g.node_count()];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; g.node_count()];
-    let mut done = vec![false; g.node_count()];
-    dist[src.index()] = 0.0;
-    // BinaryHeap is a max-heap; negate for min semantics.
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapItem {
-        key: 0.0,
-        node: src,
-    });
-    while let Some(HeapItem { key, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
-        }
-        done[u.index()] = true;
-        let du = -key;
-        if u == dst {
-            return Some((reconstruct(g, &pred, src, dst), du));
-        }
-        for &e in g.out_edges(u) {
-            let w = weight(e);
-            debug_assert!(w >= 0.0, "Dijkstra requires nonnegative weights");
-            let v = g.edge_dst(e);
-            let nd = du + w;
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                pred[v.index()] = Some(e);
-                heap.push(HeapItem { key: -nd, node: v });
-            }
-        }
-    }
-    None
 }
 
 /// Widest (maximum-bottleneck, "thickest") path from `src` to `dst`, where
@@ -369,33 +324,6 @@ mod tests {
         assert_eq!(d, vec![0, 1, 2, 3]);
         let d = bfs_distances(&t.graph, NodeId(3));
         assert_eq!(d[0], usize::MAX, "line is directed");
-    }
-
-    #[test]
-    fn dijkstra_picks_cheaper_detour() {
-        // 0->1 weight 10; 0->2->1 weight 2+3=5.
-        let mut g = Graph::with_nodes(3);
-        let e_direct = g.add_edge(NodeId(0), NodeId(1), 1.0);
-        let e_a = g.add_edge(NodeId(0), NodeId(2), 1.0);
-        let e_b = g.add_edge(NodeId(2), NodeId(1), 1.0);
-        let w = move |e: EdgeId| -> f64 {
-            if e == e_direct {
-                10.0
-            } else if e == e_a {
-                2.0
-            } else {
-                3.0
-            }
-        };
-        let (p, d) = dijkstra(&g, NodeId(0), NodeId(1), w).unwrap();
-        assert_eq!(d, 5.0);
-        assert_eq!(p.edges.as_ref(), &[e_a, e_b]);
-    }
-
-    #[test]
-    fn dijkstra_unreachable_none() {
-        let g = Graph::with_nodes(2);
-        assert!(dijkstra(&g, NodeId(0), NodeId(1), |_| 1.0).is_none());
     }
 
     #[test]

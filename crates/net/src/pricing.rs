@@ -3,7 +3,7 @@
 //! The pricing step of a path-formulation column generation asks: *given
 //! nonnegative per-edge prices derived from the restricted master's row
 //! duals, which admissible path has the lowest total price?*
-//! [`cheapest_path_hop_bounded`] answers it: the minimum-price path with at
+//! [`cheapest_path_hop_bounded_in`] answers it: the minimum-price path with at
 //! most `max_hops` edges (Bellman–Ford layered DP). The hop bound matters
 //! for exactness against the eager builders: the §2.2 path LP enumerates
 //! candidates up to `shortest + slack` hops, so the oracle must search the
@@ -101,30 +101,15 @@ impl PathScratch {
 /// nonnegative prices could be removed without raising the cost, and
 /// removing it strictly lowers the hop count).
 ///
-/// Computes the destination's hop field and allocates its DP tables per
-/// call; hot pricing loops should hold both and call
-/// [`cheapest_path_hop_bounded_in`] instead.
+/// Runs against a caller-owned [`PathScratch`] and the destination's hop
+/// field `to_dst` =
+/// [`reverse_bfs_distances`](crate::paths::reverse_bfs_distances)`(g, dst)`,
+/// which depends on neither prices nor budget and so is computed once per
+/// destination, not per call: no allocation beyond the returned path, and
+/// work proportional to the hop-feasible subgraph.
 ///
 /// # Panics
 /// In debug builds, if `price` returns a negative value.
-pub fn cheapest_path_hop_bounded(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    max_hops: usize,
-    price: impl Fn(EdgeId) -> f64,
-) -> Option<(Path, f64)> {
-    let to_dst = crate::paths::reverse_bfs_distances(g, dst);
-    let mut ws = PathScratch::default();
-    cheapest_path_hop_bounded_in(g, src, dst, &to_dst, max_hops, price, &mut ws)
-}
-
-/// [`cheapest_path_hop_bounded`] against a caller-owned [`PathScratch`] and
-/// the destination's hop field `to_dst` =
-/// [`reverse_bfs_distances`](crate::paths::reverse_bfs_distances)`(g, dst)`,
-/// which depends on neither prices nor budget and so is computed once per
-/// destination, not per call: identical results, no allocation beyond the
-/// returned path, and work proportional to the hop-feasible subgraph.
 // lint: hot
 pub fn cheapest_path_hop_bounded_in(
     g: &Graph,
@@ -236,6 +221,19 @@ mod tests {
     use crate::topo;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+
+    /// One oracle call with a fresh hop field and scratch.
+    fn cheapest_path_hop_bounded(
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        max_hops: usize,
+        price: impl Fn(EdgeId) -> f64,
+    ) -> Option<(Path, f64)> {
+        let to_dst = reverse_bfs_distances(g, dst);
+        let mut ws = PathScratch::default();
+        cheapest_path_hop_bounded_in(g, src, dst, &to_dst, max_hops, price, &mut ws)
+    }
 
     /// The reference the goal-directed DP is held to: the same layered
     /// Bellman–Ford over the full `(max_hops + 1) × |V|` table, every layer

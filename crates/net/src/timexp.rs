@@ -88,42 +88,6 @@ impl TimeExpandedGraph {
     pub fn is_queue_edge(&self, e: EdgeId) -> bool {
         self.base_edge[e.index()].is_none()
     }
-
-    /// The base edge a transit edge expands, or `None` for queue edges.
-    #[inline]
-    pub fn base_of(&self, e: EdgeId) -> Option<EdgeId> {
-        self.base_edge[e.index()]
-    }
-
-    /// All transit edges that expand base edge `b` (one per time step).
-    pub fn copies_of(&self, b: EdgeId) -> Vec<EdgeId> {
-        self.graph
-            .edges()
-            .filter(|&e| self.base_edge[e.index()] == Some(b))
-            .collect()
-    }
-
-    /// Collapses an expanded-edge flow field back onto base edges: sums the
-    /// flow over all time copies of each base edge (queue-edge flow is
-    /// dropped, exactly as in the paper's rounding step: "remove queue edges
-    /// altogether").
-    pub fn collapse_flow(&self, flow: &[f64]) -> Vec<f64> {
-        assert_eq!(flow.len(), self.graph.edge_count());
-        let base_edge_count = self
-            .base_edge
-            .iter()
-            .flatten()
-            .map(|e| e.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![0.0; base_edge_count];
-        for (i, b) in self.base_edge.iter().enumerate() {
-            if let Some(b) = b {
-                out[b.index()] += flow[i];
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +125,11 @@ mod tests {
         let mut g = Graph::with_nodes(2);
         let e = g.add_edge(NodeId(0), NodeId(1), 2.5);
         let tx = TimeExpandedGraph::build(&g, 2, 9.0);
-        let copies = tx.copies_of(e);
+        let copies: Vec<EdgeId> = tx
+            .graph
+            .edges()
+            .filter(|&c| tx.base_edge[c.index()] == Some(e))
+            .collect();
         assert_eq!(copies.len(), 2);
         for c in copies {
             assert_eq!(tx.graph.capacity(c), 2.5);
@@ -189,22 +157,6 @@ mod tests {
             assert_eq!(bu, bv);
             assert_eq!(tv, tu + 1);
         }
-    }
-
-    #[test]
-    fn collapse_drops_queue_flow() {
-        let mut g = Graph::with_nodes(2);
-        let e = g.add_edge(NodeId(0), NodeId(1), 1.0);
-        let tx = TimeExpandedGraph::build(&g, 2, 9.0);
-        let mut flow = vec![0.0; tx.graph.edge_count()];
-        for x in tx.graph.edges() {
-            // Put 1.0 on every expanded edge, transit and queue alike.
-            flow[x.index()] = 1.0;
-        }
-        let collapsed = tx.collapse_flow(&flow);
-        assert_eq!(collapsed.len(), 1);
-        // Two transit copies summed; queue flow dropped.
-        assert_eq!(collapsed[e.index()], 2.0);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! the extension module in `coflow-core` can reproduce it.
 
 use crate::graph::{Graph, NodeId};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt};
 
 /// A built topology together with the nodes that act as traffic endpoints
 /// ("hosts"). Only hosts are ever used as flow sources/destinations by the
@@ -218,60 +216,6 @@ pub fn grid(w: usize, h: usize, cap: f64) -> Topology {
     }
 }
 
-/// A random `d`-regular-ish multigraph on `n` nodes built by the permutation
-/// model: `d` random perfect matchings of out-stubs to in-stubs, rejecting
-/// self-loops by re-drawing (parallel edges may remain — harmless for our
-/// algorithms). Deterministic given `seed`.
-pub fn random_regular(n: usize, d: usize, cap: f64, seed: u64) -> Topology {
-    assert!(n >= 2 && d >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::with_nodes(n);
-    for _round in 0..d {
-        let mut targets: Vec<u32> = (0..n as u32).collect();
-        // Re-shuffle until derangement-ish: no fixed points (self-loops).
-        loop {
-            targets.shuffle(&mut rng);
-            if targets.iter().enumerate().all(|(i, &t)| t != i as u32) {
-                break;
-            }
-        }
-        for (i, &t) in targets.iter().enumerate() {
-            g.add_edge(NodeId(i as u32), NodeId(t), cap);
-        }
-    }
-    Topology {
-        hosts: g.nodes().collect(),
-        graph: g,
-        name: format!("random-regular(n={n},d={d})"),
-    }
-}
-
-/// A dumbbell: two stars of `n` hosts joined by a single bottleneck link of
-/// capacity `bottleneck` (per direction). Classic congestion scenario used
-/// in tests and ablations.
-pub fn dumbbell(n: usize, host_cap: f64, bottleneck: f64) -> Topology {
-    let mut g = Graph::new();
-    let left = g.add_labeled_node("sw-left");
-    let right = g.add_labeled_node("sw-right");
-    g.add_bidi_edge(left, right, bottleneck);
-    let mut hosts = Vec::with_capacity(2 * n);
-    for i in 0..n {
-        let h = g.add_labeled_node(format!("L{i}"));
-        g.add_bidi_edge(h, left, host_cap);
-        hosts.push(h);
-    }
-    for i in 0..n {
-        let h = g.add_labeled_node(format!("R{i}"));
-        g.add_bidi_edge(h, right, host_cap);
-        hosts.push(h);
-    }
-    Topology {
-        graph: g,
-        hosts,
-        name: format!("dumbbell(n={n})"),
-    }
-}
-
 /// Random host pair (src != dst) drawn uniformly from a topology's hosts.
 pub fn random_host_pair<R: Rng>(t: &Topology, rng: &mut R) -> (NodeId, NodeId) {
     assert!(t.host_count() >= 2, "need at least two hosts");
@@ -289,6 +233,8 @@ pub fn random_host_pair<R: Rng>(t: &Topology, rng: &mut R) -> (NodeId, NodeId) {
 mod tests {
     use super::*;
     use crate::paths;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn triangle_shape() {
@@ -388,35 +334,6 @@ mod tests {
         let l = line(4, 2.0);
         assert_eq!(l.graph.edge_count(), 3);
         assert_eq!(l.graph.min_capacity(), 2.0);
-    }
-
-    #[test]
-    fn random_regular_degrees_no_self_loops() {
-        let t = random_regular(10, 3, 1.0, 7);
-        for v in t.graph.nodes() {
-            assert_eq!(t.graph.out_degree(v), 3);
-            assert_eq!(t.graph.in_degree(v), 3);
-        }
-        for e in t.graph.edges() {
-            let (s, d) = t.graph.endpoints(e);
-            assert_ne!(s, d, "self-loop produced");
-        }
-    }
-
-    #[test]
-    fn random_regular_deterministic() {
-        let a = random_regular(8, 2, 1.0, 42);
-        let b = random_regular(8, 2, 1.0, 42);
-        for e in a.graph.edges() {
-            assert_eq!(a.graph.endpoints(e), b.graph.endpoints(e));
-        }
-    }
-
-    #[test]
-    fn dumbbell_bottleneck() {
-        let t = dumbbell(3, 10.0, 1.0);
-        assert_eq!(t.host_count(), 6);
-        assert_eq!(t.graph.min_capacity(), 1.0);
     }
 
     #[test]

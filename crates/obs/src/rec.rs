@@ -156,11 +156,6 @@ impl Recorder {
         self.acc[a as usize]
     }
 
-    /// Accumulator value in milliseconds (ticks under the logical clock).
-    pub fn acc_ms(&self, a: Accum) -> f64 {
-        self.mode.to_ms(self.acc(a))
-    }
-
     /// Opens a span. Depth beyond [`MAX_DEPTH`] is tolerated (counted as
     /// truncated, no record produced).
     pub fn enter(&mut self, name: SpanName) {
@@ -345,6 +340,5 @@ mod tests {
         r.lap(Accum::FtranBtran, t1); // 3, +1
         assert_eq!(r.acc(Accum::Pricing), 1);
         assert_eq!(r.acc(Accum::FtranBtran), 1);
-        assert!((r.acc_ms(Accum::Pricing) - 1.0).abs() < 1e-12);
     }
 }

@@ -266,18 +266,6 @@ pub fn from_json(s: &str) -> Result<Instance, JsonError> {
     Ok(Instance::new(graph, coflows))
 }
 
-/// Writes an instance snapshot to disk.
-pub fn save(instance: &Instance, path: &Path) -> std::io::Result<()> {
-    let json = to_json(instance).map_err(std::io::Error::other)?;
-    std::fs::write(path, json)
-}
-
-/// Loads an instance snapshot from disk.
-pub fn load(path: &Path) -> std::io::Result<Instance> {
-    let s = std::fs::read_to_string(path)?;
-    from_json(&s).map_err(std::io::Error::other)
-}
-
 /// Writes a trace snapshot as JSONL (one JSON object per line), creating
 /// parent directories as needed. The bytes are exactly
 /// [`coflow_obs::Trace::render_jsonl`] — the canonical serialization, so
@@ -790,20 +778,6 @@ mod tests {
             assert_eq!(back.graph.capacity(e), inst.graph.capacity(e));
             assert_eq!(back.graph.endpoints(e), inst.graph.endpoints(e));
         }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let t = topo::triangle();
-        let inst = crate::suite::figure1_instance();
-        let _ = t;
-        let dir = std::env::temp_dir().join("coflow-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("fig1.json");
-        save(&inst, &p).unwrap();
-        let back = load(&p).unwrap();
-        assert_eq!(back.flow_count(), 4);
-        std::fs::remove_file(&p).ok();
     }
 
     #[test]

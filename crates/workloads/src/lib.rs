@@ -12,14 +12,11 @@
 //! * [`suite`] — named scenarios: the Figure 3 / Figure 4 sweeps, a
 //!   MapReduce shuffle, a broadcast pattern, and packet workloads;
 //! * [`io`] — JSON (de)serialization of instances for reproducibility
-//!   snapshots;
-//! * [`binio`] — the compact binary snapshot format (`COFB`): exact f64
-//!   bit patterns, versioned header, typed load errors.
+//!   snapshots, and the JSONL trace files.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod binio;
 pub mod gen;
 pub mod io;
 pub mod rng;

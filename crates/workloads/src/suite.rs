@@ -113,18 +113,6 @@ pub fn figure1_instance() -> Instance {
     )
 }
 
-/// Helper used in tests/examples: all-pairs incast onto one host.
-pub fn incast(topo: &Topology, dst_idx: usize, size: f64) -> Instance {
-    let dst = topo.hosts[dst_idx];
-    let flows: Vec<FlowSpec> = topo
-        .hosts
-        .iter()
-        .filter(|&&h| h != dst)
-        .map(|&s| FlowSpec::new(s, dst, size, 0.0))
-        .collect();
-    Instance::new(topo.graph.clone(), vec![Coflow::new(1.0, flows)])
-}
-
 /// Convenience re-export for hosts-by-index addressing in examples.
 pub fn host(topo: &Topology, i: usize) -> NodeId {
     topo.hosts[i]
@@ -181,16 +169,6 @@ mod tests {
         for (_, _, f) in inst.flows() {
             assert_eq!(f.src, t.hosts[0]);
             assert_eq!(f.size, 3.0);
-        }
-    }
-
-    #[test]
-    fn incast_targets_one_host() {
-        let t = topo::star(5, 1.0);
-        let inst = incast(&t, 2, 1.0);
-        assert_eq!(inst.flow_count(), 4);
-        for (_, _, f) in inst.flows() {
-            assert_eq!(f.dst, t.hosts[2]);
         }
     }
 
