@@ -14,8 +14,8 @@
 //!    (absolute average completion time, ratio w.r.t. Baseline) and write
 //!    CSV artifacts into `results/`.
 //!
-//! Trials run in parallel with `std::thread::scope` (the LP solve dominates
-//! wall time).
+//! Independent trials run in parallel through [`run_parallel`] (the LP
+//! solve dominates wall time, and each solve runs on one thread).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,6 +28,8 @@ use coflow_core::model::Instance;
 use coflow_core::order::lp_order;
 use coflow_sim::fluid::{simulate, SimConfig};
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Names of the four §4.3 schemes, in the paper's plotting order.
@@ -233,9 +235,37 @@ pub fn run_point(
     }
 }
 
-// The worker pool lives in `coflow_lp::par` (the solver's own parallel
-// pricing uses it); the harness re-exports it for the figure binaries.
-pub use coflow_lp::par::{run_parallel, run_parallel_with};
+/// Order-preserving parallel map: `f(i, &items[i])` for every item on up
+/// to `threads` scoped workers, which take the next unclaimed item as they
+/// finish one. Which worker runs an item depends on timing, so `f` must
+/// not carry state from one item to the next.
+pub fn run_parallel<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<&mut Option<R>>> = out.iter_mut().map(Mutex::new).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = f(i, &items[i]);
+                // lint: allow(no_panic) — propagate a worker panic to the caller
+                **slots[i].lock().expect("worker panicked holding slot lock") = Some(r);
+            });
+        }
+    });
+    out.into_iter()
+        // lint: allow(no_panic) — a dead worker is a pool bug, not a data error
+        .map(|o| o.expect("worker died before filling slot"))
+        .collect()
+}
 
 /// Prints an aligned table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -310,7 +340,7 @@ pub struct CommonArgs {
     pub k: usize,
     /// Trials per point (paper: 10).
     pub trials: usize,
-    /// Worker threads.
+    /// Worker threads for independent trials ([`run_parallel`]).
     pub threads: usize,
     /// CSV output path.
     pub out: Option<String>,
@@ -430,29 +460,6 @@ mod tests {
         let p = run_point("cold", &instances, &FreePathsLpConfig::default(), 2);
         assert_eq!(p.diag.warm_attempted, 0);
         assert_eq!(p.trials, 3);
-    }
-
-    #[test]
-    fn parallel_with_threads_state_through_workers() {
-        let items: Vec<usize> = (0..9).collect();
-        // Single worker: the counter state sees every item in order.
-        let out = run_parallel_with(
-            &items,
-            1,
-            || 0usize,
-            |seen, _, &x| {
-                *seen += 1;
-                (*seen, x * 2)
-            },
-        );
-        assert_eq!(
-            out.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
-            (1..=9).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            out.iter().map(|&(_, d)| d).collect::<Vec<_>>(),
-            (0..9).map(|x| x * 2).collect::<Vec<_>>()
-        );
     }
 
     #[test]

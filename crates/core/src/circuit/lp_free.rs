@@ -452,25 +452,16 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     // noise on an already-optimal master.
     let price_tol = coflow_lp::LP_TOL.max(crate::tol::DUAL_EPS);
 
-    // Per-worker oracle state, retained across pricing rounds: the
-    // Bellman–Ford DP tables plus the section's search results in item
-    // order. Worker `w` always owns slot `w` (deterministic static
-    // partition), and a search leaves its scratch as it found it, so
-    // results are identical at any thread count.
-    #[derive(Default)]
-    struct OracleSlot {
-        ws: pricing::PathScratch,
-        out: Vec<Option<(Path, f64)>>,
-    }
-    let oracle_workers = cfg.solver.threads.max(1);
-    let mut oracle_slots: Vec<OracleSlot> = Vec::new();
-    oracle_slots.resize_with(oracle_workers, OracleSlot::default);
+    // Oracle scratch, retained across pricing rounds: the Bellman–Ford DP
+    // tables (a search leaves them as it found them) and the call tallies.
+    let mut ws = pricing::PathScratch::default();
 
     let solved = solve_colgen(&mut m, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
-        // Gather the (flow, interval) oracle calls whose dual bound says a
-        // path could conceivably price out: edge prices are nonnegative,
-        // so `base >= -tol` rules a pair out before any search.
-        let mut work: Vec<(usize, &FlowSpec, usize, f64)> = Vec::new(); // (flat, spec, l, base)
+        // Price each (flow, interval) pair whose dual bound says a path
+        // could conceivably price out — edge prices are nonnegative, so
+        // `base >= -tol` rules a pair out before any search — and inject
+        // each path that does, in flow-then-interval order.
+        let mut added = 0usize;
         for (_, flat, spec) in instance.flows() {
             if !is_priced(spec) {
                 continue;
@@ -481,72 +472,41 @@ pub fn solve_free_paths_lp_colgen_on_grid(
             for l in lp.first(flat)..nl {
                 let base = -y_sum - lp.grid().lower(l) * y_cmp;
                 if base < -price_tol {
-                    work.push((flat, spec, l, base));
-                }
-            }
-        }
-
-        // Fan the searches across the worker pool: each search reads only
-        // the master's duals (shared, immutable) and its worker's own DP
-        // scratch. Sections are contiguous in item order, so concatenating
-        // the slot outputs below restores the exact serial order.
-        for slot in oracle_slots.iter_mut() {
-            slot.out.clear();
-        }
-        coflow_lp::par::for_each_section(
-            oracle_workers,
-            work.len(),
-            &mut oracle_slots,
-            |_, range, slot| {
-                let OracleSlot { ws, out } = slot;
-                for &(flat, spec, l, _) in &work[range] {
                     let coeff = spec.size / lp.grid().length(l);
                     let caps = lp.cap_rows(l);
                     // An edge without rows is one no column loads: dual 0.
                     let price = |e: EdgeId| {
                         caps[e.index()].map_or(0.0, |row| (-sol.dual(row)).max(0.0) * coeff)
                     };
-                    out.push(pricing::cheapest_path_hop_bounded_in(
+                    let found = pricing::cheapest_path_hop_bounded_in(
                         g,
                         spec.src,
                         spec.dst,
                         &to_dst[&spec.dst],
                         hop_budget[flat],
                         price,
-                        ws,
-                    ));
-                }
-            },
-        );
-
-        // Serial injection in item order: ColumnPool indices and master
-        // column order stay byte-identical to the serial oracle loop.
-        let mut added = 0usize;
-        let results = oracle_slots.iter().flat_map(|s| s.out.iter());
-        for (&(flat, _, _, base), res) in work.iter().zip(results) {
-            let Some((p, w)) = res else {
-                continue;
-            };
-            if base + w < -price_tol {
-                let sig = pricing::path_signature(p);
-                let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
-                if fresh {
-                    added += lp.add_route(m, flat, pi, p);
+                        &mut ws,
+                    );
+                    let Some((p, w)) = found else {
+                        continue;
+                    };
+                    if base + w < -price_tol {
+                        let sig = pricing::path_signature(&p);
+                        let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
+                        if fresh {
+                            added += lp.add_route(m, flat, pi, &p);
+                        }
+                    }
                 }
             }
         }
         added
     });
 
-    // Fold each worker's oracle counters (calls, edge relaxations) into
-    // the chain's recorder — before a failed master's error propagates, so
-    // the trace keeps the work of the rounds that did run. Slot order is
-    // fixed, and counter merging is integer addition, so totals are
-    // identical at any thread count.
-    for slot in oracle_slots.iter_mut() {
-        let cs = slot.ws.take_counters();
-        chain.obs().merge_counters(&cs);
-    }
+    // Fold the oracle counters (calls, edge relaxations) into the chain's
+    // recorder — before a failed master's error propagates, so the trace
+    // keeps the work of the rounds that did run.
+    chain.obs().merge_counters(&ws.take_counters());
 
     let (sol, stats) = solved?;
     Ok((lp.extract(&sol, stats.total_iterations), stats))
@@ -1058,58 +1018,5 @@ mod tests {
         );
         let lp = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
         assert!(lp.base.coflow_completion[0] <= lp.base.coflow_completion[1] + 1e-6);
-    }
-
-    /// Concurrent pricing oracles must not perturb colgen determinism:
-    /// the oracle fan-out partitions the per-(flow, interval) work items
-    /// across scoped workers but injects results serially in item order,
-    /// so the [`PathPool`] contents — group by group, in insertion order —
-    /// the objective bits, and the round count must be identical at any
-    /// `solver.threads`.
-    #[test]
-    fn colgen_column_pool_identical_across_oracle_threads() {
-        let t = topo::fat_tree(4, 1.0);
-        let mut flows = Vec::new();
-        for i in 0..4 {
-            flows.push(FlowSpec::new(t.hosts[i], t.hosts[15 - i], 4.0, 0.0));
-        }
-        let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
-        let run = |threads: usize| {
-            let cfg = FreePathsLpConfig {
-                columns: ColumnMode::Delayed,
-                solver: coflow_lp::SolverOptions {
-                    threads,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
-            let mut pool = PathPool::new();
-            let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
-                &inst,
-                &cfg,
-                grid,
-                &mut WarmChain::new(),
-                &mut pool,
-            )
-            .unwrap();
-            (cg.base.objective, stats.rounds, stats.generated_cols, pool)
-        };
-        let (obj1, rounds1, gen1, pool1) = run(1);
-        assert!(gen1 > 0, "contention must force column generation");
-        for threads in [2, 4] {
-            let (obj, rounds, gen, pool) = run(threads);
-            assert_eq!(obj.to_bits(), obj1.to_bits(), "objective bits @{threads}");
-            assert_eq!(rounds, rounds1, "round count @{threads}");
-            assert_eq!(gen, gen1, "generated columns @{threads}");
-            assert_eq!(pool.group_count(), pool1.group_count(), "groups @{threads}");
-            for g in 0..pool1.group_count() {
-                assert_eq!(
-                    pool.group(g),
-                    pool1.group(g),
-                    "pool group {g} ordering differs at {threads} threads"
-                );
-            }
-        }
     }
 }

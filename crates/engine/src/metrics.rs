@@ -106,7 +106,7 @@ impl EngineMetrics {
             epoch_log.iter().filter_map(|e| e.colgen.as_ref()).collect();
         // Latency quantiles over ns-scaled samples; the histogram's
         // integer bucket counts make the result independent of epoch
-        // order and of how many threads each re-solve ran with.
+        // order.
         let mut resolve = Histogram::new();
         for e in epoch_log {
             resolve.record((e.resolve_ms * 1e6) as u64);

@@ -416,60 +416,3 @@ fn steady_state_epochs_allocate_nothing() {
         "one resolve-latency sample per epoch"
     );
 }
-
-/// The allocation-free steady-state contract survives the threaded
-/// configuration: parallel refill scans plus concurrent colgen oracles
-/// (`threads >= 2`) route all per-worker state through retained scratch,
-/// so warm epoch re-solves still report `allocs == 0` and record the
-/// thread knob in their stats.
-#[test]
-fn steady_state_epochs_allocate_nothing_with_parallel_oracles() {
-    use coflow_lp::SolverOptions;
-    let topo = coflow_net::topo::fat_tree(4, 1.0);
-    let inst = generate(
-        &topo,
-        &GenConfig {
-            n_coflows: 5,
-            width: 3,
-            size_mean: 3.0,
-            arrival_rate: 0.0,
-            jitter_rate: 0.0,
-            seed: 11,
-            ..Default::default()
-        },
-    );
-    let lc = FreePathsLpConfig {
-        solver: SolverOptions {
-            threads: 4,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let rc = FreeRoundingConfig {
-        seed: 11,
-        ..Default::default()
-    };
-    let mut pol = LpOrder::colgen(lc, rc);
-    let out = run(&inst, &mut pol, &EngineConfig::default());
-    let solves: Vec<_> = out
-        .engine
-        .epoch_log
-        .iter()
-        .filter_map(|e| e.solve)
-        .collect();
-    assert!(
-        solves.len() >= 2,
-        "need completion-triggered epochs after the first (got {})",
-        solves.len()
-    );
-    for (i, s) in solves.iter().enumerate() {
-        assert_eq!(s.threads, 4, "epoch {i} must record the thread knob");
-        if i > 0 {
-            assert_eq!(
-                s.allocs, 0,
-                "epoch {i} threaded re-solve allocated outside retained scratch (reuse {})",
-                s.scratch_reuse
-            );
-        }
-    }
-}

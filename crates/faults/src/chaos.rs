@@ -11,8 +11,7 @@
 //! and the engine's degradation ladder absorb every fault, so the harness
 //! returns the checker verdict, per-flow completions, and the rendered
 //! logical-clock trace for the suite to assert on (no panic, zero
-//! violations, full completion, byte-identical traces across repeat runs
-//! and thread counts).
+//! violations, full completion, byte-identical traces across repeat runs).
 
 use crate::netfail::drop_links;
 use crate::plan::{FaultPlan, FaultPlanConfig};
@@ -23,18 +22,6 @@ use coflow_workloads::gen::{generate, GenConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Once;
-
-/// One chaos scenario. Everything but `threads` is derived from `seed`,
-/// so `(seed, 1)` and `(seed, 4)` run the *same* scenario on different
-/// worker counts — the pairing the byte-diff assertions depend on.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Scenario seed: drives topology damage, the workload, and the
-    /// fault plan.
-    pub seed: u64,
-    /// `SolverOptions::threads` for the LP policy.
-    pub threads: usize,
-}
 
 /// What one chaos run produced.
 #[derive(Clone, Debug)]
@@ -52,7 +39,7 @@ pub struct ChaosOutcome {
     /// Bidirectional links removed from the fat-tree.
     pub links_removed: usize,
     /// The engine trace rendered as `coflow-trace/v1` JSONL (logical
-    /// clock: byte-identical across runs and thread counts).
+    /// clock: byte-identical across runs).
     pub trace_jsonl: String,
 }
 
@@ -68,20 +55,17 @@ pub fn force_logical_clock() {
 }
 
 /// Runs one seeded chaos scenario to completion and reports what happened.
+/// The seed drives the topology damage, the workload and the fault plan.
 ///
 /// Never panics for any seed: that is the property under test.
-pub fn chaos_run(cfg: &ChaosConfig) -> ChaosOutcome {
+pub fn chaos_run(seed: u64) -> ChaosOutcome {
     force_logical_clock();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
 
     // Scenario: a k=4 fat-tree missing 0-2 links, 3 coflows x 2 flows
     // arriving over time. Small on purpose — the suite runs hundreds of
     // these — but multi-epoch, so the ladder has standing plans to reuse.
-    let (t, links_removed) = drop_links(
-        &topo::fat_tree(4, 1.0),
-        rng.random_range(0..3usize),
-        cfg.seed,
-    );
+    let (t, links_removed) = drop_links(&topo::fat_tree(4, 1.0), rng.random_range(0..3usize), seed);
     let inst = generate(
         &t,
         &GenConfig {
@@ -90,7 +74,7 @@ pub fn chaos_run(cfg: &ChaosConfig) -> ChaosOutcome {
             size_mean: 2.0,
             arrival_rate: 0.75,
             jitter_rate: 2.0,
-            seed: cfg.seed ^ 0xC0F_F0D,
+            seed: seed ^ 0xC0F_F0D,
             ..Default::default()
         },
     );
@@ -99,7 +83,6 @@ pub fn chaos_run(cfg: &ChaosConfig) -> ChaosOutcome {
     // some seeds, generous enough that clean solves stay optimal.
     let lp_cfg = coflow_core::circuit::lp_free::FreePathsLpConfig {
         solver: SolverOptions {
-            threads: cfg.threads,
             budget: Budget {
                 max_pivots: Some(400),
                 max_colgen_rounds: Some(4),
@@ -110,12 +93,12 @@ pub fn chaos_run(cfg: &ChaosConfig) -> ChaosOutcome {
         ..Default::default()
     };
     let round_cfg = coflow_core::circuit::round_free::FreeRoundingConfig {
-        seed: cfg.seed,
+        seed,
         ..Default::default()
     };
     let mut policy = LpOrder::colgen(lp_cfg, round_cfg);
     let plan = FaultPlan::new(FaultPlanConfig {
-        seed: cfg.seed ^ 0xFA17,
+        seed: seed ^ 0xFA17,
         ..Default::default()
     });
     let counters = plan.counters();

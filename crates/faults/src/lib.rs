@@ -10,8 +10,7 @@
 //! * [`plan`] — [`plan::FaultPlan`], a seeded plan of solver faults
 //!   (forced singular factorizations, pricing-oracle outages, perturbed
 //!   duals) driven by the vendored xoshiro generator. Same seed, same
-//!   fault sequence — at any [`SolverOptions::threads`] setting, because
-//!   the solver consults hooks only at serial points.
+//!   fault sequence.
 //! * [`netfail`] — connectivity-preserving link removal on a
 //!   [`Topology`](coflow_net::topo::Topology): whole bidirectional pairs
 //!   disappear *before* instance generation, so every admitted flow is
@@ -19,12 +18,10 @@
 //! * [`chaos`] — [`chaos::chaos_run`]: one seeded end-to-end run of the
 //!   online engine with budgets, the degradation ladder, and a
 //!   [`plan::FaultPlan`] installed, returning the rendered logical-clock
-//!   trace for byte-diffing across runs and thread counts.
+//!   trace for byte-diffing across runs.
 //!
 //! Everything here is std-only and deterministic; nothing in this crate is
 //! linked into production configurations.
-//!
-//! [`SolverOptions::threads`]: coflow_lp::SolverOptions
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,6 +30,6 @@ pub mod chaos;
 pub mod netfail;
 pub mod plan;
 
-pub use chaos::{chaos_run, force_logical_clock, ChaosConfig, ChaosOutcome};
+pub use chaos::{chaos_run, force_logical_clock, ChaosOutcome};
 pub use netfail::drop_links;
 pub use plan::{FaultCounters, FaultPlan, FaultPlanConfig};

@@ -1,18 +1,18 @@
 //! Seeded fault plans: the [`coflow_lp::FaultHook`] implementation.
 //!
 //! A [`FaultPlan`] draws one random decision per hook consultation from a
-//! seeded [`StdRng`]. Because the solver consults hooks only at serial
-//! points (see `coflow_lp::fault`), the decision sequence is a pure
-//! function of the seed and the solve sequence — independent of thread
-//! count, wall-clock time, and allocation addresses. Injection totals are
+//! seeded [`StdRng`]. Because the solver consults hooks at fixed points of
+//! the solve (see `coflow_lp::fault`), the decision sequence is a pure
+//! function of the seed and the solve sequence — independent of wall-clock
+//! time and allocation addresses. Injection totals are
 //! published through a shared [`FaultCounters`] handle so the harness can
 //! observe what fired after the plan has been boxed into the solver.
 
 use coflow_lp::{ColgenFault, FaultHook};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Knobs of a [`FaultPlan`]. Probabilities are per consultation; the
 /// default mix fires often enough to exercise every recovery rung on a
@@ -59,26 +59,28 @@ impl Default for FaultPlanConfig {
     }
 }
 
-/// Shared injection totals, updated by the plan as faults fire. Atomics
-/// only because [`FaultHook`] is `Sync`; all updates happen on the solver's
-/// coordinating thread.
+/// Shared injection totals, updated by the plan as faults fire (on the
+/// solving thread, the only one the plan ever runs on).
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     /// Factorizations forced singular.
-    pub singular: AtomicU64,
+    pub singular: Cell<u64>,
     /// Pricing rounds aborted.
-    pub aborts: AtomicU64,
+    pub aborts: Cell<u64>,
     /// Dual vectors perturbed.
-    pub perturbs: AtomicU64,
+    pub perturbs: Cell<u64>,
 }
 
 impl FaultCounters {
     /// Total faults injected so far.
     pub fn total(&self) -> u64 {
-        self.singular.load(Ordering::Relaxed)
-            + self.aborts.load(Ordering::Relaxed)
-            + self.perturbs.load(Ordering::Relaxed)
+        self.singular.get() + self.aborts.get() + self.perturbs.get()
     }
+}
+
+/// Counts one injected fault.
+fn bump(c: &Cell<u64>) {
+    c.set(c.get() + 1);
 }
 
 /// A deterministic, seeded schedule of solver faults.
@@ -86,7 +88,7 @@ impl FaultCounters {
 pub struct FaultPlan {
     cfg: FaultPlanConfig,
     rng: StdRng,
-    counters: Arc<FaultCounters>,
+    counters: Rc<FaultCounters>,
     /// Remaining forced-singular factorizations of an active burst.
     burst: usize,
 }
@@ -97,15 +99,15 @@ impl FaultPlan {
         Self {
             cfg,
             rng: StdRng::seed_from_u64(cfg.seed),
-            counters: Arc::new(FaultCounters::default()),
+            counters: Rc::new(FaultCounters::default()),
             burst: 0,
         }
     }
 
     /// A handle to the injection totals, valid after the plan is boxed
     /// into the solver.
-    pub fn counters(&self) -> Arc<FaultCounters> {
-        Arc::clone(&self.counters)
+    pub fn counters(&self) -> Rc<FaultCounters> {
+        Rc::clone(&self.counters)
     }
 
     fn exhausted(&self) -> bool {
@@ -122,7 +124,7 @@ impl FaultHook for FaultPlan {
             if self.exhausted() {
                 return false;
             }
-            self.counters.singular.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.singular);
             return true;
         }
         // Draw first so the cap never shifts subsequent decisions.
@@ -131,7 +133,7 @@ impl FaultHook for FaultPlan {
             if self.cfg.max_burst >= 2 && self.rng.random_bool(self.cfg.p_burst) {
                 self.burst = self.rng.random_range(2..=self.cfg.max_burst) - 1;
             }
-            self.counters.singular.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.singular);
             return true;
         }
         false
@@ -143,10 +145,10 @@ impl FaultHook for FaultPlan {
             return ColgenFault::None;
         }
         if u < self.cfg.p_abort_pricing {
-            self.counters.aborts.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.aborts);
             ColgenFault::AbortPricing
         } else if u < self.cfg.p_abort_pricing + self.cfg.p_perturb_duals {
-            self.counters.perturbs.fetch_add(1, Ordering::Relaxed);
+            bump(&self.counters.perturbs);
             ColgenFault::PerturbDuals(self.cfg.perturb_eps)
         } else {
             ColgenFault::None
@@ -192,7 +194,7 @@ mod tests {
         for _ in 0..5 {
             assert!(p.on_factorization());
         }
-        assert_eq!(c.singular.load(Ordering::Relaxed), 5);
+        assert_eq!(c.singular.get(), 5);
         assert_eq!(c.total(), 5);
     }
 
@@ -241,7 +243,7 @@ mod tests {
         // that defeats a whole recovery ladder pass.
         assert!(p.on_factorization());
         assert!(p.on_factorization());
-        assert!(p.counters().singular.load(Ordering::Relaxed) >= 2);
+        assert!(p.counters().singular.get() >= 2);
     }
 
     #[test]

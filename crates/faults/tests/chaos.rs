@@ -2,17 +2,15 @@
 //!
 //! For every seed: the faulted end-to-end run must not panic, must produce
 //! a checker-clean schedule that completes every coflow, and must render a
-//! byte-identical `coflow-trace/v1` JSONL trace when repeated — including
-//! across solver thread counts (1 vs 4), because faults are injected only
-//! at serial points.
+//! byte-identical `coflow-trace/v1` JSONL trace when repeated.
 //!
 //! `COFLOW_CHAOS_SEEDS` overrides the seed count (default 200); the CI
 //! `chaos` lane runs a quick subset, the default run is the full suite.
 //! `COFLOW_CHAOS_TRACE_OUT=<path>` additionally writes every seed's trace
 //! to one file so CI can byte-diff two independent *processes* on top of
-//! the in-process repeat/thread-count identities asserted here.
+//! the in-process repeat identity asserted here.
 
-use coflow_faults::{chaos_run, ChaosConfig};
+use coflow_faults::chaos_run;
 
 fn seed_count() -> u64 {
     std::env::var("COFLOW_CHAOS_SEEDS")
@@ -23,21 +21,15 @@ fn seed_count() -> u64 {
 }
 
 /// Asserts the per-run survival properties and returns the outcome.
-fn surviving_run(seed: u64, threads: usize) -> coflow_faults::ChaosOutcome {
-    let out = chaos_run(&ChaosConfig { seed, threads });
-    assert_eq!(
-        out.violations, 0,
-        "seed {seed} threads {threads}: infeasible schedule"
-    );
+fn surviving_run(seed: u64) -> coflow_faults::ChaosOutcome {
+    let out = chaos_run(seed);
+    assert_eq!(out.violations, 0, "seed {seed}: infeasible schedule");
     assert!(
         !out.completions.is_empty() && out.completions.iter().all(|&c| c.is_finite() && c > 0.0),
-        "seed {seed} threads {threads}: incomplete flows {:?}",
+        "seed {seed}: incomplete flows {:?}",
         out.completions
     );
-    assert!(
-        !out.trace_jsonl.is_empty(),
-        "seed {seed} threads {threads}: empty trace"
-    );
+    assert!(!out.trace_jsonl.is_empty(), "seed {seed}: empty trace");
     out
 }
 
@@ -49,9 +41,8 @@ fn seeded_suite_survives_and_replays_byte_identically() {
     let mut drops_total = 0usize;
     let mut suite_trace = String::new();
     for seed in 0..n {
-        let a = surviving_run(seed, 1);
-        // Repeatability at the same thread count.
-        let b = surviving_run(seed, 1);
+        let a = surviving_run(seed);
+        let b = surviving_run(seed);
         assert_eq!(
             a.trace_jsonl, b.trace_jsonl,
             "seed {seed}: trace differs between identical runs"
@@ -60,17 +51,7 @@ fn seeded_suite_survives_and_replays_byte_identically() {
             a.completions, b.completions,
             "seed {seed}: nondeterministic run"
         );
-        // Thread-count independence: same scenario on 4 workers.
-        let c = surviving_run(seed, 4);
-        assert_eq!(
-            a.trace_jsonl, c.trace_jsonl,
-            "seed {seed}: trace differs between 1 and 4 threads"
-        );
-        assert_eq!(
-            a.completions, c.completions,
-            "seed {seed}: schedule differs between 1 and 4 threads"
-        );
-        assert_eq!(a.faults_injected, c.faults_injected, "seed {seed}");
+        assert_eq!(a.faults_injected, b.faults_injected, "seed {seed}");
         faults_total += a.faults_injected;
         degraded_total += a.degraded_epochs;
         drops_total += a.links_removed;

@@ -142,10 +142,6 @@ pub struct SolveStats {
     pub pricing_full_scans: usize,
     /// Pivots served from the candidate list without a refill scan.
     pub pricing_list_hits: usize,
-    /// Worker threads the solve ran with (`SolverOptions::threads`,
-    /// clamped to at least 1). Purely informational: results are byte
-    /// identical at any thread count.
-    pub threads: usize,
     /// The solve returned a budget-truncated (feasible, possibly
     /// suboptimal) point — see [`crate::Budget`].
     pub truncated: bool,
@@ -244,7 +240,7 @@ impl WarmChain {
 
     /// The chain's trace recorder (lives in the scratch workspace, so it
     /// spans every solve of the chain). Callers use it to nest their own
-    /// spans around solves, merge per-worker counter sets, or force the
+    /// spans around solves, merge counter sets tallied apart, or force the
     /// logical clock in tests.
     pub fn obs(&mut self) -> &mut coflow_obs::Recorder {
         self.scratch.obs()

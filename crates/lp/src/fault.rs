@@ -1,11 +1,9 @@
 //! Fault-injection hook points for the solver.
 //!
 //! A [`FaultHook`] is an *optional* callback the solver consults at a small
-//! set of *serial* decision points — never inside the parallel pricing scan
-//! or the oracle fan-out — so an injected fault sequence is a pure function
-//! of the hook's own state and the solve sequence, independent of
-//! [`SolverOptions::threads`](crate::SolverOptions). That is what lets the
-//! chaos suite assert byte-identical traces at 1 and 4 threads *with faults
+//! set of decision points, so an injected fault sequence is a pure function
+//! of the hook's own state and the solve sequence. That is what lets the
+//! chaos suite assert byte-identical traces across repeat runs *with faults
 //! firing*.
 //!
 //! Hooks live on the [`Scratch`](crate::Scratch) workspace (installed via
@@ -34,15 +32,11 @@ pub enum ColgenFault {
 /// Solver-side fault-injection callbacks. All methods default to "no
 /// fault", so implementors override only the surfaces they target.
 ///
-/// Determinism contract: every method is invoked at a serial point in the
-/// solve, in a sequence independent of thread count; implementations must
-/// derive their decisions only from internal (seeded) state and the call
-/// sequence, never from wall-clock time or addresses.
-///
-/// `Send + Sync` are supertraits because the solver state holding the hook
-/// is *borrowed* (never mutated) across the scoped pricing threads; the
-/// hook itself is only ever *called* from the coordinating thread.
-pub trait FaultHook: Send + Sync {
+/// Determinism contract: every method is invoked on the solving thread, in
+/// a sequence fixed by the solve; implementations must derive their
+/// decisions only from internal (seeded) state and the call sequence,
+/// never from wall-clock time or addresses.
+pub trait FaultHook {
     /// Consulted once per basis (re)factorization attempt. Returning
     /// `true` makes the factorization report a singular basis, exercising
     /// the recovery ladder (refactorize → basis repair → cold restart).

@@ -9,10 +9,9 @@
 //! * [`Model`] — a builder for `min cᵀx  s.t.  Ax {<=,=,>=} b, l <= x <= u`
 //!   with sparse rows (duplicate terms merged at build time);
 //! * [`simplex`] — a **bounded-variable revised primal simplex** with
-//!   candidate-list devex pricing (thread-count-invariant parallel refill
-//!   scans), a Harris ratio test, a Bland's-rule anti-cycling fallback, a
-//!   two-phase start, and name-mapped **warm starts** for sequences of
-//!   related LPs;
+//!   candidate-list devex pricing, a Harris ratio test, a Bland's-rule
+//!   anti-cycling fallback, a two-phase start, and name-mapped **warm
+//!   starts** for sequences of related LPs;
 //! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
 //!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex
@@ -20,10 +19,6 @@
 //!   [`Model::solve_dense_reference`];
 //! * [`presolve`] — fixed-variable elimination, empty-row checks, and
 //!   singleton-row bound tightening;
-//! * [`par`] — std-only scoped-thread worker pools: the deterministic
-//!   static-section partition behind the parallel pricing scan and the
-//!   colgen oracle fan-out, plus the order-preserving work-stealing map
-//!   the bench harness re-exports;
 //! * [`colgen`] — delayed column generation: the [`solve_colgen`]
 //!   restricted-master loop (warm-started through a [`WarmChain`]) and the
 //!   persistent [`ColumnPool`] that keeps generated columns reusable across
@@ -66,7 +61,6 @@ pub mod dense;
 pub(crate) mod factor;
 pub mod fault;
 pub mod model;
-pub mod par;
 pub mod presolve;
 pub mod scratch;
 pub mod simplex;

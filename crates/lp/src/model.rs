@@ -140,25 +140,13 @@ pub struct SolverOptions {
     /// the perturbed problem, hence within `perturb · Σ|x|·scale` of the
     /// true optimum.
     pub perturb: f64,
-    /// Worker threads for the parallel pricing scan and the colgen
-    /// oracle fan-out (clamped to at least 1). Results are **byte
-    /// identical at any thread count** — the parallel reduction is a
-    /// deterministic exact merge — so this knob trades wall time only.
-    /// Defaults to the `COFLOW_LP_THREADS` environment variable when set
-    /// to a positive integer, else 1.
+    /// Ignored: every solve and every column-generation pricing round runs
+    /// on the calling thread. Kept (default 1) only because the benchmark
+    /// harness still sets it; it goes once the harness stops.
     pub threads: usize,
     /// Resource budget (pivots / clock deadline / colgen rounds). The
     /// default is unlimited; see [`Budget`] for truncation semantics.
     pub budget: Budget,
-}
-
-/// Reads the `COFLOW_LP_THREADS` default for [`SolverOptions::threads`].
-fn threads_from_env() -> usize {
-    std::env::var("COFLOW_LP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for SolverOptions {
@@ -167,7 +155,7 @@ impl Default for SolverOptions {
             max_iters: 2_000_000,
             verify: cfg!(debug_assertions),
             perturb: 0.0,
-            threads: threads_from_env(),
+            threads: 1,
             budget: Budget::default(),
         }
     }

@@ -93,12 +93,10 @@ pub(crate) struct PhaseBufs {
     /// the last refill scan (eligible columns first, then the best
     /// near-misses), rescanned on every pivot until it runs dry.
     pub(crate) cand: Vec<u32>,
-    /// Merge buffer for the per-section scan results: `(score, column,
-    /// eligible)` entries sorted into the global top list.
-    pub(crate) merged: Vec<(f64, u32, bool)>,
-    /// Per-worker output slots of the parallel refill scan (one bounded
-    /// local top list per fixed column section).
-    pub(crate) sections: Vec<Vec<(f64, u32, bool)>>,
+    /// The refill scan's bounded top list of one window: `(score, column,
+    /// eligible)` entries, sorted into the candidate list's new generation
+    /// when the window holds an eligible column.
+    pub(crate) top: Vec<(f64, u32, bool)>,
 }
 
 /// Refactorization temporaries: the basis-column gather pool and the

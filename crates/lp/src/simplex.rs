@@ -15,9 +15,9 @@
 //!   by `[0,1]` variables and adding bound rows would double `m`.
 //! * Pricing is **candidate-list devex**: most pivots rescan a short list of
 //!   the best-scoring columns; when the list runs dry a refill scan over
-//!   rotating windows of `~4m` columns (cut into fixed sections across
-//!   [`SolverOptions::threads`] workers, merged exactly) restocks it. Pivot
-//!   sequences are byte-identical at any thread count.
+//!   rotating windows of `~4m` columns restocks it. Every choice is broken
+//!   by a total order on the candidate values, so pivot sequences are
+//!   byte-identical from run to run.
 //! * Degeneracy is endemic to interval-indexed LPs; the Harris-style ratio
 //!   test breaks ties on `|w_r|`, and pricing falls back to Bland's rule
 //!   after a run of degenerate pivots (or a detected cycle) to guarantee
@@ -103,8 +103,7 @@ pub(crate) struct State {
     /// Per-solve statistics under construction.
     stats: SolveStats,
     /// Optional fault-injection hook (chaos testing only), consulted once
-    /// per factorization attempt — a serial point, so injected fault
-    /// sequences are thread-count independent. Installed through
+    /// per factorization attempt. Installed through
     /// [`crate::WarmChain::set_fault_hook`]; `None` in production.
     pub(crate) hook: Option<Box<dyn crate::FaultHook>>,
 }
@@ -371,18 +370,10 @@ const PHASE1_JITTER: f64 = 1e-7;
 /// long before the list stops fitting.
 const CAND_LIST_CAP: usize = 64;
 
-/// Below this column count a refill scan stays on the calling thread: the
-/// scan is cheaper than spawning scoped workers. Thread-count invariance
-/// does not depend on this threshold (see [`cand_order`]).
-const PAR_SCAN_MIN_COLS: usize = 4096;
-
 /// Total order on pricing candidates `(devex score, column)`: higher
 /// score first, ties to the lower column index. The order is a pure
-/// function of the candidate values, so merging per-section top-`K`
-/// lists under it yields the exact global top-`K` for *any* section
-/// layout — each global top-`K` element is necessarily in its own
-/// section's top-`K`. That partition invariance is what makes the pivot
-/// sequence byte-identical at any thread count.
+/// function of the candidate values, so the entering column does not
+/// depend on the order in which the list is rescanned.
 #[inline]
 fn cand_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
@@ -394,17 +385,17 @@ type RefillEntry = (f64, u32, bool);
 /// Retention order for refill-scan entries: eligible columns before
 /// near-misses, then higher score, ties to the lower column index.
 /// Eligible-first retention guarantees that whenever a window contains an
-/// eligible column, the merged top list's head is one — near-misses can
+/// eligible column, the sorted top list's head is one — near-misses can
 /// never evict every eligible entry — so termination still only happens
 /// after a genuinely fruitless full cycle. Like [`cand_order`], this is a
-/// pure function of the entry values, so the per-section merge stays
-/// partition-invariant.
+/// pure function of the entry values (column indices are distinct), so
+/// the sorted list does not depend on the order entries were retained in.
 #[inline]
 fn refill_order(a: &RefillEntry, b: &RefillEntry) -> std::cmp::Ordering {
     b.2.cmp(&a.2).then(b.0.total_cmp(&a.0)).then(a.1.cmp(&b.1))
 }
 
-/// Offers `c` to a section's bounded top list `out` (at most
+/// Offers `c` to the refill scan's bounded top list `out` (at most
 /// [`CAND_LIST_CAP`] entries under [`refill_order`]); `worst` tracks the
 /// index of the worst kept entry once the list is full.
 // lint: hot
@@ -435,8 +426,6 @@ struct Pricer {
     /// stalls badly on degenerate interval/transport LPs — rotating
     /// through windows is what diversifies the entering columns.
     window: usize,
-    /// Scoped workers a large refill window is cut across.
-    workers: usize,
     /// Column the next refill scan starts at. Sticks to the window that
     /// produced the last entering column (attractive columns cluster).
     scan_start: usize,
@@ -464,11 +453,7 @@ struct Pricer {
 ///   every few pivots, so the near-misses are precisely the columns the
 ///   next rescans will find eligible; retaining them is what keeps the
 ///   list hit rate high. Optimality is only declared after a full
-///   fruitless cycle. Large windows are cut into fixed contiguous
-///   sections, one scoped worker per section, each keeping a bounded local
-///   top list — the exact merge is invariant to the section layout, so the
-///   refilled list (and the pivot it yields) is byte-identical at any
-///   thread count.
+///   fruitless cycle.
 // lint: hot
 fn choose_entering(
     st: &mut State,
@@ -485,8 +470,7 @@ fn choose_entering(
         gamma,
         sgn,
         cand,
-        merged,
-        sections,
+        top,
         ..
     } = ph;
     // Want d < -tol at lower bound, d > tol at upper bound; basic and
@@ -523,52 +507,32 @@ fn choose_entering(
 
     let mut enter = None;
     let mut scanned = 0usize;
-    let stv: &State = st;
     while scanned < nv {
         let take = px.window.min(nv - scanned);
         let base_idx = (px.scan_start + scanned) % nv;
-        for slot in sections.iter_mut().take(px.workers) {
-            slot.clear();
+        top.clear();
+        let mut worst = 0usize;
+        for t in 0..take {
+            // `base_idx < nv` and `t < nv`, so one conditional subtract
+            // wraps.
+            let mut j = base_idx + t;
+            if j >= nv {
+                j -= nv;
+            }
+            let viol = violation(st, j);
+            if viol > 0.0 {
+                let c = (viol * viol / gamma[j], j as u32, viol > tol);
+                retain_top(top, &mut worst, c);
+            }
         }
-        let win_workers = if take >= PAR_SCAN_MIN_COLS {
-            px.workers
-        } else {
-            1
-        };
-        crate::par::for_each_section(
-            win_workers,
-            take,
-            &mut sections[..px.workers],
-            |_, range, out| {
-                let mut worst = 0usize;
-                for t in range {
-                    // `base_idx < nv` and `t < nv`, so one conditional
-                    // subtract wraps.
-                    let mut j = base_idx + t;
-                    if j >= nv {
-                        j -= nv;
-                    }
-                    let viol = violation(stv, j);
-                    if viol > 0.0 {
-                        let c = (viol * viol / gamma[j], j as u32, viol > tol);
-                        retain_top(out, &mut worst, c);
-                    }
-                }
-            },
-        );
         scanned += take;
-        merged.clear();
-        for slot in sections.iter().take(px.workers) {
-            merged.extend_from_slice(slot);
-        }
         // A window of pure near-misses keeps scanning (and keeps its
         // entries out of the list — only the producing window refills);
         // `refill_order` then sorts eligible entries to the front, so the
         // head is the best eligible column.
-        if merged.iter().any(|&(_, _, eligible)| eligible) {
-            merged.sort_unstable_by(refill_order);
-            merged.truncate(CAND_LIST_CAP);
-            enter = merged.first().map(|&(_, j, _)| j as usize);
+        if top.iter().any(|&(_, _, eligible)| eligible) {
+            top.sort_unstable_by(refill_order);
+            enter = top.first().map(|&(_, j, _)| j as usize);
             // Keep the previous refill's generation alongside the new one:
             // degenerate LPs see-saw between two disjoint eligible sets
             // (one pivot flips the whole current set ineligible and the
@@ -576,7 +540,7 @@ fn choose_entering(
             // what the next few rescans will actually hit.
             cand.drain(..px.gen_split);
             px.gen_split = cand.len();
-            cand.extend(merged.iter().map(|&(_, j, _)| j));
+            cand.extend(top.iter().map(|&(_, j, _)| j));
             // Rescans take an order-independent argmax, so the new
             // generation can be stored in column order — its entries all
             // come from one scan window, and the ascending rescan walks
@@ -817,18 +781,11 @@ fn run_phase(
         };
     }
     // Candidate-list pricing state (reset per phase; capacity retained).
-    let workers = if opts.threads > 1 && nv >= PAR_SCAN_MIN_COLS {
-        opts.threads
-    } else {
-        1
-    };
     // Two refill generations live in the list at once.
     reserve(cnt, &mut ph.cand, 2 * CAND_LIST_CAP);
-    reserve(cnt, &mut ph.merged, CAND_LIST_CAP * workers);
-    reserve_pool(cnt, &mut ph.sections, workers);
+    reserve(cnt, &mut ph.top, CAND_LIST_CAP);
     let mut px = Pricer {
         window: (4 * m).max(256).min(nv.max(1)),
-        workers,
         scan_start: 0,
         gen_split: 0,
     };
@@ -1280,7 +1237,6 @@ fn solve_presolved_inner(
         rows: m,
         cols: n_expl,
         warm_attempted: warm.is_some(),
-        threads: opts.threads.max(1),
         ..Default::default()
     };
 

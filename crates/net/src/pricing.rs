@@ -53,8 +53,7 @@ pub fn path_signature(p: &Path) -> u64 {
 /// Invariant between calls: every `dist` entry is `∞`, every `pred` entry
 /// `None`, every frontier empty. A call writes only the entries its
 /// frontiers list and resets exactly those before returning, so reuse can
-/// never change results — one scratch per *worker* is safe even under
-/// work-stealing item assignment — and a call costs what it touches.
+/// never change results and a call costs what it touches.
 #[derive(Clone, Debug, Default)]
 pub struct PathScratch {
     /// Node count the tables are laid out for; a graph of another size
@@ -68,9 +67,8 @@ pub struct PathScratch {
     pred: Vec<Option<EdgeId>>,
     /// `frontier[h]`: the nodes with a finite layer-`h` distance.
     frontier: Vec<Vec<NodeId>>,
-    /// Observability tallies (oracle calls, edge relaxations). One scratch
-    /// lives per worker, so parallel pricing fan-outs accumulate here
-    /// without sharing; the coordinator merges the sets in slot order.
+    /// Observability tallies (oracle calls, edge relaxations), merged into
+    /// the solve's recorder once pricing is done.
     counters: coflow_obs::CounterSet,
 }
 
@@ -80,8 +78,7 @@ impl PathScratch {
         &self.counters
     }
 
-    /// Returns the accumulated tallies and resets them (the merge-then-reset
-    /// step of the per-worker counter protocol).
+    /// Returns the accumulated tallies and resets them.
     pub fn take_counters(&mut self) -> coflow_obs::CounterSet {
         let out = self.counters;
         self.counters.clear();

@@ -4,7 +4,7 @@
 //! time: value `v > 0` lands in bucket `floor(log2 v) + 1` (bucket 0 holds
 //! exact zeros). Counts are integers, so merging shards is a commutative
 //! integer sum per bucket — the aggregate is identical no matter how work
-//! was partitioned across threads or in what order shards merge. Quantiles
+//! was partitioned or in what order shards merge. Quantiles
 //! are read as the inclusive upper edge of the bucket where the cumulative
 //! count first reaches the requested rank, which makes them deterministic
 //! too (at the cost of power-of-two resolution, plenty for p50/p90/p99

@@ -20,18 +20,15 @@
 //! * **Two clock modes** ([`ClockMode`]): wall-clock nanoseconds for
 //!   profiling, or a logical clock (event-count ticks) selected with
 //!   `COFLOW_OBS_CLOCK=logical` under which traces are byte-identical
-//!   across runs and thread counts — the determinism lane extended to the
-//!   telemetry itself.
+//!   across runs — the determinism lane extended to the telemetry itself.
 //! * **A JSONL trace format** ([`Trace::render_jsonl`]): one self-describing
 //!   JSON object per line, integers only, rendered here so serialization is
 //!   byte-stable; `coflow_workloads::io` hosts the file sink and the parse
 //!   side, and the `trace_view` bin renders self/total time trees and diffs.
 //!
 //! Everything is plain owned state — no globals, no locks, no thread-locals.
-//! Parallel sections never touch a recorder directly: per-worker tallies
-//! accumulate in [`CounterSet`]s and merge on the coordinating thread in
-//! deterministic slot order, so logical-clock traces do not depend on the
-//! thread count.
+//! Work that keeps its own tallies (the colgen pricing oracle's scratch)
+//! accumulates them in a [`CounterSet`] and merges it into the recorder.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
@@ -54,7 +51,7 @@ pub enum ClockMode {
     Wall,
     /// An event-count tick: every stamp advances the clock by exactly one.
     /// Durations become deterministic event counts, so traces are
-    /// byte-identical across runs and thread counts.
+    /// byte-identical across runs.
     Logical,
 }
 
@@ -201,9 +198,8 @@ impl Accum {
     }
 }
 
-/// Monotone event counters. Totals are partition-invariant: parallel
-/// sections tally into per-worker [`CounterSet`]s that merge (commutative
-/// integer sums) on the coordinating thread.
+/// Monotone event counters. Totals are plain integer sums, so a
+/// [`CounterSet`] tallied apart merges into a recorder in any order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -298,9 +294,9 @@ impl HistId {
     }
 }
 
-/// A fixed array of [`Counter`] tallies. Cheap to embed per worker in
-/// parallel sections; merging is an integer sum per slot, so the merged
-/// totals are independent of partition and merge order.
+/// A fixed array of [`Counter`] tallies. Cheap to embed in a scratch that
+/// tallies apart from a recorder; merging is an integer sum per slot, so
+/// the merged totals are independent of partition and merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSet {
     vals: [u64; Counter::COUNT],
@@ -331,7 +327,7 @@ impl CounterSet {
         }
     }
 
-    /// Resets every slot to zero (for reusable per-worker scratch).
+    /// Resets every slot to zero (for reusable scratch).
     pub fn clear(&mut self) {
         self.vals = [0; Counter::COUNT];
     }

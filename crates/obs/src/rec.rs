@@ -2,13 +2,11 @@
 //! counters, and histograms behind one plain owned struct.
 //!
 //! A recorder is embedded where the work happens (the LP `Scratch`, the
-//! engine event loop) and threaded by `&mut` — no globals, no locks. All
-//! recording happens on the coordinating thread; parallel workers tally
-//! into [`CounterSet`](crate::CounterSet)s that merge afterwards in slot
-//! order. Under the logical clock every stamp advances the tick counter by
+//! engine event loop) and threaded by `&mut` — no globals, no locks.
+//! Under the logical clock every stamp advances the tick counter by
 //! exactly one, so as long as the *sequence* of recording calls is
-//! deterministic (the solver's pivot order already is, at any thread
-//! count), the produced trace is byte-identical.
+//! deterministic (the solver's pivot order already is), the produced trace
+//! is byte-identical.
 //!
 //! Recording never allocates and never panics: the ring was sized at
 //! construction and evicts oldest-first when full (counted in `dropped`),
@@ -238,8 +236,7 @@ impl Recorder {
         self.counters.get(c)
     }
 
-    /// Merges a per-worker counter set (call on the coordinating thread,
-    /// in deterministic slot order).
+    /// Merges a counter set tallied apart (the pricing oracle's).
     pub fn merge_counters(&mut self, other: &CounterSet) {
         self.counters.merge(other);
     }

@@ -3,7 +3,7 @@
 //! The wire format is one self-describing JSON object per line, integer
 //! values only, rendered here with plain decimal formatting — no floats, no
 //! locale, no map iteration — so a logical-clock trace serializes to
-//! byte-identical output across runs and thread counts:
+//! byte-identical output across runs:
 //!
 //! ```text
 //! {"type":"meta","schema":"coflow-trace/v1","clock":"logical","spans":3,"dropped":0,"truncated":0}

@@ -70,12 +70,8 @@ fn pipeline_snapshot() -> String {
     out.push_str(&to_json(&instance).expect("instance serializes"));
     out.push('\n');
 
-    // 2. Offline LP solve + rounding. The solver's refill scans honor
-    // `SolverOptions::threads` (defaulted from `COFLOW_LP_THREADS`): the
-    // parallel sectioned merge is exact, so these bits must not move at
-    // any thread count. CI byte-diffs this whole snapshot between
-    // `COFLOW_LP_THREADS=1` and `=4` runs. (Deliberately no thread count
-    // in the output — only solver results belong in the snapshot.)
+    // 2. Offline LP solve + rounding, to the last bit of every completion
+    // time and segment.
     let lp = solve_free_paths_lp_paths(&instance, &FreePathsLpConfig::default())
         .expect("generated instance is feasible");
     out.push_str("== lp ==\n");
@@ -105,10 +101,9 @@ fn pipeline_snapshot() -> String {
     out.push_str("== engine ==\n");
     push_engine_outcome(&mut out, &outcome);
 
-    // 4. The delayed column mode: the oracle fan-out honors
-    // `SolverOptions::threads` too, and injects serially in item order, so
-    // the objective bits, the round and column counts and every pool
-    // group's paths — in insertion order — must not move either.
+    // 4. The delayed column mode: the oracle injects in flow-then-interval
+    // order, so the objective bits, the round and column counts and every
+    // pool group's paths — in insertion order — are pinned too.
     let cg_cfg = FreePathsLpConfig {
         columns: ColumnMode::Delayed,
         ..Default::default()
@@ -162,9 +157,8 @@ fn pipeline_snapshot() -> String {
 fn pipeline_is_byte_reproducible_in_process() {
     let a = pipeline_snapshot();
     let b = pipeline_snapshot();
-    // CI's determinism lane sets `COFLOW_SNAPSHOT_OUT` and runs this test
-    // under different `COFLOW_LP_THREADS` values, then byte-diffs the
-    // written snapshots across runs.
+    // CI's determinism lane sets `COFLOW_SNAPSHOT_OUT`, runs this test in
+    // two processes and byte-diffs the written snapshots.
     if let Ok(path) = std::env::var("COFLOW_SNAPSHOT_OUT") {
         std::fs::write(&path, &a).expect("write snapshot to COFLOW_SNAPSHOT_OUT");
     }
@@ -182,34 +176,24 @@ fn pipeline_is_byte_reproducible_in_process() {
     assert_eq!(a.as_bytes(), b.as_bytes());
 }
 
-/// The refactor guard of the PR that made candidate-list devex the only
-/// pricing rule, on an interval LP: pivots, phase-1 pivots,
+/// The refactor guard of the change that made candidate-list devex the
+/// only pricing rule, on an interval LP: pivots, phase-1 pivots,
 /// refactorizations and objective bits of the snapshot instance's path LP,
-/// recorded at the parent commit with its (then optional) candidate
-/// pricing mode selected, at 1 and at 4 threads
-/// (`crates/lp/tests/parallel_pricing.rs` pins the raw LPs).
+/// recorded with the then optional candidate pricing mode selected
+/// (`crates/lp/tests/pinned_counts.rs` pins the raw LPs).
 #[test]
 fn single_rule_reproduces_candidate_counts() {
     let instance = snapshot_instance();
-    for threads in [1, 4] {
-        let cfg = FreePathsLpConfig {
-            solver: coflow::lp::SolverOptions {
-                threads,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let lp = solve_free_paths_lp_paths(&instance, &cfg).expect("instance is feasible");
-        let s = lp.base.stats;
-        assert_eq!(
-            (
-                s.iterations,
-                s.phase1_iterations,
-                s.refactorizations,
-                lp.base.objective.to_bits()
-            ),
-            (122, 92, 4, 0x4044_e26c_6705_50ae),
-            "threads={threads}"
-        );
-    }
+    let lp = solve_free_paths_lp_paths(&instance, &FreePathsLpConfig::default())
+        .expect("instance is feasible");
+    let s = lp.base.stats;
+    assert_eq!(
+        (
+            s.iterations,
+            s.phase1_iterations,
+            s.refactorizations,
+            lp.base.objective.to_bits()
+        ),
+        (122, 92, 4, 0x4044_e26c_6705_50ae)
+    );
 }
