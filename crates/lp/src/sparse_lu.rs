@@ -21,18 +21,23 @@
 //!   reports which candidates are independent and which rows remain
 //!   uncovered (to be filled by slack or artificial unit columns);
 //! * [`ElimWs`] — the elimination's working arrays (row-major working
-//!   matrix, column membership lists, epoch-stamped dense scratch), owned
-//!   by the caller and reused across factorizations. On the steady-state
-//!   path of a solve sequence ([`Scratch`](crate::Scratch)-threaded), a
-//!   refactorization performs zero allocations once capacities have grown
-//!   to the working size; every length-known acquisition is counted via
+//!   matrix, column membership lists, count buckets, epoch-stamped dense
+//!   scratch), owned by the caller and reused across factorizations. On
+//!   the steady-state path of a solve sequence
+//!   ([`Scratch`](crate::Scratch)-threaded), a refactorization performs
+//!   zero allocations once capacities have grown to the working size;
+//!   every length-known acquisition is counted via
 //!   [`Counters`](crate::scratch::Counters).
 //!
-//! Everything here is allocation-conscious but deliberately simple: dense
-//! scratch vectors with epoch stamps instead of hyper-sparse kernels. The
-//! LPs this solver targets have `m` in the hundreds-to-low-thousands, where
-//! an `O(m)` pass per solve is noise next to the avoided `O(m²)` dense
-//! work.
+//! What each part costs: a factorization acquires and fills its working
+//! arrays in `O(m + n + nnz)`. Each elimination step finds its Markowitz
+//! candidates in [`CountBuckets`] by walking count buckets from 1 upward,
+//! which costs the buckets and bitset words it passes, not a scan of all
+//! `n` columns; the step itself costs the rows it updates. A basis that is
+//! mostly slack singletons therefore factors in `O(nnz)` rather than
+//! `O(m²)`. An `ftran`/`btran` is `O(m + nnz(L, U, eta))`. The dense
+//! scratch vectors with epoch stamps are kept deliberately simple: no
+//! hyper-sparse kernels.
 
 use crate::nonzero;
 use crate::scratch::{prep, reserve_pool, Counters};
@@ -92,8 +97,8 @@ pub(crate) struct ElimWs {
     rows: Vec<Vec<(u32, f64)>>,
     /// Column -> candidate rows (may contain stale entries; filtered on use).
     col_rows: Vec<Vec<u32>>,
-    /// Live nonzero count per column.
-    ccount: Vec<usize>,
+    /// Live nonzero count per column, bucketed for pivot selection.
+    counts: CountBuckets,
     /// Rows not yet pivoted.
     row_active: Vec<bool>,
     /// Columns not yet pivoted.
@@ -112,6 +117,149 @@ pub(crate) struct ElimWs {
     targets: Vec<u32>,
     /// Replacement row being assembled (swapped into `rows`).
     fresh: Vec<(u32, f64)>,
+}
+
+/// Live nonzero count per column, with the columns bucketed by count so
+/// that pivot selection reads the smallest-count columns directly instead
+/// of scanning all of them. Bucket `k ≥ 1` is a bitset over column indices
+/// holding exactly the columns whose count is `k`; a column with count 0
+/// (empty, or pivoted) is in no bucket. Every count write goes through
+/// [`set`](CountBuckets::set), which keeps the buckets exact.
+#[derive(Clone, Debug, Default)]
+struct CountBuckets {
+    /// Live nonzero count per column (0 once pivoted).
+    count: Vec<usize>,
+    /// `u64` words per bucket (`⌈n / 64⌉`).
+    words: usize,
+    /// Bucket `k`'s bitset is `bits[(k − 1)·words..k·words]`.
+    bits: Vec<u64>,
+    /// Bucket `k`'s population and word hint are `heads[k − 1]`.
+    heads: Vec<BucketHead>,
+    /// Columns across all buckets.
+    total: usize,
+}
+
+/// Per-bucket bookkeeping of [`CountBuckets`].
+#[derive(Clone, Copy, Debug)]
+struct BucketHead {
+    /// Columns in the bucket.
+    pop: usize,
+    /// A word index at or below the bucket's lowest nonzero word.
+    low: usize,
+}
+
+impl CountBuckets {
+    /// Acquires the storage for `col_rows.len()` columns and buckets each
+    /// column by the length of its membership list (its initial count).
+    fn start(&mut self, cnt: &mut Counters, col_rows: &[Vec<u32>]) {
+        let n = col_rows.len();
+        let kmax = col_rows.iter().map(Vec::len).max().unwrap_or(0);
+        self.words = n.div_ceil(64);
+        self.total = 0;
+        prep(cnt, &mut self.count, n, 0);
+        prep(cnt, &mut self.bits, kmax * self.words, 0);
+        let empty = BucketHead {
+            pop: 0,
+            low: self.words,
+        };
+        prep(cnt, &mut self.heads, kmax, empty);
+        for (c, rows) in col_rows.iter().enumerate() {
+            self.set(cnt, c, rows.len());
+        }
+    }
+
+    /// Moves column `c` to count `k` (into bucket `k`, or out of every
+    /// bucket for `k == 0`).
+    fn set(&mut self, cnt: &mut Counters, c: usize, k: usize) {
+        let old = self.count[c];
+        if old == k {
+            return;
+        }
+        let (w, bit) = (c / 64, 1u64 << (c % 64));
+        if old > 0 {
+            self.bits[(old - 1) * self.words + w] &= !bit;
+            self.heads[old - 1].pop -= 1;
+            self.total -= 1;
+        }
+        if k > 0 {
+            if k > self.heads.len() {
+                self.grow(cnt, k);
+            }
+            self.bits[(k - 1) * self.words + w] |= bit;
+            let head = &mut self.heads[k - 1];
+            head.pop += 1;
+            head.low = head.low.min(w);
+            self.total += 1;
+        }
+        self.count[c] = k;
+    }
+
+    /// Adds empty buckets up to a power of two at least `k` (fill-in raised
+    /// a count past every bucket), counting the acquisition.
+    fn grow(&mut self, cnt: &mut Counters, k: usize) {
+        let k = k.next_power_of_two();
+        if self.bits.capacity() >= k * self.words && self.heads.capacity() >= k {
+            cnt.reuses += 1;
+        } else {
+            cnt.allocs += 1;
+        }
+        self.bits.resize(k * self.words, 0);
+        let empty = BucketHead {
+            pop: 0,
+            low: self.words,
+        };
+        self.heads.resize(k, empty);
+    }
+
+    /// Lowers column `c`'s count by one. Counts are exact, so a column
+    /// losing an entry always has one to lose.
+    fn dec(&mut self, cnt: &mut Counters, c: usize) {
+        let k = self.count[c];
+        debug_assert!(k > 0, "column {c}: count decremented below zero");
+        self.set(cnt, c, k.saturating_sub(1));
+    }
+
+    /// Writes the first columns in `(count, index)` order into `out`, as
+    /// many as fit or exist, and returns how many it wrote.
+    fn first_k(&mut self, out: &mut [usize]) -> usize {
+        let want = out.len().min(self.total);
+        let mut got = 0;
+        for (b, head) in self.heads.iter_mut().enumerate() {
+            if got == want {
+                break;
+            }
+            let mut left = head.pop;
+            if left == 0 {
+                continue;
+            }
+            let base = b * self.words;
+            let mut w = head.low;
+            while self.bits[base + w] == 0 {
+                w += 1;
+            }
+            head.low = w;
+            while got < want && left > 0 {
+                let mut word = self.bits[base + w];
+                while word != 0 && got < want {
+                    out[got] = w * 64 + word.trailing_zeros() as usize;
+                    got += 1;
+                    left -= 1;
+                    word &= word - 1;
+                }
+                w += 1;
+            }
+        }
+        got
+    }
+
+    /// Whether the buckets hold exactly the active columns with a nonzero
+    /// count, each once, and no pivoted column has a count.
+    fn consistent(&self, col_active: &[bool]) -> bool {
+        let counted = self.count.iter().filter(|&&k| k > 0).count();
+        let pop: usize = self.heads.iter().map(|h| h.pop).sum();
+        let pivoted_empty = (self.count.iter().zip(col_active)).all(|(&k, &a)| a || k == 0);
+        pop == self.total && self.total == counted && pivoted_empty
+    }
 }
 
 /// Runs sparse Markowitz elimination on `cols` (an `m × cols.len()`
@@ -153,7 +301,6 @@ pub(crate) fn eliminate_into(
     for cr in &mut ws.col_rows[..n] {
         cr.clear();
     }
-    prep(cnt, &mut ws.ccount, n, 0);
     prep(cnt, &mut ws.row_active, m, true);
     prep(cnt, &mut ws.col_active, n, true);
     prep(cnt, &mut ws.val, n, 0.0);
@@ -179,7 +326,7 @@ pub(crate) fn eliminate_into(
     let ElimWs {
         rows,
         col_rows,
-        ccount,
+        counts,
         row_active,
         col_active,
         val,
@@ -202,37 +349,18 @@ pub(crate) fn eliminate_into(
     for (r, row) in rows[..m].iter().enumerate() {
         for &(c, _) in row {
             col_rows[c as usize].push(r as u32);
-            ccount[c as usize] += 1;
         }
     }
+    counts.start(cnt, &col_rows[..n]);
 
     let steps = n.min(m);
     for _ in 0..steps {
         // --- Pivot selection: examine a few smallest-count active columns. ---
-        let mut cand: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
-        let mut cand_cnt: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
-        for c in 0..n {
-            if !col_active[c] || ccount[c] == 0 {
-                continue;
-            }
-            let cnt = ccount[c];
-            // Insertion into the top-K (smallest counts) list.
-            let mut j = PIV_CANDIDATES;
-            while j > 0 && cnt < cand_cnt[j - 1] {
-                j -= 1;
-            }
-            if j < PIV_CANDIDATES {
-                for k in (j + 1..PIV_CANDIDATES).rev() {
-                    cand[k] = cand[k - 1];
-                    cand_cnt[k] = cand_cnt[k - 1];
-                }
-                cand[j] = c;
-                cand_cnt[j] = cnt;
-            }
-        }
+        let mut cand = [0usize; PIV_CANDIDATES];
+        let ncand = counts.first_k(&mut cand);
         // (best Markowitz cost, -|a|) -> (row, col, value)
         let mut best: Option<(usize, f64, usize, usize, f64)> = None;
-        for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
+        for &c in &cand[..ncand] {
             // Compact this column's row list while scanning.
             let mut colmax = 0.0f64;
             entries.clear();
@@ -249,7 +377,7 @@ pub(crate) fn eliminate_into(
                     _ => false,
                 }
             });
-            ccount[c] = entries.len();
+            counts.set(cnt, c, entries.len());
             if colmax < PIV_ABS {
                 continue;
             }
@@ -257,7 +385,7 @@ pub(crate) fn eliminate_into(
                 if v.abs() < PIV_REL * colmax {
                     continue;
                 }
-                let cost = (rows[r as usize].len() - 1) * (ccount[c] - 1);
+                let cost = (rows[r as usize].len() - 1) * (counts.count[c] - 1);
                 let better = match best {
                     None => true,
                     Some((bc, ba, ..)) => cost < bc || (cost == bc && v.abs() > ba),
@@ -284,6 +412,7 @@ pub(crate) fn eliminate_into(
         pivoted_row[pr] = true;
         row_active[pr] = false;
         col_active[pc] = false;
+        counts.set(cnt, pc, 0);
         let ustart = urow_cols.len();
         for &(c, v) in &rows[pr] {
             if c != pc as u32 && col_active[c as usize] {
@@ -293,7 +422,7 @@ pub(crate) fn eliminate_into(
         }
         let uend = urow_cols.len();
         for &c in &urow_cols[ustart..uend] {
-            ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+            counts.dec(cnt, c as usize);
         }
         *nnz += uend - ustart + 1;
 
@@ -363,7 +492,7 @@ pub(crate) fn eliminate_into(
             for &(c, _) in fresh.iter() {
                 if stamp[c as usize] != *epoch {
                     col_rows[c as usize].push(r as u32);
-                    ccount[c as usize] += 1;
+                    counts.set(cnt, c as usize, counts.count[c as usize] + 1);
                 }
                 // Mark "still present" with a different trick: bump below.
             }
@@ -374,7 +503,7 @@ pub(crate) fn eliminate_into(
             }
             for &(c, _) in &rows[r] {
                 if stamp[c as usize] != *epoch && col_active[c as usize] && c != pc as u32 {
-                    ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+                    counts.dec(cnt, c as usize);
                 }
             }
             // The freshly built row replaces the old one; the displaced
@@ -385,6 +514,7 @@ pub(crate) fn eliminate_into(
         lcol_ptr.push(lcol_rows.len());
         urow_ptr.push(urow_cols.len());
     }
+    debug_assert!(counts.consistent(col_active), "count buckets out of step");
 }
 
 /// Completed LU factors of a (square, nonsingular) basis, plus the eta file
@@ -484,12 +614,10 @@ impl LuFactors {
             }
             out[k] = sum / e.diag[k];
         }
-        // Scatter steps -> positions.
+        // Scatter steps -> positions, then apply the eta file in order.
         for k in 0..self.m {
             x[e.cpos[k] as usize] = out[k];
         }
-        // But `out` is indexed by step and positions coincide with cpos;
-        // copy is done above — now apply the eta file in order.
         for t in 0..self.eta_pos.len() {
             let pos = self.eta_pos[t] as usize;
             let xr = x[pos];
@@ -644,19 +772,13 @@ mod tests {
         // diagonal + a few off-diagonals.
         let m = 60;
         let mut cols: Vec<SparseCol> = Vec::new();
-        let mut s = 0x9E3779B97F4A7C15u64;
-        let mut rnd = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for j in 0..m {
-            let mut col: SparseCol = vec![(j as u32, 1.0 + rnd())];
+            let mut col: SparseCol = vec![(j as u32, 1.0 + rng.unit())];
             for _ in 0..3 {
-                let r = (rnd() * m as f64) as usize % m;
+                let r = rng.below(m);
                 if r != j {
-                    col.push((r as u32, rnd() - 0.5));
+                    col.push((r as u32, rng.unit() - 0.5));
                 }
             }
             // Merge duplicate rows.
@@ -729,25 +851,40 @@ mod tests {
     fn refactor_in_place_reuses_capacity() {
         // Second factorization of a same-shape basis must be allocation-free
         // (every length-known acquisition served from retained capacity).
-        let cols: Vec<SparseCol> = vec![
+        // The wide basis spans two bitset words and has columns of counts
+        // 1 to 4 that wrap around the diagonal, so elimination fills in.
+        let small: Vec<SparseCol> = vec![
             vec![(0, 2.0), (1, 1.0)],
             vec![(1, 1.0), (2, 3.0)],
             vec![(2, 5.0), (0, -1.0)],
         ];
-        let mut lu = LuFactors::default();
-        let mut cnt = Counters::default();
-        lu.refactor_in_place(3, &cols, &mut cnt).unwrap();
-        assert!(cnt.allocs > 0, "first factorization grows buffers");
-        let mut cnt2 = Counters::default();
-        lu.refactor_in_place(3, &cols, &mut cnt2).unwrap();
-        assert_eq!(cnt2.allocs, 0, "steady-state refactor allocates nothing");
-        assert!(cnt2.reuses > 0);
-        // And it still solves correctly.
-        let x_true = [0.5, 2.0, -1.0];
-        let mut b = dense_mul(3, &cols, &x_true);
-        lu.ftran(&mut b);
-        for (a, t) in b.iter().zip(x_true) {
-            assert!((a - t).abs() < 1e-12, "{a} vs {t}");
+        let m = 100;
+        let wide: Vec<SparseCol> = (0..m)
+            .map(|j| {
+                let mut col: SparseCol = vec![(j as u32, 4.0)];
+                for t in 1..=j % 4 {
+                    col.push((((j + 7 * t) % m) as u32, 1.0 / t as f64));
+                }
+                col
+            })
+            .collect();
+        for cols in [&small, &wide] {
+            let m = cols.len();
+            let mut lu = LuFactors::default();
+            let mut cnt = Counters::default();
+            lu.refactor_in_place(m, cols, &mut cnt).unwrap();
+            assert!(cnt.allocs > 0, "first factorization grows buffers");
+            let mut cnt2 = Counters::default();
+            lu.refactor_in_place(m, cols, &mut cnt2).unwrap();
+            assert_eq!(cnt2.allocs, 0, "steady-state refactor allocates nothing");
+            assert!(cnt2.reuses > 0);
+            // And it still solves correctly.
+            let x_true: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut b = dense_mul(m, cols, &x_true);
+            lu.ftran(&mut b);
+            for (a, t) in b.iter().zip(&x_true) {
+                assert!((a - t).abs() < 1e-12, "{a} vs {t}");
+            }
         }
     }
 
@@ -767,5 +904,447 @@ mod tests {
         // Rows 0 and (2 or 3) covered; row 1 and the other of {2,3} not.
         assert!(!rows[1]);
         assert_eq!(rows.iter().filter(|&&p| p).count(), 2);
+    }
+
+    /// The elimination as it was before [`CountBuckets`]: every step scans
+    /// all `n` columns for the `PIV_CANDIDATES` smallest counts. The body
+    /// is kept verbatim (fresh buffers stand in for the workspace) as the
+    /// reference the bucketed selection must reproduce bit for bit.
+    fn eliminate_full_scan(m: usize, cols: &[SparseCol]) -> Elimination {
+        let n = cols.len();
+        let mut e = Elimination {
+            lcol_ptr: vec![0],
+            urow_ptr: vec![0],
+            step_of_col: vec![u32::MAX; n],
+            pivoted_col: vec![false; n],
+            pivoted_row: vec![false; m],
+            ..Elimination::default()
+        };
+        let Elimination {
+            rp,
+            cpos,
+            diag,
+            lcol_ptr,
+            lcol_rows,
+            lcol_vals,
+            urow_ptr,
+            urow_cols,
+            urow_vals,
+            step_of_col,
+            pivoted_col,
+            pivoted_row,
+            nnz,
+        } = &mut e;
+        let rows: &mut Vec<Vec<(u32, f64)>> = &mut vec![Vec::new(); m];
+        let col_rows: &mut Vec<Vec<u32>> = &mut vec![Vec::new(); n];
+        let ccount = &mut vec![0usize; n];
+        let row_active = &mut vec![true; m];
+        let col_active = &mut vec![true; n];
+        let val = &mut vec![0.0f64; n];
+        let stamp = &mut vec![0u64; n];
+        let epoch = &mut 0u64;
+        let touched: &mut Vec<u32> = &mut Vec::new();
+        let entries: &mut Vec<(u32, f64)> = &mut Vec::new();
+        let targets: &mut Vec<u32> = &mut Vec::new();
+        let fresh: &mut Vec<(u32, f64)> = &mut Vec::new();
+
+        // Row-major working matrix + column membership lists.
+        for (c, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                if nonzero(v) {
+                    rows[r as usize].push((c as u32, v));
+                }
+            }
+        }
+        for (r, row) in rows[..m].iter().enumerate() {
+            for &(c, _) in row {
+                col_rows[c as usize].push(r as u32);
+                ccount[c as usize] += 1;
+            }
+        }
+
+        let steps = n.min(m);
+        for _ in 0..steps {
+            // --- Pivot selection: examine a few smallest-count active columns. ---
+            let mut cand: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
+            let mut cand_cnt: [usize; PIV_CANDIDATES] = [usize::MAX; PIV_CANDIDATES];
+            for c in 0..n {
+                if !col_active[c] || ccount[c] == 0 {
+                    continue;
+                }
+                let cnt = ccount[c];
+                // Insertion into the top-K (smallest counts) list.
+                let mut j = PIV_CANDIDATES;
+                while j > 0 && cnt < cand_cnt[j - 1] {
+                    j -= 1;
+                }
+                if j < PIV_CANDIDATES {
+                    for k in (j + 1..PIV_CANDIDATES).rev() {
+                        cand[k] = cand[k - 1];
+                        cand_cnt[k] = cand_cnt[k - 1];
+                    }
+                    cand[j] = c;
+                    cand_cnt[j] = cnt;
+                }
+            }
+            // (best Markowitz cost, -|a|) -> (row, col, value)
+            let mut best: Option<(usize, f64, usize, usize, f64)> = None;
+            for &c in cand.iter().take_while(|&&c| c != usize::MAX) {
+                // Compact this column's row list while scanning.
+                let mut colmax = 0.0f64;
+                entries.clear();
+                col_rows[c].retain(|&r| {
+                    if !row_active[r as usize] {
+                        return false;
+                    }
+                    match rows[r as usize].iter().find(|&&(cc, _)| cc == c as u32) {
+                        Some(&(_, v)) if nonzero(v) => {
+                            colmax = colmax.max(v.abs());
+                            entries.push((r, v));
+                            true
+                        }
+                        _ => false,
+                    }
+                });
+                ccount[c] = entries.len();
+                if colmax < PIV_ABS {
+                    continue;
+                }
+                for &(r, v) in entries.iter() {
+                    if v.abs() < PIV_REL * colmax {
+                        continue;
+                    }
+                    let cost = (rows[r as usize].len() - 1) * (ccount[c] - 1);
+                    let better = match best {
+                        None => true,
+                        Some((bc, ba, ..)) => cost < bc || (cost == bc && v.abs() > ba),
+                    };
+                    if better {
+                        best = Some((cost, v.abs(), r as usize, c, v));
+                    }
+                }
+                if matches!(best, Some((0, ..))) {
+                    break; // a singleton pivot cannot be beaten
+                }
+            }
+            let Some((_, _, pr, pc, piv)) = best else {
+                break; // no acceptable pivot: matrix (numerically) rank-deficient
+            };
+
+            // --- Record the pivot. ---
+            let k = rp.len();
+            rp.push(pr as u32);
+            cpos.push(pc as u32);
+            diag.push(piv);
+            step_of_col[pc] = k as u32;
+            pivoted_col[pc] = true;
+            pivoted_row[pr] = true;
+            row_active[pr] = false;
+            col_active[pc] = false;
+            let ustart = urow_cols.len();
+            for &(c, v) in &rows[pr] {
+                if c != pc as u32 && col_active[c as usize] {
+                    urow_cols.push(c);
+                    urow_vals.push(v);
+                }
+            }
+            let uend = urow_cols.len();
+            for &c in &urow_cols[ustart..uend] {
+                ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+            }
+            *nnz += uend - ustart + 1;
+
+            // --- Eliminate the pivot column from the remaining rows. ---
+            let lstart = lcol_rows.len();
+            // Collect target rows first (col_rows[pc] was compacted above).
+            targets.clear();
+            targets.extend(
+                col_rows[pc]
+                    .iter()
+                    .copied()
+                    .filter(|&r| row_active[r as usize]),
+            );
+            for &rt in targets.iter() {
+                let r = rt as usize;
+                let arc = rows[r]
+                    .iter()
+                    .find(|&&(cc, _)| cc == pc as u32)
+                    .map(|&(_, v)| v)
+                    .unwrap_or(0.0);
+                if !nonzero(arc) {
+                    continue;
+                }
+                let f = arc / piv;
+                lcol_rows.push(r as u32);
+                lcol_vals.push(f);
+                // rows[r] ← rows[r] − f · urow  (pivot column dropped).
+                *epoch += 1;
+                touched.clear();
+                let mut rowmax = 0.0f64;
+                for &(c, v) in &rows[r] {
+                    if c == pc as u32 || !col_active[c as usize] {
+                        continue;
+                    }
+                    val[c as usize] = v;
+                    stamp[c as usize] = *epoch;
+                    touched.push(c);
+                    rowmax = rowmax.max(v.abs());
+                }
+                for (&c, &v) in urow_cols[ustart..uend].iter().zip(&urow_vals[ustart..uend]) {
+                    let cu = c as usize;
+                    let dv = f * v;
+                    if stamp[cu] == *epoch {
+                        val[cu] -= dv;
+                    } else {
+                        val[cu] = -dv;
+                        stamp[cu] = *epoch;
+                        touched.push(c);
+                    }
+                    rowmax = rowmax.max(dv.abs());
+                }
+                let drop = DROP_REL * (1.0 + rowmax);
+                fresh.clear();
+                for &c in touched.iter() {
+                    let v = val[c as usize];
+                    if v.abs() > drop {
+                        fresh.push((c, v));
+                    }
+                }
+                // Maintain column bookkeeping: count diffs + new memberships.
+                // Old membership: anything in rows[r] (pre-update); cheap diff
+                // via the scratch stamps (reuse `val` sign is unsafe; do sets).
+                *epoch += 1;
+                for &(c, _) in &rows[r] {
+                    stamp[c as usize] = *epoch; // mark "was present"
+                }
+                for &(c, _) in fresh.iter() {
+                    if stamp[c as usize] != *epoch {
+                        col_rows[c as usize].push(r as u32);
+                        ccount[c as usize] += 1;
+                    }
+                    // Mark "still present" with a different trick: bump below.
+                }
+                // Entries that vanished: decrement counts.
+                *epoch += 1;
+                for &(c, _) in fresh.iter() {
+                    stamp[c as usize] = *epoch;
+                }
+                for &(c, _) in &rows[r] {
+                    if stamp[c as usize] != *epoch && col_active[c as usize] && c != pc as u32 {
+                        ccount[c as usize] = ccount[c as usize].saturating_sub(1);
+                    }
+                }
+                // The freshly built row replaces the old one; the displaced
+                // storage becomes the next `fresh` (cleared before use).
+                std::mem::swap(&mut rows[r], fresh);
+            }
+            *nnz += lcol_rows.len() - lstart;
+            lcol_ptr.push(lcol_rows.len());
+            urow_ptr.push(urow_cols.len());
+        }
+        e
+    }
+
+    /// Seeds per differential case (fewer under Miri, which runs the
+    /// `--lib` suite of this crate).
+    const SEEDS: u64 = if cfg!(miri) { 1 } else { 6 };
+    /// The widest inputs: several hundred columns natively, just past two
+    /// bitset words under Miri.
+    const WIDE: usize = if cfg!(miri) { 130 } else { 400 };
+
+    /// Seeded xorshift stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, k: usize) -> usize {
+            (self.unit() * k as f64) as usize % k
+        }
+    }
+
+    /// A random sparse `m × n` matrix. Column `j` gets between `lo` and
+    /// `hi` entries at distinct random rows, plus a dominant entry at row
+    /// `j` when `diag` is set (so square inputs are nonsingular).
+    fn random_cols(
+        rng: &mut Rng,
+        m: usize,
+        n: usize,
+        (lo, hi): (usize, usize),
+        diag: bool,
+    ) -> Vec<SparseCol> {
+        (0..n)
+            .map(|j| {
+                let mut col: SparseCol = Vec::new();
+                if diag && j < m {
+                    col.push((j as u32, 4.0 + rng.unit()));
+                }
+                for _ in 0..lo + rng.below(hi - lo + 1) {
+                    let r = rng.below(m) as u32;
+                    if col.iter().all(|&(rr, _)| rr != r) {
+                        col.push((r, rng.unit() - 0.5));
+                    }
+                }
+                col
+            })
+            .collect()
+    }
+
+    /// Runs the bucketed elimination on a fresh workspace.
+    fn eliminate_fresh(m: usize, cols: &[SparseCol]) -> Elimination {
+        let mut e = Elimination::default();
+        let mut ws = ElimWs::default();
+        eliminate_into(&mut e, &mut ws, m, cols, &mut Counters::default());
+        e
+    }
+
+    /// Asserts that two eliminations agree exactly: same pivots, same
+    /// factor structure and bit-equal values.
+    fn assert_bit_equal(a: &Elimination, b: &Elimination, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.rp, b.rp, "{what}: rp");
+        assert_eq!(a.cpos, b.cpos, "{what}: cpos");
+        assert_eq!(bits(&a.diag), bits(&b.diag), "{what}: diag");
+        assert_eq!(a.lcol_ptr, b.lcol_ptr, "{what}: lcol_ptr");
+        assert_eq!(a.lcol_rows, b.lcol_rows, "{what}: lcol_rows");
+        assert_eq!(bits(&a.lcol_vals), bits(&b.lcol_vals), "{what}: lcol_vals");
+        assert_eq!(a.urow_ptr, b.urow_ptr, "{what}: urow_ptr");
+        assert_eq!(a.urow_cols, b.urow_cols, "{what}: urow_cols");
+        assert_eq!(bits(&a.urow_vals), bits(&b.urow_vals), "{what}: urow_vals");
+        assert_eq!(a.step_of_col, b.step_of_col, "{what}: step_of_col");
+        assert_eq!(a.pivoted_col, b.pivoted_col, "{what}: pivoted_col");
+        assert_eq!(a.pivoted_row, b.pivoted_row, "{what}: pivoted_row");
+        assert_eq!(a.nnz, b.nnz, "{what}: nnz");
+    }
+
+    /// Bucketed and full-scan elimination agree on `cols`.
+    fn assert_matches_full_scan(m: usize, cols: &[SparseCol], what: &str) {
+        let old = eliminate_full_scan(m, cols);
+        let new = eliminate_fresh(m, cols);
+        assert_bit_equal(&new, &old, what);
+    }
+
+    #[test]
+    fn buckets_match_full_scan_on_square_nonsingular_inputs() {
+        for seed in 1..=SEEDS {
+            let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ seed);
+            for m in [5, 63, 64, 65, WIDE] {
+                // Up to six off-diagonal entries per column: real fill-in,
+                // so counts climb past the initial largest bucket.
+                let cols = random_cols(&mut rng, m, m, (0, 6), true);
+                assert_matches_full_scan(m, &cols, &format!("square m={m} seed={seed}"));
+                assert!(eliminate_fresh(m, &cols).rp.len() == m, "nonsingular");
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_match_full_scan_on_rank_deficient_inputs() {
+        for seed in 1..=SEEDS {
+            let mut rng = Rng(0xD1B5_4A32_D192_ED03 ^ seed);
+            for m in [6, 63, 64, 65, WIDE] {
+                let mut cols = random_cols(&mut rng, m, m, (1, 3), false);
+                // Scaled duplicates, empty columns and numerically empty
+                // columns; the random pattern also leaves rows uncovered.
+                for j in (0..m).step_by(5) {
+                    cols[j] = cols[(j + 1) % m]
+                        .iter()
+                        .map(|&(r, v)| (r, 2.0 * v))
+                        .collect();
+                }
+                for j in (2..m).step_by(11) {
+                    cols[j].clear();
+                }
+                for j in (3..m).step_by(13) {
+                    cols[j] = vec![(rng.below(m) as u32, 1e-13)];
+                }
+                let what = format!("rank-deficient m={m} seed={seed}");
+                assert_matches_full_scan(m, &cols, &what);
+                assert!(eliminate_fresh(m, &cols).rp.len() < m, "{what}: singular");
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_match_full_scan_on_warm_start_completions() {
+        for seed in 1..=SEEDS {
+            let mut rng = Rng(0x94D0_49BB_1331_11EB ^ seed);
+            for (m, n) in [(4, 9), (40, 63), (40, 64), (40, 65), (WIDE / 2, WIDE)] {
+                // More candidates than rows, some of them unit columns the
+                // way mapped slacks are.
+                let mut cols = random_cols(&mut rng, m, n, (1, 4), false);
+                for j in (0..n).step_by(3) {
+                    cols[j] = vec![(rng.below(m) as u32, 1.0)];
+                }
+                assert_matches_full_scan(m, &cols, &format!("completion {m}x{n} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_match_full_scan_when_counts_tie() {
+        for seed in 1..=SEEDS {
+            let mut rng = Rng(0xBF58_476D_1CE4_E5B9 ^ seed);
+            for n in [63, 64, 65, WIDE] {
+                // Every column has exactly two ±1 entries, so every count
+                // ties and the candidates are decided by column index.
+                let m = n;
+                let cols: Vec<SparseCol> = (0..n)
+                    .map(|_| {
+                        let r = rng.below(m);
+                        let s = (r + 1 + rng.below(m - 1)) % m;
+                        let sign = if rng.unit() < 0.5 { -1.0 } else { 1.0 };
+                        vec![(r as u32, 1.0), (s as u32, sign)]
+                    })
+                    .collect();
+                assert_matches_full_scan(m, &cols, &format!("ties n={n} seed={seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_reuse_across_shapes_matches_fresh() {
+        // Large, then small, then large again through one `LuFactors` and
+        // one `ElimWs`: buckets a larger earlier problem left populated
+        // (unpivoted completion candidates, counts raised by fill-in) must
+        // not leak into the next factorization.
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let (big, small) = (WIDE / 2, 20);
+        let big_basis = random_cols(&mut rng, big, big, (0, 6), true);
+        let small_basis = random_cols(&mut rng, small, small, (0, 3), true);
+        let mut lu = LuFactors::default();
+        let mut cnt = Counters::default();
+        for (m, cols) in [(big, &big_basis), (small, &small_basis), (big, &big_basis)] {
+            lu.refactor_in_place(m, cols, &mut cnt).unwrap();
+            let fresh = LuFactors::factorize(m, cols).unwrap();
+            assert_bit_equal(&lu.elim, &fresh.elim, &format!("refactor m={m}"));
+        }
+        // Every third large candidate is numerically empty: once the few
+        // smallest-count candidates are all such columns, elimination
+        // stops with most columns still in their buckets.
+        let mut big_cands = random_cols(&mut rng, big, 2 * big, (1, 5), false);
+        for col in big_cands.iter_mut().step_by(3) {
+            col.iter_mut().for_each(|(_, v)| *v *= 1e-13);
+        }
+        // Few singletons among the small candidates, so which columns the
+        // buckets offer decides the pivots.
+        let small_cands = random_cols(&mut rng, small, 3 * small, (2, 3), false);
+        let mut e = Elimination::default();
+        let mut ws = ElimWs::default();
+        for (m, cols) in [(big, &big_cands), (small, &small_cands), (big, &big_cands)] {
+            complete_basis_into(&mut e, &mut ws, m, cols, &mut cnt);
+            assert_bit_equal(&e, &eliminate_fresh(m, cols), &format!("completion m={m}"));
+            if m == big {
+                assert!(
+                    ws.counts.total > m / 4,
+                    "large completion leaves buckets populated"
+                );
+            }
+        }
     }
 }
