@@ -124,7 +124,8 @@ pub struct SolveStats {
     /// weights (the pricing side of each pivot).
     pub pricing_ms: f64,
     /// Milliseconds spent in FTRAN/BTRAN solves against the factorization
-    /// (duals, entering-column images, basic-value recomputation).
+    /// (duals, entering-column images, devex reference rows, basic-value
+    /// recomputation).
     pub ftran_btran_ms: f64,
     /// Milliseconds spent (re)factorizing the basis.
     pub factor_ms: f64,

@@ -10,10 +10,15 @@
 //!
 //! [`SparseLuFactor`] provides them over the sparse Markowitz LU + eta
 //! file of [`crate::sparse_lu`], maps its failures to [`LpError`], and
-//! owns the refactorization policy. The unit tests cross-check all four
-//! operations against an explicit dense inverse.
+//! owns the refactorization policy and the density rule: each of the
+//! pivot loop's three solves ([`Solve`]) keeps a running output density
+//! and takes the reach-limited path while it is below 10 %, the dense
+//! loops otherwise. Both paths give the same bits, so the rule decides
+//! speed only. The unit tests cross-check all four operations against an
+//! explicit dense inverse.
 
 use crate::model::LpError;
+use crate::nonzero;
 use crate::scratch::Counters;
 use crate::sparse_lu::{LuFactors, SparseCol};
 
@@ -21,12 +26,33 @@ use crate::sparse_lu::{LuFactors, SparseCol};
 /// sooner, see [`SparseLuFactor::wants_refactor`]).
 const REFACTOR_EVERY: usize = 120;
 
+/// The three solves of a pivot, each with its own running output density.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Solve {
+    /// FTRAN of the entering column.
+    Entering,
+    /// BTRAN of the basic costs (the duals).
+    Duals,
+    /// BTRAN of a unit vector (the devex reference row).
+    DevexRow,
+}
+
+/// A solve kind takes the reach-limited path while its running output
+/// density (nonzeros / `m`) is below this, and the dense loops otherwise.
+const SPARSE_BELOW: f64 = 0.10;
+
+/// Weight of the newest output in a running density.
+const DENSITY_WEIGHT: f64 = 0.1;
+
 /// Sparse Markowitz LU with product-form updates ([`crate::sparse_lu`]).
 /// Lives in the [`Scratch`](crate::Scratch) so the elimination storage and
 /// eta file keep their capacity across solves.
 #[derive(Default)]
 pub(crate) struct SparseLuFactor {
     lu: LuFactors,
+    /// Running output density per [`Solve`] kind. Kept across LP solves:
+    /// it describes the LP family a scratch serves, not one solve.
+    density: [f64; 3],
 }
 
 impl SparseLuFactor {
@@ -43,33 +69,66 @@ impl SparseLuFactor {
             .map_err(LpError::Numerical)
     }
 
-    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis position).
+    /// In place: `x ← B⁻¹ x` (input indexed by row, output by basis
+    /// position), by the dense loops.
     pub(crate) fn ftran(&mut self, x: &mut [f64]) {
         self.lu.ftran(x);
     }
 
-    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by row).
+    /// In place: `x ← B⁻ᵀ x` (input indexed by basis position, output by
+    /// row), by the dense loops.
     pub(crate) fn btran(&mut self, x: &mut [f64]) {
         self.lu.btran(x);
     }
 
-    /// Writes row `r` of `B⁻¹` into `out` (length `m`).
-    pub(crate) fn binv_row(&mut self, r: usize, out: &mut [f64]) {
-        out.fill(0.0);
+    /// One of the pivot's solves, `x ← B⁻¹ x` for [`Solve::Entering`] and
+    /// `x ← B⁻ᵀ x` otherwise. On entry `x` is zero outside the indices in
+    /// `idx`; on return `idx` lists the nonzeros of the result in
+    /// ascending order. Takes the reach-limited path while the kind's
+    /// running density is low: both paths give the same values, so the
+    /// choice only affects speed.
+    pub(crate) fn solve(&mut self, kind: Solve, x: &mut [f64], idx: &mut Vec<u32>) {
+        let density = &mut self.density[kind as usize];
+        let sparse = *density < SPARSE_BELOW;
+        match (kind, sparse) {
+            (Solve::Entering, true) => self.lu.ftran_sparse(x, idx),
+            (_, true) => self.lu.btran_sparse(x, idx),
+            (Solve::Entering, false) => self.lu.ftran(x),
+            (_, false) => self.lu.btran(x),
+        }
+        if !sparse {
+            idx.clear();
+            idx.extend((0..x.len() as u32).filter(|&i| nonzero(x[i as usize])));
+        }
+        let observed = idx.len() as f64 / x.len().max(1) as f64;
+        *density += DENSITY_WEIGHT * (observed - *density);
+    }
+
+    /// Writes row `r` of `B⁻¹` into `out` (length `m`), which is zero
+    /// outside the indices in `idx` on entry; `idx` then lists its
+    /// nonzeros.
+    pub(crate) fn binv_row(&mut self, r: usize, out: &mut [f64], idx: &mut Vec<u32>) {
+        for &i in idx.iter() {
+            out[i as usize] = 0.0;
+        }
         out[r] = 1.0;
-        self.lu.btran(out);
+        idx.clear();
+        idx.push(r as u32);
+        self.solve(Solve::DevexRow, out, idx);
     }
 
     /// Replaces basis position `r_leave`; `w` is the FTRAN image of the
-    /// entering column. `Err` means "refactorize now".
-    pub(crate) fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), LpError> {
-        self.lu.update(r_leave, w).map_err(LpError::Numerical)
+    /// entering column, nonzero only at the ascending positions `idx`.
+    /// `Err` means "refactorize now".
+    pub(crate) fn update(&mut self, r_leave: usize, w: &[f64], idx: &[u32]) -> Result<(), LpError> {
+        self.lu.update(r_leave, w, idx).map_err(LpError::Numerical)
     }
 
     /// Whether to refactorize after `since` pivots on the current factors:
-    /// when the eta file stops paying for itself. Solves cost
-    /// `O(lu_nnz + eta_nnz)`, refactorization is cheap for sparse bases,
-    /// and long eta chains also degrade numerically.
+    /// when the eta file stops paying for itself. A solve costs the
+    /// factor and eta entries its right-hand side reaches (all of
+    /// `lu_nnz + eta_nnz` on the dense path), refactorization is cheap for
+    /// sparse bases, and long eta chains also degrade numerically.
     pub(crate) fn wants_refactor(&self, since: usize) -> bool {
         since >= REFACTOR_EVERY || self.lu.eta_nnz > 2 * self.lu.lu_nnz().max(500)
     }
@@ -141,7 +200,7 @@ mod tests {
         close(&y, (0..3).map(|r| dot(&col(r), &c)).collect(), "btran");
         for (k, inv_row) in inv.iter().enumerate() {
             let mut row = [0.0; 3];
-            s.binv_row(k, &mut row);
+            s.binv_row(k, &mut row, &mut Vec::new());
             close(&row, inv_row.clone(), "binv_row");
         }
     }
@@ -163,7 +222,7 @@ mod tests {
         // must match the inverse of the basis rebuilt from scratch.
         let mut w = [1.0, 1.0, 0.0];
         s.ftran(&mut w);
-        s.update(0, &w).unwrap();
+        s.update(0, &w, &[0, 1, 2]).unwrap();
         cols[0] = vec![(0, 1.0), (1, 1.0)];
         assert_matches_inverse(&mut s, &cols, 1e-9);
     }

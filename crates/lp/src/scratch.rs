@@ -78,10 +78,16 @@ pub(crate) fn reserve_pool<T>(cnt: &mut Counters, pool: &mut Vec<Vec<T>>, len: u
 pub(crate) struct PhaseBufs {
     /// Row duals `y = B⁻ᵀ c_B`.
     pub(crate) y: Vec<f64>,
+    /// Nonzero rows of `y`, ascending.
+    pub(crate) y_idx: Vec<u32>,
     /// FTRAN image of the entering column.
     pub(crate) w: Vec<f64>,
+    /// Nonzero positions of `w`, ascending; `w` is zero elsewhere.
+    pub(crate) w_idx: Vec<u32>,
     /// Row `r` of `B⁻¹` for the devex update.
     pub(crate) rho: Vec<f64>,
+    /// Nonzero rows of `rho`, ascending; `rho` is zero elsewhere.
+    pub(crate) rho_idx: Vec<u32>,
     /// Devex reference weights.
     pub(crate) gamma: Vec<f64>,
     /// Per-column pricing sign: `-1` at lower bound, `+1` at upper, `0`
@@ -94,8 +100,9 @@ pub(crate) struct PhaseBufs {
     /// near-misses), rescanned on every pivot until it runs dry.
     pub(crate) cand: Vec<u32>,
     /// The refill scan's bounded top list of one window: `(score, column,
-    /// eligible)` entries, sorted into the candidate list's new generation
-    /// when the window holds an eligible column.
+    /// eligible)` entries in a binary heap with the worst kept entry at
+    /// the root, sorted into the candidate list's new generation when the
+    /// window holds an eligible column.
     pub(crate) top: Vec<(f64, u32, bool)>,
 }
 

@@ -10,6 +10,14 @@
 //!   (`ftran`/`btran`/`update`/`refactor`) of
 //!   [`SparseLuFactor`]: a sparse Markowitz LU with eta-file updates
 //!   ([`crate::sparse_lu`]).
+//! * The LPs are hypersparse: an entering column's FTRAN image, the duals
+//!   and the devex reference row have a few dozen nonzeros out of `m`.
+//!   Each pivot therefore carries the images' nonzero lists: the solves
+//!   walk only the reach of their right-hand side (while their running
+//!   output density stays low, see [`SparseLuFactor::solve`]), and the
+//!   ratio test, the basic-value move and the eta update walk only the
+//!   entering image's nonzeros. After a bound flip the duals are kept, not
+//!   recomputed: neither the basis nor the costs changed.
 //! * Bounds `l <= x <= u` are handled natively (nonbasic-at-lower /
 //!   nonbasic-at-upper, bound flips) — crucial because the LPs are dominated
 //!   by `[0,1]` variables and adding bound rows would double `m`.
@@ -37,7 +45,7 @@
 //!   never a correctness risk.
 
 use crate::basis::{Basis, SnapStat, SolveStats};
-use crate::factor::SparseLuFactor;
+use crate::factor::{Solve, SparseLuFactor};
 use crate::model::{Cmp, LpError, Model, Solution, SolverOptions, Status};
 use crate::presolve::Presolved;
 use crate::scratch::{
@@ -141,21 +149,47 @@ impl State {
         self.stats.basis_nnz = nnz;
     }
 
-    /// FTRAN of column `j`: `w = B⁻¹ a_j` (dense output).
-    fn ftran_col(&self, f: &mut SparseLuFactor, j: usize, w: &mut [f64]) {
-        w.fill(0.0);
+    /// FTRAN of column `j`: `w = B⁻¹ a_j`. `w` is zero outside `idx` on
+    /// entry; on return `idx` lists the nonzeros of `w`, ascending.
+    fn ftran_col(&self, f: &mut SparseLuFactor, j: usize, w: &mut [f64], idx: &mut Vec<u32>) {
+        for &i in idx.iter() {
+            w[i as usize] = 0.0;
+        }
+        idx.clear();
         // Scatter the column (structural values, or art_sign for
-        // artificials), then solve.
-        self.for_col(j, |r, v| w[r] += v);
-        f.ftran(w);
+        // artificials; rows are distinct), then solve.
+        self.for_col(j, |r, v| {
+            w[r] += v;
+            idx.push(r as u32);
+        });
+        f.solve(Solve::Entering, w, idx);
     }
 
-    /// Duals `y = B⁻ᵀ c_B` via BTRAN.
+    /// Duals `y = B⁻ᵀ c_B` via BTRAN, by the dense loops.
     fn duals(&self, f: &mut SparseLuFactor, costs: &[f64], y: &mut [f64]) {
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
         }
         f.btran(y);
+    }
+
+    /// The pivot loop's duals: [`duals`](State::duals) through
+    /// [`SparseLuFactor::solve`], with `idx` as its index list.
+    fn pivot_duals(
+        &self,
+        f: &mut SparseLuFactor,
+        costs: &[f64],
+        y: &mut [f64],
+        idx: &mut Vec<u32>,
+    ) {
+        idx.clear();
+        for (k, &bj) in self.basis.iter().enumerate() {
+            y[k] = costs[bj];
+            if nonzero(y[k]) {
+                idx.push(k as u32);
+            }
+        }
+        f.solve(Solve::Duals, y, idx);
     }
 
     /// Reduced cost of nonbasic `j` given duals `y`.
@@ -253,12 +287,13 @@ impl State {
     }
 
     /// Moves every basic variable along the entering column's FTRAN image
-    /// `w`: `x_B ← x_B − step·w` (`step` carries the entering direction's
-    /// sign).
-    fn move_basics(&mut self, w: &[f64], step: f64) {
-        for (r, &wr) in w.iter().enumerate() {
+    /// `w` (nonzero only at `idx`): `x_B ← x_B − step·w` (`step` carries
+    /// the entering direction's sign).
+    fn move_basics(&mut self, w: &[f64], idx: &[u32], step: f64) {
+        for &r in idx {
+            let wr = w[r as usize];
             if nonzero(wr) {
-                let bj = self.basis[r];
+                let bj = self.basis[r as usize];
                 self.x[bj] -= step * wr;
             }
         }
@@ -395,26 +430,40 @@ fn refill_order(a: &RefillEntry, b: &RefillEntry) -> std::cmp::Ordering {
     b.2.cmp(&a.2).then(b.0.total_cmp(&a.0)).then(a.1.cmp(&b.1))
 }
 
-/// Offers `c` to the refill scan's bounded top list `out` (at most
-/// [`CAND_LIST_CAP`] entries under [`refill_order`]); `worst` tracks the
-/// index of the worst kept entry once the list is full.
+/// Offers `c` to the refill scan's bounded top list `out`: the best
+/// [`CAND_LIST_CAP`] entries under [`refill_order`], kept as a binary heap
+/// whose root is the worst of them. [`refill_order`] is total, so the
+/// kept set, and the list sorted from it, do not depend on the heap's
+/// layout.
 // lint: hot
 #[inline]
-fn retain_top(out: &mut Vec<RefillEntry>, worst: &mut usize, c: RefillEntry) {
+fn retain_top(out: &mut Vec<RefillEntry>, c: RefillEntry) {
+    let worse = |out: &[RefillEntry], i: usize, j: usize| refill_order(&out[i], &out[j]).is_gt();
     if out.len() < CAND_LIST_CAP {
         out.push(c);
-        if out.len() < CAND_LIST_CAP {
-            return;
+        let mut i = out.len() - 1;
+        while i > 0 && worse(out, i, (i - 1) / 2) {
+            out.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
         }
-    } else if refill_order(&c, &out[*worst]).is_lt() {
-        out[*worst] = c;
-    } else {
-        return;
-    }
-    *worst = 0;
-    for i in 1..out.len() {
-        if refill_order(&out[i], &out[*worst]).is_gt() {
-            *worst = i;
+    } else if refill_order(&c, &out[0]).is_lt() {
+        out[0] = c;
+        let mut i = 0;
+        loop {
+            let l = 2 * i + 1;
+            if l >= out.len() {
+                break;
+            }
+            let child = if l + 1 < out.len() && worse(out, l + 1, l) {
+                l + 1
+            } else {
+                l
+            };
+            if !worse(out, child, i) {
+                break;
+            }
+            out.swap(i, child);
+            i = child;
         }
     }
 }
@@ -511,7 +560,6 @@ fn choose_entering(
         let take = px.window.min(nv - scanned);
         let base_idx = (px.scan_start + scanned) % nv;
         top.clear();
-        let mut worst = 0usize;
         for t in 0..take {
             // `base_idx < nv` and `t < nv`, so one conditional subtract
             // wraps.
@@ -522,7 +570,7 @@ fn choose_entering(
             let viol = violation(st, j);
             if viol > 0.0 {
                 let c = (viol * viol / gamma[j], j as u32, viol > tol);
-                retain_top(top, &mut worst, c);
+                retain_top(top, c);
             }
         }
         scanned += take;
@@ -563,7 +611,9 @@ fn choose_entering(
 }
 
 /// Pivot step 2: the two-pass Harris ratio test (bounded variables) for an
-/// entering column with FTRAN image `w` moving in direction `s`.
+/// entering column with FTRAN image `w` moving in direction `s`. Both
+/// passes walk only `w`'s nonzero rows `idx`, in ascending order (the
+/// order that breaks pass 2's ties).
 ///
 /// Basic `r` changes by `-s·t·w_r`. Pass 1 computes the relaxed step bound
 /// `t_max` (each row's limit padded by a feasibility tolerance scaled by
@@ -579,12 +629,13 @@ fn choose_entering(
 fn ratio_test(
     st: &State,
     w: &[f64],
+    idx: &[u32],
     s: f64,
     t_flip: f64,
     tol: f64,
     bland: bool,
 ) -> Result<Option<(usize, f64)>, ()> {
-    let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let wmax = idx.iter().fold(0.0f64, |a, &r| a.max(w[r as usize].abs()));
     let zero_tol = 1e-11_f64.max(1e-10 * wmax);
     // `(|s·w_r|, room)` of a blocking row: how far its basic variable can
     // move toward the bound the step pushes it at.
@@ -607,8 +658,9 @@ fn ratio_test(
     };
 
     let mut t_max = t_flip; // may be +inf
-    for (r, &wr) in w.iter().enumerate() {
-        if let Some((a, slack)) = room(r, wr) {
+    for &r in idx {
+        let r = r as usize;
+        if let Some((a, slack)) = room(r, w[r]) {
             let lim = (slack + tol) / a;
             if lim < t_max {
                 t_max = lim;
@@ -620,7 +672,8 @@ fn ratio_test(
     }
 
     let mut leave: Option<(usize, f64)> = None;
-    for (r, &wr) in w.iter().enumerate() {
+    for &r in idx {
+        let (r, wr) = (r as usize, w[r as usize]);
         let Some((a, slack)) = room(r, wr) else {
             continue;
         };
@@ -643,8 +696,8 @@ fn ratio_test(
 
 /// Pivot step 3a: a bound flip — `j_in` moves to its opposite bound, the
 /// basis is unchanged.
-fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], j_in: usize, s: f64) {
-    st.move_basics(w, s * (st.ub[j_in] - st.lb[j_in]));
+fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usize, s: f64) {
+    st.move_basics(w, idx, s * (st.ub[j_in] - st.lb[j_in]));
     if s > 0.0 {
         st.vstat[j_in] = VStat::AtUpper;
         sgn[j_in] = 1;
@@ -674,7 +727,9 @@ fn apply_pivot(
 ) -> usize {
     let PhaseBufs {
         w,
+        w_idx,
         rho,
+        rho_idx,
         gamma,
         sgn,
         cand,
@@ -686,11 +741,13 @@ fn apply_pivot(
     // the next rescans read until a refill (which rescores everything it
     // returns anyway), so the update is `O(nnz(list))` instead of
     // `O(nnz(A))`. Untouched columns keep slightly stale weights until a
-    // refill scan reaches them — devex is approximate by design.
-    let t_devex = rec.stamp();
+    // refill scan reaches them — devex is approximate by design. The
+    // reference row's BTRAN is timed as one.
     let alpha_q = w[r_lv];
     if alpha_q.abs() > 1e-12 {
-        f.binv_row(r_lv, rho);
+        let t_rho = rec.stamp();
+        f.binv_row(r_lv, rho, rho_idx);
+        let t_devex = rec.lap(Accum::FtranBtran, t_rho);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
         let mut overflow = false;
@@ -713,10 +770,10 @@ fn apply_pivot(
         if overflow {
             gamma.fill(1.0);
         }
+        rec.lap(Accum::Pricing, t_devex);
     }
-    rec.lap(Accum::Pricing, t_devex);
 
-    st.move_basics(w, s * t);
+    st.move_basics(w, w_idx, s * t);
     // `s` encodes the entering bound: +1 from lower, -1 from upper.
     st.x[j_in] = if s > 0.0 {
         st.lb[j_in] + t
@@ -767,6 +824,9 @@ fn run_phase(
     prep(cnt, &mut ph.y, m, 0.0);
     prep(cnt, &mut ph.w, m, 0.0);
     prep(cnt, &mut ph.rho, m, 0.0);
+    reserve(cnt, &mut ph.y_idx, m);
+    reserve(cnt, &mut ph.w_idx, m);
+    reserve(cnt, &mut ph.rho_idx, m);
     // Devex reference weights (reset per phase).
     prep(cnt, &mut ph.gamma, nv, 1.0);
     // Pricing signs, rebuilt per phase (bounds change between phases) and
@@ -793,6 +853,9 @@ fn run_phase(
     let mut bland = false;
     let mut cyc = CycleMon::new(&st.basis);
     let mut local_iters = 0usize;
+    // A bound flip changes neither the basis nor the costs, so the duals
+    // it leaves behind are already those of the next pivot, bit for bit.
+    let mut duals_current = false;
 
     loop {
         if local_iters >= iter_cap {
@@ -816,7 +879,9 @@ fn run_phase(
                 return Ok(PhaseEnd::Truncated);
             }
         }
-        st.duals(f, costs, &mut ph.y);
+        if !duals_current {
+            st.pivot_duals(f, costs, &mut ph.y, &mut ph.y_idx);
+        }
         let t_scan = rec.lap(Accum::FtranBtran, t_dual);
 
         let enter = choose_entering(st, ph, &mut px, costs, tol, bland, rec);
@@ -833,11 +898,11 @@ fn run_phase(
             -1.0
         };
         let t_ftran = rec.stamp();
-        st.ftran_col(f, j_in, &mut ph.w);
+        st.ftran_col(f, j_in, &mut ph.w, &mut ph.w_idx);
         rec.lap(Accum::FtranBtran, t_ftran);
 
         let t_flip = st.ub[j_in] - st.lb[j_in]; // may be +inf
-        let Ok(leave) = ratio_test(st, &ph.w, s, t_flip, tol, bland) else {
+        let Ok(leave) = ratio_test(st, &ph.w, &ph.w_idx, s, t_flip, tol, bland) else {
             return Ok(PhaseEnd::Unbounded);
         };
 
@@ -858,8 +923,9 @@ fn run_phase(
             bland = cyc.locked;
         }
 
+        duals_current = use_flip;
         let pivot_row = if use_flip {
-            apply_flip(st, &mut ph.sgn, &ph.w, j_in, s);
+            apply_flip(st, &mut ph.sgn, &ph.w, &ph.w_idx, j_in, s);
             cyc.sig ^= splitmix64(j_in as u64 ^ FLIP_SALT);
             None
         } else {
@@ -879,7 +945,7 @@ fn run_phase(
         let Some(r_lv) = pivot_row else {
             continue;
         };
-        match f.update(r_lv, &ph.w) {
+        match f.update(r_lv, &ph.w, &ph.w_idx) {
             Ok(()) => {
                 st.since_refactor += 1;
                 if f.wants_refactor(st.since_refactor) {
@@ -1834,8 +1900,11 @@ fn splitmix_unit(mut x: u64) -> f64 {
 // Unit tests assert exact expected values; strict float equality is the point.
 #[allow(clippy::float_cmp)]
 mod tests {
-    use super::{splitmix64, CycleMon};
-    use crate::{LpError, Model, SolverOptions};
+    use super::{
+        ratio_test, refill_order, retain_top, splitmix64, CycleMon, RefillEntry, State,
+        CAND_LIST_CAP,
+    };
+    use crate::{nonzero, LpError, Model, SolverOptions};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -2346,5 +2415,197 @@ mod tests {
         assert!(!cyc.observe(false), "objective moved: not a cycle");
         cyc.sig ^= splitmix64(3) ^ splitmix64(5);
         assert!(!cyc.observe(true), "history was cleared");
+    }
+
+    /// Randomized cases per differential test (fewer under Miri).
+    const CASES: u64 = if cfg!(miri) { 5 } else { 300 };
+
+    /// A seeded stream: splitmix64 over a counter.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, k: usize) -> usize {
+            self.0 = self.0.wrapping_add(1);
+            (splitmix64(self.0) % k as u64) as usize
+        }
+
+        /// `0..n` in a random order.
+        fn shuffled(&mut self, n: usize) -> Vec<usize> {
+            let mut v: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                v.swap(i, self.below(i + 1));
+            }
+            v
+        }
+    }
+
+    /// `retain_top` as it was before the heap: a flat list whose worst
+    /// entry is found by a rescan after every replacement. Kept verbatim
+    /// as the reference the heap must reproduce.
+    fn retain_top_linear(out: &mut Vec<RefillEntry>, worst: &mut usize, c: RefillEntry) {
+        if out.len() < CAND_LIST_CAP {
+            out.push(c);
+            if out.len() < CAND_LIST_CAP {
+                return;
+            }
+        } else if refill_order(&c, &out[*worst]).is_lt() {
+            out[*worst] = c;
+        } else {
+            return;
+        }
+        *worst = 0;
+        for i in 1..out.len() {
+            if refill_order(&out[i], &out[*worst]).is_gt() {
+                *worst = i;
+            }
+        }
+    }
+
+    #[test]
+    fn heap_top_list_matches_linear_scan() {
+        let mut rng = Stream(0x243F_6A88_85A3_08D3);
+        for case in 0..CASES {
+            // Windows shorter than, as long as, and longer than the list.
+            let sizes = [9, CAND_LIST_CAP - 1, CAND_LIST_CAP, CAND_LIST_CAP + 1, 700];
+            let len = sizes[case as usize % sizes.len()];
+            // Few distinct scores, so equal scores are common and the
+            // column index decides; every third window is all near-misses.
+            let scores = 1 + rng.below(6);
+            let eligible_in_4 = if case % 3 == 0 { 0 } else { 1 + rng.below(4) };
+            let (mut heap, mut linear, mut worst) = (Vec::new(), Vec::new(), 0);
+            for j in rng.shuffled(len) {
+                let score = (1 + rng.below(scores)) as f64 * 0.25;
+                let c = (score, j as u32, rng.below(4) < eligible_in_4);
+                retain_top(&mut heap, c);
+                retain_top_linear(&mut linear, &mut worst, c);
+            }
+            assert_eq!(heap.len(), len.min(CAND_LIST_CAP), "case {case}");
+            heap.sort_unstable_by(refill_order);
+            linear.sort_unstable_by(refill_order);
+            let bits = |v: &[RefillEntry]| {
+                v.iter()
+                    .map(|&(s, j, e)| (s.to_bits(), j, e))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&heap), bits(&linear), "case {case} (window {len})");
+        }
+    }
+
+    /// `ratio_test` as it was before nonzero lists: both passes walk all
+    /// of `w`. Kept verbatim as the reference.
+    fn ratio_test_dense(
+        st: &State,
+        w: &[f64],
+        s: f64,
+        t_flip: f64,
+        tol: f64,
+        bland: bool,
+    ) -> Result<Option<(usize, f64)>, ()> {
+        let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let zero_tol = 1e-11_f64.max(1e-10 * wmax);
+        let room = |r: usize, wr: f64| {
+            let swr = s * wr;
+            if swr.abs() <= zero_tol {
+                return None;
+            }
+            let bj = st.basis[r];
+            let slack = if swr > 0.0 {
+                st.x[bj] - st.lb[bj]
+            } else {
+                let u = st.ub[bj];
+                if u.is_infinite() {
+                    return None;
+                }
+                u - st.x[bj]
+            };
+            Some((swr.abs(), slack.max(0.0)))
+        };
+
+        let mut t_max = t_flip; // may be +inf
+        for (r, &wr) in w.iter().enumerate() {
+            if let Some((a, slack)) = room(r, wr) {
+                let lim = (slack + tol) / a;
+                if lim < t_max {
+                    t_max = lim;
+                }
+            }
+        }
+        if t_max.is_infinite() {
+            return Err(());
+        }
+
+        let mut leave: Option<(usize, f64)> = None;
+        for (r, &wr) in w.iter().enumerate() {
+            let Some((a, slack)) = room(r, wr) else {
+                continue;
+            };
+            let exact = slack / a;
+            if exact <= t_max {
+                let better = leave.is_none_or(|(cur_r, _)| {
+                    if bland {
+                        st.basis[r] < st.basis[cur_r]
+                    } else {
+                        wr.abs() > w[cur_r].abs()
+                    }
+                });
+                if better {
+                    leave = Some((r, exact));
+                }
+            }
+        }
+        Ok(leave)
+    }
+
+    #[test]
+    fn nonzero_list_ratio_test_matches_dense_scan() {
+        let mut rng = Stream(0x1319_8A2E_0370_7344);
+        let tol = crate::LP_TOL;
+        let mut outcomes = [0usize; 3];
+        for case in 0..CASES {
+            let m = 1 + rng.below(40);
+            let nv = 2 * m;
+            // Basic variables in a random order, so Bland's lowest basic
+            // index is not the lowest row.
+            let mut st = State {
+                m,
+                basis: rng.shuffled(nv)[..m].to_vec(),
+                lb: vec![0.0; nv],
+                ..State::default()
+            };
+            st.ub = (0..nv)
+                .map(|_| [1.0, 2.0, f64::INFINITY][rng.below(3)])
+                .collect();
+            // Many basics sit on a bound, so many rows tie at step zero.
+            st.x = (0..nv)
+                .map(|j| match rng.below(3) {
+                    0 => 0.0,
+                    1 if st.ub[j].is_finite() => st.ub[j],
+                    _ => 0.25 * rng.below(4) as f64,
+                })
+                .collect();
+            // Few distinct magnitudes, so rows tie on |w_r|; some entries
+            // sit under the zero tolerance.
+            let w: Vec<f64> = (0..m)
+                .map(|_| [0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 1e-13][rng.below(8)])
+                .collect();
+            let idx: Vec<u32> = (0..m as u32).filter(|&r| nonzero(w[r as usize])).collect();
+            let s = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+            let t_flip = [0.5, 3.0, f64::INFINITY][rng.below(3)];
+            let bland = case % 2 == 1;
+            let got = ratio_test(&st, &w, &idx, s, t_flip, tol, bland);
+            let want = ratio_test_dense(&st, &w, s, t_flip, tol, bland);
+            let bits =
+                |r: Result<Option<(usize, f64)>, ()>| r.map(|o| o.map(|(r, t)| (r, t.to_bits())));
+            assert_eq!(bits(got), bits(want), "case {case}");
+            outcomes[match want {
+                Err(()) => 0,
+                Ok(None) => 1,
+                Ok(Some(_)) => 2,
+            }] += 1;
+        }
+        assert!(
+            cfg!(miri) || outcomes.iter().all(|&n| n > 0),
+            "{outcomes:?}"
+        );
     }
 }

@@ -35,12 +35,23 @@
 //! which costs the buckets and bitset words it passes, not a scan of all
 //! `n` columns; the step itself costs the rows it updates. A basis that is
 //! mostly slack singletons therefore factors in `O(nnz)` rather than
-//! `O(m²)`. An `ftran`/`btran` is `O(m + nnz(L, U, eta))`. The dense
-//! scratch vectors with epoch stamps are kept deliberately simple: no
-//! hyper-sparse kernels.
+//! `O(m²)`. Each factorization also builds, in `O(m + nnz)`, the
+//! transposes a solve's reach needs: row → step, U by column and L by row.
+//!
+//! Solves come in two paths with bit-identical results. The dense
+//! [`ftran`](LuFactors::ftran)/[`btran`](LuFactors::btran) loop over all
+//! `m` steps: `O(m + nnz(L, U, eta))`. The hypersparse
+//! [`ftran_sparse`](LuFactors::ftran_sparse)/[`btran_sparse`](LuFactors::btran_sparse)
+//! (Gilbert–Peierls reach, as Hall & McKinnon apply it to the revised
+//! simplex) first collect the steps reachable from the right-hand side's
+//! nonzeros, sort them, and visit only those in the dense loops' order,
+//! so each entry runs the same floating-point fold: they cost the reached
+//! steps' entries plus a sort of the reach, and the eta file. Which path a
+//! pivot-loop solve takes is decided by its running output density
+//! ([`SparseLuFactor::solve`](crate::factor::SparseLuFactor::solve)).
 
 use crate::nonzero;
-use crate::scratch::{prep, reserve_pool, Counters};
+use crate::scratch::{prep, reserve, reserve_pool, Counters};
 
 /// A sparse column: `(row, value)` pairs (unordered, no duplicates).
 pub(crate) type SparseCol = Vec<(u32, f64)>;
@@ -526,6 +537,18 @@ pub(crate) struct LuFactors {
     m: usize,
     elim: Elimination,
     ws: ElimWs,
+    /// Row -> the step that pivoted it (the inverse of `elim.rp`).
+    step_of_row: Vec<u32>,
+    /// U by column: the steps whose U row holds the column pivoted at step
+    /// `j` live at `ucol_steps[ucol_ptr[j]..ucol_ptr[j+1]]`.
+    ucol_ptr: Vec<usize>,
+    /// Step lists of `ucol_ptr`.
+    ucol_steps: Vec<u32>,
+    /// L by row: the steps whose L column targets row `r` live at
+    /// `lrow_steps[lrow_ptr[r]..lrow_ptr[r+1]]`.
+    lrow_ptr: Vec<usize>,
+    /// Step lists of `lrow_ptr`.
+    lrow_steps: Vec<u32>,
     /// Eta pivot positions, in application order.
     eta_pos: Vec<u32>,
     /// Eta diagonal multipliers `1/pivot`, parallel to `eta_pos`.
@@ -538,8 +561,53 @@ pub(crate) struct LuFactors {
     eta_vals: Vec<f64>,
     /// Nonzeros across the eta file.
     pub eta_nnz: usize,
-    /// Scratch (step-indexed / row-indexed) for solves.
+    /// Step-indexed scratch for solves; all zero between solves.
     scratch: Vec<f64>,
+    /// Reach marks of the sparse solves; all false between solves.
+    mark: Vec<bool>,
+    /// Steps a sparse solve reaches (capacity `m`, so pushes never grow it).
+    reach: Vec<u32>,
+}
+
+/// Adds step (or row, or position) `k` to `reach` unless it is marked.
+#[inline]
+fn visit(mark: &mut [bool], reach: &mut Vec<u32>, k: u32) {
+    if !mark[k as usize] {
+        mark[k as usize] = true;
+        reach.push(k);
+    }
+}
+
+/// Builds the transpose of the CSR-style lists `src_ptr`/`src_idx` (list
+/// `k` holds entries `e`): list `key(e)` of `ptr`/`out` holds every `k`
+/// whose list holds `e`, in ascending `k`. `key` maps into `0..n`.
+fn transpose_into(
+    cnt: &mut Counters,
+    n: usize,
+    (src_ptr, src_idx): (&[usize], &[u32]),
+    key: impl Fn(u32) -> usize,
+    ptr: &mut Vec<usize>,
+    out: &mut Vec<u32>,
+) {
+    // Count list `i` into `ptr[i + 2]`, take prefix sums so `ptr[i + 1]`
+    // is list `i`'s start, then fill through `ptr[i + 1]` as a cursor,
+    // which leaves it at list `i`'s end: list `i` is `ptr[i]..ptr[i + 1]`.
+    prep(cnt, ptr, n + 2, 0);
+    for &e in src_idx {
+        ptr[key(e) + 2] += 1;
+    }
+    for i in 2..n + 2 {
+        ptr[i] += ptr[i - 1];
+    }
+    prep(cnt, out, src_idx.len(), 0);
+    for k in 0..src_ptr.len() - 1 {
+        for &e in &src_idx[src_ptr[k]..src_ptr[k + 1]] {
+            let slot = &mut ptr[key(e) + 1];
+            out[*slot] = k as u32;
+            *slot += 1;
+        }
+    }
+    ptr.truncate(n + 1);
 }
 
 impl LuFactors {
@@ -568,7 +636,34 @@ impl LuFactors {
         self.eta_rows.clear();
         self.eta_vals.clear();
         self.eta_nnz = 0;
+        // The transposes the sparse solves' reach needs.
+        let e = &self.elim;
+        prep(cnt, &mut self.step_of_row, m, 0);
+        for (k, &r) in e.rp.iter().enumerate() {
+            self.step_of_row[r as usize] = k as u32;
+        }
+        let col_step = |c: u32| e.step_of_col[c as usize] as usize;
+        let urows = (&e.urow_ptr[..], &e.urow_cols[..]);
+        transpose_into(
+            cnt,
+            m,
+            urows,
+            col_step,
+            &mut self.ucol_ptr,
+            &mut self.ucol_steps,
+        );
+        let lcols = (&e.lcol_ptr[..], &e.lcol_rows[..]);
+        transpose_into(
+            cnt,
+            m,
+            lcols,
+            |r| r as usize,
+            &mut self.lrow_ptr,
+            &mut self.lrow_steps,
+        );
         prep(cnt, &mut self.scratch, m, 0.0);
+        prep(cnt, &mut self.mark, m, false);
+        reserve(cnt, &mut self.reach, m);
         Ok(())
     }
 
@@ -586,7 +681,8 @@ impl LuFactors {
     }
 
     /// FTRAN: solves `B x = b`. Input `x` is `b` indexed by row; output is
-    /// indexed by basis position.
+    /// indexed by basis position. The dense loop over all `m` steps: the
+    /// reference [`ftran_sparse`](LuFactors::ftran_sparse) reproduces.
     // lint: hot
     pub fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
@@ -614,9 +710,112 @@ impl LuFactors {
             }
             out[k] = sum / e.diag[k];
         }
-        // Scatter steps -> positions, then apply the eta file in order.
+        // Scatter steps -> positions (leaving the scratch zero), then apply
+        // the eta file in order.
         for k in 0..self.m {
-            x[e.cpos[k] as usize] = out[k];
+            x[e.cpos[k] as usize] = std::mem::take(&mut out[k]);
+        }
+        self.apply_etas(x, None);
+    }
+
+    /// FTRAN restricted to the reach of the right-hand side. On entry `x`
+    /// is `b` by row and zero outside the rows listed in `idx`; on return
+    /// it is `B⁻¹ b` by basis position and `idx` lists its nonzero
+    /// positions in ascending order.
+    ///
+    /// The L pass visits only the steps reachable from `idx` through L's
+    /// columns, in ascending order, and the U pass only those reachable
+    /// from there through U's columns, in descending order: the orders of
+    /// [`ftran`](LuFactors::ftran)'s loops. So every reached entry runs the
+    /// same floating-point fold as there, unreached entries stay zero, and
+    /// the result equals `ftran`'s entry by entry, at the cost of the
+    /// reach rather than of `m`.
+    // lint: hot
+    pub fn ftran_sparse(&mut self, x: &mut [f64], idx: &mut Vec<u32>) {
+        debug_assert_eq!(x.len(), self.m);
+        let LuFactors {
+            elim: e,
+            step_of_row,
+            ucol_ptr,
+            ucol_steps,
+            scratch: out,
+            mark,
+            reach,
+            ..
+        } = self;
+        // L reach: the right-hand side's rows, closed under L's columns.
+        reach.clear();
+        for &r in idx.iter() {
+            visit(mark, reach, step_of_row[r as usize]);
+        }
+        let mut i = 0;
+        while i < reach.len() {
+            let k = reach[i] as usize;
+            for &r in &e.lcol_rows[e.lcol_ptr[k]..e.lcol_ptr[k + 1]] {
+                visit(mark, reach, step_of_row[r as usize]);
+            }
+            i += 1;
+        }
+        reach.sort_unstable();
+        for &k in reach.iter() {
+            let k = k as usize;
+            let yk = x[e.rp[k] as usize];
+            if nonzero(yk) {
+                let (s, t) = (e.lcol_ptr[k], e.lcol_ptr[k + 1]);
+                for (&r, &f) in e.lcol_rows[s..t].iter().zip(&e.lcol_vals[s..t]) {
+                    x[r as usize] -= f * yk;
+                }
+            }
+        }
+        // U reach: the L reach, closed under U's columns (the steps whose U
+        // row reads a reached step's value).
+        let mut i = 0;
+        while i < reach.len() {
+            let j = reach[i] as usize;
+            for &k in &ucol_steps[ucol_ptr[j]..ucol_ptr[j + 1]] {
+                visit(mark, reach, k);
+            }
+            i += 1;
+        }
+        reach.sort_unstable();
+        for &k in reach.iter().rev() {
+            let k = k as usize;
+            let mut sum = x[e.rp[k] as usize];
+            let (s, t) = (e.urow_ptr[k], e.urow_ptr[k + 1]);
+            for (&c, &v) in e.urow_cols[s..t].iter().zip(&e.urow_vals[s..t]) {
+                let contrib = out[e.step_of_col[c as usize] as usize];
+                if nonzero(contrib) {
+                    sum -= v * contrib;
+                }
+            }
+            out[k] = sum / e.diag[k];
+        }
+        // Scatter: clear the reached rows (every row the L pass wrote),
+        // then write the reached positions.
+        for &k in reach.iter() {
+            x[e.rp[k as usize] as usize] = 0.0;
+        }
+        idx.clear();
+        for &k in reach.iter() {
+            let k = k as usize;
+            x[e.cpos[k] as usize] = std::mem::take(&mut out[k]);
+            mark[k] = false;
+            idx.push(e.cpos[k]);
+        }
+        self.apply_etas(x, Some(idx));
+        idx.retain(|&p| nonzero(x[p as usize]));
+        idx.sort_unstable();
+    }
+
+    /// Applies the eta file in order to the position-indexed `x`. With
+    /// `idx` (the positions `x` may be nonzero at), adds the positions the
+    /// etas write.
+    // lint: hot
+    fn apply_etas(&mut self, x: &mut [f64], mut idx: Option<&mut Vec<u32>>) {
+        if let Some(idx) = idx.as_deref() {
+            for &p in idx {
+                self.mark[p as usize] = true;
+            }
         }
         for t in 0..self.eta_pos.len() {
             let pos = self.eta_pos[t] as usize;
@@ -626,26 +825,27 @@ impl LuFactors {
                 let (s, en) = (self.eta_ptr[t], self.eta_ptr[t + 1]);
                 for (&i, &h) in self.eta_rows[s..en].iter().zip(&self.eta_vals[s..en]) {
                     x[i as usize] += h * xr;
+                    if let Some(idx) = idx.as_deref_mut() {
+                        visit(&mut self.mark, idx, i);
+                    }
                 }
+            }
+        }
+        if let Some(idx) = idx {
+            for &p in idx.iter() {
+                self.mark[p as usize] = false;
             }
         }
     }
 
     /// BTRAN: solves `Bᵀ y = c`. Input `x` is `c` indexed by basis
-    /// position; output is indexed by row.
+    /// position; output is indexed by row. The dense loop over all `m`
+    /// steps: the reference [`btran_sparse`](LuFactors::btran_sparse)
+    /// reproduces.
     // lint: hot
     pub fn btran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
-        // Eta transposes in reverse order.
-        for t in (0..self.eta_pos.len()).rev() {
-            let pos = self.eta_pos[t] as usize;
-            let mut acc = self.eta_diag[t] * x[pos];
-            let (s, en) = (self.eta_ptr[t], self.eta_ptr[t + 1]);
-            for (&i, &h) in self.eta_rows[s..en].iter().zip(&self.eta_vals[s..en]) {
-                acc += h * x[i as usize];
-            }
-            x[pos] = acc;
-        }
+        self.apply_eta_transposes(x, None);
         let e = &self.elim;
         // U^T (position space -> step space) forward.
         let w = &mut self.scratch;
@@ -662,9 +862,9 @@ impl LuFactors {
                 }
             }
         }
-        // L^T backward (step space -> row space).
+        // L^T backward (step space -> row space), leaving the scratch zero.
         for k in 0..self.m {
-            x[e.rp[k] as usize] = w[k];
+            x[e.rp[k] as usize] = std::mem::take(&mut w[k]);
         }
         for k in (0..self.m).rev() {
             let mut acc = x[e.rp[k] as usize];
@@ -676,23 +876,145 @@ impl LuFactors {
         }
     }
 
-    /// Product-form update after a pivot: basis position `r_leave` is
-    /// replaced by a column whose FTRAN image is `w`. `Err` when the pivot
-    /// element is too small to absorb safely (caller must refactorize).
+    /// BTRAN restricted to the reach of the right-hand side. On entry `x`
+    /// is `c` by basis position and zero outside the positions listed in
+    /// `idx`; on return it is `B⁻ᵀ c` by row and `idx` lists its nonzero
+    /// rows in ascending order.
+    ///
+    /// The Uᵀ pass visits only the steps reachable from `idx` through U's
+    /// rows, in ascending order, and the Lᵀ pass only those reachable from
+    /// there through L's rows, in descending order: the orders of
+    /// [`btran`](LuFactors::btran)'s loops, so the result equals `btran`'s
+    /// entry by entry.
     // lint: hot
-    pub fn update(&mut self, r_leave: usize, w: &[f64]) -> Result<(), String> {
+    pub fn btran_sparse(&mut self, x: &mut [f64], idx: &mut Vec<u32>) {
+        debug_assert_eq!(x.len(), self.m);
+        self.apply_eta_transposes(x, Some(idx));
+        let LuFactors {
+            elim: e,
+            lrow_ptr,
+            lrow_steps,
+            scratch: w,
+            mark,
+            reach,
+            ..
+        } = self;
+        // U^T reach: the steps that pivoted the nonzero positions, closed
+        // under U's rows.
+        reach.clear();
+        for &p in idx.iter() {
+            visit(mark, reach, e.step_of_col[p as usize]);
+        }
+        let mut i = 0;
+        while i < reach.len() {
+            let k = reach[i] as usize;
+            for &c in &e.urow_cols[e.urow_ptr[k]..e.urow_ptr[k + 1]] {
+                visit(mark, reach, e.step_of_col[c as usize]);
+            }
+            i += 1;
+        }
+        reach.sort_unstable();
+        for &k in reach.iter() {
+            w[k as usize] = x[e.cpos[k as usize] as usize];
+        }
+        for &p in idx.iter() {
+            x[p as usize] = 0.0;
+        }
+        for &k in reach.iter() {
+            let k = k as usize;
+            w[k] /= e.diag[k];
+            let wk = w[k];
+            if nonzero(wk) {
+                let (s, t) = (e.urow_ptr[k], e.urow_ptr[k + 1]);
+                for (&c, &v) in e.urow_cols[s..t].iter().zip(&e.urow_vals[s..t]) {
+                    w[e.step_of_col[c as usize] as usize] -= v * wk;
+                }
+            }
+        }
+        // L^T reach: the U^T reach, closed under L's rows (the steps whose
+        // L column reads a reached step's row).
+        let mut i = 0;
+        while i < reach.len() {
+            let r = e.rp[reach[i] as usize] as usize;
+            for &k in &lrow_steps[lrow_ptr[r]..lrow_ptr[r + 1]] {
+                visit(mark, reach, k);
+            }
+            i += 1;
+        }
+        reach.sort_unstable();
+        for &k in reach.iter() {
+            x[e.rp[k as usize] as usize] = std::mem::take(&mut w[k as usize]);
+        }
+        for &k in reach.iter().rev() {
+            let k = k as usize;
+            let mut acc = x[e.rp[k] as usize];
+            let (s, t) = (e.lcol_ptr[k], e.lcol_ptr[k + 1]);
+            for (&r, &f) in e.lcol_rows[s..t].iter().zip(&e.lcol_vals[s..t]) {
+                acc -= f * x[r as usize];
+            }
+            x[e.rp[k] as usize] = acc;
+        }
+        idx.clear();
+        for &k in reach.iter() {
+            mark[k as usize] = false;
+            let r = e.rp[k as usize];
+            if nonzero(x[r as usize]) {
+                idx.push(r);
+            }
+        }
+        idx.sort_unstable();
+    }
+
+    /// Applies the eta file's transposes in reverse order to the
+    /// position-indexed `x`. With `idx` (the positions `x` may be nonzero
+    /// at), adds the positions that become nonzero.
+    // lint: hot
+    fn apply_eta_transposes(&mut self, x: &mut [f64], mut idx: Option<&mut Vec<u32>>) {
+        if let Some(idx) = idx.as_deref() {
+            for &p in idx {
+                self.mark[p as usize] = true;
+            }
+        }
+        for t in (0..self.eta_pos.len()).rev() {
+            let pos = self.eta_pos[t] as usize;
+            let mut acc = self.eta_diag[t] * x[pos];
+            let (s, en) = (self.eta_ptr[t], self.eta_ptr[t + 1]);
+            for (&i, &h) in self.eta_rows[s..en].iter().zip(&self.eta_vals[s..en]) {
+                acc += h * x[i as usize];
+            }
+            x[pos] = acc;
+            if let Some(idx) = idx.as_deref_mut() {
+                if nonzero(acc) {
+                    visit(&mut self.mark, idx, pos as u32);
+                }
+            }
+        }
+        if let Some(idx) = idx {
+            for &p in idx.iter() {
+                self.mark[p as usize] = false;
+            }
+        }
+    }
+
+    /// Product-form update after a pivot: basis position `r_leave` is
+    /// replaced by a column whose FTRAN image is `w`, nonzero only at the
+    /// ascending positions `idx`. `Err` when the pivot element is too small
+    /// to absorb safely (caller must refactorize).
+    // lint: hot
+    pub fn update(&mut self, r_leave: usize, w: &[f64], idx: &[u32]) -> Result<(), String> {
         let piv = w[r_leave];
-        let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let wmax = idx.iter().fold(0.0f64, |a, &i| a.max(w[i as usize].abs()));
         if piv.abs() < 1e-9 * wmax.max(1.0) {
             return Err(format!("eta pivot too small: {piv:.3e}"));
         }
         let d = 1.0 / piv;
         let start = self.eta_rows.len();
-        for (i, &wi) in w.iter().enumerate() {
-            if i != r_leave && nonzero(wi) {
+        for &i in idx {
+            let wi = w[i as usize];
+            if i as usize != r_leave && nonzero(wi) {
                 let h = -wi * d;
                 if h.abs() > 1e-14 {
-                    self.eta_rows.push(i as u32);
+                    self.eta_rows.push(i);
                     self.eta_vals.push(h);
                 }
             }
@@ -817,7 +1139,7 @@ mod tests {
             w[r as usize] += v;
         }
         lu.ftran(&mut w); // w = B^-1 a
-        lu.update(1, &w.clone()).unwrap();
+        lu.update(1, &w.clone(), &[0, 1, 2]).unwrap();
         // New basis: cols with position 1 replaced by a.
         let mut cols2 = cols.clone();
         cols2[1] = a;
@@ -878,12 +1200,19 @@ mod tests {
             lu.refactor_in_place(m, cols, &mut cnt2).unwrap();
             assert_eq!(cnt2.allocs, 0, "steady-state refactor allocates nothing");
             assert!(cnt2.reuses > 0);
-            // And it still solves correctly.
+            // The reach transposes were rebuilt in place too.
+            assert_transposes_match(&lu, &format!("refactor m={m}"));
+            assert!(!lu.ucol_steps.is_empty(), "U has off-diagonal entries");
+            // And it still solves correctly, on both paths.
             let x_true: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
             let mut b = dense_mul(m, cols, &x_true);
+            let mut idx = nonzeros(&b);
+            let mut bs = b.clone();
             lu.ftran(&mut b);
-            for (a, t) in b.iter().zip(&x_true) {
+            lu.ftran_sparse(&mut bs, &mut idx);
+            for ((a, s), t) in b.iter().zip(&bs).zip(&x_true) {
                 assert!((a - t).abs() < 1e-12, "{a} vs {t}");
+                assert!(a == s, "sparse {s} vs dense {a}");
             }
         }
     }
@@ -1323,6 +1652,15 @@ mod tests {
             lu.refactor_in_place(m, cols, &mut cnt).unwrap();
             let fresh = LuFactors::factorize(m, cols).unwrap();
             assert_bit_equal(&lu.elim, &fresh.elim, &format!("refactor m={m}"));
+            // The reach transposes a larger earlier basis left behind must
+            // not leak into this one's either.
+            assert_eq!(lu.step_of_row, fresh.step_of_row, "step_of_row m={m}");
+            assert_eq!(lu.ucol_ptr, fresh.ucol_ptr, "ucol_ptr m={m}");
+            assert_eq!(lu.ucol_steps, fresh.ucol_steps, "ucol_steps m={m}");
+            assert_eq!(lu.lrow_ptr, fresh.lrow_ptr, "lrow_ptr m={m}");
+            assert_eq!(lu.lrow_steps, fresh.lrow_steps, "lrow_steps m={m}");
+            assert_transposes_match(&lu, &format!("refactor m={m}"));
+            assert_solves_match(&mut lu, &mut rng, &format!("refactor m={m}"));
         }
         // Every third large candidate is numerically empty: once the few
         // smallest-count candidates are all such columns, elimination
@@ -1344,6 +1682,134 @@ mod tests {
                     ws.counts.total > m / 4,
                     "large completion leaves buckets populated"
                 );
+            }
+        }
+    }
+
+    /// The exact nonzero indices of `x`, ascending.
+    fn nonzeros(x: &[f64]) -> Vec<u32> {
+        (0..x.len() as u32)
+            .filter(|&i| nonzero(x[i as usize]))
+            .collect()
+    }
+
+    /// The reach transposes hold exactly the transposed L and U patterns.
+    fn assert_transposes_match(lu: &LuFactors, what: &str) {
+        let e = &lu.elim;
+        for (k, &r) in e.rp.iter().enumerate() {
+            assert_eq!(
+                lu.step_of_row[r as usize] as usize, k,
+                "{what}: step_of_row"
+            );
+        }
+        let (mut ucol, mut lrow) = (Vec::new(), Vec::new());
+        for k in 0..lu.m {
+            for &c in &e.urow_cols[e.urow_ptr[k]..e.urow_ptr[k + 1]] {
+                ucol.push((e.step_of_col[c as usize], k as u32));
+            }
+            for &r in &e.lcol_rows[e.lcol_ptr[k]..e.lcol_ptr[k + 1]] {
+                lrow.push((r, k as u32));
+            }
+        }
+        let flat = |ptr: &[usize], steps: &[u32]| {
+            (0..lu.m)
+                .flat_map(|j| {
+                    steps[ptr[j]..ptr[j + 1]]
+                        .iter()
+                        .map(move |&k| (j as u32, k))
+                })
+                .collect::<Vec<_>>()
+        };
+        ucol.sort_unstable();
+        lrow.sort_unstable();
+        assert_eq!(
+            flat(&lu.ucol_ptr, &lu.ucol_steps),
+            ucol,
+            "{what}: U by column"
+        );
+        assert_eq!(flat(&lu.lrow_ptr, &lu.lrow_steps), lrow, "{what}: L by row");
+    }
+
+    /// With unit, sparse and dense right-hand sides, `ftran_sparse` and
+    /// `btran_sparse` equal the dense loops entry by entry (`==`), list
+    /// exactly the nonzeros, and leave the solve scratch clean.
+    fn assert_solves_match(lu: &mut LuFactors, rng: &mut Rng, what: &str) {
+        let m = lu.m;
+        let unit = {
+            let mut x = vec![0.0; m];
+            x[rng.below(m)] = 1.0;
+            x
+        };
+        let mut sparse = vec![0.0; m];
+        for _ in 0..3 {
+            sparse[rng.below(m)] = rng.unit() - 0.5;
+        }
+        let dense: Vec<f64> = (0..m)
+            .map(|_| {
+                if rng.unit() < 0.2 {
+                    0.0
+                } else {
+                    rng.unit() - 0.5
+                }
+            })
+            .collect();
+        let rhs = [(unit, "unit"), (sparse, "sparse"), (dense, "dense")];
+        // All dense solves of a kind run before the sparse ones, so each
+        // sparse solve follows a dense one of another right-hand side.
+        let solve_all = |lu: &mut LuFactors, solve: fn(&mut LuFactors, &mut [f64])| {
+            rhs.iter()
+                .map(|(b, _)| {
+                    let mut x = b.clone();
+                    solve(lu, &mut x);
+                    x
+                })
+                .collect::<Vec<_>>()
+        };
+        let want_f = solve_all(lu, LuFactors::ftran);
+        for ((b, kind), want) in rhs.iter().zip(&want_f) {
+            let (mut got, mut idx) = (b.clone(), nonzeros(b));
+            lu.ftran_sparse(&mut got, &mut idx);
+            assert!(got == *want, "{what}: ftran, {kind} rhs");
+            assert_eq!(idx, nonzeros(want), "{what}: ftran pattern, {kind} rhs");
+        }
+        let want_b = solve_all(lu, LuFactors::btran);
+        for ((b, kind), want) in rhs.iter().zip(&want_b) {
+            let (mut got, mut idx) = (b.clone(), nonzeros(b));
+            lu.btran_sparse(&mut got, &mut idx);
+            assert!(got == *want, "{what}: btran, {kind} rhs");
+            assert_eq!(idx, nonzeros(want), "{what}: btran pattern, {kind} rhs");
+        }
+        assert!(
+            lu.scratch.iter().all(|&v| v == 0.0),
+            "{what}: scratch left dirty"
+        );
+        assert!(lu.mark.iter().all(|&b| !b), "{what}: marks left set");
+    }
+
+    #[test]
+    fn sparse_solves_match_dense_loops_across_eta_updates() {
+        for seed in 1..=SEEDS {
+            let mut rng = Rng(0x6A09_E667_F3BC_C909 ^ seed);
+            for m in [1, 5, 64, WIDE] {
+                let basis = random_cols(&mut rng, m, m, (0, 4), true);
+                let mut lu = LuFactors::factorize(m, &basis).unwrap();
+                assert_transposes_match(&lu, &format!("m={m} seed={seed}"));
+                let updates = 1 + rng.below(30);
+                for u in 0..=updates {
+                    let what = format!("m={m} seed={seed} after {u} updates");
+                    assert_solves_match(&mut lu, &mut rng, &what);
+                    // Replace the basis position where a random column's
+                    // image is largest, so the update is always accepted.
+                    let mut w = vec![0.0; m];
+                    for &(r, v) in &random_cols(&mut rng, m, 1, (1, 4), false)[0] {
+                        w[r as usize] = v;
+                    }
+                    lu.ftran(&mut w);
+                    let r_leave = (0..m)
+                        .max_by(|&a, &b| w[a].abs().total_cmp(&w[b].abs()))
+                        .unwrap();
+                    lu.update(r_leave, &w, &nonzeros(&w)).unwrap();
+                }
             }
         }
     }
