@@ -2320,20 +2320,23 @@ mod tests {
         assert_eq!(s.status, crate::Status::Truncated);
     }
 
-    /// A hook that fails the first factorization forces the rung-3 cold
-    /// restart; one that fails a later factorization exercises rung 1.
-    /// Either way the solve still reaches the true optimum.
+    /// The recovery ladder, rung by rung: a hook fails the listed
+    /// factorization calls (1-based; `None` fails every call). Each row
+    /// pins `(recovery_refactorizations, basis_repairs, cold_restarts)`, or
+    /// the error once the ladder is exhausted; every recovered solve still
+    /// reaches the true optimum. A first-factorization fault goes straight
+    /// to rung 3 outside the rung budget, so `{1, 3, 4, 5}` runs rung 3
+    /// twice.
     #[test]
     fn fault_hook_drives_recovery_ladder() {
         struct FailCalls {
             calls: usize,
-            fail_from: usize,
-            fail_to: usize,
+            fail: Option<&'static [usize]>,
         }
         impl crate::FaultHook for FailCalls {
             fn on_factorization(&mut self) -> bool {
                 self.calls += 1;
-                self.calls >= self.fail_from && self.calls < self.fail_to
+                self.fail.is_none_or(|f| f.contains(&self.calls))
             }
         }
         let mut m = Model::new();
@@ -2343,46 +2346,35 @@ mod tests {
         m.le(&[(y, 2.0)], 12.0);
         m.le(&[(x, 3.0), (y, 2.0)], 18.0);
 
-        // Fault on the very first factorization only.
-        let mut chain = crate::WarmChain::new();
-        chain.set_fault_hook(Some(Box::new(FailCalls {
-            calls: 0,
-            fail_from: 1,
-            fail_to: 2,
-        })));
-        let s = chain.solve(&m, &SolverOptions::default()).unwrap();
-        assert_close(s.objective, -36.0);
-        assert_eq!(
-            s.stats.recovery_cold_restarts, 1,
-            "first-factorization fault"
-        );
-
-        // Fault on the second factorization (the end-of-phase refactorize):
-        // rung 1 (plain refactorize retry) recovers.
-        let mut chain = crate::WarmChain::new();
-        chain.set_fault_hook(Some(Box::new(FailCalls {
-            calls: 0,
-            fail_from: 2,
-            fail_to: 3,
-        })));
-        let s = chain.solve(&m, &SolverOptions::default()).unwrap();
-        assert_close(s.objective, -36.0);
-        assert_eq!(s.stats.recovery_refactorizations, 1, "mid-solve fault");
-        assert_eq!(s.stats.recovery_cold_restarts, 0);
-
-        // A hook that never stops failing exhausts the ladder.
-        struct AlwaysFail;
-        impl crate::FaultHook for AlwaysFail {
-            fn on_factorization(&mut self) -> bool {
-                true
+        type Row = (Option<&'static [usize]>, Option<(usize, usize, usize)>);
+        let table: [Row; 7] = [
+            (Some(&[1]), Some((0, 0, 1))),
+            (Some(&[2]), Some((1, 0, 0))),
+            (Some(&[2, 3]), Some((1, 1, 0))),
+            (Some(&[2, 3, 4]), Some((1, 1, 1))),
+            (Some(&[2, 3, 4, 5]), None),
+            (Some(&[1, 3, 4, 5]), Some((1, 1, 2))),
+            (None, None),
+        ];
+        for (fail, want) in table {
+            let mut chain = crate::WarmChain::new();
+            chain.set_fault_hook(Some(Box::new(FailCalls { calls: 0, fail })));
+            let got = chain.solve(&m, &SolverOptions::default());
+            match (got, want) {
+                (Ok(s), Some(rungs)) => {
+                    assert_close(s.objective, -36.0);
+                    let st = s.stats;
+                    let seen = (
+                        st.recovery_refactorizations,
+                        st.recovery_basis_repairs,
+                        st.recovery_cold_restarts,
+                    );
+                    assert_eq!(seen, rungs, "failing calls {fail:?}");
+                }
+                (Err(LpError::Numerical(_)), None) => {}
+                (got, want) => panic!("failing calls {fail:?}: {got:?}, want {want:?}"),
             }
         }
-        let mut chain = crate::WarmChain::new();
-        chain.set_fault_hook(Some(Box::new(AlwaysFail)));
-        assert!(matches!(
-            chain.solve(&m, &SolverOptions::default()),
-            Err(LpError::Numerical(_))
-        ));
     }
 
     /// The anti-cycling monitor: signatures are XOR toggles, so revisiting
