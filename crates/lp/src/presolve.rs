@@ -31,6 +31,7 @@
 //! [`crate::Solution`] documents duals as diagnostics only).
 
 use crate::model::{Cmp, LpError, Model};
+use crate::LP_TOL;
 
 /// A dropped singleton row, recorded for **dual postsolve**: if the bound
 /// it implied is active at the optimum, the row's dual is the variable's
@@ -347,7 +348,7 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
 /// This is what makes the reported duals usable for *pricing*: delayed
 /// column generation must see a capacity row bind even when only one
 /// current column crosses it (the singleton case presolve rewrites away).
-pub(crate) fn postsolve_singleton_duals(m: &Model, pre: &Presolved, tol: f64, duals: &mut [f64]) {
+pub(crate) fn postsolve_singleton_duals(m: &Model, pre: &Presolved, duals: &mut [f64]) {
     if pre.singleton_bounds.is_empty() {
         return;
     }
@@ -359,17 +360,16 @@ pub(crate) fn postsolve_singleton_duals(m: &Model, pre: &Presolved, tol: f64, du
             rc[c as usize] -= duals[r as usize] * a;
         }
     }
-    let tol = tol.max(1e-9);
     for s in &pre.singleton_bounds {
         let j = s.var as usize;
         let d = rc[j];
-        let btol = tol * 10.0 * (1.0 + s.value.abs());
+        let btol = LP_TOL * 10.0 * (1.0 + s.value.abs());
         // `d > 0` means the lower bound binds (min problem), `d < 0` the
         // upper; the row is eligible when it implied that side at exactly
         // the final working bound.
-        let eligible = if d > tol {
+        let eligible = if d > LP_TOL {
             s.lower && (s.value - pre.lb[j]).abs() <= btol
-        } else if d < -tol {
+        } else if d < -LP_TOL {
             s.upper && (s.value - pre.ub[j]).abs() <= btol
         } else {
             false

@@ -27,7 +27,6 @@
 //! data-dependent. `allocs == 0` therefore certifies that the solve ran
 //! entirely inside retained workspace capacity.
 
-use crate::factor::SparseLuFactor;
 use crate::simplex::State;
 use crate::sparse_lu::{ElimWs, Elimination, SparseCol};
 
@@ -116,17 +115,13 @@ pub(crate) struct FactorBufs {
     pub(crate) r: Vec<f64>,
 }
 
-/// Working-problem assembly buffers (kept rows, CSC fill, cost vectors).
+/// Working-problem assembly buffers (row map, CSC fill, cost vectors).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AsmBufs {
-    /// Original indices of rows surviving presolve.
-    pub(crate) kept_rows: Vec<u32>,
     /// Original row index → working row index.
     pub(crate) row_map: Vec<Option<u32>>,
     /// Nonzeros per working structural column.
     pub(crate) col_counts: Vec<usize>,
-    /// Working row → slack column index (Le/Ge rows only).
-    pub(crate) slack_of_row: Vec<Option<usize>>,
     /// CSC fill cursor (a working copy of `col_ptr`).
     pub(crate) fill_ptr: Vec<usize>,
     /// Phase-1 costs (jittered artificials).
@@ -166,12 +161,12 @@ pub(crate) struct CompleteBufs {
 /// Reusable workspace for repeated LP solves.
 ///
 /// One `Scratch` is owned by each [`WarmChain`](crate::WarmChain) and
-/// threaded into the simplex and the sparse LU. It retains, across solves: the
-/// entire simplex [`State`] (CSC matrix, bounds, point, statuses, basis),
-/// the per-phase pivot-loop vectors, assembly and warm-start temporaries,
-/// the basis-column gather pool, the rank-revealing completion workspace,
-/// and the sparse LU factors themselves (elimination storage, fill-in
-/// rows, eta file). One-shot [`Model::solve_with`](crate::Model::solve_with)
+/// threaded into the simplex. It retains, across solves: the entire
+/// simplex [`State`] (CSC matrix, bounds, point, statuses, basis, the
+/// basis-column gather pool, and the sparse LU factors themselves —
+/// elimination storage, fill-in rows, eta file), the per-phase pivot-loop
+/// vectors, assembly and warm-start temporaries, and the rank-revealing
+/// completion workspace. One-shot [`Model::solve_with`](crate::Model::solve_with)
 /// calls create a transient `Scratch` internally, so the workspace only
 /// pays off — but never costs anything — on solve sequences.
 ///
@@ -179,23 +174,16 @@ pub(crate) struct CompleteBufs {
 /// is a cache, not state, and must not be shared between chains.
 #[derive(Default)]
 pub struct Scratch {
-    /// Per-solve acquisition counters.
-    pub(crate) cnt: Counters,
     /// The simplex state (persisted so its vectors keep capacity).
     pub(crate) state: State,
     /// Pivot-loop vectors.
     pub(crate) ph: PhaseBufs,
-    /// Refactorization temporaries.
-    pub(crate) fx: FactorBufs,
     /// Assembly buffers.
     pub(crate) asm: AsmBufs,
     /// Warm-start/crash temporaries.
     pub(crate) warm: WarmBufs,
     /// Warm-start basis-completion workspace.
     pub(crate) complete: CompleteBufs,
-    /// Sparse LU factors persisted between solves (elimination storage,
-    /// workspace, and eta file).
-    pub(crate) lu: SparseLuFactor,
     /// Trace recorder: spans, time accumulators, counters, histograms.
     /// Lives here because the scratch is already threaded through every
     /// solve; its ring is allocated at construction so recording on the
@@ -226,9 +214,10 @@ impl Clone for Scratch {
 
 impl std::fmt::Debug for Scratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cnt = self.state.counters();
         f.debug_struct("Scratch")
-            .field("allocs", &self.cnt.allocs)
-            .field("reuses", &self.cnt.reuses)
+            .field("allocs", &cnt.allocs)
+            .field("reuses", &cnt.reuses)
             .finish_non_exhaustive()
     }
 }
@@ -255,9 +244,9 @@ mod tests {
     #[test]
     fn clone_is_fresh() {
         let mut s = Scratch::new();
-        prep(&mut s.cnt, &mut s.ph.y, 64, 0.0);
+        prep(&mut Counters::default(), &mut s.ph.y, 64, 0.0);
         let c = s.clone();
         assert_eq!(c.ph.y.capacity(), 0);
-        assert_eq!(c.cnt.allocs, 0);
+        assert_eq!(c.state.counters().allocs, 0);
     }
 }

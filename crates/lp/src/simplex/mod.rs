@@ -1,7 +1,12 @@
 //! Bounded-variable revised primal simplex over the sparse LU basis
 //! factorization.
 //!
-//! Design notes (why this shape):
+//! Each stage of a solve has its own module: `assemble` builds the
+//! working problem, `warm` maps a snapshot basis onto it by key and repairs
+//! it, `recover` holds the cold crash basis and the recovery ladder, and
+//! this one runs the phases over the [`State`] they all share.
+//!
+//! Design notes on the pivot loop (why this shape):
 //!
 //! * The coflow LPs have `m` in the hundreds-to-low-thousands and `n` up to
 //!   tens of thousands, with very sparse columns (a flow-interval variable
@@ -32,27 +37,19 @@
 //!   termination.
 //! * Phase 1 minimizes the sum of per-row artificials; phase 2 locks the
 //!   artificials to zero by setting their bounds to `[0,0]`.
-//! * **Warm starts**: a [`Basis`] snapshot from a related model is mapped
-//!   onto this one by the integer key of each column's and row's name, so
-//!   rows and columns may have been inserted, dropped or reordered in
-//!   between; the mapped basic set is completed to a full nonsingular basis
-//!   by a rank-revealing elimination
-//!   ([`crate::sparse_lu::complete_basis_into`]), preferring each uncovered
-//!   row's slack over its artificial. Basic variables the mapping forces
-//!   outside their bounds are repaired by a bound-shifting "phase 0"
-//!   rather than rejected wholesale; if the repair fails the solver falls
-//!   back to its cold crash basis — warm starting is an optimization,
-//!   never a correctness risk.
+
+mod assemble;
+mod recover;
+mod warm;
 
 use crate::basis::{Basis, SnapStat, SolveStats};
 use crate::factor::{Solve, SparseLuFactor};
-use crate::model::{Cmp, LpError, Model, Solution, SolverOptions, Status};
+use crate::model::{LpError, Model, Solution, SolverOptions, Status};
 use crate::presolve::Presolved;
 use crate::scratch::{
-    prep, reserve, reserve_pool, AsmBufs, CompleteBufs, Counters, FactorBufs, PhaseBufs, Scratch,
-    WarmBufs,
+    prep, reserve, reserve_pool, AsmBufs, Counters, FactorBufs, PhaseBufs, Scratch,
 };
-use crate::sparse_lu::complete_basis_into;
+use crate::sparse_lu::SparseCol;
 use crate::{nonzero, LP_TOL};
 use coflow_obs::{Accum, Counter as ObsCounter, Recorder, SpanName};
 
@@ -82,9 +79,11 @@ impl Csc {
     }
 }
 
-/// The simplex working state. Persisted inside [`Scratch`] between solves
-/// so every vector keeps its capacity; [`solve_presolved`] re-lengths and
-/// re-fills each field per solve.
+/// The simplex working state: the working problem, the point and basis,
+/// the basis factorization and the per-solve acquisition counters — what
+/// every stage of a solve reads. Persisted inside [`Scratch`] between
+/// solves so every vector keeps its capacity; [`solve_presolved`]
+/// re-lengths and re-fills each field per solve.
 #[derive(Default)]
 pub(crate) struct State {
     /// Rows of the working problem.
@@ -92,6 +91,10 @@ pub(crate) struct State {
     /// Number of explicit (structural + slack) columns.
     n_expl: usize,
     csc: Csc,
+    /// Original indices of the rows surviving presolve, in working order.
+    kept_rows: Vec<u32>,
+    /// Working row → its slack column (`Le`/`Ge` rows only).
+    slack_of_row: Vec<Option<usize>>,
     /// Sign of the artificial column for each row (+1/-1).
     art_sign: Vec<f64>,
     /// Adjusted right-hand side of the working rows.
@@ -110,6 +113,12 @@ pub(crate) struct State {
     iterations: usize,
     /// Per-solve statistics under construction.
     stats: SolveStats,
+    /// The basis factorization (elimination storage, workspace, eta file).
+    lu: SparseLuFactor,
+    /// Factorization temporaries.
+    fx: FactorBufs,
+    /// Per-solve buffer-acquisition counters.
+    cnt: Counters,
     /// Optional fault-injection hook (chaos testing only), consulted once
     /// per factorization attempt. Installed through
     /// [`crate::WarmChain::set_fault_hook`]; `None` in production.
@@ -117,6 +126,11 @@ pub(crate) struct State {
 }
 
 impl State {
+    /// This solve's buffer-acquisition counters.
+    pub(crate) fn counters(&self) -> Counters {
+        self.cnt
+    }
+
     #[inline]
     fn nvars(&self) -> usize {
         self.n_expl + self.m
@@ -135,23 +149,22 @@ impl State {
         }
     }
 
-    /// Gathers the basis columns into the reusable pool `fx.cols[..m]`
-    /// (for factorization input) and records the basis nnz.
-    fn gather_basis_cols(&mut self, cnt: &mut Counters, fx: &mut FactorBufs) {
-        reserve_pool(cnt, &mut fx.cols, self.m);
+    /// Copies columns `js` into the first `js.len()` slots of the gather
+    /// pool `cols` (factorization or basis-completion input); returns their
+    /// nnz.
+    fn gather(&self, js: &[usize], cols: &mut [SparseCol]) -> usize {
         let mut nnz = 0usize;
-        for (k, &j) in self.basis.iter().enumerate() {
-            let col = &mut fx.cols[k];
+        for (col, &j) in cols.iter_mut().zip(js) {
             col.clear();
             self.for_col(j, |r, v| col.push((r as u32, v)));
             nnz += col.len();
         }
-        self.stats.basis_nnz = nnz;
+        nnz
     }
 
     /// FTRAN of column `j`: `w = B⁻¹ a_j`. `w` is zero outside `idx` on
     /// entry; on return `idx` lists the nonzeros of `w`, ascending.
-    fn ftran_col(&self, f: &mut SparseLuFactor, j: usize, w: &mut [f64], idx: &mut Vec<u32>) {
+    fn ftran_col(&mut self, j: usize, w: &mut [f64], idx: &mut Vec<u32>) {
         for &i in idx.iter() {
             w[i as usize] = 0.0;
         }
@@ -162,26 +175,20 @@ impl State {
             w[r] += v;
             idx.push(r as u32);
         });
-        f.solve(Solve::Entering, w, idx);
+        self.lu.solve(Solve::Entering, w, idx);
     }
 
     /// Duals `y = B⁻ᵀ c_B` via BTRAN, by the dense loops.
-    fn duals(&self, f: &mut SparseLuFactor, costs: &[f64], y: &mut [f64]) {
+    fn duals(&mut self, costs: &[f64], y: &mut [f64]) {
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
         }
-        f.btran(y);
+        self.lu.btran(y);
     }
 
     /// The pivot loop's duals: [`duals`](State::duals) through
     /// [`SparseLuFactor::solve`], with `idx` as its index list.
-    fn pivot_duals(
-        &self,
-        f: &mut SparseLuFactor,
-        costs: &[f64],
-        y: &mut [f64],
-        idx: &mut Vec<u32>,
-    ) {
+    fn pivot_duals(&mut self, costs: &[f64], y: &mut [f64], idx: &mut Vec<u32>) {
         idx.clear();
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
@@ -189,7 +196,7 @@ impl State {
                 idx.push(k as u32);
             }
         }
-        f.solve(Solve::Duals, y, idx);
+        self.lu.solve(Solve::Duals, y, idx);
     }
 
     /// Reduced cost of nonbasic `j` given duals `y`.
@@ -199,54 +206,36 @@ impl State {
         d
     }
 
-    /// Rebuilds the factorization from the current basis and recomputes the
-    /// basic values (clamping arithmetic noise, failing on violations far
-    /// beyond tolerance).
-    // lint: hot
-    fn refactorize(
-        &mut self,
-        f: &mut SparseLuFactor,
-        tol: f64,
-        cnt: &mut Counters,
-        fx: &mut FactorBufs,
-        rec: &mut Recorder,
-    ) -> Result<(), LpError> {
-        if self.m == 0 {
-            return Ok(());
-        }
-        if let Some(h) = self.hook.as_mut() {
-            if h.on_factorization() {
-                rec.bump(ObsCounter::FaultsInjected, 1);
-                return Err(LpError::Numerical("injected singular factorization".into()));
-            }
-        }
+    /// Factorizes the current basis and records it (without consulting
+    /// the fault hook). Returns the clock stamp that closes the `Factor`
+    /// lap.
+    fn factor(&mut self, rec: &mut Recorder) -> Result<u64, LpError> {
         let t0 = rec.stamp();
-        self.gather_basis_cols(cnt, fx);
-        f.refactor(self.m, &fx.cols[..self.m], cnt)?;
+        let mut cols = std::mem::take(&mut self.fx.cols);
+        reserve_pool(&mut self.cnt, &mut cols, self.m);
+        self.stats.basis_nnz = self.gather(&self.basis, &mut cols);
+        let res = self.lu.refactor(self.m, &cols[..self.m], &mut self.cnt);
+        self.fx.cols = cols;
+        res?;
         self.stats.refactorizations += 1;
         rec.bump(ObsCounter::Refactorizations, 1);
-        self.stats.factor_nnz = f.factor_nnz();
-        let t1 = rec.lap(Accum::Factor, t0);
-        self.recompute_basic_values(f, tol, cnt, &mut fx.r)?;
-        rec.lap(Accum::FtranBtran, t1);
-        self.since_refactor = 0;
-        Ok(())
+        self.stats.factor_nnz = self.lu.factor_nnz();
+        Ok(rec.lap(Accum::Factor, t0))
     }
 
-    /// Recomputes `x_B = B⁻¹ (b − N x_N)` from the nonbasic point into the
-    /// reusable work vector `r`.
+    /// `r ← B⁻¹ (b − N x_N)`: the basic values the snapped nonbasic point
+    /// implies, unclamped (`r` has length `m`).
+    fn implied_basic_values(&mut self, r: &mut [f64]) {
+        self.nonbasic_residual(r);
+        self.lu.ftran(r);
+    }
+
+    /// `r ← b − N x_N`: snaps every nonbasic variable to its bound and
+    /// leaves the right-hand side the basic ones must cover.
     // lint: hot
-    fn recompute_basic_values(
-        &mut self,
-        f: &mut SparseLuFactor,
-        tol: f64,
-        cnt: &mut Counters,
-        r: &mut Vec<f64>,
-    ) -> Result<(), LpError> {
-        reserve(cnt, r, self.m);
-        r.extend_from_slice(&self.b);
+    fn nonbasic_residual(&mut self, r: &mut [f64]) {
+        r.copy_from_slice(&self.b);
         for j in 0..self.nvars() {
-            // Snap nonbasic to its bound.
             let xb = match self.vstat[j] {
                 VStat::Basic => continue,
                 VStat::AtLower => self.lb[j],
@@ -257,9 +246,39 @@ impl State {
                 self.for_col(j, |row, v| r[row] -= v * xb);
             }
         }
-        f.ftran(r);
-        // Clamp tiny bound violations introduced by arithmetic noise.
-        let big = tol.max(1e-9) * 1e4;
+    }
+
+    /// Rebuilds the factorization from the current basis and recomputes the
+    /// basic values (clamping arithmetic noise, failing on violations far
+    /// beyond tolerance).
+    // lint: hot
+    fn refactorize(&mut self, rec: &mut Recorder) -> Result<(), LpError> {
+        if self.m == 0 {
+            return Ok(());
+        }
+        if let Some(h) = self.hook.as_mut() {
+            if h.on_factorization() {
+                rec.bump(ObsCounter::FaultsInjected, 1);
+                return Err(LpError::Numerical("injected singular factorization".into()));
+            }
+        }
+        let t1 = self.factor(rec)?;
+        let mut r = std::mem::take(&mut self.fx.r);
+        prep(&mut self.cnt, &mut r, self.m, 0.0);
+        self.implied_basic_values(&mut r);
+        let adopted = self.adopt_basic_values(&r);
+        self.fx.r = r;
+        adopted?;
+        rec.lap(Accum::FtranBtran, t1);
+        self.since_refactor = 0;
+        Ok(())
+    }
+
+    /// Sets the basic variables to the values `r`, clamping tiny bound
+    /// violations introduced by arithmetic noise.
+    // lint: hot
+    fn adopt_basic_values(&mut self, r: &[f64]) -> Result<(), LpError> {
+        let big = LP_TOL * 1e4;
         for (pos, val) in r.iter().enumerate() {
             let j = self.basis[pos];
             let mut v = *val;
@@ -314,8 +333,8 @@ enum PhaseEnd {
 
 /// SplitMix64: the statistics-grade integer hash behind the basis
 /// signatures of the anti-cycling monitor, the name keys of
-/// [`crate::model::key_of`] (and, through [`splitmix_unit`], the
-/// deterministic cost jitters).
+/// [`crate::model::key_of`] (and, through `assemble`'s `splitmix_unit`,
+/// the deterministic cost jitters).
 #[inline]
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -387,14 +406,6 @@ impl CycleMon {
 
 /// Consecutive degenerate pivots before pricing switches to Bland's rule.
 const BLAND_AFTER: usize = 60;
-
-/// Relative magnitude of the deterministic jitter on phase-1 artificial
-/// costs. Exact unit costs make transportation-like LPs massively
-/// dual-degenerate in phase 1 (every tied reduced cost spawns a run of
-/// degenerate pivots); the jitter breaks the ties while preserving the
-/// phase-1 optimum's defining property (zero infeasibility ⇔ all
-/// artificials at zero).
-const PHASE1_JITTER: f64 = 1e-7;
 
 /// Candidate-list capacity: how many of the best-scoring columns a refill
 /// scan retains for the following pivots to rescan (two generations live
@@ -509,7 +520,6 @@ fn choose_entering(
     ph: &mut PhaseBufs,
     px: &mut Pricer,
     costs: &[f64],
-    tol: f64,
     bland: bool,
     rec: &mut Recorder,
 ) -> Option<usize> {
@@ -522,7 +532,7 @@ fn choose_entering(
         top,
         ..
     } = ph;
-    // Want d < -tol at lower bound, d > tol at upper bound; basic and
+    // Want d < -LP_TOL at lower bound, d > LP_TOL at upper bound; basic and
     // fixed (lb == ub) columns carry sign 0.
     let violation = |st: &State, j: usize| {
         let sg = sgn[j];
@@ -535,13 +545,13 @@ fn choose_entering(
         st.stats.pricing_full_scans += 1;
         px.scan_start = 0;
         rec.bump(ObsCounter::ColumnsPriced, nv as u64);
-        return (0..nv).find(|&j| violation(st, j) > tol);
+        return (0..nv).find(|&j| violation(st, j) > LP_TOL);
     }
 
     let mut best: Option<(f64, u32)> = None;
     for &jc in cand.iter() {
         let viol = violation(st, jc as usize);
-        if viol > tol {
+        if viol > LP_TOL {
             let c = (viol * viol / gamma[jc as usize], jc);
             if best.is_none_or(|b| cand_order(&c, &b).is_lt()) {
                 best = Some(c);
@@ -569,7 +579,7 @@ fn choose_entering(
             }
             let viol = violation(st, j);
             if viol > 0.0 {
-                let c = (viol * viol / gamma[j], j as u32, viol > tol);
+                let c = (viol * viol / gamma[j], j as u32, viol > LP_TOL);
                 retain_top(top, c);
             }
         }
@@ -617,8 +627,8 @@ fn choose_entering(
 ///
 /// Basic `r` changes by `-s·t·w_r`. Pass 1 computes the relaxed step bound
 /// `t_max` (each row's limit padded by a feasibility tolerance scaled by
-/// `1/|w_r|`, so the eventual bound violation of any row is at most `tol`
-/// in *variable space*, not `tol·|w_r|`). Pass 2 picks the stabilizing
+/// `1/|w_r|`, so the eventual bound violation of any row is at most
+/// `LP_TOL` in *variable space*, not `LP_TOL·|w_r|`). Pass 2 picks the stabilizing
 /// pivot (largest `|w_r|`; under `bland` the lowest basic index) among
 /// rows whose exact limit fits under `t_max`.
 ///
@@ -632,7 +642,6 @@ fn ratio_test(
     idx: &[u32],
     s: f64,
     t_flip: f64,
-    tol: f64,
     bland: bool,
 ) -> Result<Option<(usize, f64)>, ()> {
     let wmax = idx.iter().fold(0.0f64, |a, &r| a.max(w[r as usize].abs()));
@@ -661,7 +670,7 @@ fn ratio_test(
     for &r in idx {
         let r = r as usize;
         if let Some((a, slack)) = room(r, w[r]) {
-            let lim = (slack + tol) / a;
+            let lim = (slack + LP_TOL) / a;
             if lim < t_max {
                 t_max = lim;
             }
@@ -714,10 +723,8 @@ fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usiz
 /// devex weights first (they need the pre-pivot basis), then moves the
 /// point and swaps the statuses. The factorization update is the caller's.
 // lint: hot
-#[allow(clippy::too_many_arguments)]
 fn apply_pivot(
     st: &mut State,
-    f: &mut SparseLuFactor,
     ph: &mut PhaseBufs,
     j_in: usize,
     s: f64,
@@ -746,7 +753,7 @@ fn apply_pivot(
     let alpha_q = w[r_lv];
     if alpha_q.abs() > 1e-12 {
         let t_rho = rec.stamp();
-        f.binv_row(r_lv, rho, rho_idx);
+        st.lu.binv_row(r_lv, rho, rho_idx);
         let t_devex = rec.lap(Accum::FtranBtran, t_rho);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
@@ -806,21 +813,17 @@ fn apply_pivot(
 /// [`ratio_test`], then [`apply_flip`] or [`apply_pivot`] plus the
 /// factorization update.
 // lint: hot
-#[allow(clippy::too_many_arguments)]
 fn run_phase(
     st: &mut State,
-    f: &mut SparseLuFactor,
     costs: &[f64],
     opts: &SolverOptions,
     iter_cap: usize,
-    cnt: &mut Counters,
     ph: &mut PhaseBufs,
-    fx: &mut FactorBufs,
     rec: &mut Recorder,
 ) -> Result<PhaseEnd, LpError> {
     let m = st.m;
-    let tol = LP_TOL;
     let nv = st.nvars();
+    let cnt = &mut st.cnt;
     prep(cnt, &mut ph.y, m, 0.0);
     prep(cnt, &mut ph.w, m, 0.0);
     prep(cnt, &mut ph.rho, m, 0.0);
@@ -880,11 +883,11 @@ fn run_phase(
             }
         }
         if !duals_current {
-            st.pivot_duals(f, costs, &mut ph.y, &mut ph.y_idx);
+            st.pivot_duals(costs, &mut ph.y, &mut ph.y_idx);
         }
         let t_scan = rec.lap(Accum::FtranBtran, t_dual);
 
-        let enter = choose_entering(st, ph, &mut px, costs, tol, bland, rec);
+        let enter = choose_entering(st, ph, &mut px, costs, bland, rec);
         rec.lap(Accum::Pricing, t_scan);
         let Some(j_in) = enter else {
             return Ok(PhaseEnd::Optimal);
@@ -898,11 +901,11 @@ fn run_phase(
             -1.0
         };
         let t_ftran = rec.stamp();
-        st.ftran_col(f, j_in, &mut ph.w, &mut ph.w_idx);
+        st.ftran_col(j_in, &mut ph.w, &mut ph.w_idx);
         rec.lap(Accum::FtranBtran, t_ftran);
 
         let t_flip = st.ub[j_in] - st.lb[j_in]; // may be +inf
-        let Ok(leave) = ratio_test(st, &ph.w, &ph.w_idx, s, t_flip, tol, bland) else {
+        let Ok(leave) = ratio_test(st, &ph.w, &ph.w_idx, s, t_flip, bland) else {
             return Ok(PhaseEnd::Unbounded);
         };
 
@@ -912,7 +915,7 @@ fn run_phase(
 
         // Degeneracy bookkeeping. A cycle-monitor lock survives
         // nondegenerate steps; the stall-counter trigger does not.
-        let degenerate = step <= tol;
+        let degenerate = step <= LP_TOL;
         if degenerate {
             stall += 1;
             if stall > BLAND_AFTER {
@@ -932,7 +935,7 @@ fn run_phase(
             let (r_lv, exact) = leave.ok_or_else(|| {
                 LpError::Numerical("bounded ratio test selected no leaving row".into())
             })?;
-            let j_out = apply_pivot(st, f, ph, j_in, s, r_lv, exact.max(0.0), rec);
+            let j_out = apply_pivot(st, ph, j_in, s, r_lv, exact.max(0.0), rec);
             cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
             Some(r_lv)
         };
@@ -945,17 +948,17 @@ fn run_phase(
         let Some(r_lv) = pivot_row else {
             continue;
         };
-        match f.update(r_lv, &ph.w, &ph.w_idx) {
+        match st.lu.update(r_lv, &ph.w, &ph.w_idx) {
             Ok(()) => {
                 st.since_refactor += 1;
-                if f.wants_refactor(st.since_refactor) {
-                    st.refactorize(f, tol, cnt, fx, rec)?;
+                if st.lu.wants_refactor(st.since_refactor) {
+                    st.refactorize(rec)?;
                 }
             }
             Err(_) if st.since_refactor > 0 => {
                 // Stale factors produced an untrustworthy pivot: rebuild
                 // from scratch (the basis change is already recorded).
-                st.refactorize(f, tol, cnt, fx, rec)?;
+                st.refactorize(rec)?;
             }
             Err(e) => return Err(e),
         }
@@ -967,20 +970,16 @@ fn run_phase(
 /// refactorize-and-re-optimize pass. Returns the pivot count after phase 1
 /// and whether a [`crate::Budget`] truncated phase 2.
 ///
-/// Called through the recovery ladder in [`solve_presolved_inner`], so it
+/// Called through the recovery ladder ([`State::run_recovering`]), so it
 /// must tolerate re-entry: the phase-1 check is value-based (artificials
 /// already locked at zero skip straight to phase 2), and `st.iterations`
 /// accumulates across attempts so budgets stay per-solve.
-#[allow(clippy::too_many_arguments)]
 fn run_phases(
     st: &mut State,
-    f: &mut SparseLuFactor,
     opts: &SolverOptions,
     costs1: &[f64],
     costs2: &[f64],
-    cnt: &mut Counters,
     ph: &mut PhaseBufs,
-    fx: &mut FactorBufs,
     rec: &mut Recorder,
 ) -> Result<(usize, bool), LpError> {
     let n_expl = st.n_expl;
@@ -989,7 +988,7 @@ fn run_phases(
     let phase1_needed = st.x[n_expl..].iter().any(|&v| v > LP_TOL);
     if phase1_needed {
         rec.enter(SpanName::Phase1);
-        let end = run_phase(st, f, costs1, opts, opts.max_iters, cnt, ph, fx, rec);
+        let end = run_phase(st, costs1, opts, opts.max_iters, ph, rec);
         rec.exit();
         match end? {
             PhaseEnd::Optimal => {}
@@ -1021,34 +1020,37 @@ fn run_phases(
         }
     }
 
-    // ---- Phase 2: the real objective. ----
-    let remaining = opts.max_iters.saturating_sub(st.iterations).max(1);
-    rec.enter(SpanName::Phase2);
-    let end = run_phase(st, f, costs2, opts, remaining, cnt, ph, fx, rec);
-    rec.exit();
-    let mut truncated = match end? {
-        PhaseEnd::Optimal => false,
-        PhaseEnd::Truncated => true,
-        PhaseEnd::Unbounded => return Err(LpError::Unbounded),
-    };
-
-    // One final refactorization pass for clean values.
-    st.refactorize(f, LP_TOL, cnt, fx, rec)?;
+    // ---- Phase 2: the real objective, then one final refactorization
+    // pass for clean values. ----
+    let mut truncated = run_phase2(st, opts, costs2, ph, rec)?;
+    st.refactorize(rec)?;
     if !truncated {
         // Re-check optimality after the refresh: if the cleaned point lost
         // optimality (rare), resume pivoting once. Truncated solves skip
         // the re-check — the budget is already spent.
-        let remaining = opts.max_iters.saturating_sub(st.iterations).max(1);
-        rec.enter(SpanName::Phase2);
-        let end = run_phase(st, f, costs2, opts, remaining, cnt, ph, fx, rec);
-        rec.exit();
-        truncated = match end? {
-            PhaseEnd::Optimal => false,
-            PhaseEnd::Truncated => true,
-            PhaseEnd::Unbounded => return Err(LpError::Unbounded),
-        };
+        truncated = run_phase2(st, opts, costs2, ph, rec)?;
     }
     Ok((phase1_iterations, truncated))
+}
+
+/// One phase-2 pass within the pivots the solve has left; `true` when a
+/// [`crate::Budget`] truncated it.
+fn run_phase2(
+    st: &mut State,
+    opts: &SolverOptions,
+    costs2: &[f64],
+    ph: &mut PhaseBufs,
+    rec: &mut Recorder,
+) -> Result<bool, LpError> {
+    let remaining = opts.max_iters.saturating_sub(st.iterations).max(1);
+    rec.enter(SpanName::Phase2);
+    let end = run_phase(st, costs2, opts, remaining, ph, rec);
+    rec.exit();
+    match end? {
+        PhaseEnd::Optimal => Ok(false),
+        PhaseEnd::Truncated => Ok(true),
+        PhaseEnd::Unbounded => Err(LpError::Unbounded),
+    }
 }
 
 /// `Σ costs·x` over the working variables: the working-space objective of
@@ -1063,9 +1065,9 @@ fn working_objective(st: &State, costs: &[f64]) -> f64 {
 /// valid lower bound on the working optimum for *any* `y`. Reduced costs
 /// at noise level are clamped to zero so basic columns with infinite upper
 /// bound do not collapse the bound spuriously — the result is therefore
-/// valid up to `tol·‖x*‖₁`. Returns `-inf` when a genuinely adverse
+/// valid up to `LP_TOL·‖x*‖₁`. Returns `-inf` when a genuinely adverse
 /// infinite-bound column makes the duals certify nothing yet.
-fn lagrangian_dual(st: &State, costs: &[f64], y: &[f64], tol: f64) -> f64 {
+fn lagrangian_dual(st: &State, costs: &[f64], y: &[f64]) -> f64 {
     let mut v = 0.0;
     for (r, &br) in st.b.iter().enumerate() {
         v += y[r] * br;
@@ -1073,7 +1075,7 @@ fn lagrangian_dual(st: &State, costs: &[f64], y: &[f64], tol: f64) -> f64 {
     for (j, &cj) in costs.iter().enumerate().take(st.nvars()) {
         let mut d = cj;
         st.for_col(j, |r, a| d -= y[r] * a);
-        if d.abs() <= tol {
+        if d.abs() <= LP_TOL {
             continue;
         }
         if d > 0.0 {
@@ -1102,7 +1104,7 @@ pub(crate) fn solve_presolved(
     want_basis: bool,
     scratch: &mut Scratch,
 ) -> Result<(Solution, Option<Basis>), LpError> {
-    scratch.cnt = Counters::default();
+    scratch.state.cnt = Counters::default();
     // Accumulator baselines: the recorder is cumulative over the chain, so
     // the per-solve `*_ms` stats fields are deltas over this solve (the
     // stats become a view over the trace rather than parallel bookkeeping).
@@ -1112,13 +1114,14 @@ pub(crate) fn solve_presolved(
     scratch.rec.enter(SpanName::Solve);
     let res = solve_presolved_inner(model, pre, opts, warm, want_basis, scratch);
     scratch.rec.exit();
+    let cnt = scratch.state.cnt;
     scratch
         .rec
-        .bump(ObsCounter::ScratchReuses, scratch.cnt.reuses as u64);
+        .bump(ObsCounter::ScratchReuses, cnt.reuses as u64);
     let mode = scratch.rec.mode();
     res.map(|(mut sol, basis)| {
-        sol.stats.allocs = scratch.cnt.allocs;
-        sol.stats.scratch_reuse = scratch.cnt.reuses;
+        sol.stats.allocs = cnt.allocs;
+        sol.stats.scratch_reuse = cnt.reuses;
         sol.stats.pricing_ms = mode.to_ms(scratch.rec.acc(Accum::Pricing) - base_pricing);
         sol.stats.ftran_btran_ms = mode.to_ms(scratch.rec.acc(Accum::FtranBtran) - base_xfer);
         sol.stats.factor_ms = mode.to_ms(scratch.rec.acc(Accum::Factor) - base_factor);
@@ -1136,369 +1139,60 @@ fn solve_presolved_inner(
     scratch: &mut Scratch,
 ) -> Result<(Solution, Option<Basis>), LpError> {
     let Scratch {
-        cnt,
         state: st,
         ph,
-        fx,
         asm,
         warm: wb,
         complete,
-        lu: f,
         rec,
     } = scratch;
+    if !st.assemble(model, pre, asm, warm.is_some()) {
+        return solve_rowless(model, pre, warm.is_some(), want_basis);
+    }
+
+    // ---- Warm start when a snapshot maps and repairs, else the crash. ----
+    if let Some(snap) = warm {
+        st.stats.warm_used =
+            st.map_snapshot(model, pre, snap, wb) && st.repair_basis(opts, wb, complete, ph, rec);
+    }
+    if !st.stats.warm_used {
+        st.cold_start(&mut wb.resid, rec)?;
+    }
+
+    // ---- Both phases, inside the recovery ladder. ----
     let AsmBufs {
-        kept_rows,
-        row_map,
-        col_counts,
-        slack_of_row,
-        fill_ptr,
         costs1,
         costs2,
         y: ydual,
+        ..
     } = asm;
-    // ---- Assemble the working problem. ----
-    reserve(cnt, kept_rows, model.num_rows());
-    for r in 0..model.num_rows() as u32 {
-        if pre.keep_row[r as usize] {
-            kept_rows.push(r);
-        }
-    }
-    prep(cnt, row_map, model.num_rows(), None);
-    for (new, &old) in kept_rows.iter().enumerate() {
-        row_map[old as usize] = Some(new as u32);
-    }
-    let m = kept_rows.len();
-    let n_struct = pre.kept_vars.len();
-
-    // Trivial case: no rows — every variable sits at its cheapest bound.
-    if m == 0 {
-        let mut values = pre.fixed_values.clone();
-        let mut objective = pre.obj_offset;
-        let mut at_upper = Vec::new();
-        for &oj in pre.kept_vars.iter() {
-            let oj = oj as usize;
-            let (cost, lo, hi) = (model.cols[oj].cost, pre.lb[oj], pre.ub[oj]);
-            let v = if cost >= 0.0 {
-                lo
-            } else if hi.is_finite() {
-                at_upper.push((model.cols[oj].key, SnapStat::AtUpper));
-                hi
-            } else {
-                return Err(LpError::Unbounded);
-            };
-            values[oj] = v;
-            objective += cost * v;
-        }
-        let stats = SolveStats {
-            warm_attempted: warm.is_some(),
-            ..Default::default()
-        };
-        let mut duals = vec![0.0; model.num_rows()];
-        crate::presolve::postsolve_singleton_duals(model, pre, LP_TOL, &mut duals);
-        return Ok((
-            Solution {
-                objective,
-                bound: objective,
-                values,
-                duals,
-                iterations: 0,
-                phase1_iterations: 0,
-                status: Status::Optimal,
-                stats,
-            },
-            want_basis.then(|| Basis::new(at_upper, Vec::new())),
-        ));
-    }
-
-    // Column-sorted triplets over kept rows/vars.
-    prep(cnt, col_counts, n_struct, 0usize);
-    for &(r, c, _) in &model.triplets {
-        if row_map[r as usize].is_some() {
-            if let Some(rc) = pre.var_map[c as usize] {
-                col_counts[rc as usize] += 1;
-            }
-        }
-    }
-    // Slack bookkeeping: one slack for each Le/Ge row.
-    prep(cnt, slack_of_row, m, None);
-    let mut n_slack = 0usize;
-    for (new_r, &old_r) in kept_rows.iter().enumerate() {
-        match model.rows[old_r as usize].cmp {
-            Cmp::Le | Cmp::Ge => {
-                slack_of_row[new_r] = Some(n_slack);
-                n_slack += 1;
-            }
-            Cmp::Eq => {}
-        }
-    }
-    let n_expl = n_struct + n_slack;
-
-    {
-        let csc = &mut st.csc;
-        prep(cnt, &mut csc.col_ptr, n_expl + 1, 0usize);
-        for (j, &count) in col_counts.iter().enumerate().take(n_struct) {
-            csc.col_ptr[j + 1] = csc.col_ptr[j] + count;
-        }
-        for j in n_struct..n_expl {
-            csc.col_ptr[j + 1] = csc.col_ptr[j] + 1;
-        }
-        let nnz = csc.col_ptr[n_expl];
-        prep(cnt, &mut csc.row_idx, nnz, 0u32);
-        prep(cnt, &mut csc.values, nnz, 0.0f64);
-        reserve(cnt, fill_ptr, n_expl + 1);
-        fill_ptr.extend_from_slice(&csc.col_ptr);
-        for &(r, c, a) in &model.triplets {
-            let (Some(nr), Some(nc)) = (row_map[r as usize], pre.var_map[c as usize]) else {
-                continue;
-            };
-            let p = fill_ptr[nc as usize];
-            csc.row_idx[p] = nr;
-            csc.values[p] = a;
-            fill_ptr[nc as usize] += 1;
-        }
-        // Slack columns.
-        for (new_r, slack) in slack_of_row.iter().enumerate() {
-            if let Some(si) = slack {
-                let j = n_struct + si;
-                let p = fill_ptr[j];
-                csc.row_idx[p] = new_r as u32;
-                csc.values[p] = match model.rows[kept_rows[new_r] as usize].cmp {
-                    Cmp::Le => 1.0,
-                    Cmp::Ge => -1.0,
-                    // lint: allow(no_panic) — slack_of_row assigns no slack to Eq rows
-                    Cmp::Eq => unreachable!("Eq rows carry no slack column"),
-                };
-                fill_ptr[j] += 1;
-            }
-        }
-    }
-    // The model builder merges duplicate terms at `add_row` time, so each
-    // CSC column already has unique row indices.
-
-    // Bounds and working arrays.
-    let nvars = n_expl + m;
-    prep(cnt, &mut st.lb, nvars, 0.0);
-    prep(cnt, &mut st.ub, nvars, f64::INFINITY);
-    for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-        st.lb[rj] = pre.lb[oj as usize];
-        st.ub[rj] = pre.ub[oj as usize];
-    }
-    // Slacks: [0, inf). Artificials: [0, inf) during phase 1.
-
-    reserve(cnt, &mut st.b, m);
-    for &r in kept_rows.iter() {
-        st.b.push(pre.rhs_adjust[r as usize]);
-    }
-
-    st.m = m;
-    st.n_expl = n_expl;
-    prep(cnt, &mut st.art_sign, m, 1.0);
-    prep(cnt, &mut st.x, nvars, 0.0);
-    prep(cnt, &mut st.vstat, nvars, VStat::AtLower);
-    reserve(cnt, &mut st.basis, m);
-    st.basis.extend(n_expl..n_expl + m);
-    st.since_refactor = 0;
-    st.iterations = 0;
-    st.stats = SolveStats {
-        rows: m,
-        cols: n_expl,
-        warm_attempted: warm.is_some(),
-        ..Default::default()
-    };
-
-    // ---- Warm start: map the snapshot onto this model's variables. ----
-    let mut warm_ready = false;
-    if let Some(snap) = warm {
-        warm_ready = try_warm_start(
-            model,
-            pre,
-            st,
-            f,
-            opts,
-            snap,
-            kept_rows,
-            slack_of_row,
-            cnt,
-            ph,
-            fx,
-            wb,
-            complete,
-            rec,
-        );
-        st.stats.warm_used = warm_ready;
-    }
-
-    if !warm_ready {
-        let first = crash_basis(
-            model,
-            kept_rows,
-            slack_of_row,
-            n_struct,
-            st,
-            f,
-            cnt,
-            fx,
-            &mut wb.resid,
-            rec,
-            true,
-        );
-        if let Err(e) = first {
-            let LpError::Numerical(_) = e else {
-                return Err(e);
-            };
-            // The very first factorization failed (in practice only an
-            // injected fault: the crash basis is diagonal). Rungs 1/2 of
-            // the recovery ladder would redo exactly what just failed, so
-            // escalate straight to rung 3: the all-artificial identity
-            // cold start.
-            st.stats.recovery_cold_restarts += 1;
-            rec.bump(ObsCounter::Recoveries, 1);
-            crash_basis(
-                model,
-                kept_rows,
-                slack_of_row,
-                n_struct,
-                st,
-                f,
-                cnt,
-                fx,
-                &mut wb.resid,
-                rec,
-                false,
-            )?;
-        }
-    }
-
-    // ---- Cost vectors for both phases (prepared once: the recovery
-    // ladder below may run the phases more than once). ----
-    prep(cnt, costs1, nvars, 0.0);
-    for (r, c) in costs1.iter_mut().skip(n_expl).enumerate() {
-        *c = 1.0 + PHASE1_JITTER * splitmix_unit(r as u64 + 0x5EED);
-    }
-    prep(cnt, costs2, nvars, 0.0);
-    for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-        costs2[rj] = model.cols[oj as usize].cost;
-    }
-    if opts.perturb > 0.0 {
-        // Deterministic anti-degeneracy perturbation on structural costs.
-        let scale = costs2[..n_struct]
-            .iter()
-            .map(|c| c.abs())
-            .fold(1.0_f64, f64::max);
-        for (j, c) in costs2.iter_mut().enumerate().take(n_struct) {
-            *c += opts.perturb * scale * splitmix_unit(j as u64 + 1);
-        }
-    }
-
-    // ---- Phase 1 + phase 2, wrapped in the singular-factorization
-    // recovery ladder: a numerical failure escalates through
-    // (1) refactorize the current basis in place, (2) rebuild the crash
-    // basis and restore feasibility from scratch, (3) cold-restart from
-    // the all-artificial identity basis — before giving up. Each rung is
-    // attempted at most once per solve; a rung that itself fails (the
-    // basis is singular beyond repair, or the fault hook keeps firing)
-    // escalates immediately.
-    let mut rung = 0usize;
-    let (phase1_iterations, truncated) = loop {
-        match run_phases(st, f, opts, costs1, costs2, cnt, ph, fx, rec) {
-            Ok(out) => break out,
-            Err(LpError::Numerical(msg)) if rung < 3 => {
-                let mut recovered = false;
-                while !recovered && rung < 3 {
-                    rung += 1;
-                    rec.bump(ObsCounter::Recoveries, 1);
-                    recovered = match rung {
-                        1 => {
-                            st.stats.recovery_refactorizations += 1;
-                            st.refactorize(f, LP_TOL, cnt, fx, rec).is_ok()
-                        }
-                        2 => {
-                            st.stats.recovery_basis_repairs += 1;
-                            crash_basis(
-                                model,
-                                kept_rows,
-                                slack_of_row,
-                                n_struct,
-                                st,
-                                f,
-                                cnt,
-                                fx,
-                                &mut wb.resid,
-                                rec,
-                                true,
-                            )
-                            .is_ok()
-                        }
-                        _ => {
-                            st.stats.recovery_cold_restarts += 1;
-                            crash_basis(
-                                model,
-                                kept_rows,
-                                slack_of_row,
-                                n_struct,
-                                st,
-                                f,
-                                cnt,
-                                fx,
-                                &mut wb.resid,
-                                rec,
-                                false,
-                            )
-                            .is_ok()
-                        }
-                    };
-                }
-                if !recovered {
-                    return Err(LpError::Numerical(msg));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    };
+    st.phase_costs(model, pre, opts.perturb, costs1, costs2);
+    let (phase1_iterations, truncated) =
+        st.run_recovering(opts, costs1, costs2, ph, &mut wb.resid, rec)?;
 
     // ---- Scatter back to the original variable space. ----
     let mut values = pre.fixed_values.clone();
     for (rj, &oj) in pre.kept_vars.iter().enumerate() {
         values[oj as usize] = st.x[rj];
     }
-    prep(cnt, ydual, m, 0.0);
-    st.duals(f, costs2, ydual);
+    prep(&mut st.cnt, ydual, st.m, 0.0);
+    st.duals(costs2, ydual);
     let mut duals = vec![0.0; model.num_rows()];
-    for (new_r, &old_r) in kept_rows.iter().enumerate() {
+    for (new_r, &old_r) in st.kept_rows.iter().enumerate() {
         duals[old_r as usize] = ydual[new_r];
     }
-    crate::presolve::postsolve_singleton_duals(model, pre, LP_TOL, &mut duals);
+    crate::presolve::postsolve_singleton_duals(model, pre, &mut duals);
     let objective = model.objective_of(&values);
     // For optimal solves the bound IS the objective. For budget-truncated
     // solves it is the Lagrangian dual value at the current working duals,
     // translated into reported-objective space (exact for `perturb == 0`,
     // within the perturbation scale otherwise).
     let bound = if truncated {
-        objective - working_objective(st, costs2) + lagrangian_dual(st, costs2, ydual, LP_TOL)
+        objective - working_objective(st, costs2) + lagrangian_dual(st, costs2, ydual)
     } else {
         objective
     };
-
-    // ---- Snapshot the final basis (by key) if requested. ----
-    let basis_out = want_basis.then(|| {
-        let mut cols = Vec::with_capacity(m);
-        for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-            let stat = match st.vstat[rj] {
-                VStat::Basic => SnapStat::Basic,
-                VStat::AtUpper => SnapStat::AtUpper,
-                VStat::AtLower => continue,
-            };
-            cols.push((model.cols[oj as usize].key, stat));
-        }
-        let rows = kept_rows
-            .iter()
-            .zip(slack_of_row.iter())
-            .map(|(&r, slack)| {
-                let basic = slack.is_some_and(|si| st.vstat[n_struct + si] == VStat::Basic);
-                (model.rows[r as usize].key, basic)
-            });
-        Basis::new(cols, rows.collect())
-    });
+    let basis_out = want_basis.then(|| st.snapshot(model, pre));
 
     st.stats.iterations = st.iterations;
     st.stats.phase1_iterations = phase1_iterations;
@@ -1522,378 +1216,50 @@ fn solve_presolved_inner(
     ))
 }
 
-/// Builds the cold crash basis: prefer each row's own slack when it can sit
-/// at a feasible (nonnegative) value, otherwise fall back to an artificial.
-/// This leaves artificials only on equality rows and on inequality rows
-/// violated at the all-lower-bound point, which slashes phase-1 work.
-///
-/// With `prefer_slacks = false` every row is covered by its artificial
-/// instead — the recovery ladder's last rung: the basis matrix is then a
-/// signed identity, the one factorization that cannot fail numerically.
-// lint: hot
-#[allow(clippy::too_many_arguments)]
-fn crash_basis(
-    model: &Model,
-    kept_rows: &[u32],
-    slack_of_row: &[Option<usize>],
-    n_struct: usize,
-    st: &mut State,
-    f: &mut SparseLuFactor,
-    cnt: &mut Counters,
-    fx: &mut FactorBufs,
-    resid: &mut Vec<f64>,
-    rec: &mut Recorder,
-    prefer_slacks: bool,
-) -> Result<(), LpError> {
-    let m = st.m;
-    let n_expl = st.n_expl;
-    // Reset statuses.
-    for j in 0..st.nvars() {
-        st.vstat[j] = VStat::AtLower;
-    }
-    st.basis.clear();
-    st.basis.extend(n_expl..n_expl + m);
-    st.art_sign.iter_mut().for_each(|s| *s = 1.0);
-    for j in n_expl..st.nvars() {
-        st.lb[j] = 0.0;
-        st.ub[j] = f64::INFINITY;
-    }
-
-    // Initial nonbasic point: everything at lower bound.
-    for j in 0..n_expl {
-        st.x[j] = st.lb[j];
-    }
-    reserve(cnt, resid, m);
-    resid.extend_from_slice(&st.b);
-    for j in 0..n_expl {
-        let xj = st.x[j];
-        if nonzero(xj) {
-            st.for_col(j, |r, v| resid[r] -= v * xj);
-        }
-    }
-    for (r, &res) in resid.iter().enumerate() {
-        let aj = n_expl + r;
-        let slack_ok = match slack_of_row[r].filter(|_| prefer_slacks) {
-            Some(si) => {
-                let sj = n_struct + si;
-                // Slack coefficient: +1 for Le, -1 for Ge.
-                let coef = match model.rows[kept_rows[r] as usize].cmp {
-                    Cmp::Le => 1.0,
-                    Cmp::Ge => -1.0,
-                    // lint: allow(no_panic) — slack_of_row assigns no slack to Eq rows
-                    Cmp::Eq => unreachable!("Eq rows carry no slack column"),
-                };
-                let val = res / coef;
-                if val >= 0.0 {
-                    st.basis[r] = sj;
-                    st.vstat[sj] = VStat::Basic;
-                    st.x[sj] = val;
-                    true
-                } else {
-                    false
-                }
-            }
-            None => false,
-        };
-        if slack_ok {
-            // Artificial stays nonbasic at 0 and is never allowed to move.
-            st.art_sign[r] = 1.0;
-            st.ub[aj] = 0.0;
-            st.vstat[aj] = VStat::AtLower;
-            st.x[aj] = 0.0;
-        } else if res >= 0.0 {
-            st.art_sign[r] = 1.0;
-            st.x[aj] = res;
-            st.vstat[aj] = VStat::Basic;
-        } else {
-            st.art_sign[r] = -1.0;
-            st.x[aj] = -res;
-            st.vstat[aj] = VStat::Basic;
-        }
-    }
-    st.refactorize(f, LP_TOL, cnt, fx, rec)
-}
-
-/// Phase-0 rounds [`try_warm_start`]'s repair may take before it gives the
-/// basis up (on `online_eager_k8` 80 % of the repairs take one round, 19 %
-/// two; three is the most seen on any benchmark workload).
-const REPAIR_ROUNDS: usize = 4;
-
-/// Attempts a warm start from `snap`. Returns `true` when a mapped basis
-/// factorized and produced a (near-)feasible point; on `false` the state
-/// may be arbitrary and the caller must run the cold crash.
-///
-/// The mapping is repaired, not all-or-nothing: negative artificials get
-/// their sign flipped, basic variables forced outside their range are
-/// driven back by rounds of a bound-shifting "phase 0" (see inline
-/// comments), and a small residual on artificials is tolerated — phase 1
-/// clears it in far fewer pivots than a cold start would need.
-// lint: hot
-#[allow(clippy::too_many_arguments)]
-fn try_warm_start(
+/// The trivial case: no rows survive presolve, so every variable sits at
+/// its cheapest bound.
+fn solve_rowless(
     model: &Model,
     pre: &Presolved,
-    st: &mut State,
-    f: &mut SparseLuFactor,
-    opts: &SolverOptions,
-    snap: &Basis,
-    kept_rows: &[u32],
-    slack_of_row: &[Option<usize>],
-    cnt: &mut Counters,
-    ph: &mut PhaseBufs,
-    fx: &mut FactorBufs,
-    wb: &mut WarmBufs,
-    complete: &mut CompleteBufs,
-    rec: &mut Recorder,
-) -> bool {
-    if snap.is_empty() {
-        return false;
-    }
-    let m = st.m;
-    let n_struct = pre.kept_vars.len();
-    let n_expl = st.n_expl;
-    let WarmBufs {
-        cand,
-        uppers,
-        shifted,
-        costs0,
-        r,
-        ..
-    } = wb;
-
-    // Map snapshot statuses onto reduced indices by key.
-    reserve(cnt, cand, n_struct + m);
-    reserve(cnt, uppers, n_struct);
-    for (rj, &oj) in pre.kept_vars.iter().enumerate() {
-        match snap.col(model.cols[oj as usize].key) {
-            Some(SnapStat::Basic) => cand.push(rj),
-            Some(SnapStat::AtUpper) => uppers.push(rj),
-            None => {}
-        }
-    }
-    // Slacks: basic when the snapshot remembers the row's slack as basic,
-    // and also when the row is absent from the snapshot's working problem —
-    // presolved away back then (a colgen capacity row no column touched
-    // yet) or genuinely new — because such a row was satisfied strictly at
-    // the old optimum. Seeding its slack keeps the mapped basis's implied
-    // point exactly at the old optimum; without it the completion may cover
-    // the row with a structural column and scramble every basic value.
-    for (new_r, slack) in slack_of_row.iter().enumerate() {
-        if let Some(si) = slack {
-            let key = model.rows[kept_rows[new_r] as usize].key;
-            if snap.row(key).unwrap_or(true) {
-                cand.push(n_struct + si);
-            }
-        }
-    }
-
-    if cand.is_empty() {
-        return false;
-    }
-
-    // Bound-violation threshold for treating a mapped basic value as off.
-    let vtol = LP_TOL.max(1e-9) * 10.0;
-    st.art_sign.iter_mut().for_each(|s| *s = 1.0);
-
-    // Complete the candidate set to a full basis: rank-revealing
-    // elimination over the candidate columns, then slack (preferred) or
-    // artificial unit columns for uncovered rows.
-    reserve_pool(cnt, &mut fx.cols, cand.len());
-    for (k, &j) in cand.iter().enumerate() {
-        let col = &mut fx.cols[k];
-        col.clear();
-        st.for_col(j, |row, v| col.push((row as u32, v)));
-    }
-    complete_basis_into(
-        &mut complete.elim,
-        &mut complete.ws,
-        m,
-        &fx.cols[..cand.len()],
-        cnt,
-    );
-    let picked = &complete.elim.pivoted_col;
-    let covered = &complete.elim.pivoted_row;
-    st.basis.clear();
-    for (&j, &p) in cand.iter().zip(picked) {
-        if p {
-            st.basis.push(j);
-        }
-    }
-    for (r, &cov) in covered.iter().enumerate() {
-        if !cov {
-            match slack_of_row[r] {
-                Some(si) => st.basis.push(n_struct + si),
-                None => st.basis.push(n_expl + r),
-            }
-        }
-    }
-    if st.basis.len() != m {
-        return false;
-    }
-
-    // Statuses: basis members basic; snapshot uppers at their (finite)
-    // upper bound; everything else at lower. Artificials not in the basis
-    // are pinned to zero.
-    for j in 0..st.nvars() {
-        st.vstat[j] = VStat::AtLower;
-    }
-    for j in n_expl..st.nvars() {
-        st.lb[j] = 0.0;
-        st.ub[j] = 0.0;
-    }
-    for k in 0..m {
-        let j = st.basis[k];
-        st.vstat[j] = VStat::Basic;
-        if j >= n_expl {
-            st.ub[j] = f64::INFINITY; // artificial may carry residual
-        }
-    }
-    for &j in uppers.iter() {
-        if st.vstat[j] != VStat::Basic && st.ub[j].is_finite() {
-            st.vstat[j] = VStat::AtUpper;
-        }
-    }
-
-    // Factorize and compute the implied basic values, unclamped. A second
-    // pass re-factorizes after flipping the sign of any artificial whose
-    // implied value came out negative.
-    prep(cnt, r, m, 0.0);
-    for _pass in 0..2 {
-        let t0 = rec.stamp();
-        st.gather_basis_cols(cnt, fx);
-        if f.refactor(m, &fx.cols[..m], cnt).is_err() {
-            return false;
-        }
-        st.stats.refactorizations += 1;
-        rec.bump(ObsCounter::Refactorizations, 1);
-        st.stats.factor_nnz = f.factor_nnz();
-        rec.lap(Accum::Factor, t0);
-        r.copy_from_slice(&st.b);
-        for j in 0..st.nvars() {
-            let xb = match st.vstat[j] {
-                VStat::Basic => continue,
-                VStat::AtLower => st.lb[j],
-                VStat::AtUpper => st.ub[j],
-            };
-            st.x[j] = xb;
-            if nonzero(xb) {
-                st.for_col(j, |row, v| r[row] -= v * xb);
-            }
-        }
-        f.ftran(r);
-        let mut flipped = false;
-        for (pos, &val) in r.iter().enumerate() {
-            let j = st.basis[pos];
-            if j >= n_expl && val < -vtol {
-                let row = j - n_expl;
-                st.art_sign[row] = -st.art_sign[row];
-                flipped = true;
-            }
-        }
-        if !flipped {
-            break;
-        }
-    }
-    st.since_refactor = 0;
-
-    // Adopt the implied point, collecting every basic variable it forces
-    // outside its range.
-    shifted.clear();
-    for (pos, &val) in r.iter().enumerate() {
-        let j = st.basis[pos];
-        st.x[j] = if j >= n_expl {
-            val.max(0.0)
-        } else if val < st.lb[j] - vtol || val > st.ub[j] + vtol {
-            shifted.push((j, st.lb[j], st.ub[j]));
-            val
+    warm_attempted: bool,
+    want_basis: bool,
+) -> Result<(Solution, Option<Basis>), LpError> {
+    let mut values = pre.fixed_values.clone();
+    let mut objective = pre.obj_offset;
+    let mut at_upper = Vec::new();
+    for &oj in pre.kept_vars.iter() {
+        let oj = oj as usize;
+        let (cost, lo, hi) = (model.cols[oj].cost, pre.lb[oj], pre.ub[oj]);
+        let v = if cost >= 0.0 {
+            lo
+        } else if hi.is_finite() {
+            at_upper.push((model.cols[oj].key, SnapStat::AtUpper));
+            hi
         } else {
-            val.clamp(st.lb[j], st.ub[j])
+            return Err(LpError::Unbounded);
         };
+        values[oj] = v;
+        objective += cost * v;
     }
-
-    // Early junk-basis rejection, before spending repair pivots: when the
-    // mapped point violates bounds on a large fraction of the basis, the
-    // snapshot came from a structurally unrelated model (e.g. a different
-    // random instance whose variables merely share names) and the
-    // bound-shifting repair would burn its whole pivot cap only to fail —
-    // cold-starting immediately is cheaper. The ¼ threshold mirrors the
-    // artificial-residual acceptance test below; genuinely related models
-    // (grown grids, online residuals) shift only a handful of variables.
-    if shifted.len() * 4 > m {
-        return false;
-    }
-
-    // Bound-shifting repair ("phase 0"): a below-lower variable works on
-    // the temporary range `[value, lb]` with cost −1, an above-upper one on
-    // `[ub, value]` with cost +1, so the phase-0 objective falls exactly as
-    // the shifted variables close in on their ranges. A temporary range
-    // ends *at* the violated bound, so one round can bring a variable to
-    // its bound but not inside its range — and feasibility may need just
-    // that of some of them before the rest can return. Hence rounds: after
-    // each phase-0 optimum every shifted variable gets its own bounds back,
-    // the returned ones stay free over their whole range at cost 0, and
-    // only those still outside are shifted again from where they now
-    // stand. This is what makes warm starting a *changed* LP robust: the
-    // embedded old optimum is usually a handful of pivots from feasibility,
-    // while a cold start would redo the whole phase 1.
-    prep(cnt, costs0, st.nvars(), 0.0);
-    let cap = 200 + 4 * m;
-    let mut rounds = 0;
-    while !shifted.is_empty() {
-        for &(j, lb0, ub0) in shifted.iter() {
-            if st.x[j] < lb0 {
-                costs0[j] = -1.0;
-                st.lb[j] = st.x[j];
-                st.ub[j] = lb0;
-            } else {
-                costs0[j] = 1.0;
-                st.lb[j] = ub0;
-                st.ub[j] = st.x[j];
-            }
-        }
-        let before = st.iterations;
-        let end = run_phase(st, f, costs0, opts, cap, cnt, ph, fx, rec);
-        // Restore the original bounds (the cold crash reuses them should
-        // the repair fail), re-align the nonbasic statuses of the returned
-        // variables with them, and keep the ones still outside.
-        shifted.retain(|&(j, lb0, ub0)| {
-            st.lb[j] = lb0;
-            st.ub[j] = ub0;
-            costs0[j] = 0.0;
-            if st.x[j] < lb0 - vtol || st.x[j] > ub0 + vtol {
-                return true;
-            }
-            if st.vstat[j] == VStat::Basic {
-                st.x[j] = st.x[j].clamp(lb0, ub0);
-            } else if (st.x[j] - ub0).abs() <= (st.x[j] - lb0).abs() && ub0.is_finite() {
-                st.vstat[j] = VStat::AtUpper;
-                st.x[j] = ub0;
-            } else {
-                st.vstat[j] = VStat::AtLower;
-                st.x[j] = lb0;
-            }
-            false
-        });
-        rounds += 1;
-        let stuck = st.iterations == before || rounds == REPAIR_ROUNDS;
-        if !matches!(end, Ok(PhaseEnd::Optimal)) || (stuck && !shifted.is_empty()) {
-            return false;
-        }
-    }
-
-    // Accept unless the mapping left so much residual on artificials that
-    // phase 1 would redo everything anyway.
-    let art_rows = st.x[n_expl..].iter().filter(|&&v| v > LP_TOL).count();
-    art_rows * 4 <= m
-}
-
-/// Deterministic hash → uniform float in `(0, 1]` (splitmix64 finalizer).
-fn splitmix_unit(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64 + f64::EPSILON
+    let stats = SolveStats {
+        warm_attempted,
+        ..Default::default()
+    };
+    let mut duals = vec![0.0; model.num_rows()];
+    crate::presolve::postsolve_singleton_duals(model, pre, &mut duals);
+    Ok((
+        Solution {
+            objective,
+            bound: objective,
+            values,
+            duals,
+            iterations: 0,
+            phase1_iterations: 0,
+            status: Status::Optimal,
+            stats,
+        },
+        want_basis.then(|| Basis::new(at_upper, Vec::new())),
+    ))
 }
 
 #[cfg(test)]
@@ -2490,7 +1856,6 @@ mod tests {
         w: &[f64],
         s: f64,
         t_flip: f64,
-        tol: f64,
         bland: bool,
     ) -> Result<Option<(usize, f64)>, ()> {
         let wmax = w.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
@@ -2516,7 +1881,7 @@ mod tests {
         let mut t_max = t_flip; // may be +inf
         for (r, &wr) in w.iter().enumerate() {
             if let Some((a, slack)) = room(r, wr) {
-                let lim = (slack + tol) / a;
+                let lim = (slack + crate::LP_TOL) / a;
                 if lim < t_max {
                     t_max = lim;
                 }
@@ -2551,7 +1916,6 @@ mod tests {
     #[test]
     fn nonzero_list_ratio_test_matches_dense_scan() {
         let mut rng = Stream(0x1319_8A2E_0370_7344);
-        let tol = crate::LP_TOL;
         let mut outcomes = [0usize; 3];
         for case in 0..CASES {
             let m = 1 + rng.below(40);
@@ -2584,8 +1948,8 @@ mod tests {
             let s = if rng.below(2) == 0 { 1.0 } else { -1.0 };
             let t_flip = [0.5, 3.0, f64::INFINITY][rng.below(3)];
             let bland = case % 2 == 1;
-            let got = ratio_test(&st, &w, &idx, s, t_flip, tol, bland);
-            let want = ratio_test_dense(&st, &w, s, t_flip, tol, bland);
+            let got = ratio_test(&st, &w, &idx, s, t_flip, bland);
+            let want = ratio_test_dense(&st, &w, s, t_flip, bland);
             let bits =
                 |r: Result<Option<(usize, f64)>, ()>| r.map(|o| o.map(|(r, t)| (r, t.to_bits())));
             assert_eq!(bits(got), bits(want), "case {case}");
