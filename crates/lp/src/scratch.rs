@@ -163,8 +163,9 @@ pub(crate) struct CompleteBufs {
 /// One `Scratch` is owned by each [`WarmChain`](crate::WarmChain) and
 /// threaded into the simplex. It retains, across solves: the entire
 /// simplex [`State`] (CSC matrix, bounds, point, statuses, basis, the
-/// basis-column gather pool, and the sparse LU factors themselves —
-/// elimination storage, fill-in rows, eta file), the per-phase pivot-loop
+/// basis-column gather pool, the sparse LU factors themselves —
+/// elimination storage, fill-in rows, eta file — and the trace
+/// recorder), the per-phase pivot-loop
 /// vectors, assembly and warm-start temporaries, and the rank-revealing
 /// completion workspace. One-shot [`Model::solve_with`](crate::Model::solve_with)
 /// calls create a transient `Scratch` internally, so the workspace only
@@ -184,12 +185,6 @@ pub struct Scratch {
     pub(crate) warm: WarmBufs,
     /// Warm-start basis-completion workspace.
     pub(crate) complete: CompleteBufs,
-    /// Trace recorder: spans, time accumulators, counters, histograms.
-    /// Lives here because the scratch is already threaded through every
-    /// solve; its ring is allocated at construction so recording on the
-    /// hot path never allocates (the `allocs == 0` contract holds with
-    /// tracing attached).
-    pub(crate) rec: coflow_obs::Recorder,
 }
 
 impl Scratch {
@@ -200,7 +195,7 @@ impl Scratch {
 
     /// The embedded trace recorder (spans, accumulators, counters).
     pub fn obs(&mut self) -> &mut coflow_obs::Recorder {
-        &mut self.rec
+        self.state.obs()
     }
 }
 

@@ -53,11 +53,7 @@ impl State {
         let cnt = &mut self.cnt;
         let kept_rows = &mut self.kept_rows;
         reserve(cnt, kept_rows, model.num_rows());
-        for r in 0..model.num_rows() as u32 {
-            if pre.keep_row[r as usize] {
-                kept_rows.push(r);
-            }
-        }
+        kept_rows.extend((0..model.num_rows() as u32).filter(|&r| pre.keep_row[r as usize]));
         prep(cnt, row_map, model.num_rows(), None);
         for (new, &old) in kept_rows.iter().enumerate() {
             row_map[old as usize] = Some(new as u32);
@@ -131,9 +127,8 @@ impl State {
         // Slacks: [0, inf). Artificials: [0, inf) during phase 1.
 
         reserve(cnt, &mut self.b, m);
-        for &r in kept_rows.iter() {
-            self.b.push(pre.rhs_adjust[r as usize]);
-        }
+        self.b
+            .extend(kept_rows.iter().map(|&r| pre.rhs_adjust[r as usize]));
 
         self.m = m;
         self.n_expl = n_expl;

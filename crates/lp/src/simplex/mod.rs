@@ -80,8 +80,8 @@ impl Csc {
 }
 
 /// The simplex working state: the working problem, the point and basis,
-/// the basis factorization and the per-solve acquisition counters — what
-/// every stage of a solve reads. Persisted inside [`Scratch`] between
+/// the basis factorization, the per-solve acquisition counters and the
+/// trace recorder — what every stage of a solve reads. Persisted inside [`Scratch`] between
 /// solves so every vector keeps its capacity; [`solve_presolved`]
 /// re-lengths and re-fills each field per solve.
 #[derive(Default)]
@@ -119,6 +119,9 @@ pub(crate) struct State {
     fx: FactorBufs,
     /// Per-solve buffer-acquisition counters.
     cnt: Counters,
+    /// Trace recorder. Its ring is allocated at construction, so the
+    /// `allocs == 0` contract holds with tracing attached.
+    rec: Recorder,
     /// Optional fault-injection hook (chaos testing only), consulted once
     /// per factorization attempt. Installed through
     /// [`crate::WarmChain::set_fault_hook`]; `None` in production.
@@ -129,6 +132,11 @@ impl State {
     /// This solve's buffer-acquisition counters.
     pub(crate) fn counters(&self) -> Counters {
         self.cnt
+    }
+
+    /// The trace recorder.
+    pub(crate) fn obs(&mut self) -> &mut Recorder {
+        &mut self.rec
     }
 
     #[inline]
@@ -209,8 +217,8 @@ impl State {
     /// Factorizes the current basis and records it (without consulting
     /// the fault hook). Returns the clock stamp that closes the `Factor`
     /// lap.
-    fn factor(&mut self, rec: &mut Recorder) -> Result<u64, LpError> {
-        let t0 = rec.stamp();
+    fn factor(&mut self) -> Result<u64, LpError> {
+        let t0 = self.rec.stamp();
         let mut cols = std::mem::take(&mut self.fx.cols);
         reserve_pool(&mut self.cnt, &mut cols, self.m);
         self.stats.basis_nnz = self.gather(&self.basis, &mut cols);
@@ -218,9 +226,9 @@ impl State {
         self.fx.cols = cols;
         res?;
         self.stats.refactorizations += 1;
-        rec.bump(ObsCounter::Refactorizations, 1);
+        self.rec.bump(ObsCounter::Refactorizations, 1);
         self.stats.factor_nnz = self.lu.factor_nnz();
-        Ok(rec.lap(Accum::Factor, t0))
+        Ok(self.rec.lap(Accum::Factor, t0))
     }
 
     /// `r ← B⁻¹ (b − N x_N)`: the basic values the snapped nonbasic point
@@ -252,24 +260,24 @@ impl State {
     /// basic values (clamping arithmetic noise, failing on violations far
     /// beyond tolerance).
     // lint: hot
-    fn refactorize(&mut self, rec: &mut Recorder) -> Result<(), LpError> {
+    fn refactorize(&mut self) -> Result<(), LpError> {
         if self.m == 0 {
             return Ok(());
         }
         if let Some(h) = self.hook.as_mut() {
             if h.on_factorization() {
-                rec.bump(ObsCounter::FaultsInjected, 1);
+                self.rec.bump(ObsCounter::FaultsInjected, 1);
                 return Err(LpError::Numerical("injected singular factorization".into()));
             }
         }
-        let t1 = self.factor(rec)?;
+        let t1 = self.factor()?;
         let mut r = std::mem::take(&mut self.fx.r);
         prep(&mut self.cnt, &mut r, self.m, 0.0);
         self.implied_basic_values(&mut r);
         let adopted = self.adopt_basic_values(&r);
         self.fx.r = r;
         adopted?;
-        rec.lap(Accum::FtranBtran, t1);
+        self.rec.lap(Accum::FtranBtran, t1);
         self.since_refactor = 0;
         Ok(())
     }
@@ -279,24 +287,21 @@ impl State {
     // lint: hot
     fn adopt_basic_values(&mut self, r: &[f64]) -> Result<(), LpError> {
         let big = LP_TOL * 1e4;
+        let off = |side: &str, by: f64| {
+            LpError::Numerical(format!("basic var {side} bound by {by:.3e} after refactor"))
+        };
         for (pos, val) in r.iter().enumerate() {
             let j = self.basis[pos];
             let mut v = *val;
             if v < self.lb[j] {
                 if self.lb[j] - v > big {
-                    return Err(LpError::Numerical(format!(
-                        "basic var below bound by {:.3e} after refactor",
-                        self.lb[j] - v
-                    )));
+                    return Err(off("below", self.lb[j] - v));
                 }
                 v = self.lb[j];
             }
             if v > self.ub[j] {
                 if v - self.ub[j] > big {
-                    return Err(LpError::Numerical(format!(
-                        "basic var above bound by {:.3e} after refactor",
-                        v - self.ub[j]
-                    )));
+                    return Err(off("above", v - self.ub[j]));
                 }
                 v = self.ub[j];
             }
@@ -521,7 +526,6 @@ fn choose_entering(
     px: &mut Pricer,
     costs: &[f64],
     bland: bool,
-    rec: &mut Recorder,
 ) -> Option<usize> {
     let nv = st.nvars();
     let PhaseBufs {
@@ -544,7 +548,7 @@ fn choose_entering(
     if bland {
         st.stats.pricing_full_scans += 1;
         px.scan_start = 0;
-        rec.bump(ObsCounter::ColumnsPriced, nv as u64);
+        st.rec.bump(ObsCounter::ColumnsPriced, nv as u64);
         return (0..nv).find(|&j| violation(st, j) > LP_TOL);
     }
 
@@ -558,7 +562,7 @@ fn choose_entering(
             }
         }
     }
-    rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
+    st.rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
     if let Some((_, j)) = best {
         st.stats.pricing_list_hits += 1;
         return Some(j as usize);
@@ -611,7 +615,7 @@ fn choose_entering(
     if scanned >= nv {
         st.stats.pricing_full_scans += 1;
     }
-    rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
+    st.rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
     if scanned > px.window {
         // The candidate came from a later window: rotate the scan start
         // there so the next refill finds it first.
@@ -730,7 +734,6 @@ fn apply_pivot(
     s: f64,
     r_lv: usize,
     t: f64,
-    rec: &mut Recorder,
 ) -> usize {
     let PhaseBufs {
         w,
@@ -752,9 +755,9 @@ fn apply_pivot(
     // reference row's BTRAN is timed as one.
     let alpha_q = w[r_lv];
     if alpha_q.abs() > 1e-12 {
-        let t_rho = rec.stamp();
+        let t_rho = st.rec.stamp();
         st.lu.binv_row(r_lv, rho, rho_idx);
-        let t_devex = rec.lap(Accum::FtranBtran, t_rho);
+        let t_devex = st.rec.lap(Accum::FtranBtran, t_rho);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
         let mut overflow = false;
@@ -777,7 +780,7 @@ fn apply_pivot(
         if overflow {
             gamma.fill(1.0);
         }
-        rec.lap(Accum::Pricing, t_devex);
+        st.rec.lap(Accum::Pricing, t_devex);
     }
 
     st.move_basics(w, w_idx, s * t);
@@ -819,7 +822,6 @@ fn run_phase(
     opts: &SolverOptions,
     iter_cap: usize,
     ph: &mut PhaseBufs,
-    rec: &mut Recorder,
 ) -> Result<PhaseEnd, LpError> {
     let m = st.m;
     let nv = st.nvars();
@@ -873,7 +875,7 @@ fn run_phase(
             }
         }
 
-        let t_dual = rec.stamp();
+        let t_dual = st.rec.stamp();
         // Budget deadline, checked against the stamp the loop already
         // takes — budgets never add clock reads, so enabling one cannot
         // perturb the logical-clock trace of the pivots that do run.
@@ -885,10 +887,10 @@ fn run_phase(
         if !duals_current {
             st.pivot_duals(costs, &mut ph.y, &mut ph.y_idx);
         }
-        let t_scan = rec.lap(Accum::FtranBtran, t_dual);
+        let t_scan = st.rec.lap(Accum::FtranBtran, t_dual);
 
-        let enter = choose_entering(st, ph, &mut px, costs, bland, rec);
-        rec.lap(Accum::Pricing, t_scan);
+        let enter = choose_entering(st, ph, &mut px, costs, bland);
+        st.rec.lap(Accum::Pricing, t_scan);
         let Some(j_in) = enter else {
             return Ok(PhaseEnd::Optimal);
         };
@@ -900,9 +902,9 @@ fn run_phase(
         } else {
             -1.0
         };
-        let t_ftran = rec.stamp();
+        let t_ftran = st.rec.stamp();
         st.ftran_col(j_in, &mut ph.w, &mut ph.w_idx);
-        rec.lap(Accum::FtranBtran, t_ftran);
+        st.rec.lap(Accum::FtranBtran, t_ftran);
 
         let t_flip = st.ub[j_in] - st.lb[j_in]; // may be +inf
         let Ok(leave) = ratio_test(st, &ph.w, &ph.w_idx, s, t_flip, bland) else {
@@ -935,12 +937,12 @@ fn run_phase(
             let (r_lv, exact) = leave.ok_or_else(|| {
                 LpError::Numerical("bounded ratio test selected no leaving row".into())
             })?;
-            let j_out = apply_pivot(st, ph, j_in, s, r_lv, exact.max(0.0), rec);
+            let j_out = apply_pivot(st, ph, j_in, s, r_lv, exact.max(0.0));
             cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
             Some(r_lv)
         };
         st.iterations += 1;
-        rec.bump(ObsCounter::Pivots, 1);
+        st.rec.bump(ObsCounter::Pivots, 1);
         if cyc.observe(degenerate) {
             bland = true;
             st.stats.cycles_detected += 1;
@@ -952,13 +954,13 @@ fn run_phase(
             Ok(()) => {
                 st.since_refactor += 1;
                 if st.lu.wants_refactor(st.since_refactor) {
-                    st.refactorize(rec)?;
+                    st.refactorize()?;
                 }
             }
             Err(_) if st.since_refactor > 0 => {
                 // Stale factors produced an untrustworthy pivot: rebuild
                 // from scratch (the basis change is already recorded).
-                st.refactorize(rec)?;
+                st.refactorize()?;
             }
             Err(e) => return Err(e),
         }
@@ -980,16 +982,14 @@ fn run_phases(
     costs1: &[f64],
     costs2: &[f64],
     ph: &mut PhaseBufs,
-    rec: &mut Recorder,
 ) -> Result<(usize, bool), LpError> {
-    let n_expl = st.n_expl;
-    let nvars = st.nvars();
+    let (n_expl, nvars) = (st.n_expl, st.nvars());
     // ---- Phase 1: minimize sum of artificials. ----
     let phase1_needed = st.x[n_expl..].iter().any(|&v| v > LP_TOL);
     if phase1_needed {
-        rec.enter(SpanName::Phase1);
-        let end = run_phase(st, costs1, opts, opts.max_iters, ph, rec);
-        rec.exit();
+        st.rec.enter(SpanName::Phase1);
+        let end = run_phase(st, costs1, opts, opts.max_iters, ph);
+        st.rec.exit();
         match end? {
             PhaseEnd::Optimal => {}
             // A budget expiring before feasibility leaves nothing usable.
@@ -1022,13 +1022,13 @@ fn run_phases(
 
     // ---- Phase 2: the real objective, then one final refactorization
     // pass for clean values. ----
-    let mut truncated = run_phase2(st, opts, costs2, ph, rec)?;
-    st.refactorize(rec)?;
+    let mut truncated = run_phase2(st, opts, costs2, ph)?;
+    st.refactorize()?;
     if !truncated {
         // Re-check optimality after the refresh: if the cleaned point lost
         // optimality (rare), resume pivoting once. Truncated solves skip
         // the re-check — the budget is already spent.
-        truncated = run_phase2(st, opts, costs2, ph, rec)?;
+        truncated = run_phase2(st, opts, costs2, ph)?;
     }
     Ok((phase1_iterations, truncated))
 }
@@ -1040,12 +1040,11 @@ fn run_phase2(
     opts: &SolverOptions,
     costs2: &[f64],
     ph: &mut PhaseBufs,
-    rec: &mut Recorder,
 ) -> Result<bool, LpError> {
     let remaining = opts.max_iters.saturating_sub(st.iterations).max(1);
-    rec.enter(SpanName::Phase2);
-    let end = run_phase(st, costs2, opts, remaining, ph, rec);
-    rec.exit();
+    st.rec.enter(SpanName::Phase2);
+    let end = run_phase(st, costs2, opts, remaining, ph);
+    st.rec.exit();
     match end? {
         PhaseEnd::Optimal => Ok(false),
         PhaseEnd::Truncated => Ok(true),
@@ -1108,23 +1107,22 @@ pub(crate) fn solve_presolved(
     // Accumulator baselines: the recorder is cumulative over the chain, so
     // the per-solve `*_ms` stats fields are deltas over this solve (the
     // stats become a view over the trace rather than parallel bookkeeping).
-    let base_pricing = scratch.rec.acc(Accum::Pricing);
-    let base_xfer = scratch.rec.acc(Accum::FtranBtran);
-    let base_factor = scratch.rec.acc(Accum::Factor);
-    scratch.rec.enter(SpanName::Solve);
+    let rec = &mut scratch.state.rec;
+    let base_pricing = rec.acc(Accum::Pricing);
+    let base_xfer = rec.acc(Accum::FtranBtran);
+    let base_factor = rec.acc(Accum::Factor);
+    rec.enter(SpanName::Solve);
     let res = solve_presolved_inner(model, pre, opts, warm, want_basis, scratch);
-    scratch.rec.exit();
-    let cnt = scratch.state.cnt;
-    scratch
-        .rec
-        .bump(ObsCounter::ScratchReuses, cnt.reuses as u64);
-    let mode = scratch.rec.mode();
+    let State { cnt, rec, .. } = &mut scratch.state;
+    rec.exit();
+    rec.bump(ObsCounter::ScratchReuses, cnt.reuses as u64);
+    let mode = rec.mode();
     res.map(|(mut sol, basis)| {
         sol.stats.allocs = cnt.allocs;
         sol.stats.scratch_reuse = cnt.reuses;
-        sol.stats.pricing_ms = mode.to_ms(scratch.rec.acc(Accum::Pricing) - base_pricing);
-        sol.stats.ftran_btran_ms = mode.to_ms(scratch.rec.acc(Accum::FtranBtran) - base_xfer);
-        sol.stats.factor_ms = mode.to_ms(scratch.rec.acc(Accum::Factor) - base_factor);
+        sol.stats.pricing_ms = mode.to_ms(rec.acc(Accum::Pricing) - base_pricing);
+        sol.stats.ftran_btran_ms = mode.to_ms(rec.acc(Accum::FtranBtran) - base_xfer);
+        sol.stats.factor_ms = mode.to_ms(rec.acc(Accum::Factor) - base_factor);
         (sol, basis)
     })
 }
@@ -1144,7 +1142,6 @@ fn solve_presolved_inner(
         asm,
         warm: wb,
         complete,
-        rec,
     } = scratch;
     if !st.assemble(model, pre, asm, warm.is_some()) {
         return solve_rowless(model, pre, warm.is_some(), want_basis);
@@ -1153,10 +1150,10 @@ fn solve_presolved_inner(
     // ---- Warm start when a snapshot maps and repairs, else the crash. ----
     if let Some(snap) = warm {
         st.stats.warm_used =
-            st.map_snapshot(model, pre, snap, wb) && st.repair_basis(opts, wb, complete, ph, rec);
+            st.map_snapshot(model, pre, snap, wb) && st.repair_basis(opts, wb, complete, ph);
     }
     if !st.stats.warm_used {
-        st.cold_start(&mut wb.resid, rec)?;
+        st.cold_start(&mut wb.resid)?;
     }
 
     // ---- Both phases, inside the recovery ladder. ----
@@ -1168,7 +1165,7 @@ fn solve_presolved_inner(
     } = asm;
     st.phase_costs(model, pre, opts.perturb, costs1, costs2);
     let (phase1_iterations, truncated) =
-        st.run_recovering(opts, costs1, costs2, ph, &mut wb.resid, rec)?;
+        st.run_recovering(opts, costs1, costs2, ph, &mut wb.resid)?;
 
     // ---- Scatter back to the original variable space. ----
     let mut values = pre.fixed_values.clone();
@@ -1241,10 +1238,6 @@ fn solve_rowless(
         values[oj] = v;
         objective += cost * v;
     }
-    let stats = SolveStats {
-        warm_attempted,
-        ..Default::default()
-    };
     let mut duals = vec![0.0; model.num_rows()];
     crate::presolve::postsolve_singleton_duals(model, pre, &mut duals);
     Ok((
@@ -1256,7 +1249,10 @@ fn solve_rowless(
             iterations: 0,
             phase1_iterations: 0,
             status: Status::Optimal,
-            stats,
+            stats: SolveStats {
+                warm_attempted,
+                ..Default::default()
+            },
         },
         want_basis.then(|| Basis::new(at_upper, Vec::new())),
     ))

@@ -1,27 +1,19 @@
-//! Cold starts and the singular-factorization recovery ladder.
-//!
-//! The cold start is the crash basis: each row's own slack where it can
-//! sit at a feasible value, an artificial elsewhere. When a factorization
-//! fails during the phases, the solve climbs a ladder of three rungs
-//! ([`State::recover`]) before it gives up.
+//! Cold starts (the crash basis) and the singular-factorization recovery
+//! ladder ([`State::recover`]).
 
 use super::{run_phases, State, VStat};
 use crate::model::{LpError, SolverOptions};
 use crate::scratch::{prep, PhaseBufs};
-use coflow_obs::{Counter as ObsCounter, Recorder};
+use coflow_obs::Counter as ObsCounter;
 
 impl State {
     /// The cold start: the crash basis. When its first factorization fails
     /// (in practice only an injected fault: the crash basis is diagonal),
     /// rungs 1 and 2 would redo exactly what just failed, so the cold start
     /// escalates straight to rung 3.
-    pub(super) fn cold_start(
-        &mut self,
-        resid: &mut Vec<f64>,
-        rec: &mut Recorder,
-    ) -> Result<(), LpError> {
-        match self.crash(true, resid, rec) {
-            Err(LpError::Numerical(_)) => self.recover(3, resid, rec),
+    pub(super) fn cold_start(&mut self, resid: &mut Vec<f64>) -> Result<(), LpError> {
+        match self.crash(true, resid) {
+            Err(LpError::Numerical(_)) => self.recover(3, resid),
             res => res,
         }
     }
@@ -37,17 +29,16 @@ impl State {
         costs2: &[f64],
         ph: &mut PhaseBufs,
         resid: &mut Vec<f64>,
-        rec: &mut Recorder,
     ) -> Result<(usize, bool), LpError> {
         let mut rung = 0;
         loop {
-            let msg = match run_phases(self, opts, costs1, costs2, ph, rec) {
+            let msg = match run_phases(self, opts, costs1, costs2, ph) {
                 Err(LpError::Numerical(msg)) => msg,
                 res => return res,
             };
             let recovered = (rung + 1..=3).any(|next| {
                 rung = next;
-                self.recover(next, resid, rec).is_ok()
+                self.recover(next, resid).is_ok()
             });
             if !recovered {
                 return Err(LpError::Numerical(msg));
@@ -68,25 +59,20 @@ impl State {
     /// immediately. [`State::cold_start`]'s rung 3 runs outside that
     /// budget, so a solve whose first factorization fails can run rung 3
     /// twice.
-    fn recover(
-        &mut self,
-        rung: usize,
-        resid: &mut Vec<f64>,
-        rec: &mut Recorder,
-    ) -> Result<(), LpError> {
-        rec.bump(ObsCounter::Recoveries, 1);
+    fn recover(&mut self, rung: usize, resid: &mut Vec<f64>) -> Result<(), LpError> {
+        self.rec.bump(ObsCounter::Recoveries, 1);
         match rung {
             1 => {
                 self.stats.recovery_refactorizations += 1;
-                self.refactorize(rec)
+                self.refactorize()
             }
             2 => {
                 self.stats.recovery_basis_repairs += 1;
-                self.crash(true, resid, rec)
+                self.crash(true, resid)
             }
             _ => {
                 self.stats.recovery_cold_restarts += 1;
-                self.crash(false, resid, rec)
+                self.crash(false, resid)
             }
         }
     }
@@ -102,14 +88,8 @@ impl State {
     /// a signed identity, the one factorization that cannot fail
     /// numerically.
     // lint: hot
-    fn crash(
-        &mut self,
-        prefer_slacks: bool,
-        resid: &mut Vec<f64>,
-        rec: &mut Recorder,
-    ) -> Result<(), LpError> {
-        let m = self.m;
-        let n_expl = self.n_expl;
+    fn crash(&mut self, prefer_slacks: bool, resid: &mut Vec<f64>) -> Result<(), LpError> {
+        let (m, n_expl) = (self.m, self.n_expl);
         // Reset to the all-artificial basis with every other variable at
         // its lower bound, and take the rows' residuals at that point.
         self.vstat.fill(VStat::AtLower);
@@ -143,6 +123,6 @@ impl State {
                 self.vstat[aj] = VStat::Basic;
             }
         }
-        self.refactorize(rec)
+        self.refactorize()
     }
 }

@@ -1,17 +1,11 @@
 //! Warm starts: a [`Basis`] snapshot from a related model is mapped onto
 //! the working problem by the integer key of each column's and row's name,
 //! so rows and columns may have been inserted, dropped or reordered in
-//! between. This module alone knows that key format:
-//! [`State::map_snapshot`] reads it and [`State::snapshot`] writes it.
-//!
-//! [`State::repair_basis`] then needs only the [`State`]. It completes the
-//! mapped basic set to a full nonsingular basis by a rank-revealing
-//! elimination ([`crate::sparse_lu::complete_basis_into`]), preferring each
-//! uncovered row's slack over its artificial. Basic variables the mapping
-//! forces outside their bounds are repaired by a bound-shifting "phase 0"
-//! rather than rejected wholesale; if the repair fails the solver falls
-//! back to its cold crash basis — warm starting is an optimization, never
-//! a correctness risk.
+//! between. This module alone knows that key format: [`State::map_snapshot`]
+//! reads it and [`State::snapshot`] writes it, while
+//! [`State::repair_basis`] needs only the [`State`]. A failed repair falls
+//! back to the cold crash basis — warm starting is an optimization, never a
+//! correctness risk.
 
 use super::{run_phase, PhaseEnd, State, VStat};
 use crate::basis::{Basis, SnapStat};
@@ -20,7 +14,6 @@ use crate::presolve::Presolved;
 use crate::scratch::{prep, reserve, reserve_pool, CompleteBufs, PhaseBufs, WarmBufs};
 use crate::sparse_lu::complete_basis_into;
 use crate::LP_TOL;
-use coflow_obs::Recorder;
 
 /// Phase-0 rounds [`State::repair_basis`] may take before it gives the
 /// basis up (on `online_eager_k8` 80 % of the repairs take one round, 19 %
@@ -59,11 +52,10 @@ impl State {
         // the old optimum. Seeding its slack keeps the mapped basis's implied
         // point exactly at the old optimum; without it the completion may cover
         // the row with a structural column and scramble every basic value.
-        for (slack, &r) in self.slack_of_row.iter().zip(&self.kept_rows) {
-            if let Some(sj) = *slack {
-                if snap.row(model.rows[r as usize].key).unwrap_or(true) {
-                    cand.push(sj);
-                }
+        for (&slack, &r) in self.slack_of_row.iter().zip(&self.kept_rows) {
+            match slack {
+                Some(sj) if snap.row(model.rows[r as usize].key).unwrap_or(true) => cand.push(sj),
+                _ => {}
             }
         }
         !cand.is_empty()
@@ -86,7 +78,6 @@ impl State {
         wb: &mut WarmBufs,
         complete: &mut CompleteBufs,
         ph: &mut PhaseBufs,
-        rec: &mut Recorder,
     ) -> bool {
         let (m, n_expl, nvars) = (self.m, self.n_expl, self.nvars());
         let WarmBufs {
@@ -119,11 +110,8 @@ impl State {
         let picked = &complete.elim.pivoted_col;
         let covered = &complete.elim.pivoted_row;
         self.basis.clear();
-        for (&j, &p) in cand.iter().zip(picked) {
-            if p {
-                self.basis.push(j);
-            }
-        }
+        self.basis
+            .extend(cand.iter().zip(picked).filter(|(_, &p)| p).map(|(&j, _)| j));
         for (r, &cov) in covered.iter().enumerate() {
             if !cov {
                 self.basis.push(self.slack_of_row[r].unwrap_or(n_expl + r));
@@ -157,7 +145,7 @@ impl State {
         // implied value came out negative.
         prep(&mut self.cnt, r, m, 0.0);
         for _pass in 0..2 {
-            if self.factor(rec).is_err() {
+            if self.factor().is_err() {
                 return false;
             }
             self.implied_basic_values(r);
@@ -232,7 +220,7 @@ impl State {
                 }
             }
             let before = self.iterations;
-            let end = run_phase(self, costs0, opts, cap, ph, rec);
+            let end = run_phase(self, costs0, opts, cap, ph);
             // Restore the original bounds (the cold crash reuses them should
             // the repair fail), re-align the nonbasic statuses of the returned
             // variables with them, and keep the ones still outside.
@@ -280,14 +268,9 @@ impl State {
             };
             cols.push((model.cols[oj as usize].key, stat));
         }
-        let rows = self
-            .kept_rows
-            .iter()
-            .zip(&self.slack_of_row)
-            .map(|(&r, slack)| {
-                let basic = slack.is_some_and(|sj| self.vstat[sj] == VStat::Basic);
-                (model.rows[r as usize].key, basic)
-            });
+        let basic = |slack: &Option<usize>| slack.is_some_and(|sj| self.vstat[sj] == VStat::Basic);
+        let rows = self.kept_rows.iter().zip(&self.slack_of_row);
+        let rows = rows.map(|(&r, slack)| (model.rows[r as usize].key, basic(slack)));
         Basis::new(cols, rows.collect())
     }
 }
