@@ -10,8 +10,10 @@
 //!   with sparse rows (duplicate terms merged at build time);
 //! * [`simplex`] — a **bounded-variable revised primal simplex** with
 //!   candidate-list devex pricing, a Harris ratio test, a Bland's-rule
-//!   anti-cycling fallback, a two-phase start, and name-mapped **warm
-//!   starts** for sequences of related LPs;
+//!   anti-cycling fallback, a two-phase start, and key-mapped **warm
+//!   starts** for sequences of related LPs; its private submodules are
+//!   `assemble` (the working problem), `warm` (snapshot mapping and
+//!   repair) and `recover` (crash basis and recovery ladder);
 //! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
 //!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex

@@ -217,6 +217,7 @@ impl State {
     /// Factorizes the current basis and records it (without consulting
     /// the fault hook). Returns the clock stamp that closes the `Factor`
     /// lap.
+    // lint: hot
     fn factor(&mut self) -> Result<u64, LpError> {
         let t0 = self.rec.stamp();
         let mut cols = std::mem::take(&mut self.fx.cols);

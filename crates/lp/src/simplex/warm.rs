@@ -24,6 +24,7 @@ impl State {
     /// First half of a warm start: maps `snap`'s statuses onto the working
     /// columns by key — basic candidates into `wb.cand`, nonbasic-at-upper
     /// columns into `wb.uppers`. Returns `false` when nothing maps.
+    // lint: hot
     pub(super) fn map_snapshot(
         &mut self,
         model: &Model,
