@@ -239,7 +239,12 @@ mod tests {
     #[test]
     fn clone_is_fresh() {
         let mut s = Scratch::new();
-        prep(&mut Counters::default(), &mut s.ph.y, 64, 0.0);
+        let mut m = crate::Model::new();
+        let (x, y) = (m.add_nonneg(1.0, "x"), m.add_nonneg(2.0, "y"));
+        m.ge(&[(x, 1.0), (y, 1.0)], 1.0);
+        m.solve_with_basis_in(&crate::SolverOptions::default(), &mut s)
+            .unwrap();
+        assert!(s.ph.y.capacity() > 0 && s.state.counters().allocs > 0);
         let c = s.clone();
         assert_eq!(c.ph.y.capacity(), 0);
         assert_eq!(c.state.counters().allocs, 0);

@@ -1,10 +1,6 @@
 //! Bounded-variable revised primal simplex over the sparse LU basis
-//! factorization.
-//!
-//! Each stage of a solve has its own module: `assemble` builds the
-//! working problem, `warm` maps a snapshot basis onto it by key and repairs
-//! it, `recover` holds the cold crash basis and the recovery ladder, and
-//! this one runs the phases over the [`State`] they all share.
+//! factorization: the phases, and the [`State`] that `assemble`, `warm`
+//! and `recover` prepare for them.
 //!
 //! Design notes on the pivot loop (why this shape):
 //!
@@ -42,7 +38,7 @@ mod assemble;
 mod recover;
 mod warm;
 
-use crate::basis::{Basis, SnapStat, SolveStats};
+use crate::basis::{Basis, SolveStats};
 use crate::factor::{Solve, SparseLuFactor};
 use crate::model::{LpError, Model, Solution, SolverOptions, Status};
 use crate::presolve::Presolved;
@@ -80,10 +76,10 @@ impl Csc {
 }
 
 /// The simplex working state: the working problem, the point and basis,
-/// the basis factorization, the per-solve acquisition counters and the
-/// trace recorder — what every stage of a solve reads. Persisted inside [`Scratch`] between
-/// solves so every vector keeps its capacity; [`solve_presolved`]
-/// re-lengths and re-fills each field per solve.
+/// the factorization, the per-solve acquisition counters and the trace
+/// recorder — what every stage of a solve reads. Persisted inside
+/// [`Scratch`] between solves so every vector keeps its capacity;
+/// [`solve_presolved`] re-lengths and re-fills each field per solve.
 #[derive(Default)]
 pub(crate) struct State {
     /// Rows of the working problem.
@@ -633,9 +629,9 @@ fn choose_entering(
 /// Basic `r` changes by `-s·t·w_r`. Pass 1 computes the relaxed step bound
 /// `t_max` (each row's limit padded by a feasibility tolerance scaled by
 /// `1/|w_r|`, so the eventual bound violation of any row is at most
-/// `LP_TOL` in *variable space*, not `LP_TOL·|w_r|`). Pass 2 picks the stabilizing
-/// pivot (largest `|w_r|`; under `bland` the lowest basic index) among
-/// rows whose exact limit fits under `t_max`.
+/// `LP_TOL` in *variable space*, not `LP_TOL·|w_r|`). Pass 2 picks the
+/// stabilizing pivot (largest `|w_r|`; under `bland` the lowest basic
+/// index) among rows whose exact limit fits under `t_max`.
 ///
 /// Returns the leaving `(row, exact step limit)` — `None` when no row
 /// blocks before the entering column's own bound flip at `t_flip` — or
@@ -1053,13 +1049,6 @@ fn run_phase2(
     }
 }
 
-/// `Σ costs·x` over the working variables: the working-space objective of
-/// the current point, used to translate a working-space dual bound into
-/// reported-objective space.
-fn working_objective(st: &State, costs: &[f64]) -> f64 {
-    (0..st.nvars()).map(|j| costs[j] * st.x[j]).sum()
-}
-
 /// Lagrangian dual value `yᵀb + Σ_j min_{x ∈ [l_j, u_j]} d_j·x` of the
 /// working problem at duals `y` (`d` = reduced costs under `costs`): a
 /// valid lower bound on the working optimum for *any* `y`. Reduced costs
@@ -1183,10 +1172,12 @@ fn solve_presolved_inner(
     let objective = model.objective_of(&values);
     // For optimal solves the bound IS the objective. For budget-truncated
     // solves it is the Lagrangian dual value at the current working duals,
-    // translated into reported-objective space (exact for `perturb == 0`,
-    // within the perturbation scale otherwise).
+    // translated into reported-objective space through the working-space
+    // objective `Σ costs·x` (exact for `perturb == 0`, within the
+    // perturbation scale otherwise).
     let bound = if truncated {
-        objective - working_objective(st, costs2) + lagrangian_dual(st, costs2, ydual)
+        let working: f64 = (0..st.nvars()).map(|j| costs2[j] * st.x[j]).sum();
+        objective - working + lagrangian_dual(st, costs2, ydual)
     } else {
         objective
     };
@@ -1231,7 +1222,7 @@ fn solve_rowless(
         let v = if cost >= 0.0 {
             lo
         } else if hi.is_finite() {
-            at_upper.push((model.cols[oj].key, SnapStat::AtUpper));
+            at_upper.push(oj);
             hi
         } else {
             return Err(LpError::Unbounded);
@@ -1255,7 +1246,7 @@ fn solve_rowless(
                 ..Default::default()
             },
         },
-        want_basis.then(|| Basis::new(at_upper, Vec::new())),
+        want_basis.then(|| warm::rowless_snapshot(model, &at_upper)),
     ))
 }
 

@@ -2,7 +2,7 @@
 //! the working problem by the integer key of each column's and row's name,
 //! so rows and columns may have been inserted, dropped or reordered in
 //! between. This module alone knows that key format: [`State::map_snapshot`]
-//! reads it and [`State::snapshot`] writes it, while
+//! reads it, [`State::snapshot`] and [`rowless_snapshot`] write it, and
 //! [`State::repair_basis`] needs only the [`State`]. A failed repair falls
 //! back to the cold crash basis — warm starting is an optimization, never a
 //! correctness risk.
@@ -19,6 +19,14 @@ use crate::LP_TOL;
 /// basis up (on `online_eager_k8` 80 % of the repairs take one round, 19 %
 /// two; three is the most seen on any benchmark workload).
 const REPAIR_ROUNDS: usize = 4;
+
+/// The snapshot of a solve without rows: columns `at_upper` at their upper bound.
+pub(super) fn rowless_snapshot(model: &Model, at_upper: &[usize]) -> Basis {
+    let cols = at_upper
+        .iter()
+        .map(|&oj| (model.cols[oj].key, SnapStat::AtUpper));
+    Basis::new(cols.collect(), Vec::new())
+}
 
 impl State {
     /// First half of a warm start: maps `snap`'s statuses onto the working
