@@ -165,10 +165,10 @@ pub(crate) struct CompleteBufs {
 /// simplex [`State`] (CSC matrix, bounds, point, statuses, basis, the
 /// basis-column gather pool, the sparse LU factors themselves —
 /// elimination storage, fill-in rows, eta file — and the trace
-/// recorder), the per-phase pivot-loop
-/// vectors, assembly and warm-start temporaries, and the rank-revealing
-/// completion workspace. One-shot [`Model::solve_with`](crate::Model::solve_with)
-/// calls create a transient `Scratch` internally, so the workspace only
+/// recorder), the per-phase pivot-loop vectors, assembly and warm-start
+/// temporaries, and the rank-revealing completion workspace. One-shot
+/// [`Model::solve_with`](crate::Model::solve_with) calls create a
+/// transient `Scratch` internally, so the workspace only
 /// pays off — but never costs anything — on solve sequences.
 ///
 /// Cloning a `Scratch` yields a fresh empty workspace: retained capacity
