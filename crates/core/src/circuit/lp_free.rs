@@ -38,7 +38,8 @@ use crate::circuit::path_lp::{
 use crate::intervals::IntervalGrid;
 use crate::model::{FlowSpec, Instance};
 use coflow_lp::{
-    solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, SolverOptions, VarId, WarmChain,
+    solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, Solution, SolverOptions, VarId,
+    WarmChain,
 };
 use coflow_net::{paths as netpaths, pricing, EdgeId, NodeId, Path};
 use std::collections::BTreeMap;
@@ -157,7 +158,7 @@ pub fn solve_free_paths_lp_edges(
     let mut flows: Vec<EdgeCols> = Vec::with_capacity(nf);
 
     for (id, flat, spec) in instance.flows() {
-        let c = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
+        let c = m.add_var(0.0, spec.release, f64::INFINITY, format_args!("c{flat}"));
         let first = grid.first_usable(spec.release);
 
         let useful: Vec<EdgeId> = g
@@ -169,13 +170,13 @@ pub fn solve_free_paths_lp_edges(
             .collect();
 
         let x: Vec<VarId> = (first..nl)
-            .map(|l| m.add_unit(0.0, format!("x{flat}:{l}")))
+            .map(|l| m.add_unit(0.0, format_args!("x{flat}:{l}")))
             .collect();
         let y: Vec<Vec<VarId>> = (first..nl)
             .map(|l| {
                 useful
                     .iter()
-                    .map(|e| m.add_nonneg(0.0, format!("y{flat}:{l}:{e:?}")))
+                    .map(|e| m.add_nonneg(0.0, format_args!("y{flat}:{l}:{e:?}")))
                     .collect()
             })
             .collect();
@@ -204,7 +205,12 @@ pub fn solve_free_paths_lp_edges(
                 } else if terms.is_empty() {
                     continue;
                 }
-                m.add_row_named(Cmp::Eq, 0.0, &terms, format!("con{flat}:{l}:{}", v.index()));
+                m.add_row_named(
+                    Cmp::Eq,
+                    0.0,
+                    &terms,
+                    format_args!("con{flat}:{l}:{}", v.index()),
+                );
             }
         }
         flows.push(EdgeCols {
@@ -324,73 +330,121 @@ fn is_priced(spec: &FlowSpec) -> bool {
 struct DelayedMaster {
     model: Model,
     lp: PathLp,
-    /// Per flat flow: the most edges one of its routes may have.
-    hop_budget: Vec<usize>,
     /// Per distinct destination of a priced flow: hops to it from every
-    /// node.
+    /// node. A priced flow's routes may have at most `path_slack` more
+    /// edges than the hops from its source.
     to_dst: BTreeMap<NodeId, Vec<usize>>,
 }
 
 impl DelayedMaster {
     /// Seeds the master: a flow whose path is prescribed gets that path
     /// alone; any other flow gets every pooled path, its shortest path
-    /// interned first so the pool is never empty. A priced flow also marks
-    /// its hop-feasible edges — `hops(src→u) + 1 + hops(v→dst) <= budget` —
-    /// for the builder to declare capacity rows on. A hop field depends on
-    /// the endpoint alone, so flows share them.
-    fn seed(
-        instance: &Instance,
-        cfg: &FreePathsLpConfig,
-        grid: IntervalGrid,
-        pool: &mut PathPool,
-    ) -> Result<Self, LpError> {
-        let nf = instance.flow_count();
+    /// interned first so the pool is never empty. A priced flow also gets
+    /// its destination's hop field, which the oracle's search is bounded
+    /// by; flows that share a destination share it.
+    fn seed(instance: &Instance, grid: IntervalGrid, pool: &mut PathPool) -> Result<Self, LpError> {
         let g = &instance.graph;
-        let mut hop_budget = Vec::with_capacity(nf);
-        let mut routes: Vec<Routes> = Vec::with_capacity(nf);
-        let mut from_src: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut routes: Vec<Routes> = Vec::with_capacity(instance.flow_count());
         let mut to_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        let mut attachable = vec![false; g.edge_count()];
         for (_, flat, spec) in instance.flows() {
             match &spec.path {
                 Some(p) => {
-                    hop_budget.push(p.len());
                     let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
                     routes.push(vec![(pi, p.clone())]);
                 }
                 None => {
                     let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
                         .ok_or_else(|| no_path(flat))?;
-                    let budget = sp.len() + cfg.path_slack;
-                    hop_budget.push(budget);
                     pool.insert_with(flat, pricing::path_signature(&sp), || sp);
                     routes.push((0..).zip(pool.group(flat).iter().cloned()).collect());
-                    if !is_priced(spec) {
-                        continue;
-                    }
-                    let from = from_src
-                        .entry(spec.src)
-                        .or_insert_with(|| netpaths::bfs_distances(g, spec.src));
-                    let to = to_dst
-                        .entry(spec.dst)
-                        .or_insert_with(|| netpaths::reverse_bfs_distances(g, spec.dst));
-                    for e in g.edges() {
-                        let (u, v) = g.endpoints(e);
-                        // `usize::MAX` marks an unreachable endpoint.
-                        if from[u.index()].saturating_add(to[v.index()]) < budget {
-                            attachable[e.index()] = true;
-                        }
+                    if is_priced(spec) {
+                        to_dst
+                            .entry(spec.dst)
+                            .or_insert_with(|| netpaths::reverse_bfs_distances(g, spec.dst));
                     }
                 }
             }
         }
-        let (model, lp) = PathLp::build(instance, grid, routes, CapRows::Attachable(attachable))?;
-        Ok(Self {
-            model,
-            lp,
-            hop_budget,
-            to_dst,
-        })
+        let (model, lp) = PathLp::build(instance, grid, routes, CapRows::Loaded)?;
+        Ok(Self { model, lp, to_dst })
+    }
+
+    /// Runs the column-generation rounds on the seeded master: solves it
+    /// through `chain`, prices every priced flow's intervals against the
+    /// duals, appends the routes that price out (and the capacity rows they
+    /// are first to load), and repeats until nothing prices out.
+    fn solve(
+        &mut self,
+        instance: &Instance,
+        cfg: &FreePathsLpConfig,
+        chain: &mut WarmChain,
+        pool: &mut PathPool,
+    ) -> Result<(Solution, ColGenStats), LpError> {
+        let (model, lp) = (&mut self.model, &mut self.lp);
+        let nl = lp.grid().count();
+        let g = &instance.graph;
+
+        // Pricing tolerance: a column must beat the simplex's own optimality
+        // tolerance to be worth injecting; anything closer to zero is dual
+        // noise on an already-optimal master.
+        let price_tol = coflow_lp::LP_TOL.max(crate::tol::DUAL_EPS);
+
+        // Oracle scratch, retained across pricing rounds: the Bellman–Ford DP
+        // tables (a search leaves them as it found them) and the call tallies.
+        let mut ws = pricing::PathScratch::default();
+
+        let solved = solve_colgen(model, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
+            // Price each (flow, interval) pair whose dual bound says a path
+            // could conceivably price out — edge prices are nonnegative, so
+            // `base >= -tol` rules a pair out before any search — and inject
+            // each path that does, in flow-then-interval order.
+            let mut added = 0usize;
+            for (_, flat, spec) in instance.flows() {
+                if !is_priced(spec) {
+                    continue;
+                }
+                let to_dst = &self.to_dst[&spec.dst];
+                let hop_budget = to_dst[spec.src.index()] + cfg.path_slack;
+                let (sum_row, cmp_row) = lp.flow_rows(flat);
+                let y_sum = sol.dual(sum_row);
+                let y_cmp = sol.dual(cmp_row);
+                for l in lp.first(flat)..nl {
+                    let base = -y_sum - lp.grid().lower(l) * y_cmp;
+                    if base < -price_tol {
+                        let coeff = spec.size / lp.grid().length(l);
+                        let caps = lp.cap_rows(l);
+                        // A row no solved column loads — none yet, or only this
+                        // round's — has dual 0.
+                        let price = |e: EdgeId| {
+                            caps[e.index()]
+                                .and_then(|row| sol.duals.get(row.index()))
+                                .map_or(0.0, |&y| (-y).max(0.0) * coeff)
+                        };
+                        let found = pricing::cheapest_path_hop_bounded_in(
+                            g, spec.src, spec.dst, to_dst, hop_budget, price, &mut ws,
+                        );
+                        let Some((p, w)) = found else {
+                            continue;
+                        };
+                        if base + w < -price_tol {
+                            let sig = pricing::path_signature(&p);
+                            let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
+                            if fresh {
+                                added += lp.add_route(m, g, flat, pi, &p);
+                            }
+                        }
+                    }
+                }
+            }
+            added
+        });
+
+        // Fold the oracle counters (calls, edge relaxations) into the chain's
+        // recorder — before a failed master's error propagates, so the trace
+        // keeps the work of the rounds that did run.
+        chain.obs().merge_counters(&ws.take_counters());
+
+        solved
     }
 }
 
@@ -411,16 +465,16 @@ impl DelayedMaster {
 /// modes optimize the same polytope whenever the eager candidate set is
 /// complete, and their objectives agree to solver tolerance.
 ///
-/// Both the oracle and the master pay for each flow's **hop-feasible
-/// subgraph**, not for the fabric: with budget `H`, a flow can only ever
-/// use edges `(u, v)` with `hops(src→u) + 1 + hops(v→dst) <= H`. The hop
-/// fields are computed once per distinct endpoint, before the rounds; the
-/// oracle relaxes no edge outside the subgraph, and the master declares
-/// capacity rows only for those edges and the seed routes' — about 2,500
-/// of a k=16 fat-tree's 6,144 edges for 40 flows, under 200 of 768 in an
-/// online k=8 epoch whose flows are mostly committed. Rows are never
-/// created lazily: every row a generated column attaches to exists from
-/// the start.
+/// The oracle pays for each flow's **hop-feasible subgraph**, not for the
+/// fabric: with budget `H`, a search from `src` relaxes an edge `(u, v)`
+/// only if `v` is within the remaining budget of `dst`, and the hop field
+/// to each distinct destination is computed once, before the rounds. The
+/// master pays only for the capacity rows its columns **load**: the builder
+/// writes the seed routes' rows, and a generated route creates each
+/// `(edge, interval)` row it is the first to load, just before the column
+/// that loads it. A row that does not exist prices at dual 0 — also when
+/// an earlier column of the same round created it, since the solution being
+/// priced predates it — which is the dual an empty row would have.
 ///
 /// `pool` persists generated paths across calls: a growing-grid sequence or
 /// an online epoch sequence seeds each master with everything discovered so
@@ -438,78 +492,9 @@ pub fn solve_free_paths_lp_colgen_on_grid(
     chain: &mut WarmChain,
     pool: &mut PathPool,
 ) -> Result<(FreeLpSolution, ColGenStats), LpError> {
-    let nl = grid.count();
-    let g = &instance.graph;
-    let DelayedMaster {
-        model: mut m,
-        mut lp,
-        hop_budget,
-        to_dst,
-    } = DelayedMaster::seed(instance, cfg, grid, pool)?;
-
-    // Pricing tolerance: a column must beat the simplex's own optimality
-    // tolerance to be worth injecting; anything closer to zero is dual
-    // noise on an already-optimal master.
-    let price_tol = coflow_lp::LP_TOL.max(crate::tol::DUAL_EPS);
-
-    // Oracle scratch, retained across pricing rounds: the Bellman–Ford DP
-    // tables (a search leaves them as it found them) and the call tallies.
-    let mut ws = pricing::PathScratch::default();
-
-    let solved = solve_colgen(&mut m, &cfg.solver, chain, MAX_COLGEN_ROUNDS, |sol, m| {
-        // Price each (flow, interval) pair whose dual bound says a path
-        // could conceivably price out — edge prices are nonnegative, so
-        // `base >= -tol` rules a pair out before any search — and inject
-        // each path that does, in flow-then-interval order.
-        let mut added = 0usize;
-        for (_, flat, spec) in instance.flows() {
-            if !is_priced(spec) {
-                continue;
-            }
-            let (sum_row, cmp_row) = lp.flow_rows(flat);
-            let y_sum = sol.dual(sum_row);
-            let y_cmp = sol.dual(cmp_row);
-            for l in lp.first(flat)..nl {
-                let base = -y_sum - lp.grid().lower(l) * y_cmp;
-                if base < -price_tol {
-                    let coeff = spec.size / lp.grid().length(l);
-                    let caps = lp.cap_rows(l);
-                    // An edge without rows is one no column loads: dual 0.
-                    let price = |e: EdgeId| {
-                        caps[e.index()].map_or(0.0, |row| (-sol.dual(row)).max(0.0) * coeff)
-                    };
-                    let found = pricing::cheapest_path_hop_bounded_in(
-                        g,
-                        spec.src,
-                        spec.dst,
-                        &to_dst[&spec.dst],
-                        hop_budget[flat],
-                        price,
-                        &mut ws,
-                    );
-                    let Some((p, w)) = found else {
-                        continue;
-                    };
-                    if base + w < -price_tol {
-                        let sig = pricing::path_signature(&p);
-                        let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
-                        if fresh {
-                            added += lp.add_route(m, flat, pi, &p);
-                        }
-                    }
-                }
-            }
-        }
-        added
-    });
-
-    // Fold the oracle counters (calls, edge relaxations) into the chain's
-    // recorder — before a failed master's error propagates, so the trace
-    // keeps the work of the rounds that did run.
-    chain.obs().merge_counters(&ws.take_counters());
-
-    let (sol, stats) = solved?;
-    Ok((lp.extract(&sol, stats.total_iterations), stats))
+    let mut master = DelayedMaster::seed(instance, grid, pool)?;
+    let (sol, stats) = master.solve(instance, cfg, chain, pool)?;
+    Ok((master.lp.extract(&sol, stats.total_iterations), stats))
 }
 
 #[cfg(test)]
@@ -787,35 +772,57 @@ mod tests {
         Instance::new(t.graph, vec![Coflow::new(1.0, flows)])
     }
 
-    /// The delayed master declares capacity rows for the edges its flows
-    /// can use, not for the fabric — and that is enough: every generated
-    /// route finds its rows (`add_route` panics otherwise) and the optimum
-    /// is the eager one.
+    /// The final delayed master has exactly the capacity rows its columns
+    /// load: every `(edge, interval)` row is loaded by some route of a flow
+    /// with volume in that interval, and every such pair has its row — the
+    /// seed routes' written by the builder, the generated routes' created
+    /// as they attached. The model holds no other row, and the optimum is
+    /// the eager one.
     #[test]
-    fn delayed_master_declares_only_attachable_capacity_rows() {
+    fn delayed_master_has_only_the_capacity_rows_its_columns_load() {
         let inst = fat_tree_contention();
         let cfg = FreePathsLpConfig {
             columns: ColumnMode::Delayed,
             ..Default::default()
         };
         let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
-        let every_row = 3 * inst.flow_count() + inst.graph.edge_count() * grid.count();
-        let master = DelayedMaster::seed(&inst, &cfg, grid.clone(), &mut PathPool::new()).unwrap();
-        let rows = master.model.num_rows();
-        assert!(rows < every_row, "{rows} rows declared of {every_row}");
-        // Hosts 0..4 share a pod, as do hosts 12..16, and every flow goes
-        // from the first to the second: of the 96 directed edges, the
-        // hop-feasible ones are the 4 host, 4 edge-aggregation and 4
-        // aggregation-core links going up and their mirror images down.
-        assert_eq!(inst.graph.edge_count(), 96);
-        let per_interval = (rows - 3 * inst.flow_count()) / grid.count();
-        assert_eq!(per_interval, (4 + 4 + 4) + (4 + 4 + 4));
-
+        let nl = grid.count();
         let mut pool = PathPool::new();
-        let (cg, stats) =
-            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
-                .unwrap();
+        let mut chain = WarmChain::new();
+        let mut master = DelayedMaster::seed(&inst, grid, &mut pool).unwrap();
+        let seeded_rows = master.model.num_rows();
+        let (sol, stats) = master.solve(&inst, &cfg, &mut chain, &mut pool).unwrap();
         assert!(stats.generated_cols > 0, "routes beyond the seeds attached");
+        assert!(
+            master.model.num_rows() > seeded_rows,
+            "generated routes created rows"
+        );
+        let rows: Vec<(usize, EdgeId)> = (0..nl)
+            .flat_map(|l| {
+                let caps = master.lp.cap_rows(l);
+                (0..caps.len())
+                    .filter(move |&e| caps[e].is_some())
+                    .map(move |e| (l, EdgeId(e as u32)))
+            })
+            .collect();
+        assert_eq!(
+            master.model.num_rows(),
+            3 * inst.flow_count() + rows.len(),
+            "no row besides sum/cmp/prec and the recorded capacity rows"
+        );
+        let cg = master.lp.extract(&sol, stats.total_iterations);
+        let mut loaded = std::collections::BTreeSet::new();
+        for ((_, _, spec), routing) in inst.flows().zip(&cg.routing) {
+            let FlowRouting::PathWeights { paths, .. } = routing else {
+                panic!("path LP returned edge flows");
+            };
+            let first = cg.base.grid.first_usable(spec.release);
+            for p in paths.iter().filter(|_| spec.size > 0.0) {
+                loaded.extend((first..nl).flat_map(|l| p.edges.iter().map(move |&e| (l, e))));
+            }
+        }
+        assert_eq!(rows, loaded.into_iter().collect::<Vec<_>>());
+
         let eager = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
@@ -826,9 +833,9 @@ mod tests {
     }
 
     /// Two prescribed flows contending on an edge that no priced flow can
-    /// reach: the edge is on no hop-feasible subgraph, so its capacity rows
-    /// exist only because seed routes count — without them the master
-    /// would let both flows through at once.
+    /// reach: no generated route will ever load it, so its capacity rows
+    /// exist only because the seed routes load them — without them the
+    /// master would let both flows through at once.
     #[test]
     fn prescribed_flows_contend_outside_every_priced_subgraph() {
         use coflow_net::graph::{Graph, NodeId as N};
@@ -869,33 +876,6 @@ mod tests {
             contending > apart + 0.5,
             "sharing the edge must delay a coflow: {contending} vs {apart}"
         );
-    }
-
-    /// A flow frozen at size 0 (completed, in an online residual) loads
-    /// nothing, but its route keeps its capacity rows: the row set must not
-    /// change at every completion, or the row indices a warm start
-    /// remembers would shift with it.
-    #[test]
-    fn frozen_flow_routes_keep_their_capacity_rows() {
-        use coflow_net::graph::{Graph, NodeId as N};
-        let mut g = Graph::with_nodes(4);
-        let done = g.add_edge(N(0), N(1), 1.0);
-        let idle = g.add_edge(N(1), N(0), 1.0);
-        let live = g.add_edge(N(2), N(3), 1.0);
-        let frozen = FlowSpec::with_path(N(0), N(1), 0.0, 0.0, Path::new(vec![done]));
-        let inst = Instance::new(
-            g,
-            vec![Coflow::new(
-                1.0,
-                vec![frozen, FlowSpec::new(N(2), N(3), 1.0, 0.0)],
-            )],
-        );
-        let cfg = FreePathsLpConfig::default();
-        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
-        let master = DelayedMaster::seed(&inst, &cfg, grid, &mut PathPool::new()).unwrap();
-        let rows = master.lp.cap_rows(0);
-        assert!(rows[done.index()].is_some() && rows[live.index()].is_some());
-        assert!(rows[idle.index()].is_none(), "no route, no priced subgraph");
     }
 
     /// A master that fails after pricing has run must not take the oracle's

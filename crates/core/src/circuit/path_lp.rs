@@ -22,11 +22,11 @@
 //!
 //! The two column modes differ only in which capacity rows exist
 //! ([`CapRows`]): the eager model keeps the rows that can bind over its
-//! complete column set; the delayed master declares, up front, a row per
-//! interval for every edge a column can *ever* attach to — the edges of its
-//! seed routes and the hop-feasible subgraph of each flow it prices — and
-//! none for the rest of the fabric, so its size follows what the flows can
-//! use, not the network.
+//! complete column set; the delayed master has exactly the rows its columns
+//! load — the builder writes those of the seed routes, and
+//! [`PathLp::add_route`] creates each further `(edge, interval)` row when a
+//! generated route is the first to load it — so its size follows what the
+//! columns use, not the network.
 
 use crate::circuit::lp_free::{FlowRouting, FreeLpSolution};
 use crate::circuit::lp_given::CircuitLpSolution;
@@ -57,7 +57,7 @@ pub(crate) fn coflow_completion_vars(m: &mut Model, instance: &Instance) -> Vec<
         .map(|(i, c)| {
             let r = c.earliest_release();
             let lb = if r.is_finite() { r.max(0.0) } else { 0.0 };
-            m.add_var(c.weight, lb, f64::INFINITY, format!("C{i}"))
+            m.add_var(c.weight, lb, f64::INFINITY, format_args!("C{i}"))
         })
         .collect()
 }
@@ -73,15 +73,15 @@ pub(crate) fn add_flow_rows(
     cols: &[(VarId, usize)],
 ) -> (RowId, RowId) {
     let terms: Vec<_> = cols.iter().map(|&(v, _)| (v, 1.0)).collect();
-    let sum = m.add_row_named(Cmp::Eq, 1.0, &terms, format!("sum{flat}"));
+    let sum = m.add_row_named(Cmp::Eq, 1.0, &terms, format_args!("sum{flat}"));
     let mut terms: Vec<_> = cols.iter().map(|&(v, l)| (v, grid.lower(l))).collect();
     terms.push((c_flow, -1.0));
-    let cmp = m.add_row_named(Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
+    let cmp = m.add_row_named(Cmp::Le, 0.0, &terms, format_args!("cmp{flat}"));
     m.add_row_named(
         Cmp::Le,
         0.0,
         &[(c_flow, 1.0), (c_coflow, -1.0)],
-        format!("prec{flat}"),
+        format_args!("prec{flat}"),
     );
     (sum, cmp)
 }
@@ -95,7 +95,7 @@ pub(crate) fn add_cap_row(
     terms: &[(VarId, f64)],
 ) -> RowId {
     let cap = g.capacity(EdgeId(ei as u32));
-    m.add_row_named(Cmp::Le, cap, terms, format!("cap{ei}:{l}"))
+    m.add_row_named(Cmp::Le, cap, terms, format_args!("cap{ei}:{l}"))
 }
 
 /// Reads the completion-fraction view off a solved interval LP.
@@ -123,23 +123,15 @@ pub(crate) enum CapRows {
     /// Only rows that could bind: `x ∈ [0,1]`, so a row whose coefficients
     /// sum to at most the capacity is redundant.
     Binding,
-    /// The delayed master's rows: in every interval, one row — empty ones
-    /// included — for each edge a column can ever attach to, so that
-    /// columns generated later have their rows and every potentially
-    /// binding constraint exposes a dual. Those edges are the ones on a
-    /// listed route (prescribed paths too: two committed flows contend
-    /// wherever they meet) and the ones marked here, `attachable[e]`: the
-    /// hop-feasible subgraphs of the flows the caller will price. No other
-    /// edge gets a row. No column, present or generated, can touch one, so
-    /// presolve would drop it at every solve; the rows that remain keep
-    /// their relative order, and the working LP is the same.
-    ///
-    /// A route counts whatever its flow's size: an online residual keeps a
-    /// completed flow frozen at size 0 on its path, and while its edges
-    /// keep their rows the row set — and with it every row index a
-    /// [`coflow_lp::Basis`] remembers — changes only when a flow is
-    /// admitted or commits to a path, not at each completion.
-    Attachable(Vec<bool>),
+    /// The delayed master's rows: every row a listed route loads, bindable
+    /// or not (prescribed paths too: two committed flows contend wherever
+    /// they meet), recorded so that [`PathLp::add_route`] can extend them.
+    /// A row no column loads is not written: it could not bind and would
+    /// report dual 0, which is what pricing reads for a row that does not
+    /// exist. `add_route` creates it when a generated route first loads
+    /// it. A [`coflow_lp::Basis`] maps rows by name, so a row that appears
+    /// between two solves is just a new row to a warm start.
+    Loaded,
 }
 
 /// The columns of one flow on one route: `vars[k]` is interval `first + k`.
@@ -165,8 +157,8 @@ pub(crate) struct PathLp {
     c_cof: Vec<VarId>,
     flows: Vec<FlowCols>,
     /// `cap[l * edge_count + e]`, interval-major like the rows themselves,
-    /// `None` for an edge without rows; recorded under
-    /// [`CapRows::Attachable`] only (no column is ever added to a pruned
+    /// `None` while no column loads edge `e` in interval `l`; recorded
+    /// under [`CapRows::Loaded`] only (no column is ever added to a pruned
     /// model).
     cap: Vec<Option<RowId>>,
     edge_count: usize,
@@ -202,14 +194,14 @@ impl PathLp {
             if routes.is_empty() {
                 return Err(no_path(flat));
             }
-            let c = m.add_var(0.0, spec.release, f64::INFINITY, format!("c{flat}"));
+            let c = m.add_var(0.0, spec.release, f64::INFINITY, format_args!("c{flat}"));
             let first = grid.first_usable(spec.release);
             let routes: Vec<RouteCols> = routes
                 .into_iter()
                 .map(|(pi, path)| RouteCols {
                     path,
                     vars: (first..nl)
-                        .map(|l| m.add_unit(0.0, format!("x{flat}:{pi}:{l}")))
+                        .map(|l| m.add_unit(0.0, format_args!("x{flat}:{pi}:{l}")))
                         .collect(),
                 })
                 .collect();
@@ -230,26 +222,13 @@ impl PathLp {
         }
 
         let ne = g.edge_count();
-        // The delayed master's edges with rows: the marked ones plus every
-        // edge of a listed route.
-        let declared = match caps {
-            CapRows::Binding => None,
-            CapRows::Attachable(mut edges) => {
-                assert_eq!(edges.len(), ne, "one mark per edge");
-                for e in flows
-                    .iter()
-                    .flat_map(|f| f.routes.iter())
-                    .flat_map(|r| r.path.edges.iter())
-                {
-                    edges[e.index()] = true;
-                }
-                Some(edges)
-            }
+        let mut cap = match caps {
+            CapRows::Binding => Vec::new(),
+            CapRows::Loaded => vec![None; nl * ne],
         };
-        let mut cap = Vec::new();
+        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
         for l in 0..nl {
             let len = grid.length(l);
-            let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
             for f in flows.iter().filter(|f| f.size > 0.0 && f.first <= l) {
                 let coeff = f.size / len;
                 for r in &f.routes {
@@ -258,18 +237,22 @@ impl PathLp {
                     }
                 }
             }
-            for (ei, terms) in per_edge.iter().enumerate() {
-                match &declared {
-                    Some(edges) => {
-                        cap.push(edges[ei].then(|| add_cap_row(&mut m, g, ei, l, terms)));
+            for (ei, terms) in per_edge.iter_mut().enumerate() {
+                if terms.is_empty() {
+                    continue;
+                }
+                match caps {
+                    CapRows::Loaded => {
+                        cap[l * ne + ei] = Some(add_cap_row(&mut m, g, ei, l, terms))
                     }
-                    None => {
+                    CapRows::Binding => {
                         let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
-                        if !terms.is_empty() && max_lhs > g.capacity(EdgeId(ei as u32)) {
+                        if max_lhs > g.capacity(EdgeId(ei as u32)) {
                             add_cap_row(&mut m, g, ei, l, terms);
                         }
                     }
                 }
+                terms.clear();
             }
         }
 
@@ -298,39 +281,43 @@ impl PathLp {
         (self.flows[flat].sum, self.flows[flat].cmp)
     }
 
-    /// Interval `l`'s capacity rows in a [`CapRows::Attachable`] model,
-    /// indexed by edge; `None` where the edge has no rows.
+    /// Interval `l`'s capacity rows in a [`CapRows::Loaded`] model,
+    /// indexed by edge; `None` where no column loads the edge yet.
     pub(crate) fn cap_rows(&self, l: usize) -> &[Option<RowId>] {
         &self.cap[l * self.edge_count..(l + 1) * self.edge_count]
     }
 
-    /// Appends route `(id, path)` of flow `flat` to a
-    /// [`CapRows::Attachable`] model, one column per usable interval;
-    /// returns how many.
-    ///
-    /// # Panics
-    /// If the route uses an edge without capacity rows: it left the
-    /// subgraph the caller declared for its flow.
-    pub(crate) fn add_route(&mut self, m: &mut Model, flat: usize, id: u32, path: &Path) -> usize {
+    /// Appends route `(id, path)` of flow `flat` to a [`CapRows::Loaded`]
+    /// model, one column per usable interval; returns how many. A capacity
+    /// row the route is the first to load is created, empty, just before
+    /// the column that loads it.
+    pub(crate) fn add_route(
+        &mut self,
+        m: &mut Model,
+        g: &Graph,
+        flat: usize,
+        id: u32,
+        path: &Path,
+    ) -> usize {
         let nl = self.grid.count();
+        let ne = self.edge_count;
         let f = &self.flows[flat];
-        let vars: Vec<VarId> = (f.first..nl)
-            .map(|l| {
-                let mut terms: Vec<(RowId, f64)> = Vec::with_capacity(2 + path.len());
-                terms.push((f.sum, 1.0));
-                terms.push((f.cmp, self.grid.lower(l)));
-                if f.size > 0.0 {
-                    let coeff = f.size / self.grid.length(l);
-                    let caps = self.cap_rows(l);
-                    terms.extend(path.edges.iter().map(|e| {
-                        // lint: allow(no_panic) — the oracle relaxes only edges inside the subgraph declared at build
-                        let row = caps[e.index()].expect("route leaves its declared edges");
-                        (row, coeff)
-                    }));
+        let mut vars = Vec::with_capacity(nl - f.first);
+        let mut terms: Vec<(RowId, f64)> = Vec::with_capacity(2 + path.len());
+        for l in f.first..nl {
+            terms.clear();
+            terms.push((f.sum, 1.0));
+            terms.push((f.cmp, self.grid.lower(l)));
+            if f.size > 0.0 {
+                let coeff = f.size / self.grid.length(l);
+                for e in path.edges.iter() {
+                    let row = *self.cap[l * ne + e.index()]
+                        .get_or_insert_with(|| add_cap_row(m, g, e.index(), l, &[]));
+                    terms.push((row, coeff));
                 }
-                m.add_column(0.0, 0.0, 1.0, format!("x{flat}:{id}:{l}"), &terms)
-            })
-            .collect();
+            }
+            vars.push(m.add_column(0.0, 0.0, 1.0, format_args!("x{flat}:{id}:{l}"), &terms));
+        }
         let added = vars.len();
         self.flows[flat].routes.push(RouteCols {
             path: path.clone(),

@@ -117,7 +117,7 @@ pub fn route_and_schedule(
             0.0,
             earliest_done.max(0.0),
             f64::INFINITY,
-            format!("c{flat}"),
+            format_args!("c{flat}"),
         );
 
         // Dilation (29): a packet using path p can only complete in
@@ -128,7 +128,7 @@ pub fn route_and_schedule(
             .map(|(pi, p)| {
                 let first = grid.first_usable(spec.release.ceil() + p.len() as f64);
                 let vars = (first..nl)
-                    .map(|l| m.add_unit(0.0, format!("x{flat}:{pi}:{l}")))
+                    .map(|l| m.add_unit(0.0, format_args!("x{flat}:{pi}:{l}")))
                     .collect();
                 (first, vars)
             })

@@ -66,7 +66,7 @@ pub fn packet_lp_lower_bound(
             // Queue edges are modeled with infinite capacity; transit
             // edges get a [0,1] variable.
             let ub = 1.0;
-            let v = m.add_var(0.0, 0.0, ub, format!("z{flat}:{e:?}"));
+            let v = m.add_var(0.0, 0.0, ub, format_args!("z{flat}:{e:?}"));
             vars.insert(e.0, v);
         }
         // Conservation: supply 1 at (src, rel); zero at intermediates.
@@ -94,7 +94,7 @@ pub fn packet_lp_lower_bound(
                         coflow_lp::Cmp::Eq,
                         rhs,
                         &terms,
-                        format!("con{flat}:{t}:{}", v.index()),
+                        format_args!("con{flat}:{t}:{}", v.index()),
                     );
                 }
             }
@@ -104,7 +104,7 @@ pub fn packet_lp_lower_bound(
             0.0,
             (rel as f64).max(0.0),
             f64::INFINITY,
-            format!("c{flat}"),
+            format_args!("c{flat}"),
         );
         let mut terms: Vec<(VarId, f64)> = Vec::new();
         for t in rel + 1..=horizon {
@@ -119,13 +119,13 @@ pub fn packet_lp_lower_bound(
             }
         }
         terms.push((cf, -1.0));
-        m.add_row_named(coflow_lp::Cmp::Le, 0.0, &terms, format!("cmp{flat}"));
+        m.add_row_named(coflow_lp::Cmp::Le, 0.0, &terms, format_args!("cmp{flat}"));
         // (27) coflow precedence.
         m.add_row_named(
             coflow_lp::Cmp::Le,
             0.0,
             &[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)],
-            format!("prec{flat}"),
+            format_args!("prec{flat}"),
         );
         z.push(vars);
     }
@@ -142,7 +142,7 @@ pub fn packet_lp_lower_bound(
             }
         }
         if terms.len() > 1 {
-            m.add_row_named(coflow_lp::Cmp::Le, 1.0, &terms, format!("cap{}", e.0));
+            m.add_row_named(coflow_lp::Cmp::Le, 1.0, &terms, format_args!("cap{}", e.0));
         }
     }
 

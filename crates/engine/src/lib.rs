@@ -139,6 +139,40 @@ mod tests {
         assert!(out.schedule.check(&routed, 1e-6, 1e-6).is_empty());
     }
 
+    /// Column generation across completions: a completed flow stays in the
+    /// residual frozen at size 0 on its path, loads nothing, and so its
+    /// capacity rows leave the next master while the flows that share them
+    /// stay. Snapshots map rows by name, so every warm start the chain
+    /// offers — epoch to epoch and round to round — is accepted.
+    #[test]
+    fn colgen_warm_starts_survive_completions() {
+        let t = topo::fat_tree(4, 1.0);
+        let h = &t.hosts;
+        let flow = |s: usize, d: usize, size: f64, r: f64| FlowSpec::new(h[s], h[d], size, r);
+        let inst = Instance::new(
+            t.graph,
+            vec![
+                Coflow::new(1.0, vec![flow(0, 15, 1.0, 0.0), flow(1, 14, 3.0, 0.0)]),
+                Coflow::new(2.0, vec![flow(2, 13, 2.0, 0.0), flow(4, 11, 4.0, 0.5)]),
+                Coflow::new(1.0, vec![flow(0, 12, 2.0, 1.5), flow(3, 15, 1.0, 2.5)]),
+                Coflow::new(3.0, vec![flow(5, 10, 3.0, 3.0)]),
+            ],
+        );
+        let mut pol = LpOrder::colgen(Default::default(), Default::default());
+        let out = run(&inst, &mut pol, &EngineConfig::default());
+        let completions_then_solves = out
+            .engine
+            .epoch_log
+            .windows(2)
+            .any(|w| w[1].solve.is_some() && w[1].live_flows < w[0].live_flows);
+        assert!(completions_then_solves, "a re-solve after a completion");
+        let chain = pol.chain_stats().expect("LpOrder keeps a chain");
+        assert!(chain.warm_attempted > out.engine.epochs, "{chain:?}");
+        assert_eq!(chain.warm_used, chain.warm_attempted, "{chain:?}");
+        let routed = inst.with_paths(&out.paths);
+        assert!(out.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+    }
+
     /// A junk warm basis — here one whose factorization fails, via a fault
     /// hook forcing the warm-start refactorization singular — must be
     /// rejected early in the epoch loop: the solver cold-starts that epoch

@@ -17,12 +17,13 @@
 //!   what a variable the snapshot has never seen gets;
 //! * **every** row of the snapshot's working problem, with whether its slack
 //!   was basic. A related model's row that is *absent* — presolved away back
-//!   then (empty or singleton, e.g. a column-generation capacity row no
-//!   column touched yet) or genuinely new — was satisfied strictly at the
-//!   old optimum, so its slack is implicitly basic: the mapping seeds those
-//!   slacks to keep the implied point exactly at the old optimum instead of
-//!   letting the basis completion cover such rows with structural columns
-//!   and scramble it.
+//!   then (empty, singleton or redundant, e.g. a column-generation capacity
+//!   row its columns could not yet overload) or genuinely new (e.g. the
+//!   capacity row a generated column created on first loading it) — was
+//!   satisfied strictly at the old optimum, so its slack is implicitly
+//!   basic: the mapping seeds those slacks to keep the implied point exactly
+//!   at the old optimum instead of letting the basis completion cover such
+//!   rows with structural columns and scramble it.
 //!
 //! Mapping a snapshot onto a model is a binary search per column and per
 //! row; no name is read, cloned or compared. Rows the mapping leaves

@@ -18,7 +18,10 @@
 //! * [`solve_colgen`] — the restricted-master loop. It is oracle-agnostic:
 //!   the caller supplies a closure that reads the current [`Solution`]'s
 //!   row duals and appends improving columns via [`Model::add_column`],
-//!   returning how many it added (0 terminates the loop).
+//!   returning how many it added (0 terminates the loop). A constraint no
+//!   present column loads need not exist yet: the closure may append it,
+//!   empty, just before the first column that loads it, so a master carries
+//!   only the rows its columns touch.
 //! * [`ColumnPool`] — a persistent, generic interning pool: columns are
 //!   deduplicated by a caller-chosen `u64` signature within a *group*
 //!   (one group per flow at the call sites), and every interned item gets
@@ -171,10 +174,11 @@ pub struct ColGenStats {
 
 /// Solves `model` by delayed column generation.
 ///
-/// `model` is the seeded restricted master (rows complete, columns
-/// restricted); `price` inspects the current optimal [`Solution`] — its
-/// `duals` in particular — and appends improving columns to the model via
-/// [`Model::add_column`], returning how many it added. The loop re-solves
+/// `model` is the seeded restricted master (columns restricted, and rows
+/// too where no column loads them yet); `price` inspects the current
+/// optimal [`Solution`] — its `duals` in particular — and appends improving
+/// columns to the model via [`Model::add_column`], returning how many it
+/// added. The loop re-solves
 /// (warm-started through `chain`, since the master only grows and names are
 /// stable) until the oracle adds nothing or `max_rounds` is reached, and
 /// returns the last solution together with [`ColGenStats`].
@@ -188,14 +192,20 @@ pub struct ColGenStats {
 /// path).
 ///
 /// Correctness contract for `price`:
-/// * it must only **add columns** (never rows — asserted) and never add a
-///   column that is already present, or the loop cannot terminate;
+/// * it may append **columns**, and **rows that only those new columns
+///   load** — a constraint no earlier column touches, such as a capacity
+///   row created when a generated column first loads it (asserted); it
+///   must never add a column that is already present, or the loop cannot
+///   terminate;
+/// * a row created after the solution it reads has no entry in its
+///   `duals` and prices at 0: no column that solution saw loads it;
 /// * returning 0 asserts that no column of the full formulation has a
 ///   negative reduced cost, i.e. the restricted optimum is the full
 ///   optimum.
 ///
 /// # Panics
-/// If `price` changes the model's row count.
+/// If `price` gives a coefficient to a column that existed before the
+/// round.
 pub fn solve_colgen(
     model: &mut Model,
     opts: &SolverOptions,
@@ -253,7 +263,7 @@ pub fn solve_colgen(
             stats.final_cols = model.num_vars();
             return Ok((sol, stats));
         }
-        let rows_before = model.num_rows();
+        let (cols_before, terms_before) = (model.num_vars(), model.triplets.len());
         chain.obs().enter(SpanName::Oracle);
         let added = if let ColgenFault::PerturbDuals(eps) = fault {
             let mut noisy = sol.clone();
@@ -265,10 +275,11 @@ pub fn solve_colgen(
         let oracle = chain.obs().exit();
         stats.pricing_ms += chain.obs().mode().to_ms(oracle.dur);
         chain.obs().exit();
-        assert_eq!(
-            model.num_rows(),
-            rows_before,
-            "pricing oracles may only add columns"
+        assert!(
+            model.triplets[terms_before..]
+                .iter()
+                .all(|&(_, c, _)| c as usize >= cols_before),
+            "pricing oracles may only add columns, and rows that only those columns load"
         );
         stats.generated_cols += added;
         if added == 0 {
@@ -403,6 +414,107 @@ mod tests {
         );
         assert!(stats.rounds >= 2, "pricing must have fired");
         assert_eq!(chain.stats().solves, stats.rounds);
+    }
+
+    /// An oracle may create a row together with the columns that load it:
+    /// here the restricted master starts with no demand-cap rows at all,
+    /// and each capacity row is appended just before the first generated
+    /// column that loads it — a row the solution being priced does not
+    /// know reads as dual 0. The loop still reaches the eager optimum.
+    #[test]
+    fn oracle_may_add_rows_only_its_new_columns_load() {
+        let n = 6usize;
+        let cost = |i: usize, j: usize| ((i * 5 + j * 11) % 7) as f64 + 1.0;
+        let cap = 1.5;
+
+        let mut full = Model::new();
+        let vars: Vec<Vec<_>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| full.add_nonneg(cost(i, j), format_args!("x{i}_{j}")))
+                    .collect()
+            })
+            .collect();
+        for row in &vars {
+            let terms: Vec<_> = row.iter().map(|&v| (v, 1.0)).collect();
+            full.add_row(Cmp::Eq, 1.0, &terms);
+        }
+        for j in 0..n {
+            let terms: Vec<_> = (0..n).map(|i| (vars[i][j], 1.0)).collect();
+            full.add_row_named(Cmp::Le, cap, &terms, format_args!("cap{j}"));
+        }
+        let eager = full.solve().unwrap();
+
+        // Seed: one expensive slack column per supply row, so pricing must
+        // fire; no capacity row exists yet.
+        let mut m = Model::new();
+        let supply: Vec<_> = (0..n).map(|_| m.add_row(Cmp::Eq, 1.0, &[])).collect();
+        for (i, &r) in supply.iter().enumerate() {
+            m.add_column(100.0, 0.0, f64::INFINITY, format_args!("s{i}"), &[(r, 1.0)]);
+        }
+        let mut caps: Vec<Option<crate::RowId>> = vec![None; n];
+        let mut present = std::collections::HashSet::new();
+        let (sol, stats) = solve_colgen(
+            &mut m,
+            &SolverOptions::default(),
+            &mut WarmChain::new(),
+            100,
+            |sol, m| {
+                let mut added = 0;
+                for i in 0..n {
+                    for j in 0..n {
+                        let y_cap = caps[j]
+                            .and_then(|r| sol.duals.get(r.index()))
+                            .map_or(0.0, |&y| y);
+                        let d = cost(i, j) - sol.dual(supply[i]) - y_cap;
+                        if d < -1e-9 && present.insert((i, j)) {
+                            let row = *caps[j].get_or_insert_with(|| {
+                                m.add_row_named(Cmp::Le, cap, &[], format_args!("cap{j}"))
+                            });
+                            m.add_column(
+                                cost(i, j),
+                                0.0,
+                                f64::INFINITY,
+                                format_args!("x{i}_{j}"),
+                                &[(supply[i], 1.0), (row, 1.0)],
+                            );
+                            added += 1;
+                        }
+                    }
+                }
+                added
+            },
+        )
+        .unwrap();
+        assert!(stats.converged && stats.rounds >= 2);
+        assert!(
+            (sol.objective - eager.objective).abs() < 1e-7,
+            "colgen {} vs eager {}",
+            sol.objective,
+            eager.objective
+        );
+        assert_eq!(m.num_rows(), n + caps.iter().flatten().count());
+    }
+
+    /// A row that loads a column of an earlier round changes what that
+    /// round's optimum meant: the loop refuses it.
+    #[test]
+    #[should_panic(expected = "pricing oracles may only add columns")]
+    fn oracle_may_not_give_an_existing_column_a_term() {
+        let mut m = Model::new();
+        let r = m.add_row(Cmp::Ge, 1.0, &[]);
+        let x = m.add_column(2.0, 0.0, f64::INFINITY, "a", &[(r, 1.0)]);
+        let _ = solve_colgen(
+            &mut m,
+            &SolverOptions::default(),
+            &mut WarmChain::new(),
+            4,
+            |_, m| {
+                let y = m.add_column(1.0, 0.0, f64::INFINITY, "b", &[(r, 1.0)]);
+                m.add_row(Cmp::Le, 1.0, &[(x, 1.0), (y, 1.0)]);
+                1
+            },
+        );
     }
 
     /// A master solve that exhausts the recovery ladder surfaces as

@@ -173,22 +173,44 @@ impl SolverOptions {
 }
 
 /// The integer identity a [`Basis`] snapshot knows a column or row by,
-/// computed once at insertion: FNV-1a over the name's bytes through the
-/// splitmix64 finisher (a fixed function — no `RandomState` — so keys and
-/// everything downstream of them are the same in every run), with the top
-/// bit set. An empty name is anonymous and keyed by its `index` with
+/// computed once at insertion: FNV-1a over the name's formatted bytes
+/// through the splitmix64 finisher (a fixed function — no `RandomState` — so
+/// keys and everything downstream of them are the same in every run), with
+/// the top bit set. The name is hashed as it is formatted, never collected
+/// into a `String`; `format_args!("x{i}")` keys exactly as the text it
+/// formats to. A name that writes no bytes is anonymous and keyed by its `index` with
 /// the top bit clear, so anonymous entries keep their identity exactly while
 /// a related model keeps them at the same position (prefix growth).
-pub(crate) fn key_of(name: &str, index: usize) -> u64 {
+pub(crate) fn key_of(name: impl fmt::Display, index: usize) -> u64 {
     const NAMED: u64 = 1 << 63;
-    if name.is_empty() {
+    let mut sink = Fnv1a {
+        hash: 0xCBF2_9CE4_8422_2325,
+        named: false,
+    };
+    // Writing into `Fnv1a` cannot fail; only a `Display` impl that
+    // reports an error could, and its bytes so far are still a key.
+    let _ = fmt::write(&mut sink, format_args!("{name}"));
+    if !sink.named {
         return index as u64 & !NAMED;
     }
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in name.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    simplex::splitmix64(sink.hash) | NAMED
+}
+
+/// The FNV-1a state [`key_of`] feeds a name's formatted bytes into.
+struct Fnv1a {
+    hash: u64,
+    /// Whether any byte was written.
+    named: bool,
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.named |= !s.is_empty();
+        for &b in s.as_bytes() {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
     }
-    simplex::splitmix64(h) | NAMED
 }
 
 /// A variable's static data.
@@ -236,11 +258,13 @@ impl Model {
     }
 
     /// Adds a variable with objective coefficient `cost` and bounds
-    /// `[lb, ub]`; returns its id.
+    /// `[lb, ub]`; returns its id. `name` is hashed into the column's key
+    /// as it is formatted — a `format_args!` name allocates nothing — and
+    /// one that formats to nothing leaves the column anonymous.
     ///
     /// # Panics
     /// If `lb` is not finite, `lb > ub`, or `cost` is not finite.
-    pub fn add_var(&mut self, cost: f64, lb: f64, ub: f64, name: impl Into<String>) -> VarId {
+    pub fn add_var(&mut self, cost: f64, lb: f64, ub: f64, name: impl fmt::Display) -> VarId {
         assert!(lb.is_finite(), "lower bound must be finite");
         assert!(!ub.is_nan() && ub >= lb, "need lb <= ub, got [{lb}, {ub}]");
         assert!(cost.is_finite(), "cost must be finite");
@@ -249,18 +273,18 @@ impl Model {
             cost,
             lb,
             ub,
-            key: key_of(&Into::<String>::into(name), id.index()),
+            key: key_of(name, id.index()),
         });
         id
     }
 
     /// Shorthand for a `[0, inf)` variable.
-    pub fn add_nonneg(&mut self, cost: f64, name: impl Into<String>) -> VarId {
+    pub fn add_nonneg(&mut self, cost: f64, name: impl fmt::Display) -> VarId {
         self.add_var(cost, 0.0, f64::INFINITY, name)
     }
 
     /// Shorthand for a `[0, 1]` variable.
-    pub fn add_unit(&mut self, cost: f64, name: impl Into<String>) -> VarId {
+    pub fn add_unit(&mut self, cost: f64, name: impl fmt::Display) -> VarId {
         self.add_var(cost, 0.0, 1.0, name)
     }
 
@@ -281,7 +305,7 @@ impl Model {
     /// # Panics
     /// If `rhs` or any coefficient is not finite, or a var id is invalid.
     pub fn add_row(&mut self, cmp: Cmp, rhs: f64, terms: &[(VarId, f64)]) -> RowId {
-        self.add_row_named(cmp, rhs, terms, String::new())
+        self.add_row_named(cmp, rhs, terms, "")
     }
 
     /// [`Model::add_row`] with a stable row name. Naming a row lets basis
@@ -293,14 +317,14 @@ impl Model {
         cmp: Cmp,
         rhs: f64,
         terms: &[(VarId, f64)],
-        name: impl Into<String>,
+        name: impl fmt::Display,
     ) -> RowId {
         assert!(rhs.is_finite(), "rhs must be finite");
         let id = RowId(self.rows.len() as u32);
         self.rows.push(Row {
             cmp,
             rhs,
-            key: key_of(&Into::<String>::into(name), id.index()),
+            key: key_of(name, id.index()),
         });
         let start = self.triplets.len();
         for &(v, c) in terms {
@@ -349,7 +373,7 @@ impl Model {
         cost: f64,
         lb: f64,
         ub: f64,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         terms: &[(RowId, f64)],
     ) -> VarId {
         let v = self.add_var(cost, lb, ub, name);
@@ -720,6 +744,58 @@ mod tests {
         }
         assert_eq!(key_of("", 7), 7);
         assert_ne!(key_of("7", 0), 7);
+        // Names are hashed as they are formatted: a `format_args!` name keys
+        // exactly as its text does, for every shape the builders write, and
+        // one that formats to nothing is anonymous.
+        let (flat, id, l, e, v) = (17usize, 3u32, 9usize, VarId(42), 7usize);
+        let shapes = [
+            (key_of(format_args!("C{flat}"), 0), format!("C{flat}")),
+            (key_of(format_args!("c{flat}"), 0), format!("c{flat}")),
+            (
+                key_of(format_args!("x{flat}:{id}:{l}"), 0),
+                format!("x{flat}:{id}:{l}"),
+            ),
+            (
+                key_of(format_args!("x{flat}:{l}"), 0),
+                format!("x{flat}:{l}"),
+            ),
+            (
+                key_of(format_args!("y{flat}:{l}:{e:?}"), 0),
+                format!("y{flat}:{l}:{e:?}"),
+            ),
+            (
+                key_of(format_args!("z{flat}:{e:?}"), 0),
+                format!("z{flat}:{e:?}"),
+            ),
+            (key_of(format_args!("sum{flat}"), 0), format!("sum{flat}")),
+            (key_of(format_args!("cmp{flat}"), 0), format!("cmp{flat}")),
+            (key_of(format_args!("prec{flat}"), 0), format!("prec{flat}")),
+            (
+                key_of(format_args!("con{flat}:{l}:{v}"), 0),
+                format!("con{flat}:{l}:{v}"),
+            ),
+            (key_of(format_args!("cap{v}:{l}"), 0), format!("cap{v}:{l}")),
+            (key_of(format_args!("cap{v}"), 0), format!("cap{v}")),
+            (
+                key_of(format_args!("x{flat}_{l}"), 0),
+                format!("x{flat}_{l}"),
+            ),
+        ];
+        for (formatted, text) in &shapes {
+            assert_eq!(*formatted, key_of(text.as_str(), 0), "{text}");
+            assert_eq!(*formatted, key_of(text, 0), "{text}");
+        }
+        // FNV-1a + splitmix64 of the bytes, as computed from the text alone.
+        assert_eq!(
+            key_of(format_args!("cap{v}:{}", 3), 0),
+            0xD399_C034_9B97_F80B
+        );
+        assert_eq!(
+            key_of(format_args!("x{flat}:{id}:{l}"), 0),
+            0xF5A3_9E00_35D4_E56F
+        );
+        assert_eq!(key_of(format_args!(""), 7), key_of("", 7));
+        assert_eq!(key_of(format_args!("{}", ""), 7), 7);
     }
 
     #[test]

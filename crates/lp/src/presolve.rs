@@ -273,9 +273,8 @@ pub fn presolve(m: &Model) -> Result<Presolved, LpError> {
     // is dropped before it inflates the working basis. This is the
     // presolve-level form of the redundant-capacity-row pruning the eager
     // LP builders do at build time, and it is what keeps delayed-column-
-    // generation masters small: their capacity rows are created up front,
-    // for every interval of every edge a column may ever load, but only
-    // the bindable ones survive. One pass after
+    // generation masters small: they write every capacity row a column
+    // loads, but only the bindable ones survive. One pass after
     // the fixpoint suffices (bounds only tighten there, and tightening
     // can only make more rows redundant, never fewer — rows examined here
     // use the final bounds).

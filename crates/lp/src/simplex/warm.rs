@@ -56,9 +56,9 @@ impl State {
         }
         // Slacks: basic when the snapshot remembers the row's slack as basic,
         // and also when the row is absent from the snapshot's working problem —
-        // presolved away back then (a colgen capacity row no column touched
-        // yet) or genuinely new — because such a row was satisfied strictly at
-        // the old optimum. Seeding its slack keeps the mapped basis's implied
+        // presolved away back then (a colgen capacity row that could not bind
+        // yet) or genuinely new (one a generated column created) — because
+        // such a row was satisfied strictly at the old optimum. Seeding its slack keeps the mapped basis's implied
         // point exactly at the old optimum; without it the completion may cover
         // the row with a structural column and scramble every basic value.
         for (&slack, &r) in self.slack_of_row.iter().zip(&self.kept_rows) {

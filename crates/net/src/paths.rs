@@ -38,26 +38,6 @@ pub fn bfs_shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
     None
 }
 
-/// Hop distances (BFS levels) from `src` to every node; `usize::MAX` marks
-/// unreachable nodes.
-pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.node_count()];
-    dist[src.index()] = 0;
-    let mut q = VecDeque::new();
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        let du = dist[u.index()];
-        for &e in g.out_edges(u) {
-            let v = g.edge_dst(e);
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = du + 1;
-                q.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 fn reconstruct(g: &Graph, pred: &[Option<EdgeId>], src: NodeId, dst: NodeId) -> Path {
     let mut edges = Vec::new();
     let mut cur = dst;
@@ -315,15 +295,6 @@ mod tests {
         let mut g = Graph::with_nodes(2);
         g.add_edge(NodeId(1), NodeId(0), 1.0);
         assert!(bfs_shortest_path(&g, NodeId(0), NodeId(1)).is_none());
-    }
-
-    #[test]
-    fn bfs_distances_levels() {
-        let t = topo::line(4, 1.0);
-        let d = bfs_distances(&t.graph, NodeId(0));
-        assert_eq!(d, vec![0, 1, 2, 3]);
-        let d = bfs_distances(&t.graph, NodeId(3));
-        assert_eq!(d[0], usize::MAX, "line is directed");
     }
 
     #[test]
