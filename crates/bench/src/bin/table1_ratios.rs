@@ -17,12 +17,16 @@
 
 use coflow_bench::{print_table, write_csv, CommonArgs};
 use coflow_core::bounds;
-use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};
+use coflow_core::circuit::lp_free::{
+    solve_free_paths_lp_colgen_on_grid, FreePathsLpConfig, PathPool,
+};
 use coflow_core::circuit::lp_given::{solve_given_paths_lp, GivenPathsLpConfig};
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig};
 use coflow_core::circuit::round_given::{round_given_paths, RoundingConfig};
 use coflow_core::packet::free::{route_and_schedule, PacketFreeConfig};
 use coflow_core::packet::jobshop::{schedule_given_paths, PacketConfig};
+use coflow_core::IntervalGrid;
+use coflow_lp::WarmChain;
 use coflow_net::{paths as netpaths, topo};
 use coflow_workloads::gen::{generate, generate_packets, GenConfig};
 
@@ -78,9 +82,14 @@ fn main() {
         });
     }
 
-    // --- Circuit, paths not given (§2.2, bound O(log E / log log E)).
+    // --- Circuit, paths not given (§2.2, bound O(log E / log log E)). The
+    // LP is the paper's (15)–(23): column generation over every simple path.
     {
         let t = topo::fat_tree(4, 1.0);
+        let lp_cfg = FreePathsLpConfig {
+            path_slack: t.graph.node_count(),
+            ..Default::default()
+        };
         let mut ratios = Vec::new();
         for trial in 0..trials {
             let cfg = GenConfig {
@@ -91,7 +100,16 @@ fn main() {
                 ..Default::default()
             };
             let inst = generate(&t, &cfg);
-            let lp = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
+            let grid = IntervalGrid::cover(lp_cfg.eps, inst.horizon());
+            let chain = &mut WarmChain::new();
+            let (lp, _) = solve_free_paths_lp_colgen_on_grid(
+                &inst,
+                &lp_cfg,
+                grid,
+                chain,
+                &mut PathPool::new(),
+            )
+            .unwrap();
             let r = round_free_paths(
                 &inst,
                 &lp,

@@ -1,65 +1,44 @@
 //! The interval-indexed LP for circuit coflows **without given paths**
-//! (§2.2, constraints (15)–(23)).
+//! (§2.2, constraints (15)–(23)), solved in path form.
 //!
-//! Two interchangeable formulations are provided:
+//! The paper writes (15)–(23) over edge rates `x^e_{fℓ}`. By the flow
+//! decomposition theorem an edge flow is a sum of simple `src → dst` paths
+//! and cycles, and a cycle delivers nothing, so the same LP over one column
+//! `x_{f,p,ℓ}` per simple path `p` has the same optimum. That path LP is
+//! `circuit::path_lp`'s `PathLp`, over a hop-bounded path space: a flow's
+//! routes have at most `shortest + path_slack` edges. The entry point picks
+//! how its columns appear:
 //!
-//! * [`solve_free_paths_lp_edges`] — the paper's formulation: per flow,
-//!   interval and edge, a rate variable `x^e_{fℓ}` with flow-conservation
-//!   constraints (18)–(20) and shared capacity (21). Exact on any graph;
-//!   size `O(F·L·E)`, so intended for small/medium networks (and used as
-//!   the reference in tests).
-//! * [`solve_free_paths_lp_paths`] — a column (path-based) restriction of
-//!   the same polytope: variables `x_{f,p,ℓ}` over an enumerated candidate
-//!   path set. On fat-trees with all equal-cost shortest paths enumerated,
-//!   every edge-flow solution can be expressed over these columns (§4.3 of
-//!   the paper observes the decomposition returns one path per flow there),
-//!   so the restriction is lossless in the evaluation setting while being
-//!   dramatically smaller. Used by the experiment harness.
+//! * [`solve_free_paths_lp_paths`] and [`solve_free_paths_lp_paths_on_grid`]
+//!   enumerate every candidate path up front
+//!   ([`coflow_net::paths::candidate_paths`], at most `max_paths` per flow);
+//! * [`solve_free_paths_lp_colgen_on_grid`] runs delayed column generation:
+//!   a shortest-path-seeded restricted master grows by the routes an exact
+//!   pricing oracle finds against its duals, with no cap on their number.
 //!
-//! Both produce a [`FreeLpSolution`]: the completion-fraction view shared
-//! with §2.1 plus per-flow fractional routing information consumed by the
-//! rounding step ([`crate::circuit::round_free`]).
+//! Column generation with `path_slack` ≥ node count − 1 solves **the
+//! paper's LP exactly**. Hop budgets clamp to `node_count − 1`, the most
+//! edges a simple path has, so every simple path is admissible, and the
+//! oracle always returns a simple path. Where the eager enumeration is not
+//! capped, both entry points optimize the same polytope.
 //!
-//! The path formulation has one builder, `circuit::path_lp`'s
-//! `PathLp`, in both [`ColumnMode`]s: eager enumeration hands it every
-//! candidate path, the delayed mode hands it the pooled seeds as its
-//! initial restricted master and appends generated columns to the same
-//! rows. A flow with a prescribed path is a one-candidate set, which makes
-//! the §2.1 LP ([`crate::circuit::lp_given`]) the same builder again. The
-//! edge formulation has a different capacity structure (rates per edge,
-//! conservation rows) and stays its own builder; it shares the `C_i`
-//! helper, the per-flow rows and the solution read-back.
+//! Both return a [`FreeLpSolution`]: the completion-fraction view shared
+//! with §2.1 plus each flow's paths and their per-interval weights, which
+//! the rounding step ([`crate::circuit::round_free`]) samples. A flow with a
+//! prescribed path is a one-candidate set, which makes the §2.1 LP
+//! ([`crate::circuit::lp_given`]) the same builder again.
 
 use crate::circuit::lp_given::CircuitLpSolution;
-use crate::circuit::path_lp::{
-    add_cap_row, add_flow_rows, circuit_solution, coflow_completion_vars, no_path, CapRows, PathLp,
-    Routes,
-};
+use crate::circuit::path_lp::{no_path, CapRows, PathLp, Routes};
 use crate::intervals::IntervalGrid;
 use crate::model::{FlowSpec, Instance};
 use coflow_lp::{
-    solve_colgen, Cmp, ColGenStats, ColumnPool, LpError, Model, Solution, SolverOptions, VarId,
-    WarmChain,
+    solve_colgen, ColGenStats, ColumnPool, LpError, Model, Solution, SolverOptions, WarmChain,
 };
 use coflow_net::{paths as netpaths, pricing, EdgeId, NodeId, Path};
 use std::collections::BTreeMap;
 
-/// How the path formulation materializes its columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ColumnMode {
-    /// Enumerate the full candidate set up front
-    /// ([`coflow_net::paths::candidate_paths`]) — the cross-check oracle
-    /// for the delayed mode, whose master is the same builder's model.
-    #[default]
-    Eager,
-    /// Delayed column generation: seed the restricted master with each
-    /// flow's shortest path only and price further paths on demand against
-    /// the master's capacity-row duals (see
-    /// [`solve_free_paths_lp_colgen_on_grid`]).
-    Delayed,
-}
-
-/// Cap on restricted-master solve rounds of the delayed mode: a safety
+/// Cap on restricted-master solve rounds of column generation: a safety
 /// net far above observed round counts, which are single-digit.
 /// [`coflow_lp::Budget::max_colgen_rounds`] tightens it per solve.
 const MAX_COLGEN_ROUNDS: usize = 200;
@@ -77,17 +56,12 @@ pub type PathPool = ColumnPool<Path>;
 pub struct FreePathsLpConfig {
     /// Geometric growth ε (the paper sets ε = 1 here).
     pub eps: f64,
-    /// For the path formulation: allowed extra hops over the shortest path
-    /// when enumerating candidates (0 = equal-cost shortest paths only).
+    /// Allowed extra hops over a flow's shortest path (0 = equal-cost
+    /// shortest paths only). Any value ≥ node count − 1 admits every
+    /// simple path.
     pub path_slack: usize,
-    /// For the path formulation: cap on candidate paths per flow.
+    /// Cap on candidate paths per flow of the eager enumeration.
     pub max_paths: usize,
-    /// Column strategy of the path formulation (eager enumeration vs
-    /// delayed generation). The delayed mode prices over the same
-    /// hop-bounded path space (`shortest + path_slack`), so the two modes
-    /// optimize the same polytope whenever the eager enumeration is
-    /// complete (its `max_paths` cap not hit).
-    pub columns: ColumnMode,
     /// Simplex options.
     pub solver: SolverOptions,
 }
@@ -98,7 +72,6 @@ impl Default for FreePathsLpConfig {
             eps: crate::FREE_PATHS_EPS,
             path_slack: 0,
             max_paths: 32,
-            columns: ColumnMode::default(),
             solver: SolverOptions::default(),
         }
     }
@@ -106,18 +79,11 @@ impl Default for FreePathsLpConfig {
 
 /// Fractional routing of one flow, as returned by the LP.
 #[derive(Clone, Debug)]
-pub enum FlowRouting {
-    /// Edge formulation: per interval, sparse `(edge, rate)` pairs.
-    EdgeFlows(Vec<Vec<(EdgeId, f64)>>),
-    /// Path formulation: candidate paths and `w[path][interval]` completion
-    /// fractions.
-    PathWeights {
-        /// Candidate paths (deterministic order).
-        paths: Vec<Path>,
-        /// `w[p][ℓ]` fraction of the flow completed on path `p` in
-        /// interval `ℓ`.
-        w: Vec<Vec<f64>>,
-    },
+pub struct FlowRouting {
+    /// Candidate paths (deterministic order).
+    pub paths: Vec<Path>,
+    /// `w[p][ℓ]` fraction of the flow completed on path `p` in interval `ℓ`.
+    pub w: Vec<Vec<f64>>,
 }
 
 /// Solution of the §2.2 LP.
@@ -130,142 +96,10 @@ pub struct FreeLpSolution {
     pub routing: Vec<FlowRouting>,
 }
 
-/// Solves the edge-flow formulation (15)–(23).
-///
-/// Rate variables exist only for "useful" edges: edges entering the flow's
-/// source or leaving its destination are omitted (they can only form
-/// circulations, which deliver nothing).
-pub fn solve_free_paths_lp_edges(
-    instance: &Instance,
-    cfg: &FreePathsLpConfig,
-) -> Result<FreeLpSolution, LpError> {
-    let grid = IntervalGrid::cover(cfg.eps, instance.horizon());
-    let nl = grid.count();
-    let nf = instance.flow_count();
-    let g = &instance.graph;
-    let mut m = Model::new();
-    let c_cof = coflow_completion_vars(&mut m, instance);
-
-    /// One flow's columns: `x[k]` and `y[k][j]`, the rate on `useful[j]`,
-    /// belong to interval `first + k`.
-    struct EdgeCols {
-        c: VarId,
-        first: usize,
-        x: Vec<VarId>,
-        useful: Vec<EdgeId>,
-        y: Vec<Vec<VarId>>,
-    }
-    let mut flows: Vec<EdgeCols> = Vec::with_capacity(nf);
-
-    for (id, flat, spec) in instance.flows() {
-        let c = m.add_var(0.0, spec.release, f64::INFINITY, format_args!("c{flat}"));
-        let first = grid.first_usable(spec.release);
-
-        let useful: Vec<EdgeId> = g
-            .edges()
-            .filter(|&e| {
-                let (u, v) = g.endpoints(e);
-                v != spec.src && u != spec.dst && u != v
-            })
-            .collect();
-
-        let x: Vec<VarId> = (first..nl)
-            .map(|l| m.add_unit(0.0, format_args!("x{flat}:{l}")))
-            .collect();
-        let y: Vec<Vec<VarId>> = (first..nl)
-            .map(|l| {
-                useful
-                    .iter()
-                    .map(|e| m.add_nonneg(0.0, format_args!("y{flat}:{l}:{e:?}")))
-                    .collect()
-            })
-            .collect();
-
-        // (15)–(17).
-        let cols: Vec<(VarId, usize)> = x.iter().copied().zip(first..nl).collect();
-        add_flow_rows(&mut m, &grid, flat, c, c_cof[id.coflow as usize], &cols);
-
-        // (18)–(20) conservation per usable interval:
-        // net_out(v) = demand * x for v = src, -demand * x for v = dst,
-        // 0 otherwise.
-        for ((l, &xl), yl) in (first..nl).zip(&x).zip(&y) {
-            let demand_coeff = spec.size / grid.length(l);
-            let mut per_node: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.node_count()];
-            for (&e, &yv) in useful.iter().zip(yl) {
-                let (u, v) = g.endpoints(e);
-                per_node[u.index()].push((yv, 1.0));
-                per_node[v.index()].push((yv, -1.0));
-            }
-            for v in g.nodes() {
-                let mut terms = std::mem::take(&mut per_node[v.index()]);
-                if v == spec.src {
-                    terms.push((xl, -demand_coeff));
-                } else if v == spec.dst {
-                    terms.push((xl, demand_coeff));
-                } else if terms.is_empty() {
-                    continue;
-                }
-                m.add_row_named(
-                    Cmp::Eq,
-                    0.0,
-                    &terms,
-                    format_args!("con{flat}:{l}:{}", v.index()),
-                );
-            }
-        }
-        flows.push(EdgeCols {
-            c,
-            first,
-            x,
-            useful,
-            y,
-        });
-    }
-
-    // (21) capacity per edge and interval.
-    for l in 0..nl {
-        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.edge_count()];
-        for f in flows.iter().filter(|f| f.first <= l) {
-            for (&e, &yv) in f.useful.iter().zip(&f.y[l - f.first]) {
-                per_edge[e.index()].push((yv, 1.0));
-            }
-        }
-        for (ei, terms) in per_edge.iter().enumerate() {
-            if !terms.is_empty() {
-                add_cap_row(&mut m, g, ei, l, terms);
-            }
-        }
-    }
-
-    let sol = m.solve_with(&cfg.solver)?;
-
-    let mut xs = vec![vec![0.0; nl]; nf];
-    let mut routing = Vec::with_capacity(nf);
-    for (f, x) in flows.iter().zip(&mut xs) {
-        let mut per_l: Vec<Vec<(EdgeId, f64)>> = vec![Vec::new(); nl];
-        for ((l, &xl), yl) in (f.first..nl).zip(&f.x).zip(&f.y) {
-            x[l] = sol.value(xl);
-            per_l[l] = (f.useful.iter().zip(yl))
-                .filter_map(|(&e, &v)| {
-                    let val = sol.value(v);
-                    (val > 1e-9).then_some((e, val))
-                })
-                .collect();
-        }
-        routing.push(FlowRouting::EdgeFlows(per_l));
-    }
-
-    let c_flow: Vec<VarId> = flows.iter().map(|f| f.c).collect();
-    Ok(FreeLpSolution {
-        base: circuit_solution(grid, xs, &c_flow, &c_cof, &sol, sol.iterations),
-        routing,
-    })
-}
-
-/// Solves the path-based column restriction of (15)–(23).
+/// Solves the §2.2 path LP over eagerly enumerated candidate paths.
 ///
 /// A flow with no path between its endpoints (disconnected instance) is an
-/// [`LpError::Numerical`], in either [`ColumnMode`].
+/// [`LpError::Numerical`].
 pub fn solve_free_paths_lp_paths(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
@@ -281,22 +115,12 @@ pub fn solve_free_paths_lp_paths(
 /// larger horizon keeps the smaller grid's boundaries as a prefix), so
 /// threading one [`WarmChain`] through a growing sequence reuses each
 /// optimal basis instead of cold-starting every solve.
-///
-/// With [`ColumnMode::Delayed`] the solve runs through
-/// [`solve_free_paths_lp_colgen_on_grid`] with a solve-local [`PathPool`];
-/// sequences that want cross-solve column reuse call the pooled entry point
-/// directly.
 pub fn solve_free_paths_lp_paths_on_grid(
     instance: &Instance,
     cfg: &FreePathsLpConfig,
     grid: IntervalGrid,
     chain: &mut WarmChain,
 ) -> Result<FreeLpSolution, LpError> {
-    if cfg.columns == ColumnMode::Delayed {
-        let mut pool = PathPool::new();
-        return solve_free_paths_lp_colgen_on_grid(instance, cfg, grid, chain, &mut pool)
-            .map(|(sol, _)| sol);
-    }
     // A prescribed path is a one-candidate set; a flow nothing reaches has
     // an empty one, which the builder reports.
     let g = &instance.graph;
@@ -325,8 +149,8 @@ fn is_priced(spec: &FlowSpec) -> bool {
     spec.path.is_none() && spec.size > 0.0
 }
 
-/// The delayed mode's initial restricted master, and what its rounds price
-/// with.
+/// Column generation's initial restricted master, and what its rounds
+/// price with.
 struct DelayedMaster {
     model: Model,
     lp: PathLp,
@@ -404,7 +228,7 @@ impl DelayedMaster {
                     continue;
                 }
                 let to_dst = &self.to_dst[&spec.dst];
-                let hop_budget = to_dst[spec.src.index()] + cfg.path_slack;
+                let hop_budget = netpaths::hop_budget(g, to_dst[spec.src.index()], cfg.path_slack);
                 let (sum_row, cmp_row) = lp.flow_rows(flat);
                 let y_sum = sol.dual(sum_row);
                 let y_cmp = sol.dual(cmp_row);
@@ -461,9 +285,11 @@ impl DelayedMaster {
 /// rows are nonpositive at optimality, so the most negative column per
 /// `(flow, interval)` is exactly a cheapest path under nonnegative edge
 /// prices — a Bellman–Ford call instead of enumeration. The hop
-/// budget mirrors the eager enumeration (`shortest + path_slack`), so both
-/// modes optimize the same polytope whenever the eager candidate set is
-/// complete, and their objectives agree to solver tolerance.
+/// budget is the eager enumeration's ([`coflow_net::paths::hop_budget`]),
+/// so both entry points optimize the same polytope whenever the eager
+/// candidate set is complete, and their objectives agree to solver
+/// tolerance. With `path_slack` ≥ node count − 1 the oracle prices over
+/// every simple path, and the LP is the paper's (15)–(23).
 ///
 /// The oracle pays for each flow's **hop-feasible subgraph**, not for the
 /// fabric: with budget `H`, a search from `src` relaxes an edge `(u, v)`
@@ -505,6 +331,21 @@ mod tests {
     use crate::model::{Coflow, FlowSpec, Instance};
     use coflow_net::topo;
 
+    /// Column generation on a cold chain and a fresh pool.
+    fn colgen(
+        inst: &Instance,
+        cfg: &FreePathsLpConfig,
+    ) -> Result<(FreeLpSolution, ColGenStats), LpError> {
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        solve_free_paths_lp_colgen_on_grid(
+            inst,
+            cfg,
+            grid,
+            &mut WarmChain::new(),
+            &mut PathPool::new(),
+        )
+    }
+
     fn triangle_inst() -> Instance {
         let t = topo::triangle();
         let (x, y, z) = (t.hosts[0], t.hosts[1], t.hosts[2]);
@@ -517,8 +358,8 @@ mod tests {
         )
     }
 
-    /// A flow whose endpoints are disconnected is a typed error in both
-    /// column modes, never a panic.
+    /// A flow whose endpoints are disconnected is a typed error from both
+    /// entry points, never a panic.
     #[test]
     fn disconnected_flow_is_an_error_in_both_column_modes() {
         let mut g = coflow_net::graph::Graph::new();
@@ -531,77 +372,45 @@ mod tests {
                 vec![FlowSpec::new(a, b, 1.0, 0.0), FlowSpec::new(a, c, 1.0, 0.0)],
             )],
         );
-        for columns in [ColumnMode::Eager, ColumnMode::Delayed] {
-            let cfg = FreePathsLpConfig {
-                columns,
-                ..Default::default()
-            };
-            let err = solve_free_paths_lp_paths(&inst, &cfg).unwrap_err();
+        let cfg = FreePathsLpConfig::default();
+        for err in [
+            solve_free_paths_lp_paths(&inst, &cfg).unwrap_err(),
+            colgen(&inst, &cfg).unwrap_err(),
+        ] {
             assert!(
                 matches!(&err, LpError::Numerical(msg) if msg.contains("flow 1 has no path")),
-                "{columns:?}: {err:?}"
+                "{err:?}"
             );
         }
     }
 
+    /// One flow of twice the capacity of its direct edge, on the triangle:
+    /// only by splitting over the direct edge and the 2-hop detour does it
+    /// finish within the first interval. The all-paths LP does; the
+    /// shortest-path LP cannot.
     #[test]
-    fn edge_and_path_formulations_agree_on_triangle() {
-        let inst = triangle_inst();
-        let cfg = FreePathsLpConfig {
-            path_slack: 1,
-            ..Default::default()
-        };
-        let a = solve_free_paths_lp_edges(&inst, &cfg).unwrap();
-        let b = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        // With slack 1 the path set spans everything the edge LP can do on
-        // a triangle, so optima coincide.
-        assert!(
-            (a.base.objective - b.base.objective).abs() < 1e-5,
-            "edge {} vs path {}",
-            a.base.objective,
-            b.base.objective
-        );
-    }
-
-    #[test]
-    fn path_restriction_never_beats_edge_lp() {
-        let inst = triangle_inst();
-        let cfg = FreePathsLpConfig::default(); // slack 0: direct paths only
-        let edge = solve_free_paths_lp_edges(&inst, &cfg).unwrap();
-        let path = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        assert!(path.base.objective >= edge.base.objective - 1e-6);
-    }
-
-    #[test]
-    fn edge_lp_uses_both_routes_under_contention() {
-        // Two flows with the same src/dst on the triangle: the edge LP can
-        // split across the direct edge and the 2-hop detour to finish both
-        // within the first intervals.
+    fn all_paths_lp_splits_a_flow_under_contention() {
         let t = topo::triangle();
         let (x, y) = (t.hosts[0], t.hosts[1]);
         let inst = Instance::new(
             t.graph,
-            vec![
-                Coflow::new(1.0, vec![FlowSpec::new(x, y, 1.0, 0.0)]),
-                Coflow::new(1.0, vec![FlowSpec::new(x, y, 1.0, 0.0)]),
-            ],
+            vec![Coflow::new(1.0, vec![FlowSpec::new(x, y, 2.0, 0.0)])],
         );
-        let lp = solve_free_paths_lp_edges(&inst, &FreePathsLpConfig::default()).unwrap();
-        // Serial on one edge would force total completion >= 1 + 2; with
-        // splitting both can finish around time 1, so the LP objective
-        // (sum of interval lower bounds) must be strictly below the serial
-        // bound.
+        let cfg = FreePathsLpConfig {
+            path_slack: inst.graph.node_count(),
+            ..Default::default()
+        };
+        let (lp, _) = colgen(&inst, &cfg).unwrap();
+        let direct = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
         assert!(
-            lp.base.objective < 3.0 - 1e-6,
-            "objective {}",
-            lp.base.objective
+            lp.base.objective < direct.base.objective - 0.25,
+            "all paths {} vs direct only {}",
+            lp.base.objective,
+            direct.base.objective
         );
-        // At least one flow routes mass over a 2-edge path in some interval.
-        let used_detour = lp.routing.iter().any(|r| match r {
-            FlowRouting::EdgeFlows(per_l) => per_l.iter().any(|edges| edges.len() >= 2),
-            _ => false,
-        });
-        assert!(used_detour, "expected the LP to spread over multiple edges");
+        let first = &lp.routing[0];
+        assert_eq!(first.paths.len(), 2);
+        assert!(first.w.iter().all(|row| row[0] > 0.25), "{first:?}");
     }
 
     #[test]
@@ -634,13 +443,7 @@ mod tests {
             )],
         );
         let lp = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
-        match &lp.routing[0] {
-            FlowRouting::PathWeights { paths, .. } => {
-                assert_eq!(paths.len(), 1);
-                assert_eq!(paths[0], p);
-            }
-            _ => panic!("expected path weights"),
-        }
+        assert_eq!(lp.routing[0].paths, [p]);
     }
 
     /// The path LP on a growing grid, warm-started through one chain:
@@ -695,20 +498,7 @@ mod tests {
             ..Default::default()
         };
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::Delayed,
-            ..cfg
-        };
-        let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
-        let mut pool = PathPool::new();
-        let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
-            &inst,
-            &cfg_cg,
-            grid,
-            &mut WarmChain::new(),
-            &mut pool,
-        )
-        .unwrap();
+        let (cg, stats) = colgen(&inst, &cfg).unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
             "colgen {} vs eager {}",
@@ -717,9 +507,6 @@ mod tests {
         );
         assert!(stats.rounds >= 1);
         assert_eq!(stats.final_cols, stats.seeded_cols + stats.generated_cols);
-        // The dispatching entry point gives the same result.
-        let dispatched = solve_free_paths_lp_paths(&inst, &cfg_cg).unwrap();
-        assert!((dispatched.base.objective - eager.base.objective).abs() < 1e-6);
     }
 
     /// Contention on a fat-tree forces pricing to actually generate
@@ -736,20 +523,11 @@ mod tests {
         let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
         let cfg = FreePathsLpConfig::default();
         let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        let cfg_cg = FreePathsLpConfig {
-            columns: ColumnMode::Delayed,
-            ..cfg
-        };
-        let grid = IntervalGrid::cover(cfg_cg.eps, inst.horizon());
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
         let mut pool = PathPool::new();
-        let (cg, stats) = solve_free_paths_lp_colgen_on_grid(
-            &inst,
-            &cfg_cg,
-            grid,
-            &mut WarmChain::new(),
-            &mut pool,
-        )
-        .unwrap();
+        let (cg, stats) =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut WarmChain::new(), &mut pool)
+                .unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
             "colgen {} vs eager {}",
@@ -781,10 +559,7 @@ mod tests {
     #[test]
     fn delayed_master_has_only_the_capacity_rows_its_columns_load() {
         let inst = fat_tree_contention();
-        let cfg = FreePathsLpConfig {
-            columns: ColumnMode::Delayed,
-            ..Default::default()
-        };
+        let cfg = FreePathsLpConfig::default();
         let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
         let nl = grid.count();
         let mut pool = PathPool::new();
@@ -813,17 +588,14 @@ mod tests {
         let cg = master.lp.extract(&sol, stats.total_iterations);
         let mut loaded = std::collections::BTreeSet::new();
         for ((_, _, spec), routing) in inst.flows().zip(&cg.routing) {
-            let FlowRouting::PathWeights { paths, .. } = routing else {
-                panic!("path LP returned edge flows");
-            };
             let first = cg.base.grid.first_usable(spec.release);
-            for p in paths.iter().filter(|_| spec.size > 0.0) {
+            for p in routing.paths.iter().filter(|_| spec.size > 0.0) {
                 loaded.extend((first..nl).flat_map(|l| p.edges.iter().map(move |&e| (l, e))));
             }
         }
         assert_eq!(rows, loaded.into_iter().collect::<Vec<_>>());
 
-        let eager = solve_free_paths_lp_paths(&inst, &FreePathsLpConfig::default()).unwrap();
+        let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
         assert!(
             (cg.base.objective - eager.base.objective).abs() < 1e-6,
             "colgen {} vs eager {}",
@@ -854,17 +626,12 @@ mod tests {
                     Coflow::new(1.0, vec![FlowSpec::new(N(2), N(3), 1.0, 0.0)]),
                 ],
             );
-            let solve = |columns| {
-                let cfg = FreePathsLpConfig {
-                    columns,
-                    ..Default::default()
-                };
-                solve_free_paths_lp_paths(&inst, &cfg)
-                    .unwrap()
-                    .base
-                    .objective
-            };
-            let (delayed, eager) = (solve(ColumnMode::Delayed), solve(ColumnMode::Eager));
+            let cfg = FreePathsLpConfig::default();
+            let delayed = colgen(&inst, &cfg).unwrap().0.base.objective;
+            let eager = solve_free_paths_lp_paths(&inst, &cfg)
+                .unwrap()
+                .base
+                .objective;
             assert!(
                 (delayed - eager).abs() < 1e-6,
                 "delayed {delayed} vs eager {eager}"
@@ -897,10 +664,7 @@ mod tests {
             }
         }
         let inst = fat_tree_contention();
-        let cfg = FreePathsLpConfig {
-            columns: ColumnMode::Delayed,
-            ..Default::default()
-        };
+        let cfg = FreePathsLpConfig::default();
         let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
         let mut chain = WarmChain::new();
         chain.set_fault_hook(Some(Box::new(FailAfterFirstMaster::default())));
@@ -921,7 +685,6 @@ mod tests {
         let inst = triangle_inst();
         let cfg = FreePathsLpConfig {
             path_slack: 1,
-            columns: ColumnMode::Delayed,
             ..Default::default()
         };
         let h = inst.horizon();
@@ -934,14 +697,9 @@ mod tests {
                 solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, &mut chain, &mut pool)
                     .unwrap();
             gen_per_solve.push(stats.generated_cols);
-            let eager_cfg = FreePathsLpConfig {
-                columns: ColumnMode::Eager,
-                ..cfg.clone()
-            };
             let grid = IntervalGrid::cover(cfg.eps, h * s);
-            let eager =
-                solve_free_paths_lp_paths_on_grid(&inst, &eager_cfg, grid, &mut WarmChain::new())
-                    .unwrap();
+            let eager = solve_free_paths_lp_paths_on_grid(&inst, &cfg, grid, &mut WarmChain::new())
+                .unwrap();
             assert!(
                 (cg.base.objective - eager.base.objective).abs() < 1e-6,
                 "scale {s}: colgen {} vs eager {}",
@@ -971,18 +729,11 @@ mod tests {
             )],
         );
         let cfg = FreePathsLpConfig {
-            columns: ColumnMode::Delayed,
             path_slack: 1,
             ..Default::default()
         };
-        let lp = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-        match &lp.routing[0] {
-            FlowRouting::PathWeights { paths, .. } => {
-                assert_eq!(paths.len(), 1);
-                assert_eq!(paths[0], p);
-            }
-            _ => panic!("expected path weights"),
-        }
+        let (lp, _) = colgen(&inst, &cfg).unwrap();
+        assert_eq!(lp.routing[0].paths, [p]);
     }
 
     #[test]

@@ -12,18 +12,18 @@
 //! * (cap) `Σ_{f,p ∋ e} σ_f x_{f,p,ℓ} / Δ_ℓ <= c(e)` per edge and interval.
 //!
 //! [`PathLp::build`] writes that model out once, row-wise, from a per-flow
-//! route list. The three solves that used to carry a copy each are route
-//! lists: a prescribed path is a one-route list (§2.1,
-//! [`crate::circuit::lp_given`]), eager enumeration lists every candidate
-//! path, and the delayed mode's initial restricted master lists its pooled
-//! seeds and then keeps growing through [`PathLp::add_route`]
-//! ([`crate::circuit::lp_free`]). Variable order, row order and names are
-//! the same in all three, so bases and pivot counts carry over.
+//! route list. Every interval LP over routes is such a list: a prescribed
+//! path is a one-route list (§2.1, [`crate::circuit::lp_given`]), eager
+//! enumeration lists every candidate path, and column generation's initial
+//! restricted master lists its pooled seeds and then keeps growing through
+//! [`PathLp::add_route`] ([`crate::circuit::lp_free`]). Variable order, row
+//! order and names are the same in all three, so bases and pivot counts
+//! carry over.
 //!
-//! The two column modes differ only in which capacity rows exist
+//! Eager and generated columns differ only in which capacity rows exist
 //! ([`CapRows`]): the eager model keeps the rows that can bind over its
-//! complete column set; the delayed master has exactly the rows its columns
-//! load — the builder writes those of the seed routes, and
+//! complete column set; the restricted master has exactly the rows its
+//! columns load — the builder writes those of the seed routes, and
 //! [`PathLp::add_route`] creates each further `(edge, interval)` row when a
 //! generated route is the first to load it — so its size follows what the
 //! columns use, not the network.
@@ -64,7 +64,7 @@ pub(crate) fn coflow_completion_vars(m: &mut Model, instance: &Instance) -> Vec<
 
 /// Rows (sum), (cmp) and (prec) of flow `flat` over its `(column, interval)`
 /// list; returns the `(sum, cmp)` row ids.
-pub(crate) fn add_flow_rows(
+fn add_flow_rows(
     m: &mut Model,
     grid: &IntervalGrid,
     flat: usize,
@@ -87,19 +87,13 @@ pub(crate) fn add_flow_rows(
 }
 
 /// The capacity row of edge `ei` in interval `l`.
-pub(crate) fn add_cap_row(
-    m: &mut Model,
-    g: &Graph,
-    ei: usize,
-    l: usize,
-    terms: &[(VarId, f64)],
-) -> RowId {
+fn add_cap_row(m: &mut Model, g: &Graph, ei: usize, l: usize, terms: &[(VarId, f64)]) -> RowId {
     let cap = g.capacity(EdgeId(ei as u32));
     m.add_row_named(Cmp::Le, cap, terms, format_args!("cap{ei}:{l}"))
 }
 
 /// Reads the completion-fraction view off a solved interval LP.
-pub(crate) fn circuit_solution(
+fn circuit_solution(
     grid: IntervalGrid,
     x: Vec<Vec<f64>>,
     c_flow: &[VarId],
@@ -123,7 +117,7 @@ pub(crate) enum CapRows {
     /// Only rows that could bind: `x ∈ [0,1]`, so a row whose coefficients
     /// sum to at most the capacity is redundant.
     Binding,
-    /// The delayed master's rows: every row a listed route loads, bindable
+    /// The restricted master's rows: every row a listed route loads, bindable
     /// or not (prescribed paths too: two committed flows contend wherever
     /// they meet), recorded so that [`PathLp::add_route`] can extend them.
     /// A row no column loads is not written: it could not bind and would
@@ -349,7 +343,7 @@ impl PathLp {
                 w.push(row);
             }
             xs.push(x);
-            routing.push(FlowRouting::PathWeights { paths, w });
+            routing.push(FlowRouting { paths, w });
         }
         FreeLpSolution {
             base: circuit_solution(self.grid, xs, &c_flow, &self.c_cof, sol, iterations),

@@ -1,7 +1,9 @@
 //! Rounding for circuit coflows without given paths (§2.2, Algorithm 1):
-//! per-flow scaling (Eq. 24), flow decomposition into thickest paths, and
-//! Raghavan–Thompson randomized path selection, followed by the α-point
-//! interval schedule on the selected paths.
+//! per-flow scaling (Eq. 24) of the LP's path weights, Raghavan–Thompson
+//! randomized path selection, and the α-point interval schedule on the
+//! selected paths. The LP is solved in path form
+//! ([`crate::circuit::lp_free`]), so the paths the paper obtains by flow
+//! decomposition are its columns.
 //!
 //! The paper fixes `α = 1/2` and `D = 3` here. After each flow commits to
 //! one path, congestion may exceed capacities by the rounding blow-up
@@ -11,11 +13,10 @@
 //! [`crate::circuit::round_given::round_given_paths`]'s per-interval
 //! stretch. The measured stretch is reported.
 
-use crate::circuit::lp_free::{FlowRouting, FreeLpSolution};
+use crate::circuit::lp_free::FreeLpSolution;
 use crate::circuit::round_given::{round_given_paths, RoundedSchedule, RoundingConfig};
 use crate::model::Instance;
 use crate::order::{lp_order, Priority};
-use coflow_net::flow::{decompose_flow, EdgeFlow};
 use coflow_net::{paths as netpaths, Path};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -27,8 +28,8 @@ pub enum PathSelection {
     /// (the analyzed algorithm; default).
     Sample,
     /// Deterministic: take the heaviest ("thickest") fractional path —
-    /// the limit of the §4.2 observation that decomposition usually
-    /// returns one dominant path.
+    /// the limit of the §4.2 observation that a flow's LP mass usually sits
+    /// on one dominant path.
     Thickest,
     /// §4.2-style practical tweak: process flows in LP completion order
     /// and, among paths carrying at least 20% of the heaviest path's mass,
@@ -69,8 +70,8 @@ pub struct FreeRounding {
     pub paths: Vec<Path>,
     /// Flow ordering by LP completion times (Algorithm 1's return value).
     pub order: Priority,
-    /// Number of fractional paths each flow's decomposition produced
-    /// (§4.3 observes this is 1 on fat-trees).
+    /// Number of paths carrying each flow's scaled LP mass (§4.3 observes
+    /// that decomposition yields 1 on fat-trees).
     pub paths_per_flow: Vec<usize>,
     /// The feasible α-point schedule on the selected paths.
     pub rounded: RoundedSchedule,
@@ -107,46 +108,23 @@ pub fn round_free_paths(
             let gap = (k - l).saturating_sub(1) as i32;
             0.5f64.powi(gap)
         };
-        let (candidates, count) = match &lp.routing[flat] {
-            FlowRouting::EdgeFlows(per_l) => {
-                // Aggregate the per-interval rate fields (Eq. 24) and
-                // decompose into thickest paths (§4.2).
-                let mut agg = EdgeFlow::zeros(g.edge_count());
-                for (l, edges) in per_l.iter().enumerate().take(h + 1) {
-                    let s = scale(l);
-                    for &(e, v) in edges {
-                        agg.add(e, v * s);
-                    }
-                }
-                let dec = decompose_flow(g, spec.src, spec.dst, &agg);
-                let c: Vec<(Path, f64)> = dec
-                    .paths
-                    .into_iter()
-                    .map(|wp| (wp.path, wp.amount))
-                    .collect();
-                let n = c.len();
-                (c, n)
-            }
-            FlowRouting::PathWeights { paths, w } => {
-                let c: Vec<(Path, f64)> = paths
+        let routing = &lp.routing[flat];
+        let candidates: Vec<(Path, f64)> = routing
+            .paths
+            .iter()
+            .zip(&routing.w)
+            .map(|(p, row)| {
+                let weight: f64 = row
                     .iter()
-                    .zip(w)
-                    .map(|(p, row)| {
-                        let weight: f64 = row
-                            .iter()
-                            .take(h + 1)
-                            .enumerate()
-                            .map(|(l, &v)| v * scale(l))
-                            .sum();
-                        (p.clone(), weight)
-                    })
-                    .filter(|&(_, wgt)| wgt > 1e-12)
-                    .collect();
-                let n = c.len();
-                (c, n)
-            }
-        };
-        paths_per_flow[flat] = count.max(1);
+                    .take(h + 1)
+                    .enumerate()
+                    .map(|(l, &v)| v * scale(l))
+                    .sum();
+                (p.clone(), weight)
+            })
+            .filter(|&(_, wgt)| wgt > 1e-12)
+            .collect();
+        paths_per_flow[flat] = candidates.len().max(1);
         let picked = match cfg.selection {
             PathSelection::Sample => sample_path(&candidates, &mut rng),
             PathSelection::Thickest => candidates
@@ -240,8 +218,9 @@ fn sample_path<R: RngExt>(candidates: &[(Path, f64)], rng: &mut R) -> Option<Pat
 mod tests {
     use super::*;
     use crate::circuit::lp_free::{
-        solve_free_paths_lp_edges, solve_free_paths_lp_paths, FreePathsLpConfig,
+        solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths, FreePathsLpConfig, PathPool,
     };
+    use crate::intervals::IntervalGrid;
     use crate::model::{Coflow, FlowSpec, Instance};
     use coflow_net::topo;
 
@@ -261,14 +240,20 @@ mod tests {
         )
     }
 
+    /// The paper's LP — column generation over every simple path — rounds
+    /// to a checker-clean schedule.
     #[test]
-    fn end_to_end_edge_formulation_feasible() {
+    fn end_to_end_all_paths_lp_feasible() {
         let inst = contention_instance();
         let cfg = FreePathsLpConfig {
-            path_slack: 1,
+            path_slack: inst.graph.node_count(),
             ..Default::default()
         };
-        let lp = solve_free_paths_lp_edges(&inst, &cfg).unwrap();
+        let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
+        let chain = &mut coflow_lp::WarmChain::new();
+        let (lp, _) =
+            solve_free_paths_lp_colgen_on_grid(&inst, &cfg, grid, chain, &mut PathPool::new())
+                .unwrap();
         let r = round_free_paths(&inst, &lp, &FreeRoundingConfig::default());
         let routed = inst.with_paths(&r.paths);
         let v = r.rounded.schedule.check(&routed, 1e-6, 1e-6);

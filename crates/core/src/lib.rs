@@ -8,7 +8,7 @@
 //! |-------|--------|--------------|
 //! | §1.1  | [`model`], [`objective`] | coflow instances; `Σ ω_k max_f c_f` |
 //! | §2.1  | [`circuit::lp_given`], [`circuit::round_given`] | interval-indexed LP (4)–(10) + α-point rounding, O(1)-approx for circuit coflows with given paths |
-//! | §2.2  | [`circuit::lp_free`], [`circuit::round_free`] | LP (15)–(23) with edge-flow (or path) variables, flow decomposition, Raghavan–Thompson randomized path selection — Algorithm 1 |
+//! | §2.2  | [`circuit::lp_free`], [`circuit::round_free`] | LP (15)–(23) in path form (column generation over every simple path solves it exactly), Raghavan–Thompson randomized path selection — Algorithm 1 |
 //! | §3.1  | [`packet::jobshop`] | packet coflows with given paths as unit job-shop |
 //! | §3.2  | [`packet::free`], [`packet::timexp_lp`] | time-expanded-graph LP + per-interval routing & scheduling |
 //! | §4    | [`baselines`], [`order`] | Baseline / Schedule-only / Route-only heuristics and LP-completion-time orderings |

@@ -17,8 +17,8 @@
 //! * [`Fifo`] — serve coflows in admission order.
 
 use coflow_core::circuit::lp_free::{
-    solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths_on_grid, ColumnMode,
-    FreePathsLpConfig, PathPool,
+    solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths_on_grid, FreePathsLpConfig,
+    PathPool,
 };
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig};
 use coflow_core::order::lp_order;
@@ -258,8 +258,8 @@ impl OnlinePolicy for WeightedFair {
 /// set [`LpOrder::warm`] to `false` to force cold re-solves (for A/B
 /// measurements).
 ///
-/// With [`ColumnMode::Delayed`] in `lp_cfg.columns` the re-solves run by
-/// column generation and the policy keeps one [`PathPool`] **across
+/// Built by [`LpOrder::colgen`], the re-solves run by column generation
+/// and the policy keeps one [`PathPool`] **across
 /// epochs**: residual flat indices are stable (admission appends, frozen
 /// flows keep their slot), so epoch `k+1`'s restricted master is seeded
 /// with every path epochs `0..k` paid pricing rounds to discover — the
@@ -268,16 +268,18 @@ impl OnlinePolicy for WeightedFair {
 /// every epoch, the cold baseline the pooled mode is measured against.
 #[derive(Clone, Debug)]
 pub struct LpOrder {
-    /// LP configuration (grid ε, candidate-path budget, column mode,
-    /// solver options).
+    /// LP configuration (grid ε, candidate-path budget, solver options).
     pub lp_cfg: FreePathsLpConfig,
     /// Rounding configuration (α, displacement, seed, selection).
     pub round_cfg: FreeRoundingConfig,
     /// Warm-start consecutive epoch re-solves (default `true`).
     pub warm: bool,
     /// Keep the generated-column pool across epochs (default `true`;
-    /// only meaningful with [`ColumnMode::Delayed`]).
+    /// only meaningful under column generation).
     pub pool_reuse: bool,
+    /// Re-solve by column generation ([`LpOrder::colgen`]) rather than
+    /// eager enumeration.
+    colgen: bool,
     chain: WarmChain,
     pool: PathPool,
     last: Option<SolveStats>,
@@ -298,6 +300,7 @@ impl LpOrder {
             round_cfg,
             warm: true,
             pool_reuse: true,
+            colgen: false,
             chain: WarmChain::new(),
             pool: PathPool::new(),
             last: None,
@@ -316,13 +319,10 @@ impl LpOrder {
 
     /// Column-generation mode with cross-epoch pool (and basis) reuse.
     pub fn colgen(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
-        Self::new(
-            FreePathsLpConfig {
-                columns: ColumnMode::Delayed,
-                ..lp_cfg
-            },
-            round_cfg,
-        )
+        Self {
+            colgen: true,
+            ..Self::new(lp_cfg, round_cfg)
+        }
     }
 
     /// Column-generation mode that clears the pool *and* the chain every
@@ -370,25 +370,22 @@ impl OnlinePolicy for LpOrder {
         // still fail (numerical breakdown past the solver's recovery
         // ladder, an exhausted budget, injected faults): that surfaces
         // here as a PolicyError for the engine's degradation ladder.
-        let lp = match self.lp_cfg.columns {
-            ColumnMode::Eager => {
-                self.last_colgen = None;
-                solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid, &mut self.chain)?
+        let lp = if self.colgen {
+            if !self.pool_reuse {
+                self.pool.clear();
             }
-            ColumnMode::Delayed => {
-                if !self.pool_reuse {
-                    self.pool.clear();
-                }
-                let (lp, cg) = solve_free_paths_lp_colgen_on_grid(
-                    inst,
-                    &self.lp_cfg,
-                    grid,
-                    &mut self.chain,
-                    &mut self.pool,
-                )?;
-                self.last_colgen = Some(cg);
-                lp
-            }
+            let (lp, cg) = solve_free_paths_lp_colgen_on_grid(
+                inst,
+                &self.lp_cfg,
+                grid,
+                &mut self.chain,
+                &mut self.pool,
+            )?;
+            self.last_colgen = Some(cg);
+            lp
+        } else {
+            self.last_colgen = None;
+            solve_free_paths_lp_paths_on_grid(inst, &self.lp_cfg, grid, &mut self.chain)?
         };
         self.last = Some(lp.base.stats);
         let rounding = round_free_paths(inst, &lp, &self.round_cfg);

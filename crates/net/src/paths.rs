@@ -1,14 +1,7 @@
-//! Path search: BFS shortest paths, widest ("thickest") paths, and bounded
-//! simple-path enumeration.
-//!
-//! The widest-path search is the workhorse of the paper's flow-decomposition
-//! step: §4.2 — "The path decomposition algorithm tries to minimize the
-//! number of paths per flow by finding the 'thickest' paths; this is done
-//! using a well-known version of Dijkstra's shortest-path algorithm."
+//! Path search: BFS shortest paths, hop distances, and bounded simple-path
+//! enumeration.
 
 use crate::graph::{EdgeId, Graph, NodeId, Path};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 /// Breadth-first shortest path (fewest edges) from `src` to `dst`.
@@ -49,81 +42,6 @@ fn reconstruct(g: &Graph, pred: &[Option<EdgeId>], src: NodeId, dst: NodeId) -> 
     }
     edges.reverse();
     Path::new(edges)
-}
-
-#[derive(PartialEq)]
-struct HeapItem {
-    key: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by key; ties broken by node id for determinism.
-        self.key
-            .partial_cmp(&other.key)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.0.cmp(&self.node.0))
-    }
-}
-
-/// Widest (maximum-bottleneck, "thickest") path from `src` to `dst`, where
-/// the width of edge `e` is `width(e)`. Edges of width `<= min_width` are
-/// ignored. Returns the path and its bottleneck width.
-///
-/// This is the "well-known version of Dijkstra" the paper's decomposition
-/// routine uses (§4.2): relax by `min(bottleneck_so_far, width(e))`,
-/// maximizing.
-pub fn widest_path<F: Fn(EdgeId) -> f64>(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    width: F,
-    min_width: f64,
-) -> Option<(Path, f64)> {
-    if src == dst {
-        return Some((Path::empty(), f64::INFINITY));
-    }
-    let mut best = vec![0.0_f64; g.node_count()];
-    let mut pred: Vec<Option<EdgeId>> = vec![None; g.node_count()];
-    let mut done = vec![false; g.node_count()];
-    best[src.index()] = f64::INFINITY;
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapItem {
-        key: f64::INFINITY,
-        node: src,
-    });
-    while let Some(HeapItem { key, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
-        }
-        done[u.index()] = true;
-        if u == dst {
-            return Some((reconstruct(g, &pred, src, dst), key));
-        }
-        for &e in g.out_edges(u) {
-            let w = width(e);
-            if w <= min_width {
-                continue;
-            }
-            let v = g.edge_dst(e);
-            let cand = key.min(w);
-            if cand > best[v.index()] && !done[v.index()] {
-                best[v.index()] = cand;
-                pred[v.index()] = Some(e);
-                heap.push(HeapItem { key: cand, node: v });
-            }
-        }
-    }
-    None
 }
 
 /// Enumerates simple paths from `src` to `dst` with at most `max_hops`
@@ -235,9 +153,19 @@ fn dfs_paths(
     }
 }
 
+/// The hop budget of the path space "at most `slack` edges more than a
+/// shortest path of `shortest` edges": saturating, and clamped to
+/// `node_count − 1`, the most edges a simple path of `g` has. Any `slack` at
+/// or above that admits every simple path.
+pub fn hop_budget(g: &Graph, shortest: usize, slack: usize) -> usize {
+    shortest
+        .saturating_add(slack)
+        .min(g.node_count().saturating_sub(1))
+}
+
 /// Convenience: candidate path set for a source-sink pair — all simple paths
-/// of length at most `slack` more than the shortest, capped at `max_paths`.
-/// Returns an empty vec when disconnected.
+/// within [`hop_budget`] of the shortest, capped at `max_paths`. Returns an
+/// empty vec when disconnected.
 pub fn candidate_paths(
     g: &Graph,
     src: NodeId,
@@ -248,7 +176,7 @@ pub fn candidate_paths(
     match bfs_shortest_path(g, src, dst) {
         None => Vec::new(),
         Some(sp) => {
-            let max_hops = sp.len() + slack;
+            let max_hops = hop_budget(g, sp.len(), slack);
             // Enumerate generously, then subsample evenly: plain truncation
             // would keep only paths through the first branch explored (all
             // via one aggregation switch on a fat-tree), starving the LP
@@ -298,27 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn widest_path_prefers_fat_route() {
-        // 0->1 width 1; 0->2->1 width min(5, 4) = 4.
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        g.add_edge(NodeId(0), NodeId(2), 5.0);
-        g.add_edge(NodeId(2), NodeId(1), 4.0);
-        let gc = g.clone();
-        let (p, w) = widest_path(&g, NodeId(0), NodeId(1), |e| gc.capacity(e), 0.0).unwrap();
-        assert_eq!(w, 4.0);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn widest_path_min_width_filter() {
-        let mut g = Graph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 0.5);
-        let gc = g.clone();
-        assert!(widest_path(&g, NodeId(0), NodeId(1), |e| gc.capacity(e), 1.0).is_none());
-    }
-
-    #[test]
     fn enumerate_triangle_paths() {
         let t = topo::triangle();
         // x -> y: direct (1 hop) and via z (2 hops).
@@ -360,6 +267,24 @@ mod tests {
         // Same edge switch: unique 2-hop path.
         let ps = candidate_paths(&t.graph, t.hosts[0], t.hosts[1], 0, 64);
         assert_eq!(ps.len(), 1);
+    }
+
+    /// `max_paths` = 32 keeps every inter-pod shortest path of a k=8
+    /// fat-tree, (k/2)² = 16, but only half of k=16's 64.
+    #[test]
+    fn max_paths_binds_between_pods_at_k16_not_k8() {
+        for (k, all, kept) in [(8, 16, 16), (16, 64, 32)] {
+            let t = topo::fat_tree(k, 1.0);
+            let (a, b) = (t.hosts[0], t.hosts[t.hosts.len() - 1]);
+            assert_eq!(
+                candidate_paths(&t.graph, a, b, 0, usize::MAX).len(),
+                all,
+                "k={k}"
+            );
+            let ps = candidate_paths(&t.graph, a, b, 0, 32);
+            assert_eq!(ps.len(), kept, "k={k}");
+            assert!(ps.iter().all(|p| p.len() == 6));
+        }
     }
 
     #[test]

@@ -45,10 +45,7 @@ fn main() {
 
     // Column-generation config; the chain's recorder is switched to the
     // logical clock *before* any recording, so the trace is reproducible.
-    let cfg = FreePathsLpConfig {
-        columns: ColumnMode::Delayed,
-        ..Default::default()
-    };
+    let cfg = FreePathsLpConfig::default();
     let grid = IntervalGrid::cover(cfg.eps, inst.horizon());
     let mut pool = PathPool::new();
     let mut chain = WarmChain::new();

@@ -6,7 +6,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`net`] | `coflow-net` | graphs, topologies, paths, flows, time expansion |
+//! | [`net`] | `coflow-net` | graphs, topologies, paths, pricing oracles, time expansion |
 //! | [`lp`] | `coflow-lp` | the from-scratch simplex LP solver |
 //! | [`algo`] | `coflow-core` | coflow models + the paper's four algorithms |
 //! | [`sim`] | `coflow-sim` | fluid and packet simulators (§4.1) |
@@ -32,8 +32,7 @@ pub use coflow_workloads as workloads;
 pub mod prelude {
     pub use coflow_core::baselines::{self, BaselineConfig, Scheme};
     pub use coflow_core::circuit::lp_free::{
-        solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_edges, solve_free_paths_lp_paths,
-        ColumnMode, FreePathsLpConfig, PathPool,
+        solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths, FreePathsLpConfig, PathPool,
     };
     pub use coflow_core::circuit::lp_given::{solve_given_paths_lp, GivenPathsLpConfig};
     pub use coflow_core::circuit::round_free::{

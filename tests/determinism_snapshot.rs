@@ -1,7 +1,8 @@
 //! Byte-reproducibility audit for the full pipeline (coflow-lint rule L3's
 //! end-to-end counterpart): generate a seeded instance, solve the free-paths
 //! LP (eager and by column generation), round it, run the online engine
-//! under both column modes and the three solver-free policies, and
+//! under eager and column-generation `LpOrder` and the three solver-free
+//! policies, and
 //! serialize everything —
 //! twice, in the same process — and require the two serializations to be
 //! *byte-identical*. Any nondeterminism (hash-map iteration leaking into
@@ -101,13 +102,10 @@ fn pipeline_snapshot() -> String {
     out.push_str("== engine ==\n");
     push_engine_outcome(&mut out, &outcome);
 
-    // 4. The delayed column mode: the oracle injects in flow-then-interval
+    // 4. Column generation: the oracle injects in flow-then-interval
     // order, so the objective bits, the round and column counts and every
     // pool group's paths — in insertion order — are pinned too.
-    let cg_cfg = FreePathsLpConfig {
-        columns: ColumnMode::Delayed,
-        ..Default::default()
-    };
+    let cg_cfg = FreePathsLpConfig::default();
     let grid = IntervalGrid::cover(cg_cfg.eps, instance.horizon());
     let mut pool = PathPool::new();
     let (cg, stats) = solve_free_paths_lp_colgen_on_grid(

@@ -2,6 +2,9 @@
 //! crates: generator → LP → rounding → ordering → simulator → checker,
 //! plus cross-formulation and lower-bound consistency.
 
+mod common;
+
+use coflow::algo::circuit::lp_free::FreeLpSolution;
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};
 use coflow::workloads::io::{from_json, to_json};
@@ -111,10 +114,19 @@ fn given_paths_pipeline_on_star() {
     assert!(out.metrics.weighted_sum <= rounded.metrics.weighted_sum + 1e-6);
 }
 
+/// Column generation over every simple path of `inst`: the paper's §2.2 LP.
+fn all_paths_lp(inst: &Instance) -> FreeLpSolution {
+    let cfg = FreePathsLpConfig {
+        path_slack: inst.graph.node_count(),
+        ..Default::default()
+    };
+    common::colgen(inst, &cfg).0
+}
+
 #[test]
 fn edge_and_path_lp_agree_when_paths_exhaustive() {
-    // On the triangle with slack 1 the candidate path set is exhaustive,
-    // so the two §2.2 formulations must have equal optima.
+    // Column generation over every simple path, and on the triangle eager
+    // enumeration with slack 1, solve the paper's edge-flow LP exactly.
     let topo = coflow::net::topo::triangle();
     let inst = generate(
         &topo,
@@ -129,15 +141,18 @@ fn edge_and_path_lp_agree_when_paths_exhaustive() {
         path_slack: 1,
         ..Default::default()
     };
-    let edge = solve_free_paths_lp_edges(&inst, &cfg).unwrap();
-    let path = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-    let scale = 1.0 + edge.base.objective.abs();
-    assert!(
-        (edge.base.objective - path.base.objective).abs() / scale < 1e-5,
-        "edge {} vs path {}",
-        edge.base.objective,
-        path.base.objective
-    );
+    let edge = common::edge_lp::optimum(&inst, cfg.eps);
+    let scale = 1.0 + edge.abs();
+    for path in [
+        all_paths_lp(&inst),
+        solve_free_paths_lp_paths(&inst, &cfg).unwrap(),
+    ] {
+        assert!(
+            (edge - path.base.objective).abs() / scale < 1e-5,
+            "edge {edge} vs path {}",
+            path.base.objective
+        );
+    }
 }
 
 #[test]
@@ -239,18 +254,17 @@ fn empty_coflow_completes_at_zero_in_every_circuit_lp() {
         path_slack: 1,
         ..Default::default()
     };
-    let delayed = FreePathsLpConfig {
-        columns: ColumnMode::Delayed,
-        ..cfg.clone()
-    };
     let eager = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
-    for lp in [
-        &solve_free_paths_lp_edges(&inst, &cfg).unwrap(),
-        &eager,
-        &solve_free_paths_lp_paths(&inst, &delayed).unwrap(),
-    ] {
+    let all_paths = all_paths_lp(&inst);
+    for lp in [&eager, &all_paths] {
         assert!(lp.base.coflow_completion[1].abs() < 1e-9);
     }
+    let edge = common::edge_lp::optimum(&inst, cfg.eps);
+    assert!(
+        (edge - all_paths.base.objective).abs() < 1e-6 * (1.0 + edge.abs()),
+        "edge {edge} vs all paths {}",
+        all_paths.base.objective
+    );
 
     let r = round_free_paths(&inst, &eager, &FreeRoundingConfig::default());
     let routed = inst.with_paths(&r.paths);
