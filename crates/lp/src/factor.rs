@@ -4,14 +4,15 @@
 //! operations on the basis matrix `B`:
 //!
 //! * `ftran` — `x ← B⁻¹ b` (entering column image, basic values);
-//! * `btran` — `y ← B⁻ᵀ c` (duals, devex reference row);
+//! * `btran` — `y ← B⁻ᵀ c` (devex reference row; the duals at phase
+//!   start and after each refactorization);
 //! * `update` — rank-one replacement of one basis column after a pivot;
 //! * `refactor` — rebuild from the current basis columns.
 //!
 //! [`SparseLuFactor`] provides them over the sparse Markowitz LU + eta
 //! file of [`crate::sparse_lu`], maps its failures to [`LpError`], and
 //! owns the refactorization policy and the density rule: each of the
-//! pivot loop's three solves ([`Solve`]) keeps a running output density
+//! pivot loop's two solves ([`Solve`]) keeps a running output density
 //! and takes the reach-limited path while it is below 10 %, the dense
 //! loops otherwise. Both paths give the same bits, so the rule decides
 //! speed only. The unit tests cross-check all four operations against an
@@ -26,13 +27,12 @@ use crate::sparse_lu::{LuFactors, SparseCol};
 /// sooner, see [`SparseLuFactor::wants_refactor`]).
 const REFACTOR_EVERY: usize = 120;
 
-/// The three solves of a pivot, each with its own running output density.
+/// The two solves of a pivot, each with its own running output density.
+/// The duals need no third: the pivot updates them from the devex row.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Solve {
     /// FTRAN of the entering column.
     Entering,
-    /// BTRAN of the basic costs (the duals).
-    Duals,
     /// BTRAN of a unit vector (the devex reference row).
     DevexRow,
 }
@@ -52,7 +52,7 @@ pub(crate) struct SparseLuFactor {
     lu: LuFactors,
     /// Running output density per [`Solve`] kind. Kept across LP solves:
     /// it describes the LP family a scratch serves, not one solve.
-    density: [f64; 3],
+    density: [f64; 2],
 }
 
 impl SparseLuFactor {
@@ -82,7 +82,7 @@ impl SparseLuFactor {
     }
 
     /// One of the pivot's solves, `x ← B⁻¹ x` for [`Solve::Entering`] and
-    /// `x ← B⁻ᵀ x` otherwise. On entry `x` is zero outside the indices in
+    /// `x ← B⁻ᵀ x` for [`Solve::DevexRow`]. On entry `x` is zero outside the indices in
     /// `idx`; on return `idx` lists the nonzeros of the result in
     /// ascending order. Takes the reach-limited path while the kind's
     /// running density is low: both paths give the same values, so the
@@ -92,9 +92,9 @@ impl SparseLuFactor {
         let sparse = *density < SPARSE_BELOW;
         match (kind, sparse) {
             (Solve::Entering, true) => self.lu.ftran_sparse(x, idx),
-            (_, true) => self.lu.btran_sparse(x, idx),
+            (Solve::DevexRow, true) => self.lu.btran_sparse(x, idx),
             (Solve::Entering, false) => self.lu.ftran(x),
-            (_, false) => self.lu.btran(x),
+            (Solve::DevexRow, false) => self.lu.btran(x),
         }
         if !sparse {
             idx.clear();

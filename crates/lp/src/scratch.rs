@@ -75,15 +75,13 @@ pub(crate) fn reserve_pool<T>(cnt: &mut Counters, pool: &mut Vec<Vec<T>>, len: u
 /// Per-phase pivot-loop vectors (duals, entering-column image, devex).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhaseBufs {
-    /// Row duals `y = B⁻ᵀ c_B`.
+    /// Row duals `y = B⁻ᵀ c_B`, updated at each basis change from `rho`.
     pub(crate) y: Vec<f64>,
-    /// Nonzero rows of `y`, ascending.
-    pub(crate) y_idx: Vec<u32>,
     /// FTRAN image of the entering column.
     pub(crate) w: Vec<f64>,
     /// Nonzero positions of `w`, ascending; `w` is zero elsewhere.
     pub(crate) w_idx: Vec<u32>,
-    /// Row `r` of `B⁻¹` for the devex update.
+    /// Row `r` of `B⁻¹` for the devex and dual updates.
     pub(crate) rho: Vec<f64>,
     /// Nonzero rows of `rho`, ascending; `rho` is zero elsewhere.
     pub(crate) rho_idx: Vec<u32>,
@@ -128,8 +126,6 @@ pub(crate) struct AsmBufs {
     pub(crate) costs1: Vec<f64>,
     /// Phase-2 costs (true objective, optionally perturbed).
     pub(crate) costs2: Vec<f64>,
-    /// Final dual extraction work vector.
-    pub(crate) y: Vec<f64>,
 }
 
 /// Warm-start and crash-basis temporaries.

@@ -11,14 +11,15 @@
 //!   (`ftran`/`btran`/`update`/`refactor`) of
 //!   [`SparseLuFactor`]: a sparse Markowitz LU with eta-file updates
 //!   ([`crate::sparse_lu`]).
-//! * The LPs are hypersparse: an entering column's FTRAN image, the duals
-//!   and the devex reference row have a few dozen nonzeros out of `m`.
-//!   Each pivot therefore carries the images' nonzero lists: the solves
-//!   walk only the reach of their right-hand side (while their running
-//!   output density stays low, see [`SparseLuFactor::solve`]), and the
-//!   ratio test, the basic-value move and the eta update walk only the
-//!   entering image's nonzeros. After a bound flip the duals are kept, not
-//!   recomputed: neither the basis nor the costs changed.
+//! * A pivot is one FTRAN (the entering column's image), one BTRAN (`ρ_r`,
+//!   row `r` of `B⁻¹`) and the dual update `y ← y + (d_q/α_q)·ρ_r`; the
+//!   duals are solved for only at phase start and after a refactorization.
+//!   Both images are hypersparse (a few dozen nonzeros out of `m`), so each
+//!   pivot carries their nonzero lists: the solves walk only the reach of
+//!   their right-hand side (while their running output density stays low,
+//!   see [`SparseLuFactor::solve`]), and the ratio test, the basic-value
+//!   move and the eta and dual updates walk only the images' nonzeros. A
+//!   bound flip keeps the duals: neither the basis nor the costs changed.
 //! * Bounds `l <= x <= u` are handled natively (nonbasic-at-lower /
 //!   nonbasic-at-upper, bound flips) — crucial because the LPs are dominated
 //!   by `[0,1]` variables and adding bound rows would double `m`.
@@ -35,6 +36,8 @@
 //!   artificials to zero by setting their bounds to `[0,0]`.
 
 mod assemble;
+#[cfg(test)]
+mod dual_audit;
 mod recover;
 mod warm;
 
@@ -122,6 +125,8 @@ pub(crate) struct State {
     /// per factorization attempt. Installed through
     /// [`crate::WarmChain::set_fault_hook`]; `None` in production.
     pub(crate) hook: Option<Box<dyn crate::FaultHook>>,
+    #[cfg(test)]
+    audit: dual_audit::DualAudit,
 }
 
 impl State {
@@ -184,23 +189,12 @@ impl State {
 
     /// Duals `y = B⁻ᵀ c_B` via BTRAN, by the dense loops.
     fn duals(&mut self, costs: &[f64], y: &mut [f64]) {
+        let t = self.rec.stamp();
         for (k, &bj) in self.basis.iter().enumerate() {
             y[k] = costs[bj];
         }
         self.lu.btran(y);
-    }
-
-    /// The pivot loop's duals: [`duals`](State::duals) through
-    /// [`SparseLuFactor::solve`], with `idx` as its index list.
-    fn pivot_duals(&mut self, costs: &[f64], y: &mut [f64], idx: &mut Vec<u32>) {
-        idx.clear();
-        for (k, &bj) in self.basis.iter().enumerate() {
-            y[k] = costs[bj];
-            if nonzero(y[k]) {
-                idx.push(k as u32);
-            }
-        }
-        self.lu.solve(Solve::Duals, y, idx);
+        self.rec.lap(Accum::FtranBtran, t);
     }
 
     /// Reduced cost of nonbasic `j` given duals `y`.
@@ -719,20 +713,23 @@ fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usiz
     }
 }
 
-/// Pivot step 3b: a basis change — `j_in` enters at basis position `r_lv`
-/// after a step of length `t`; returns the leaving variable. Updates the
-/// devex weights first (they need the pre-pivot basis), then moves the
-/// point and swaps the statuses. The factorization update is the caller's.
+/// Pivot step 3b: a basis change — `j_in`, of reduced cost `d_q`, enters
+/// at basis position `r_lv` after a step of length `t`. Updates the duals
+/// and devex weights first (they need the pre-pivot basis), then moves the
+/// point and swaps the statuses. Returns the leaving variable and whether
+/// the duals were updated. The factorization update is the caller's.
 // lint: hot
 fn apply_pivot(
     st: &mut State,
     ph: &mut PhaseBufs,
     j_in: usize,
+    d_q: f64,
     s: f64,
     r_lv: usize,
     t: f64,
-) -> usize {
+) -> (usize, bool) {
     let PhaseBufs {
+        y,
         w,
         w_idx,
         rho,
@@ -751,9 +748,16 @@ fn apply_pivot(
     // refill scan reaches them — devex is approximate by design. The
     // reference row's BTRAN is timed as one.
     let alpha_q = w[r_lv];
-    if alpha_q.abs() > 1e-12 {
+    let update = alpha_q.abs() > 1e-12;
+    if update {
         let t_rho = st.rec.stamp();
         st.lu.binv_row(r_lv, rho, rho_idx);
+        // The dual update, timed with the BTRAN: `ρ·a_j` is 0 for the basic
+        // columns that stay and `α_q` for `j_in`, so `yᵀa_j = c_j` holds.
+        let theta = d_q / alpha_q;
+        for &i in rho_idx.iter() {
+            y[i as usize] += theta * rho[i as usize];
+        }
         let t_devex = st.rec.lap(Accum::FtranBtran, t_rho);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
@@ -805,7 +809,7 @@ fn apply_pivot(
     st.vstat[j_in] = VStat::Basic;
     sgn[j_in] = 0;
     st.basis[r_lv] = j_in;
-    j_out
+    (j_out, update)
 }
 
 /// Runs simplex iterations until optimality for the given cost vector.
@@ -826,7 +830,6 @@ fn run_phase(
     prep(cnt, &mut ph.y, m, 0.0);
     prep(cnt, &mut ph.w, m, 0.0);
     prep(cnt, &mut ph.rho, m, 0.0);
-    reserve(cnt, &mut ph.y_idx, m);
     reserve(cnt, &mut ph.w_idx, m);
     reserve(cnt, &mut ph.rho_idx, m);
     // Devex reference weights (reset per phase).
@@ -855,9 +858,10 @@ fn run_phase(
     let mut bland = false;
     let mut cyc = CycleMon::new(&st.basis);
     let mut local_iters = 0usize;
-    // A bound flip changes neither the basis nor the costs, so the duals
-    // it leaves behind are already those of the next pivot, bit for bit.
-    let mut duals_current = false;
+    // `ph.y` holds the current basis's duals throughout: solved for here
+    // and after each refactorization (which bounds the update's drift),
+    // updated by each pivot and kept by each bound flip.
+    st.duals(costs, &mut ph.y);
 
     loop {
         if local_iters >= iter_cap {
@@ -872,19 +876,17 @@ fn run_phase(
             }
         }
 
-        let t_dual = st.rec.stamp();
+        let t_scan = st.rec.stamp();
         // Budget deadline, checked against the stamp the loop already
         // takes — budgets never add clock reads, so enabling one cannot
         // perturb the logical-clock trace of the pivots that do run.
         if let Some(deadline) = opts.budget.deadline {
-            if t_dual >= deadline {
+            if t_scan >= deadline {
                 return Ok(PhaseEnd::Truncated);
             }
         }
-        if !duals_current {
-            st.pivot_duals(costs, &mut ph.y, &mut ph.y_idx);
-        }
-        let t_scan = st.rec.lap(Accum::FtranBtran, t_dual);
+        #[cfg(test)]
+        st.audit_duals(costs, &ph.y);
 
         let enter = choose_entering(st, ph, &mut px, costs, bland);
         st.rec.lap(Accum::Pricing, t_scan);
@@ -925,7 +927,6 @@ fn run_phase(
             bland = cyc.locked;
         }
 
-        duals_current = use_flip;
         let pivot_row = if use_flip {
             apply_flip(st, &mut ph.sgn, &ph.w, &ph.w_idx, j_in, s);
             cyc.sig ^= splitmix64(j_in as u64 ^ FLIP_SALT);
@@ -934,9 +935,10 @@ fn run_phase(
             let (r_lv, exact) = leave.ok_or_else(|| {
                 LpError::Numerical("bounded ratio test selected no leaving row".into())
             })?;
-            let j_out = apply_pivot(st, ph, j_in, s, r_lv, exact.max(0.0));
+            let d_q = st.reduced_cost(j_in, costs, &ph.y);
+            let (j_out, updated) = apply_pivot(st, ph, j_in, d_q, s, r_lv, exact.max(0.0));
             cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
-            Some(r_lv)
+            Some((r_lv, updated))
         };
         st.iterations += 1;
         st.rec.bump(ObsCounter::Pivots, 1);
@@ -944,22 +946,25 @@ fn run_phase(
             bland = true;
             st.stats.cycles_detected += 1;
         }
-        let Some(r_lv) = pivot_row else {
+        let Some((r_lv, updated)) = pivot_row else {
             continue;
         };
-        match st.lu.update(r_lv, &ph.w, &ph.w_idx) {
+        let refactor = match st.lu.update(r_lv, &ph.w, &ph.w_idx) {
             Ok(()) => {
                 st.since_refactor += 1;
-                if st.lu.wants_refactor(st.since_refactor) {
-                    st.refactorize()?;
-                }
+                st.lu.wants_refactor(st.since_refactor)
             }
-            Err(_) if st.since_refactor > 0 => {
-                // Stale factors produced an untrustworthy pivot: rebuild
-                // from scratch (the basis change is already recorded).
-                st.refactorize()?;
-            }
+            // Stale factors produced an untrustworthy pivot: rebuild from
+            // scratch (the basis change is already recorded).
+            Err(_) if st.since_refactor > 0 => true,
             Err(e) => return Err(e),
+        };
+        if refactor {
+            st.refactorize()?;
+        }
+        // Fresh factors or a skipped update: the duals are solved for anew.
+        if refactor || !updated {
+            st.duals(costs, &mut ph.y);
         }
     }
 }
@@ -1147,12 +1152,7 @@ fn solve_presolved_inner(
     }
 
     // ---- Both phases, inside the recovery ladder. ----
-    let AsmBufs {
-        costs1,
-        costs2,
-        y: ydual,
-        ..
-    } = asm;
+    let AsmBufs { costs1, costs2, .. } = asm;
     st.phase_costs(model, pre, opts.perturb, costs1, costs2);
     let (phase1_iterations, truncated) =
         st.run_recovering(opts, costs1, costs2, ph, &mut wb.resid)?;
@@ -1162,7 +1162,8 @@ fn solve_presolved_inner(
     for (rj, &oj) in pre.kept_vars.iter().enumerate() {
         values[oj as usize] = st.x[rj];
     }
-    prep(&mut st.cnt, ydual, st.m, 0.0);
+    // Fresh duals, into the pivot loop's vector (the phases sized it).
+    let ydual = &mut ph.y;
     st.duals(costs2, ydual);
     let mut duals = vec![0.0; model.num_rows()];
     for (new_r, &old_r) in st.kept_rows.iter().enumerate() {

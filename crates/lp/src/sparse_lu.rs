@@ -160,20 +160,23 @@ struct BucketHead {
 }
 
 impl CountBuckets {
-    /// Acquires the storage for `col_rows.len()` columns and buckets each
-    /// column by the length of its membership list (its initial count).
-    fn start(&mut self, cnt: &mut Counters, col_rows: &[Vec<u32>]) {
+    /// Acquires the storage for `col_rows.len()` columns, with capacity for
+    /// every count fill-in can reach (`m`), and buckets them by count.
+    fn start(&mut self, cnt: &mut Counters, m: usize, col_rows: &[Vec<u32>]) {
         let n = col_rows.len();
         let kmax = col_rows.iter().map(Vec::len).max().unwrap_or(0);
+        let levels = m.max(kmax).next_power_of_two();
         self.words = n.div_ceil(64);
         self.total = 0;
         prep(cnt, &mut self.count, n, 0);
-        prep(cnt, &mut self.bits, kmax * self.words, 0);
+        reserve(cnt, &mut self.bits, levels * self.words);
+        self.bits.resize(kmax * self.words, 0);
         let empty = BucketHead {
             pop: 0,
             low: self.words,
         };
-        prep(cnt, &mut self.heads, kmax, empty);
+        reserve(cnt, &mut self.heads, levels);
+        self.heads.resize(kmax, empty);
         for (c, rows) in col_rows.iter().enumerate() {
             self.set(cnt, c, rows.len());
         }
@@ -362,7 +365,7 @@ pub(crate) fn eliminate_into(
             col_rows[c as usize].push(r as u32);
         }
     }
-    counts.start(cnt, &col_rows[..n]);
+    counts.start(cnt, m, &col_rows[..n]);
 
     let steps = n.min(m);
     for _ in 0..steps {
@@ -1214,6 +1217,42 @@ mod tests {
                 assert!((a - t).abs() < 1e-12, "{a} vs {t}");
                 assert!(a == s, "sparse {s} vs dense {a}");
             }
+        }
+    }
+
+    /// Fill-in can raise a column's count past every count the workspace
+    /// has seen: a second factorization that fills in where the first did
+    /// not still runs inside retained capacity.
+    #[test]
+    fn more_fill_in_than_the_first_factorization_allocates_nothing() {
+        // A band of half-width 3 eliminates without fill-in: counts stay at
+        // most 7. The random basis starts at most 5 per column and fills in
+        // past 8, while its factors stay smaller than the band's.
+        let m: usize = 64;
+        let band: Vec<SparseCol> = (0..m)
+            .map(|j| {
+                let rows = j.saturating_sub(3)..(j + 4).min(m);
+                rows.map(|r| (r as u32, if r == j { 8.0 } else { 0.5 }))
+                    .collect()
+            })
+            .collect();
+        let fills = random_cols(&mut Rng(2), m, m, (1, 4), true);
+        let mut lu = LuFactors::default();
+        lu.refactor_in_place(m, &band, &mut Counters::default())
+            .unwrap();
+        let buckets = lu.ws.counts.heads.len();
+        let mut cnt = Counters::default();
+        lu.refactor_in_place(m, &fills, &mut cnt).unwrap();
+        assert!(
+            lu.ws.counts.heads.len() > buckets.next_power_of_two(),
+            "fill-in must raise a count past the first factorization's"
+        );
+        assert_eq!(cnt.allocs, 0, "growth is served from capacity");
+        let x_true: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut b = dense_mul(m, &fills, &x_true);
+        lu.ftran(&mut b);
+        for (a, t) in b.iter().zip(&x_true) {
+            assert!((a - t).abs() < 1e-10, "{a} vs {t}");
         }
     }
 

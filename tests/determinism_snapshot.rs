@@ -178,7 +178,9 @@ fn pipeline_is_byte_reproducible_in_process() {
 /// only pricing rule, on an interval LP: pivots, phase-1 pivots,
 /// refactorizations and objective bits of the snapshot instance's path LP,
 /// recorded with the then optional candidate pricing mode selected
-/// (`crates/lp/tests/pinned_counts.rs` pins the raw LPs).
+/// (`crates/lp/tests/pinned_counts.rs` pins the raw LPs). The counts moved
+/// from `(122, 92, 4)` when the pivot loop began to update the duals
+/// instead of re-solving them; the objective bits did not.
 #[test]
 fn single_rule_reproduces_candidate_counts() {
     let instance = snapshot_instance();
@@ -192,6 +194,6 @@ fn single_rule_reproduces_candidate_counts() {
             s.refactorizations,
             lp.base.objective.to_bits()
         ),
-        (122, 92, 4, 0x4044_e26c_6705_50ae)
+        (128, 100, 4, 0x4044_e26c_6705_50ae)
     );
 }
