@@ -125,8 +125,8 @@ pub struct SolveStats {
     /// weights (the pricing side of each pivot).
     pub pricing_ms: f64,
     /// Milliseconds spent in FTRAN/BTRAN solves against the factorization
-    /// (duals, entering-column images, devex reference rows, basic-value
-    /// recomputation).
+    /// (entering-column images, devex reference rows with the dual update,
+    /// recomputed duals and basic values).
     pub ftran_btran_ms: f64,
     /// Milliseconds spent (re)factorizing the basis.
     pub factor_ms: f64,

@@ -82,11 +82,11 @@ impl SparseLuFactor {
     }
 
     /// One of the pivot's solves, `x ← B⁻¹ x` for [`Solve::Entering`] and
-    /// `x ← B⁻ᵀ x` for [`Solve::DevexRow`]. On entry `x` is zero outside the indices in
-    /// `idx`; on return `idx` lists the nonzeros of the result in
-    /// ascending order. Takes the reach-limited path while the kind's
-    /// running density is low: both paths give the same values, so the
-    /// choice only affects speed.
+    /// `x ← B⁻ᵀ x` for [`Solve::DevexRow`]. On entry `x` is zero outside
+    /// the indices in `idx`; on return `idx` lists the nonzeros of the
+    /// result in ascending order. Takes the reach-limited path while the
+    /// kind's running density is low: both paths give the same values, so
+    /// the choice only affects speed.
     pub(crate) fn solve(&mut self, kind: Solve, x: &mut [f64], idx: &mut Vec<u32>) {
         let density = &mut self.density[kind as usize];
         let sparse = *density < SPARSE_BELOW;

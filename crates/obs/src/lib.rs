@@ -175,7 +175,8 @@ impl SpanName {
 pub enum Accum {
     /// Devex pricing scans + candidate-list maintenance.
     Pricing,
-    /// Forward/backward transformations (duals, entering column, updates).
+    /// Forward/backward transformations (entering column, devex row with
+    /// the dual update, recomputed duals and basic values).
     FtranBtran,
     /// Basis (re)factorizations.
     Factor,
