@@ -29,6 +29,31 @@ impl Cleaned {
         self.test_regions.iter().any(|&(s, e)| pos >= s && pos < e)
     }
 
+    /// Names of the modules this file declares as test-only without a
+    /// body (`#[cfg(test)] mod x;`): their files are test code throughout.
+    pub fn test_mods(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        for &(s, e) in &self.test_regions {
+            let item = &self.text[s..e];
+            if item.last() != Some(&b';') {
+                continue;
+            }
+            let Some(at) = find(item, b"mod ", 0) else {
+                continue;
+            };
+            let name: Vec<u8> = item[at + 4..]
+                .iter()
+                .copied()
+                .skip_while(|b| b.is_ascii_whitespace())
+                .take_while(|&b| is_ident(b))
+                .collect();
+            if !name.is_empty() {
+                names.push(String::from_utf8_lossy(&name).into_owned());
+            }
+        }
+        names
+    }
+
     /// The cleaned text of the line containing `pos` (without newline).
     pub fn line_text(&self, pos: usize) -> &[u8] {
         let line = self.line_of(pos);
@@ -310,6 +335,13 @@ mod tests {
         assert!(c.in_test(pos));
         let cpos = find(&c.text, b"fn c", 0).unwrap();
         assert!(!c.in_test(cpos));
+    }
+
+    #[test]
+    fn test_mods_lists_bodyless_cfg_test_modules() {
+        let src = "mod live;\n#[cfg(test)]\nmod audit;\n#[cfg(test)]\n#[allow(dead_code)]\npub(crate) mod  helpers ;\n#[cfg(test)]\nmod tests {\n  mod inner;\n}\n";
+        let c = clean(src.as_bytes());
+        assert_eq!(c.test_mods(), ["audit", "helpers"]);
     }
 
     #[test]

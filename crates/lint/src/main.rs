@@ -155,7 +155,43 @@ fn classify(rel: &str, root: &Path) -> Option<FileClass> {
         // time fault windows; L1/L7 are waived there (rules.rs has the
         // rationale), everything else still applies.
         fault_harness: rel.starts_with("crates/faults/"),
+        test_module: declared_test_only(&root.join(rel)),
     })
+}
+
+/// Whether the module in `path` is test code throughout: its parent module
+/// file declares it `#[cfg(test)] mod name;`, or the parent is itself such
+/// a module. The parent of `dir/name.rs` is `dir/mod.rs`, `dir/lib.rs`,
+/// `dir/main.rs` or `dir.rs`; the parent of `dir/mod.rs` (module `dir`) is
+/// found the same way one level up.
+fn declared_test_only(path: &Path) -> bool {
+    let (Some(dir), Some(stem)) = (path.parent(), path.file_stem()) else {
+        return false;
+    };
+    let (dir, name) = if stem == "mod" {
+        match (dir.parent(), dir.file_name()) {
+            (Some(up), Some(name)) => (up, name),
+            _ => return false,
+        }
+    } else {
+        (dir, stem)
+    };
+    let name = name.to_string_lossy();
+    let mut parents: Vec<PathBuf> = ["mod.rs", "lib.rs", "main.rs"]
+        .iter()
+        .map(|f| dir.join(f))
+        .collect();
+    parents.push(dir.with_extension("rs"));
+    parents
+        .iter()
+        .filter(|p| p.as_path() != path)
+        .any(|parent| {
+            fs::read_to_string(parent).is_ok_and(|raw| {
+                let declared = clean::clean(raw.as_bytes()).test_mods();
+                declared.iter().any(|d| *d == name)
+                    || (raw.contains(&format!("mod {name}")) && declared_test_only(parent))
+            })
+        })
 }
 
 fn report(path: &str, violations: &[Violation]) {
@@ -200,7 +236,8 @@ fn check_workspace(root: &Path) -> std::io::Result<usize> {
 }
 
 /// Lints explicitly named files as library code (fixture-class headers in
-/// the file may add the crate-root check).
+/// the file may add the crate-root check; a file its parent declares
+/// `#[cfg(test)] mod x;` is test code).
 fn check_paths(paths: &[PathBuf]) -> std::io::Result<usize> {
     let mut total = 0;
     for path in paths {
@@ -211,6 +248,7 @@ fn check_paths(paths: &[PathBuf]) -> std::io::Result<usize> {
             unsafe_ok: false,
             timing_ok: raw.contains("// lint-fixture-class: timing_ok"),
             fault_harness: raw.contains("// lint-fixture-class: fault_harness"),
+            test_module: declared_test_only(path),
         };
         let vs = check_file(&raw, class);
         report(&path.to_string_lossy(), &vs);
@@ -264,6 +302,7 @@ fn self_test(root: &Path) -> std::io::Result<bool> {
             unsafe_ok: raw.contains("// lint-fixture-class: unsafe_ok"),
             timing_ok: raw.contains("// lint-fixture-class: timing_ok"),
             fault_harness: raw.contains("// lint-fixture-class: fault_harness"),
+            test_module: declared_test_only(&path),
         };
         let vs = check_file(&raw, class);
         let mut ok = true;

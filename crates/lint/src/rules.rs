@@ -64,6 +64,9 @@ pub struct FileClass {
     /// rules still apply — injection hooks must stay deterministic and
     /// print-free.
     pub fault_harness: bool,
+    /// A module file its parent declares `#[cfg(test)] mod x;`: the whole
+    /// file is test code, exempt like a `#[cfg(test)]` item.
+    pub test_module: bool,
 }
 
 /// An allow marker parsed from a raw source line.
@@ -317,7 +320,10 @@ fn operand_windows(text: &[u8], op: usize) -> (usize, usize, usize, usize) {
 
 /// Runs every applicable rule over one file.
 pub fn check_file(raw: &str, class: FileClass) -> Vec<Violation> {
-    let cleaned = clean(raw.as_bytes());
+    let mut cleaned = clean(raw.as_bytes());
+    if class.test_module {
+        cleaned.test_regions = vec![(0, cleaned.text.len())];
+    }
     let markers = parse_markers(raw);
     let mut out = Vec::new();
 
@@ -557,6 +563,7 @@ mod tests {
         unsafe_ok: false,
         timing_ok: false,
         fault_harness: false,
+        test_module: false,
     };
 
     const FAULTS: FileClass = FileClass {
@@ -727,6 +734,11 @@ mod tests {
     #[test]
     fn unsafe_policy() {
         assert_eq!(rules_hit("fn f() { unsafe { g() } }", LIB), ["unsafe_code"]);
+        let test_module = FileClass {
+            test_module: true,
+            ..LIB
+        };
+        assert!(rules_hit("fn f() { x.unwrap(); println!(); }", test_module).is_empty());
         let ok = FileClass {
             unsafe_ok: true,
             ..LIB

@@ -122,7 +122,9 @@ pub struct SolveStats {
     /// false despite `warm_attempted`, the solver cold-started.
     pub warm_used: bool,
     /// Milliseconds spent scanning reduced costs / maintaining devex
-    /// weights (the pricing side of each pivot).
+    /// weights (the pricing side of each pivot), including the row-wise
+    /// pivotal-row update of the maintained reduced costs (timed under
+    /// `Accum::Pricing`).
     pub pricing_ms: f64,
     /// Milliseconds spent in FTRAN/BTRAN solves against the factorization
     /// (entering-column images, devex reference rows with the dual update,

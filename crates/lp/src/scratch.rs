@@ -101,6 +101,37 @@ pub(crate) struct PhaseBufs {
     /// the root, sorted into the candidate list's new generation when the
     /// window holds an eligible column.
     pub(crate) top: Vec<(f64, u32, bool)>,
+    /// Maintained reduced costs (sized once the row-wise update engages).
+    pub(crate) dj: RedCosts,
+}
+
+/// Reduced costs `d_j` kept across pivots and the pivotal row `α_r = ρ_r A`
+/// that updates them (see `simplex::rowwise`). Acquired when a solve first
+/// engages the row-wise update, so solves that never do pay nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RedCosts {
+    /// Cached `d_j = c_j − yᵀa_j`, current where `stamp[j] == epoch`.
+    pub(crate) d: Vec<f64>,
+    /// Epoch at which each `d[j]` was last made current (`0`: never).
+    pub(crate) stamp: Vec<u32>,
+    /// Current epoch (`>= 1`); bumping it marks every `d[j]` stale.
+    pub(crate) epoch: u32,
+    /// The pivotal row `α_r` over all columns, nonzero only at `alpha_idx`.
+    pub(crate) alpha: Vec<f64>,
+    /// Columns touched by `alpha` (distinct unless an entry cancelled to
+    /// exactly zero and was touched again).
+    pub(crate) alpha_idx: Vec<u32>,
+}
+
+impl RedCosts {
+    /// Marks every cached `d_j` stale in O(1).
+    pub(crate) fn invalidate(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
 }
 
 /// Refactorization temporaries: the basis-column gather pool and the

@@ -1,7 +1,8 @@
 //! Assembly of the working problem from the presolved model: the rows
 //! that survive presolve, one slack column per inequality row, the CSC
 //! matrix over the structurals and then the slacks (artificial columns
-//! stay implicit unit vectors), the bounds, the right-hand side, the
+//! stay implicit unit vectors), the row starts of its row-wise copy, the
+//! bounds, the right-hand side, the
 //! all-artificial starting basis, and both phases' cost vectors.
 
 use super::{splitmix64, State, VStat};
@@ -64,24 +65,38 @@ impl State {
         }
         let n_struct = pre.kept_vars.len();
 
-        // Column-sorted triplets over kept rows/vars.
+        // Column-sorted triplets over kept rows/vars, and the row lengths
+        // of the row-wise copy (counted at `row_ptr[r + 1]`).
         prep(cnt, col_counts, n_struct, 0usize);
+        let row_ptr = &mut self.rows.row_ptr;
+        prep(cnt, row_ptr, m + 1, 0usize);
         for &(r, c, _) in &model.triplets {
-            if row_map[r as usize].is_some() {
+            if let Some(nr) = row_map[r as usize] {
                 if let Some(rc) = pre.var_map[c as usize] {
                     col_counts[rc as usize] += 1;
+                    row_ptr[nr as usize + 1] += 1;
                 }
             }
         }
         // Slack bookkeeping: one slack column for each Le/Ge row.
         prep(cnt, &mut self.slack_of_row, m, None);
         let mut n_expl = n_struct;
-        for (slack, &r) in self.slack_of_row.iter_mut().zip(kept_rows.iter()) {
+        for (i, (slack, &r)) in self
+            .slack_of_row
+            .iter_mut()
+            .zip(kept_rows.iter())
+            .enumerate()
+        {
             if slack_coef(model.rows[r as usize].cmp).is_some() {
                 *slack = Some(n_expl);
                 n_expl += 1;
+                row_ptr[i + 1] += 1;
             }
         }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        self.rows.reset();
 
         let csc = &mut self.csc;
         prep(cnt, &mut csc.col_ptr, n_expl + 1, 0usize);

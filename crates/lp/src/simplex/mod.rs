@@ -28,6 +28,14 @@
 //!   rotating windows of `~4m` columns restocks it. Every choice is broken
 //!   by a total order on the candidate values, so pivot sequences are
 //!   byte-identical from run to run.
+//! * Pricing reads **maintained reduced costs** where they pay
+//!   ([`rowwise`]): once a solve's dot products have cost more than a
+//!   row-wise copy of the matrix, each basis change computes the pivotal
+//!   row `α_r = ρ_r A` row-wise from the devex row `ρ_r` and updates the
+//!   cached `d_j ← d_j − θ·α_rj`; the devex loop reads `α_rj` from the same
+//!   row. Fresh duals, and a basis change whose rows hold more nonzeros
+//!   than one refill window, mark every cached value stale; pricing then
+//!   recomputes `c_j − yᵀa_j` by a dot product when it next reads one.
 //! * Degeneracy is endemic to interval-indexed LPs; the Harris-style ratio
 //!   test breaks ties on `|w_r|`, and pricing falls back to Bland's rule
 //!   after a run of degenerate pivots (or a detected cycle) to guarantee
@@ -39,6 +47,7 @@ mod assemble;
 #[cfg(test)]
 mod dual_audit;
 mod recover;
+mod rowwise;
 mod warm;
 
 use crate::basis::{Basis, SolveStats};
@@ -51,6 +60,7 @@ use crate::scratch::{
 use crate::sparse_lu::SparseCol;
 use crate::{nonzero, LP_TOL};
 use coflow_obs::{Accum, Counter as ObsCounter, Recorder, SpanName};
+use rowwise::{read_reduced_cost, update_reduced_costs};
 
 /// Variable status in the simplex dictionary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,6 +102,8 @@ pub(crate) struct State {
     csc: Csc,
     /// Original indices of the rows surviving presolve, in working order.
     kept_rows: Vec<u32>,
+    /// Row-wise copy of `csc` for the reduced-cost update.
+    rows: rowwise::RowCopy,
     /// Working row → its slack column (`Le`/`Ge` rows only).
     slack_of_row: Vec<Option<usize>>,
     /// Sign of the artificial column for each row (+1/-1).
@@ -408,8 +420,8 @@ const BLAND_AFTER: usize = 60;
 /// in the list at once, so rescans read up to twice this). Deep enough to
 /// survive a run of pivots (eligibility churns fast on degenerate LPs),
 /// shallow enough that a rescan costs well under a window scan — the
-/// rescan is a scattered gather, and its cache misses dominate pricing
-/// long before the list stops fitting.
+/// rescan gathers a scattered `d_j` per entry (a cached value, or a dot
+/// product over the column when the cache is stale or not in use).
 const CAND_LIST_CAP: usize = 64;
 
 /// Total order on pricing candidates `(devex score, column)`: higher
@@ -525,22 +537,26 @@ fn choose_entering(
         sgn,
         cand,
         top,
+        dj,
         ..
     } = ph;
+    let mut priced = 0usize;
     // Want d < -LP_TOL at lower bound, d > LP_TOL at upper bound; basic and
     // fixed (lb == ub) columns carry sign 0.
-    let violation = |st: &State, j: usize| {
+    let mut violation = |st: &State, j: usize| {
         let sg = sgn[j];
         if sg == 0 {
             return 0.0;
         }
-        f64::from(sg) * st.reduced_cost(j, costs, y)
+        f64::from(sg) * read_reduced_cost(st, dj, j, costs, y, &mut priced)
     };
     if bland {
         st.stats.pricing_full_scans += 1;
         px.scan_start = 0;
         st.rec.bump(ObsCounter::ColumnsPriced, nv as u64);
-        return (0..nv).find(|&j| violation(st, j) > LP_TOL);
+        let enter = (0..nv).find(|&j| violation(st, j) > LP_TOL);
+        st.rows.priced += priced;
+        return enter;
     }
 
     let mut best: Option<(f64, u32)> = None;
@@ -556,6 +572,7 @@ fn choose_entering(
     st.rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
     if let Some((_, j)) = best {
         st.stats.pricing_list_hits += 1;
+        st.rows.priced += priced;
         return Some(j as usize);
     }
 
@@ -607,6 +624,7 @@ fn choose_entering(
         st.stats.pricing_full_scans += 1;
     }
     st.rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
+    st.rows.priced += priced;
     if scanned > px.window {
         // The candidate came from a later window: rotate the scan start
         // there so the next refill finds it first.
@@ -714,11 +732,13 @@ fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usiz
 }
 
 /// Pivot step 3b: a basis change — `j_in`, of reduced cost `d_q`, enters
-/// at basis position `r_lv` after a step of length `t`. Updates the duals
-/// and devex weights first (they need the pre-pivot basis), then moves the
-/// point and swaps the statuses. Returns the leaving variable and whether
-/// the duals were updated. The factorization update is the caller's.
+/// at basis position `r_lv` after a step of length `t`. Updates the duals,
+/// the cached reduced costs and the devex weights first (they need the
+/// pre-pivot basis), then moves the point and swaps the statuses. Returns
+/// the leaving variable and whether the duals were updated. The
+/// factorization update is the caller's.
 // lint: hot
+#[allow(clippy::too_many_arguments)]
 fn apply_pivot(
     st: &mut State,
     ph: &mut PhaseBufs,
@@ -727,6 +747,7 @@ fn apply_pivot(
     s: f64,
     r_lv: usize,
     t: f64,
+    window_nnz: usize,
 ) -> (usize, bool) {
     let PhaseBufs {
         y,
@@ -737,6 +758,7 @@ fn apply_pivot(
         gamma,
         sgn,
         cand,
+        dj,
         ..
     } = ph;
     let j_out = st.basis[r_lv];
@@ -759,16 +781,26 @@ fn apply_pivot(
             y[i as usize] += theta * rho[i as usize];
         }
         let t_devex = st.rec.lap(Accum::FtranBtran, t_rho);
+        // The pivotal row `α_rj = ρ·a_j`, row-wise when this basis change
+        // updates the cached reduced costs, else per candidate below.
+        let rowwise = st.pivotal_row(rho, rho_idx, dj, window_nnz);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
         let mut overflow = false;
+        let mut priced = 0usize;
         for &jc in cand.iter() {
             let j = jc as usize;
             if st.vstat[j] == VStat::Basic || j == j_in {
                 continue;
             }
-            let mut aj = 0.0;
-            st.for_col(j, |r, v| aj += rho[r] * v);
+            let aj = if rowwise {
+                dj.alpha[j]
+            } else {
+                priced += 1;
+                let mut aj = 0.0;
+                st.for_col(j, |r, v| aj += rho[r] * v);
+                aj
+            };
             if nonzero(aj) {
                 let g = aj * aj * ratio2;
                 if g > gamma[j] {
@@ -777,9 +809,13 @@ fn apply_pivot(
                 }
             }
         }
+        st.rows.priced += priced;
         gamma[j_out] = ratio2.max(1.0);
         if overflow {
             gamma.fill(1.0);
+        }
+        if rowwise {
+            update_reduced_costs(dj, sgn, theta);
         }
         st.rec.lap(Accum::Pricing, t_devex);
     }
@@ -799,6 +835,11 @@ fn apply_pivot(
         VStat::AtUpper
     };
     st.x[j_out] = if to_lower { st.lb[j_out] } else { st.ub[j_out] };
+    // The leaving column's cached reduced cost was not maintained while it
+    // was basic.
+    if st.rows.filled {
+        dj.stamp[j_out] = 0;
+    }
     sgn[j_out] = if st.ub[j_out] - st.lb[j_out] <= 0.0 {
         0
     } else if to_lower {
@@ -849,11 +890,15 @@ fn run_phase(
     // Two refill generations live in the list at once.
     reserve(cnt, &mut ph.cand, 2 * CAND_LIST_CAP);
     reserve(cnt, &mut ph.top, CAND_LIST_CAP);
+    let window = (4 * m).max(256).min(nv.max(1));
     let mut px = Pricer {
-        window: (4 * m).max(256).min(nv.max(1)),
+        window,
         scan_start: 0,
         gen_split: 0,
     };
+    // The nonzeros of one refill window: the most one basis change's
+    // row-wise update may read.
+    let window_nnz = window * st.nnz_all() / nv.max(1);
     let mut stall = 0usize;
     let mut bland = false;
     let mut cyc = CycleMon::new(&st.basis);
@@ -861,7 +906,7 @@ fn run_phase(
     // `ph.y` holds the current basis's duals throughout: solved for here
     // and after each refactorization (which bounds the update's drift),
     // updated by each pivot and kept by each bound flip.
-    st.duals(costs, &mut ph.y);
+    fresh_duals(st, ph, costs);
 
     loop {
         if local_iters >= iter_cap {
@@ -886,7 +931,10 @@ fn run_phase(
             }
         }
         #[cfg(test)]
-        st.audit_duals(costs, &ph.y);
+        {
+            st.audit_duals(costs, &ph.y);
+            st.audit_reduced_costs(costs, &ph.y, &ph.dj, &ph.sgn);
+        }
 
         let enter = choose_entering(st, ph, &mut px, costs, bland);
         st.rec.lap(Accum::Pricing, t_scan);
@@ -936,7 +984,8 @@ fn run_phase(
                 LpError::Numerical("bounded ratio test selected no leaving row".into())
             })?;
             let d_q = st.reduced_cost(j_in, costs, &ph.y);
-            let (j_out, updated) = apply_pivot(st, ph, j_in, d_q, s, r_lv, exact.max(0.0));
+            let (j_out, updated) =
+                apply_pivot(st, ph, j_in, d_q, s, r_lv, exact.max(0.0), window_nnz);
             cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
             Some((r_lv, updated))
         };
@@ -964,9 +1013,16 @@ fn run_phase(
         }
         // Fresh factors or a skipped update: the duals are solved for anew.
         if refactor || !updated {
-            st.duals(costs, &mut ph.y);
+            fresh_duals(st, ph, costs);
         }
     }
+}
+
+/// Solves for the duals afresh. The cached reduced costs were maintained
+/// against the duals being replaced, so they all go stale.
+fn fresh_duals(st: &mut State, ph: &mut PhaseBufs, costs: &[f64]) {
+    st.duals(costs, &mut ph.y);
+    ph.dj.invalidate();
 }
 
 /// Runs phase 1 (when the current point carries artificial infeasibility),

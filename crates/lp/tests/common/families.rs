@@ -69,3 +69,73 @@ pub fn mixed(seed: u64, n: usize, rows: usize) -> Model {
     }
     m
 }
+
+/// A packet-shaped LP after the paper's §3.2 path-choice LP: `packets`
+/// packets, each with three candidate paths of 2–4 of 12 edges, and an
+/// interval grid `τ_l = 2^l` of `intervals` intervals. Unit variables
+/// `x[p][k][l]` (packet `p` finishes on path `k` in interval `l`, from the
+/// first interval long enough for the path), one assignment row per packet,
+/// one completion row per packet against a weighted completion variable,
+/// and the cumulative congestion rows per edge and interval that can bind.
+pub fn packet(seed: u64, packets: usize, intervals: usize) -> Model {
+    const EDGES: usize = 12;
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    let mut next = move |k: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as usize % k
+    };
+    let tau = |l: usize| (1u64 << l) as f64;
+    let mut m = Model::new();
+    // (path edges, first interval, variables from there on) per candidate.
+    let mut cands = Vec::new();
+    for p in 0..packets {
+        let mut paths = Vec::new();
+        for k in 0..3 {
+            let mut edges: Vec<usize> = Vec::new();
+            while edges.len() < 2 + next(3) {
+                let e = next(EDGES);
+                if !edges.contains(&e) {
+                    edges.push(e);
+                }
+            }
+            let first = (0..intervals)
+                .find(|&l| tau(l + 1) >= edges.len() as f64)
+                .unwrap_or(intervals);
+            let vars: Vec<_> = (first..intervals)
+                .map(|l| m.add_unit(0.0, format!("x{p}_{k}_{l}")))
+                .collect();
+            paths.push((edges, first, vars));
+        }
+        let weight = 1.0 + next(3) as f64;
+        let c = m.add_var(weight, 2.0, f64::INFINITY, format!("c{p}"));
+        let terms: Vec<_> = paths
+            .iter()
+            .flat_map(|(_, _, vars)| vars.iter().map(|&v| (v, 1.0)))
+            .collect();
+        m.add_row(Cmp::Eq, 1.0, &terms);
+        let mut terms: Vec<_> = paths
+            .iter()
+            .flat_map(|(_, first, vars)| (*first..).zip(vars).map(|(l, &v)| (v, tau(l))))
+            .collect();
+        terms.push((c, -1.0));
+        m.add_row(Cmp::Le, 0.0, &terms);
+        cands.push(paths);
+    }
+    for l in 0..intervals {
+        for e in 0..EDGES {
+            let terms: Vec<_> = cands
+                .iter()
+                .flatten()
+                .filter(|(edges, _, _)| edges.contains(&e))
+                .flat_map(|(_, first, vars)| vars.iter().take((l + 1).saturating_sub(*first)))
+                .map(|&v| (v, 1.0))
+                .collect();
+            if terms.len() as f64 > tau(l + 1) {
+                m.add_row(Cmp::Le, tau(l + 1), &terms);
+            }
+        }
+    }
+    m
+}

@@ -7,7 +7,7 @@ use coflow_lp::{Cmp, Model, Solution, SolverOptions};
 
 #[path = "common/families.rs"]
 mod families;
-use families::{mixed, transport};
+use families::{mixed, packet, transport};
 
 /// A sparse transportation LP with enough rows (`2n >= 1024`) that one
 /// refill window (`~4m` columns) is 4096 columns wide: `n` sources with
@@ -90,4 +90,15 @@ fn single_rule_reproduces_candidate_counts() {
     for (seed, want) in MIXED.iter().enumerate() {
         assert_eq!(counts(&mixed(seed as u64, 40, 18)), *want, "mixed[{seed}]");
     }
+}
+
+/// A packet-shaped LP (the §3.2 path-choice structure), pinned like the
+/// families above. Most of its basis changes update the maintained
+/// reduced costs row-wise.
+#[test]
+fn packet_lp_reproduces_counts() {
+    assert_eq!(
+        counts(&packet(3, 24, 5)),
+        (193, 112, 8, 0x4057_0000_0000_0000)
+    );
 }

@@ -230,11 +230,15 @@ pub enum Counter {
     /// Epochs planned by the fallback policy after the primary policy
     /// failed past all retries.
     PolicyFallbacks,
+    /// Simplex basis changes whose pivotal row `ρ_r A` updated the cached
+    /// reduced costs row-wise (zero on a solve where the maintenance never
+    /// engaged and pricing computed every `c_j − yᵀa_j`).
+    RowWiseUpdates,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 12;
 
     /// Every counter, in wire order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -249,6 +253,7 @@ impl Counter {
         Counter::FaultsInjected,
         Counter::DegradedEpochs,
         Counter::PolicyFallbacks,
+        Counter::RowWiseUpdates,
     ];
 
     /// The interned wire name.
@@ -265,6 +270,7 @@ impl Counter {
             Counter::FaultsInjected => "faults_injected",
             Counter::DegradedEpochs => "degraded_epochs",
             Counter::PolicyFallbacks => "policy_fallbacks",
+            Counter::RowWiseUpdates => "rowwise_updates",
         }
     }
 }

@@ -180,7 +180,9 @@ fn pipeline_is_byte_reproducible_in_process() {
 /// recorded with the then optional candidate pricing mode selected
 /// (`crates/lp/tests/pinned_counts.rs` pins the raw LPs). The counts moved
 /// from `(122, 92, 4)` when the pivot loop began to update the duals
-/// instead of re-solving them; the objective bits did not.
+/// instead of re-solving them, and from `(128, 100, 4)` when pricing began
+/// to read reduced costs maintained from the row-wise pivotal row (ties
+/// break on values rounded differently); the objective bits did not.
 #[test]
 fn single_rule_reproduces_candidate_counts() {
     let instance = snapshot_instance();
@@ -194,6 +196,6 @@ fn single_rule_reproduces_candidate_counts() {
             s.refactorizations,
             lp.base.objective.to_bits()
         ),
-        (128, 100, 4, 0x4044_e26c_6705_50ae)
+        (123, 94, 4, 0x4044_e26c_6705_50ae)
     );
 }
