@@ -33,9 +33,11 @@
 //!   row-wise copy of the matrix, each basis change computes the pivotal
 //!   row `α_r = ρ_r A` row-wise from the devex row `ρ_r` and updates the
 //!   cached `d_j ← d_j − θ·α_rj`; the devex loop reads `α_rj` from the same
-//!   row. Fresh duals, and a basis change whose rows hold more nonzeros
-//!   than one refill window, mark every cached value stale; pricing then
-//!   recomputes `c_j − yᵀa_j` by a dot product when it next reads one.
+//!   row. Duals solved afresh inside a phase update the cache by their
+//!   change the same way. A phase start, and an update whose rows hold
+//!   more nonzeros than one refill window, mark every cached value stale;
+//!   pricing then recomputes `c_j − yᵀa_j` by a dot product when it next
+//!   reads one.
 //! * Degeneracy is endemic to interval-indexed LPs; the Harris-style ratio
 //!   test breaks ties on `|w_r|`, and pricing falls back to Bland's rule
 //!   after a run of degenerate pivots (or a detected cycle) to guarantee
@@ -155,6 +157,11 @@ impl State {
     #[inline]
     fn nvars(&self) -> usize {
         self.n_expl + self.m
+    }
+
+    /// Width of one refill window (see [`Pricer::window`]).
+    fn window(&self) -> usize {
+        (4 * self.m).max(256).min(self.nvars().max(1))
     }
 
     /// Iterate the nonzero entries of column `j` (explicit or artificial).
@@ -738,7 +745,6 @@ fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usiz
 /// the leaving variable and whether the duals were updated. The
 /// factorization update is the caller's.
 // lint: hot
-#[allow(clippy::too_many_arguments)]
 fn apply_pivot(
     st: &mut State,
     ph: &mut PhaseBufs,
@@ -747,7 +753,6 @@ fn apply_pivot(
     s: f64,
     r_lv: usize,
     t: f64,
-    window_nnz: usize,
 ) -> (usize, bool) {
     let PhaseBufs {
         y,
@@ -783,7 +788,7 @@ fn apply_pivot(
         let t_devex = st.rec.lap(Accum::FtranBtran, t_rho);
         // The pivotal row `α_rj = ρ·a_j`, row-wise when this basis change
         // updates the cached reduced costs, else per candidate below.
-        let rowwise = st.pivotal_row(rho, rho_idx, dj, window_nnz);
+        let rowwise = st.pivotal_row(rho, rho_idx, dj);
         let gq = gamma[j_in].max(1.0);
         let ratio2 = gq / (alpha_q * alpha_q);
         let mut overflow = false;
@@ -890,15 +895,11 @@ fn run_phase(
     // Two refill generations live in the list at once.
     reserve(cnt, &mut ph.cand, 2 * CAND_LIST_CAP);
     reserve(cnt, &mut ph.top, CAND_LIST_CAP);
-    let window = (4 * m).max(256).min(nv.max(1));
     let mut px = Pricer {
-        window,
+        window: st.window(),
         scan_start: 0,
         gen_split: 0,
     };
-    // The nonzeros of one refill window: the most one basis change's
-    // row-wise update may read.
-    let window_nnz = window * st.nnz_all() / nv.max(1);
     let mut stall = 0usize;
     let mut bland = false;
     let mut cyc = CycleMon::new(&st.basis);
@@ -984,8 +985,7 @@ fn run_phase(
                 LpError::Numerical("bounded ratio test selected no leaving row".into())
             })?;
             let d_q = st.reduced_cost(j_in, costs, &ph.y);
-            let (j_out, updated) =
-                apply_pivot(st, ph, j_in, d_q, s, r_lv, exact.max(0.0), window_nnz);
+            let (j_out, updated) = apply_pivot(st, ph, j_in, d_q, s, r_lv, exact.max(0.0));
             cyc.sig ^= splitmix64(j_out as u64) ^ splitmix64(j_in as u64);
             Some((r_lv, updated))
         };
@@ -1013,16 +1013,50 @@ fn run_phase(
         }
         // Fresh factors or a skipped update: the duals are solved for anew.
         if refactor || !updated {
-            fresh_duals(st, ph, costs);
+            refresh_duals(st, ph, costs);
         }
     }
 }
 
-/// Solves for the duals afresh. The cached reduced costs were maintained
-/// against the duals being replaced, so they all go stale.
+/// Solves for the duals at phase start. The cached reduced costs were
+/// maintained for other costs, so they all go stale.
 fn fresh_duals(st: &mut State, ph: &mut PhaseBufs, costs: &[f64]) {
     st.duals(costs, &mut ph.y);
     ph.dj.invalidate();
+}
+
+/// Solves for the duals afresh inside a phase. The cached reduced costs
+/// follow the duals' change `δ`, `d_j ← d_j − δᵀa_j`, computed row-wise like
+/// a pivotal row: after a refactorization `δ` is the update's rounding
+/// drift, zero in all but a few rows.
+fn refresh_duals(st: &mut State, ph: &mut PhaseBufs, costs: &[f64]) {
+    if !st.rows.filled {
+        st.duals(costs, &mut ph.y);
+        return;
+    }
+    let PhaseBufs {
+        y,
+        rho,
+        rho_idx,
+        sgn,
+        dj,
+        ..
+    } = ph;
+    // `ρ` is free between pivots: it keeps the old duals, then `δ`.
+    rho.copy_from_slice(y);
+    st.duals(costs, y);
+    let t = st.rec.stamp();
+    rho_idx.clear();
+    for (i, (r, &yi)) in rho.iter_mut().zip(y.iter()).enumerate() {
+        *r = yi - *r;
+        if nonzero(*r) {
+            rho_idx.push(i as u32);
+        }
+    }
+    if st.row_image(rho, rho_idx, dj) {
+        update_reduced_costs(dj, sgn, 1.0);
+    }
+    st.rec.lap(Accum::Pricing, t);
 }
 
 /// Runs phase 1 (when the current point carries artificial infeasibility),

@@ -4,7 +4,10 @@
 //! pivotal row `α_r = ρ_r A`. The row is computed row-wise: each nonzero
 //! of `ρ_r` (the devex reference row the pivot solves for anyway) picks one
 //! row of a row-wise copy of the working matrix, and the implicit
-//! artificial of row `i` adds `ρ_i·art_sign[i]`.
+//! artificial of row `i` adds `ρ_i·art_sign[i]`. When the duals are solved
+//! afresh inside a phase (after a refactorization or a skipped dual
+//! update), their change `δ` updates the cached values the same way,
+//! `d_j ← d_j − δᵀa_j`: `δ` is zero in all but a few rows.
 //!
 //! The update pays when `ρ_r` is sparse and its rows are short — a property
 //! of the LP that every pivot shows, so the rule reads only sizes:
@@ -14,11 +17,11 @@
 //!   of its basis changes so far would have read (buy once the rent paid
 //!   covers the price). Short solves, and LPs whose pivotal rows are
 //!   denser than their pricing, never fill it.
-//! * Once filled, a basis change whose rows hold more nonzeros than one
-//!   refill window skips the update and marks every cached value stale.
-//! * Fresh duals (phase start, refactorization, a skipped dual update)
-//!   mark every cached value stale too. Stale values are recomputed by a
-//!   dot product when pricing next reads them, and cached from then on.
+//! * Once filled, an update (`ρ_r` or `δ`) whose rows hold more nonzeros
+//!   than one refill window is skipped and marks every cached value stale.
+//! * A phase start (new costs) marks every cached value stale too. Stale
+//!   values are recomputed by a dot product when pricing next reads them,
+//!   and cached from then on.
 
 use super::State;
 use crate::nonzero;
@@ -58,35 +61,52 @@ impl RowCopy {
 
 impl State {
     /// Nonzeros of every working column, artificials included.
-    pub(super) fn nnz_all(&self) -> usize {
+    fn nnz_all(&self) -> usize {
         self.csc.col_ptr[self.n_expl] + self.m
+    }
+
+    /// Nonzeros of one refill window (at the average column length): the
+    /// most one row-wise update may read.
+    fn window_nnz(&self) -> usize {
+        self.window() * self.nnz_all() / self.nvars().max(1)
     }
 
     /// The pivotal row of a basis change whose devex reference row is
     /// `ρ_r` (nonzero at `rho_idx`): computes `α_r` into `dj` and returns
     /// `true` when the change updates the cached reduced costs, `false`
-    /// when pricing keeps (or falls back to) dot products. `window_nnz` is
-    /// the nonzeros of one refill window.
-    // lint: hot
-    pub(super) fn pivotal_row(
-        &mut self,
-        rho: &[f64],
-        rho_idx: &[u32],
-        dj: &mut RedCosts,
-        window_nnz: usize,
-    ) -> bool {
-        let ptr = &self.rows.row_ptr;
-        let cost: usize = rho_idx
-            .iter()
-            .map(|&i| ptr[i as usize + 1] - ptr[i as usize] + 1)
-            .sum();
+    /// when pricing keeps (or falls back to) dot products.
+    pub(super) fn pivotal_row(&mut self, rho: &[f64], rho_idx: &[u32], dj: &mut RedCosts) -> bool {
         if !self.rows.filled {
+            let cost = self.rowwise_cost(rho_idx);
             self.rows.rowwise += cost;
-            if cost > window_nnz || !self.fill_pays_off() {
+            if cost > self.window_nnz() || !self.fill_pays_off() {
                 return false;
             }
-            self.fill_rows(dj, window_nnz);
-        } else if cost > window_nnz {
+            self.fill_rows(dj);
+        }
+        let engaged = self.row_image(rho, rho_idx, dj);
+        if engaged {
+            self.rec.bump(ObsCounter::RowWiseUpdates, 1);
+        }
+        engaged
+    }
+
+    /// Nonzeros a row-wise image over the rows `idx` reads, artificials
+    /// included.
+    fn rowwise_cost(&self, idx: &[u32]) -> usize {
+        let ptr = &self.rows.row_ptr;
+        idx.iter()
+            .map(|&i| ptr[i as usize + 1] - ptr[i as usize] + 1)
+            .sum()
+    }
+
+    /// `α = vᵀA` over every column into `dj` (the copy must be filled), for
+    /// `v` nonzero at `v_idx`, when its rows hold at most one refill
+    /// window's nonzeros; otherwise marks every cached value stale and
+    /// returns `false`.
+    // lint: hot
+    pub(super) fn row_image(&self, v: &[f64], v_idx: &[u32], dj: &mut RedCosts) -> bool {
+        if self.rowwise_cost(v_idx) > self.window_nnz() {
             dj.invalidate();
             return false;
         }
@@ -99,21 +119,20 @@ impl State {
             values,
             ..
         } = &self.rows;
-        for &i in rho_idx {
-            let (i, ri) = (i as usize, rho[i as usize]);
+        for &i in v_idx {
+            let (i, vi) = (i as usize, v[i as usize]);
             for p in row_ptr[i]..row_ptr[i + 1] {
                 let j = col_idx[p] as usize;
                 if !nonzero(alpha[j]) {
                     alpha_idx.push(j as u32);
                 }
-                alpha[j] += ri * values[p];
+                alpha[j] += vi * values[p];
             }
             // The artificial of row `i` is the only column of that index.
             let j = self.n_expl + i;
             alpha_idx.push(j as u32);
-            alpha[j] = ri * self.art_sign[i];
+            alpha[j] = vi * self.art_sign[i];
         }
-        self.rec.bump(ObsCounter::RowWiseUpdates, 1);
         true
     }
 
@@ -130,8 +149,9 @@ impl State {
     /// Fills the row-wise copy from the CSC columns (ascending, so each
     /// row's columns come out ascending) and acquires the cache, every
     /// value stale.
-    fn fill_rows(&mut self, dj: &mut RedCosts, window_nnz: usize) {
+    fn fill_rows(&mut self, dj: &mut RedCosts) {
         let (m, n_expl, nv) = (self.m, self.n_expl, self.nvars());
+        let window_nnz = self.window_nnz();
         let cnt = &mut self.cnt;
         let RowCopy {
             row_ptr,

@@ -99,6 +99,6 @@ fn single_rule_reproduces_candidate_counts() {
 fn packet_lp_reproduces_counts() {
     assert_eq!(
         counts(&packet(3, 24, 5)),
-        (193, 112, 8, 0x4057_0000_0000_0000)
+        (188, 111, 8, 0x4057_0000_0000_0000)
     );
 }

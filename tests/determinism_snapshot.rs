@@ -196,6 +196,6 @@ fn single_rule_reproduces_candidate_counts() {
             s.refactorizations,
             lp.base.objective.to_bits()
         ),
-        (123, 94, 4, 0x4044_e26c_6705_50ae)
+        (132, 93, 5, 0x4044_e26c_6705_50ae)
     );
 }
