@@ -62,7 +62,7 @@ use crate::scratch::{
 use crate::sparse_lu::SparseCol;
 use crate::{nonzero, LP_TOL};
 use coflow_obs::{Accum, Counter as ObsCounter, Recorder, SpanName};
-use rowwise::{read_reduced_cost, update_reduced_costs};
+use rowwise::{cached_reduced_cost, update_reduced_costs};
 
 /// Variable status in the simplex dictionary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -157,6 +157,13 @@ impl State {
     #[inline]
     fn nvars(&self) -> usize {
         self.n_expl + self.m
+    }
+
+    /// Records `n` columns scored by pricing, for the trace and for the
+    /// row-wise copy's fill rule.
+    fn priced(&mut self, n: usize) {
+        self.rec.bump(ObsCounter::ColumnsPriced, n as u64);
+        self.rows.priced += n;
     }
 
     /// Width of one refill window (see [`Pricer::window`]).
@@ -529,8 +536,12 @@ struct Pricer {
 ///   next rescans will find eligible; retaining them is what keeps the
 ///   list hit rate high. Optimality is only declared after a full
 ///   fruitless cycle.
+///
+/// `CACHED` says the solve maintains reduced costs (see [`rowwise`]): they
+/// are read from the cache, and cached when computed. Otherwise every one
+/// is a dot product, in loops compiled without the cache checks.
 // lint: hot
-fn choose_entering(
+fn choose_entering<const CACHED: bool>(
     st: &mut State,
     ph: &mut PhaseBufs,
     px: &mut Pricer,
@@ -547,7 +558,6 @@ fn choose_entering(
         dj,
         ..
     } = ph;
-    let mut priced = 0usize;
     // Want d < -LP_TOL at lower bound, d > LP_TOL at upper bound; basic and
     // fixed (lb == ub) columns carry sign 0.
     let mut violation = |st: &State, j: usize| {
@@ -555,15 +565,18 @@ fn choose_entering(
         if sg == 0 {
             return 0.0;
         }
-        f64::from(sg) * read_reduced_cost(st, dj, j, costs, y, &mut priced)
+        let d = if CACHED {
+            cached_reduced_cost(st, dj, j, costs, y)
+        } else {
+            st.reduced_cost(j, costs, y)
+        };
+        f64::from(sg) * d
     };
     if bland {
         st.stats.pricing_full_scans += 1;
         px.scan_start = 0;
-        st.rec.bump(ObsCounter::ColumnsPriced, nv as u64);
-        let enter = (0..nv).find(|&j| violation(st, j) > LP_TOL);
-        st.rows.priced += priced;
-        return enter;
+        st.priced(nv);
+        return (0..nv).find(|&j| violation(st, j) > LP_TOL);
     }
 
     let mut best: Option<(f64, u32)> = None;
@@ -576,10 +589,9 @@ fn choose_entering(
             }
         }
     }
-    st.rec.bump(ObsCounter::ColumnsPriced, cand.len() as u64);
+    st.priced(cand.len());
     if let Some((_, j)) = best {
         st.stats.pricing_list_hits += 1;
-        st.rows.priced += priced;
         return Some(j as usize);
     }
 
@@ -630,8 +642,7 @@ fn choose_entering(
     if scanned >= nv {
         st.stats.pricing_full_scans += 1;
     }
-    st.rec.bump(ObsCounter::ColumnsPriced, scanned as u64);
-    st.rows.priced += priced;
+    st.priced(scanned);
     if scanned > px.window {
         // The candidate came from a later window: rotate the scan start
         // there so the next refill finds it first.
@@ -937,7 +948,11 @@ fn run_phase(
             st.audit_reduced_costs(costs, &ph.y, &ph.dj, &ph.sgn);
         }
 
-        let enter = choose_entering(st, ph, &mut px, costs, bland);
+        let enter = if st.rows.filled {
+            choose_entering::<true>(st, ph, &mut px, costs, bland)
+        } else {
+            choose_entering::<false>(st, ph, &mut px, costs, bland)
+        };
         st.rec.lap(Accum::Pricing, t_scan);
         let Some(j_in) = enter else {
             return Ok(PhaseEnd::Optimal);

@@ -42,7 +42,8 @@ pub(super) struct RowCopy {
     /// The entries are filled and [`RedCosts`] is sized: pricing caches
     /// the reduced costs it computes and basis changes update them.
     pub(super) filled: bool,
-    /// Columns priced by dot products this solve.
+    /// Columns scored by pricing this solve (the trace's
+    /// `columns_priced`, plus the devex loop's dot products).
     pub(super) priced: usize,
     /// Nonzeros the row-wise updates of this solve's basis changes would
     /// have read.
@@ -136,10 +137,11 @@ impl State {
         true
     }
 
-    /// The buy-or-rent rule: the dot products so far (priced columns at
-    /// the average column length) have read at least as many nonzeros as
-    /// filling the copy, acquiring the cache and the row-wise updates of
-    /// the basis changes so far would have.
+    /// The buy-or-rent rule: pricing so far (the columns it scored, at the
+    /// average column length: before the fill each nonbasic one is a dot
+    /// product) has read at least as many nonzeros as filling the copy,
+    /// acquiring the cache and the row-wise updates of the basis changes so
+    /// far would have.
     fn fill_pays_off(&self) -> bool {
         let nnz = self.nnz_all() as f64;
         let nv = self.nvars() as f64;
@@ -186,22 +188,17 @@ impl State {
     }
 }
 
-/// Reduced cost of column `j` for pricing: the cached value when it is
-/// current, else `c_j − yᵀa_j` by a dot product (cached when the copy is
-/// filled, counted toward filling it when not).
+/// Reduced cost of column `j` for pricing once the copy is filled: the
+/// cached value when it is current, else `c_j − yᵀa_j` by a dot product,
+/// cached from then on.
 #[inline]
-pub(super) fn read_reduced_cost(
+pub(super) fn cached_reduced_cost(
     st: &State,
     dj: &mut RedCosts,
     j: usize,
     costs: &[f64],
     y: &[f64],
-    priced: &mut usize,
 ) -> f64 {
-    if !st.rows.filled {
-        *priced += 1;
-        return st.reduced_cost(j, costs, y);
-    }
     if dj.stamp[j] == dj.epoch {
         return dj.d[j];
     }
