@@ -2,8 +2,8 @@
 //! that survive presolve, one slack column per inequality row, the CSC
 //! matrix over the structurals and then the slacks (artificial columns
 //! stay implicit unit vectors), the row starts of its row-wise copy, the
-//! bounds, the right-hand side, the
-//! all-artificial starting basis, and both phases' cost vectors.
+//! bounds, the right-hand side, the all-artificial starting basis, and
+//! both phases' cost vectors.
 
 use super::{splitmix64, State, VStat};
 use crate::basis::SolveStats;

@@ -12,11 +12,12 @@
 //! The update pays when `ρ_r` is sparse and its rows are short — a property
 //! of the LP that every pivot shows, so the rule reads only sizes:
 //!
-//! * A solve fills the copy once its dot products have read more nonzeros
-//!   than filling the copy and the cache costs plus what row-wise updates
-//!   of its basis changes so far would have read (buy once the rent paid
-//!   covers the price). Short solves, and LPs whose pivotal rows are
-//!   denser than their pricing, never fill it.
+//! * A solve fills the copy once its pricing (the columns it scored, at
+//!   the average column length) has read more nonzeros than filling the
+//!   copy and the cache costs plus what row-wise updates of its basis
+//!   changes so far would have read (buy once the rent paid covers the
+//!   price). A solve that prices less, and an LP whose pivotal rows are
+//!   denser than its pricing, never fills it.
 //! * Once filled, an update (`ρ_r` or `δ`) whose rows hold more nonzeros
 //!   than one refill window is skipped and marks every cached value stale.
 //! * A phase start (new costs) marks every cached value stale too. Stale
