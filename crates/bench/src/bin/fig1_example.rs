@@ -38,7 +38,6 @@ fn main() {
         &Priority::identity(n),
         &SimConfig {
             policy: AllocPolicy::MaxMinFair,
-            ..Default::default()
         },
     );
     assert!(s1.schedule.check(&inst, 1e-6, 1e-6).is_empty());

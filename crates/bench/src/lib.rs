@@ -57,12 +57,6 @@ pub struct LpDiagnostics {
     pub paths_per_flow: f64,
     /// Simplex pivots.
     pub iterations: usize,
-    /// Phase-1 (feasibility) pivots.
-    pub phase1_iterations: usize,
-    /// Basis refactorizations.
-    pub refactorizations: usize,
-    /// Fill-in ratio of the last basis factorization.
-    pub fill_ratio: f64,
     /// LP solve wall time in milliseconds.
     pub solve_ms: f64,
     /// Trials whose LP solve attempted a warm start (sum over trials when
@@ -113,9 +107,6 @@ pub fn run_trial(
         paths_per_flow: rounding.paths_per_flow.iter().sum::<usize>() as f64
             / rounding.paths_per_flow.len().max(1) as f64,
         iterations: lp.base.iterations,
-        phase1_iterations: lp.base.stats.phase1_iterations,
-        refactorizations: lp.base.stats.refactorizations,
-        fill_ratio: lp.base.stats.fill_ratio(),
         solve_ms,
         warm_attempted: lp.base.stats.warm_attempted as usize,
     };
@@ -212,17 +203,6 @@ pub fn run_point(
         lower_bound: results.iter().map(|(_, d)| d.lower_bound).sum::<f64>() / trials as f64,
         paths_per_flow: results.iter().map(|(_, d)| d.paths_per_flow).sum::<f64>() / trials as f64,
         iterations: results.iter().map(|(_, d)| d.iterations).sum::<usize>() / trials,
-        phase1_iterations: results
-            .iter()
-            .map(|(_, d)| d.phase1_iterations)
-            .sum::<usize>()
-            / trials,
-        refactorizations: results
-            .iter()
-            .map(|(_, d)| d.refactorizations)
-            .sum::<usize>()
-            / trials,
-        fill_ratio: results.iter().map(|(_, d)| d.fill_ratio).sum::<f64>() / trials as f64,
         solve_ms: results.iter().map(|(_, d)| d.solve_ms).sum::<f64>() / trials as f64,
         // A count, not a mean.
         warm_attempted: results.iter().map(|(_, d)| d.warm_attempted).sum(),

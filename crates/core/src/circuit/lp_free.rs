@@ -305,8 +305,9 @@ impl DelayedMaster {
 /// `pool` persists generated paths across calls: a growing-grid sequence or
 /// an online epoch sequence seeds each master with everything discovered so
 /// far, and because variable names are keyed by the pool's **stable**
-/// per-flow path indices, the previous solve's [`coflow_lp::Basis`] keeps
-/// mapping onto the next master (warm starts and column reuse compose).
+/// per-flow path indices, the basis snapshot `chain` keeps from the previous
+/// solve ([`coflow_lp::WarmChain`]) keeps mapping onto the next master (warm
+/// starts and column reuse compose).
 ///
 /// Returns the solution together with the [`ColGenStats`] of this call.
 /// The oracle's counters (calls, relaxations) reach `chain`'s trace whether

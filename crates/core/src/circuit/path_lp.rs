@@ -123,8 +123,9 @@ pub(crate) enum CapRows {
     /// A row no column loads is not written: it could not bind and would
     /// report dual 0, which is what pricing reads for a row that does not
     /// exist. `add_route` creates it when a generated route first loads
-    /// it. A [`coflow_lp::Basis`] maps rows by name, so a row that appears
-    /// between two solves is just a new row to a warm start.
+    /// it. A [`coflow_lp::WarmChain`]'s basis snapshot maps rows by name, so
+    /// a row that appears between two solves is just a new row to a warm
+    /// start.
     Loaded,
 }
 

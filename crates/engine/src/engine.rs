@@ -29,25 +29,13 @@ use coflow_core::schedule::{CircuitSchedule, FlowSchedule};
 use coflow_core::Instance;
 use coflow_net::Path;
 use coflow_obs::{Counter as ObsCounter, HistId, Recorder, SpanName};
-use coflow_sim::fluid::{fair_fill, greedy_fill, push_segment};
+use coflow_sim::fluid::{fair_fill, greedy_fill, push_segment, VOL_EPS};
 
 /// Engine configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// When to re-optimize (see [`EpochTrigger`]).
     pub trigger: EpochTrigger,
-    /// Relative volume tolerance for deeming a flow complete (matches
-    /// [`coflow_sim::fluid::SimConfig::vol_eps`]).
-    pub vol_eps: f64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            trigger: EpochTrigger::default(),
-            vol_eps: 1e-9,
-        }
-    }
 }
 
 /// Same-epoch retries of the primary policy after a plan failure, the
@@ -391,7 +379,7 @@ pub fn run_trace(
             if rates[f] > 1e-12 {
                 push_segment(&mut schedule.flows[f].segments, t, next_t, rates[f]);
                 remaining[f] -= rates[f] * (next_t - t);
-                let tol = cfg.vol_eps * (1.0 + flat.size(f));
+                let tol = VOL_EPS * (1.0 + flat.size(f));
                 if remaining[f] <= tol {
                     remaining[f] = 0.0;
                     done[f] = true;

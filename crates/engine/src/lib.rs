@@ -225,7 +225,6 @@ mod tests {
         let inst = staggered();
         let cfg = EngineConfig {
             trigger: EpochTrigger::periodic(4.0),
-            ..Default::default()
         };
         let out = run(&inst, &mut Fifo, &cfg);
         // Coflow 1 arrives at t=1 but is only admitted at the t=4 tick

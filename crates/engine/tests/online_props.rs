@@ -59,7 +59,7 @@ proptest! {
         // Online engine, single epoch (everything arrives at t = 0 and the
         // trigger never fires again).
         let mut pol = LpOrder::new(lp_cfg, round_cfg);
-        let cfg = EngineConfig { trigger: EpochTrigger::arrivals_only(), ..Default::default() };
+        let cfg = EngineConfig { trigger: EpochTrigger::arrivals_only() };
         let online = run(&inst, &mut pol, &cfg);
 
         // All arrivals at 0 must make exactly one epoch.

@@ -48,13 +48,7 @@ pub fn drop_links(topo: &Topology, count: usize, seed: u64) -> (Topology, usize)
         }
     }
 
-    let mut out = Graph::new();
-    for v in g.nodes() {
-        match g.label(v) {
-            Some(l) => out.add_labeled_node(l),
-            None => out.add_node(),
-        };
-    }
+    let mut out = Graph::with_nodes(g.node_count());
     for e in g.edges() {
         let (s, d) = g.endpoints(e);
         let gone = removed

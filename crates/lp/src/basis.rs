@@ -1,4 +1,5 @@
-//! Basis snapshots for warm-started LP sequences, and per-solve statistics.
+//! Warm-started LP sequences ([`WarmChain`]), the basis snapshots a chain
+//! carries from one solve to the next, and per-solve statistics.
 //!
 //! The coflow algorithms solve *sequences* of structurally related LPs: the
 //! interval-indexed LPs of §2.1/§2.2 re-solved on a grown interval grid or,
@@ -7,10 +8,10 @@
 //! horizon. Whatever is inserted, dropped or reordered in between, a
 //! variable or row that survives keeps its meaning and its *name*.
 //!
-//! A [`Basis`] therefore records the final simplex state by **key** — the
-//! 64-bit hash of the name, computed once when the column or row was added
-//! to its [`Model`](crate::Model) — never by index. It is two key-sorted
-//! arrays:
+//! A chain's snapshot (the crate-private `Basis`) therefore records the
+//! final simplex state by **key** — the 64-bit hash of the name, computed
+//! once when the column or row was added to its [`Model`](crate::Model) —
+//! never by index. It is two key-sorted arrays:
 //!
 //! * columns with an *exceptional* status (basic, or nonbasic at upper
 //!   bound); an absent column is nonbasic at its lower bound, which is also
@@ -45,15 +46,13 @@ pub(crate) enum SnapStat {
 }
 
 /// A reusable snapshot of an optimal simplex basis, keyed by the integer
-/// identity of each column's and row's name.
-///
-/// Produced by [`crate::Model::solve_with_basis`] / [`crate::Model::solve_warm`]
-/// and consumed by [`crate::Model::solve_warm`] on a structurally related
-/// model (grown, shrunk or reordered). Opaque: only size accessors are
-/// public. A key collision can only mis-map one status, which the warm
-/// start's validation absorbs like any other bad mapping.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Basis {
+/// identity of each column's and row's name: what a [`WarmChain`] keeps
+/// between solves and maps onto the next, structurally related model
+/// (grown, shrunk or reordered). A key collision can only mis-map one
+/// status, which the warm start's validation absorbs like any other bad
+/// mapping.
+#[derive(Clone, Debug)]
+pub(crate) struct Basis {
     /// `(column key, status)` of every column with an exceptional status,
     /// sorted by key (absent = at lower bound).
     pub(crate) cols: Vec<(u64, SnapStat)>,
@@ -70,13 +69,8 @@ impl Basis {
         Self { cols, rows }
     }
 
-    /// Number of variables recorded with a non-default status.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
     /// True when the snapshot carries no information (cold start).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.cols.is_empty() && !self.rows.iter().any(|r| r.1)
     }
 
@@ -107,11 +101,6 @@ pub struct SolveStats {
     pub phase1_iterations: usize,
     /// Basis (re)factorizations performed, including the initial one.
     pub refactorizations: usize,
-    /// Nonzeros of the last basis factorization (L + U).
-    pub factor_nnz: usize,
-    /// Nonzeros of the basis matrix itself at the last factorization
-    /// (`factor_nnz / basis_nnz` is the fill-in ratio).
-    pub basis_nnz: usize,
     /// Working rows after presolve.
     pub rows: usize,
     /// Working columns (structurals + slacks) after presolve.
@@ -140,10 +129,6 @@ pub struct SolveStats {
     pub allocs: usize,
     /// Workspace acquisitions served from retained scratch capacity.
     pub scratch_reuse: usize,
-    /// Pricing passes that scanned every column (a refill cycle that
-    /// wrapped all the way round, or a Bland's-rule pass): the expensive
-    /// pivots candidate-list pricing tries to avoid.
-    pub pricing_full_scans: usize,
     /// Pivots served from the candidate list without a refill scan.
     pub pricing_list_hits: usize,
     /// The solve returned a budget-truncated (feasible, possibly
@@ -164,25 +149,23 @@ pub struct SolveStats {
     pub recovery_cold_restarts: usize,
 }
 
-impl SolveStats {
-    /// Fill-in ratio of the factorization (`factor_nnz / basis_nnz`);
-    /// 0 when no factorization happened (trivial LPs).
-    pub fn fill_ratio(&self) -> f64 {
-        if self.basis_nnz == 0 {
-            0.0
-        } else {
-            self.factor_nnz as f64 / self.basis_nnz as f64
-        }
-    }
-}
-
 /// Chains solves of structurally related (typically growing) models,
-/// warm-starting each solve from the previous one's optimal basis.
+/// warm-starting each solve from the previous one's optimal basis: the one
+/// warm-start interface of the crate.
 ///
 /// The coflow call sites thread one `WarmChain` through a sequence of LPs
-/// built on a growing interval grid or time horizon; a fresh chain degrades
-/// to plain cold solves, so wrappers for one-shot solves can share the same
-/// code path.
+/// built on a growing interval grid or time horizon, a run of online
+/// epochs, or a column-generation master loop; a fresh chain degrades to
+/// plain cold solves, so wrappers for one-shot solves can share the same
+/// code path. Cloning a chain keeps its snapshot but not its workspace, so
+/// a clone warm-starts one model from a given basis without disturbing the
+/// original chain.
+///
+/// Warm starting never changes the optimum: if the mapped basis is
+/// singular or cannot be repaired to feasibility the solver silently
+/// cold-starts (check [`SolveStats::warm_used`] on the returned solution's
+/// `stats`). On a degenerate LP an accepted snapshot may end on a different
+/// optimal *vertex* than a cold solve.
 #[derive(Clone, Debug, Default)]
 pub struct WarmChain {
     basis: Option<Basis>,
@@ -223,10 +206,8 @@ impl WarmChain {
         model: &crate::Model,
         opts: &crate::SolverOptions,
     ) -> Result<crate::Solution, crate::LpError> {
-        let (sol, next) = match self.basis.take() {
-            Some(b) => model.solve_warm_in(&b, opts, &mut self.scratch)?,
-            None => model.solve_with_basis_in(opts, &mut self.scratch)?,
-        };
+        let warm = self.basis.take();
+        let (sol, next) = model.solve_in(opts, warm.as_ref(), &mut self.scratch)?;
         self.basis = Some(next);
         self.stats.solves += 1;
         self.stats.warm_attempted += sol.stats.warm_attempted as usize;

@@ -28,8 +28,8 @@
 //!   a **stable index** within its group. Call sites derive variable names
 //!   from `(group, stable index)`, so rebuilding a master from the same
 //!   pool — the next solve of a growing sequence, or the next epoch of the
-//!   online engine — reproduces every column's name and the previous
-//!   [`Basis`](crate::Basis) snapshot still maps onto it.
+//!   online engine — reproduces every column's name and the
+//!   [`WarmChain`]'s basis snapshot still maps onto it.
 //! * [`ColGenStats`] — per-run accounting: rounds, columns generated vs
 //!   seeded, oracle time vs master (simplex) time.
 //!

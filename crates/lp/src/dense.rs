@@ -252,7 +252,6 @@ pub fn solve(model: &Model) -> Result<Solution, LpError> {
         values,
         duals: vec![0.0; model.num_rows()],
         iterations: 0,
-        phase1_iterations: 0,
         status: Status::Optimal,
         stats: crate::basis::SolveStats::default(),
     })
@@ -262,6 +261,7 @@ pub fn solve(model: &Model) -> Result<Solution, LpError> {
 // Unit tests assert exact expected values; strict float equality is the point.
 #[allow(clippy::float_cmp)]
 mod tests {
+    use super::solve;
     use crate::{LpError, Model};
 
     fn assert_close(a: f64, b: f64) {
@@ -276,7 +276,7 @@ mod tests {
         m.le(&[(x, 1.0)], 4.0);
         m.le(&[(y, 2.0)], 12.0);
         m.le(&[(x, 3.0), (y, 2.0)], 18.0);
-        let s = m.solve_dense_reference().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, -36.0);
     }
 
@@ -284,11 +284,11 @@ mod tests {
     fn reference_handles_bounds() {
         let mut m = Model::new();
         let x = m.add_var(-1.0, 0.5, 2.0, "x");
-        let s = m.solve_dense_reference().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 2.0);
         let mut m = Model::new();
         let x = m.add_var(1.0, 0.5, 2.0, "x");
-        let s = m.solve_dense_reference().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.value(x), 0.5);
     }
 
@@ -297,7 +297,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_unit(1.0, "x");
         m.ge(&[(x, 1.0)], 2.0);
-        assert_eq!(m.solve_dense_reference().unwrap_err(), LpError::Infeasible);
+        assert_eq!(solve(&m).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_nonneg(-1.0, "x");
         m.ge(&[(x, 1.0)], 1.0);
-        assert_eq!(m.solve_dense_reference().unwrap_err(), LpError::Unbounded);
+        assert_eq!(solve(&m).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
         let x = m.add_nonneg(1.0, "x");
         let y = m.add_nonneg(2.0, "y");
         m.eq(&[(x, 1.0), (y, 1.0)], 3.0);
-        let s = m.solve_dense_reference().unwrap();
+        let s = solve(&m).unwrap();
         assert_close(s.objective, 3.0);
         assert_close(s.value(x), 3.0);
     }

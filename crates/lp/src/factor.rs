@@ -132,11 +132,6 @@ impl SparseLuFactor {
     pub(crate) fn wants_refactor(&self, since: usize) -> bool {
         since >= REFACTOR_EVERY || self.lu.eta_nnz > 2 * self.lu.lu_nnz().max(500)
     }
-
-    /// Nonzeros in the current factors (fill-in accounting).
-    pub(crate) fn factor_nnz(&self) -> usize {
-        self.lu.lu_nnz()
-    }
 }
 
 #[cfg(test)]

@@ -11,14 +11,14 @@
 //! * [`simplex`] — a **bounded-variable revised primal simplex** with
 //!   candidate-list devex pricing, a Harris ratio test, a Bland's-rule
 //!   anti-cycling fallback, a two-phase start, and key-mapped **warm
-//!   starts** for sequences of related LPs; its private submodules are
+//!   starts** for sequences of related LPs — one path for every model,
+//!   including one whose rows all presolve away; its private submodules are
 //!   `assemble` (the working problem), `warm` (snapshot mapping and
 //!   repair) and `recover` (crash basis and recovery ladder);
 //! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
 //!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex
-//!   used as a cross-checking oracle in tests, reached only through
-//!   [`Model::solve_dense_reference`];
+//!   used as a cross-checking oracle in tests ([`dense::solve`]);
 //! * [`presolve`] — fixed-variable elimination, empty-row checks, and
 //!   singleton-row bound tightening;
 //! * [`colgen`] — delayed column generation: the [`solve_colgen`]
@@ -26,13 +26,14 @@
 //!   persistent [`ColumnPool`] that keeps generated columns reusable across
 //!   related solves (growing sequences, online epochs).
 //!
-//! The solver returns primal values, dual row prices, the objective, and
-//! per-solve [`SolveStats`]; in debug builds every solve is re-checked for
-//! primal feasibility and objective consistency
-//! ([`SolverOptions::verify`]). For LP
-//! *sequences* (a grid or horizon that grows between solves), use
-//! [`Model::solve_with_basis`] / [`Model::solve_warm`] to reuse the
-//! previous optimal [`Basis`] instead of cold-starting.
+//! The solver has three entry points: [`Model::solve`], [`Model::solve_with`]
+//! and [`WarmChain::solve`]. It returns primal values, dual row prices, the
+//! objective, and per-solve [`SolveStats`]; in debug builds every solve is
+//! re-checked for primal feasibility and objective consistency
+//! ([`SolverOptions::verify`]). For LP *sequences* (a grid or horizon that
+//! grows between solves, online epochs, column-generation masters), thread
+//! one [`WarmChain`] through the solves: it warm-starts each from the
+//! previous optimal basis instead of cold-starting.
 //!
 //! Numerical policy: tolerance-based comparisons go through [`LP_TOL`];
 //! *exact* zero tests — sparse kernels skipping structurally absent
@@ -68,7 +69,7 @@ pub mod scratch;
 pub mod simplex;
 pub(crate) mod sparse_lu;
 
-pub use basis::{Basis, ChainStats, SolveStats, WarmChain};
+pub use basis::{ChainStats, SolveStats, WarmChain};
 pub use colgen::{solve_colgen, ColGenStats, ColumnPool};
 pub use fault::{ColgenFault, FaultHook};
 pub use model::{Budget, Cmp, LpError, Model, RowId, Solution, SolverOptions, Status, VarId};

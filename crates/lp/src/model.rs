@@ -2,7 +2,7 @@
 
 use crate::basis::{Basis, SolveStats};
 use crate::nonzero;
-use crate::{dense, presolve, simplex, LP_TOL};
+use crate::{presolve, simplex, LP_TOL};
 use std::fmt;
 
 /// Identifier of a decision variable (dense index into the model).
@@ -310,8 +310,9 @@ impl Model {
 
     /// [`Model::add_row`] with a stable row name. Naming a row lets basis
     /// snapshots carry the row's basic-slack status into a related model
-    /// wherever the row sits there (see [`Model::solve_warm`]); anonymous
-    /// rows solve identically but are recognized by position only.
+    /// wherever the row sits there (see [`WarmChain`](crate::WarmChain));
+    /// anonymous rows solve identically but are recognized by position
+    /// only.
     pub fn add_row_named(
         &mut self,
         cmp: Cmp,
@@ -435,75 +436,27 @@ impl Model {
     /// Solves with explicit options.
     pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, LpError> {
         let mut scratch = crate::scratch::Scratch::default();
-        Ok(self.solve_inner(opts, None, false, &mut scratch)?.0)
+        Ok(self.solve_in(opts, None, &mut scratch)?.0)
     }
 
-    /// Solves cold and additionally returns a [`Basis`] snapshot for
-    /// warm-starting a structurally related (e.g. grown) model.
-    pub fn solve_with_basis(&self, opts: &SolverOptions) -> Result<(Solution, Basis), LpError> {
-        self.solve_with_basis_in(opts, &mut crate::scratch::Scratch::default())
-    }
-
-    /// Solves warm-started from `basis` (a snapshot of a related model's
-    /// optimal basis, mapped by the keys of its column and row names) and
-    /// returns the solution together with this model's own basis snapshot.
-    ///
-    /// Warm starting never changes the optimum: if the mapped basis is
-    /// singular or cannot be repaired to feasibility the solver silently
-    /// cold-starts (check [`SolveStats::warm_used`] on the returned
-    /// solution's `stats`). On a degenerate LP an accepted snapshot may end
-    /// on a different optimal *vertex* than a cold solve.
-    pub fn solve_warm(
-        &self,
-        basis: &Basis,
-        opts: &SolverOptions,
-    ) -> Result<(Solution, Basis), LpError> {
-        self.solve_warm_in(basis, opts, &mut crate::scratch::Scratch::default())
-    }
-
-    /// [`Model::solve_with_basis`] reusing an explicit [`Scratch`]
-    /// workspace — the path [`WarmChain`](crate::WarmChain) takes so its
-    /// solves retain buffer capacity and LU storage across the sequence.
-    pub(crate) fn solve_with_basis_in(
-        &self,
-        opts: &SolverOptions,
-        scratch: &mut crate::scratch::Scratch,
-    ) -> Result<(Solution, Basis), LpError> {
-        let (sol, basis) = self.solve_inner(opts, None, true, scratch)?;
-        Ok((sol, basis.unwrap_or_default()))
-    }
-
-    /// [`Model::solve_warm`] reusing an explicit [`Scratch`] workspace.
-    pub(crate) fn solve_warm_in(
-        &self,
-        basis: &Basis,
-        opts: &SolverOptions,
-        scratch: &mut crate::scratch::Scratch,
-    ) -> Result<(Solution, Basis), LpError> {
-        let (sol, out) = self.solve_inner(opts, Some(basis), true, scratch)?;
-        Ok((sol, out.unwrap_or_default()))
-    }
-
-    fn solve_inner(
+    /// Solves in `scratch`, warm-started from `warm` when given, and
+    /// returns the solution with this model's own basis snapshot: the path
+    /// of every solve, [`WarmChain`](crate::WarmChain)'s with its retained
+    /// workspace and one-shot solves with a transient one.
+    pub(crate) fn solve_in(
         &self,
         opts: &SolverOptions,
         warm: Option<&Basis>,
-        want_basis: bool,
         scratch: &mut crate::scratch::Scratch,
-    ) -> Result<(Solution, Option<Basis>), LpError> {
+    ) -> Result<(Solution, Basis), LpError> {
         let pre = presolve::presolve(self)?;
-        let (sol, basis) = simplex::solve_presolved(self, &pre, opts, warm, want_basis, scratch)?;
+        let (sol, basis) = simplex::solve_presolved(self, &pre, opts, warm, scratch)?;
         if opts.verify {
             // Feasibility and objective consistency hold for truncated
             // points too; only reduced-cost optimality would not.
             self.verify_solution(&sol, LP_TOL.max(1e-6) * 100.0)?;
         }
         Ok((sol, basis))
-    }
-
-    /// Solves with the slow dense-tableau reference solver (tests/oracles).
-    pub fn solve_dense_reference(&self) -> Result<Solution, LpError> {
-        dense::solve(self)
     }
 
     /// Objective value of an assignment (no feasibility check).
@@ -583,13 +536,11 @@ pub struct Solution {
     /// Total simplex pivots across both phases (mirror of
     /// `stats.iterations`, kept for convenience).
     pub iterations: usize,
-    /// Pivots spent in phase 1 (diagnostics).
-    pub phase1_iterations: usize,
     /// Termination status: [`Status::Optimal`], or [`Status::Truncated`]
     /// when a [`Budget`] expired after feasibility.
     pub status: Status,
-    /// Detailed per-solve statistics (factorization fill-in,
-    /// refactorization count, warm-start outcome, ...).
+    /// Detailed per-solve statistics (phase-1 pivots, refactorization
+    /// count, warm-start outcome, ...).
     pub stats: SolveStats,
 }
 
@@ -837,7 +788,7 @@ mod perturb_tests {
         let x = m.add_nonneg(-1.0, "x");
         m.le(&[(x, 1.0)], 4.0);
         let s = m.solve().unwrap();
-        assert_eq!(s.phase1_iterations, 0, "Le-only LPs need no phase 1");
+        assert_eq!(s.stats.phase1_iterations, 0, "Le-only LPs need no phase 1");
         // Ge rows force phase 1 work (two variables, so presolve cannot
         // rewrite the row into a bound).
         let mut m = Model::new();
@@ -845,6 +796,6 @@ mod perturb_tests {
         let y = m.add_nonneg(2.0, "y");
         m.ge(&[(x, 1.0), (y, 1.0)], 4.0);
         let s = m.solve().unwrap();
-        assert!(s.phase1_iterations > 0);
+        assert!(s.stats.phase1_iterations > 0);
     }
 }

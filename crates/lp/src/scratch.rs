@@ -19,8 +19,8 @@
 //! growth converges in O(log n) allocs) and a *reuse* otherwise. The
 //! counters cover the length-known workspace buffers listed on
 //! [`Scratch`]; they deliberately do **not** count (a) output vectors
-//! that escape into the returned [`Solution`](crate::Solution)/
-//! [`Basis`](crate::Basis) (the caller owns those), (b) presolve, which
+//! that escape into the returned [`Solution`](crate::Solution) or the
+//! chain's basis snapshot (the caller owns those), (b) presolve, which
 //! builds a fresh [`Presolved`](crate::presolve::Presolved) per solve,
 //! and (c) push-grown pools (sparse fill-in rows, eta entries), whose
 //! capacity also persists across solves but whose final length is
@@ -269,7 +269,7 @@ mod tests {
         let mut m = crate::Model::new();
         let (x, y) = (m.add_nonneg(1.0, "x"), m.add_nonneg(2.0, "y"));
         m.ge(&[(x, 1.0), (y, 1.0)], 1.0);
-        m.solve_with_basis_in(&crate::SolverOptions::default(), &mut s)
+        m.solve_in(&crate::SolverOptions::default(), None, &mut s)
             .unwrap();
         assert!(s.ph.y.capacity() > 0 && s.state.counters().allocs > 0);
         let c = s.clone();

@@ -36,15 +36,16 @@ fn splitmix_unit(x: u64) -> f64 {
 
 impl State {
     /// Builds the working problem of `model` under `pre` and resets the
-    /// point to the all-artificial basis. Returns `false`, with only the
-    /// kept rows recorded, when no row survives presolve.
+    /// point to the all-artificial basis. A model whose rows all presolve
+    /// away gets `m = 0`: an empty basis, over which pricing flips each
+    /// column to its cheaper bound.
     pub(super) fn assemble(
         &mut self,
         model: &Model,
         pre: &Presolved,
         asm: &mut AsmBufs,
         warm_attempted: bool,
-    ) -> bool {
+    ) {
         let AsmBufs {
             row_map,
             col_counts,
@@ -60,9 +61,6 @@ impl State {
             row_map[old as usize] = Some(new as u32);
         }
         let m = kept_rows.len();
-        if m == 0 {
-            return false;
-        }
         let n_struct = pre.kept_vars.len();
 
         // Column-sorted triplets over kept rows/vars, and the row lengths
@@ -160,7 +158,6 @@ impl State {
             warm_attempted,
             ..Default::default()
         };
-        true
     }
 
     /// Both phases' cost vectors over all variables: phase 1 prices the

@@ -104,7 +104,7 @@ fn updated_duals_track_fresh_duals() -> Result<(), LpError> {
         .chain((0..seeds).map(|seed| families::mixed(seed, 40, 18)));
     for (k, m) in models.enumerate() {
         let mut scratch = Scratch::new();
-        let (sol, _) = m.solve_with_basis_in(&SolverOptions::default(), &mut scratch)?;
+        let (sol, _) = m.solve_in(&SolverOptions::default(), None, &mut scratch)?;
         let rowwise = scratch.obs().counter(Counter::RowWiseUpdates);
         let audit = &scratch.state.audit;
         assert!(audit.pivots > sol.iterations, "model {k}");
@@ -137,11 +137,11 @@ fn second_rowwise_solve_allocates_nothing() -> Result<(), LpError> {
     let m = families::transport(30);
     let opts = SolverOptions::default();
     let mut scratch = Scratch::new();
-    let (first, _) = m.solve_with_basis_in(&opts, &mut scratch)?;
+    let (first, _) = m.solve_in(&opts, None, &mut scratch)?;
     let engaged = scratch.obs().counter(Counter::RowWiseUpdates);
     assert!(engaged > 0, "the row-wise update must engage");
     assert!(first.stats.allocs > 0);
-    let (second, _) = m.solve_with_basis_in(&opts, &mut scratch)?;
+    let (second, _) = m.solve_in(&opts, None, &mut scratch)?;
     assert_eq!(scratch.obs().counter(Counter::RowWiseUpdates), 2 * engaged);
     assert_eq!(second.iterations, first.iterations);
     assert_eq!(second.objective.to_bits(), first.objective.to_bits());

@@ -185,16 +185,12 @@ impl State {
     }
 
     /// Copies columns `js` into the first `js.len()` slots of the gather
-    /// pool `cols` (factorization or basis-completion input); returns their
-    /// nnz.
-    fn gather(&self, js: &[usize], cols: &mut [SparseCol]) -> usize {
-        let mut nnz = 0usize;
+    /// pool `cols` (factorization or basis-completion input).
+    fn gather(&self, js: &[usize], cols: &mut [SparseCol]) {
         for (col, &j) in cols.iter_mut().zip(js) {
             col.clear();
             self.for_col(j, |r, v| col.push((r as u32, v)));
-            nnz += col.len();
         }
-        nnz
     }
 
     /// FTRAN of column `j`: `w = B⁻¹ a_j`. `w` is zero outside `idx` on
@@ -238,13 +234,12 @@ impl State {
         let t0 = self.rec.stamp();
         let mut cols = std::mem::take(&mut self.fx.cols);
         reserve_pool(&mut self.cnt, &mut cols, self.m);
-        self.stats.basis_nnz = self.gather(&self.basis, &mut cols);
+        self.gather(&self.basis, &mut cols);
         let res = self.lu.refactor(self.m, &cols[..self.m], &mut self.cnt);
         self.fx.cols = cols;
         res?;
         self.stats.refactorizations += 1;
         self.rec.bump(ObsCounter::Refactorizations, 1);
-        self.stats.factor_nnz = self.lu.factor_nnz();
         Ok(self.rec.lap(Accum::Factor, t0))
     }
 
@@ -278,9 +273,6 @@ impl State {
     /// beyond tolerance).
     // lint: hot
     fn refactorize(&mut self) -> Result<(), LpError> {
-        if self.m == 0 {
-            return Ok(());
-        }
         if let Some(h) = self.hook.as_mut() {
             if h.on_factorization() {
                 self.rec.bump(ObsCounter::FaultsInjected, 1);
@@ -573,7 +565,6 @@ fn choose_entering<const CACHED: bool>(
         f64::from(sg) * d
     };
     if bland {
-        st.stats.pricing_full_scans += 1;
         px.scan_start = 0;
         st.priced(nv);
         return (0..nv).find(|&j| violation(st, j) > LP_TOL);
@@ -638,9 +629,6 @@ fn choose_entering<const CACHED: bool>(
             cand[px.gen_split..].sort_unstable();
             break;
         }
-    }
-    if scanned >= nv {
-        st.stats.pricing_full_scans += 1;
     }
     st.priced(scanned);
     if scanned > px.window {
@@ -1188,9 +1176,8 @@ fn lagrangian_dual(st: &State, costs: &[f64], y: &[f64]) -> f64 {
     v
 }
 
-/// Entry point behind [`Model::solve_with`]: solve the presolved LP,
-/// optionally warm-starting from `warm` and optionally extracting the
-/// final [`Basis`].
+/// Entry point behind every solve: solve the presolved LP, warm-starting
+/// from `warm` when given, and snapshot the final [`Basis`].
 ///
 /// All working storage comes from `scratch`; the per-solve acquisition
 /// counters are reset here and copied into the returned
@@ -1200,9 +1187,8 @@ pub(crate) fn solve_presolved(
     pre: &Presolved,
     opts: &SolverOptions,
     warm: Option<&Basis>,
-    want_basis: bool,
     scratch: &mut Scratch,
-) -> Result<(Solution, Option<Basis>), LpError> {
+) -> Result<(Solution, Basis), LpError> {
     scratch.state.cnt = Counters::default();
     // Accumulator baselines: the recorder is cumulative over the chain, so
     // the per-solve `*_ms` stats fields are deltas over this solve (the
@@ -1212,7 +1198,7 @@ pub(crate) fn solve_presolved(
     let base_xfer = rec.acc(Accum::FtranBtran);
     let base_factor = rec.acc(Accum::Factor);
     rec.enter(SpanName::Solve);
-    let res = solve_presolved_inner(model, pre, opts, warm, want_basis, scratch);
+    let res = solve_presolved_inner(model, pre, opts, warm, scratch);
     let State { cnt, rec, .. } = &mut scratch.state;
     rec.exit();
     rec.bump(ObsCounter::ScratchReuses, cnt.reuses as u64);
@@ -1233,9 +1219,8 @@ fn solve_presolved_inner(
     pre: &Presolved,
     opts: &SolverOptions,
     warm: Option<&Basis>,
-    want_basis: bool,
     scratch: &mut Scratch,
-) -> Result<(Solution, Option<Basis>), LpError> {
+) -> Result<(Solution, Basis), LpError> {
     let Scratch {
         state: st,
         ph,
@@ -1243,9 +1228,7 @@ fn solve_presolved_inner(
         warm: wb,
         complete,
     } = scratch;
-    if !st.assemble(model, pre, asm, warm.is_some()) {
-        return solve_rowless(model, pre, warm.is_some(), want_basis);
-    }
+    st.assemble(model, pre, asm, warm.is_some());
 
     // ---- Warm start when a snapshot maps and repairs, else the crash. ----
     if let Some(snap) = warm {
@@ -1287,7 +1270,7 @@ fn solve_presolved_inner(
     } else {
         objective
     };
-    let basis_out = want_basis.then(|| st.snapshot(model, pre));
+    let basis_out = st.snapshot(model, pre);
 
     st.stats.iterations = st.iterations;
     st.stats.phase1_iterations = phase1_iterations;
@@ -1299,7 +1282,6 @@ fn solve_presolved_inner(
             values,
             duals,
             iterations: st.iterations,
-            phase1_iterations,
             status: if truncated {
                 Status::Truncated
             } else {
@@ -1311,51 +1293,6 @@ fn solve_presolved_inner(
     ))
 }
 
-/// The trivial case: no rows survive presolve, so every variable sits at
-/// its cheapest bound.
-fn solve_rowless(
-    model: &Model,
-    pre: &Presolved,
-    warm_attempted: bool,
-    want_basis: bool,
-) -> Result<(Solution, Option<Basis>), LpError> {
-    let mut values = pre.fixed_values.clone();
-    let mut objective = pre.obj_offset;
-    let mut at_upper = Vec::new();
-    for &oj in pre.kept_vars.iter() {
-        let oj = oj as usize;
-        let (cost, lo, hi) = (model.cols[oj].cost, pre.lb[oj], pre.ub[oj]);
-        let v = if cost >= 0.0 {
-            lo
-        } else if hi.is_finite() {
-            at_upper.push(oj);
-            hi
-        } else {
-            return Err(LpError::Unbounded);
-        };
-        values[oj] = v;
-        objective += cost * v;
-    }
-    let mut duals = vec![0.0; model.num_rows()];
-    crate::presolve::postsolve_singleton_duals(model, pre, &mut duals);
-    Ok((
-        Solution {
-            objective,
-            bound: objective,
-            values,
-            duals,
-            iterations: 0,
-            phase1_iterations: 0,
-            status: Status::Optimal,
-            stats: SolveStats {
-                warm_attempted,
-                ..Default::default()
-            },
-        },
-        want_basis.then(|| warm::rowless_snapshot(model, &at_upper)),
-    ))
-}
-
 #[cfg(test)]
 // Unit tests assert exact expected values; strict float equality is the point.
 #[allow(clippy::float_cmp)]
@@ -1364,7 +1301,7 @@ mod tests {
         ratio_test, refill_order, retain_top, splitmix64, CycleMon, RefillEntry, State,
         CAND_LIST_CAP,
     };
-    use crate::{nonzero, LpError, Model, SolverOptions};
+    use crate::{nonzero, LpError, Model, SolverOptions, WarmChain};
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
@@ -1537,6 +1474,68 @@ mod tests {
         assert_eq!(m.solve().unwrap_err(), LpError::Unbounded);
     }
 
+    /// A model whose rows all presolve away runs the ordinary path inside a
+    /// chain: between two solves of a multi-row LP it gets a real, empty
+    /// factorization and returns what the former row-free shortcut did, and
+    /// the next multi-row solve factorizes its own basis (debug builds'
+    /// dimension asserts and Miri would catch stale factors) and warm-starts
+    /// from the row-free snapshot.
+    #[test]
+    fn row_free_model_in_a_chain() {
+        let rows = {
+            let mut m = Model::new();
+            let x = m.add_nonneg(2.0, "x");
+            let y = m.add_nonneg(3.0, "y");
+            let z = m.add_unit(-1.0, "z");
+            m.ge(&[(x, 1.0), (y, 1.0)], 4.0);
+            m.le(&[(x, 1.0), (z, 2.0)], 9.0);
+            m.eq(&[(y, 1.0), (z, 1.0)], 2.0);
+            m
+        };
+        let row_free = {
+            let mut m = Model::new();
+            let x = m.add_var(-2.0, 0.0, 4.0, "x");
+            m.add_var(3.0, 1.0, 9.0, "y");
+            let z = m.add_var(-1.0, 0.0, 5.0, "z");
+            let w = m.add_var(5.0, 1.0, 1.0, "w");
+            m.le(&[(z, 2.0)], 3.0); // a bound on z, binding
+            m.le(&[], 1.0);
+            m.ge(&[(x, 1.0), (w, 1.0)], 0.5); // x's bound is looser
+            m
+        };
+        let opts = SolverOptions::default();
+        let mut chain = WarmChain::new();
+        let first = chain.solve(&rows, &opts).unwrap();
+        assert!(first.stats.rows > 0);
+
+        let s = chain.solve(&row_free, &opts).unwrap();
+        // The former shortcut's answer: each column at its cheaper bound,
+        // the binding singleton row priced at its bound's multiplier.
+        assert_eq!(s.values, [4.0, 1.0, 1.5, 1.0]);
+        assert_eq!(s.objective, -1.5);
+        assert_eq!(s.bound, -1.5);
+        assert_eq!(s.duals, [-0.5, 0.0, 0.0]);
+        assert_eq!(s.status, crate::Status::Optimal);
+        assert_eq!(s.stats.rows, 0);
+        assert!(s.stats.warm_attempted);
+        assert!(s.stats.refactorizations > 0, "an empty basis factorizes");
+
+        let again = chain.solve(&rows, &opts).unwrap();
+        assert!(again.stats.warm_attempted);
+        assert_close(again.objective, first.objective);
+        for (a, b) in again.values.iter().zip(&first.values) {
+            assert_close(*a, *b);
+        }
+
+        let mut unbounded = Model::new();
+        let x = unbounded.add_nonneg(-1.0, "x");
+        unbounded.ge(&[(x, 1.0)], 1.0); // presolves into a lower bound
+        assert_eq!(
+            chain.solve(&unbounded, &opts).unwrap_err(),
+            LpError::Unbounded
+        );
+    }
+
     #[test]
     fn iteration_limit_respected() {
         let mut m = Model::new();
@@ -1604,7 +1603,7 @@ mod tests {
         m.ge(&[(x, 1.0), (z, 1.0)], 2.0);
         m.eq(&[(y, 1.0), (z, 1.0)], 1.5);
         let sparse = m.solve().unwrap();
-        let reference = m.solve_dense_reference().unwrap();
+        let reference = crate::dense::solve(&m).unwrap();
         assert_close(sparse.objective, reference.objective);
     }
 
@@ -1619,7 +1618,6 @@ mod tests {
         assert!(s.stats.iterations > 0);
         assert_eq!(s.stats.iterations, s.iterations);
         assert!(s.stats.refactorizations >= 1);
-        assert!(s.stats.factor_nnz > 0);
         assert_eq!(s.stats.rows, 2);
         assert!(!s.stats.warm_attempted);
     }
@@ -1636,8 +1634,9 @@ mod tests {
         m.le(&[(x, 1.0), (z, 2.0)], 9.0);
         m.eq(&[(y, 1.0), (z, 1.0)], 2.0);
         let opts = SolverOptions::default();
-        let (cold, basis) = m.solve_with_basis(&opts).unwrap();
-        let (warm, _) = m.solve_warm(&basis, &opts).unwrap();
+        let mut chain = WarmChain::new();
+        let cold = chain.solve(&m, &opts).unwrap();
+        let warm = chain.solve(&m, &opts).unwrap();
         assert_close(cold.objective, warm.objective);
         assert!(warm.stats.warm_attempted);
         assert!(warm.stats.warm_used, "same-model warm start must be taken");
@@ -1669,10 +1668,10 @@ mod tests {
             m
         };
         let opts = SolverOptions::default();
-        let small = build(6);
-        let (_, basis) = small.solve_with_basis(&opts).unwrap();
+        let mut chain = WarmChain::new();
+        chain.solve(&build(6), &opts).unwrap();
         let big = build(10);
-        let (warm, _) = big.solve_warm(&basis, &opts).unwrap();
+        let warm = chain.solve(&big, &opts).unwrap();
         let cold = big.solve_with(&opts).unwrap();
         assert_close(warm.objective, cold.objective);
         assert!(warm.stats.warm_used);
@@ -1684,13 +1683,14 @@ mod tests {
         let p = a.add_nonneg(1.0, "p");
         let q = a.add_nonneg(1.0, "q");
         a.ge(&[(p, 1.0), (q, 1.0)], 2.0);
-        let (_, basis) = a.solve_with_basis(&SolverOptions::default()).unwrap();
+        let mut chain = WarmChain::new();
+        chain.solve(&a, &SolverOptions::default()).unwrap();
 
         let mut b = Model::new();
         let x = b.add_nonneg(-1.0, "x"); // entirely different names
         let y = b.add_nonneg(-1.0, "y");
         b.le(&[(x, 1.0), (y, 1.0)], 3.0);
-        let (warm, _) = b.solve_warm(&basis, &SolverOptions::default()).unwrap();
+        let warm = chain.solve(&b, &SolverOptions::default()).unwrap();
         let cold = b.solve().unwrap();
         assert_close(warm.objective, cold.objective);
         assert!(warm.stats.warm_attempted);

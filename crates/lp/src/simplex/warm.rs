@@ -2,7 +2,7 @@
 //! the working problem by the integer key of each column's and row's name,
 //! so rows and columns may have been inserted, dropped or reordered in
 //! between. This module alone knows that key format: [`State::map_snapshot`]
-//! reads it, [`State::snapshot`] and [`rowless_snapshot`] write it, and
+//! reads it, [`State::snapshot`] writes it, and
 //! [`State::repair_basis`] needs only the [`State`]. A failed repair falls
 //! back to the cold crash basis — warm starting is an optimization, never a
 //! correctness risk.
@@ -19,14 +19,6 @@ use crate::LP_TOL;
 /// basis up (on `online_eager_k8` 80 % of the repairs take one round, 19 %
 /// two; three is the most seen on any benchmark workload).
 const REPAIR_ROUNDS: usize = 4;
-
-/// The snapshot of a solve without rows: columns `at_upper` at their upper bound.
-pub(super) fn rowless_snapshot(model: &Model, at_upper: &[usize]) -> Basis {
-    let cols = at_upper
-        .iter()
-        .map(|&oj| (model.cols[oj].key, SnapStat::AtUpper));
-    Basis::new(cols.collect(), Vec::new())
-}
 
 impl State {
     /// First half of a warm start: maps `snap`'s statuses onto the working
@@ -190,12 +182,15 @@ impl State {
 
         // Early junk-basis rejection, before spending repair pivots: when the
         // mapped point violates bounds on a large fraction of the basis, the
-        // snapshot came from a structurally unrelated model (e.g. a different
-        // random instance whose variables merely share names) and the
-        // bound-shifting repair would burn its whole pivot cap only to fail —
+        // snapshot likely came from a structurally unrelated model (e.g. a
+        // different random instance whose variables merely share names) and
+        // the bound-shifting repair would burn its pivot cap only to fail —
         // cold-starting immediately is cheaper. The ¼ threshold mirrors the
-        // artificial-residual acceptance test below; genuinely related models
-        // (grown grids, online residuals) shift only a handful of variables.
+        // artificial-residual acceptance test below. It also refuses about
+        // 1 % of online epochs' snapshots from their own chain, which the
+        // repair would have accepted in fewer pivots; without the rule the
+        // online column-generation schedules come out slightly worse, so it
+        // stays.
         if shifted.len() * 4 > m {
             return false;
         }

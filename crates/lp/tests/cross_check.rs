@@ -10,7 +10,7 @@
 // reference tableau, and the generated-LP tuples are verbose by nature.
 #![allow(clippy::needless_range_loop, clippy::type_complexity)]
 
-use coflow_lp::{Cmp, LpError, Model, SolverOptions, LP_TOL};
+use coflow_lp::{dense, Cmp, LpError, Model, SolverOptions, WarmChain, LP_TOL};
 use proptest::prelude::*;
 
 /// A randomly generated LP description.
@@ -91,7 +91,7 @@ proptest! {
     fn bounded_lps_agree(lp in arb_lp(6, 5, true)) {
         let m = build(&lp);
         let fast = m.solve();
-        let slow = m.solve_dense_reference();
+        let slow = dense::solve(&m);
         prop_assert_eq!(classify(&fast), classify(&slow));
         if let (Ok(f), Ok(s)) = (&fast, &slow) {
             let scale = 1.0 + f.objective.abs().max(s.objective.abs());
@@ -109,7 +109,7 @@ proptest! {
     fn mixed_lps_agree(lp in arb_lp(5, 4, false)) {
         let m = build(&lp);
         let fast = m.solve();
-        let slow = m.solve_dense_reference();
+        let slow = dense::solve(&m);
         prop_assert_eq!(classify(&fast), classify(&slow));
         if let (Ok(f), Ok(s)) = (&fast, &slow) {
             let scale = 1.0 + f.objective.abs().max(s.objective.abs());
@@ -235,7 +235,7 @@ proptest! {
     fn degenerate_sparse_matches_reference(lp in arb_degenerate(8, 6)) {
         let m = build_degenerate(&lp);
         let fast = m.solve();
-        let slow = m.solve_dense_reference();
+        let slow = dense::solve(&m);
         prop_assert_eq!(classify(&fast), classify(&slow));
         if let (Ok(f), Ok(s)) = (&fast, &slow) {
             let scale = 1.0 + f.objective.abs().max(s.objective.abs());
@@ -277,9 +277,10 @@ proptest! {
             m
         };
         let opts = SolverOptions::default();
-        let (_, basis) = build(small).solve_with_basis(&opts).unwrap();
+        let mut chain = WarmChain::new();
+        chain.solve(&build(small), &opts).unwrap();
         let big = build(small + extra);
-        let (warm, _) = big.solve_warm(&basis, &opts).unwrap();
+        let warm = chain.solve(&big, &opts).unwrap();
         let cold = big.solve_with(&opts).unwrap();
         let scale = 1.0 + warm.objective.abs().max(cold.objective.abs());
         prop_assert!(
@@ -292,8 +293,9 @@ proptest! {
         // `foreign` names its variables `x{j}` too and its anonymous rows
         // share positions with `big`'s: whatever its basis maps to, the
         // answer is the cold one.
-        if let Ok((_, junk)) = crate::build(&foreign).solve_with_basis(&opts) {
-            let (warm, _) = big.solve_warm(&junk, &opts).unwrap();
+        let mut junk = WarmChain::new();
+        if junk.solve(&crate::build(&foreign), &opts).is_ok() {
+            let warm = junk.solve(&big, &opts).unwrap();
             prop_assert!(
                 (warm.objective - cold.objective).abs() / scale < 10.0 * LP_TOL,
                 "foreign snapshot: warm {} vs cold {}", warm.objective, cold.objective
@@ -317,7 +319,7 @@ fn regression_battery() {
     m.le(&[(x1, 20.0), (x2, 1.0)], 100.0);
     m.le(&[(x1, 200.0), (x2, 20.0), (x3, 1.0)], 10000.0);
     let s = m.solve().unwrap();
-    let r = m.solve_dense_reference().unwrap();
+    let r = dense::solve(&m).unwrap();
     assert!((s.objective - r.objective).abs() < 1e-6);
     assert!((s.objective - (-10000.0)).abs() < 1e-5);
 
@@ -486,12 +488,14 @@ fn epoch_lp(flows: &[usize], skip_cap: Option<(usize, usize)>) -> Model {
 #[test]
 fn warm_start_survives_rows_inserted_and_dropped() {
     let opts = SolverOptions::default();
-    let (_, basis) = epoch_lp(&[0, 1, 2, 3, 4, 5, 6, 7], None)
-        .solve_with_basis(&opts)
+    let mut chain = WarmChain::new();
+    chain
+        .solve(&epoch_lp(&[0, 1, 2, 3, 4, 5, 6, 7], None), &opts)
         .unwrap();
     for skip_cap in [None, Some((1, 3))] {
         let next = epoch_lp(&[0, 1, 2, 3, 4, 5, 6, 7, 8], skip_cap);
-        let (warm, _) = next.solve_warm(&basis, &opts).unwrap();
+        // A clone warm-starts from the same snapshot each time.
+        let warm = chain.clone().solve(&next, &opts).unwrap();
         let cold = next.solve_with(&opts).unwrap();
         assert!(warm.stats.warm_used, "skip {skip_cap:?}: snapshot rejected");
         let scale = 1.0 + cold.objective.abs();
@@ -536,10 +540,11 @@ fn warm_start_repair_reenters_range() {
         m
     };
     let opts = SolverOptions::default();
-    let (before, basis) = build(0.7, 1.0).solve_with_basis(&opts).unwrap();
+    let mut chain = WarmChain::new();
+    let before = chain.solve(&build(0.7, 1.0), &opts).unwrap();
     assert!((before.objective + 0.7).abs() < 1e-9);
     let after = build(1.5, 0.2);
-    let (warm, _) = after.solve_warm(&basis, &opts).unwrap();
+    let warm = chain.solve(&after, &opts).unwrap();
     let cold = after.solve_with(&opts).unwrap();
     assert!(warm.stats.warm_used, "repairable snapshot rejected");
     assert!((warm.objective - cold.objective).abs() < 1e-9);

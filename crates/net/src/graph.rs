@@ -72,8 +72,6 @@ pub struct Graph {
     edges: Vec<EdgeRec>,
     out_adj: Vec<Vec<EdgeId>>,
     in_adj: Vec<Vec<EdgeId>>,
-    /// Optional human-readable node labels (topology builders fill these).
-    labels: Vec<Option<String>>,
 }
 
 impl Graph {
@@ -96,20 +94,7 @@ impl Graph {
         let id = NodeId(self.out_adj.len() as u32);
         self.out_adj.push(Vec::new());
         self.in_adj.push(Vec::new());
-        self.labels.push(None);
         id
-    }
-
-    /// Adds a labeled node (labels aid debugging of topology builders).
-    pub fn add_labeled_node(&mut self, label: impl Into<String>) -> NodeId {
-        let id = self.add_node();
-        self.labels[id.index()] = Some(label.into());
-        id
-    }
-
-    /// Returns the label of `v`, if one was assigned.
-    pub fn label(&self, v: NodeId) -> Option<&str> {
-        self.labels[v.index()].as_deref()
     }
 
     /// Adds a directed edge `src -> dst` with capacity `cap` and returns its
@@ -444,14 +429,5 @@ mod tests {
         let e1 = g.add_edge(NodeId(2), NodeId(3), 1.0);
         let p = Path::new(vec![e0, e1]);
         assert!(!g.is_simple_path(&p, NodeId(0), NodeId(3)));
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        let mut g = Graph::new();
-        let v = g.add_labeled_node("host-0");
-        let w = g.add_node();
-        assert_eq!(g.label(v), Some("host-0"));
-        assert_eq!(g.label(w), None);
     }
 }

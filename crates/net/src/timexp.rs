@@ -32,12 +32,7 @@ impl TimeExpandedGraph {
     /// bound to model bounded queues; packet model uses `usize::MAX` worth).
     pub fn build(base: &Graph, horizon: usize, queue_cap: f64) -> Self {
         let n = base.node_count();
-        let mut g = Graph::new();
-        for t in 0..=horizon {
-            for v in 0..n {
-                g.add_labeled_node(format!("({v},{t})"));
-            }
-        }
+        let mut g = Graph::with_nodes(n * (horizon + 1));
         let mut base_edge = Vec::new();
         for t in 0..horizon {
             // Transit edges.

@@ -39,9 +39,9 @@ impl Topology {
 /// lives in the root crate's `examples/quickstart.rs`.
 pub fn triangle() -> Topology {
     let mut g = Graph::new();
-    let x = g.add_labeled_node("x");
-    let y = g.add_labeled_node("y");
-    let z = g.add_labeled_node("z");
+    let x = g.add_node();
+    let y = g.add_node();
+    let z = g.add_node();
     g.add_bidi_edge(x, y, 1.0);
     g.add_bidi_edge(y, z, 1.0);
     g.add_bidi_edge(z, x, 1.0);
@@ -92,10 +92,10 @@ pub fn ring(n: usize, cap: f64) -> Topology {
 pub fn star(n: usize, cap: f64) -> Topology {
     assert!(n >= 1);
     let mut g = Graph::new();
-    let center = g.add_labeled_node("switch");
+    let center = g.add_node();
     let mut hosts = Vec::with_capacity(n);
-    for i in 0..n {
-        let h = g.add_labeled_node(format!("host-{i}"));
+    for _ in 0..n {
+        let h = g.add_node();
         g.add_bidi_edge(h, center, cap);
         hosts.push(h);
     }
@@ -141,23 +141,14 @@ pub fn fat_tree(k: usize, link_cap: f64) -> Topology {
     let half = k / 2;
     let mut g = Graph::new();
 
-    // Core switches: (k/2)^2, indexed (i, j) with i, j in 0..k/2.
-    let mut core = Vec::with_capacity(half * half);
-    for i in 0..half {
-        for j in 0..half {
-            core.push(g.add_labeled_node(format!("core-{i}-{j}")));
-        }
-    }
+    // Core switches: (k/2)^2, switch (i, j) at `i·k/2 + j` for i, j in 0..k/2.
+    let core: Vec<NodeId> = (0..half * half).map(|_| g.add_node()).collect();
 
     let mut hosts = Vec::with_capacity(k * half * half);
-    for pod in 0..k {
+    for _ in 0..k {
         // Aggregation and edge switches for this pod.
-        let agg: Vec<NodeId> = (0..half)
-            .map(|a| g.add_labeled_node(format!("agg-{pod}-{a}")))
-            .collect();
-        let edge: Vec<NodeId> = (0..half)
-            .map(|e| g.add_labeled_node(format!("edge-{pod}-{e}")))
-            .collect();
+        let agg: Vec<NodeId> = (0..half).map(|_| g.add_node()).collect();
+        let edge: Vec<NodeId> = (0..half).map(|_| g.add_node()).collect();
 
         // Edge <-> agg full bipartite within the pod.
         for &e in &edge {
@@ -172,9 +163,9 @@ pub fn fat_tree(k: usize, link_cap: f64) -> Topology {
             }
         }
         // Hosts under each edge switch.
-        for (e_idx, &e) in edge.iter().enumerate() {
-            for h in 0..half {
-                let host = g.add_labeled_node(format!("host-{pod}-{e_idx}-{h}"));
+        for &e in &edge {
+            for _ in 0..half {
+                let host = g.add_node();
                 g.add_bidi_edge(host, e, link_cap);
                 hosts.push(host);
             }
@@ -192,20 +183,16 @@ pub fn fat_tree(k: usize, link_cap: f64) -> Topology {
 /// Used by the packet-based experiments; every node is a host.
 pub fn grid(w: usize, h: usize, cap: f64) -> Topology {
     assert!(w >= 1 && h >= 1);
-    let mut g = Graph::new();
-    let mut ids = vec![vec![NodeId(0); h]; w];
-    for (x, col) in ids.iter_mut().enumerate() {
-        for (y, slot) in col.iter_mut().enumerate() {
-            *slot = g.add_labeled_node(format!("g-{x}-{y}"));
-        }
-    }
+    let mut g = Graph::with_nodes(w * h);
+    // Node `(x, y)` is id `x·h + y`.
+    let id = |x: usize, y: usize| NodeId((x * h + y) as u32);
     for x in 0..w {
         for y in 0..h {
             if x + 1 < w {
-                g.add_bidi_edge(ids[x][y], ids[x + 1][y], cap);
+                g.add_bidi_edge(id(x, y), id(x + 1, y), cap);
             }
             if y + 1 < h {
-                g.add_bidi_edge(ids[x][y], ids[x][y + 1], cap);
+                g.add_bidi_edge(id(x, y), id(x, y + 1), cap);
             }
         }
     }

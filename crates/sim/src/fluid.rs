@@ -13,11 +13,12 @@ use coflow_core::Instance;
 use coflow_net::Path;
 
 /// Bandwidth allocation policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AllocPolicy {
     /// Serve flows in priority order; each gets the full residual
     /// bottleneck of its path ("each flow starts as soon as it can, in the
-    /// prescribed order", §4.2).
+    /// prescribed order", §4.2). The default.
+    #[default]
     GreedyRate,
     /// Progressive-filling max–min fairness across active flows (the
     /// Figure 1 (s1) fair-sharing strawman).
@@ -25,22 +26,16 @@ pub enum AllocPolicy {
 }
 
 /// Simulator configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SimConfig {
     /// Allocation policy.
     pub policy: AllocPolicy,
-    /// Relative volume tolerance for deeming a flow complete.
-    pub vol_eps: f64,
 }
 
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            policy: AllocPolicy::GreedyRate,
-            vol_eps: 1e-9,
-        }
-    }
-}
+/// Relative volume tolerance for deeming a flow complete: a flow of size
+/// `s` is done once at most `VOL_EPS·(1 + s)` of it remains (shared with
+/// the online engine's executor).
+pub const VOL_EPS: f64 = 1e-9;
 
 /// Simulation result.
 #[derive(Clone, Debug)]
@@ -262,7 +257,7 @@ pub fn simulate(
             if rates[f] > 1e-12 {
                 push_segment(&mut schedule.flows[f].segments, t, next_t, rates[f]);
                 remaining[f] -= rates[f] * (next_t - t);
-                let tol = cfg.vol_eps * (1.0 + sizes[f]);
+                let tol = VOL_EPS * (1.0 + sizes[f]);
                 if remaining[f] <= tol {
                     remaining[f] = 0.0;
                     done[f] = true;
@@ -336,7 +331,6 @@ mod tests {
             &Priority::identity(4),
             &SimConfig {
                 policy: AllocPolicy::MaxMinFair,
-                ..Default::default()
             },
         );
         assert!(out.schedule.check(&inst, 1e-6, 1e-6).is_empty());
@@ -476,7 +470,6 @@ mod tests {
             &Priority::identity(2),
             &SimConfig {
                 policy: AllocPolicy::MaxMinFair,
-                ..Default::default()
             },
         );
         assert_eq!(out.flow_completion, vec![2.0, 2.0]);
@@ -505,7 +498,6 @@ mod tests {
             &Priority::identity(3),
             &SimConfig {
                 policy: AllocPolicy::MaxMinFair,
-                ..Default::default()
             },
         );
         assert_eq!(out.flow_completion[2], 1.0, "uncontended flow at full rate");

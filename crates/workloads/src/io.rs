@@ -10,7 +10,7 @@
 //!
 //! ```json
 //! {
-//!   "nodes": ["host-0", null, ...],
+//!   "nodes": [null, null, ...],
 //!   "edges": [[src, dst, cap], ...],
 //!   "coflows": [
 //!     {"weight": w,
@@ -20,6 +20,9 @@
 //!   ]
 //! }
 //! ```
+//!
+//! Nodes are anonymous, so `"nodes"` holds one `null` per node; a string
+//! there (a node label, as older snapshots wrote) is accepted and ignored.
 
 use coflow_core::model::{Coflow, FlowSpec, Instance};
 use coflow_net::{EdgeId, Graph, NodeId, Path as NetPath};
@@ -96,14 +99,11 @@ pub fn to_json(instance: &Instance) -> Result<String, JsonError> {
     let g = &instance.graph;
     let mut s = String::with_capacity(4096);
     s.push_str("{\n  \"nodes\": [");
-    for (i, v) in g.nodes().enumerate() {
+    for i in 0..g.node_count() {
         if i > 0 {
             s.push_str(", ");
         }
-        match g.label(v) {
-            Some(l) => write_json_string(&mut s, l),
-            None => s.push_str("null"),
-        }
+        s.push_str("null");
     }
     s.push_str("],\n  \"edges\": [\n");
     for (i, e) in g.edges().enumerate() {
@@ -161,11 +161,8 @@ pub fn from_json(s: &str) -> Result<Instance, JsonError> {
         .enumerate()
     {
         match n {
-            Value::Null => {
+            Value::Null | Value::Str(_) => {
                 graph.add_node();
-            }
-            Value::Str(l) => {
-                graph.add_labeled_node(l.clone());
             }
             _ => {
                 return Err(JsonError::new(format!(
@@ -754,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_labels_paths_and_capacities() {
+    fn roundtrip_preserves_paths_and_capacities() {
         let t = topo::triangle();
         let p = coflow_net::paths::bfs_shortest_path(&t.graph, t.hosts[0], t.hosts[1]).unwrap();
         let inst = Instance::new(
@@ -771,7 +768,6 @@ mod tests {
             )],
         );
         let back = from_json(&to_json(&inst).unwrap()).unwrap();
-        assert_eq!(back.graph.label(t.hosts[0]), inst.graph.label(t.hosts[0]));
         assert_eq!(back.coflows[0].weight, 2.5);
         assert_eq!(back.coflows[0].flows[0].path.as_ref(), Some(&p));
         for e in inst.graph.edges() {
@@ -915,17 +911,17 @@ mod tests {
 
     #[test]
     fn special_strings_roundtrip() {
-        let mut g = Graph::new();
-        g.add_labeled_node("weird \"label\"\nwith\tescapes\\and-unicode-\u{3b1}");
-        g.add_node();
-        g.add_edge(NodeId(0), NodeId(1), 1.0);
-        let inst = Instance::new(g, vec![]);
-        let back = from_json(&to_json(&inst).unwrap()).unwrap();
+        let weird = Value::Str("weird \"label\"\nwith\tescapes\\and-unicode-\u{3b1}".into());
         assert_eq!(
-            back.graph.label(NodeId(0)),
-            inst.graph.label(NodeId(0)),
-            "escaped label must survive the round trip"
+            parse_json(&weird.render()).unwrap(),
+            weird,
+            "escaped string must survive the round trip"
         );
-        assert_eq!(back.graph.label(NodeId(1)), None);
+        // A snapshot with node labels still loads, its nodes anonymous.
+        let labeled = r#"{"nodes": ["host-0", null], "edges": [[0, 1, 1.0]], "coflows": []}"#;
+        let back = from_json(labeled).unwrap();
+        assert_eq!(back.graph.node_count(), 2);
+        assert_eq!(back.graph.endpoints(EdgeId(0)), (NodeId(0), NodeId(1)));
+        assert!(to_json(&back).unwrap().contains("\"nodes\": [null, null]"));
     }
 }

@@ -50,7 +50,6 @@ fn main() {
         &Priority::identity(n),
         &SimConfig {
             policy: AllocPolicy::MaxMinFair,
-            ..Default::default()
         },
     );
 

@@ -27,7 +27,6 @@ fn s1_fair_sharing_is_10() {
         &Priority::identity(4),
         &SimConfig {
             policy: AllocPolicy::MaxMinFair,
-            ..Default::default()
         },
     );
     assert!(out.schedule.check(&inst, 1e-6, 1e-6).is_empty());

@@ -71,7 +71,7 @@ proptest! {
             &inst,
             &routes,
             &Priority::identity(inst.flow_count()),
-            &SimConfig { policy, ..Default::default() },
+            &SimConfig { policy },
         );
         let delivered: f64 = out.schedule.flows.iter().map(|f| f.delivered()).sum();
         prop_assert!((delivered - inst.total_size()).abs() < 1e-5 * (1.0 + inst.total_size()));

@@ -40,7 +40,6 @@ fn quickstart_code_path_end_to_end() {
         &Priority::identity(n),
         &SimConfig {
             policy: AllocPolicy::MaxMinFair,
-            ..Default::default()
         },
     );
     assert!(fair.schedule.check(&instance, 1e-6, 1e-6).is_empty());
