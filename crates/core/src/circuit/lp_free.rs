@@ -29,7 +29,7 @@
 //! ([`crate::circuit::lp_given`]) the same builder again.
 
 use crate::circuit::lp_given::CircuitLpSolution;
-use crate::circuit::path_lp::{no_path, CapRows, PathLp, Routes};
+use crate::circuit::path_lp::{no_path, CapRows, FlowRoutes, PathLp, Route};
 use crate::intervals::IntervalGrid;
 use crate::model::{FlowSpec, Instance};
 use coflow_lp::{
@@ -124,7 +124,7 @@ pub fn solve_free_paths_lp_paths_on_grid(
     // A prescribed path is a one-candidate set; a flow nothing reaches has
     // an empty one, which the builder reports.
     let g = &instance.graph;
-    let routes: Vec<Routes> = instance
+    let routes: Vec<FlowRoutes> = instance
         .flows()
         .map(|(_, _, spec)| {
             let ps = match &spec.path {
@@ -133,7 +133,7 @@ pub fn solve_free_paths_lp_paths_on_grid(
                     netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths)
                 }
             };
-            (0..).zip(ps).collect()
+            FlowRoutes::circuit(&grid, spec, (0..).zip(ps))
         })
         .collect();
     let (m, lp) = PathLp::build(instance, grid, routes, CapRows::Binding)?;
@@ -168,19 +168,20 @@ impl DelayedMaster {
     /// by; flows that share a destination share it.
     fn seed(instance: &Instance, grid: IntervalGrid, pool: &mut PathPool) -> Result<Self, LpError> {
         let g = &instance.graph;
-        let mut routes: Vec<Routes> = Vec::with_capacity(instance.flow_count());
+        let mut routes: Vec<FlowRoutes> = Vec::with_capacity(instance.flow_count());
         let mut to_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
         for (_, flat, spec) in instance.flows() {
             match &spec.path {
                 Some(p) => {
                     let (pi, _) = pool.insert_with(flat, pricing::path_signature(p), || p.clone());
-                    routes.push(vec![(pi, p.clone())]);
+                    routes.push(FlowRoutes::circuit(&grid, spec, [(pi, p.clone())]));
                 }
                 None => {
                     let sp = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
                         .ok_or_else(|| no_path(flat))?;
                     pool.insert_with(flat, pricing::path_signature(&sp), || sp);
-                    routes.push((0..).zip(pool.group(flat).iter().cloned()).collect());
+                    let pooled = (0..).zip(pool.group(flat).iter().cloned());
+                    routes.push(FlowRoutes::circuit(&grid, spec, pooled));
                     if is_priced(spec) {
                         to_dst
                             .entry(spec.dst)
@@ -232,7 +233,8 @@ impl DelayedMaster {
                 let (sum_row, cmp_row) = lp.flow_rows(flat);
                 let y_sum = sol.dual(sum_row);
                 let y_cmp = sol.dual(cmp_row);
-                for l in lp.first(flat)..nl {
+                let first = lp.grid().first_usable(spec.release);
+                for l in first..nl {
                     let base = -y_sum - lp.grid().lower(l) * y_cmp;
                     if base < -price_tol {
                         let coeff = spec.size / lp.grid().length(l);
@@ -252,9 +254,9 @@ impl DelayedMaster {
                         };
                         if base + w < -price_tol {
                             let sig = pricing::path_signature(&p);
-                            let (pi, fresh) = pool.insert_with(flat, sig, || p.clone());
+                            let (id, fresh) = pool.insert_with(flat, sig, || p.clone());
                             if fresh {
-                                added += lp.add_route(m, g, flat, pi, &p);
+                                added += lp.add_route(m, g, flat, Route { id, first, path: p });
                             }
                         }
                     }

@@ -27,7 +27,7 @@
 //! sets — so the model is built and read back by that module's `PathLp`,
 //! the builder [`crate::circuit::lp_free`] uses for free paths.
 
-use crate::circuit::path_lp::{CapRows, PathLp};
+use crate::circuit::path_lp::{CapRows, FlowRoutes, PathLp};
 use crate::intervals::IntervalGrid;
 use crate::model::Instance;
 use coflow_lp::{LpError, SolveStats, SolverOptions, WarmChain};
@@ -65,8 +65,8 @@ pub struct CircuitLpSolution {
     pub objective: f64,
     /// Simplex pivots.
     pub iterations: usize,
-    /// Detailed solver statistics (factorization fill-in, refactorization
-    /// count, warm-start outcome, ...).
+    /// Detailed solver statistics (pivots by phase, refactorizations,
+    /// warm-start outcome, ...).
     pub stats: SolveStats,
 }
 
@@ -118,7 +118,7 @@ fn solve_given_paths_lp_on_grid(
     let routes = instance
         .flows()
         .map(|(_, flat, spec)| match &spec.path {
-            Some(p) => Ok(vec![(0, p.clone())]),
+            Some(p) => Ok(FlowRoutes::circuit(&grid, spec, [(0, p.clone())])),
             None => Err(LpError::Numerical(format!(
                 "flow {flat} has no prescribed path"
             ))),

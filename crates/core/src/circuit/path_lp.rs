@@ -1,45 +1,85 @@
-//! The interval-indexed **path LP** — the one skeleton behind §2.1 and the
-//! path formulation of §2.2 — plus the pieces every interval LP of this
-//! crate shares.
+//! The interval-indexed **path LP** — the one skeleton behind §2.1, the
+//! path formulation of §2.2 and the packet LP of §3.2 — plus the pieces
+//! every interval LP of this crate shares.
 //!
 //! Per coflow a completion variable `C_i` (weight in the objective); per
 //! flow a completion variable `c_f` and, for each of its *routes* `p` and
-//! each usable interval `ℓ`, a fraction `x_{f,p,ℓ} ∈ [0,1]`; rows
+//! each interval `ℓ` from the route's first on, a fraction
+//! `x_{f,p,ℓ} ∈ [0,1]`; rows
 //!
 //! * (sum) `Σ_{p,ℓ} x_{f,p,ℓ} = 1`,
 //! * (cmp) `Σ_{p,ℓ} τ_ℓ x_{f,p,ℓ} <= c_f`,
 //! * (prec) `c_f <= C_i`,
-//! * (cap) `Σ_{f,p ∋ e} σ_f x_{f,p,ℓ} / Δ_ℓ <= c(e)` per edge and interval.
+//! * (cap) per edge and interval, one of two families ([`CapRows`]): the
+//!   circuit rate rows `Σ_{f,p ∋ e} σ_f x_{f,p,ℓ} / Δ_ℓ <= c(e)` (§2.1
+//!   (7)–(8), and §2.2), or the packet congestion rows
+//!   `Σ_{f,p ∋ e} Σ_{ℓ' <= ℓ} x_{f,p,ℓ'} <= τ_{ℓ+1}` (§3.2 (28)).
 //!
 //! [`PathLp::build`] writes that model out once, row-wise, from a per-flow
-//! route list. Every interval LP over routes is such a list: a prescribed
-//! path is a one-route list (§2.1, [`crate::circuit::lp_given`]), eager
-//! enumeration lists every candidate path, and column generation's initial
-//! restricted master lists its pooled seeds and then keeps growing through
-//! [`PathLp::add_route`] ([`crate::circuit::lp_free`]). Variable order, row
-//! order and names are the same in all three, so bases and pivot counts
-//! carry over.
+//! [`FlowRoutes`]: the lower bound of `c_f` and the routes, each with the
+//! interval its columns start at. Every interval LP over routes is such a
+//! list. A circuit flow starts every route at its release's interval and
+//! bounds `c_f` by the release ([`FlowRoutes::circuit`]); a packet starts
+//! route `p` where dilation (29) lets it finish, at `⌈r⌉ + |p|`, and bounds
+//! `c_f` by `⌈r⌉` plus its shortest route ([`crate::packet::free`]). A
+//! prescribed path is a one-route list (§2.1, [`crate::circuit::lp_given`];
+//! §3.1 through §3.2), eager enumeration lists every candidate path, and
+//! column generation's initial restricted master lists its pooled seeds
+//! and then keeps growing through [`PathLp::add_route`]
+//! ([`crate::circuit::lp_free`]). Variable order, row order and names are
+//! the same in all of them, so bases and pivot counts carry over.
 //!
-//! Eager and generated columns differ only in which capacity rows exist
-//! ([`CapRows`]): the eager model keeps the rows that can bind over its
-//! complete column set; the restricted master has exactly the rows its
-//! columns load — the builder writes those of the seed routes, and
-//! [`PathLp::add_route`] creates each further `(edge, interval)` row when a
-//! generated route is the first to load it — so its size follows what the
-//! columns use, not the network.
+//! Eager and generated columns differ only in which rate rows exist: the
+//! eager model keeps the rows that can bind over its complete column set;
+//! the restricted master has exactly the rows its columns load — the
+//! builder writes those of the seed routes, and [`PathLp::add_route`]
+//! creates each further `(edge, interval)` row when a generated route is
+//! the first to load it — so its size follows what the columns use, not
+//! the network.
 
 use crate::circuit::lp_free::{FlowRouting, FreeLpSolution};
 use crate::circuit::lp_given::CircuitLpSolution;
 use crate::intervals::IntervalGrid;
-use crate::model::Instance;
+use crate::model::{FlowSpec, Instance};
 use coflow_lp::{Cmp, LpError, Model, RowId, Solution, VarId};
 use coflow_net::{EdgeId, Graph, Path};
 
-/// One flow's route list: `(id, path)` pairs. The id names the route's
-/// columns (`x{flat}:{id}:{ℓ}`), so it must be stable wherever a warm start
-/// is to map — the enumeration index for eager columns, the
+/// One route of a flow. The id names the route's columns
+/// (`x{flat}:{id}:{ℓ}`), so it must be stable wherever a warm start is to
+/// map — the enumeration index for eager columns, the
 /// [`PathPool`](crate::circuit::lp_free::PathPool) index for pooled ones.
-pub(crate) type Routes = Vec<(u32, Path)>;
+/// The route has one column per interval from `first` on.
+pub(crate) struct Route {
+    pub(crate) id: u32,
+    pub(crate) first: usize,
+    pub(crate) path: Path,
+}
+
+/// One flow's input to [`PathLp::build`]: the lower bound `earliest` of
+/// its completion variable `c_f`, and its routes.
+pub(crate) struct FlowRoutes {
+    pub(crate) earliest: f64,
+    pub(crate) routes: Vec<Route>,
+}
+
+impl FlowRoutes {
+    /// A circuit flow (§2.1 (9), §2.2): `c_f >= r_f`, and every route
+    /// starts at the first interval ending at or after the release.
+    pub(crate) fn circuit(
+        grid: &IntervalGrid,
+        spec: &FlowSpec,
+        paths: impl IntoIterator<Item = (u32, Path)>,
+    ) -> Self {
+        let first = grid.first_usable(spec.release);
+        Self {
+            earliest: spec.release,
+            routes: paths
+                .into_iter()
+                .map(|(id, path)| Route { id, first, path })
+                .collect(),
+        }
+    }
+}
 
 /// The error of a flow whose route list is empty.
 pub(crate) fn no_path(flat: usize) -> LpError {
@@ -87,37 +127,21 @@ fn add_flow_rows(
 }
 
 /// The capacity row of edge `ei` in interval `l`.
-fn add_cap_row(m: &mut Model, g: &Graph, ei: usize, l: usize, terms: &[(VarId, f64)]) -> RowId {
-    let cap = g.capacity(EdgeId(ei as u32));
-    m.add_row_named(Cmp::Le, cap, terms, format_args!("cap{ei}:{l}"))
+fn add_cap_row(m: &mut Model, ei: usize, l: usize, rhs: f64, terms: &[(VarId, f64)]) -> RowId {
+    m.add_row_named(Cmp::Le, rhs, terms, format_args!("cap{ei}:{l}"))
 }
 
-/// Reads the completion-fraction view off a solved interval LP.
-fn circuit_solution(
-    grid: IntervalGrid,
-    x: Vec<Vec<f64>>,
-    c_flow: &[VarId],
-    c_cof: &[VarId],
-    sol: &Solution,
-    iterations: usize,
-) -> CircuitLpSolution {
-    CircuitLpSolution {
-        grid,
-        x,
-        flow_completion: c_flow.iter().map(|&v| sol.value(v)).collect(),
-        coflow_completion: c_cof.iter().map(|&v| sol.value(v)).collect(),
-        objective: sol.objective,
-        iterations,
-        stats: sol.stats,
-    }
-}
-
-/// Which capacity rows [`PathLp::build`] writes.
+/// Which capacity rows [`PathLp::build`] writes. Two row families: the
+/// circuit rate rows (`Binding`, `Loaded`) and the packet congestion rows
+/// (`Cumulative`). A pruned family writes a row only where its largest
+/// possible left-hand side — its coefficients summed, as `x ∈ [0,1]` —
+/// exceeds its right-hand side; any other row is redundant.
 pub(crate) enum CapRows {
-    /// Only rows that could bind: `x ∈ [0,1]`, so a row whose coefficients
-    /// sum to at most the capacity is redundant.
+    /// The rate rows that could bind: edge `e` in interval `ℓ` carries
+    /// `σ_f / Δ_ℓ` per column of a positive-size flow whose route crosses
+    /// `e`, at most `c(e)`.
     Binding,
-    /// The restricted master's rows: every row a listed route loads, bindable
+    /// The restricted master's rate rows: every row a listed route loads, bindable
     /// or not (prescribed paths too: two committed flows contend wherever
     /// they meet), recorded so that [`PathLp::add_route`] can extend them.
     /// A row no column loads is not written: it could not bind and would
@@ -127,18 +151,22 @@ pub(crate) enum CapRows {
     /// a row that appears between two solves is just a new row to a warm
     /// start.
     Loaded,
+    /// The congestion rows (28) that could bind: edge `e` in interval `ℓ`
+    /// counts every column of interval `ℓ' <= ℓ` whose route crosses `e`,
+    /// at most `τ_{ℓ+1}`.
+    Cumulative,
 }
 
 /// The columns of one flow on one route: `vars[k]` is interval `first + k`.
 struct RouteCols {
     path: Path,
+    first: usize,
     vars: Vec<VarId>,
 }
 
 /// One flow's variables and the rows its columns attach to.
 struct FlowCols {
     c: VarId,
-    first: usize,
     sum: RowId,
     cmp: RowId,
     size: f64,
@@ -171,7 +199,7 @@ impl PathLp {
     pub(crate) fn build(
         instance: &Instance,
         grid: IntervalGrid,
-        routes: Vec<Routes>,
+        routes: Vec<FlowRoutes>,
         caps: CapRows,
     ) -> Result<(Model, Self), LpError> {
         assert_eq!(
@@ -185,30 +213,29 @@ impl PathLp {
         let c_cof = coflow_completion_vars(&mut m, instance);
 
         let mut flows = Vec::with_capacity(routes.len());
-        for ((id, flat, spec), routes) in instance.flows().zip(routes) {
+        for ((id, flat, spec), FlowRoutes { earliest, routes }) in instance.flows().zip(routes) {
             if routes.is_empty() {
                 return Err(no_path(flat));
             }
-            let c = m.add_var(0.0, spec.release, f64::INFINITY, format_args!("c{flat}"));
-            let first = grid.first_usable(spec.release);
+            let c = m.add_var(0.0, earliest, f64::INFINITY, format_args!("c{flat}"));
             let routes: Vec<RouteCols> = routes
                 .into_iter()
-                .map(|(pi, path)| RouteCols {
-                    path,
+                .map(|Route { id, first, path }| RouteCols {
                     vars: (first..nl)
-                        .map(|l| m.add_unit(0.0, format_args!("x{flat}:{pi}:{l}")))
+                        .map(|l| m.add_unit(0.0, format_args!("x{flat}:{id}:{l}")))
                         .collect(),
+                    path,
+                    first,
                 })
                 .collect();
             let cols: Vec<(VarId, usize)> = routes
                 .iter()
-                .flat_map(|r| r.vars.iter().copied().zip(first..nl))
+                .flat_map(|r| r.vars.iter().copied().zip(r.first..nl))
                 .collect();
             let (sum, cmp) =
                 add_flow_rows(&mut m, &grid, flat, c, c_cof[id.coflow as usize], &cols);
             flows.push(FlowCols {
                 c,
-                first,
                 sum,
                 cmp,
                 size: spec.size,
@@ -218,17 +245,25 @@ impl PathLp {
 
         let ne = g.edge_count();
         let mut cap = match caps {
-            CapRows::Binding => Vec::new(),
             CapRows::Loaded => vec![None; nl * ne],
+            CapRows::Binding | CapRows::Cumulative => Vec::new(),
         };
         let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); ne];
         for l in 0..nl {
-            let len = grid.length(l);
-            for f in flows.iter().filter(|f| f.size > 0.0 && f.first <= l) {
-                let coeff = f.size / len;
+            for f in &flows {
                 for r in &f.routes {
-                    for &e in r.path.edges.iter() {
-                        per_edge[e.index()].push((r.vars[l - f.first], coeff));
+                    let Some(k) = l.checked_sub(r.first) else {
+                        continue;
+                    };
+                    let (vars, coeff) = match caps {
+                        CapRows::Cumulative => (&r.vars[..=k], 1.0),
+                        _ if f.size > 0.0 => (&r.vars[k..=k], f.size / grid.length(l)),
+                        _ => continue,
+                    };
+                    for &v in vars {
+                        for &e in r.path.edges.iter() {
+                            per_edge[e.index()].push((v, coeff));
+                        }
                     }
                 }
             }
@@ -236,16 +271,14 @@ impl PathLp {
                 if terms.is_empty() {
                     continue;
                 }
-                match caps {
-                    CapRows::Loaded => {
-                        cap[l * ne + ei] = Some(add_cap_row(&mut m, g, ei, l, terms))
-                    }
-                    CapRows::Binding => {
-                        let max_lhs: f64 = terms.iter().map(|&(_, c)| c).sum();
-                        if max_lhs > g.capacity(EdgeId(ei as u32)) {
-                            add_cap_row(&mut m, g, ei, l, terms);
-                        }
-                    }
+                let rhs = match caps {
+                    CapRows::Cumulative => grid.upper(l),
+                    CapRows::Binding | CapRows::Loaded => g.capacity(EdgeId(ei as u32)),
+                };
+                if let CapRows::Loaded = caps {
+                    cap[l * ne + ei] = Some(add_cap_row(&mut m, ei, l, rhs, terms));
+                } else if terms.iter().map(|&(_, c)| c).sum::<f64>() > rhs {
+                    add_cap_row(&mut m, ei, l, rhs, terms);
                 }
                 terms.clear();
             }
@@ -266,11 +299,6 @@ impl PathLp {
         &self.grid
     }
 
-    /// First usable interval of flow `flat`.
-    pub(crate) fn first(&self, flat: usize) -> usize {
-        self.flows[flat].first
-    }
-
     /// The (sum) and (cmp) rows of flow `flat`.
     pub(crate) fn flow_rows(&self, flat: usize) -> (RowId, RowId) {
         (self.flows[flat].sum, self.flows[flat].cmp)
@@ -282,24 +310,23 @@ impl PathLp {
         &self.cap[l * self.edge_count..(l + 1) * self.edge_count]
     }
 
-    /// Appends route `(id, path)` of flow `flat` to a [`CapRows::Loaded`]
-    /// model, one column per usable interval; returns how many. A capacity
-    /// row the route is the first to load is created, empty, just before
-    /// the column that loads it.
+    /// Appends `route` of flow `flat` to a [`CapRows::Loaded`] model, one
+    /// column per interval from the route's first; returns how many. A
+    /// capacity row the route is the first to load is created, empty, just
+    /// before the column that loads it.
     pub(crate) fn add_route(
         &mut self,
         m: &mut Model,
         g: &Graph,
         flat: usize,
-        id: u32,
-        path: &Path,
+        Route { id, first, path }: Route,
     ) -> usize {
         let nl = self.grid.count();
         let ne = self.edge_count;
         let f = &self.flows[flat];
-        let mut vars = Vec::with_capacity(nl - f.first);
+        let mut vars = Vec::with_capacity(nl - first);
         let mut terms: Vec<(RowId, f64)> = Vec::with_capacity(2 + path.len());
-        for l in f.first..nl {
+        for l in first..nl {
             terms.clear();
             terms.push((f.sum, 1.0));
             terms.push((f.cmp, self.grid.lower(l)));
@@ -307,17 +334,16 @@ impl PathLp {
                 let coeff = f.size / self.grid.length(l);
                 for e in path.edges.iter() {
                     let row = *self.cap[l * ne + e.index()]
-                        .get_or_insert_with(|| add_cap_row(m, g, e.index(), l, &[]));
+                        .get_or_insert_with(|| add_cap_row(m, e.index(), l, g.capacity(*e), &[]));
                     terms.push((row, coeff));
                 }
             }
             vars.push(m.add_column(0.0, 0.0, 1.0, format_args!("x{flat}:{id}:{l}"), &terms));
         }
         let added = vars.len();
-        self.flows[flat].routes.push(RouteCols {
-            path: path.clone(),
-            vars,
-        });
+        self.flows[flat]
+            .routes
+            .push(RouteCols { path, first, vars });
         added
     }
 
@@ -327,7 +353,7 @@ impl PathLp {
     /// (a column-generation run spans several solves).
     pub(crate) fn extract(self, sol: &Solution, iterations: usize) -> FreeLpSolution {
         let nl = self.grid.count();
-        let c_flow: Vec<VarId> = self.flows.iter().map(|f| f.c).collect();
+        let flow_completion = self.flows.iter().map(|f| sol.value(f.c)).collect();
         let mut xs = Vec::with_capacity(self.flows.len());
         let mut routing = Vec::with_capacity(self.flows.len());
         for f in self.flows {
@@ -336,7 +362,7 @@ impl PathLp {
             let mut w = Vec::with_capacity(f.routes.len());
             for r in f.routes {
                 let mut row = vec![0.0; nl];
-                for (l, &v) in (f.first..nl).zip(&r.vars) {
+                for (l, &v) in (r.first..nl).zip(&r.vars) {
                     row[l] = sol.value(v);
                     x[l] += row[l];
                 }
@@ -347,7 +373,15 @@ impl PathLp {
             routing.push(FlowRouting { paths, w });
         }
         FreeLpSolution {
-            base: circuit_solution(self.grid, xs, &c_flow, &self.c_cof, sol, iterations),
+            base: CircuitLpSolution {
+                grid: self.grid,
+                x: xs,
+                flow_completion,
+                coflow_completion: self.c_cof.iter().map(|&v| sol.value(v)).collect(),
+                objective: sol.objective,
+                iterations,
+                stats: sol.stats,
+            },
             routing,
         }
     }

@@ -109,62 +109,56 @@ pub fn round_free_paths(
             0.5f64.powi(gap)
         };
         let routing = &lp.routing[flat];
-        let candidates: Vec<(Path, f64)> = routing
-            .paths
+        // The routes carrying scaled mass, as route indices and weights.
+        let (ids, weights): (Vec<usize>, Vec<f64>) = routing
+            .w
             .iter()
-            .zip(&routing.w)
-            .map(|(p, row)| {
-                let weight: f64 = row
-                    .iter()
+            .map(|row| -> f64 {
+                row.iter()
                     .take(h + 1)
                     .enumerate()
                     .map(|(l, &v)| v * scale(l))
-                    .sum();
-                (p.clone(), weight)
+                    .sum()
             })
+            .enumerate()
             .filter(|&(_, wgt)| wgt > 1e-12)
-            .collect();
-        paths_per_flow[flat] = candidates.len().max(1);
+            .unzip();
+        paths_per_flow[flat] = ids.len().max(1);
         let picked = match cfg.selection {
-            PathSelection::Sample => sample_path(&candidates, &mut rng),
-            PathSelection::Thickest => candidates
-                .iter()
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .filter(|&&(_, w)| w > 1e-12)
-                .map(|(p, _)| p.clone()),
+            PathSelection::Sample => sample_path(&weights, &mut rng),
+            PathSelection::Thickest => {
+                (0..ids.len()).max_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+            }
             PathSelection::LoadAware => {
-                let wmax = candidates.iter().map(|&(_, w)| w).fold(0.0_f64, f64::max);
-                if wmax <= 1e-12 {
-                    None
-                } else {
-                    candidates
-                        .iter()
-                        .filter(|&&(_, w)| w >= 0.2 * wmax)
-                        .min_by(|a, b| {
-                            let cost = |p: &Path| -> (f64, f64) {
-                                let mut worst = 0.0_f64;
-                                let mut total = 0.0_f64;
-                                for &e in p.edges.iter() {
-                                    let u = (edge_load[e.index()] + spec.size)
-                                        / g.capacity(e).max(1e-12);
-                                    worst = worst.max(u);
-                                    total += u;
-                                }
-                                (worst, total)
-                            };
-                            let (ka, kb) = (cost(&a.0), cost(&b.0));
-                            ka.0.total_cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
-                        })
-                        .map(|(p, _)| p.clone())
-                }
+                let wmax = weights.iter().fold(0.0_f64, |a, &b| a.max(b));
+                (0..ids.len())
+                    .filter(|&i| weights[i] >= 0.2 * wmax)
+                    .min_by(|&a, &b| {
+                        let cost = |i: usize| -> (f64, f64) {
+                            let mut worst = 0.0_f64;
+                            let mut total = 0.0_f64;
+                            for &e in routing.paths[ids[i]].edges.iter() {
+                                let u =
+                                    (edge_load[e.index()] + spec.size) / g.capacity(e).max(1e-12);
+                                worst = worst.max(u);
+                                total += u;
+                            }
+                            (worst, total)
+                        };
+                        let (ka, kb) = (cost(a), cost(b));
+                        ka.0.total_cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
+                    })
             }
         };
-        let chosen = picked.unwrap_or_else(|| {
-            // Degenerate LP mass (e.g. zero-size flow): fall back to a
-            // shortest path.
-            // lint: allow(no_panic) — endpoint connectivity was checked when the LP was built
-            netpaths::bfs_shortest_path(g, spec.src, spec.dst).expect("flow endpoints disconnected")
-        });
+        let chosen = picked
+            .map(|i| routing.paths[ids[i]].clone())
+            .unwrap_or_else(|| {
+                // Degenerate LP mass (e.g. zero-size flow): fall back to a
+                // shortest path.
+                netpaths::bfs_shortest_path(g, spec.src, spec.dst)
+                    // lint: allow(no_panic) — endpoint connectivity was checked when the LP was built
+                    .expect("flow endpoints disconnected")
+            });
         for &e in chosen.edges.iter() {
             edge_load[e.index()] += spec.size;
         }
@@ -192,24 +186,23 @@ pub fn round_free_paths(
     }
 }
 
-/// Raghavan–Thompson sampling: pick path `p` with probability proportional
-/// to its fractional amount.
-fn sample_path<R: RngExt>(candidates: &[(Path, f64)], rng: &mut R) -> Option<Path> {
-    let total: f64 = candidates.iter().map(|&(_, w)| w).sum();
-    if total <= 1e-12 || candidates.is_empty() {
+/// Raghavan–Thompson sampling: the index of a path drawn with probability
+/// proportional to its weight, or `None` when the weights sum to (nearly)
+/// nothing. One draw from `rng` per call that returns an index. The §2.2
+/// rounding and the §3.2 packet pipeline both draw through here.
+pub(crate) fn sample_path<R: RngExt>(weights: &[f64], rng: &mut R) -> Option<usize> {
+    let total: f64 = weights.iter().sum();
+    if total <= 1e-12 {
         return None;
     }
     let mut draw = rng.random::<f64>() * total;
-    for (p, w) in candidates {
+    for (i, &w) in weights.iter().enumerate() {
         draw -= w;
         if draw <= 0.0 {
-            return Some(p.clone());
+            return Some(i);
         }
     }
-    #[allow(clippy::unwrap_used)]
-    // lint: allow(no_panic) — the draw loop ran, so candidates is non-empty
-    let last = candidates.last().unwrap();
-    Some(last.0.clone())
+    Some(weights.len() - 1)
 }
 
 #[cfg(test)]
@@ -310,14 +303,10 @@ mod tests {
 
     #[test]
     fn sample_path_proportional() {
-        use coflow_net::EdgeId;
-        let p1 = Path::new(vec![EdgeId(0)]);
-        let p2 = Path::new(vec![EdgeId(1)]);
         let mut rng = StdRng::seed_from_u64(1);
         let mut count1 = 0;
         for _ in 0..10_000 {
-            let c = vec![(p1.clone(), 0.9), (p2.clone(), 0.1)];
-            if sample_path(&c, &mut rng).unwrap() == p1 {
+            if sample_path(&[0.9, 0.1], &mut rng).unwrap() == 0 {
                 count1 += 1;
             }
         }
@@ -329,8 +318,7 @@ mod tests {
     fn sample_path_degenerate_none() {
         let mut rng = StdRng::seed_from_u64(1);
         assert!(sample_path(&[], &mut rng).is_none());
-        let p = Path::empty();
-        assert!(sample_path(&[(p, 0.0)], &mut rng).is_none());
+        assert!(sample_path(&[0.0], &mut rng).is_none());
     }
 
     #[test]

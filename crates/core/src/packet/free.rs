@@ -13,8 +13,12 @@
 //!
 //! * the per-interval LP is expressed over enumerated candidate paths
 //!   (length-bounded, so dilation (29) is enforced structurally) instead of
-//!   raw edge variables — on our evaluation topologies the path sets are
-//!   exhaustive, so the polytope is the same;
+//!   raw edge variables. The enumeration keeps at most `max_paths` per
+//!   packet, and the cap binds: on 8×8 grids with 160 packets (the
+//!   `packet_free_grid8` benchmark's shape) 106–123 packets have more than
+//!   16 paths within `path_slack` = 2. So `lp_objective` is the optimum of
+//!   the capped LP, which bounds only schedules over the kept paths, not
+//!   the paper's LP, until the path set is priced instead of enumerated;
 //! * the per-block Srinivasan–Teo rounding is Raghavan–Thompson path
 //!   sampling (the same technique §2.2 uses) followed by the greedy
 //!   `C+D` list scheduler.
@@ -22,23 +26,29 @@
 //! The exact time-expanded LP of the paper is implemented separately in
 //! [`crate::packet::timexp_lp`] and used in tests as the reference bound.
 //!
-//! [`route_and_schedule`] is the one builder of the packet interval LP: a
-//! packet that carries a prescribed path has a one-candidate path set, so
-//! §3.1 ([`crate::packet::jobshop::schedule_given_paths`]) is this pipeline
-//! on a fully routed instance. Of the circuit LPs it shares only the `C_i`
-//! helper: its capacity rows are cumulative and its columns start at a
-//! path-dependent interval.
+//! [`route_and_schedule`] builds, reads and rounds through the circuit LPs'
+//! skeleton, `circuit::path_lp`'s `PathLp`. The packet LP differs from
+//! theirs in its input and its capacity rows only: path `p`'s columns start
+//! where dilation (29) first lets it finish, at `⌈r⌉ + |p|`; `c_f` is at
+//! least `⌈r⌉` plus the shortest path; and the capacity rows are the
+//! cumulative congestion rows (28). The half interval is the circuits'
+//! [`alpha_interval`](crate::circuit::lp_given::CircuitLpSolution::alpha_interval),
+//! and the path is drawn by §2.2's sampler. A packet that carries a
+//! prescribed path has a one-candidate path set, so §3.1
+//! ([`crate::packet::jobshop::schedule_given_paths`]) is this pipeline on a
+//! fully routed instance.
 
-use crate::circuit::path_lp::coflow_completion_vars;
+use crate::circuit::path_lp::{CapRows, FlowRoutes, PathLp, Route};
+use crate::circuit::round_free::sample_path;
 use crate::intervals::IntervalGrid;
 use crate::model::Instance;
 use crate::objective::{metrics, Metrics};
 use crate::packet::jobshop::{horizon_steps, schedule_blocks, BlockStats};
 use crate::schedule::PacketSchedule;
-use coflow_lp::{LpError, Model, SolverOptions, VarId};
+use coflow_lp::{LpError, SolverOptions};
 use coflow_net::{paths as netpaths, Path};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for §3.2.
 #[derive(Clone, Debug)]
@@ -77,7 +87,7 @@ pub struct PacketFreeResult {
     pub paths: Vec<Path>,
     /// The feasible schedule.
     pub schedule: PacketSchedule,
-    /// LP optimum (relaxation lower bound).
+    /// LP optimum: a lower bound over schedules on the candidate paths.
     pub lp_objective: f64,
     /// Realized metrics.
     pub metrics: Metrics,
@@ -93,133 +103,57 @@ pub fn route_and_schedule(
     cfg: &PacketFreeConfig,
 ) -> Result<PacketFreeResult, LpError> {
     let grid = IntervalGrid::cover(cfg.eps, horizon_steps(instance));
-    let nl = grid.count();
-    let nf = instance.flow_count();
     let g = &instance.graph;
-    let mut m = Model::new();
-    let c_cof = coflow_completion_vars(&mut m, instance);
-
-    let mut cand: Vec<Vec<Path>> = Vec::with_capacity(nf);
-    // xv[flat][path] = (first usable interval, one variable per interval
-    // from there on).
-    let mut xv: Vec<Vec<(usize, Vec<VarId>)>> = Vec::with_capacity(nf);
-
-    for (id, flat, spec) in instance.flows() {
-        let ps = match &spec.path {
-            Some(p) => vec![p.clone()],
-            None => netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths),
-        };
-        let shortest = ps.iter().map(Path::len).min().ok_or_else(|| {
-            LpError::Numerical(format!("packet {flat} has no path (disconnected?)"))
-        })? as f64;
-        let earliest_done = spec.release.ceil() + shortest;
-        let cf = m.add_var(
-            0.0,
-            earliest_done.max(0.0),
-            f64::INFINITY,
-            format_args!("c{flat}"),
-        );
-
-        // Dilation (29): a packet using path p can only complete in
-        // intervals whose end allows r + |p| steps.
-        let cols: Vec<(usize, Vec<VarId>)> = ps
-            .iter()
-            .enumerate()
-            .map(|(pi, p)| {
-                let first = grid.first_usable(spec.release.ceil() + p.len() as f64);
-                let vars = (first..nl)
-                    .map(|l| m.add_unit(0.0, format_args!("x{flat}:{pi}:{l}")))
-                    .collect();
-                (first, vars)
-            })
-            .collect();
-        let terms: Vec<_> = cols
-            .iter()
-            .flat_map(|(_, vars)| vars.iter().map(|&v| (v, 1.0)))
-            .collect();
-        m.eq(&terms, 1.0);
-        let mut terms: Vec<_> = cols
-            .iter()
-            .flat_map(|(first, vars)| (*first..nl).zip(vars).map(|(l, &v)| (v, grid.lower(l))))
-            .collect();
-        terms.push((cf, -1.0));
-        m.le(&terms, 0.0);
-        m.le(&[(cf, 1.0), (c_cof[id.coflow as usize], -1.0)], 0.0);
-
-        cand.push(ps);
-        xv.push(cols);
-    }
-
-    // Cumulative congestion (28): per edge and interval, the packets that
-    // finish by τ_{ℓ+1} over a path through the edge number at most τ_{ℓ+1}.
-    for l in 0..nl {
-        let mut per_edge: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); g.edge_count()];
-        for (paths, cols) in cand.iter().zip(&xv) {
-            for (p, (first, vars)) in paths.iter().zip(cols) {
-                for &v in vars.iter().take((l + 1).saturating_sub(*first)) {
-                    for &e in p.edges.iter() {
-                        per_edge[e.index()].push((v, 1.0));
-                    }
+    let flows = instance
+        .flows()
+        .map(|(_, flat, spec)| {
+            let ps = match &spec.path {
+                Some(p) => vec![p.clone()],
+                None => {
+                    netpaths::candidate_paths(g, spec.src, spec.dst, cfg.path_slack, cfg.max_paths)
                 }
-            }
-        }
-        for terms in &per_edge {
-            // Unit coefficients on [0,1] vars: prune rows that cannot bind.
-            if terms.len() as f64 > grid.upper(l) {
-                m.le(terms, grid.upper(l));
-            }
-        }
-    }
-
+            };
+            let shortest = ps.iter().map(Path::len).min().ok_or_else(|| {
+                LpError::Numerical(format!("packet {flat} has no path (disconnected?)"))
+            })? as f64;
+            // Dilation (29): a packet released at r on path p finishes no
+            // earlier than ⌈r⌉ + |p|, so p's columns start at that interval.
+            let r = spec.release.ceil();
+            let routes = (0..)
+                .zip(ps)
+                .map(|(id, path)| Route {
+                    id,
+                    first: grid.first_usable(r + path.len() as f64),
+                    path,
+                })
+                .collect();
+            Ok(FlowRoutes {
+                earliest: (r + shortest).max(0.0),
+                routes,
+            })
+        })
+        .collect::<Result<_, LpError>>()?;
+    let (m, lp) = PathLp::build(instance, grid, flows, CapRows::Cumulative)?;
     let sol = m.solve_with(&cfg.solver)?;
+    let lp = lp.extract(&sol, sol.iterations);
 
-    // Half-interval + path sampling per packet.
+    // Half-interval, then one path per packet drawn by its mass up to there
+    // (path 0 when it has none).
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut half = Vec::with_capacity(nf);
-    let mut chosen: Vec<Path> = Vec::with_capacity(nf);
-    for (paths, cols) in cand.iter().zip(&xv) {
-        // The α-interval: cumulative mass over intervals, all paths.
-        let mut acc = 0.0;
-        let mut h = nl - 1;
-        for l in 0..nl {
-            for (first, vars) in cols {
-                if l >= *first {
-                    acc += sol.value(vars[l - first]);
-                }
-            }
-            if acc >= cfg.alpha - 1e-9 {
-                h = l;
-                break;
-            }
-        }
-        half.push(h);
-        // Path weights: mass accumulated up to the half interval.
-        let weights: Vec<f64> = cols
-            .iter()
-            .map(|(first, vars)| {
-                vars.iter()
-                    .take((h + 1).saturating_sub(*first))
-                    .map(|&v| sol.value(v))
-                    .sum()
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
-        let pick = if total <= 1e-12 {
-            0
-        } else {
-            let mut draw = rng.random::<f64>() * total;
-            let mut idx = weights.len() - 1;
-            for (i, &w) in weights.iter().enumerate() {
-                draw -= w;
-                if draw <= 0.0 {
-                    idx = i;
-                    break;
-                }
-            }
-            idx
-        };
-        chosen.push(paths[pick].clone());
-    }
+    let half: Vec<usize> = (0..instance.flow_count())
+        .map(|flat| lp.base.alpha_interval(flat, cfg.alpha))
+        .collect();
+    let chosen: Vec<Path> = lp
+        .routing
+        .into_iter()
+        .zip(&half)
+        .map(|(mut routing, &h)| {
+            let weights: Vec<f64> = routing.w.iter().map(|row| row[..=h].iter().sum()).collect();
+            routing
+                .paths
+                .swap_remove(sample_path(&weights, &mut rng).unwrap_or(0))
+        })
+        .collect();
 
     let (schedule, blocks) = schedule_blocks(instance, &half, |flat| chosen[flat].clone());
     let completions = schedule.completion_times(instance);
@@ -227,7 +161,7 @@ pub fn route_and_schedule(
     Ok(PacketFreeResult {
         paths: chosen,
         schedule,
-        lp_objective: sol.objective,
+        lp_objective: lp.base.objective,
         metrics: mets,
         blocks,
     })

@@ -1,9 +1,9 @@
 //! The end-to-end chaos harness.
 //!
 //! [`chaos_run`] executes one seeded scenario: a degraded fat-tree (links
-//! removed by [`drop_links`](crate::netfail::drop_links)), a small
+//! removed by [`drop_links`]), a small
 //! generated workload, and the online engine running the budgeted
-//! column-generation LP policy with a [`FaultPlan`](crate::plan::FaultPlan)
+//! column-generation LP policy with a [`FaultPlan`]
 //! installed — forced singular factorizations, pricing outages, perturbed
 //! duals — on top of whatever natural degeneracy the instance brings.
 //!

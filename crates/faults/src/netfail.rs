@@ -1,6 +1,6 @@
 //! Connectivity-preserving link removal.
 //!
-//! The [`Graph`](coflow_net::Graph) API deliberately has no edge removal
+//! The [`Graph`] API deliberately has no edge removal
 //! (flat edge ids are load-bearing everywhere), and zeroing a capacity
 //! would starve any flow later routed across it — the engine would spin on
 //! a flow that can never finish. So link failure is modeled *upstream*:

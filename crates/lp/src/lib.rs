@@ -15,7 +15,7 @@
 //!   including one whose rows all presolve away; its private submodules are
 //!   `assemble` (the working problem), `warm` (snapshot mapping and
 //!   repair) and `recover` (crash basis and recovery ladder);
-//! * [`sparse_lu`] — sparse LU with Markowitz pivoting and eta-file
+//! * `sparse_lu` — sparse LU with Markowitz pivoting and eta-file
 //!   (product-form) updates: the basis representation;
 //! * [`dense`] — an independent, deliberately simple full-tableau simplex
 //!   used as a cross-checking oracle in tests ([`dense::solve`]);
@@ -37,7 +37,7 @@
 //!
 //! Numerical policy: tolerance-based comparisons go through [`LP_TOL`];
 //! *exact* zero tests — sparse kernels skipping structurally absent
-//! entries — go through [`nonzero`], the one
+//! entries — go through `nonzero`, the one
 //! sanctioned raw float comparison in this crate (see the workspace's
 //! `coflow-lint` rule L2).
 //!

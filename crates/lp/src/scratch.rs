@@ -13,7 +13,7 @@
 //! **Counting contract** (surfaced as
 //! [`SolveStats::allocs`](crate::SolveStats::allocs) /
 //! [`SolveStats::scratch_reuse`](crate::SolveStats::scratch_reuse)):
-//! every buffer acquisition goes through [`prep`]/[`reserve`], which
+//! every buffer acquisition goes through `prep`/`reserve`, which
 //! counts an *alloc* when the buffer's retained capacity was too small
 //! (capacity is then grown to the next power of two, so repeated small
 //! growth converges in O(log n) allocs) and a *reuse* otherwise. The
@@ -189,7 +189,7 @@ pub(crate) struct CompleteBufs {
 ///
 /// One `Scratch` is owned by each [`WarmChain`](crate::WarmChain) and
 /// threaded into the simplex. It retains, across solves: the entire
-/// simplex [`State`] (CSC matrix, bounds, point, statuses, basis, the
+/// simplex `State` (CSC matrix, bounds, point, statuses, basis, the
 /// basis-column gather pool, the sparse LU factors themselves —
 /// elimination storage, fill-in rows, eta file — and the trace
 /// recorder), the per-phase pivot-loop vectors, assembly and warm-start

@@ -1,5 +1,5 @@
 //! Bounded-variable revised primal simplex over the sparse LU basis
-//! factorization: the phases, and the [`State`] that `assemble`, `warm`
+//! factorization: the phases, and the `State` that `assemble`, `warm`
 //! and `recover` prepare for them.
 //!
 //! Design notes on the pivot loop (why this shape):
@@ -9,15 +9,15 @@
 //!   touches one convexity row, one completion row, and the capacity rows of
 //!   its path). The pivot loop talks to the basis through four operations
 //!   (`ftran`/`btran`/`update`/`refactor`) of
-//!   [`SparseLuFactor`]: a sparse Markowitz LU with eta-file updates
-//!   ([`crate::sparse_lu`]).
+//!   `SparseLuFactor`: a sparse Markowitz LU with eta-file updates
+//!   (`crate::sparse_lu`).
 //! * A pivot is one FTRAN (the entering column's image), one BTRAN (`ρ_r`,
 //!   row `r` of `B⁻¹`) and the dual update `y ← y + (d_q/α_q)·ρ_r`; the
 //!   duals are solved for only at phase start and after a refactorization.
 //!   Both images are hypersparse (a few dozen nonzeros out of `m`), so each
 //!   pivot carries their nonzero lists: the solves walk only the reach of
 //!   their right-hand side (while their running output density stays low,
-//!   see [`SparseLuFactor::solve`]), and the ratio test, the basic-value
+//!   see `SparseLuFactor::solve`), and the ratio test, the basic-value
 //!   move and the eta and dual updates walk only the images' nonzeros. A
 //!   bound flip keeps the duals: neither the basis nor the costs changed.
 //! * Bounds `l <= x <= u` are handled natively (nonbasic-at-lower /
@@ -29,7 +29,7 @@
 //!   by a total order on the candidate values, so pivot sequences are
 //!   byte-identical from run to run.
 //! * Pricing reads **maintained reduced costs** where they pay
-//!   ([`rowwise`]): once a solve's dot products have cost more than a
+//!   (`rowwise`): once a solve's dot products have cost more than a
 //!   row-wise copy of the matrix, each basis change computes the pivotal
 //!   row `α_r = ρ_r A` row-wise from the devex row `ρ_r` and updates the
 //!   cached `d_j ← d_j − θ·α_rj`; the devex loop reads `α_rj` from the same

@@ -287,6 +287,18 @@ mod tests {
         }
     }
 
+    /// The packet pipeline's default `max_paths` = 16 binds on 8×8 grids
+    /// at slack 2: between `(0,0)` and `(2,2)` there are 6 shortest paths
+    /// but 20 within two extra hops, and the cap keeps 16 of them.
+    #[test]
+    fn max_paths_binds_on_grid8_at_slack2() {
+        let t = topo::grid(8, 8, 1.0);
+        let (a, b) = (t.hosts[0], t.hosts[2 * 8 + 2]);
+        assert_eq!(candidate_paths(&t.graph, a, b, 0, usize::MAX).len(), 6);
+        assert_eq!(candidate_paths(&t.graph, a, b, 2, usize::MAX).len(), 20);
+        assert_eq!(candidate_paths(&t.graph, a, b, 2, 16).len(), 16);
+    }
+
     #[test]
     fn candidate_paths_disconnected_empty() {
         let g = Graph::with_nodes(2);

@@ -183,7 +183,11 @@ fn empty_coflow_completes_at_zero_in_every_packet_lp() {
     assert!(free.schedule.check(&inst).is_empty());
     assert!(free.metrics.coflow_completion[1].abs() < 1e-9);
 
-    let routed = inst.with_paths(&free.paths);
+    let shortest: Vec<_> = inst
+        .flows()
+        .map(|(_, _, f)| coflow::net::paths::bfs_shortest_path(&inst.graph, f.src, f.dst).unwrap())
+        .collect();
+    let routed = inst.with_paths(&shortest);
     let given = schedule_given_paths(&routed, &PacketConfig::default()).unwrap();
     assert!(given.schedule.check(&routed).is_empty());
     assert!(given.metrics.coflow_completion[1].abs() < 1e-9);
@@ -195,4 +199,65 @@ fn empty_coflow_completes_at_zero_in_every_packet_lp() {
     )
     .unwrap();
     assert!(exact <= free.metrics.weighted_sum + 1e-6);
+}
+
+/// FNV-1a over every chosen path's edge indices, with a separator per path.
+fn path_hash(paths: &[coflow::net::Path]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for p in paths {
+        for e in p.edges.iter().map(|e| e.0).chain([u32::MAX]) {
+            for b in e.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// §3.2 and §3.1 (on shortest paths) on one seeded 4×4-grid packet
+/// instance, bit for bit: the LP objective, the realized weighted sum and
+/// the chosen paths (13 of the 80 packets leave their shortest path). A change
+/// to the packet LP's builder, its α-interval read or its path draw that is
+/// meant to keep the pipeline's behaviour keeps all six values.
+#[test]
+fn packet_pipelines_reproduce_pinned_values() {
+    let topo = coflow::net::topo::grid(4, 4, 1.0);
+    let inst = generate_packets(
+        &topo,
+        &GenConfig {
+            n_coflows: 10,
+            width: 8,
+            seed: 11,
+            arrival_rate: 0.0,
+            ..Default::default()
+        },
+    );
+    let free = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap();
+    assert!(free.schedule.check(&inst).is_empty());
+    let shortest: Vec<_> = inst
+        .flows()
+        .map(|(_, _, f)| coflow::net::paths::bfs_shortest_path(&inst.graph, f.src, f.dst).unwrap())
+        .collect();
+    let routed = inst.with_paths(&shortest);
+    let given = schedule_given_paths(&routed, &PacketConfig::default()).unwrap();
+    assert!(given.schedule.check(&routed).is_empty());
+    let got = [
+        free.lp_objective.to_bits(),
+        free.metrics.weighted_sum.to_bits(),
+        path_hash(&free.paths),
+        given.lp_objective.to_bits(),
+        given.metrics.weighted_sum.to_bits(),
+        path_hash(&given.paths),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x4063_2000_0000_0000,
+            0x4079_a000_0000_0000,
+            0xdad5_d866_2682_df78,
+            0x4063_2000_0000_0000,
+            0x407f_3000_0000_0000,
+            0x5464_de5e_96f0_07e3,
+        ]
+    );
 }
