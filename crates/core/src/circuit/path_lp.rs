@@ -10,24 +10,22 @@
 //! * (sum) `Σ_{p,ℓ} x_{f,p,ℓ} = 1`,
 //! * (cmp) `Σ_{p,ℓ} τ_ℓ x_{f,p,ℓ} <= c_f`,
 //! * (prec) `c_f <= C_i`,
-//! * (cap) per edge and interval, one of two families ([`CapRows`]): the
-//!   circuit rate rows `Σ_{f,p ∋ e} σ_f x_{f,p,ℓ} / Δ_ℓ <= c(e)` (§2.1
-//!   (7)–(8), and §2.2), or the packet congestion rows
-//!   `Σ_{f,p ∋ e} Σ_{ℓ' <= ℓ} x_{f,p,ℓ'} <= τ_{ℓ+1}` (§3.2 (28)).
+//! * (cap) per edge and interval ([`CapRows`]), the circuits' rate rows
+//!   `Σ_{f,p ∋ e} σ_f x_{f,p,ℓ} / Δ_ℓ <= c(e)` (§2.1 (7)–(8), and §2.2) or
+//!   the packets' congestion rows `Σ_{f,p ∋ e} Σ_{ℓ' <= ℓ} x_{f,p,ℓ'} <=
+//!   τ_{ℓ+1}` (§3.2 (28)).
 //!
 //! [`PathLp::build`] writes that model out once, row-wise, from a per-flow
 //! [`FlowRoutes`]: the lower bound of `c_f` and the routes, each with the
-//! interval its columns start at. Every interval LP over routes is such a
-//! list. A circuit flow starts every route at its release's interval and
-//! bounds `c_f` by the release ([`FlowRoutes::circuit`]); a packet starts
-//! route `p` where dilation (29) lets it finish, at `⌈r⌉ + |p|`, and bounds
-//! `c_f` by `⌈r⌉` plus its shortest route ([`crate::packet::free`]). A
+//! interval its columns start at. A circuit flow starts every route at its
+//! release ([`FlowRoutes::circuit`]); a packet starts route `p` where
+//! dilation (29) first lets it finish ([`crate::packet::free`]). A
 //! prescribed path is a one-route list (§2.1, [`crate::circuit::lp_given`];
-//! §3.1 through §3.2), eager enumeration lists every candidate path, and
-//! column generation's initial restricted master lists its pooled seeds
-//! and then keeps growing through [`PathLp::add_route`]
-//! ([`crate::circuit::lp_free`]). Variable order, row order and names are
-//! the same in all of them, so bases and pivot counts carry over.
+//! §3.1), eager enumeration lists every candidate path, and column
+//! generation's restricted master lists its pooled seeds and then grows
+//! through [`PathLp::add_route`] ([`crate::circuit::lp_free`]). Variable
+//! order, row order and names are the same in all of them, so bases and
+//! pivot counts carry over.
 //!
 //! Eager and generated columns differ only in which rate rows exist: the
 //! eager model keeps the rows that can bind over its complete column set;
@@ -102,19 +100,24 @@ pub(crate) fn coflow_completion_vars(m: &mut Model, instance: &Instance) -> Vec<
         .collect()
 }
 
-/// Rows (sum), (cmp) and (prec) of flow `flat` over its `(column, interval)`
-/// list; returns the `(sum, cmp)` row ids.
+/// Rows (sum), (cmp) and (prec) of flow `flat` over its routes' columns,
+/// route-major; returns the `(sum, cmp)` row ids.
 fn add_flow_rows(
     m: &mut Model,
     grid: &IntervalGrid,
     flat: usize,
     c_flow: VarId,
     c_coflow: VarId,
-    cols: &[(VarId, usize)],
+    routes: &[RouteCols],
 ) -> (RowId, RowId) {
-    let terms: Vec<_> = cols.iter().map(|&(v, _)| (v, 1.0)).collect();
+    let cols = || {
+        routes
+            .iter()
+            .flat_map(|r| r.vars.iter().copied().zip(r.first..))
+    };
+    let terms: Vec<_> = cols().map(|(v, _)| (v, 1.0)).collect();
     let sum = m.add_row_named(Cmp::Eq, 1.0, &terms, format_args!("sum{flat}"));
-    let mut terms: Vec<_> = cols.iter().map(|&(v, l)| (v, grid.lower(l))).collect();
+    let mut terms: Vec<_> = cols().map(|(v, l)| (v, grid.lower(l))).collect();
     terms.push((c_flow, -1.0));
     let cmp = m.add_row_named(Cmp::Le, 0.0, &terms, format_args!("cmp{flat}"));
     m.add_row_named(
@@ -131,15 +134,11 @@ fn add_cap_row(m: &mut Model, ei: usize, l: usize, rhs: f64, terms: &[(VarId, f6
     m.add_row_named(Cmp::Le, rhs, terms, format_args!("cap{ei}:{l}"))
 }
 
-/// Which capacity rows [`PathLp::build`] writes. Two row families: the
-/// circuit rate rows (`Binding`, `Loaded`) and the packet congestion rows
-/// (`Cumulative`). A pruned family writes a row only where its largest
-/// possible left-hand side — its coefficients summed, as `x ∈ [0,1]` —
-/// exceeds its right-hand side; any other row is redundant.
+/// Which capacity rows [`PathLp::build`] writes: the circuits' rate rows
+/// (`Binding`, `Loaded`) or the packets' congestion rows (`Cumulative`).
 pub(crate) enum CapRows {
-    /// The rate rows that could bind: edge `e` in interval `ℓ` carries
-    /// `σ_f / Δ_ℓ` per column of a positive-size flow whose route crosses
-    /// `e`, at most `c(e)`.
+    /// Only rate rows that could bind: `x ∈ [0,1]`, so a row whose
+    /// coefficients sum to at most its right-hand side is redundant.
     Binding,
     /// The restricted master's rate rows: every row a listed route loads, bindable
     /// or not (prescribed paths too: two committed flows contend wherever
@@ -151,9 +150,8 @@ pub(crate) enum CapRows {
     /// a row that appears between two solves is just a new row to a warm
     /// start.
     Loaded,
-    /// The congestion rows (28) that could bind: edge `e` in interval `ℓ`
-    /// counts every column of interval `ℓ' <= ℓ` whose route crosses `e`,
-    /// at most `τ_{ℓ+1}`.
+    /// The congestion rows (28), pruned as `Binding`: per edge and interval
+    /// `ℓ`, the columns of intervals `ℓ' <= ℓ` on routes through the edge.
     Cumulative,
 }
 
@@ -228,12 +226,8 @@ impl PathLp {
                     first,
                 })
                 .collect();
-            let cols: Vec<(VarId, usize)> = routes
-                .iter()
-                .flat_map(|r| r.vars.iter().copied().zip(r.first..nl))
-                .collect();
             let (sum, cmp) =
-                add_flow_rows(&mut m, &grid, flat, c, c_cof[id.coflow as usize], &cols);
+                add_flow_rows(&mut m, &grid, flat, c, c_cof[id.coflow as usize], &routes);
             flows.push(FlowCols {
                 c,
                 sum,
