@@ -11,6 +11,7 @@ use coflow_core::order::Priority;
 use coflow_core::schedule::{CircuitSchedule, FlowSchedule, Segment};
 use coflow_core::Instance;
 use coflow_net::Path;
+use std::collections::BTreeMap;
 
 /// Bandwidth allocation policies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,8 +53,10 @@ pub struct SimOutcome {
 
 /// Greedy priority-order rate allocation (§4.2): each flow in `active`
 /// order (highest priority first) takes the full residual bottleneck of its
-/// path. `rates` entries for active flows are written (others left
-/// untouched); `residual` holds per-edge remaining capacity and is consumed.
+/// path. A flow whose bottleneck exceeds 1e-12 has its `rates` entry set to
+/// it; any other flow's entry is left untouched, so callers pass zeroed
+/// rates (as [`simulate`] and the online engine do). `residual` holds
+/// per-edge remaining capacity and is consumed.
 ///
 /// Shared by [`simulate`] and the online engine's epoch executor
 /// (`coflow-engine`), so both realize identical schedules for identical
@@ -75,18 +78,34 @@ pub fn greedy_fill(paths: &[Path], active: &[usize], rates: &mut [f64], residual
     }
 }
 
+/// Below this total every partial sum of integral weights is an exact
+/// integer, so removing a weight by subtraction gives the same bits as
+/// summing what is left afresh.
+const EXACT_SUM_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+
 /// Weighted progressive-filling max–min fairness across `active` flows.
 ///
 /// `weights[f]` scales flow `f`'s share of every bottleneck (pass `None`
 /// for the unweighted fair sharing of [`AllocPolicy::MaxMinFair`]); with
 /// all weights 1 this is bit-identical to classic progressive filling.
-/// `active` lists distinct flows. `rates` entries for active flows are
-/// written; `residual` is consumed.
+/// `active` lists distinct flows. Each active flow of positive weight has
+/// its fair rate *added* to its `rates` entry (a weight-0 flow's entry is
+/// left untouched), so callers pass zeroed rates, as [`simulate`] and the
+/// online engine do. `residual` is consumed.
 ///
-/// A filling round costs O(unfrozen flows × path length): it walks only
-/// the flows still unfrozen and the edges they cross. Edge weight sums are
-/// accumulated in `active` order, so every rate and residual is the same
-/// to the bit as a round over all flows and all edges.
+/// A filling round costs O(live edges + newly frozen flows × path
+/// length), where a live edge is one an unfrozen flow still crosses. Once
+/// per call, a set-up pass lists the live edges, each edge's flows in
+/// `active` order and each edge's weight sum, summed in `active` order. A
+/// round scans only the live edges; a flow's path is walked again only
+/// when it freezes, and its rate is its weight class's running sum of
+/// `delta·w` (the same additions, in the same order, as adding to the
+/// flow itself). When a flow freezes, its weight is subtracted from the
+/// sums of the edges it crosses if every weight is integral and their
+/// path-weighted total is below 2^53, so that every sum is an exact
+/// integer; otherwise those edges re-sum their unfrozen flows in `active`
+/// order. Either way every rate and residual is the same to the bit as a
+/// round over all flows and all edges.
 pub fn fair_fill(
     paths: &[Path],
     active: &[usize],
@@ -94,43 +113,120 @@ pub fn fair_fill(
     rates: &mut [f64],
     residual: &mut [f64],
 ) {
-    let w = |f: usize| weights.map(|w| w[f]).unwrap_or(1.0);
-    // Unfrozen flows, in `active` order. Weight-0 (or negative) flows take
-    // no share: freezing them from the start both defines their rate as 0
-    // and keeps the filling loop terminating (an unfrozen flow contributing
-    // nothing to any edge's weight sum would never saturate or freeze).
-    // `!(w <= 0)`, not `w > 0`: exactly the weights `<= 0` start frozen.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    let mut unfrozen: Vec<usize> = active.iter().copied().filter(|&f| !(w(f) <= 0.0)).collect();
-    // Weighted share per edge of unfrozen flows, kept only on the edges
-    // listed in `touched` (each once, the rest of `wsum` stays 0).
-    let mut wsum = vec![0.0_f64; residual.len()];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut on = vec![false; residual.len()];
-    // Progressive filling.
-    while !unfrozen.is_empty() {
-        for &e in &touched {
-            wsum[e] = 0.0;
-            on[e] = false;
+    let ne = residual.len();
+    // The flows that take a share, in `active` order: local flow `i` is
+    // `flows[i]`, of weight `class_w[class_of[i]]`. Weight-0 (or negative)
+    // flows take no share: leaving them out both defines their rate as 0
+    // and keeps the filling loop terminating (a flow contributing nothing
+    // to any edge's weight sum would never saturate or freeze). Exactly
+    // the weights `<= 0` are left out: a NaN weight takes part.
+    //
+    // Weight classes: every unfrozen flow of weight `w` gains `delta·w`
+    // each round, so one running sum per distinct weight (by bits) is the
+    // rate of each of its flows whose entry started at +0.
+    let mut flows: Vec<usize> = Vec::with_capacity(active.len());
+    let mut class_of: Vec<usize> = Vec::with_capacity(active.len());
+    let mut class_w: Vec<f64> = Vec::new();
+    let mut class_left: Vec<u32> = Vec::new();
+    let mut class_index: BTreeMap<u64, usize> = BTreeMap::new();
+    // Per edge: the weight sum of the unfrozen flows crossing it, summed
+    // in `active` order, and how many path entries of unfrozen flows cross
+    // it (live while > 0).
+    let mut wsum = vec![0.0_f64; ne];
+    let mut crossings = vec![0_u32; ne];
+    let mut live: Vec<usize> = Vec::new();
+    let mut integral = true;
+    let mut total = 0.0_f64;
+    for &f in active {
+        let wf = weights.map_or(1.0, |w| w[f]);
+        if wf <= 0.0 {
+            continue;
         }
-        touched.clear();
-        for &f in &unfrozen {
-            for e in paths[f].edges.iter() {
-                let e = e.index();
-                if !on[e] {
-                    on[e] = true;
-                    touched.push(e);
-                }
-                wsum[e] += w(f);
+        // Equal weights tend to sit together in `active` (a coflow's flows
+        // do in the engine's flat order), so most flows take the previous
+        // flow's class without a map lookup.
+        let c = match class_of.last() {
+            Some(&c) if class_w[c].to_bits() == wf.to_bits() => c,
+            _ => *class_index.entry(wf.to_bits()).or_insert_with(|| {
+                // +0 exactly for a positive integral weight (NaN for an
+                // infinite or NaN one).
+                integral &= wf.fract().to_bits() == 0;
+                class_w.push(wf);
+                class_left.push(0);
+                class_w.len() - 1
+            }),
+        };
+        flows.push(f);
+        class_of.push(c);
+        class_left[c] += 1;
+        let path = &paths[f].edges;
+        for e in path.iter() {
+            let e = e.index();
+            if crossings[e] == 0 {
+                live.push(e);
+            }
+            crossings[e] += 1;
+            wsum[e] += wf;
+        }
+        // Exact while below 2^53, and at least 2^53 once the true total
+        // is: rounding is monotone and 2^53 is a float.
+        total += wf * path.len() as f64;
+    }
+    let n = flows.len();
+    let exact = integral && total < EXACT_SUM_LIMIT;
+    // Edge -> local flows, one entry per path entry, in `active` order:
+    // edge `e`'s flows are `adj[first[e]..end[e]]`.
+    let mut first = vec![0_usize; ne];
+    let mut end = vec![0_usize; ne];
+    let mut len = 0;
+    for &e in &live {
+        first[e] = len;
+        end[e] = len;
+        len += crossings[e] as usize;
+    }
+    let mut adj = vec![0_u32; len];
+    for i in 0..n {
+        for e in paths[flows[i]].edges.iter() {
+            let e = e.index();
+            adj[end[e]] = i as u32;
+            end[e] += 1;
+        }
+    }
+
+    let mut acc = vec![0.0_f64; class_w.len()];
+    let mut live_classes: Vec<usize> = (0..class_w.len()).collect();
+    // A flow whose entry starts elsewhere adds the logged deltas itself.
+    let log = flows.iter().any(|&f| rates[f].to_bits() != 0);
+    let mut deltas: Vec<f64> = Vec::new();
+    let settle = |rate: &mut f64, c: usize, acc: &[f64], deltas: &[f64]| {
+        if rate.to_bits() == 0 {
+            *rate = acc[c];
+        } else {
+            for &d in deltas {
+                *rate += d * class_w[c];
             }
         }
-        // Raise all unfrozen rates by the smallest per-edge fair share.
+    };
+
+    let mut frozen = vec![false; n];
+    let mut unfrozen = n;
+    let mut newly: Vec<usize> = Vec::new();
+    let mut dirty: Vec<usize> = Vec::new();
+    let mut is_dirty = vec![false; if exact { 0 } else { ne }];
+    // Progressive filling.
+    while unfrozen > 0 {
+        // Drop the edges no unfrozen flow crosses any more, and raise all
+        // unfrozen rates by the smallest fair share of the others.
         let mut delta = f64::INFINITY;
-        for &e in &touched {
+        live.retain(|&e| {
+            if crossings[e] == 0 {
+                return false;
+            }
             if wsum[e] > 0.0 {
                 delta = delta.min(residual[e] / wsum[e]);
             }
-        }
+            true
+        });
         if !delta.is_finite() {
             // Every unfrozen flow has an empty path: nothing constrains
             // them, nothing can saturate — stop rather than spin.
@@ -140,23 +236,67 @@ pub fn fair_fill(
             // Saturated: freeze everything on saturated edges.
             delta = delta.max(0.0);
         }
-        for &e in &touched {
+        for &c in &live_classes {
+            acc[c] += delta * class_w[c];
+        }
+        if log {
+            deltas.push(delta);
+        }
+        // Take the share from every live edge, and freeze the flows
+        // crossing one it saturates.
+        newly.clear();
+        for &e in &live {
             if wsum[e] > 0.0 {
                 residual[e] -= delta * wsum[e];
             }
+            if residual[e] <= 1e-9 {
+                for &i in &adj[first[e]..end[e]] {
+                    let i = i as usize;
+                    if !frozen[i] {
+                        frozen[i] = true;
+                        newly.push(i);
+                    }
+                }
+            }
         }
-        let mut progressed = false;
-        unfrozen.retain(|&f| {
-            rates[f] += delta * w(f);
-            // Freeze flows crossing a saturated edge.
-            let saturated = paths[f].edges.iter().any(|e| residual[e.index()] <= 1e-9);
-            progressed |= saturated;
-            !saturated
-        });
-        if !progressed && delta <= 1e-12 {
-            // No residual and nobody newly frozen: freeze all.
-            unfrozen.clear();
+        if newly.is_empty() && delta <= 1e-12 {
+            // No residual and nobody newly frozen: freeze all (below).
+            break;
         }
+        unfrozen -= newly.len();
+        for &i in &newly {
+            let c = class_of[i];
+            settle(&mut rates[flows[i]], c, &acc, &deltas);
+            class_left[c] -= 1;
+            for e in paths[flows[i]].edges.iter() {
+                let e = e.index();
+                crossings[e] -= 1;
+                if exact {
+                    wsum[e] -= class_w[c];
+                } else if !is_dirty[e] {
+                    is_dirty[e] = true;
+                    dirty.push(e);
+                }
+            }
+        }
+        for e in dirty.drain(..) {
+            is_dirty[e] = false;
+            if crossings[e] == 0 {
+                continue;
+            }
+            let mut s = 0.0_f64;
+            for &i in &adj[first[e]..end[e]] {
+                let i = i as usize;
+                if !frozen[i] {
+                    s += class_w[class_of[i]];
+                }
+            }
+            wsum[e] = s;
+        }
+        live_classes.retain(|&c| class_left[c] > 0);
+    }
+    for i in (0..n).filter(|&i| !frozen[i]) {
+        settle(&mut rates[flows[i]], class_of[i], &acc, &deltas);
     }
 }
 

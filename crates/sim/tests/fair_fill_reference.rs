@@ -1,7 +1,10 @@
 //! Differential test for [`fair_fill`]: the progressive filling that
 //! rescans every active flow and every edge in every round is kept here as
-//! a reference, and the library's round over unfrozen flows and the edges
-//! they cross must write the same `rates` and `residual`, bit for bit.
+//! a reference, and the library's rounds over the live edges must write
+//! the same `rates` and `residual`, bit for bit. The problems cover both
+//! ways the library keeps its edge weight sums: subtracting frozen weights
+//! (integral weights, exact sums) and re-summing (fractional weights, or
+//! integral ones whose sums pass 2^53 and round).
 
 use coflow_net::{EdgeId, Path};
 use coflow_sim::fluid::fair_fill;
@@ -82,7 +85,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 /// A random fill problem: paths that may be empty, repeat an edge or be
 /// shared by several flows; a shuffled subset of the flows active; weights
-/// that may be 0; residuals that may start saturated; rates that may
+/// that are mixed (possibly 0 or fractional), integral, or integral with
+/// sums past 2^53; residuals that may start saturated; rates that may
 /// already hold a value.
 #[allow(clippy::type_complexity)]
 fn problem(seed: u64) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -104,11 +108,19 @@ fn problem(seed: u64) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
     }
     let mut active: Vec<usize> = (0..nf).filter(|_| rng.random_bool(0.8)).collect();
     active.shuffle(&mut rng);
+    let kind = rng.random_range(0..3u32);
     let weights = (0..nf)
-        .map(|_| match rng.random_range(0..4u32) {
-            0 => 0.0,
-            1 => 1.0,
-            _ => rng.random_range(0.05..5.0),
+        .map(|_| match (kind, rng.random_range(0..4u32)) {
+            // Mixed: zero, unit and fractional weights.
+            (0, 0) => 0.0,
+            (0, 1) => 1.0,
+            (0, _) => rng.random_range(0.05..5.0),
+            // `1 + small integer`, as the workload generator draws coflow
+            // weights: every weight sum is an exact integer.
+            (1, _) => f64::from(1 + rng.random_range(1..6u32)),
+            // 2^52 among small integers: sums pass 2^53 and round.
+            (_, 0 | 1) => 4_503_599_627_370_496.0,
+            (_, _) => f64::from(1 + rng.random_range(0..6u32)),
         })
         .collect();
     let residual = (0..ne)
