@@ -11,7 +11,6 @@ use coflow_core::order::Priority;
 use coflow_core::schedule::{CircuitSchedule, FlowSchedule, Segment};
 use coflow_core::Instance;
 use coflow_net::Path;
-use std::collections::BTreeMap;
 
 /// Bandwidth allocation policies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,18 +92,19 @@ const EXACT_SUM_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
 /// left untouched), so callers pass zeroed rates, as [`simulate`] and the
 /// online engine do. `residual` is consumed.
 ///
-/// A filling round costs O(live edges + newly frozen flows × path
-/// length), where a live edge is one an unfrozen flow still crosses. Once
-/// per call, a set-up pass lists the live edges, each edge's flows in
-/// `active` order and each edge's weight sum, summed in `active` order. A
-/// round scans only the live edges; a flow's path is walked again only
-/// when it freezes, and its rate is its weight class's running sum of
-/// `delta·w` (the same additions, in the same order, as adding to the
-/// flow itself). When a flow freezes, its weight is subtracted from the
-/// sums of the edges it crosses if every weight is integral and their
+/// Once per call, a set-up pass lists the live edges (those an unfrozen
+/// flow still crosses), each edge's flows in `active` order and each
+/// edge's weight sum, summed in `active` order. A round scans only the
+/// live edges, and a flow's path is walked again only when it freezes.
+/// Then it adds `delta·w` for each round's `delta` so far to its rate: the
+/// same additions, in the same order, as adding to every unfrozen flow
+/// each round. When a flow freezes, its weight is subtracted from the sums
+/// of the edges it crosses if every weight is integral and their
 /// path-weighted total is below 2^53, so that every sum is an exact
-/// integer; otherwise those edges re-sum their unfrozen flows in `active`
-/// order. Either way every rate and residual is the same to the bit as a
+/// integer; a round then costs O(live edges + newly frozen flows × (path
+/// length + rounds so far)). Otherwise those edges re-sum their unfrozen
+/// flows in `active` order, which rescans each such edge's whole flow
+/// list. Either way every rate and residual is the same to the bit as a
 /// round over all flows and all edges.
 pub fn fair_fill(
     paths: &[Path],
@@ -115,20 +115,13 @@ pub fn fair_fill(
 ) {
     let ne = residual.len();
     // The flows that take a share, in `active` order: local flow `i` is
-    // `flows[i]`, of weight `class_w[class_of[i]]`. Weight-0 (or negative)
-    // flows take no share: leaving them out both defines their rate as 0
-    // and keeps the filling loop terminating (a flow contributing nothing
-    // to any edge's weight sum would never saturate or freeze). Exactly
-    // the weights `<= 0` are left out: a NaN weight takes part.
-    //
-    // Weight classes: every unfrozen flow of weight `w` gains `delta·w`
-    // each round, so one running sum per distinct weight (by bits) is the
-    // rate of each of its flows whose entry started at +0.
+    // `flows[i]`, of weight `ws[i]`. Weight-0 (or negative) flows take no
+    // share: leaving them out both defines their rate as 0 and keeps the
+    // filling loop terminating (a flow contributing nothing to any edge's
+    // weight sum would never saturate or freeze). Exactly the weights
+    // `<= 0` are left out: a NaN weight takes part.
     let mut flows: Vec<usize> = Vec::with_capacity(active.len());
-    let mut class_of: Vec<usize> = Vec::with_capacity(active.len());
-    let mut class_w: Vec<f64> = Vec::new();
-    let mut class_left: Vec<u32> = Vec::new();
-    let mut class_index: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut ws: Vec<f64> = Vec::with_capacity(active.len());
     // Per edge: the weight sum of the unfrozen flows crossing it, summed
     // in `active` order, and how many path entries of unfrozen flows cross
     // it (live while > 0).
@@ -142,23 +135,11 @@ pub fn fair_fill(
         if wf <= 0.0 {
             continue;
         }
-        // Equal weights tend to sit together in `active` (a coflow's flows
-        // do in the engine's flat order), so most flows take the previous
-        // flow's class without a map lookup.
-        let c = match class_of.last() {
-            Some(&c) if class_w[c].to_bits() == wf.to_bits() => c,
-            _ => *class_index.entry(wf.to_bits()).or_insert_with(|| {
-                // +0 exactly for a positive integral weight (NaN for an
-                // infinite or NaN one).
-                integral &= wf.fract().to_bits() == 0;
-                class_w.push(wf);
-                class_left.push(0);
-                class_w.len() - 1
-            }),
-        };
+        // +0 exactly for a positive integral weight (NaN for an infinite
+        // or NaN one).
+        integral &= wf.fract().to_bits() == 0;
         flows.push(f);
-        class_of.push(c);
-        class_left[c] += 1;
+        ws.push(wf);
         let path = &paths[f].edges;
         for e in path.iter() {
             let e = e.index();
@@ -193,18 +174,11 @@ pub fn fair_fill(
         }
     }
 
-    let mut acc = vec![0.0_f64; class_w.len()];
-    let mut live_classes: Vec<usize> = (0..class_w.len()).collect();
-    // A flow whose entry starts elsewhere adds the logged deltas itself.
-    let log = flows.iter().any(|&f| rates[f].to_bits() != 0);
+    // Every round's `delta`, for the flows to add up when they freeze.
     let mut deltas: Vec<f64> = Vec::new();
-    let settle = |rate: &mut f64, c: usize, acc: &[f64], deltas: &[f64]| {
-        if rate.to_bits() == 0 {
-            *rate = acc[c];
-        } else {
-            for &d in deltas {
-                *rate += d * class_w[c];
-            }
+    let settle = |rate: &mut f64, w: f64, deltas: &[f64]| {
+        for &d in deltas {
+            *rate += d * w;
         }
     };
 
@@ -236,12 +210,7 @@ pub fn fair_fill(
             // Saturated: freeze everything on saturated edges.
             delta = delta.max(0.0);
         }
-        for &c in &live_classes {
-            acc[c] += delta * class_w[c];
-        }
-        if log {
-            deltas.push(delta);
-        }
+        deltas.push(delta);
         // Take the share from every live edge, and freeze the flows
         // crossing one it saturates.
         newly.clear();
@@ -265,14 +234,12 @@ pub fn fair_fill(
         }
         unfrozen -= newly.len();
         for &i in &newly {
-            let c = class_of[i];
-            settle(&mut rates[flows[i]], c, &acc, &deltas);
-            class_left[c] -= 1;
+            settle(&mut rates[flows[i]], ws[i], &deltas);
             for e in paths[flows[i]].edges.iter() {
                 let e = e.index();
                 crossings[e] -= 1;
                 if exact {
-                    wsum[e] -= class_w[c];
+                    wsum[e] -= ws[i];
                 } else if !is_dirty[e] {
                     is_dirty[e] = true;
                     dirty.push(e);
@@ -284,19 +251,24 @@ pub fn fair_fill(
             if crossings[e] == 0 {
                 continue;
             }
+            // Sum the unfrozen flows and drop the frozen ones from the
+            // edge's list, keeping `active` order.
             let mut s = 0.0_f64;
-            for &i in &adj[first[e]..end[e]] {
-                let i = i as usize;
+            let mut kept = first[e];
+            for j in first[e]..end[e] {
+                let i = adj[j] as usize;
                 if !frozen[i] {
-                    s += class_w[class_of[i]];
+                    s += ws[i];
+                    adj[kept] = adj[j];
+                    kept += 1;
                 }
             }
+            end[e] = kept;
             wsum[e] = s;
         }
-        live_classes.retain(|&c| class_left[c] > 0);
     }
     for i in (0..n).filter(|&i| !frozen[i]) {
-        settle(&mut rates[flows[i]], class_of[i], &acc, &deltas);
+        settle(&mut rates[flows[i]], ws[i], &deltas);
     }
 }
 

@@ -85,11 +85,11 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 /// A random fill problem: paths that may be empty, repeat an edge or be
 /// shared by several flows; a shuffled subset of the flows active; weights
-/// that are mixed (possibly 0 or fractional), integral, or integral with
-/// sums past 2^53; residuals that may start saturated; rates that may
-/// already hold a value.
+/// of the given kind: 0 mixed (possibly 0 or fractional), 1 integral, 2
+/// integral with sums past 2^53; residuals that may start saturated; rates
+/// that may already hold a value.
 #[allow(clippy::type_complexity)]
-fn problem(seed: u64) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
+fn problem(seed: u64, kind: u32) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let ne = rng.random_range(1usize..12);
     let nf = rng.random_range(1usize..20);
@@ -108,7 +108,6 @@ fn problem(seed: u64) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
     }
     let mut active: Vec<usize> = (0..nf).filter(|_| rng.random_bool(0.8)).collect();
     active.shuffle(&mut rng);
-    let kind = rng.random_range(0..3u32);
     let weights = (0..nf)
         .map(|_| match (kind, rng.random_range(0..4u32)) {
             // Mixed: zero, unit and fractional weights.
@@ -149,14 +148,16 @@ proptest! {
 
     #[test]
     fn fair_fill_matches_the_all_flows_reference_bit_for_bit(seed in 0u64..u64::MAX) {
-        let (paths, active, weights, residual, rates) = problem(seed);
-        for w in [None, Some(&weights[..])] {
-            let (mut rates_new, mut residual_new) = (rates.clone(), residual.clone());
-            let (mut rates_ref, mut residual_ref) = (rates.clone(), residual.clone());
-            fair_fill(&paths, &active, w, &mut rates_new, &mut residual_new);
-            fair_fill_reference(&paths, &active, w, &mut rates_ref, &mut residual_ref);
-            prop_assert_eq!(bits(&rates_new), bits(&rates_ref));
-            prop_assert_eq!(bits(&residual_new), bits(&residual_ref));
+        for kind in 0..3 {
+            let (paths, active, weights, residual, rates) = problem(seed, kind);
+            for w in [None, Some(&weights[..])] {
+                let (mut rates_new, mut residual_new) = (rates.clone(), residual.clone());
+                let (mut rates_ref, mut residual_ref) = (rates.clone(), residual.clone());
+                fair_fill(&paths, &active, w, &mut rates_new, &mut residual_new);
+                fair_fill_reference(&paths, &active, w, &mut rates_ref, &mut residual_ref);
+                prop_assert_eq!(bits(&rates_new), bits(&rates_ref));
+                prop_assert_eq!(bits(&residual_new), bits(&residual_ref));
+            }
         }
     }
 }
