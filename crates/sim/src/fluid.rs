@@ -103,9 +103,9 @@ const EXACT_SUM_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
 /// path-weighted total is below 2^53, so that every sum is an exact
 /// integer; a round then costs O(live edges + newly frozen flows × (path
 /// length + rounds so far)). Otherwise those edges re-sum their unfrozen
-/// flows in `active` order, which rescans each such edge's whole flow
-/// list. Either way every rate and residual is the same to the bit as a
-/// round over all flows and all edges.
+/// flows in `active` order, rescanning each such edge's list and dropping
+/// the frozen flows from it. Either way every rate and residual is the
+/// same to the bit as a round over all flows and all edges.
 pub fn fair_fill(
     paths: &[Path],
     active: &[usize],
