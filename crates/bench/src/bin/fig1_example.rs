@@ -9,9 +9,11 @@
 //! cargo run --release -p coflow-bench --bin fig1_example
 //! ```
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::print_stdout,
+    reason = "an experiment binary fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow_bench::print_table;
 use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};

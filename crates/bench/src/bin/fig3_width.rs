@@ -12,9 +12,11 @@
 //! cargo run --release -p coflow-bench --bin fig3_width [--k 8] [--trials 10]
 //! ```
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "an experiment binary fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow_bench::{
     print_improvements, print_table, run_point, write_csv, CommonArgs, PointSummary, SCHEME_NAMES,

@@ -13,9 +13,11 @@
 //!
 //! [`OnlinePolicy`]: coflow_engine::OnlinePolicy
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "an experiment binary fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow_bench::{print_table, run_parallel, write_csv, CommonArgs};
 use coflow_core::circuit::lp_free::FreePathsLpConfig;

@@ -13,9 +13,11 @@
 //! Times print in milliseconds for wall-clock traces and in ticks for
 //! logical-clock traces (see the `clock` field of the meta line).
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// parsing is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::panic,
+    clippy::print_stdout,
+    reason = "an experiment binary fails fast on I/O and parsing errors, and its console output is its result"
+)]
 
 use coflow_workloads::io::{read_trace_lines, Value};
 use std::path::Path;

@@ -17,9 +17,6 @@
 //! Independent trials run in parallel through [`run_parallel`] (the LP
 //! solve dominates wall time, and each solve runs on one thread).
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use coflow_core::baselines::{self, BaselineConfig, Scheme};
 use coflow_core::bounds;
 use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};
@@ -30,7 +27,6 @@ use coflow_sim::fluid::{simulate, SimConfig};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Names of the four §4.3 schemes, in the paper's plotting order.
 pub const SCHEME_NAMES: [&str; 4] = ["LP-Based", "Route-only", "Schedule-only", "Baseline"];
@@ -80,9 +76,16 @@ pub fn run_trial(
     let mut outcomes = Vec::with_capacity(4);
 
     // --- LP-Based (§2.2 + §4.2 tweaks). ---
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the harness times whole experiment runs"
+    )]
+    let t0 = std::time::Instant::now();
+    #[expect(
+        clippy::expect_used,
+        reason = "harness crate: generated instances are always feasible"
+    )]
     let lp = solve_free_paths_lp_paths(instance, lp_cfg)
-        // lint: allow(no_panic) — harness crate: generated instances are always feasible
         .expect("free-paths LP must be feasible on valid instances");
     let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
     let rounding = round_free_paths(
@@ -188,10 +191,13 @@ pub fn run_point(
         let mut avg = 0.0;
         let mut wsum = 0.0;
         for (outs, _) in &results {
+            #[expect(
+                clippy::expect_used,
+                reason = "harness crate: every trial runs every scheme"
+            )]
             let o = outs
                 .iter()
                 .find(|o| o.scheme == name)
-                // lint: allow(no_panic) — harness crate: every trial runs every scheme
                 .expect("scheme missing");
             avg += o.avg_completion;
             wsum += o.weighted_sum;
@@ -219,6 +225,10 @@ pub fn run_point(
 /// to `threads` scoped workers, which take the next unclaimed item as they
 /// finish one. Which worker runs an item depends on timing, so `f` must
 /// not carry state from one item to the next.
+#[expect(
+    clippy::expect_used,
+    reason = "a worker panic propagates to the caller; a dead worker is a pool bug, not a data error"
+)]
 pub fn run_parallel<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -236,20 +246,21 @@ pub fn run_parallel<T: Sync, R: Send>(
                     break;
                 }
                 let r = f(i, &items[i]);
-                // lint: allow(no_panic) — propagate a worker panic to the caller
                 **slots[i].lock().expect("worker panicked holding slot lock") = Some(r);
             });
         }
     });
     out.into_iter()
-        // lint: allow(no_panic) — a dead worker is a pool bug, not a data error
         .map(|o| o.expect("worker died before filling slot"))
         .collect()
 }
 
 /// Prints an aligned table.
+#[expect(
+    clippy::print_stdout,
+    reason = "this helper is the experiment binaries' console output"
+)]
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    // lint: allow(no_print) — this helper IS the experiment binaries' console output
     println!("\n{title}");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -265,15 +276,12 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         s
     };
     let header: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    // lint: allow(no_print) — this helper IS the experiment binaries' console output
     println!("{}", line(&header));
-    // lint: allow(no_print) — this helper IS the experiment binaries' console output
     println!(
         "{}",
         "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
     );
     for row in rows {
-        // lint: allow(no_print) — this helper IS the experiment binaries' console output
         println!("{}", line(row));
     }
 }
@@ -330,6 +338,11 @@ impl CommonArgs {
     /// Parses from `std::env::args`, with defaults scaled to finish in
     /// minutes on a laptop (`--k 8 --trials 10` reproduces the paper's
     /// exact setting).
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "CLI arg parsing: fail fast with usage text"
+    )]
     pub fn parse(default_out: &str) -> Self {
         let mut a = Self {
             k: 4,
@@ -344,17 +357,14 @@ impl CommonArgs {
         while i < argv.len() {
             match argv[i].as_str() {
                 "--k" => {
-                    // lint: allow(no_panic) — CLI arg parsing: fail fast with usage text
                     a.k = argv[i + 1].parse().expect("--k <even int>");
                     i += 2;
                 }
                 "--trials" => {
-                    // lint: allow(no_panic) — CLI arg parsing: fail fast with usage text
                     a.trials = argv[i + 1].parse().expect("--trials <int>");
                     i += 2;
                 }
                 "--threads" => {
-                    // lint: allow(no_panic) — CLI arg parsing: fail fast with usage text
                     a.threads = argv[i + 1].parse().expect("--threads <int>");
                     i += 2;
                 }
@@ -366,7 +376,6 @@ impl CommonArgs {
                     a.out = None;
                     i += 1;
                 }
-                // lint: allow(no_panic) — CLI arg parsing: fail fast with usage text
                 other => panic!("unknown argument {other}"),
             }
         }
@@ -375,8 +384,7 @@ impl CommonArgs {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_core::tol;

@@ -147,14 +147,16 @@ pub fn route_only(instance: &Instance, cfg: &BaselineConfig) -> Scheme {
             }
             (worst, total)
         };
-        #[allow(clippy::unwrap_used)]
+        #[expect(
+            clippy::unwrap_used,
+            reason = "candidates() asserts the path set is non-empty"
+        )]
         let best = ps
             .into_iter()
             .min_by(|a, b| {
                 let (ka, kb) = (cost(a), cost(b));
                 ka.0.total_cmp(&kb.0).then(ka.1.total_cmp(&kb.1))
             })
-            // lint: allow(no_panic) — candidates() asserts the path set is non-empty
             .unwrap();
         for &e in best.edges.iter() {
             load[e.index()] += spec.size;
@@ -230,8 +232,7 @@ pub fn wsjf(instance: &Instance, paths: &[Path]) -> Scheme {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};
@@ -308,7 +309,7 @@ mod tests {
             .collect();
         let inst = Instance::new(t.graph.clone(), vec![Coflow::new(1.0, flows)]);
         let s = route_only(&inst, &BaselineConfig::default());
-        let distinct: std::collections::HashSet<_> =
+        let distinct: std::collections::BTreeSet<_> =
             s.paths.iter().map(|p| p.edges.clone()).collect();
         assert!(
             distinct.len() >= 2,

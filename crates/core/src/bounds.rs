@@ -55,8 +55,7 @@ pub fn trivial_lower_bound(instance: &crate::model::Instance) -> f64 {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};

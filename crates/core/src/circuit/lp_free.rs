@@ -327,8 +327,7 @@ pub fn solve_free_paths_lp_colgen_on_grid(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};

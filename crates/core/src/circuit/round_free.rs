@@ -150,13 +150,16 @@ pub fn round_free_paths(
                     })
             }
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "endpoint connectivity was checked when the LP was built"
+        )]
         let chosen = picked
             .map(|i| routing.paths[ids[i]].clone())
             .unwrap_or_else(|| {
                 // Degenerate LP mass (e.g. zero-size flow): fall back to a
                 // shortest path.
                 netpaths::bfs_shortest_path(g, spec.src, spec.dst)
-                    // lint: allow(no_panic) — endpoint connectivity was checked when the LP was built
                     .expect("flow endpoints disconnected")
             });
         for &e in chosen.edges.iter() {
@@ -206,8 +209,7 @@ pub(crate) fn sample_path<R: RngExt>(weights: &[f64], rng: &mut R) -> Option<usi
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::circuit::lp_free::{

@@ -92,12 +92,14 @@ pub fn round_given_paths(
     }
 
     let g = &instance.graph;
-    #[allow(clippy::unwrap_used)]
+    #[expect(
+        clippy::unwrap_used,
+        reason = "has_all_paths() is asserted at function entry"
+    )]
     let mut schedule = CircuitSchedule {
         flows: instance
             .flows()
             .map(|(_, _, spec)| FlowSchedule {
-                // lint: allow(no_panic) — has_all_paths() is asserted at function entry
                 path: spec.path.clone().unwrap(),
                 segments: Vec::new(),
             })
@@ -125,12 +127,15 @@ pub fn round_given_paths(
             }
         }
         let mut stretch = 1.0_f64;
+        #[expect(
+            clippy::panic,
+            reason = "a loaded zero-capacity edge is a malformed instance"
+        )]
         for e in g.edges() {
             let cap = g.capacity(e);
             if cap > 0.0 {
                 stretch = stretch.max(edge_load[e.index()] / cap);
             } else if edge_load[e.index()] > 0.0 {
-                // lint: allow(no_panic) — a loaded zero-capacity edge is a malformed instance
                 panic!("flow routed through zero-capacity edge {e:?}");
             }
         }
@@ -165,8 +170,7 @@ pub fn round_given_paths(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::circuit::lp_given::{solve_given_paths_lp, GivenPathsLpConfig};

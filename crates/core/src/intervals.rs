@@ -28,10 +28,11 @@ impl IntervalGrid {
         );
         let mut boundaries = vec![0.0, 1.0];
         let growth = 1.0 + eps;
-        #[allow(clippy::unwrap_used)]
-        // lint: allow(no_panic) — boundaries starts with two elements and only grows
+        #[expect(
+            clippy::unwrap_used,
+            reason = "boundaries starts with two elements and only grows"
+        )]
         while *boundaries.last().unwrap() < horizon {
-            // lint: allow(no_panic) — boundaries starts with two elements and only grows
             let next = boundaries.last().unwrap() * growth;
             boundaries.push(next);
         }
@@ -72,23 +73,17 @@ impl IntervalGrid {
         }
         self.count() - 1
     }
-
-    /// All boundaries (read-only).
-    pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
-    }
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 
     #[test]
     fn cover_reaches_horizon() {
         let g = IntervalGrid::cover(1.0, 100.0);
-        assert!(*g.boundaries().last().unwrap() >= 100.0);
+        assert!(*g.boundaries.last().unwrap() >= 100.0);
         assert_eq!(g.lower(0), 0.0);
         assert_eq!(g.upper(0), 1.0);
         // eps = 1 doubles: 0, 1, 2, 4, 8, ...

@@ -22,9 +22,6 @@
 //! [`schedule::PacketSchedule`] (store-and-forward moves), each with a
 //! feasibility checker enforcing the §1.1/§3 constraints.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod baselines;
 pub mod bounds;
 pub mod circuit;

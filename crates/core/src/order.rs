@@ -72,8 +72,7 @@ pub fn lp_order(instance: &Instance, lp: &CircuitLpSolution) -> Priority {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::intervals::IntervalGrid;

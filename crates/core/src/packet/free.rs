@@ -168,8 +168,7 @@ pub fn route_and_schedule(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};
@@ -233,7 +232,7 @@ mod tests {
             .collect();
         let inst = Instance::new(t.graph.clone(), coflows);
         let r = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap();
-        let distinct: std::collections::HashSet<_> =
+        let distinct: std::collections::BTreeSet<_> =
             r.paths.iter().map(|p| p.edges.clone()).collect();
         assert!(distinct.len() >= 2, "all packets on one route");
         assert!(r.schedule.check(&inst).is_empty());

@@ -153,8 +153,7 @@ pub(crate) fn schedule_blocks<F: Fn(usize) -> coflow_net::Path>(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};

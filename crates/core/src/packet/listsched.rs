@@ -98,8 +98,7 @@ pub fn list_schedule(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_net::{paths, topo, NodeId};
@@ -228,7 +227,7 @@ mod tests {
         }
         let ranks: Vec<usize> = (0..tasks.len()).collect();
         let m = list_schedule(&g, &tasks, 0, &ranks);
-        let mut used = std::collections::HashSet::new();
+        let mut used = std::collections::BTreeSet::new();
         for mv in &m {
             for pm in mv {
                 assert!(

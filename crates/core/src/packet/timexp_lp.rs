@@ -37,7 +37,10 @@ pub fn packet_lp_lower_bound(
     // Per flow: z variables on expanded edges (skip edges out of the
     // destination and edges before the release), arrival bookkeeping.
     let nf = instance.flow_count();
-    // lint: allow(hash_order) — per-flow var maps are lookup-only, never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-flow var maps are lookup-only, never iterated"
+    )]
     let mut z: Vec<std::collections::HashMap<u32, VarId>> = Vec::with_capacity(nf);
 
     for (id, flat, spec) in instance.flows() {
@@ -46,7 +49,10 @@ pub fn packet_lp_lower_bound(
             rel < horizon,
             "horizon {horizon} too small for release {rel} of packet {flat}"
         );
-        // lint: allow(hash_order) — lookup-only index from edge id to variable
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup-only index from edge id to variable"
+        )]
         let mut vars = std::collections::HashMap::new();
         for e in tx.graph.edges() {
             let (u, v) = tx.graph.endpoints(e);
@@ -150,8 +156,7 @@ pub fn packet_lp_lower_bound(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};

@@ -96,7 +96,7 @@ impl ResidualState {
     /// # Panics
     /// If `remaining`/`paths` lengths disagree with the instance or an
     /// admitted index repeats or is out of range.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn update(
         &mut self,
         original: &Instance,
@@ -197,8 +197,7 @@ pub fn residual_instance(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_net::{topo, NodeId};

@@ -273,9 +273,11 @@ impl CircuitSchedule {
         let mut i = 0;
         while i < bounds.len() {
             let t = bounds[i].time;
-            // Apply all boundaries at identical time together (exact equality:
-            // we group boundaries carrying the same stored value, not a tolerance).
-            #[allow(clippy::float_cmp)]
+            // Apply all boundaries at identical time together.
+            #[allow(
+                clippy::float_cmp,
+                reason = "exact equality groups boundaries carrying the same stored value, not a tolerance"
+            )]
             while i < bounds.len() && bounds[i].time == t {
                 let b = &bounds[i];
                 for &e in self.flows[b.flat as usize].path.edges.iter() {
@@ -429,8 +431,7 @@ impl PacketSchedule {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::model::{Coflow, FlowSpec, Instance};

@@ -41,10 +41,15 @@ pub fn switch_instance(
                     );
                     let src = t.hosts[s];
                     let dst = t.hosts[d];
-                    #[allow(clippy::unwrap_used)]
-                    // lint: allow(no_panic) — every host in the synthetic fabric has an uplink
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "every host in the synthetic fabric has an uplink"
+                    )]
                     let up = g.find_edge(src, g.edge_dst(g.out_edges(src)[0])).unwrap();
-                    // lint: allow(no_panic) — every host in the synthetic fabric has a downlink
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every host in the synthetic fabric has a downlink"
+                    )]
                     let down = g.in_edges(dst).first().copied().expect("egress edge");
                     let path = Path::new(vec![up, down]);
                     debug_assert!(g.is_simple_path(&path, src, dst));
@@ -69,8 +74,7 @@ pub fn schedule_switch(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 

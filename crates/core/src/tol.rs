@@ -2,8 +2,8 @@
 //!
 //! Every epsilon used by the algorithm layer lives here under a *name* that
 //! says what kind of quantity it guards. Raw `==`/`!=` between floats and
-//! ad-hoc per-file `1e-…` literals are banned in library code by the
-//! in-tree `coflow-lint` pass (rules L2 and the tolerance-migration policy);
+//! ad-hoc per-file `1e-…` literals are banned in library code (clippy's
+//! `float_cmp` and the in-tree `coflow-lint` pass's `float_cmp` rule);
 //! comparisons go through these constants and helpers instead, so the whole
 //! workspace agrees on what "equal", "at most", and "zero" mean.
 //!
@@ -68,8 +68,7 @@ pub fn is_zero(a: f64, eps: f64) -> bool {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 
@@ -98,7 +97,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the ordering IS the invariant under test
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the ordering is the invariant under test"
+    )]
     fn constants_are_ordered_sanely() {
         assert!(ZERO_EPS < TIME_EPS);
         assert!(TIME_EPS < FEAS_EPS);

@@ -4,6 +4,11 @@
 //! return the same violations — same order, same times, same loads to the
 //! bit — on random finite schedules with overloads and ties in time.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
+
 use coflow_core::model::{Coflow, FlowSpec};
 use coflow_core::schedule::{CircuitSchedule, FlowSchedule, Segment, Violation};
 use coflow_core::Instance;
@@ -81,7 +86,10 @@ fn check_reference(
         let mut i = 0;
         while i < events.len() {
             let t = events[i].0;
-            #[allow(clippy::float_cmp)]
+            #[allow(
+                clippy::float_cmp,
+                reason = "exact equality groups events carrying the same stored time"
+            )]
             while i < events.len() && events[i].0 == t {
                 load += events[i].1;
                 i += 1;

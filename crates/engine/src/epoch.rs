@@ -30,11 +30,6 @@ impl Default for EpochTrigger {
 }
 
 impl EpochTrigger {
-    /// Re-plan on arrivals and completions (same as `Default`).
-    pub fn events() -> Self {
-        Self::default()
-    }
-
     /// Re-plan only when new coflows arrive; completions just free
     /// bandwidth under the standing plan (this makes a batch instance with
     /// all releases at 0 run as a *single* epoch — the offline regime).
@@ -80,8 +75,7 @@ impl EpochTrigger {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 

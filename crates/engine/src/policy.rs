@@ -133,8 +133,11 @@ pub(crate) fn route_missing(view: &EpochView<'_>) -> Vec<(usize, Path)> {
     for (_, rflat, spec) in view.residual.instance.flows() {
         let oflat = view.residual.flat_map[rflat];
         if view.paths[oflat].is_none() && spec.size > 0.0 {
+            #[expect(
+                clippy::expect_used,
+                reason = "instance validation checked reachability at admission"
+            )]
             let p = netpaths::bfs_shortest_path(g, spec.src, spec.dst)
-                // lint: allow(no_panic) — instance validation checked reachability at admission
                 .expect("instance validated: destination reachable");
             routes.push((oflat, p));
         }
@@ -423,8 +426,7 @@ impl OnlinePolicy for LpOrder {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_core::residual::residual_instance;

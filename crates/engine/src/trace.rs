@@ -36,7 +36,10 @@ impl ArrivalTrace {
     /// # Panics
     /// If a time is negative or non-finite, or an index repeats.
     pub fn from_events(mut events: Vec<(f64, usize)>) -> Self {
-        // lint: allow(hash_order) — duplicate-detection set, never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "duplicate-detection set, never iterated"
+        )]
         let mut seen = std::collections::HashSet::new();
         for &(t, i) in &events {
             assert!(t >= 0.0 && t.is_finite(), "bad arrival time {t}");
@@ -63,8 +66,7 @@ impl ArrivalTrace {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_core::{Coflow, FlowSpec};

@@ -23,9 +23,6 @@
 //! Everything here is std-only and deterministic; nothing in this crate is
 //! linked into production configurations.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod chaos;
 pub mod netfail;
 pub mod plan;

@@ -1,6 +1,6 @@
-// lint-fixture-expect: no_panic=1
+// lint-fixture-expect: float_cmp=1
 // Declared `mod live;` by the same parent: library code, linted as such.
 
-fn first(xs: &[u32]) -> u32 {
-    *xs.first().unwrap()
+fn is_origin(x: f64) -> bool {
+    x == 0.0
 }

@@ -10,7 +10,7 @@ pub struct Cleaned {
     /// Same length as the input; comments and literals are spaces.
     pub text: Vec<u8>,
     /// Byte offset of the start of each line (line 1 at index 0).
-    pub line_starts: Vec<usize>,
+    line_starts: Vec<usize>,
     /// Sorted, disjoint byte ranges covered by `#[cfg(test)]` items.
     pub test_regions: Vec<(usize, usize)>,
 }
@@ -53,21 +53,10 @@ impl Cleaned {
         }
         names
     }
-
-    /// The cleaned text of the line containing `pos` (without newline).
-    pub fn line_text(&self, pos: usize) -> &[u8] {
-        let line = self.line_of(pos);
-        let start = self.line_starts[line - 1];
-        let end = self
-            .line_starts
-            .get(line)
-            .map(|&e| e.saturating_sub(1))
-            .unwrap_or(self.text.len());
-        &self.text[start..end.max(start)]
-    }
 }
 
-fn is_ident(b: u8) -> bool {
+/// Whether `b` can be part of an identifier.
+pub(crate) fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
@@ -259,13 +248,15 @@ fn find_test_regions(text: &[u8]) -> Vec<(usize, usize)> {
                 break;
             }
         }
-        // The gated item: ends at the matching `}` of its first brace, or at
-        // `;` for brace-less items (`mod tests;`, `use …;`).
+        // The gated item: ends at the matching `}` of its first brace, at
+        // `;` for brace-less items (`mod tests;`, `use …;`), at `,` for a
+        // struct field, or before the `}` that closes the enclosing block.
         let mut end = i;
         let mut depth = 0usize;
         while end < text.len() {
             match text[end] {
                 b'{' => depth += 1,
+                b'}' if depth == 0 => break,
                 b'}' => {
                     depth -= 1;
                     if depth == 0 {
@@ -273,7 +264,7 @@ fn find_test_regions(text: &[u8]) -> Vec<(usize, usize)> {
                         break;
                     }
                 }
-                b';' if depth == 0 => {
+                b';' | b',' if depth == 0 => {
                     end += 1;
                     break;
                 }
@@ -288,7 +279,7 @@ fn find_test_regions(text: &[u8]) -> Vec<(usize, usize)> {
 }
 
 /// First occurrence of `needle` in `hay[from..]`, as an absolute offset.
-pub fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
+fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     if needle.is_empty() || hay.len() < needle.len() {
         return None;
     }
@@ -296,8 +287,6 @@ pub fn find(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
 
@@ -335,6 +324,15 @@ mod tests {
         assert!(c.in_test(pos));
         let cpos = find(&c.text, b"fn c", 0).unwrap();
         assert!(!c.in_test(cpos));
+    }
+
+    #[test]
+    fn test_gated_field_ends_at_its_comma() {
+        let src = "struct S {\n  #[cfg(test)]\n  audit: A,\n  live: f64,\n}\nfn d() {}\n";
+        let c = clean(src.as_bytes());
+        assert!(c.in_test(find(&c.text, b"audit", 0).unwrap()));
+        assert!(!c.in_test(find(&c.text, b"live", 0).unwrap()));
+        assert!(!c.in_test(find(&c.text, b"fn d", 0).unwrap()));
     }
 
     #[test]

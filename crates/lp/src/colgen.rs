@@ -43,8 +43,12 @@ use crate::fault::{perturb_duals_in_place, ColgenFault};
 use crate::model::{LpError, Model, Solution, SolverOptions};
 use crate::WarmChain;
 use coflow_obs::{Counter, SpanName};
-// lint: allow(hash_order) — by_sig is a lookup-only dedup index, never iterated
-use std::collections::HashMap;
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "by_sig is a lookup-only dedup index, never iterated"
+)]
+type SigIndex = std::collections::HashMap<u64, u32>;
 
 /// A persistent interning pool for generated columns.
 ///
@@ -61,14 +65,14 @@ pub struct ColumnPool<T> {
 
 #[derive(Clone, Debug)]
 struct PoolGroup<T> {
-    by_sig: HashMap<u64, u32>,
+    by_sig: SigIndex,
     items: Vec<T>,
 }
 
 impl<T> Default for PoolGroup<T> {
     fn default() -> Self {
         Self {
-            by_sig: HashMap::new(),
+            by_sig: SigIndex::new(),
             items: Vec::new(),
         }
     }
@@ -291,8 +295,11 @@ pub fn solve_colgen(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(
+    clippy::float_cmp,
+    clippy::needless_range_loop,
+    reason = "unit tests assert exact expected values and index the LP's rows and columns"
+)]
 mod tests {
     use super::*;
     use crate::model::Cmp;
@@ -352,7 +359,7 @@ mod tests {
         let demand_rows: Vec<_> = (0..n)
             .map(|_| m.add_row(Cmp::Le, demand_cap, &[]))
             .collect();
-        let mut present = std::collections::HashSet::new();
+        let mut present = std::collections::BTreeSet::new();
         for i in 0..n {
             for j in [i, (i + n / 2) % n] {
                 m.add_column(
@@ -453,7 +460,7 @@ mod tests {
             m.add_column(100.0, 0.0, f64::INFINITY, format_args!("s{i}"), &[(r, 1.0)]);
         }
         let mut caps: Vec<Option<crate::RowId>> = vec![None; n];
-        let mut present = std::collections::HashSet::new();
+        let mut present = std::collections::BTreeSet::new();
         let (sol, stats) = solve_colgen(
             &mut m,
             &SolverOptions::default(),

@@ -258,8 +258,7 @@ pub fn solve(model: &Model) -> Result<Solution, LpError> {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::solve;
     use crate::{LpError, Model};

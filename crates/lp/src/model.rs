@@ -288,13 +288,6 @@ impl Model {
         self.add_var(cost, 0.0, 1.0, name)
     }
 
-    /// Fixes variable `v` to `value` (sets both bounds).
-    pub fn fix_var(&mut self, v: VarId, value: f64) {
-        assert!(value.is_finite());
-        self.cols[v.index()].lb = value;
-        self.cols[v.index()].ub = value;
-    }
-
     /// Adds constraint `Σ terms {cmp} rhs`; returns the row id.
     ///
     /// Duplicate `(var, coef)` terms are **summed once here**, so presolve
@@ -559,8 +552,7 @@ impl Solution {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 

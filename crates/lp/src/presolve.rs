@@ -381,8 +381,7 @@ pub(crate) fn postsolve_singleton_duals(m: &Model, pre: &Presolved, duals: &mut 
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::Model;

@@ -229,7 +229,7 @@ impl State {
     /// Factorizes the current basis and records it (without consulting
     /// the fault hook). Returns the clock stamp that closes the `Factor`
     /// lap.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn factor(&mut self) -> Result<u64, LpError> {
         let t0 = self.rec.stamp();
         let mut cols = std::mem::take(&mut self.fx.cols);
@@ -252,7 +252,7 @@ impl State {
 
     /// `r ← b − N x_N`: snaps every nonbasic variable to its bound and
     /// leaves the right-hand side the basic ones must cover.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn nonbasic_residual(&mut self, r: &mut [f64]) {
         r.copy_from_slice(&self.b);
         for j in 0..self.nvars() {
@@ -271,7 +271,7 @@ impl State {
     /// Rebuilds the factorization from the current basis and recomputes the
     /// basic values (clamping arithmetic noise, failing on violations far
     /// beyond tolerance).
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn refactorize(&mut self) -> Result<(), LpError> {
         if let Some(h) = self.hook.as_mut() {
             if h.on_factorization() {
@@ -293,7 +293,7 @@ impl State {
 
     /// Sets the basic variables to the values `r`, clamping tiny bound
     /// violations introduced by arithmetic noise.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn adopt_basic_values(&mut self, r: &[f64]) -> Result<(), LpError> {
         let big = LP_TOL * 1e4;
         let off = |side: &str, by: f64| {
@@ -460,7 +460,7 @@ fn refill_order(a: &RefillEntry, b: &RefillEntry) -> std::cmp::Ordering {
 /// whose root is the worst of them. [`refill_order`] is total, so the
 /// kept set, and the list sorted from it, do not depend on the heap's
 /// layout.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 #[inline]
 fn retain_top(out: &mut Vec<RefillEntry>, c: RefillEntry) {
     let worse = |out: &[RefillEntry], i: usize, j: usize| refill_order(&out[i], &out[j]).is_gt();
@@ -532,7 +532,7 @@ struct Pricer {
 /// `CACHED` says the solve maintains reduced costs (see [`rowwise`]): they
 /// are read from the cache, and cached when computed. Otherwise every one
 /// is a dot product, in loops compiled without the cache checks.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn choose_entering<const CACHED: bool>(
     st: &mut State,
     ph: &mut PhaseBufs,
@@ -654,7 +654,7 @@ fn choose_entering<const CACHED: bool>(
 /// Returns the leaving `(row, exact step limit)` — `None` when no row
 /// blocks before the entering column's own bound flip at `t_flip` — or
 /// `Err(())` when the step is unbounded.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn ratio_test(
     st: &State,
     w: &[f64],
@@ -743,7 +743,7 @@ fn apply_flip(st: &mut State, sgn: &mut [i8], w: &[f64], idx: &[u32], j_in: usiz
 /// pre-pivot basis), then moves the point and swaps the statuses. Returns
 /// the leaving variable and whether the duals were updated. The
 /// factorization update is the caller's.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn apply_pivot(
     st: &mut State,
     ph: &mut PhaseBufs,
@@ -861,7 +861,7 @@ fn apply_pivot(
 /// Each iteration is three steps over the [`State`]: [`choose_entering`],
 /// [`ratio_test`], then [`apply_flip`] or [`apply_pivot`] plus the
 /// factorization update.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 fn run_phase(
     st: &mut State,
     costs: &[f64],
@@ -1107,8 +1107,10 @@ fn run_phases(
             st.vstat[j] = VStat::AtLower;
             st.x[j] = 0.0;
         } else {
-            // Not `clamp`: min/max map a NaN to LP_TOL instead of keeping it.
-            #[allow(clippy::manual_clamp)]
+            #[allow(
+                clippy::manual_clamp,
+                reason = "not `clamp`: min/max map a NaN to LP_TOL instead of keeping it"
+            )]
             {
                 st.x[j] = st.x[j].min(LP_TOL).max(0.0);
             }
@@ -1294,8 +1296,7 @@ fn solve_presolved_inner(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::{
         ratio_test, refill_order, retain_top, splitmix64, CycleMon, RefillEntry, State,

@@ -87,7 +87,7 @@ impl State {
     /// instead — the recovery ladder's last rung: the basis matrix is then
     /// a signed identity, the one factorization that cannot fail
     /// numerically.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn crash(&mut self, prefer_slacks: bool, resid: &mut Vec<f64>) -> Result<(), LpError> {
         let (m, n_expl) = (self.m, self.n_expl);
         // Reset to the all-artificial basis with every other variable at

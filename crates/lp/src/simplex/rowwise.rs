@@ -106,7 +106,7 @@ impl State {
     /// `v` nonzero at `v_idx`, when its rows hold at most one refill
     /// window's nonzeros; otherwise marks every cached value stale and
     /// returns `false`.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub(super) fn row_image(&self, v: &[f64], v_idx: &[u32], dj: &mut RedCosts) -> bool {
         if self.rowwise_cost(v_idx) > self.window_nnz() {
             dj.invalidate();
@@ -211,7 +211,7 @@ pub(super) fn cached_reduced_cost(
 
 /// `d_j ← d_j − θ·α_rj` for the current cached values of the columns
 /// pricing can pick (`sgn[j] != 0`) that `α_r` touches; clears `α_r`.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub(super) fn update_reduced_costs(dj: &mut RedCosts, sgn: &[i8], theta: f64) {
     let RedCosts {
         d,

@@ -24,7 +24,7 @@ impl State {
     /// First half of a warm start: maps `snap`'s statuses onto the working
     /// columns by key — basic candidates into `wb.cand`, nonbasic-at-upper
     /// columns into `wb.uppers`. Returns `false` when nothing maps.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub(super) fn map_snapshot(
         &mut self,
         model: &Model,
@@ -72,7 +72,7 @@ impl State {
     /// driven back by rounds of a bound-shifting "phase 0" (see inline
     /// comments), and a small residual on artificials is tolerated — phase 1
     /// clears it in far fewer pivots than a cold start would need.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub(super) fn repair_basis(
         &mut self,
         opts: &SolverOptions,

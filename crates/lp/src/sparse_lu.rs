@@ -280,7 +280,7 @@ impl CountBuckets {
 /// matrix) into `e`, reusing `ws` for all working storage. Stops when no
 /// numerically acceptable pivot remains; with `cols.len() == m` and a
 /// nonsingular matrix it runs to completion.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub(crate) fn eliminate_into(
     e: &mut Elimination,
     ws: &mut ElimWs,
@@ -686,7 +686,7 @@ impl LuFactors {
     /// FTRAN: solves `B x = b`. Input `x` is `b` indexed by row; output is
     /// indexed by basis position. The dense loop over all `m` steps: the
     /// reference [`ftran_sparse`](LuFactors::ftran_sparse) reproduces.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         let e = &self.elim;
@@ -733,7 +733,7 @@ impl LuFactors {
     /// same floating-point fold as there, unreached entries stay zero, and
     /// the result equals `ftran`'s entry by entry, at the cost of the
     /// reach rather than of `m`.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn ftran_sparse(&mut self, x: &mut [f64], idx: &mut Vec<u32>) {
         debug_assert_eq!(x.len(), self.m);
         let LuFactors {
@@ -813,7 +813,7 @@ impl LuFactors {
     /// Applies the eta file in order to the position-indexed `x`. With
     /// `idx` (the positions `x` may be nonzero at), adds the positions the
     /// etas write.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn apply_etas(&mut self, x: &mut [f64], mut idx: Option<&mut Vec<u32>>) {
         if let Some(idx) = idx.as_deref() {
             for &p in idx {
@@ -845,7 +845,7 @@ impl LuFactors {
     /// position; output is indexed by row. The dense loop over all `m`
     /// steps: the reference [`btran_sparse`](LuFactors::btran_sparse)
     /// reproduces.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn btran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         self.apply_eta_transposes(x, None);
@@ -889,7 +889,7 @@ impl LuFactors {
     /// there through L's rows, in descending order: the orders of
     /// [`btran`](LuFactors::btran)'s loops, so the result equals `btran`'s
     /// entry by entry.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn btran_sparse(&mut self, x: &mut [f64], idx: &mut Vec<u32>) {
         debug_assert_eq!(x.len(), self.m);
         self.apply_eta_transposes(x, Some(idx));
@@ -971,7 +971,7 @@ impl LuFactors {
     /// Applies the eta file's transposes in reverse order to the
     /// position-indexed `x`. With `idx` (the positions `x` may be nonzero
     /// at), adds the positions that become nonzero.
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     fn apply_eta_transposes(&mut self, x: &mut [f64], mut idx: Option<&mut Vec<u32>>) {
         if let Some(idx) = idx.as_deref() {
             for &p in idx {
@@ -1003,7 +1003,7 @@ impl LuFactors {
     /// replaced by a column whose FTRAN image is `w`, nonzero only at the
     /// ascending positions `idx`. `Err` when the pivot element is too small
     /// to absorb safely (caller must refactorize).
-    // lint: hot
+    #[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
     pub fn update(&mut self, r_leave: usize, w: &[f64], idx: &[u32]) -> Result<(), String> {
         let piv = w[r_leave];
         let wmax = idx.iter().fold(0.0f64, |a, &i| a.max(w[i as usize].abs()));
@@ -1049,8 +1049,7 @@ pub(crate) fn complete_basis_into(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
 

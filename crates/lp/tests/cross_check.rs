@@ -6,9 +6,15 @@
 //! LPs have non-unique optima — but objectives must match and both points
 //! must be feasible).
 
-// Test-local pragmatism: index-based loops mirror the math notation of the
-// reference tableau, and the generated-LP tuples are verbose by nature.
-#![allow(clippy::needless_range_loop, clippy::type_complexity)]
+#![allow(
+    clippy::needless_range_loop,
+    clippy::type_complexity,
+    reason = "index-based loops mirror the math notation of the reference tableau, and the generated-LP tuples are verbose by nature"
+)]
+#![allow(
+    clippy::panic,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
 
 use coflow_lp::{dense, Cmp, LpError, Model, SolverOptions, WarmChain, LP_TOL};
 use proptest::prelude::*;

@@ -3,6 +3,11 @@
 //! a pure function of the model, so any drift in these tuples means the
 //! sequence changed — not "close objectives", but the same pivots.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
+
 use coflow_lp::{Cmp, Model, Solution, SolverOptions};
 
 #[path = "common/families.rs"]

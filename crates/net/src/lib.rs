@@ -24,9 +24,6 @@
 //! Everything is deterministic given seeds and has no external native
 //! dependencies.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod graph;
 pub mod paths;
 pub mod pricing;

@@ -35,7 +35,10 @@ fn reconstruct(g: &Graph, pred: &[Option<EdgeId>], src: NodeId, dst: NodeId) -> 
     let mut edges = Vec::new();
     let mut cur = dst;
     while cur != src {
-        // lint: allow(no_panic) — callers only reconstruct nodes the search reached
+        #[expect(
+            clippy::expect_used,
+            reason = "callers only reconstruct nodes the search reached"
+        )]
         let e = pred[cur.index()].expect("broken predecessor chain");
         edges.push(e);
         cur = g.edge_src(e);
@@ -101,7 +104,10 @@ pub fn reverse_bfs_distances(g: &Graph, dst: NodeId) -> Vec<usize> {
     dist
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursion threads its search state explicitly"
+)]
 fn dfs_paths(
     g: &Graph,
     u: NodeId,
@@ -197,8 +203,7 @@ pub fn candidate_paths(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::topo;

@@ -107,7 +107,7 @@ impl PathScratch {
 ///
 /// # Panics
 /// In debug builds, if `price` returns a negative value.
-// lint: hot
+#[deny(clippy::disallowed_methods, clippy::disallowed_macros)]
 pub fn cheapest_path_hop_bounded_in(
     g: &Graph,
     src: NodeId,
@@ -189,7 +189,10 @@ pub fn cheapest_path_hop_bounded_in(
         let mut edges = Vec::with_capacity(h);
         let mut cur = dst;
         while h > 0 {
-            // lint: allow(no_panic) — best is Some, so the DP table has a full chain to dst
+            #[expect(
+                clippy::expect_used,
+                reason = "best is Some, so the DP table has a full chain to dst"
+            )]
             let e = pred[h * nv + cur.index()].expect("broken hop-DP predecessor chain");
             edges.push(e);
             cur = g.edge_src(e);
@@ -210,8 +213,7 @@ pub fn cheapest_path_hop_bounded_in(
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::paths::reverse_bfs_distances;
@@ -461,7 +463,7 @@ mod tests {
         let t = topo::fat_tree(4, 1.0);
         let ps = crate::paths::candidate_paths(&t.graph, t.hosts[0], t.hosts[15], 0, 16);
         assert_eq!(ps.len(), 4);
-        let sigs: std::collections::HashSet<u64> = ps.iter().map(path_signature).collect();
+        let sigs: std::collections::BTreeSet<u64> = ps.iter().map(path_signature).collect();
         assert_eq!(sigs.len(), ps.len(), "distinct paths, distinct signatures");
         assert_eq!(path_signature(&ps[0]), path_signature(&ps[0].clone()));
     }

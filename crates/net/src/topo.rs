@@ -215,8 +215,7 @@ pub fn random_host_pair<R: Rng>(t: &Topology, rng: &mut R) -> (NodeId, NodeId) {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp, clippy::needless_range_loop)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::paths;

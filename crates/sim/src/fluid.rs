@@ -404,8 +404,7 @@ pub fn push_segment(segs: &mut Vec<Segment>, start: f64, end: f64, rate: f64) {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_core::model::{Coflow, FlowSpec};

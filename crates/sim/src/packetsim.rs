@@ -48,8 +48,7 @@ pub fn simulate_packets(instance: &Instance, paths: &[Path], order: &Priority) -
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_core::model::{Coflow, FlowSpec};

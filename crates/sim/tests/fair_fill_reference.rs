@@ -88,7 +88,10 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// of the given kind: 0 mixed (possibly 0 or fractional), 1 integral, 2
 /// integral with sums past 2^53; residuals that may start saturated; rates
 /// that may already hold a value.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "the five parallel vectors are the fill's own arguments"
+)]
 fn problem(seed: u64, kind: u32) -> (Vec<Path>, Vec<usize>, Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let ne = rng.random_range(1usize..12);

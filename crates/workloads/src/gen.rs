@@ -90,8 +90,7 @@ pub fn generate_packets(topo: &Topology, cfg: &GenConfig) -> Instance {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_net::topo;

@@ -717,8 +717,7 @@ fn utf8_len(first: u8) -> Option<usize> {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};

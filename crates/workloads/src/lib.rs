@@ -14,9 +14,6 @@
 //! * [`io`] — JSON (de)serialization of instances for reproducibility
 //!   snapshots, and the JSONL trace files.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod gen;
 pub mod io;
 pub mod rng;

@@ -56,8 +56,7 @@ pub fn exponential<R: RngExt + ?Sized>(rng: &mut R, rate: f64) -> f64 {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -3,11 +3,10 @@
 //! * [`fig3_config`] / [`fig4_config`] — the paper's two sweeps (§4.3):
 //!   Figure 3 fixes 10 coflows and varies width ∈ {4, 8, 16, 32};
 //!   Figure 4 fixes width 16 and varies #coflows ∈ {10, 15, 20, 25, 30}.
-//! * [`mapreduce_shuffle`] — the motivating workload of §1: reducers
-//!   cannot start until all map outputs arrive, i.e. each reducer's inbound
-//!   transfers form one coflow (here: the whole shuffle stage is one
-//!   coflow whose flows are the `m × r` map→reduce transfers).
-//! * [`broadcast`] — one-to-many replication as a single coflow.
+//! * [`shuffle_mix`] — the motivating workload of §1: reducers cannot
+//!   start until all map outputs arrive, i.e. each reducer's inbound
+//!   transfers form one coflow (here: each shuffle stage is one coflow
+//!   whose flows are the `m × r` map→reduce transfers).
 //! * [`figure1_instance`] — the triangle example of Figure 1, with the
 //!   exact sizes from the paper.
 
@@ -41,7 +40,7 @@ pub fn fig4_config(n_coflows: usize, trial: u64) -> GenConfig {
 /// the host set round-robin; every (mapper, reducer) transfer has the given
 /// size; the whole shuffle is one coflow (the reduce phase starts when the
 /// last transfer lands — §1's motivating semantics).
-pub fn mapreduce_shuffle(
+fn mapreduce_shuffle(
     topo: &Topology,
     m: usize,
     r: usize,
@@ -73,27 +72,6 @@ pub fn shuffle_mix(topo: &Topology, stages: &[(usize, usize, f64, f64, f64)]) ->
     Instance::new(topo.graph.clone(), coflows)
 }
 
-/// A broadcast: `src_idx`-th host replicates `size` units to `fanout`
-/// other hosts, as one coflow.
-pub fn broadcast(
-    topo: &Topology,
-    src_idx: usize,
-    fanout: usize,
-    size: f64,
-    weight: f64,
-) -> Instance {
-    let src = topo.hosts[src_idx];
-    let flows: Vec<FlowSpec> = topo
-        .hosts
-        .iter()
-        .filter(|&&h| h != src)
-        .take(fanout)
-        .map(|&d| FlowSpec::new(src, d, size, 0.0))
-        .collect();
-    assert_eq!(flows.len(), fanout, "not enough hosts for fanout");
-    Instance::new(topo.graph.clone(), vec![Coflow::new(weight, flows)])
-}
-
 /// The exact Figure 1 instance: triangle x,y,z; coflow A = {A1: x→y size 2,
 /// A2: y→z size 1}, B = {y→z size 1}, C = {x→y size 2}; unit weights.
 /// Known values: fair sharing 10, priority(A,B,C) 8, optimum 7.
@@ -119,8 +97,7 @@ pub fn host(topo: &Topology, i: usize) -> NodeId {
 }
 
 #[cfg(test)]
-// Unit tests assert exact expected values; strict float equality is the point.
-#[allow(clippy::float_cmp)]
+#[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
     use super::*;
     use coflow_net::topo;
@@ -132,7 +109,7 @@ mod tests {
         let c = fig3_config(8, 0);
         let d = fig4_config(10, 0);
         let seeds = [a.seed, b.seed, c.seed, d.seed];
-        let set: std::collections::HashSet<_> = seeds.iter().collect();
+        let set: std::collections::BTreeSet<_> = seeds.iter().collect();
         assert_eq!(set.len(), 4);
         assert_eq!(a.n_coflows, 10);
         assert_eq!(d.width, 16);
@@ -159,17 +136,6 @@ mod tests {
         assert_eq!(inst.coflow_count(), 2);
         assert_eq!(inst.flow_count(), 4 + 3);
         assert_eq!(inst.coflows[1].earliest_release(), 5.0);
-    }
-
-    #[test]
-    fn broadcast_fanout() {
-        let t = topo::star(6, 1.0);
-        let inst = broadcast(&t, 0, 4, 3.0, 2.0);
-        assert_eq!(inst.flow_count(), 4);
-        for (_, _, f) in inst.flows() {
-            assert_eq!(f.src, t.hosts[0]);
-            assert_eq!(f.size, 3.0);
-        }
     }
 
     #[test]

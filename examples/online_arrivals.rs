@@ -16,9 +16,10 @@
 //! `coflow-bench`; timing of the engine is the `online_*_k8` workloads of
 //! `benchmark/`.
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::print_stdout,
+    reason = "an example fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};

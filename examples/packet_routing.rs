@@ -13,9 +13,11 @@
 //! cargo run --release --example packet_routing
 //! ```
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::print_stdout,
+    reason = "an example fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow::prelude::*;
 
@@ -99,9 +101,9 @@ fn main() {
     }
 
     // How much did §3.2's routing spread the load off the diagonal?
-    let distinct_naive: std::collections::HashSet<_> =
+    let distinct_naive: std::collections::BTreeSet<_> =
         shortest.iter().map(|p| p.edges.clone()).collect();
-    let distinct_free: std::collections::HashSet<_> =
+    let distinct_free: std::collections::BTreeSet<_> =
         free.paths.iter().map(|p| p.edges.clone()).collect();
     println!(
         "\ndistinct routes: shortest-only {} vs LP-routed {}",

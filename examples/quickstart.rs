@@ -8,9 +8,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "an example fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow::prelude::*;
 

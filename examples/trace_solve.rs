@@ -17,9 +17,11 @@
 //! cargo run --release -p coflow-bench --bin trace_view -- results/TRACE_solve.jsonl
 //! ```
 
-// Experiment binaries fail fast by design: unwrap/expect on I/O and
-// solver results is the intended error handling here.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::print_stdout,
+    reason = "an example fails fast on I/O and solver errors, and its console output is its result"
+)]
 
 use coflow::obs::{ClockMode, Counter, SpanName};
 use coflow::prelude::*;

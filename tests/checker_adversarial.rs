@@ -3,6 +3,11 @@
 //! corruption is caught. A checker that accepts everything would make all
 //! the other tests meaningless, so this file is the test of the tests.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
+
 use coflow::prelude::*;
 use coflow::workloads::gen::{generate, GenConfig};
 use coflow_core::schedule::{Segment, Violation};

@@ -1,5 +1,10 @@
 //! Helpers shared by the integration tests.
 
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
+
 pub mod edge_lp;
 
 use coflow::algo::circuit::lp_free::FreeLpSolution;

@@ -1,13 +1,17 @@
-//! Byte-reproducibility audit for the full pipeline (coflow-lint rule L3's
-//! end-to-end counterpart): generate a seeded instance, solve the free-paths
-//! LP (eager and by column generation), round it, run the online engine
-//! under eager and column-generation `LpOrder` and the three solver-free
-//! policies, and
-//! serialize everything —
-//! twice, in the same process — and require the two serializations to be
-//! *byte-identical*. Any nondeterminism (hash-map iteration leaking into
+//! Byte-reproducibility audit for the full pipeline (the end-to-end
+//! counterpart of the workspace's ban on hash-ordered collections):
+//! generate a seeded instance, solve the free-paths LP (eager and by
+//! column generation), round it, run the online engine under eager and
+//! column-generation `LpOrder` and the three solver-free policies, and
+//! serialize everything — twice, in the same process — and require the
+//! two serializations to be *byte-identical*. Any nondeterminism (hash-map iteration leaking into
 //! output order, unseeded randomness, time-dependent tie-breaks) shows up
 //! here as a diff, not as a flaky downstream test.
+
+#![allow(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
 
 use coflow::algo::intervals::IntervalGrid;
 use coflow::lp::WarmChain;

@@ -136,7 +136,7 @@ fn congestion_spreading_beats_hotspot_routing_under_load() {
     let inst = Instance::new(topo.graph.clone(), coflows);
     let free = route_and_schedule(&inst, &PacketFreeConfig::default()).unwrap();
     assert!(free.schedule.check(&inst).is_empty());
-    let distinct: std::collections::HashSet<_> =
+    let distinct: std::collections::BTreeSet<_> =
         free.paths.iter().map(|p| p.edges.clone()).collect();
     assert!(distinct.len() >= 2, "LP routing failed to spread packets");
 

@@ -5,8 +5,10 @@
 //! find a schedule no worse than the priority solution, and on this
 //! instance it actually reaches the optimum 7.
 
-// Tests fail fast by design: unwrap on known-good fixtures is intended.
-#![allow(clippy::unwrap_used)]
+#![allow(
+    clippy::unwrap_used,
+    reason = "test helpers outside #[test] fns fail fast on known-good fixtures"
+)]
 
 use coflow::prelude::*;
 use coflow::workloads::suite::figure1_instance;
