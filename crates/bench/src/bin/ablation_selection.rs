@@ -20,6 +20,7 @@
 use coflow_bench::{print_table, run_parallel, write_csv, CommonArgs};
 use coflow_core::circuit::lp_free::{solve_free_paths_lp_paths, FreePathsLpConfig};
 use coflow_core::circuit::round_free::{round_free_paths, FreeRoundingConfig, PathSelection};
+use coflow_core::circuit::round_given::{round_given_paths, RoundingConfig};
 use coflow_core::model::Instance;
 use coflow_core::order::lp_order;
 use coflow_lp::SolverOptions;
@@ -65,7 +66,12 @@ fn main() {
                     },
                 );
                 let out = simulate(inst, &r.paths, &order, &SimConfig::default());
-                (out.metrics.avg_coflow_completion, r.rounded.max_stretch)
+                let rounded = round_given_paths(
+                    &inst.with_paths(&r.paths),
+                    &lp.base,
+                    &RoundingConfig::default(),
+                );
+                (out.metrics.avg_coflow_completion, rounded.max_stretch)
             })
             .collect()
     });

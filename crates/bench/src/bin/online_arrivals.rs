@@ -22,11 +22,19 @@
 use coflow_bench::{print_table, run_parallel, write_csv, CommonArgs};
 use coflow_core::circuit::lp_free::FreePathsLpConfig;
 use coflow_core::circuit::round_free::{FreeRoundingConfig, PathSelection};
-use coflow_engine::{
-    run, EngineConfig, EngineMetrics, Fifo, Greedy, LpOrder, OnlinePolicy, WeightedFair,
-};
+use coflow_engine::{run, EngineConfig, Fifo, Greedy, LpOrder, OnlinePolicy, WeightedFair};
 use coflow_net::topo;
 use coflow_workloads::gen::{generate, GenConfig};
+
+/// What the table reports of one policy's run on one trace.
+struct PolicyRun {
+    policy: &'static str,
+    weighted_sum: f64,
+    avg_completion: f64,
+    epochs: usize,
+    pivots: usize,
+    warm_epochs: usize,
+}
 
 fn main() {
     let args = CommonArgs::parse("results/online_arrivals.csv");
@@ -63,54 +71,55 @@ fn main() {
             })
             .collect();
 
-        // Per trial, one `EngineMetrics` per policy, in the same order.
-        let results: Vec<Vec<EngineMetrics>> =
-            run_parallel(&instances, args.threads, |trial, inst| {
-                let mut lp = LpOrder::new(
-                    FreePathsLpConfig {
-                        solver: coflow_lp::SolverOptions::for_experiments(),
-                        ..Default::default()
-                    },
-                    FreeRoundingConfig {
-                        seed: trial as u64,
-                        selection: PathSelection::LoadAware,
-                        ..Default::default()
-                    },
-                );
-                let (mut greedy, mut fair, mut fifo) = (Greedy, WeightedFair, Fifo);
-                let policies: [&mut dyn OnlinePolicy; 4] =
-                    [&mut lp, &mut greedy, &mut fair, &mut fifo];
-                policies
-                    .into_iter()
-                    .map(|policy| {
-                        let out = run(inst, policy, &cfg);
-                        // The online engine must never oversubscribe a
-                        // link or jump a release.
-                        let routed = inst.with_paths(&out.paths);
-                        let violations = out.schedule.check(&routed, 1e-6, 1e-6);
-                        assert!(
-                            violations.is_empty(),
-                            "{}: {violations:?}",
-                            out.engine.policy
-                        );
-                        out.engine
-                    })
-                    .collect()
-            });
+        // Per trial, one `PolicyRun` per policy, in the same order.
+        let results: Vec<Vec<PolicyRun>> = run_parallel(&instances, args.threads, |trial, inst| {
+            let mut lp = LpOrder::new(
+                FreePathsLpConfig {
+                    solver: coflow_lp::SolverOptions::for_experiments(),
+                    ..Default::default()
+                },
+                FreeRoundingConfig {
+                    seed: trial as u64,
+                    selection: PathSelection::LoadAware,
+                    ..Default::default()
+                },
+            );
+            let (mut greedy, mut fair, mut fifo) = (Greedy, WeightedFair, Fifo);
+            let policies: [&mut dyn OnlinePolicy; 4] = [&mut lp, &mut greedy, &mut fair, &mut fifo];
+            policies
+                .into_iter()
+                .map(|policy| {
+                    let out = run(inst, policy, &cfg);
+                    // The online engine must never oversubscribe a
+                    // link or jump a release.
+                    let routed = inst.with_paths(&out.paths);
+                    let violations = out.schedule.check(&routed, 1e-6, 1e-6);
+                    assert!(violations.is_empty(), "{}: {violations:?}", policy.name());
+                    let solves = out.engine.epoch_log.iter().filter_map(|e| e.solve);
+                    PolicyRun {
+                        policy: policy.name(),
+                        weighted_sum: out.metrics.weighted_sum,
+                        avg_completion: out.metrics.avg_coflow_completion,
+                        epochs: out.engine.epochs,
+                        pivots: solves.clone().map(|s| s.iterations).sum(),
+                        warm_epochs: solves.filter(|s| s.warm_used).count(),
+                    }
+                })
+                .collect()
+        });
 
         let trials = results.len() as f64;
         for (p, first) in results[0].iter().enumerate() {
-            let mean = |f: fn(&EngineMetrics) -> f64| {
-                results.iter().map(|r| f(&r[p])).sum::<f64>() / trials
-            };
+            let mean =
+                |f: fn(&PolicyRun) -> f64| results.iter().map(|r| f(&r[p])).sum::<f64>() / trials;
             rows.push(vec![
                 format!("{rate}"),
-                first.policy.clone(),
+                first.policy.to_string(),
                 format!("{:.2}", mean(|m| m.weighted_sum)),
-                format!("{:.2}", mean(|m| m.avg_coflow_completion)),
+                format!("{:.2}", mean(|m| m.avg_completion)),
                 format!("{:.1}", mean(|m| m.epochs as f64)),
-                format!("{:.1}", mean(|m| m.total_pivots as f64)),
-                format!("{:.1}", mean(|m| m.warm_used as f64)),
+                format!("{:.1}", mean(|m| m.pivots as f64)),
+                format!("{:.1}", mean(|m| m.warm_epochs as f64)),
             ]);
         }
     }

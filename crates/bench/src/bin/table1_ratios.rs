@@ -122,9 +122,10 @@ fn main() {
                 },
             );
             let routed = inst.with_paths(&r.paths);
-            assert!(r.rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+            let rounded = round_given_paths(&routed, &lp.base, &RoundingConfig::default());
+            assert!(rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
             let lb = bounds::circuit_lower_bound(lp.base.objective, lp.base.grid.eps);
-            ratios.push(r.rounded.metrics.weighted_sum / lb);
+            ratios.push(rounded.metrics.weighted_sum / lb);
         }
         rows.push(Row {
             model: "Circuit",

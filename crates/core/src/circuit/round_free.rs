@@ -1,22 +1,22 @@
 //! Rounding for circuit coflows without given paths (§2.2, Algorithm 1):
-//! per-flow scaling (Eq. 24) of the LP's path weights, Raghavan–Thompson
-//! randomized path selection, and the α-point interval schedule on the
-//! selected paths. The LP is solved in path form
-//! ([`crate::circuit::lp_free`]), so the paths the paper obtains by flow
-//! decomposition are its columns.
+//! per-flow scaling (Eq. 24) of the LP's path weights and
+//! Raghavan–Thompson randomized path selection. The LP is solved in path
+//! form ([`crate::circuit::lp_free`]), so the paths the paper obtains by
+//! flow decomposition are its columns.
 //!
 //! The paper fixes `α = 1/2` and `D = 3` here. After each flow commits to
 //! one path, congestion may exceed capacities by the rounding blow-up
-//! (`O(log E / log log E)` w.h.p. — Chernoff bound in §2.2); the final
+//! (`O(log E / log log E)` w.h.p. — Chernoff bound in §2.2); the α-point
 //! schedule regains feasibility exactly the way the paper does, by scaling
-//! bandwidth down / time up, realized in
-//! [`crate::circuit::round_given::round_given_paths`]'s per-interval
-//! stretch. The measured stretch is reported.
+//! bandwidth down / time up. Callers that want that schedule run
+//! [`round_given_paths`](crate::circuit::round_given::round_given_paths)
+//! on `instance.with_paths(&rounding.paths)`, whose per-interval stretch
+//! is the measured blow-up; callers that want Algorithm 1's order run
+//! [`lp_order`] on the LP.
 
 use crate::circuit::lp_free::FreeLpSolution;
-use crate::circuit::round_given::{round_given_paths, RoundedSchedule, RoundingConfig};
 use crate::model::Instance;
-use crate::order::{lp_order, Priority};
+use crate::order::lp_order;
 use coflow_net::{paths as netpaths, Path};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,8 +55,8 @@ pub struct FreeRoundingConfig {
 impl Default for FreeRoundingConfig {
     fn default() -> Self {
         Self {
-            alpha: 0.5,
-            displacement: 3,
+            alpha: crate::PAPER_ALPHA,
+            displacement: crate::PAPER_DISPLACEMENT,
             seed: 0,
             selection: PathSelection::Sample,
         }
@@ -68,13 +68,9 @@ impl Default for FreeRoundingConfig {
 pub struct FreeRounding {
     /// The selected path per flow (flat order).
     pub paths: Vec<Path>,
-    /// Flow ordering by LP completion times (Algorithm 1's return value).
-    pub order: Priority,
     /// Number of paths carrying each flow's scaled LP mass (§4.3 observes
     /// that decomposition yields 1 on fat-trees).
     pub paths_per_flow: Vec<usize>,
-    /// The feasible α-point schedule on the selected paths.
-    pub rounded: RoundedSchedule,
 }
 
 /// Runs the §2.2 rounding against an LP solution.
@@ -167,25 +163,9 @@ pub fn round_free_paths(
         }
         paths[flat] = chosen;
     }
-
-    // Schedule on the fixed paths with the α-point machinery; the per-
-    // interval stretch absorbs the randomized-rounding congestion blow-up.
-    let routed = instance.with_paths(&paths);
-    let rounded = round_given_paths(
-        &routed,
-        &lp.base,
-        &RoundingConfig {
-            alpha: cfg.alpha,
-            displacement: cfg.displacement,
-        },
-    );
-    let order = lp_order(instance, &lp.base);
-
     FreeRounding {
         paths,
-        order,
         paths_per_flow,
-        rounded,
     }
 }
 
@@ -215,6 +195,7 @@ mod tests {
     use crate::circuit::lp_free::{
         solve_free_paths_lp_colgen_on_grid, solve_free_paths_lp_paths, FreePathsLpConfig, PathPool,
     };
+    use crate::circuit::round_given::{round_given_paths, RoundingConfig};
     use crate::intervals::IntervalGrid;
     use crate::model::{Coflow, FlowSpec, Instance};
     use coflow_net::topo;
@@ -251,10 +232,10 @@ mod tests {
                 .unwrap();
         let r = round_free_paths(&inst, &lp, &FreeRoundingConfig::default());
         let routed = inst.with_paths(&r.paths);
-        let v = r.rounded.schedule.check(&routed, 1e-6, 1e-6);
+        let rounded = round_given_paths(&routed, &lp.base, &RoundingConfig::default());
+        let v = rounded.schedule.check(&routed, 1e-6, 1e-6);
         assert!(v.is_empty(), "violations: {v:?}");
         assert_eq!(r.paths.len(), inst.flow_count());
-        assert_eq!(r.order.len(), inst.flow_count());
     }
 
     #[test]
@@ -267,7 +248,8 @@ mod tests {
         let lp = solve_free_paths_lp_paths(&inst, &cfg).unwrap();
         let r = round_free_paths(&inst, &lp, &FreeRoundingConfig::default());
         let routed = inst.with_paths(&r.paths);
-        assert!(r.rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+        let rounded = round_given_paths(&routed, &lp.base, &RoundingConfig::default());
+        assert!(rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
         // Every selected path connects its endpoints.
         for (_, flat, spec) in inst.flows() {
             assert!(routed
@@ -351,7 +333,12 @@ mod tests {
         let r = round_free_paths(&inst, &lp, &FreeRoundingConfig::default());
         let lb = crate::bounds::circuit_lower_bound(lp.base.objective, lp.base.grid.eps);
         assert!(lb > 1.0);
-        let ratio = r.rounded.metrics.weighted_sum / lb;
+        let rounded = round_given_paths(
+            &inst.with_paths(&r.paths),
+            &lp.base,
+            &RoundingConfig::default(),
+        );
+        let ratio = rounded.metrics.weighted_sum / lb;
         assert!(ratio < 60.0, "ratio {ratio} unexpectedly large");
     }
 

@@ -134,12 +134,6 @@ impl FlatInstance {
         &self.size
     }
 
-    /// All flow releases, flat-indexed.
-    #[inline]
-    pub fn releases(&self) -> &[f64] {
-        &self.release
-    }
-
     /// Flat index of a flow id (same mapping as [`Instance::flat_index`]).
     #[inline]
     pub fn flat_index(&self, id: FlowId) -> usize {
@@ -201,7 +195,6 @@ mod tests {
         }
         assert_eq!(flat.total_size(), inst.total_size());
         assert_eq!(flat.sizes().len(), 3);
-        assert_eq!(flat.releases(), &[0.0, 0.5, 2.5]);
     }
 
     #[test]

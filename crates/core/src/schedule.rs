@@ -27,7 +27,7 @@ pub struct Segment {
 
 impl Segment {
     /// Volume delivered by this segment.
-    pub fn volume(&self) -> f64 {
+    fn volume(&self) -> f64 {
         (self.end - self.start) * self.rate
     }
 
@@ -66,7 +66,7 @@ impl FlowSchedule {
 
     /// Completion time: earliest time by which `size` has been delivered
     /// (`None` if the schedule never delivers that much).
-    pub fn completion(&self, size: f64) -> Option<f64> {
+    fn completion(&self, size: f64) -> Option<f64> {
         if size <= 1e-12 {
             return Some(0.0);
         }

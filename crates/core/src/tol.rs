@@ -61,12 +61,6 @@ pub fn rel_eq(a: f64, b: f64, eps: f64) -> bool {
     (a - b).abs() <= eps * (1.0 + a.abs().max(b.abs()))
 }
 
-/// `|a|` is below the zero threshold `eps`.
-#[inline]
-pub fn is_zero(a: f64, eps: f64) -> bool {
-    a.abs() <= eps
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp, reason = "unit tests assert exact expected values")]
 mod tests {
@@ -76,8 +70,6 @@ mod tests {
     fn absolute_comparisons() {
         assert!(approx_eq(1.0, 1.0 + 0.5 * FEAS_EPS, FEAS_EPS));
         assert!(!approx_eq(1.0, 1.0 + 2.0 * FEAS_EPS, FEAS_EPS));
-        assert!(is_zero(0.5 * ZERO_EPS, ZERO_EPS));
-        assert!(!is_zero(2.0 * ZERO_EPS, ZERO_EPS));
     }
 
     #[test]

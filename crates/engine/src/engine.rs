@@ -54,8 +54,8 @@ pub struct EngineOutcome {
     pub paths: Vec<Path>,
     /// Objective metrics of the realized schedule.
     pub metrics: Metrics,
-    /// Engine-level metrics: epochs, re-solve time, pivots, warm-start
-    /// outcomes.
+    /// Engine-level metrics: epochs, events, degraded epochs and the
+    /// per-epoch log.
     pub engine: EngineMetrics,
     /// The engine's own trace: one `epoch` span per re-plan boundary with
     /// a nested `plan` span around the policy call, plus the `resolve`
@@ -95,10 +95,11 @@ pub fn run(
 ///    [`Greedy`](crate::policy::Greedy) policy for this epoch — it always
 ///    succeeds, so a run never dies at a plan failure.
 ///
-/// Every degraded epoch is recorded in the epoch log, the aggregate
-/// [`EngineMetrics`] (`degraded_epochs`, `fallback_policy_uses`,
-/// `stale_schedule_ms`), and the engine trace (a `fallback` span plus the
-/// `degraded_epochs` / `policy_fallbacks` counters).
+/// Every degraded epoch is recorded in the epoch log (`degraded`,
+/// `fallback`, and the reused plan's age as `stale_ms`), the aggregate
+/// [`EngineMetrics`] (`degraded_epochs`, `fallback_policy_uses`), and the
+/// engine trace (a `fallback` span plus the `degraded_epochs` /
+/// `policy_fallbacks` counters).
 ///
 /// # Panics
 /// * if the trace does not cover every coflow exactly once;
@@ -246,7 +247,6 @@ pub fn run_trace(
                     }
                 }
                 let plan_span = rec.exit();
-                let resolve_ms = rec.mode().to_ms(plan_span.dur);
                 rec.record_hist(HistId::Resolve, plan_span.dur);
                 for (f, p) in std::mem::take(&mut plan.routes) {
                     if done[f] && flat.size(f) <= 0.0 {
@@ -263,7 +263,6 @@ pub fn run_trace(
                 epoch_log.push(EpochRecord {
                     time: t,
                     live_flows,
-                    resolve_ms,
                     solve: policy.last_solve(),
                     colgen: policy.last_colgen(),
                     degraded,
@@ -400,7 +399,7 @@ pub fn run_trace(
     }
 
     let m = metrics(instance, &completion);
-    let engine = EngineMetrics::collect(policy, &m, events, &epoch_log);
+    let engine = EngineMetrics::collect(events, epoch_log);
     EngineOutcome {
         schedule,
         flow_completion: completion,

@@ -25,8 +25,10 @@
 //!   re-solved per epoch through one [`coflow_lp::WarmChain`]),
 //!   [`policy::Greedy`], [`policy::WeightedFair`], [`policy::Fifo`];
 //! * [`engine`] — the event loop ([`engine::run`] / [`engine::run_trace`]);
-//! * [`metrics`] — [`metrics::EngineMetrics`] with per-epoch
-//!   [`coflow_lp::SolveStats`].
+//! * [`metrics`] — [`metrics::EngineMetrics`]: epoch and event counts,
+//!   degraded epochs, and the per-epoch log with each re-solve's
+//!   [`coflow_lp::SolveStats`]. The objective lives in
+//!   [`EngineOutcome::metrics`], plan latency in [`EngineOutcome::trace`].
 
 pub mod engine;
 pub mod epoch;
@@ -67,7 +69,6 @@ mod tests {
         // FIFO: coflow 0 runs [0,2], coflow 1 waits, runs [2,3].
         assert!((out.flow_completion[0] - 2.0).abs() < 1e-9);
         assert!((out.flow_completion[1] - 3.0).abs() < 1e-9);
-        assert_eq!(out.engine.policy, "Fifo");
         assert!(out.engine.epochs >= 2, "one epoch per arrival at least");
         let routed = inst.with_paths(&out.paths);
         assert!(out.schedule.check(&routed, 1e-6, 1e-6).is_empty());
@@ -125,11 +126,11 @@ mod tests {
         let mut pol = LpOrder::default();
         let out = run(&inst, &mut pol, &EngineConfig::default());
         assert!(out.engine.epochs >= 2);
-        assert!(out.engine.total_pivots > 0);
+        let chain = pol.chain_stats().expect("LpOrder keeps a chain");
+        assert!(chain.total_iterations > 0);
         assert!(
-            out.engine.warm_used >= 1,
-            "second epoch must reuse the basis: {:?}",
-            out.engine
+            chain.warm_used >= 1,
+            "second epoch must reuse the basis: {chain:?}"
         );
         let routed = inst.with_paths(&out.paths);
         assert!(out.schedule.check(&routed, 1e-6, 1e-6).is_empty());
@@ -205,9 +206,12 @@ mod tests {
             "junk basis must be rejected, not limp along: {first:?}"
         );
         assert!(
-            b.engine.warm_used >= 1,
-            "later epochs must warm-start again: {:?}",
             b.engine
+                .epoch_log
+                .iter()
+                .any(|e| e.solve.is_some_and(|s| s.warm_used)),
+            "later epochs must warm-start again: {:?}",
+            b.engine.epoch_log
         );
         assert!(b.flow_completion.iter().all(|&c| c.is_finite() && c > 0.0));
         let routed = inst.with_paths(&b.paths);
@@ -278,7 +282,7 @@ mod tests {
         assert!(out.flow_completion.iter().all(|&c| c > 0.0), "all complete");
         assert_eq!(out.engine.degraded_epochs, 1);
         assert_eq!(out.engine.fallback_policy_uses, 1);
-        assert_eq!(out.engine.stale_schedule_ms, 0.0);
+        assert!(out.engine.epoch_log.iter().all(|e| e.stale_ms == 0.0));
         let first = &out.engine.epoch_log[0];
         assert_eq!(first.retries, 1);
         assert!(first.fallback);
@@ -306,7 +310,6 @@ mod tests {
         );
         assert!(out.engine.degraded_epochs >= 1);
         assert_eq!(out.engine.fallback_policy_uses, 0);
-        assert!(out.engine.stale_schedule_ms > 0.0);
         let degraded = out
             .engine
             .epoch_log

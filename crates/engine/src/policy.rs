@@ -257,29 +257,22 @@ impl OnlinePolicy for WeightedFair {
 /// randomized rounding (routes for newly arrived flows; committed flows
 /// keep their path via the LP's prescribed-path restriction) →
 /// LP-completion-time priority order. Consecutive epochs thread one
-/// [`WarmChain`], so each re-solve warm-starts from the previous basis —
-/// set [`LpOrder::warm`] to `false` to force cold re-solves (for A/B
-/// measurements).
+/// [`WarmChain`], so each re-solve warm-starts from the previous basis.
 ///
 /// Built by [`LpOrder::colgen`], the re-solves run by column generation
 /// and the policy keeps one [`PathPool`] **across
 /// epochs**: residual flat indices are stable (admission appends, frozen
 /// flows keep their slot), so epoch `k+1`'s restricted master is seeded
 /// with every path epochs `0..k` paid pricing rounds to discover — the
-/// column-side analogue of the warm-started basis. Set
-/// [`LpOrder::pool_reuse`] to `false` to clear the pool (and the chain)
-/// every epoch, the cold baseline the pooled mode is measured against.
+/// column-side analogue of the warm-started basis. A cold baseline for
+/// either mode is a fresh `LpOrder` per epoch: a new chain and an empty
+/// pool.
 #[derive(Clone, Debug)]
 pub struct LpOrder {
     /// LP configuration (grid ε, candidate-path budget, solver options).
     pub lp_cfg: FreePathsLpConfig,
     /// Rounding configuration (α, displacement, seed, selection).
     pub round_cfg: FreeRoundingConfig,
-    /// Warm-start consecutive epoch re-solves (default `true`).
-    pub warm: bool,
-    /// Keep the generated-column pool across epochs (default `true`;
-    /// only meaningful under column generation).
-    pub pool_reuse: bool,
     /// Re-solve by column generation ([`LpOrder::colgen`]) rather than
     /// eager enumeration.
     colgen: bool,
@@ -301,8 +294,6 @@ impl LpOrder {
         Self {
             lp_cfg,
             round_cfg,
-            warm: true,
-            pool_reuse: true,
             colgen: false,
             chain: WarmChain::new(),
             pool: PathPool::new(),
@@ -311,30 +302,11 @@ impl LpOrder {
         }
     }
 
-    /// Same, but every epoch re-solve cold-starts (baseline for measuring
-    /// the warm-start win).
-    pub fn cold(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
-        Self {
-            warm: false,
-            ..Self::new(lp_cfg, round_cfg)
-        }
-    }
-
     /// Column-generation mode with cross-epoch pool (and basis) reuse.
     pub fn colgen(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
         Self {
             colgen: true,
             ..Self::new(lp_cfg, round_cfg)
-        }
-    }
-
-    /// Column-generation mode that clears the pool *and* the chain every
-    /// epoch: the fully cold baseline for the pooled A/B.
-    pub fn colgen_cold_pool(lp_cfg: FreePathsLpConfig, round_cfg: FreeRoundingConfig) -> Self {
-        Self {
-            warm: false,
-            pool_reuse: false,
-            ..Self::colgen(lp_cfg, round_cfg)
         }
     }
 
@@ -365,18 +337,12 @@ impl OnlinePolicy for LpOrder {
                 rates: RatePlan::Ordered(Vec::new()),
             });
         }
-        if !self.warm {
-            self.chain.reset();
-        }
         let grid = IntervalGrid::cover(self.lp_cfg.eps, inst.horizon());
         // Residual LPs are feasible by construction, but the *solve* can
         // still fail (numerical breakdown past the solver's recovery
         // ladder, an exhausted budget, injected faults): that surfaces
         // here as a PolicyError for the engine's degradation ladder.
         let lp = if self.colgen {
-            if !self.pool_reuse {
-                self.pool.clear();
-            }
             let (lp, cg) = solve_free_paths_lp_colgen_on_grid(
                 inst,
                 &self.lp_cfg,

@@ -45,11 +45,11 @@ pub struct ChaosOutcome {
 
 /// Forces `COFLOW_OBS_CLOCK=logical` for this process, once.
 ///
-/// Recorders read the variable at construction, so call this before any
-/// engine or solver runs (the harness calls it first thing). Process-wide
-/// by design: the chaos suite's byte-diff assertions are meaningless under
-/// the wall clock.
-pub fn force_logical_clock() {
+/// Recorders read the variable at construction, so [`chaos_run`] calls
+/// this before any engine or solver runs. Process-wide by design: the
+/// chaos suite's byte-diff assertions are meaningless under the wall
+/// clock.
+fn force_logical_clock() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| std::env::set_var("COFLOW_OBS_CLOCK", "logical"));
 }

@@ -27,6 +27,6 @@ pub mod chaos;
 pub mod netfail;
 pub mod plan;
 
-pub use chaos::{chaos_run, force_logical_clock, ChaosOutcome};
+pub use chaos::{chaos_run, ChaosOutcome};
 pub use netfail::drop_links;
 pub use plan::{FaultCounters, FaultPlan, FaultPlanConfig};

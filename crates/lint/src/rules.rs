@@ -255,7 +255,7 @@ pub fn check_file(raw: &str, test_module: bool) -> Vec<Violation> {
                 push(
                     i,
                     "float_cmp",
-                    format!("raw `{op}` on a float operand — use coflow_core::tol (approx_eq/rel_eq/is_zero) with a named epsilon"),
+                    format!("raw `{op}` on a float operand — use coflow_core::tol (approx_eq/rel_eq) with a named epsilon"),
                 );
             }
             i += 2;

@@ -249,9 +249,4 @@ impl WarmChain {
     pub fn fault_hook_mut(&mut self) -> Option<&mut Box<dyn crate::FaultHook>> {
         self.scratch.state.hook.as_mut()
     }
-
-    /// Drops the snapshot (next solve is cold); statistics are kept.
-    pub fn reset(&mut self) {
-        self.basis = None;
-    }
 }

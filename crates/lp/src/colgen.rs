@@ -138,14 +138,6 @@ impl<T> ColumnPool<T> {
         g.items.push(make());
         (idx, true)
     }
-
-    /// Drops every interned item (groups stay allocated).
-    pub fn clear(&mut self) {
-        for g in &mut self.groups {
-            g.by_sig.clear();
-            g.items.clear();
-        }
-    }
 }
 
 /// Accounting of one [`solve_colgen`] run.
@@ -321,8 +313,6 @@ mod tests {
         assert_eq!(pool.group_count(), 4);
         assert!(pool.group(1).is_empty());
         assert!(pool.contains(0, 0xBEEF) && !pool.contains(1, 0xBEEF));
-        pool.clear();
-        assert!(pool.is_empty());
     }
 
     /// Transportation LP solved by column generation must match the eager

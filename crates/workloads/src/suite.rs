@@ -13,7 +13,6 @@
 use crate::gen::GenConfig;
 use coflow_core::model::{Coflow, FlowSpec, Instance};
 use coflow_net::topo::Topology;
-use coflow_net::NodeId;
 
 /// Figure 3 point: 10 coflows, the given width, one of 10 seeded trials.
 pub fn fig3_config(width: usize, trial: u64) -> GenConfig {
@@ -89,11 +88,6 @@ pub fn figure1_instance() -> Instance {
             Coflow::new(1.0, vec![FlowSpec::new(x, y, 2.0, 0.0)]),
         ],
     )
-}
-
-/// Convenience re-export for hosts-by-index addressing in examples.
-pub fn host(topo: &Topology, i: usize) -> NodeId {
-    topo.hosts[i]
 }
 
 #[cfg(test)]

@@ -58,16 +58,17 @@ fn main() {
     );
     for policy in policies {
         let out = run_online(&instance, policy, &cfg);
-        let e = &out.engine;
+        // Solver-free policies keep no chain and print zeros.
+        let chain = policy.chain_stats().unwrap_or_default();
         println!(
             "{:>14}  {:>12.2} {:>10.2} {:>7} {:>8} {:>10} {:>10}",
-            e.policy,
-            e.weighted_sum,
-            e.avg_coflow_completion,
-            e.epochs,
-            e.events,
-            e.total_pivots,
-            format!("{}/{}", e.warm_used, e.warm_attempted),
+            policy.name(),
+            out.metrics.weighted_sum,
+            out.metrics.avg_coflow_completion,
+            out.engine.epochs,
+            out.engine.events,
+            chain.total_iterations,
+            format!("{}/{}", chain.warm_used, chain.warm_attempted),
         );
     }
     println!(

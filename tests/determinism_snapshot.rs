@@ -89,7 +89,12 @@ fn pipeline_snapshot() -> String {
     for (i, p) in rounding.paths.iter().enumerate() {
         out.push_str(&format!("path[{i}] {}\n", edge_list(p)));
     }
-    for (i, s) in rounding.rounded.schedule.flows.iter().enumerate() {
+    let rounded = round_given_paths(
+        &instance.with_paths(&rounding.paths),
+        &lp.base,
+        &RoundingConfig::default(),
+    );
+    for (i, s) in rounded.schedule.flows.iter().enumerate() {
         for seg in &s.segments {
             out.push_str(&format!(
                 "seg[{i}] {} {} {}\n",

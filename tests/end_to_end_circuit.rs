@@ -268,7 +268,8 @@ fn empty_coflow_completes_at_zero_in_every_circuit_lp() {
 
     let r = round_free_paths(&inst, &eager, &FreeRoundingConfig::default());
     let routed = inst.with_paths(&r.paths);
-    assert!(r.rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
+    let rounded = round_given_paths(&routed, &eager.base, &RoundingConfig::default());
+    assert!(rounded.schedule.check(&routed, 1e-6, 1e-6).is_empty());
     let given = solve_given_paths_lp(&routed, &GivenPathsLpConfig::default()).unwrap();
     assert!(given.coflow_completion[1].abs() < 1e-9);
 

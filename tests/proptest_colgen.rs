@@ -78,14 +78,15 @@ proptest! {
         // rounded schedule must satisfy capacity, releases, and volumes.
         let r = round_free_paths(&inst, &cg, &FreeRoundingConfig { seed, ..Default::default() });
         let routed = inst.with_paths(&r.paths);
-        let violations = r.rounded.schedule.check(&routed, 1e-6, 1e-6);
+        let rounded = round_given_paths(&routed, &cg.base, &RoundingConfig::default());
+        let violations = rounded.schedule.check(&routed, 1e-6, 1e-6);
         prop_assert!(violations.is_empty(), "rounded colgen schedule: {violations:?}");
         // Lemma 5 at ε = 1: LP*/2 lower-bounds any feasible schedule.
         prop_assert!(
-            cg.base.objective / 2.0 <= r.rounded.metrics.weighted_sum + 1e-6,
+            cg.base.objective / 2.0 <= rounded.metrics.weighted_sum + 1e-6,
             "LB {} vs realized {}",
             cg.base.objective / 2.0,
-            r.rounded.metrics.weighted_sum
+            rounded.metrics.weighted_sum
         );
     }
 
@@ -180,7 +181,8 @@ proptest! {
         );
         let r = round_free_paths(&inst, &cg, &FreeRoundingConfig { seed, ..Default::default() });
         let routed = inst.with_paths(&r.paths);
-        let violations = r.rounded.schedule.check(&routed, 1e-6, 1e-6);
+        let rounded = round_given_paths(&routed, &cg.base, &RoundingConfig::default());
+        let violations = rounded.schedule.check(&routed, 1e-6, 1e-6);
         prop_assert!(violations.is_empty(), "rounded all-paths schedule: {violations:?}");
     }
 }

@@ -35,9 +35,10 @@ proptest! {
 
         // (1) rounded schedule feasibility.
         let routed = inst.with_paths(&r.paths);
-        let violations = r.rounded.schedule.check(&routed, 1e-6, 1e-6);
+        let rounded = round_given_paths(&routed, &lp.base, &RoundingConfig::default());
+        let violations = rounded.schedule.check(&routed, 1e-6, 1e-6);
         prop_assert!(violations.is_empty(), "rounded: {violations:?}");
-        prop_assert!(lb <= r.rounded.metrics.weighted_sum + 1e-6);
+        prop_assert!(lb <= rounded.metrics.weighted_sum + 1e-6);
 
         // (3) simulator feasibility + (2) bound.
         let out = simulate(&inst, &r.paths, &lp_order(&inst, &lp.base), &SimConfig::default());
